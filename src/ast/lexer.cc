@@ -43,6 +43,13 @@ Result<std::vector<Token>> Tokenize(const std::string& input) {
           ++i;
         }
       }
+      if (i - start > kMaxNumeralLength) {
+        return Status::ParseError(
+            "numeral of " + std::to_string(i - start) +
+            " characters exceeds the limit of " +
+            std::to_string(kMaxNumeralLength) + " at line " +
+            std::to_string(line) + ", column " + std::to_string(column));
+      }
       push(TokenKind::kNumber, input.substr(start, i - start));
       column += static_cast<int>(i - start);
       continue;

@@ -1,6 +1,7 @@
 #ifndef CQLOPT_AST_LEXER_H_
 #define CQLOPT_AST_LEXER_H_
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -38,7 +39,15 @@ struct Token {
   int column;
 };
 
-/// Tokenizes `input`. `%` and `//` start line comments.
+/// Longest numeral the lexer accepts, in characters (digits plus the
+/// decimal point). Exact rational arithmetic on a numeral costs time
+/// superlinear in its length, so one client line carrying a huge literal
+/// could otherwise hold a server for minutes. Real programs write literals
+/// of a few digits; the bound leaves them ample room.
+inline constexpr size_t kMaxNumeralLength = 1000;
+
+/// Tokenizes `input`. `%` and `//` start line comments. A numeral longer
+/// than kMaxNumeralLength is a ParseError.
 Result<std::vector<Token>> Tokenize(const std::string& input);
 
 }  // namespace cqlopt

@@ -66,6 +66,23 @@ class Parser {
     return Status::OK();
   }
 
+  /// Bound on the nesting of parentheses and unary minus signs within one
+  /// expression. Each level costs several stack frames of the recursive
+  /// descent, so unbounded nesting from a client line would overflow the
+  /// stack of the thread parsing it.
+  static constexpr int kMaxExprNesting = 256;
+
+  /// Enters one nesting level; the caller leaves it with `--nesting_` once
+  /// the nested term parsed. A failed parse abandons the Parser, so error
+  /// returns need not rebalance the counter.
+  Status EnterNesting() {
+    if (++nesting_ > kMaxExprNesting) {
+      return Error("expression nested deeper than " +
+                   std::to_string(kMaxExprNesting) + " levels");
+    }
+    return Status::OK();
+  }
+
   VarId InternVar(const std::string& name) {
     auto [it, inserted] = rule_vars_.emplace(name, kNoVar);
     if (inserted) {
@@ -101,7 +118,9 @@ class Parser {
       return ParsedTerm::Symbol(sym);
     }
     if (Accept(TokenKind::kLParen)) {
+      CQLOPT_RETURN_IF_ERROR(EnterNesting());
       CQLOPT_ASSIGN_OR_RETURN(ParsedTerm t, ParseExpr());
+      --nesting_;
       CQLOPT_RETURN_IF_ERROR(Expect(TokenKind::kRParen, "')'"));
       return t;
     }
@@ -111,7 +130,9 @@ class Parser {
   /// unary := ['-'] primary
   Result<ParsedTerm> ParseUnary() {
     if (Accept(TokenKind::kMinus)) {
+      CQLOPT_RETURN_IF_ERROR(EnterNesting());
       CQLOPT_ASSIGN_OR_RETURN(ParsedTerm t, ParseUnary());
+      --nesting_;
       if (t.kind != ParsedTerm::Kind::kLinear) {
         return Error("cannot negate a symbolic constant");
       }
@@ -303,6 +324,7 @@ class Parser {
   std::shared_ptr<SymbolTable> symbols_;
   VarAllocator alloc_;
   size_t pos_ = 0;
+  int nesting_ = 0;  // open parentheses and unary minus signs (EnterNesting)
   std::map<std::string, VarId> rule_vars_;
   std::map<VarId, std::string> rule_var_names_;
 };

@@ -23,8 +23,8 @@ namespace cqlopt {
 /// CLP evaluation.
 ///
 /// Concurrency: the table is sharded by key; each shard is guarded by its
-/// own mutex, so the parallel stratified workers (eval/seminaive.cc) share
-/// hits without serializing on one lock. Counters are relaxed atomics.
+/// own mutex, so queries evaluated concurrently (cqld's scheduler workers)
+/// share hits without serializing on one lock. Counters are relaxed atomics.
 ///
 /// Bounding: each shard holds at most kMaxEntriesPerShard entries; an
 /// insert into a full shard clears that shard first (wholesale eviction —

@@ -1,7 +1,6 @@
 #ifndef CQLOPT_EVAL_FIXPOINT_H_
 #define CQLOPT_EVAL_FIXPOINT_H_
 
-#include <atomic>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -9,7 +8,6 @@
 
 #include "eval/seminaive.h"
 #include "graph/scc.h"
-#include "util/thread_pool.h"
 
 /// Internal fixpoint machinery shared by the evaluation entry points of
 /// seminaive.h (Evaluate / ResumeEvaluate) and the incremental-maintenance
@@ -26,17 +24,17 @@ namespace eval_internal {
 /// Check granularity:
 ///  - Fine(): called from the emit callback on every derivation. Costs one
 ///    branch when no limit is set; when governed, samples the clock / token
-///    only every kFineInterval derivations (a relaxed shared tick), and
-///    otherwise just reads the trip flag — so a trip in one parallel worker
-///    makes every other worker bail on its next derivation.
-///  - RuleBoundary(): called before each rule application (serially between
-///    rules, and at task start inside pool workers) — an unconditional
-///    clock/token sample, so even derivation-free rule batches stay
-///    responsive.
-///  - IterationBoundary(): called serially after each iteration commits;
-///    adds the derived-fact budget, which deliberately lives ONLY here so
-///    the abort lands on the same iteration — with the same committed
-///    database — at any thread count.
+///    only every kFineInterval derivations, and otherwise just reads the
+///    trip flag.
+///  - RuleBoundary(): called before each rule application — an
+///    unconditional clock/token sample, so even derivation-free rule
+///    batches stay responsive.
+///  - IterationBoundary(): called after each iteration commits; adds the
+///    derived-fact budget, which deliberately lives ONLY here so the abort
+///    lands on an iteration boundary, with a fully committed database.
+///
+/// Only the evaluating thread touches a Governor; other threads reach it
+/// solely through the (atomic) CancelToken.
 ///
 /// The returned Status carries the cause ("wall-clock deadline of 50ms
 /// expired"); the strategy loops annotate it with the position
@@ -60,17 +58,14 @@ class Governor {
 
   Status Fine() {
     if (!active_) return Status::OK();
-    if (tripped_.load(std::memory_order_relaxed)) return TrippedStatus();
-    if ((tick_.fetch_add(1, std::memory_order_relaxed) &
-         (kFineInterval - 1)) != 0) {
-      return Status::OK();
-    }
+    if (tripped_ != 0) return TrippedStatus();
+    if ((tick_++ & (kFineInterval - 1)) != 0) return Status::OK();
     return Sample();
   }
 
   Status RuleBoundary() {
     if (!active_) return Status::OK();
-    if (tripped_.load(std::memory_order_relaxed)) return TrippedStatus();
+    if (tripped_ != 0) return TrippedStatus();
     return Sample();
   }
 
@@ -98,23 +93,22 @@ class Governor {
  private:
   static constexpr long kFineInterval = 64;  // power of two (mask below)
 
-  /// Samples the token and the clock; records the first trip so concurrent
-  /// workers short-circuit without re-sampling.
+  /// Samples the token and the clock; records the first trip so later
+  /// checks short-circuit without re-sampling.
   Status Sample() {
     if (cancel_.cancel_requested()) {
-      tripped_.store(kTripCancelled, std::memory_order_relaxed);
+      tripped_ = kTripCancelled;
       return TrippedStatus();
     }
     if (deadline_ms_ > 0 && std::chrono::steady_clock::now() >= deadline_) {
-      tripped_.store(kTripDeadline, std::memory_order_relaxed);
+      tripped_ = kTripDeadline;
       return TrippedStatus();
     }
     return Status::OK();
   }
 
   Status TrippedStatus() const {
-    if (tripped_.load(std::memory_order_relaxed) == kTripCancelled ||
-        cancel_.cancel_requested()) {
+    if (tripped_ == kTripCancelled || cancel_.cancel_requested()) {
       return Status::Cancelled("evaluation cancelled via CancelToken");
     }
     return Status::DeadlineExceeded("wall-clock deadline of " +
@@ -131,13 +125,12 @@ class Governor {
   const long baseline_inserted_;
   const bool active_;
   std::chrono::steady_clock::time_point deadline_{};
-  std::atomic<long> tick_{0};
-  std::atomic<int> tripped_{0};
+  long tick_ = 0;
+  int tripped_ = 0;
 };
 
 /// One fixpoint iteration over `rule_indexes` against result->db: applies
-/// the rules under the given delta discipline (concurrently when `pool` is
-/// non-null, merged deterministically in rule order), reconciles the
+/// the rules in order under the given delta discipline, reconciles the
 /// buffered derivations as a set, and commits the survivors with birth
 /// `iteration`. Constraint facts (body-free rules) fire only when
 /// `fire_constraint_facts` is set. Returns the number of facts inserted.
@@ -154,7 +147,7 @@ Result<long> RunIteration(const Program& program,
                           bool require_delta, bool use_index,
                           bool delta_rotate, bool interval_index,
                           const EvalOptions& options, Governor* governor,
-                          ThreadPool* pool, EvalResult* result);
+                          EvalResult* result);
 
 /// Annotates a governed (or fault-injected) abort Status with the position
 /// it landed at, mirrors the position into the partial stats, and copies
@@ -196,11 +189,10 @@ StratifiedPlan PlanStratified(const Program& program);
 Status RunStrata(const Program& program, const StratifiedPlan& plan,
                  size_t first_component, int start_iteration,
                  const EvalOptions& options, Governor* governor,
-                 ThreadPool* pool, EvalResult* result);
+                 EvalResult* result);
 
 /// Rejects option values the fixpoint loops cannot interpret (negative
-/// caps would loop forever; negative thread counts would size a pool
-/// undefinedly).
+/// caps and budgets).
 Status CheckEvalOptions(const EvalOptions& options);
 
 }  // namespace eval_internal

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <limits>
 #include <map>
-#include <memory>
 #include <numeric>
 #include <optional>
 #include <set>
@@ -13,7 +12,6 @@
 #include "constraint/interval.h"
 #include "eval/fixpoint.h"
 #include "eval/validate.h"
-#include "util/thread_pool.h"
 
 namespace cqlopt {
 namespace {
@@ -402,10 +400,8 @@ Result<EvalResult> RetractEvaluate(const Program& program, EvalResult base,
   DecisionCache::Counters before = DecisionCache::Instance().Snapshot();
   prepass::Counters pre_before = prepass::Snapshot();
   Governor governor(options, /*baseline_inserted=*/result.stats.inserted);
-  std::unique_ptr<ThreadPool> pool;
-  if (options.threads > 1) pool = std::make_unique<ThreadPool>(options.threads);
   CQLOPT_RETURN_IF_ERROR(RunStrata(program, plan, suffix_start, prefix_iters,
-                                   options, &governor, pool.get(), &result));
+                                   options, &governor, &result));
   DecisionCache::Counters after = DecisionCache::Instance().Snapshot();
   result.stats.cache_hits += after.hits - before.hits;
   result.stats.cache_misses += after.misses - before.misses;

@@ -1,6 +1,5 @@
 #include "eval/seminaive.h"
 
-#include <memory>
 #include <numeric>
 #include <optional>
 
@@ -8,7 +7,6 @@
 #include "constraint/interval.h"
 #include "eval/fixpoint.h"
 #include "eval/validate.h"
-#include "util/thread_pool.h"
 
 namespace cqlopt {
 namespace {
@@ -33,22 +31,15 @@ Result<EvalResult> EvaluateStratified(const Program& program,
                                       Governor* governor) {
   EvalResult result;
   result.db = edb;  // EDB facts carry birth -1.
-
-  // One pool for the whole evaluation: workers survive across iterations
-  // and strata, idling between the fork-join batches.
-  std::unique_ptr<ThreadPool> pool;
-  if (options.threads > 1) pool = std::make_unique<ThreadPool>(options.threads);
-
   eval_internal::StratifiedPlan plan = eval_internal::PlanStratified(program);
   CQLOPT_RETURN_IF_ERROR(eval_internal::RunStrata(
       program, plan, /*first_component=*/0, /*start_iteration=*/0, options,
-      governor, pool.get(), &result));
+      governor, &result));
   return result;
 }
 
-/// The kNaive / kSemiNaive oracle loop: every rule in one global fixpoint,
-/// linear-scan joins, always serial (the oracles define the reference
-/// behaviour the parallel stratified path must reproduce).
+/// The kSemiNaive loop: every rule in one global fixpoint, linear-scan
+/// joins — the reference evaluation the stratified path must reproduce.
 Result<EvalResult> EvaluateGlobal(const Program& program, const Database& edb,
                                   const EvalOptions& options,
                                   Governor* governor) {
@@ -58,17 +49,16 @@ Result<EvalResult> EvaluateGlobal(const Program& program, const Database& edb,
   std::vector<size_t> all_rules(program.rules.size());
   std::iota(all_rules.begin(), all_rules.end(), 0);
   for (int iteration = 0; iteration < options.max_iterations; ++iteration) {
-    bool require_delta =
-        options.strategy == EvalStrategy::kSemiNaive && iteration > 0;
     auto position = [&] {
       return "global iteration " + std::to_string(iteration) +
              " (single global stratum), " + FactsSoFar(result);
     };
     Result<long> ran = RunIteration(
         program, all_rules, iteration,
-        /*fire_constraint_facts=*/iteration == 0, require_delta,
-        /*use_index=*/false, /*delta_rotate=*/false, /*interval_index=*/false,
-        options, governor, /*pool=*/nullptr, &result);
+        /*fire_constraint_facts=*/iteration == 0,
+        /*require_delta=*/iteration > 0, /*use_index=*/false,
+        /*delta_rotate=*/false, /*interval_index=*/false, options, governor,
+        &result);
     if (!ran.ok()) {
       if (Governor::IsAbortCode(ran.status().code())) {
         return GovernedAbort(ran.status(), position(), options, &result);
@@ -185,9 +175,6 @@ Result<EvalResult> ResumeEvaluate(const Program& program, EvalResult base,
     result.trace.emplace_back();
   }
 
-  std::unique_ptr<ThreadPool> pool;
-  if (options.threads > 1) pool = std::make_unique<ThreadPool>(options.threads);
-
   std::vector<size_t> all_rules(program.rules.size());
   std::iota(all_rules.begin(), all_rules.end(), 0);
   result.stats.reached_fixpoint = false;
@@ -204,7 +191,7 @@ Result<EvalResult> ResumeEvaluate(const Program& program, EvalResult base,
         program, all_rules, iteration,
         /*fire_constraint_facts=*/false, /*require_delta=*/true,
         /*use_index=*/true, /*delta_rotate=*/true, options.interval_index,
-        options, &governor, pool.get(), &result);
+        options, &governor, &result);
     if (!ran.ok()) {
       if (Governor::IsAbortCode(ran.status().code())) {
         return GovernedAbort(ran.status(), position(), options, &result);

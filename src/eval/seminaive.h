@@ -18,18 +18,14 @@ enum class EvalStrategy {
   /// rule in one global loop with linear-scan joins; kept unchanged as the
   /// differential-testing oracle for kStratified.
   kSemiNaive,
-  /// Every rule is re-applied to all known facts each iteration. Same
-  /// fixpoint, many redundant derivations; kept as a differential-testing
-  /// oracle for the semi-naive delta discipline.
-  kNaive,
   /// SCC-stratified semi-naive: the predicate dependency graph is condensed
   /// into strongly connected components and one semi-naive fixpoint runs
   /// per component in bottom-up topological order, so facts of lower strata
   /// are computed once and frozen instead of being re-joined every global
   /// iteration. Body literals are resolved through the relations'
   /// per-position hash indexes where the join state directly binds a
-  /// position (rule_application.h). Reaches the same fixpoint as the two
-  /// oracles; iteration numbering is global across strata (trace[i] /
+  /// position (rule_application.h). Reaches the same fixpoint as
+  /// kSemiNaive; iteration numbering is global across strata (trace[i] /
   /// birth stamps keep their meaning), `max_iterations` caps the global
   /// total, and EvalStats::scc_iterations attributes iterations to strata.
   /// When a program is a single SCC (e.g. the Table 1/2 magic programs) the
@@ -38,8 +34,9 @@ enum class EvalStrategy {
 };
 
 /// Options of the bottom-up fixpoint. Evaluate/ResumeEvaluate validate the
-/// numeric fields (negative `threads` or `max_iterations` is rejected with
-/// InvalidArgument rather than looping/partitioning undefinedly).
+/// numeric fields (a negative `max_iterations`, `deadline_ms` or
+/// `max_derived_facts` is rejected with InvalidArgument rather than looping
+/// undefinedly). Evaluation runs on the calling thread.
 struct EvalOptions {
   /// Hard cap on iterations — CQL evaluation need not terminate (the
   /// paper's Table 1 program runs forever); the cap turns divergence into
@@ -50,14 +47,6 @@ struct EvalOptions {
   EvalStrategy strategy = EvalStrategy::kSemiNaive;
   /// Record per-iteration derivation lists (the format of Tables 1 and 2).
   bool record_trace = false;
-  /// Worker threads applying rules within each kStratified iteration
-  /// (ignored by the oracle strategies). Workers read the frozen
-  /// pre-iteration snapshot and derive into thread-local buffers; a
-  /// deterministic serial merge (rule order, then enumeration order) then
-  /// reconciles and commits, so final facts, birth stamps, traces, and
-  /// stats are byte-identical to the serial run at any thread count.
-  /// Must be >= 0; 0 and 1 both mean the serial path.
-  int threads = 1;
   /// Two-tier constraint decisions (DESIGN.md §11): when true (default)
   /// satisfiability / implication queries try the interval-propagation
   /// prepass first, falling back to exact cached Fourier–Motzkin only on
@@ -77,15 +66,14 @@ struct EvalOptions {
   /// enumeration order is preserved, so toggling this never changes facts,
   /// births, or traces — only wall-clock and the interval_* counters.
   /// Applies to the kStratified strategy and to ResumeEvaluate (the paths
-  /// that use indexes at all); the oracle strategies always scan.
+  /// that use indexes at all); kSemiNaive always scans.
   bool interval_index = true;
 
   // --- Resource governance. The three limits below are checked
   // cooperatively: at iteration boundaries, at rule-batch boundaries, and
-  // (for deadline/cancel) every ~64 derivations inside rule application —
-  // including inside parallel workers, which observe a shared trip flag so
-  // a stratum aborts cleanly at any thread count (partial Pending buffers
-  // are discarded; nothing half-commits). A governed abort returns a typed
+  // (for deadline/cancel) every ~64 derivations inside rule application.
+  // An abort inside an iteration discards that iteration's buffered
+  // derivations, so nothing half-commits. A governed abort returns a typed
   // error Status (kDeadlineExceeded / kResourceExhausted / kCancelled)
   // whose message pinpoints the stratum, global iteration, and facts
   // stored; `abort_stats` receives the partial counters. All limits are
@@ -100,9 +88,9 @@ struct EvalOptions {
   /// aborts with kDeadlineExceeded. Must be >= 0; 0 means no deadline.
   long deadline_ms = 0;
   /// Budget on facts *stored by this call* (EvalStats::inserted growth;
-  /// ResumeEvaluate counts only the resumed portion). Checked at the serial
+  /// ResumeEvaluate counts only the resumed portion). Checked at the
   /// iteration boundary, so the abort point — and the partial database — is
-  /// identical at any thread count. Exceeding it aborts with
+  /// the same whatever the decision tiers. Exceeding it aborts with
   /// kResourceExhausted. Must be >= 0; 0 means unlimited. Since every
   /// stored fact has bounded footprint this doubles as the memory budget.
   long max_derived_facts = 0;
@@ -153,8 +141,8 @@ Result<EvalResult> Evaluate(const Program& program, const Database& edb,
 /// resumed fixpoint denotes the same fact set as a from-scratch evaluation
 /// of the union EDB — per predicate, each result's facts are covered by the
 /// disjunction of the other's (tests/test_service.cc locks this against
-/// EvalStrategy::kStratified across the program corpus, all three
-/// SubsumptionModes, and 1/2/8 threads).
+/// EvalStrategy::kStratified across the program corpus and all three
+/// SubsumptionModes).
 ///
 /// `base` is consumed and extended: stats accumulate on top (iterations
 /// keeps global numbering; when record_trace was set, one empty trace row
@@ -164,8 +152,7 @@ Result<EvalResult> Evaluate(const Program& program, const Database& edb,
 /// (rule_application.h: each rule is driven from its delta facts, so within
 /// an iteration derivations arrive grouped by pivot position rather than in
 /// body-enumeration order); `max_iterations` caps
-/// the *resumed* iterations. `options.threads` parallelizes rule
-/// application exactly as in Evaluate. Preconditions: `base` reached its
+/// the *resumed* iterations. Preconditions: `base` reached its
 /// fixpoint (resuming a capped run would silently drop the unexplored
 /// frontier — InvalidArgument), and options are valid.
 ///

@@ -122,12 +122,6 @@ struct EvalStats {
   /// "noop" / "splice" / "prefix" / "full". Empty for plain evaluations.
   std::string retract_path;
 
-  /// Folds the join/derivation counters of one parallel worker into this —
-  /// the deterministic-merge half of eval/seminaive.cc's parallel
-  /// iteration. All folded fields are sums, so merge order cannot change
-  /// the totals.
-  void MergeWorkerCounters(const EvalStats& worker);
-
   std::string ToString(const SymbolTable& symbols) const;
 };
 

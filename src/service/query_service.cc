@@ -86,11 +86,11 @@ Result<std::unique_ptr<QueryService>> QueryService::FromText(
 
 Result<std::unique_ptr<QueryService>> QueryService::FromParts(
     Program program, Database edb, ServiceOptions options) {
-  if (options.eval.max_iterations < 0 || options.eval.threads < 0 ||
-      options.eval.deadline_ms < 0 || options.eval.max_derived_facts < 0) {
+  if (options.eval.max_iterations < 0 || options.eval.deadline_ms < 0 ||
+      options.eval.max_derived_facts < 0) {
     return Status::InvalidArgument(
-        "ServiceOptions::eval has a negative max_iterations, threads, "
-        "deadline_ms, or max_derived_facts");
+        "ServiceOptions::eval has a negative max_iterations, deadline_ms, "
+        "or max_derived_facts");
   }
   // Traces are never served and rendering them would read the symbol table
   // from inside the (unlocked) evaluation. Abort stats can't be handed to

@@ -27,22 +27,18 @@ namespace cqlopt {
 namespace testing {
 namespace {
 
-EvalOptions EngineOptions(const FuzzOptions& fo, EvalStrategy strategy,
-                          int threads = 0) {
+EvalOptions EngineOptions(const FuzzOptions& fo, EvalStrategy strategy) {
   EvalOptions opts;
   opts.max_iterations = fo.eval_max_iterations;
   opts.subsumption = fo.subsumption;
   opts.strategy = strategy;
-  // 0 (the default) defers to the harness-wide knob; properties that pin a
-  // specific count (strategy_confluence) pass it explicitly.
-  opts.threads = threads > 0 ? threads : fo.eval_threads;
   opts.prepass = fo.prepass;
   return opts;
 }
 
 /// Key + birth of every stored fact, in storage order — the byte-level
-/// fingerprint the deterministic-parallelism contract promises is thread-
-/// count independent (seminaive.h EvalOptions::threads).
+/// fingerprint answer-neutral toggles (prepass, interval index) and
+/// retraction must leave unchanged.
 std::string StorageFingerprint(const EvalResult& r) {
   std::string out;
   for (const auto& [pred, rel] : r.db.relations()) {
@@ -109,58 +105,39 @@ PropertyOutcome OracleEquiv(const FuzzCase& c, const FuzzOptions& fo) {
 }
 
 // ---------------------------------------------------------------------------
-// strategy_confluence: every strategy and thread count, one fixpoint.
+// strategy_confluence: the oracle and both engine strategies, one fixpoint.
 
 PropertyOutcome StrategyConfluence(const FuzzCase& c, const FuzzOptions& fo) {
+  auto oracle = OracleEvaluate(c.program, c.edb);
+  if (!oracle.ok()) {
+    return PropertyOutcome::Fail("oracle rejected generated program: " +
+                                 oracle.status().message());
+  }
+  if (!oracle->reached_fixpoint) {
+    return PropertyOutcome::Skip("oracle hit the round cap");
+  }
   Database db = BuildDatabase(c);
-  struct Run {
-    const char* name;
-    EvalStrategy strategy;
-    int threads;
+  const std::pair<const char*, EvalStrategy> runs[] = {
+      {"semi-naive", EvalStrategy::kSemiNaive},
+      {"stratified", EvalStrategy::kStratified},
   };
-  const Run runs[] = {
-      {"naive", EvalStrategy::kNaive, 1},
-      {"semi-naive", EvalStrategy::kSemiNaive, 1},
-      {"stratified", EvalStrategy::kStratified, 1},
-      {"stratified-t2", EvalStrategy::kStratified, 2},
-      {"stratified-t8", EvalStrategy::kStratified, 8},
-  };
-  std::vector<EvalResult> results;
-  for (const Run& run : runs) {
-    auto r = Evaluate(c.program, db,
-                      EngineOptions(fo, run.strategy, run.threads));
+  for (const auto& [name, strategy] : runs) {
+    auto r = Evaluate(c.program, db, EngineOptions(fo, strategy));
     if (!r.ok()) {
-      return PropertyOutcome::Fail(std::string(run.name) +
-                                   " evaluation failed: " +
+      return PropertyOutcome::Fail(std::string(name) + " evaluation failed: " +
                                    r.status().message());
     }
     if (!r->stats.reached_fixpoint) {
-      return PropertyOutcome::Skip(std::string(run.name) +
+      return PropertyOutcome::Skip(std::string(name) +
                                    " hit the iteration cap");
     }
-    results.push_back(std::move(*r));
-  }
-  auto baseline = EvalToMap(results[1]);  // semi-naive
-  for (size_t i = 0; i < results.size(); ++i) {
-    if (i == 1) continue;
-    auto other = EvalToMap(results[i]);
-    if (!SameDenotation(baseline, other)) {
-      return PropertyOutcome::Fail(std::string(runs[i].name) +
-                                   " disagrees with semi-naive: " +
-                                   CountsByPred(other) + " vs " +
-                                   CountsByPred(baseline));
+    auto engine = EvalToMap(*r);
+    if (!SameDenotation(oracle->facts, engine)) {
+      return PropertyOutcome::Fail(std::string(name) +
+                                   " disagrees with the oracle: " +
+                                   CountsByPred(engine) + " vs " +
+                                   CountsByPred(oracle->facts));
     }
-  }
-  // The parallel contract is stronger than semantic agreement: identical
-  // storage (fact keys, order, birth stamps) at every thread count.
-  std::string serial = StorageFingerprint(results[2]);
-  if (StorageFingerprint(results[3]) != serial) {
-    return PropertyOutcome::Fail(
-        "stratified t=2 storage differs from serial");
-  }
-  if (StorageFingerprint(results[4]) != serial) {
-    return PropertyOutcome::Fail(
-        "stratified t=8 storage differs from serial");
   }
   return PropertyOutcome::Ok();
 }
@@ -1819,8 +1796,8 @@ const std::vector<PropertyInfo>& AllProperties() {
            "semi-naive engine matches the naive reference oracle",
            &OracleEquiv},
           {"strategy_confluence",
-           "naive / semi-naive / stratified / parallel agree; parallel "
-           "storage is byte-identical to serial",
+           "semi-naive and stratified both match the naive reference "
+           "oracle",
            &StrategyConfluence},
           {"rewrite_equiv",
            "pred / qrp / magic / balbin pipelines preserve query answers",

@@ -4,7 +4,7 @@
 // columns with sealed runs, empty relations — plus the copy-on-write chunk
 // sharing contract and the corpus-replay differential pinning byte-identity
 // of evaluation with interval pruning on vs off across every subsumption
-// mode and thread count.
+// mode.
 
 #include <algorithm>
 #include <optional>
@@ -288,10 +288,9 @@ TEST(IntervalIndexTest, EvaluationPrunesAndStaysByteIdentical) {
 
 /// Corpus-replay differential: every minimized repro in tests/fuzz_corpus/
 /// (planted-bug self-checks excluded) is evaluated under all three
-/// subsumption modes × 1/2/8 worker threads, with interval pruning on vs
-/// off, and the columnar storage must be byte-identical between the two
-/// arms in every combination.
-TEST(ColumnarDifferentialTest, CorpusByteIdenticalAcrossModesAndThreads) {
+/// subsumption modes, with interval pruning on vs off, and the columnar
+/// storage must be byte-identical between the two arms in every mode.
+TEST(ColumnarDifferentialTest, CorpusByteIdenticalAcrossModes) {
   auto files = testing::ListCorpusFiles(CQLOPT_FUZZ_CORPUS_DIR);
   ASSERT_TRUE(files.ok()) << files.status().ToString();
   ASSERT_FALSE(files->empty());
@@ -304,24 +303,20 @@ TEST(ColumnarDifferentialTest, CorpusByteIdenticalAcrossModesAndThreads) {
     for (SubsumptionMode mode :
          {SubsumptionMode::kNone, SubsumptionMode::kSingleFact,
           SubsumptionMode::kSetImplication}) {
-      for (int threads : {1, 2, 8}) {
-        SCOPED_TRACE("mode=" + std::to_string(static_cast<int>(mode)) +
-                     " threads=" + std::to_string(threads));
-        EvalOptions opts;
-        opts.max_iterations = 48;
-        opts.strategy = EvalStrategy::kStratified;
-        opts.subsumption = mode;
-        opts.threads = threads;
-        opts.interval_index = true;
-        auto on = Evaluate(loaded->c.program, db, opts);
-        ASSERT_TRUE(on.ok()) << on.status().ToString();
-        opts.interval_index = false;
-        auto off = Evaluate(loaded->c.program, db, opts);
-        ASSERT_TRUE(off.ok()) << off.status().ToString();
-        EXPECT_EQ(Fingerprint(*on), Fingerprint(*off));
-        EXPECT_EQ(on->stats.derivations, off->stats.derivations);
-        EXPECT_EQ(on->stats.inserted, off->stats.inserted);
-      }
+      SCOPED_TRACE("mode=" + std::to_string(static_cast<int>(mode)));
+      EvalOptions opts;
+      opts.max_iterations = 48;
+      opts.strategy = EvalStrategy::kStratified;
+      opts.subsumption = mode;
+      opts.interval_index = true;
+      auto on = Evaluate(loaded->c.program, db, opts);
+      ASSERT_TRUE(on.ok()) << on.status().ToString();
+      opts.interval_index = false;
+      auto off = Evaluate(loaded->c.program, db, opts);
+      ASSERT_TRUE(off.ok()) << off.status().ToString();
+      EXPECT_EQ(Fingerprint(*on), Fingerprint(*off));
+      EXPECT_EQ(on->stats.derivations, off->stats.derivations);
+      EXPECT_EQ(on->stats.inserted, off->stats.inserted);
     }
   }
 }

@@ -423,10 +423,9 @@ TEST(PrepassCacheInteractionTest, HitAccountingConsistentUnderBothArms) {
 }
 
 TEST(DecisionCacheTest, FuzzPropertyHoldsUnderCapacityOneThrash) {
-  // strategy_confluence internally pins byte-identical storage across
-  // naive / semi-naive / stratified / 2- and 8-thread runs; executing it
-  // under a capacity-1 cache exercises that guarantee while every shard
-  // evicts on virtually every insert.
+  // strategy_confluence checks semi-naive and stratified runs against the
+  // naive oracle; executing it under a capacity-1 cache exercises that
+  // guarantee while every shard evicts on virtually every insert.
   cqlopt::testing::FuzzCase c = cqlopt::testing::GenerateCase(
       cqlopt::testing::Rng::DeriveSeed(42, 7), {});
   const cqlopt::testing::PropertyInfo* confluence =

@@ -169,35 +169,6 @@ TEST(EvalTest, SubsumptionWithinIterationPrefersGeneralFact) {
   EXPECT_FALSE(rel->fact(0).IsGround());
 }
 
-TEST(EvalTest, NaiveAndSemiNaiveAgree) {
-  Program p = ParseOrDie(
-      "t(X, Y) :- e(X, Y), X <= 8.\n"
-      "t(X, Y) :- e(X, Z), t(Z, Y), Z >= 0.\n");
-  Database edb =
-      EdgeDb(p.symbols.get(), {{1, 2}, {2, 3}, {3, 4}, {4, 2}, {9, 1}});
-  EvalOptions semi;
-  EvalOptions naive;
-  naive.strategy = EvalStrategy::kNaive;
-  auto a = Evaluate(p, edb, semi);
-  auto b = Evaluate(p, edb, naive);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  PredId t = p.symbols->LookupPredicate("t");
-  EXPECT_EQ(a->db.FactsFor(t), b->db.FactsFor(t));
-  EXPECT_TRUE(a->stats.reached_fixpoint);
-  EXPECT_TRUE(b->stats.reached_fixpoint);
-  // Naive makes strictly more (redundant) derivations.
-  EXPECT_GT(b->stats.derivations, a->stats.derivations);
-  // Same fact sets, entry by entry (keys are canonical).
-  std::set<std::string> keys_a;
-  std::set<std::string> keys_b;
-  const Relation* ra = a->db.Find(t);
-  const Relation* rb = b->db.Find(t);
-  for (size_t i = 0; i < ra->size(); ++i) keys_a.insert(ra->fact(i).Key());
-  for (size_t i = 0; i < rb->size(); ++i) keys_b.insert(rb->fact(i).Key());
-  EXPECT_EQ(keys_a, keys_b);
-}
-
 TEST(EvalTest, SetImplicationSubsumptionTighter) {
   // Two overlapping interval facts plus one covered by their union: the
   // set mode stores two facts, the single mode three.
@@ -333,19 +304,6 @@ TEST(EvalTest, RejectsNegativeMaxIterations) {
             std::string::npos)
       << result.status().message();
   EXPECT_NE(result.status().message().find("-1"), std::string::npos);
-}
-
-TEST(EvalTest, RejectsNegativeThreads) {
-  Program p = ParseOrDie("t(X, Y) :- e(X, Y).\n");
-  Database edb = EdgeDb(p.symbols.get(), {{1, 2}});
-  EvalOptions options;
-  options.threads = -4;
-  auto result = Evaluate(p, edb, options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(result.status().message().find("threads"), std::string::npos)
-      << result.status().message();
-  EXPECT_NE(result.status().message().find("-4"), std::string::npos);
 }
 
 TEST(EvalTest, ZeroIterationsReturnsEdbWithoutFixpoint) {

@@ -1,7 +1,10 @@
 #include "ast/parser.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "ast/lexer.h"
 #include "ast/printer.h"
 
 namespace cqlopt {
@@ -131,6 +134,54 @@ TEST(ParserTest, CommentsIgnored) {
       "q(X) :- e(X).  // another\n");
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->program.rules.size(), 1u);
+}
+
+TEST(ParserTest, DeepParenthesesRejectedWithLine) {
+  // 100k levels would overflow the recursive descent's stack.
+  std::string expr =
+      std::string(100000, '(') + "1" + std::string(100000, ')');
+  auto result = ParseProgram("e(1).\n?- e(X), X = " + expr + ".");
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kParseError);
+  EXPECT_NE(result.status().message().find("nested deeper than"),
+            std::string::npos)
+      << result.status().message();
+  EXPECT_NE(result.status().message().find("at line 2"), std::string::npos)
+      << result.status().message();
+}
+
+TEST(ParserTest, DeepUnaryMinusRejectedWithLine) {
+  auto result = ParseProgram("e(1).\n?- e(X), X = " +
+                             std::string(100000, '-') + "1.");
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kParseError);
+  EXPECT_NE(result.status().message().find("nested deeper than"),
+            std::string::npos)
+      << result.status().message();
+  EXPECT_NE(result.status().message().find("at line 2"), std::string::npos)
+      << result.status().message();
+}
+
+TEST(ParserTest, ModerateNestingAccepted) {
+  auto result = ParseProgram("q(X) :- e(X), X <= " + std::string(200, '(') +
+                             "-(-2)" + std::string(200, ')') + ".");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+}
+
+TEST(LexerViaParserTest, OverlongNumeralRejected) {
+  auto result =
+      ParseProgram("q(X) :- e(X), X <= " + std::string(100000, '7') + ".");
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kParseError);
+  EXPECT_NE(result.status().message().find("exceeds the limit"),
+            std::string::npos)
+      << result.status().message().substr(0, 200);
+  // The message names the numeral's length, not its text.
+  EXPECT_LT(result.status().message().size(), 200u);
+  // A numeral at the limit still parses.
+  EXPECT_TRUE(ParseProgram("q(X) :- e(X), X <= " +
+                           std::string(kMaxNumeralLength, '7') + ".")
+                  .ok());
 }
 
 TEST(ParserTest, DecimalNumbers) {

@@ -3,7 +3,7 @@
 // protocol. The core guarantee is differential: resuming a materialized
 // fixpoint with ingested EDB deltas (ResumeEvaluate) must agree with a
 // from-scratch kStratified evaluation of the grown database — across the
-// program corpus, all three subsumption modes, and 1/2/8 worker threads.
+// program corpus and all three subsumption modes.
 
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -140,12 +140,12 @@ struct ModeParam {
   SubsumptionMode mode;
 };
 
-using ResumeParam = std::tuple<const char*, ModeParam, int>;
+using ResumeParam = std::tuple<const char*, ModeParam>;
 
 class ResumeDifferentialTest : public ::testing::TestWithParam<ResumeParam> {};
 
 TEST_P(ResumeDifferentialTest, ResumedEqualsFromScratch) {
-  const auto& [program_name, mode, threads] = GetParam();
+  const auto& [program_name, mode] = GetParam();
   auto parsed = ParseProgram(ReadFile(ProgramPath(program_name)));
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   Program& program = parsed->program;
@@ -175,7 +175,6 @@ TEST_P(ResumeDifferentialTest, ResumedEqualsFromScratch) {
   EvalOptions options;
   options.strategy = EvalStrategy::kStratified;
   options.subsumption = mode.mode;
-  options.threads = threads;
   options.max_iterations = std::string(program_name) == "fib.cql" ? 14 : 48;
 
   auto base_run = Evaluate(program, base, options);
@@ -217,37 +216,34 @@ INSTANTIATE_TEST_SUITE_P(
                           ModeParam{"single_fact",
                                     SubsumptionMode::kSingleFact},
                           ModeParam{"set_implication",
-                                    SubsumptionMode::kSetImplication}),
-        ::testing::Values(1, 2, 8)),
+                                    SubsumptionMode::kSetImplication})),
     [](const ::testing::TestParamInfo<ResumeParam>& info) {
       std::string name = std::get<0>(info.param);
       for (char& c : name) {
         if (c == '.') c = '_';
       }
-      return name + "_" + std::get<1>(info.param).name + "_t" +
-             std::to_string(std::get<2>(info.param));
+      return name + "_" + std::get<1>(info.param).name;
     });
 
 // ---------------------------------------------------------------------------
-// Differential: retract_vs_scratch replayed across the full worker x
-// subsumption x prepass matrix. The property itself (testing/properties.cc)
+// Differential: retract_vs_scratch replayed across the full subsumption x
+// prepass matrix. The property itself (testing/properties.cc)
 // pins RetractEvaluate to byte-identity with a scratch run on the surviving
 // EDB and checks RETRACT over the protocol; here it must hold at every
 // point of the configuration lattice, not just the fuzzer's defaults.
 
-using RetractMatrixParam = std::tuple<ModeParam, int, bool>;
+using RetractMatrixParam = std::tuple<ModeParam, bool>;
 
 class RetractDifferentialTest
     : public ::testing::TestWithParam<RetractMatrixParam> {};
 
 TEST_P(RetractDifferentialTest, RetractVsScratchHoldsAcrossSeeds) {
-  const auto& [mode, threads, prepass] = GetParam();
+  const auto& [mode, prepass] = GetParam();
   const cqlopt::testing::PropertyInfo* property =
       cqlopt::testing::FindProperty("retract_vs_scratch");
   ASSERT_NE(property, nullptr);
   cqlopt::testing::FuzzOptions fo;
   fo.subsumption = mode.mode;
-  fo.eval_threads = threads;
   fo.prepass = prepass;
   int checked = 0;
   for (uint64_t seed = 1; seed <= 12; ++seed) {
@@ -270,11 +266,10 @@ INSTANTIATE_TEST_SUITE_P(
                                     SubsumptionMode::kSingleFact},
                           ModeParam{"set_implication",
                                     SubsumptionMode::kSetImplication}),
-        ::testing::Values(1, 2, 8), ::testing::Bool()),
+        ::testing::Bool()),
     [](const ::testing::TestParamInfo<RetractMatrixParam>& info) {
-      return std::string(std::get<0>(info.param).name) + "_t" +
-             std::to_string(std::get<1>(info.param)) +
-             (std::get<2>(info.param) ? "_prepass" : "_noprepass");
+      return std::string(std::get<0>(info.param).name) +
+             (std::get<1>(info.param) ? "_prepass" : "_noprepass");
     });
 
 TEST(ResumeEvaluateTest, EmptyDeltaReturnsBaseUnchanged) {
@@ -560,6 +555,39 @@ TEST(ProtocolTest, ErrorsKeepConnectionAlive) {
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].rfind("ERR ", 0), 0u) << out[0];
   EXPECT_EQ(out[1], "END");
+}
+
+TEST(ProtocolTest, HostileExpressionsGetErrAndServingContinues) {
+  // Unbounded nesting would overflow the recursive-descent parser's stack,
+  // and a 100k-digit numeral would hold the server for minutes in exact
+  // arithmetic. Each line must get a typed error quickly, and the service
+  // must keep serving.
+  auto service = FlightsService();
+  const std::string prefix = "QUERY pred ?- cheaporshort(msn, sea, T, C), X = ";
+  const std::string lines[] = {
+      prefix + std::string(100000, '(') + "1" + std::string(100000, ')') +
+          ".",
+      prefix + std::string(100000, '-') + "1.",
+      prefix + std::string(100000, '7') + ".",
+  };
+  for (const std::string& line : lines) {
+    std::vector<std::string> out;
+    auto start = std::chrono::steady_clock::now();
+    EXPECT_EQ(HandleLine(*service, line, &out), ProtocolAction::kContinue);
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(1));
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_EQ(out[0].rfind("ERR PARSE_ERROR ", 0), 0u)
+        << out[0].substr(0, 200);
+    EXPECT_NE(out[0].find("line 1"), std::string::npos) << out[0];
+    EXPECT_EQ(out[1], "END");
+
+    out.clear();
+    HandleLine(*service, "QUERY pred " + std::string(kFlightsQuery), &out);
+    ASSERT_GE(out.size(), 2u);
+    EXPECT_EQ(out.front().rfind("OK ", 0), 0u) << out.front();
+    EXPECT_EQ(out.back(), "END");
+  }
 }
 
 TEST(ProtocolTest, StatsAndShutdown) {

@@ -56,7 +56,7 @@ int Usage(const char* argv0) {
       << "usage: " << argv0
       << " --program <file.cql> [--edb <file.cql>]"
       << " (--socket <path> | --tcp-port N | --stdio)\n"
-      << "       [--threads N] [--max-iterations N]"
+      << "       [--max-iterations N]"
       << " [--subsumption none|single-fact|set-implication]\n"
       << "       [--prepared-capacity N] [--wal-dir DIR]"
       << " [--wal-compact-bytes N]\n"
@@ -139,9 +139,6 @@ int main(int argc, char** argv) {
       for (int c = 0; c < cqlopt::kPriorityClasses; ++c) {
         server.scheduler.weights[c] = weights[c];
       }
-    } else if (arg == "--threads") {
-      if (const char* v = next()) options.eval.threads = std::atoi(v);
-      else return Usage(argv[0]);
     } else if (arg == "--max-iterations") {
       if (const char* v = next()) options.eval.max_iterations = std::atoi(v);
       else return Usage(argv[0]);
