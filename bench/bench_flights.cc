@@ -130,9 +130,9 @@ void PrintReproduction() {
                 run.db.TotalFacts() - db.TotalFacts(), run.stats.derivations);
   }
 
-  // Tentpole comparison: SCC-stratified evaluation with hash-indexed joins
-  // vs the global semi-naive oracle. The recursive flight rule joins on the
-  // connecting airport symbol, so the index prunes most leg candidates.
+  // Plan comparison: SCC-stratified vs global semi-naive evaluation. The
+  // recursive flight rule joins on the connecting airport symbol, so the
+  // hash index prunes most leg candidates.
   std::printf("\n");
   PrintStratifiedComparison(in.program, db, "original, 12 airports/48 legs");
   PrintStratifiedComparison(rewritten.program, db,

@@ -51,10 +51,11 @@ void PrintReproduction() {
   }
   std::printf("\n");
 
-  // Tentpole comparison at the same iteration cap: m_fib and fib form one
-  // SCC, so the stratified run coincides with the oracle's trace; the win
-  // is the hash index resolving the constant-bound m_fib/fib literals of
-  // r1, r2 and the second magic rule without scanning every fact.
+  // Plan comparison at the same iteration cap: m_fib and fib form one SCC,
+  // so the stratified run coincides with the global plan's trace; the
+  // index counters show the hash index resolving the constant-bound
+  // m_fib/fib literals of r1, r2 and the second magic rule without
+  // scanning every fact.
   PrintStratifiedComparison(magic.program, Database(),
                             "P_fib^mg, capped at 9 iterations", 9);
   std::printf("\n");

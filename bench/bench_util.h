@@ -87,18 +87,19 @@ inline EvalResult RunPipeline(const ParsedInput& in, const Database& db,
   return ValueOrDie(Evaluate(rewritten.program, db, eval), spec);
 }
 
-/// Tentpole comparison: evaluates `program` under the global semi-naive
-/// oracle and under EvalStrategy::kStratified, verifies both compute the
-/// same final fact sets, and prints the join access-path counters. The
+/// Plan comparison: evaluates `program` under the global semi-naive plan
+/// (EvalStrategy::kSemiNaive) and under EvalStrategy::kStratified, verifies
+/// both compute the same final fact sets, and prints the stratified run's
+/// join access-path counters. The
 /// "scan-equivalent" column is what the linear scans replaced by index
 /// probes would have enumerated, so indexed vs scan-equivalent is the
 /// candidate-enumeration saving of the hash indexes on this workload.
 inline void PrintStratifiedComparison(const Program& program,
                                       const Database& edb, const char* label,
                                       int max_iterations = 64) {
-  EvalOptions oracle_opts;
-  oracle_opts.max_iterations = max_iterations;
-  EvalResult oracle = ValueOrDie(Evaluate(program, edb, oracle_opts), label);
+  EvalOptions global_opts;
+  global_opts.max_iterations = max_iterations;
+  EvalResult global = ValueOrDie(Evaluate(program, edb, global_opts), label);
   EvalOptions strat_opts;
   strat_opts.max_iterations = max_iterations;
   strat_opts.strategy = EvalStrategy::kStratified;
@@ -106,16 +107,16 @@ inline void PrintStratifiedComparison(const Program& program,
 
   // Per-predicate canonical key sets; on mismatch fall back to the semantic
   // check (reconciliation may keep different but equivalent representatives).
-  bool same = oracle.stats.reached_fixpoint == strat.stats.reached_fixpoint;
+  bool same = global.stats.reached_fixpoint == strat.stats.reached_fixpoint;
   std::set<PredId> preds;
-  for (const auto& [pred, rel] : oracle.db.relations()) preds.insert(pred);
+  for (const auto& [pred, rel] : global.db.relations()) preds.insert(pred);
   for (const auto& [pred, rel] : strat.db.relations()) preds.insert(pred);
   for (PredId pred : preds) {
     std::set<std::string> a;
     std::set<std::string> b;
     std::vector<Fact> fa;
     std::vector<Fact> fb;
-    if (const Relation* rel = oracle.db.Find(pred)) {
+    if (const Relation* rel = global.db.Find(pred)) {
       for (size_t i = 0; i < rel->size(); ++i) {
         a.insert(rel->fact(i).Key());
         fa.push_back(rel->fact(i));
@@ -132,12 +133,11 @@ inline void PrintStratifiedComparison(const Program& program,
   }
 
   const EvalStats& s = strat.stats;
-  std::printf("--- SCC-stratified vs global semi-naive oracle (%s) ---\n",
-              label);
-  std::printf("same final facts: %s   sccs=%zu   iterations: oracle=%d "
+  std::printf("--- SCC-stratified vs global semi-naive (%s) ---\n", label);
+  std::printf("same final facts: %s   sccs=%zu   iterations: seminaive=%d "
               "stratified=%d\n",
               same ? "yes" : "NO (MISMATCH)", s.scc_iterations.size(),
-              oracle.stats.iterations, s.iterations);
+              global.stats.iterations, s.iterations);
   double ratio = s.index_candidates > 0
                      ? static_cast<double>(s.indexed_scan_equivalent) /
                            static_cast<double>(s.index_candidates)
@@ -185,8 +185,8 @@ struct JsonArm {
   bool interval = true;
 };
 
-/// `--json` mode: evaluates `program` once per arm — the semi-naive oracle,
-/// the stratified engine, and stratified cache-off / prepass-off /
+/// `--json` mode: evaluates `program` once per arm — the global semi-naive
+/// plan, the stratified plan, and stratified cache-off / prepass-off /
 /// interval-index-off ablations — and writes
 /// BENCH_<name>.json with the wall-clock and the
 /// derivation/probe/cache/prepass/interval counters of each arm, plus the
@@ -201,7 +201,7 @@ inline void WriteBenchJson(const char* name, const Program& program,
                            const Database& edb, int max_iterations = 64,
                            const std::string& extra_sections = "") {
   const JsonArm arms[] = {
-      {"seminaive-oracle", EvalStrategy::kSemiNaive, true, true, true},
+      {"seminaive", EvalStrategy::kSemiNaive, true, true, true},
       {"stratified", EvalStrategy::kStratified, true, true, true},
       {"stratified-nocache", EvalStrategy::kStratified, false, true, true},
       {"stratified-noprepass", EvalStrategy::kStratified, true, false, true},

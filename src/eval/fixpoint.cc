@@ -1,10 +1,12 @@
 #include "eval/fixpoint.h"
 
 #include <limits>
+#include <numeric>
 #include <set>
 
 #include "constraint/implication.h"
 #include "eval/rule_application.h"
+#include "eval/validate.h"
 
 namespace cqlopt {
 namespace eval_internal {
@@ -118,10 +120,9 @@ void Reconcile(std::vector<Pending>* pending, const Database& db,
 /// Applies one rule against the frozen pre-iteration database, buffering
 /// derivations into `pending` and counting into `stats`.
 Status ApplyOneRule(const Program& program, size_t rule_index,
-                    const Database& db, int iteration, bool require_delta,
-                    bool use_index, bool delta_rotate, bool interval_index,
-                    Governor* governor, std::vector<Pending>* pending,
-                    EvalStats* stats) {
+                    const Database& db, int iteration, DeltaMode delta,
+                    bool interval_index, Governor* governor,
+                    std::vector<Pending>* pending, EvalStats* stats) {
   // Rule-batch boundary check: keeps long rule sequences responsive even
   // when individual rules derive nothing.
   CQLOPT_RETURN_IF_ERROR(governor->RuleBoundary());
@@ -138,31 +139,27 @@ Status ApplyOneRule(const Program& program, size_t rule_index,
                                kNoRow});
     return Status::OK();
   };
-  return ApplyRule(rule, db, /*max_birth=*/iteration - 1, require_delta, emit,
-                   use_index, stats, delta_rotate, interval_index);
+  return ApplyRule(rule, db, /*max_birth=*/iteration - 1, delta,
+                   interval_index, emit, stats);
 }
 
 }  // namespace
 
 Result<long> RunIteration(const Program& program,
                           const std::vector<size_t>& rule_indexes,
-                          int iteration, bool fire_constraint_facts,
-                          bool require_delta, bool use_index,
-                          bool delta_rotate, bool interval_index,
+                          int iteration, DeltaMode delta,
                           const EvalOptions& options, Governor* governor,
                           EvalResult* result) {
-  std::vector<size_t> active;
-  active.reserve(rule_indexes.size());
-  for (size_t rule_index : rule_indexes) {
-    if (program.rules[rule_index].IsConstraintFact() && !fire_constraint_facts)
-      continue;
-    active.push_back(rule_index);
-  }
   std::vector<Pending> pending;
-  for (size_t rule_index : active) {
+  for (size_t rule_index : rule_indexes) {
+    // A body-free rule joins no facts, so it has no delta to join either.
+    if (program.rules[rule_index].IsConstraintFact() &&
+        delta != DeltaMode::kAll) {
+      continue;
+    }
     CQLOPT_RETURN_IF_ERROR(ApplyOneRule(program, rule_index, result->db,
-                                        iteration, require_delta, use_index,
-                                        delta_rotate, interval_index, governor,
+                                        iteration, delta,
+                                        options.interval_index, governor,
                                         &pending, &result->stats));
   }
   Reconcile(&pending, result->db, options.subsumption);
@@ -225,14 +222,19 @@ Result<long> RunIteration(const Program& program,
   return inserted;
 }
 
-Status GovernedAbort(const Status& cause, const std::string& position,
-                     const EvalOptions& options, EvalResult* result) {
-  result->stats.aborted = true;
-  result->stats.abort_point = position;
+void FinalizeStats(EvalResult* result) {
+  result->stats.facts_per_pred.clear();
   for (const auto& [pred, rel] : result->db.relations()) {
     result->stats.facts_per_pred[pred] = static_cast<long>(rel.size());
   }
   result->stats.interval_index_build_ns = result->db.IntervalBuildNs();
+}
+
+Status GovernedAbort(const Status& cause, const std::string& position,
+                     const EvalOptions& options, EvalResult* result) {
+  result->stats.aborted = true;
+  result->stats.abort_point = position;
+  FinalizeStats(result);
   if (options.abort_stats != nullptr) *options.abort_stats = result->stats;
   return Status(cause.code(), cause.message() + " at " + position);
 }
@@ -242,7 +244,16 @@ std::string FactsSoFar(const EvalResult& result) {
          std::to_string(result.stats.derivations) + " derivations made)";
 }
 
-StratifiedPlan PlanStratified(const Program& program) {
+StratifiedPlan PlanFor(const Program& program, EvalStrategy strategy) {
+  if (strategy == EvalStrategy::kSemiNaive) {
+    // One component holding every rule in program order, run until a round
+    // adds nothing — even with no rules at all, which still takes the one
+    // iteration that confirms the fixpoint.
+    StratifiedPlan plan{SccDecomposition(), {{}}, {1}};
+    plan.rules_of[0].resize(program.rules.size());
+    std::iota(plan.rules_of[0].begin(), plan.rules_of[0].end(), 0);
+    return plan;
+  }
   DependencyGraph graph(program);
   StratifiedPlan plan{SccDecomposition(graph), {}, {}};
   const auto& components = plan.sccs.components();
@@ -276,8 +287,8 @@ Status RunStrata(const Program& program, const StratifiedPlan& plan,
   int global_iteration = start_iteration;
   bool capped = false;
   for (size_t c = first_component; c < component_count && !capped; ++c) {
-    if (plan.rules_of[c].empty()) continue;  // pure-EDB component
     bool recursive = plan.recursive[c] != 0;
+    if (plan.rules_of[c].empty() && !recursive) continue;  // pure-EDB
     long stratum_iterations = 0;
     for (int local = 0;; ++local) {
       if (global_iteration >= options.max_iterations) {
@@ -293,9 +304,7 @@ Status RunStrata(const Program& program, const StratifiedPlan& plan,
       };
       Result<long> ran = RunIteration(
           program, plan.rules_of[c], global_iteration,
-          /*fire_constraint_facts=*/local == 0,
-          /*require_delta=*/local > 0, /*use_index=*/true,
-          /*delta_rotate=*/false, options.interval_index, options, governor,
+          local == 0 ? DeltaMode::kAll : DeltaMode::kDelta, options, governor,
           result);
       if (!ran.ok()) {
         if (Governor::IsAbortCode(ran.status().code())) {
@@ -316,15 +325,11 @@ Status RunStrata(const Program& program, const StratifiedPlan& plan,
     result->stats.scc_iterations.push_back(stratum_iterations);
   }
   result->stats.reached_fixpoint = !capped;
-
-  for (const auto& [pred, rel] : result->db.relations()) {
-    result->stats.facts_per_pred[pred] = static_cast<long>(rel.size());
-  }
-  result->stats.interval_index_build_ns = result->db.IntervalBuildNs();
+  FinalizeStats(result);
   return Status::OK();
 }
 
-Status CheckEvalOptions(const EvalOptions& options) {
+Status CheckEvalOptions(const Program& program, const EvalOptions& options) {
   if (options.max_iterations < 0) {
     return Status::InvalidArgument(
         "EvalOptions::max_iterations must be >= 0, got " +
@@ -340,7 +345,11 @@ Status CheckEvalOptions(const EvalOptions& options) {
         "EvalOptions::max_derived_facts must be >= 0 (0 = unlimited), got " +
         std::to_string(options.max_derived_facts));
   }
-  return Status::OK();
+  // Free head positions are legitimate here: the magic rewrite emits them
+  // for unbound adornment positions (validate.h).
+  return ValidateProgram(program,
+                         {/*reject_free_head_vars=*/false,
+                          /*reject_constraint_only_recursion=*/true});
 }
 
 }  // namespace eval_internal

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "eval/rule_application.h"
 #include "eval/seminaive.h"
 #include "graph/scc.h"
 
@@ -13,7 +14,7 @@
 /// seminaive.h (Evaluate / ResumeEvaluate) and the incremental-maintenance
 /// entry point of retract.h (RetractEvaluate). Everything here is an
 /// implementation detail: the iteration/reconcile/commit pipeline, the
-/// governance sampler, and the SCC stratification plan. Callers outside
+/// governance sampler, and the evaluation plans. Callers outside
 /// src/eval should use the public headers.
 namespace cqlopt {
 namespace eval_internal {
@@ -130,10 +131,11 @@ class Governor {
 };
 
 /// One fixpoint iteration over `rule_indexes` against result->db: applies
-/// the rules in order under the given delta discipline, reconciles the
+/// the rules in order under the `delta` discipline (rule_application.h),
+/// with options.interval_index choosing interval pruning, reconciles the
 /// buffered derivations as a set, and commits the survivors with birth
-/// `iteration`. Constraint facts (body-free rules) fire only when
-/// `fire_constraint_facts` is set. Returns the number of facts inserted.
+/// `iteration`. Constraint facts (body-free rules) fire only under
+/// DeltaMode::kAll. Returns the number of facts inserted.
 ///
 /// The commit also maintains the counting state of DESIGN.md §14: a
 /// duplicate-discarded derivation bumps the stored row's support(), a
@@ -143,9 +145,7 @@ class Governor {
 /// relation as an opaque event.
 Result<long> RunIteration(const Program& program,
                           const std::vector<size_t>& rule_indexes,
-                          int iteration, bool fire_constraint_facts,
-                          bool require_delta, bool use_index,
-                          bool delta_rotate, bool interval_index,
+                          int iteration, DeltaMode delta,
                           const EvalOptions& options, Governor* governor,
                           EvalResult* result);
 
@@ -160,40 +160,56 @@ Status GovernedAbort(const Status& cause, const std::string& position,
 /// abort and cap message carries.
 std::string FactsSoFar(const EvalResult& result);
 
-/// The shape of one SCC-stratified evaluation: the predicate dependency
-/// condensation in bottom-up order, each component's rules (assigned by
-/// head predicate), and whether the component is recursive (some rule body
-/// mentions a same-component predicate). Both Evaluate(kStratified) and
-/// RetractEvaluate walk the same plan, which is what makes a retraction's
-/// kept-prefix / recomputed-suffix split line up with scratch evaluation
-/// iteration for iteration.
+/// Recomputes stats.facts_per_pred and stats.interval_index_build_ns from
+/// result->db — the epilogue of every evaluation entry point, successful
+/// or aborted.
+void FinalizeStats(EvalResult* result);
+
+/// The shape of one evaluation: a list of components in evaluation order,
+/// each with its rules (in program order) and whether it runs until a
+/// round adds nothing ("recursive") or stops after one pass.
+///
+/// PlanFor(program, strategy) builds it; EvalStrategy decides nothing else.
+///  - kStratified: the predicate dependency condensation (`sccs`) in
+///    bottom-up order, rules assigned by head predicate, a component
+///    recursive iff some rule body mentions a same-component predicate.
+///    Both Evaluate(kStratified) and RetractEvaluate walk this plan, which
+///    is what makes a retraction's kept-prefix / recomputed-suffix split
+///    line up with scratch evaluation iteration for iteration.
+///  - kSemiNaive: one recursive component holding every rule, and no SCC
+///    decomposition (`sccs` is empty). It always runs at least one
+///    iteration, even for a rule-free program.
 struct StratifiedPlan {
   SccDecomposition sccs;
-  std::vector<std::vector<size_t>> rules_of;  // per component, by head pred
+  std::vector<std::vector<size_t>> rules_of;  // per component
   std::vector<uint8_t> recursive;             // per component
 
-  size_t component_count() const { return sccs.components().size(); }
+  size_t component_count() const { return rules_of.size(); }
 };
 
-StratifiedPlan PlanStratified(const Program& program);
+StratifiedPlan PlanFor(const Program& program, EvalStrategy strategy);
 
-/// Runs the stratified fixpoint over components [first_component, end) of
-/// `plan` on top of `result` (already seeded with the EDB and, when
-/// first_component > 0, the facts of every lower stratum), with the global
-/// iteration counter starting at `start_iteration`. Appends one
-/// scc_iterations entry per component that has rules, updates
-/// stats.iterations after every committed iteration, sets reached_fixpoint,
-/// and finalizes facts_per_pred / interval_index_build_ns on success.
-/// A governed abort returns its annotated Status after routing the partial
-/// stats through GovernedAbort.
+/// Runs the fixpoint over components [first_component, end) of `plan` on
+/// top of `result` (already seeded with the EDB and, when
+/// first_component > 0, the facts of every lower component), with the
+/// global iteration counter starting at `start_iteration`. Each component
+/// runs iteration 0 under DeltaMode::kAll (firing its constraint facts)
+/// and later iterations under DeltaMode::kDelta. Components with neither
+/// rules nor the recursive flag are skipped; every other one appends its
+/// iteration count to scc_iterations. Updates stats.iterations after every
+/// committed iteration, sets reached_fixpoint, and calls FinalizeStats on
+/// success. A governed abort returns its annotated Status after routing
+/// the partial stats through GovernedAbort.
 Status RunStrata(const Program& program, const StratifiedPlan& plan,
                  size_t first_component, int start_iteration,
                  const EvalOptions& options, Governor* governor,
                  EvalResult* result);
 
-/// Rejects option values the fixpoint loops cannot interpret (negative
-/// caps and budgets).
-Status CheckEvalOptions(const EvalOptions& options);
+/// The entry check of Evaluate / ResumeEvaluate / RetractEvaluate: rejects
+/// programs ValidateProgram refuses (free head variables allowed, since the
+/// magic rewrite emits them for unbound adornment positions) and option
+/// values the fixpoint cannot interpret (negative caps and budgets).
+Status CheckEvalOptions(const Program& program, const EvalOptions& options);
 
 }  // namespace eval_internal
 }  // namespace cqlopt

@@ -5,20 +5,18 @@
 #include <map>
 #include <numeric>
 #include <optional>
-#include <set>
 #include <utility>
 
-#include "constraint/decision_cache.h"
-#include "constraint/interval.h"
+#include "constraint/decision_scope.h"
 #include "eval/fixpoint.h"
-#include "eval/validate.h"
 
 namespace cqlopt {
 namespace {
 
 using eval_internal::FactsSoFar;
+using eval_internal::FinalizeStats;
 using eval_internal::Governor;
-using eval_internal::PlanStratified;
+using eval_internal::PlanFor;
 using eval_internal::RunStrata;
 using eval_internal::StratifiedPlan;
 
@@ -86,24 +84,12 @@ bool StoredDerivedAllGround(const Database& db) {
   return true;
 }
 
-void RefreshFactsPerPred(EvalResult* result) {
-  result->stats.facts_per_pred.clear();
-  for (const auto& [pred, rel] : result->db.relations()) {
-    result->stats.facts_per_pred[pred] = static_cast<long>(rel.size());
-  }
-}
-
 }  // namespace
 
 Result<EvalResult> RetractEvaluate(const Program& program, EvalResult base,
                                    const std::vector<Fact>& retracted,
                                    const EvalOptions& options) {
-  CQLOPT_RETURN_IF_ERROR(eval_internal::CheckEvalOptions(options));
-  // Free head positions are legitimate here: the magic rewrite emits them
-  // for unbound adornment positions (validate.h).
-  CQLOPT_RETURN_IF_ERROR(ValidateProgram(
-      program, {/*reject_free_head_vars=*/false,
-                /*reject_constraint_only_recursion=*/true}));
+  CQLOPT_RETURN_IF_ERROR(eval_internal::CheckEvalOptions(program, options));
   if (!base.stats.reached_fixpoint) {
     return Status::InvalidArgument(
         "RetractEvaluate requires a base evaluation that reached its "
@@ -170,13 +156,12 @@ Result<EvalResult> RetractEvaluate(const Program& program, EvalResult base,
     result.stats.retract_kept_rows +=
         static_cast<long>(result.db.TotalFacts());
     result.stats.retract_path = "splice";
-    RefreshFactsPerPred(&result);
+    FinalizeStats(&result);
     result.stats.all_ground = StoredDerivedAllGround(result.db);
-    result.stats.interval_index_build_ns = result.db.IntervalBuildNs();
     return result;
   }
 
-  StratifiedPlan plan = PlanStratified(program);
+  StratifiedPlan plan = PlanFor(program, options.strategy);
 
   // --- Path "full": the base is not one pure stratified evaluation, so
   // there is no kept-prefix structure to exploit. Rebuild the surviving
@@ -383,8 +368,7 @@ Result<EvalResult> RetractEvaluate(const Program& program, EvalResult base,
     // Every touched stratum was repaired row-by-row: no rules to re-run.
     result.stats.reached_fixpoint = true;
     result.stats.retract_path = "splice";
-    RefreshFactsPerPred(&result);
-    result.stats.interval_index_build_ns = result.db.IntervalBuildNs();
+    FinalizeStats(&result);
     return result;
   }
 
@@ -394,22 +378,11 @@ Result<EvalResult> RetractEvaluate(const Program& program, EvalResult base,
   // decision-cache and prepass counters are snapshot-diffed around the run.
   result.stats.retract_path = "prefix";
   result.stats.reached_fixpoint = false;
-  result.stats.facts_per_pred.clear();
-  std::optional<prepass::PrepassDisabler> prepass_off;
-  if (!options.prepass) prepass_off.emplace();
-  DecisionCache::Counters before = DecisionCache::Instance().Snapshot();
-  prepass::Counters pre_before = prepass::Snapshot();
+  DecisionScope decisions(options.prepass);
   Governor governor(options, /*baseline_inserted=*/result.stats.inserted);
   CQLOPT_RETURN_IF_ERROR(RunStrata(program, plan, suffix_start, prefix_iters,
                                    options, &governor, &result));
-  DecisionCache::Counters after = DecisionCache::Instance().Snapshot();
-  result.stats.cache_hits += after.hits - before.hits;
-  result.stats.cache_misses += after.misses - before.misses;
-  result.stats.cache_evictions += after.evictions - before.evictions;
-  prepass::Counters pre_after = prepass::Snapshot();
-  result.stats.prepass_conclusive +=
-      pre_after.conclusive() - pre_before.conclusive();
-  result.stats.prepass_fallback += pre_after.fallback - pre_before.fallback;
+  decisions.AddTo(&result.stats);
   return result;
 }
 

@@ -7,8 +7,8 @@
 namespace cqlopt {
 namespace {
 
-/// Per-literal birth restriction of one delta rotation (ApplyRule's
-/// `delta_rotate` mode).
+/// Per-literal birth restriction of one delta rotation
+/// (DeltaMode::kDeltaRotated).
 enum class BirthFilter : char {
   kAny,    // birth <= max_birth (the classic bound)
   kOld,    // birth <  max_birth — positions before the rotation's pivot
@@ -19,9 +19,8 @@ struct JoinContext {
   const Rule* rule;
   const Database* db;
   int max_birth;
-  bool require_delta;
+  DeltaMode delta;
   const EmitFn* emit;
-  bool use_index;
   bool interval_index;
   EvalStats* stats;
   /// Per-enumeration-depth candidate buffers, owned by ApplyRule and reused
@@ -33,9 +32,9 @@ struct JoinContext {
   /// suffix_has_delta[i] — some literal j >= i references a relation whose
   /// max_birth() reaches max_birth, i.e. that literal MAY still contribute a
   /// delta fact (Relation::max_birth() never under-reports, so false means
-  /// "provably cannot"). Sized body.size() + 1 when require_delta is set,
-  /// empty otherwise. Classic (non-rotated) joins only.
-  std::vector<char> suffix_has_delta;
+  /// "provably cannot"). Sized body.size() + 1 under kDelta, empty
+  /// otherwise.
+  std::vector<char> suffix_has_delta = {};
   /// Rotation mode (null outside it): `order` maps enumeration depth to
   /// body-literal position — the pivot literal is enumerated first so its
   /// delta fact's bindings drive index probes for the rest — and `filter`
@@ -71,9 +70,7 @@ Status JoinFrom(const JoinContext& ctx, size_t index,
                 std::vector<Relation::FactRef>* parents) {
   if (index == ctx.rule->body.size()) {
     // A rotation carries its delta by construction (the pivot literal).
-    if (ctx.require_delta && ctx.order == nullptr && !saw_delta) {
-      return Status::OK();
-    }
+    if (ctx.delta == DeltaMode::kDelta && !saw_delta) return Status::OK();
     return EmitHead(ctx, accumulated, *parents);
   }
   const size_t lit_pos = ctx.order == nullptr ? index : (*ctx.order)[index];
@@ -89,7 +86,7 @@ Status JoinFrom(const JoinContext& ctx, size_t index,
   BirthFilter filter = BirthFilter::kAny;
   if (ctx.order != nullptr) {
     filter = (*ctx.filter)[lit_pos];
-  } else if (ctx.require_delta && !saw_delta) {
+  } else if (ctx.delta == DeltaMode::kDelta && !saw_delta) {
     if (!ctx.suffix_has_delta[index]) return Status::OK();
     if (ctx.suffix_has_delta[index + 1] == 0) filter = BirthFilter::kDelta;
   }
@@ -161,41 +158,39 @@ Status JoinFrom(const JoinContext& ctx, size_t index,
   // a unique value (unbound, or restricted only by non-point constraints).
   int probe_pos = 0;  // 1-based; 0 = scan fallback
   Relation::ArgSignature probe_value;
-  if (ctx.use_index) {
-    std::vector<std::optional<Rational>> probe_number = acc_number;
-    bool any_direct = false;
+  std::vector<std::optional<Rational>> probe_number = acc_number;
+  bool any_direct = false;
+  for (int a = 0; a < lit.arity(); ++a) {
+    size_t ai = static_cast<size_t>(a);
+    if (acc_symbol[ai] || acc_number[ai]) any_direct = true;
+  }
+  if (!any_direct) {
+    // No position is directly bound: before giving up on the index, try
+    // to resolve point values that are only entailed (e.g. X = N - 1
+    // after joining a fact with N = 2) with the exact projection. A
+    // unique entailed value restricts the join exactly like a stored
+    // equality, so probing with it skips only candidates the scan would
+    // have discarded as unsatisfiable — same derivations, same order.
+    // When some position is already directly bound the projections are
+    // skipped: they cost a Fourier-Motzkin elimination per position, and
+    // a direct probe already prunes well.
     for (int a = 0; a < lit.arity(); ++a) {
       size_t ai = static_cast<size_t>(a);
-      if (acc_symbol[ai] || acc_number[ai]) any_direct = true;
+      if (probe_number[ai]) continue;
+      probe_number[ai] =
+          accumulated.GetNumericValue(lit.args[static_cast<size_t>(a)]);
     }
-    if (!any_direct) {
-      // No position is directly bound: before giving up on the index, try
-      // to resolve point values that are only entailed (e.g. X = N - 1
-      // after joining a fact with N = 2) with the exact projection. A
-      // unique entailed value restricts the join exactly like a stored
-      // equality, so probing with it skips only candidates the scan would
-      // have discarded as unsatisfiable — same derivations, same order.
-      // When some position is already directly bound the projections are
-      // skipped: they cost a Fourier-Motzkin elimination per position, and
-      // a direct probe already prunes well.
-      for (int a = 0; a < lit.arity(); ++a) {
-        size_t ai = static_cast<size_t>(a);
-        if (probe_number[ai]) continue;
-        probe_number[ai] =
-            accumulated.GetNumericValue(lit.args[static_cast<size_t>(a)]);
-      }
-    }
-    size_t best_cost = 0;
-    for (int a = 0; a < lit.arity(); ++a) {
-      size_t ai = static_cast<size_t>(a);
-      if (!acc_symbol[ai] && !probe_number[ai]) continue;
-      Relation::ArgSignature value{acc_symbol[ai], probe_number[ai]};
-      size_t cost = rel->ProbeCost(a + 1, value);
-      if (probe_pos == 0 || cost < best_cost) {
-        probe_pos = a + 1;
-        best_cost = cost;
-        probe_value = value;
-      }
+  }
+  size_t best_cost = 0;
+  for (int a = 0; a < lit.arity(); ++a) {
+    size_t ai = static_cast<size_t>(a);
+    if (!acc_symbol[ai] && !probe_number[ai]) continue;
+    Relation::ArgSignature value{acc_symbol[ai], probe_number[ai]};
+    size_t cost = rel->ProbeCost(a + 1, value);
+    if (probe_pos == 0 || cost < best_cost) {
+      probe_pos = a + 1;
+      best_cost = cost;
+      probe_value = value;
     }
   }
   // Mid-application emits may append to `rel` while the loops below run, and
@@ -228,7 +223,7 @@ Status JoinFrom(const JoinContext& ctx, size_t index,
   // conjunction with the accumulated state is unsatisfiable, so only
   // leaf-rejected candidates are skipped and derivation order is preserved
   // (IntervalProbe re-sorts into insertion order).
-  if (ctx.use_index && ctx.interval_index) {
+  if (ctx.interval_index) {
     int ival_pos = 0;  // 1-based; 0 = nothing usable
     size_t ival_cost = 0;
     Interval ival_query;
@@ -286,8 +281,8 @@ Status JoinFrom(const JoinContext& ctx, size_t index,
 }  // namespace
 
 Status ApplyRule(const Rule& rule, const Database& db, int max_birth,
-                 bool require_delta, const EmitFn& emit, bool use_index,
-                 EvalStats* stats, bool delta_rotate, bool interval_index) {
+                 DeltaMode delta, bool interval_index, const EmitFn& emit,
+                 EvalStats* stats) {
   // Fault-injection hook: an allocation failure while materializing this
   // rule's join state. Near-free when disarmed (util/failpoint.h).
   if (failpoint::ShouldFail(failpoint::kEvalRuleAlloc)) {
@@ -296,8 +291,7 @@ Status ApplyRule(const Rule& rule, const Database& db, int max_birth,
         (rule.label.empty() ? std::string("<unlabeled>") : rule.label) +
         " (failpoint " + failpoint::kEvalRuleAlloc + ")");
   }
-  JoinContext ctx{&rule,     &db,   max_birth,      require_delta,
-                  &emit,     use_index, interval_index, stats, {}};
+  JoinContext ctx{&rule, &db, max_birth, delta, &emit, interval_index, stats};
   if (rule.body.empty()) {
     return EmitHead(ctx, rule.constraints, {});
   }
@@ -308,7 +302,7 @@ Status ApplyRule(const Rule& rule, const Database& db, int max_birth,
   // derives nothing this iteration — skip before touching any index or
   // constraint machinery.
   std::vector<char> capable;
-  if (require_delta) {
+  if (delta != DeltaMode::kAll) {
     capable.resize(rule.body.size(), 0);
     bool any = false;
     for (size_t i = 0; i < rule.body.size(); ++i) {
@@ -321,7 +315,7 @@ Status ApplyRule(const Rule& rule, const Database& db, int max_birth,
   }
   if (!rule.constraints.IsSatisfiable()) return Status::OK();
   std::vector<Relation::FactRef> parents(rule.body.size());
-  if (require_delta && delta_rotate) {
+  if (delta == DeltaMode::kDeltaRotated) {
     // Delta rotations: one pass per delta-capable position p, enumerating
     // p's delta entries FIRST so their bindings turn the remaining literals
     // into index probes, with positions before p held to pre-delta facts.
@@ -348,7 +342,7 @@ Status ApplyRule(const Rule& rule, const Database& db, int max_birth,
     }
     return Status::OK();
   }
-  if (require_delta) {
+  if (delta == DeltaMode::kDelta) {
     ctx.suffix_has_delta.assign(rule.body.size() + 1, 0);
     for (size_t i = rule.body.size(); i-- > 0;) {
       ctx.suffix_has_delta[i] =

@@ -15,43 +15,56 @@ namespace cqlopt {
 using EmitFn =
     std::function<Status(Fact, const std::vector<Relation::FactRef>&)>;
 
+/// Delta discipline of one rule application.
+enum class DeltaMode {
+  /// Every combination of facts with birth <= max_birth (iteration 0 of a
+  /// stratum: the facts below it are all "new" to its rules).
+  kAll,
+  /// Only combinations with at least one fact born exactly at max_birth
+  /// (the facts newly derived in the previous iteration), enumerated in
+  /// body order.
+  kDelta,
+  /// The kDelta combinations, enumerated once per delta-capable body
+  /// position with that position's delta facts first (see below).
+  kDeltaRotated,
+};
+
 /// One rule application (Section 2's basic evaluation step): enumerates
 /// every combination of body facts, conjoins the rule's constraints with the
 /// facts' constraints, checks satisfiability, eliminates the non-head
 /// variables by projection, and emits the resulting head facts.
 ///
 /// Semi-naive discipline: only facts with birth <= `max_birth` participate,
-/// and when `require_delta` is set at least one chosen fact must have birth
-/// == `max_birth` (the facts newly derived in the previous iteration).
+/// and under kDelta / kDeltaRotated at least one chosen fact must have
+/// birth == `max_birth`.
 ///
-/// Delta-availability pruning: under `require_delta`, Relation::max_birth()
-/// bounds tell in O(body) whether any combination can contain a delta fact.
-/// A rule none of whose body relations reach `max_birth` is skipped
-/// outright; during the join, a branch that has not yet taken a delta fact
-/// is cut as soon as no remaining literal can supply one, and when only the
+/// Delta-availability pruning: Relation::max_birth() bounds tell in O(body)
+/// whether any combination can contain a delta fact. Under either delta
+/// mode a rule none of whose body relations reach `max_birth` is skipped
+/// outright; under kDelta, a branch that has not yet taken a delta fact is
+/// cut as soon as no remaining literal can supply one, and when only the
 /// current literal can, its enumeration is restricted to delta-born
 /// entries. All three cuts discard only combinations the leaf check would
 /// reject, so the emitted derivations and their order are identical to the
 /// unpruned join.
 ///
-/// Delta rotation (`delta_rotate`, requires `require_delta`): instead of
-/// enumerating in body order and checking for a delta at the leaf, the rule
-/// is applied once per delta-capable body position p — that pass enumerates
-/// p's delta entries FIRST, so the delta fact's bindings drive index probes
-/// for the remaining literals, while positions before p are held to
-/// pre-delta facts (making "first delta position == p" a partition: every
-/// delta-containing combination is derived exactly once). This is what
-/// makes a resumed fixpoint (ResumeEvaluate) cost proportional to the
-/// batch's consequences instead of the database: without it, a rule whose
-/// early literals are delta-capable still walks its full relations. The
-/// derived fact set is identical to the classic order, but derivations
-/// arrive grouped by pivot — callers that pin derivation order (the
-/// paper-table traces) must keep `delta_rotate` off.
+/// Delta rotation (kDeltaRotated): instead of enumerating in body order and
+/// checking for a delta at the leaf, the rule is applied once per
+/// delta-capable body position p — that pass enumerates p's delta entries
+/// FIRST, so the delta fact's bindings drive index probes for the remaining
+/// literals, while positions before p are held to pre-delta facts (making
+/// "first delta position == p" a partition: every delta-containing
+/// combination is derived exactly once). This is what makes a resumed
+/// fixpoint (ResumeEvaluate) cost proportional to the batch's consequences
+/// instead of the database: without it, a rule whose early literals are
+/// delta-capable still walks its full relations. The derived fact set is
+/// identical to kDelta's, but derivations arrive grouped by pivot — callers
+/// that pin derivation order (the paper-table traces) use kDelta.
 ///
-/// Join access path: when `use_index` is set, each body literal whose
-/// accumulated join state binds some argument position to a unique symbol
-/// or number is resolved by probing the relation's per-position hash index
-/// at the most selective such position. Direct bindings are read cheaply
+/// Join access path: each body literal whose accumulated join state binds
+/// some argument position to a unique symbol or number is resolved by
+/// probing the relation's per-position hash index at the most selective
+/// such position. Direct bindings are read cheaply
 /// (Conjunction::GetSymbol / QuickNumericValue); numeric values that are
 /// only entailed — e.g. `X = N - 1` after joining a fact with `N = 2` —
 /// are recovered by the exact projection (Conjunction::GetNumericValue).
@@ -60,22 +73,21 @@ using EmitFn =
 /// A probe skips exactly the candidates the scan would discard as
 /// unsatisfiable value clashes and enumerates the rest in entry
 /// (insertion) order under the same birth, arity, and signature filters,
-/// so both paths make the same derivations in the same order. When `stats`
-/// is non-null, probe/candidate counters (and nothing else) are
-/// accumulated into it.
+/// so every access path makes the derivations a plain scan of every
+/// literal would, in the same order. When `stats` is non-null,
+/// probe/candidate counters (and nothing else) are accumulated into it.
 ///
-/// Interval pruning (`interval_index`, meaningful only with `use_index`):
-/// when no position is bound to a unique value, the accumulated state's
-/// interval box (IntervalDomain::Propagate over its linear part) is
-/// intersected against the relation's per-position interval index
-/// (DESIGN.md §12) at the most selective numerically-ranged position — a
-/// pushed selection like `T <= 60` then skips whole sorted runs of facts
-/// whose stored value or propagated bound summary cannot meet the range.
-/// Every skipped fact would have failed the leaf satisfiability check
-/// (its value/box at the position is disjoint from a sound
-/// over-approximation of the accumulated solutions), and surviving
-/// candidates are re-sorted into insertion order, so derivations and
-/// their order are again identical to the scan.
+/// Interval pruning (`interval_index`): when no position is bound to a
+/// unique value, the accumulated state's interval box
+/// (IntervalDomain::Propagate over its linear part) is intersected against
+/// the relation's per-position interval index (DESIGN.md §12) at the most
+/// selective numerically-ranged position — a pushed selection like
+/// `T <= 60` then skips whole sorted runs of facts whose stored value or
+/// propagated bound summary cannot meet the range. Every skipped fact would
+/// have failed the leaf satisfiability check (its value/box at the position
+/// is disjoint from a sound over-approximation of the accumulated
+/// solutions), and surviving candidates are re-sorted into insertion order,
+/// so derivations and their order are again identical to the scan.
 ///
 /// Emit-visibility contract: a `emit` callback MAY insert facts into `db`
 /// immediately (streaming evaluation); such facts are not visible to the
@@ -86,11 +98,10 @@ using EmitFn =
 /// current application nor invalidate its iteration state.
 ///
 /// Body-free rules (constraint facts in the program) derive their head
-/// directly; callers fire them only in iteration 0.
+/// directly; callers fire them only under kAll.
 Status ApplyRule(const Rule& rule, const Database& db, int max_birth,
-                 bool require_delta, const EmitFn& emit,
-                 bool use_index = false, EvalStats* stats = nullptr,
-                 bool delta_rotate = false, bool interval_index = false);
+                 DeltaMode delta, bool interval_index, const EmitFn& emit,
+                 EvalStats* stats);
 
 }  // namespace cqlopt
 

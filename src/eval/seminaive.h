@@ -11,25 +11,26 @@
 
 namespace cqlopt {
 
-/// Fixpoint strategy.
+/// Evaluation plan. Both strategies run the same semi-naive fixpoint loop
+/// with the same joins (hash-index probes, interval pruning, scan fallback;
+/// rule_application.h); the strategy only decides how the rules are grouped
+/// into components, so the two reach the same fixpoint and differ in
+/// iteration numbering on programs with more than one SCC.
 enum class EvalStrategy {
-  /// Derivations in iteration i use at least one fact first derived in
-  /// iteration i-1 — the evaluation the paper's tables trace. Runs every
-  /// rule in one global loop with linear-scan joins; kept unchanged as the
-  /// differential-testing oracle for kStratified.
+  /// One component holding every rule: derivations in iteration i use at
+  /// least one fact first derived in iteration i-1, across the whole
+  /// program — the evaluation the paper's tables trace. Runs until an
+  /// iteration adds nothing.
   kSemiNaive,
   /// SCC-stratified semi-naive: the predicate dependency graph is condensed
   /// into strongly connected components and one semi-naive fixpoint runs
   /// per component in bottom-up topological order, so facts of lower strata
   /// are computed once and frozen instead of being re-joined every global
-  /// iteration. Body literals are resolved through the relations'
-  /// per-position hash indexes where the join state directly binds a
-  /// position (rule_application.h). Reaches the same fixpoint as
-  /// kSemiNaive; iteration numbering is global across strata (trace[i] /
-  /// birth stamps keep their meaning), `max_iterations` caps the global
-  /// total, and EvalStats::scc_iterations attributes iterations to strata.
-  /// When a program is a single SCC (e.g. the Table 1/2 magic programs) the
-  /// evaluation and its trace coincide with kSemiNaive's.
+  /// iteration; a non-recursive stratum takes a single pass. Iteration
+  /// numbering is global across strata (trace[i] / birth stamps keep their
+  /// meaning) and `max_iterations` caps the global total. When a program is
+  /// a single SCC (e.g. the Table 1/2 magic programs) the evaluation and
+  /// its trace coincide with kSemiNaive's.
   kStratified,
 };
 
@@ -65,8 +66,6 @@ struct EvalOptions {
   /// candidates the leaf satisfiability check would reject are skipped and
   /// enumeration order is preserved, so toggling this never changes facts,
   /// births, or traces — only wall-clock and the interval_* counters.
-  /// Applies to the kStratified strategy and to ResumeEvaluate (the paths
-  /// that use indexes at all); kSemiNaive always scans.
   bool interval_index = true;
 
   // --- Resource governance. The three limits below are checked
@@ -126,6 +125,9 @@ struct EvalResult {
 ///    first derived in iteration i-1, using only facts known at the end of
 ///    iteration i-1;
 ///  - stops at a fixpoint (an iteration adding no new facts) or at the cap.
+/// `options.strategy` picks the components this discipline runs over
+/// (EvalStrategy); EvalStats::scc_iterations gets one entry per component
+/// run.
 Result<EvalResult> Evaluate(const Program& program, const Database& edb,
                             const EvalOptions& options);
 
@@ -147,8 +149,8 @@ Result<EvalResult> Evaluate(const Program& program, const Database& edb,
 /// `base` is consumed and extended: stats accumulate on top (iterations
 /// keeps global numbering; when record_trace was set, one empty trace row
 /// marks the ingest pseudo-iteration so trace[i] still lists iteration i's
-/// derivations). `options.strategy` is ignored — the resume always runs the
-/// delta-driven global loop with hash-indexed joins and delta rotations
+/// derivations). `options.strategy` is ignored — the resume always runs
+/// every rule in one delta-driven loop with delta rotations
 /// (rule_application.h: each rule is driven from its delta facts, so within
 /// an iteration derivations arrive grouped by pivot position rather than in
 /// body-enumeration order); `max_iterations` caps

@@ -30,12 +30,14 @@ struct EvalStats {
   /// Stored facts per predicate.
   std::map<PredId, long> facts_per_pred;
 
-  // --- SCC-stratified evaluation and join-index accounting. These stay 0 /
-  // empty for strategies or paths that do not exercise them. ---
+  // --- Per-component and join-index accounting. The join counters stay 0
+  // for paths that do not exercise them. ---
 
-  /// Iterations spent per stratum, in evaluation (bottom-up topological)
-  /// order; strata without rules are omitted. Their sum equals
-  /// `iterations` under EvalStrategy::kStratified.
+  /// Iterations spent per component of the evaluation plan, in evaluation
+  /// order: per stratum in bottom-up topological order under
+  /// EvalStrategy::kStratified (strata without rules are omitted), one
+  /// entry under kSemiNaive. After Evaluate their sum equals `iterations`
+  /// under both strategies; ResumeEvaluate adds iterations but no entries.
   std::vector<long> scc_iterations;
   /// Body-literal resolutions served by the per-position hash index (some
   /// argument position was directly bound to a symbol/number in the

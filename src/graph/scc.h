@@ -15,6 +15,8 @@ namespace cqlopt {
 /// the query predicate").
 class SccDecomposition {
  public:
+  /// The empty decomposition: no components.
+  SccDecomposition() = default;
   explicit SccDecomposition(const DependencyGraph& graph);
 
   /// Components in reverse topological order.

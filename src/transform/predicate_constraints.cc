@@ -5,8 +5,7 @@
 
 #include "ast/arg_map.h"
 #include "ast/normalize.h"
-#include "constraint/decision_cache.h"
-#include "constraint/interval.h"
+#include "constraint/decision_scope.h"
 
 namespace cqlopt {
 namespace {
@@ -121,21 +120,10 @@ Result<InferenceResult> GenPredicateConstraints(
     const Program& program,
     const std::map<PredId, ConstraintSet>& edb_constraints,
     const InferenceOptions& options) {
-  // The decision cache is process-wide; attribute its activity to this
-  // inference run by differencing the counters around it.
-  DecisionCache::Counters before = DecisionCache::Instance().Snapshot();
-  prepass::Counters pre_before = prepass::Snapshot();
+  DecisionScope decisions(/*prepass=*/true);
   Result<InferenceResult> result =
       GenPredicateConstraintsImpl(program, edb_constraints, options);
-  if (result.ok()) {
-    DecisionCache::Counters after = DecisionCache::Instance().Snapshot();
-    result->cache_hits = after.hits - before.hits;
-    result->cache_misses = after.misses - before.misses;
-    prepass::Counters pre_after = prepass::Snapshot();
-    result->prepass_conclusive =
-        pre_after.conclusive() - pre_before.conclusive();
-    result->prepass_fallback = pre_after.fallback - pre_before.fallback;
-  }
+  if (result.ok()) decisions.AddTo(&*result);
   return result;
 }
 

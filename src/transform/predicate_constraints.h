@@ -35,6 +35,7 @@ struct InferenceResult {
   /// memo hit rate here is a direct measure of saved Fourier-Motzkin work).
   long cache_hits = 0;
   long cache_misses = 0;
+  long cache_evictions = 0;
   /// Interval-prepass activity attributed to this inference run (DESIGN.md
   /// §11): decisions answered conclusively by bound propagation vs. probes
   /// that fell through to the exact cached Fourier–Motzkin tier.

@@ -3,8 +3,7 @@
 #include <set>
 
 #include "ast/arg_map.h"
-#include "constraint/decision_cache.h"
-#include "constraint/interval.h"
+#include "constraint/decision_scope.h"
 
 namespace cqlopt {
 namespace {
@@ -78,21 +77,10 @@ Result<InferenceResult> GenQrpConstraintsImpl(const Program& program,
 Result<InferenceResult> GenQrpConstraints(const Program& program,
                                           PredId query_pred,
                                           const InferenceOptions& options) {
-  // As in GenPredicateConstraints: attribute the process-wide decision
-  // cache's activity to this run by differencing its counters.
-  DecisionCache::Counters before = DecisionCache::Instance().Snapshot();
-  prepass::Counters pre_before = prepass::Snapshot();
+  DecisionScope decisions(/*prepass=*/true);
   Result<InferenceResult> result =
       GenQrpConstraintsImpl(program, query_pred, options);
-  if (result.ok()) {
-    DecisionCache::Counters after = DecisionCache::Instance().Snapshot();
-    result->cache_hits = after.hits - before.hits;
-    result->cache_misses = after.misses - before.misses;
-    prepass::Counters pre_after = prepass::Snapshot();
-    result->prepass_conclusive =
-        pre_after.conclusive() - pre_before.conclusive();
-    result->prepass_fallback = pre_after.fallback - pre_before.fallback;
-  }
+  if (result.ok()) decisions.AddTo(&*result);
   return result;
 }
 

@@ -88,10 +88,14 @@ TEST(FmEdgeTest, CoefficientBlowupStaysExact) {
 
 TEST(EvalEdgeTest, EmptyProgramFixpointImmediately) {
   Program p;
-  auto run = Evaluate(p, Database(), {});
+  EvalOptions options;
+  options.strategy = EvalStrategy::kSemiNaive;
+  auto run = Evaluate(p, Database(), options);
   ASSERT_TRUE(run.ok());
   EXPECT_TRUE(run->stats.reached_fixpoint);
   EXPECT_EQ(run->stats.derivations, 0);
+  // The one iteration that finds nothing to add confirms the fixpoint.
+  EXPECT_EQ(run->stats.iterations, 1);
 }
 
 TEST(EvalEdgeTest, RuleOverMissingEdbRelation) {

@@ -231,39 +231,48 @@ Database ChainDb(Program* p) {
   return db;
 }
 
+/// Both access paths run in each streaming test below: `e` is enumerated
+/// with nothing bound (the scan fallback), `t` is probed with Z bound by
+/// the chosen e fact (the hash index).
+void ExpectScanAndIndexProbes(const EvalStats& stats) {
+  EXPECT_GT(stats.scan_probes, 0);
+  EXPECT_GT(stats.index_probes, 0);
+}
+
 TEST(EvalTest, StreamingEmitInsertsInvisibleWithinApplication) {
-  for (bool use_index : {false, true}) {
-    SCOPED_TRACE(use_index ? "index" : "scan");
-    Program p = ParseOrDie("t(X, Y) :- e(X, Z), t(Z, Y).\n");
-    // Buffered oracle: collect derivations without touching the database.
-    Database db = ChainDb(&p);
-    std::vector<std::string> buffered;
-    auto collect = [&](Fact fact,
-                       const std::vector<Relation::FactRef>&) -> Status {
-      buffered.push_back(fact.ToString(*p.symbols));
-      return Status::OK();
-    };
-    ASSERT_TRUE(ApplyRule(p.rules[0], db, /*max_birth=*/-1,
-                          /*require_delta=*/false, collect, use_index)
-                    .ok());
-    // Streaming: insert every derivation at birth 0 (> max_birth) as it is
-    // emitted. The insert during e(2,3)'s t(2,4) must stay invisible when
-    // e(1,2) enumerates t — no cascading t(1,4).
-    Database db2 = ChainDb(&p);
-    std::vector<std::string> streamed;
-    auto stream = [&](Fact fact,
-                      const std::vector<Relation::FactRef>& parents) -> Status {
-      streamed.push_back(fact.ToString(*p.symbols));
-      db2.AddFact(std::move(fact), /*birth=*/0, SubsumptionMode::kNone, "",
-                  parents);
-      return Status::OK();
-    };
-    ASSERT_TRUE(ApplyRule(p.rules[0], db2, /*max_birth=*/-1,
-                          /*require_delta=*/false, stream, use_index)
-                    .ok());
-    EXPECT_EQ(buffered, std::vector<std::string>{"t(2, 4)"});
-    EXPECT_EQ(streamed, buffered);
-  }
+  Program p = ParseOrDie("t(X, Y) :- e(X, Z), t(Z, Y).\n");
+  // Buffered oracle: collect derivations without touching the database.
+  Database db = ChainDb(&p);
+  std::vector<std::string> buffered;
+  auto collect = [&](Fact fact,
+                     const std::vector<Relation::FactRef>&) -> Status {
+    buffered.push_back(fact.ToString(*p.symbols));
+    return Status::OK();
+  };
+  EvalStats buffered_stats;
+  ASSERT_TRUE(ApplyRule(p.rules[0], db, /*max_birth=*/-1, DeltaMode::kAll,
+                        /*interval_index=*/true, collect, &buffered_stats)
+                  .ok());
+  ExpectScanAndIndexProbes(buffered_stats);
+  // Streaming: insert every derivation at birth 0 (> max_birth) as it is
+  // emitted. The insert during e(2,3)'s t(2,4) must stay invisible when
+  // e(1,2) enumerates t — no cascading t(1,4).
+  Database db2 = ChainDb(&p);
+  std::vector<std::string> streamed;
+  auto stream = [&](Fact fact,
+                    const std::vector<Relation::FactRef>& parents) -> Status {
+    streamed.push_back(fact.ToString(*p.symbols));
+    db2.AddFact(std::move(fact), /*birth=*/0, SubsumptionMode::kNone, "",
+                parents);
+    return Status::OK();
+  };
+  EvalStats streamed_stats;
+  ASSERT_TRUE(ApplyRule(p.rules[0], db2, /*max_birth=*/-1, DeltaMode::kAll,
+                        /*interval_index=*/true, stream, &streamed_stats)
+                  .ok());
+  ExpectScanAndIndexProbes(streamed_stats);
+  EXPECT_EQ(buffered, std::vector<std::string>{"t(2, 4)"});
+  EXPECT_EQ(streamed, buffered);
 }
 
 TEST(EvalTest, StreamingInsertAtMaxBirthCascades) {
@@ -272,24 +281,23 @@ TEST(EvalTest, StreamingInsertAtMaxBirthCascades) {
   // candidate, so a fact inserted at a visible birth while processing
   // e(2,3) IS seen when e(1,2) later enumerates t — the application
   // cascades within a single ApplyRule call.
-  for (bool use_index : {false, true}) {
-    SCOPED_TRACE(use_index ? "index" : "scan");
-    Program p = ParseOrDie("t(X, Y) :- e(X, Z), t(Z, Y).\n");
-    Database db = ChainDb(&p);
-    std::vector<std::string> streamed;
-    auto stream = [&](Fact fact,
-                      const std::vector<Relation::FactRef>& parents) -> Status {
-      streamed.push_back(fact.ToString(*p.symbols));
-      db.AddFact(std::move(fact), /*birth=*/-1, SubsumptionMode::kNone, "",
-                 parents);
-      return Status::OK();
-    };
-    ASSERT_TRUE(ApplyRule(p.rules[0], db, /*max_birth=*/-1,
-                          /*require_delta=*/false, stream, use_index)
-                    .ok());
-    EXPECT_EQ(streamed,
-              (std::vector<std::string>{"t(2, 4)", "t(1, 4)"}));
-  }
+  Program p = ParseOrDie("t(X, Y) :- e(X, Z), t(Z, Y).\n");
+  Database db = ChainDb(&p);
+  std::vector<std::string> streamed;
+  auto stream = [&](Fact fact,
+                    const std::vector<Relation::FactRef>& parents) -> Status {
+    streamed.push_back(fact.ToString(*p.symbols));
+    db.AddFact(std::move(fact), /*birth=*/-1, SubsumptionMode::kNone, "",
+               parents);
+    return Status::OK();
+  };
+  EvalStats stats;
+  ASSERT_TRUE(ApplyRule(p.rules[0], db, /*max_birth=*/-1, DeltaMode::kAll,
+                        /*interval_index=*/true, stream, &stats)
+                  .ok());
+  ExpectScanAndIndexProbes(stats);
+  EXPECT_EQ(streamed,
+            (std::vector<std::string>{"t(2, 4)", "t(1, 4)"}));
 }
 
 TEST(EvalTest, RejectsNegativeMaxIterations) {

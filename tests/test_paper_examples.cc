@@ -235,7 +235,7 @@ TEST(PaperTable1, FullTracePinned) {
   EXPECT_EQ(RenderTrace(run->trace), kTable1GoldenTrace);
 }
 
-TEST(PaperTable1, StratifiedTraceMatchesOracle) {
+TEST(PaperTable1, StratifiedTraceMatchesSemiNaive) {
   Parsed in = ParseWithQuery(kFib);
   auto run = EvaluateTable1(in, EvalStrategy::kStratified);
   ASSERT_TRUE(run.ok());
@@ -254,17 +254,18 @@ TEST(PaperTable2, FullTracePinned) {
   EXPECT_TRUE(run->stats.reached_fixpoint);
 }
 
-TEST(PaperTable2, StratifiedTraceMatchesOracle) {
+TEST(PaperTable2, StratifiedTraceMatchesSemiNaive) {
   // Fresh parses per run: rewriting the same Parsed twice would intern a
   // second magic predicate (m_fib_2) into the shared symbol table.
-  auto oracle = EvaluateTable2(ParseWithQuery(kFib), EvalStrategy::kSemiNaive);
+  auto seminaive =
+      EvaluateTable2(ParseWithQuery(kFib), EvalStrategy::kSemiNaive);
   auto run = EvaluateTable2(ParseWithQuery(kFib), EvalStrategy::kStratified);
-  ASSERT_TRUE(oracle.ok());
+  ASSERT_TRUE(seminaive.ok());
   ASSERT_TRUE(run.ok());
   EXPECT_EQ(RenderTrace(run->trace), kTable2GoldenTrace);
   EXPECT_TRUE(run->stats.reached_fixpoint);
   // Identical final fact sets, entry by entry (keys are canonical).
-  for (const auto& [pred, rel] : oracle->db.relations()) {
+  for (const auto& [pred, rel] : seminaive->db.relations()) {
     const Relation* other = run->db.Find(pred);
     ASSERT_NE(other, nullptr);
     ASSERT_EQ(rel.size(), other->size());

@@ -5,9 +5,9 @@
 // equal under mutual subsumption — across all three SubsumptionModes, and
 // both must denote what the independent naive oracle (testing/oracle.h)
 // derives. This is the exact-vs-exact analogue of the exact-vs-approximate
-// checking in Campagna et al.'s differential setup: the old global loop and
-// the naive oracle are the references, the stratified+indexed evaluation
-// the system under test.
+// checking in Campagna et al.'s differential setup: the naive oracle is the
+// reference; the two plans the semi-naive engine can run are the systems
+// under test.
 
 #include <fstream>
 #include <optional>
@@ -342,6 +342,44 @@ TEST(WorkloadDifferentialTest, UnaryConstraintFactsAcrossStrata) {
   Database db;
   ASSERT_TRUE(AddUnaryRelation(p.symbols.get(), "u", 20, 15, 9, &db).ok());
   ExpectStrategiesAgree(p, db, "constraint-facts");
+}
+
+// The strategy only decides the plan's components, and with them the
+// iteration numbering. On a two-stratum chain over one `a` fact the
+// global plan re-runs every rule each round (b, then c, then an empty
+// confirming round), while the SCC plan runs each non-recursive stratum
+// once.
+TEST(PlanTest, StrategyDecidesIterationNumbering) {
+  Program p = ParseOrDie("b(X) :- a(X).\nc(X) :- b(X).\n");
+  Database db;
+  ASSERT_TRUE(db.AddGroundFact(p.symbols.get(), "a",
+                               {Database::Value::Number(Rational(1))})
+                  .ok());
+  auto preds_of = [&](const std::vector<Derivation>& row) {
+    std::vector<std::string> preds;
+    for (const Derivation& d : row) preds.push_back(d.fact.substr(0, 1));
+    return preds;
+  };
+  EvalOptions options;
+  options.record_trace = true;
+
+  options.strategy = EvalStrategy::kSemiNaive;
+  auto global = Evaluate(p, db, options);
+  ASSERT_TRUE(global.ok()) << global.status().ToString();
+  EXPECT_TRUE(global->stats.reached_fixpoint);
+  EXPECT_EQ(global->stats.iterations, 3);
+  ASSERT_EQ(global->trace.size(), 3u);
+  EXPECT_EQ(preds_of(global->trace[0]), std::vector<std::string>{"b"});
+  EXPECT_EQ(preds_of(global->trace[1]), std::vector<std::string>{"c"});
+  EXPECT_TRUE(global->trace[2].empty());
+  EXPECT_EQ(global->stats.scc_iterations, std::vector<long>{3});
+
+  options.strategy = EvalStrategy::kStratified;
+  auto stratified = Evaluate(p, db, options);
+  ASSERT_TRUE(stratified.ok()) << stratified.status().ToString();
+  EXPECT_TRUE(stratified->stats.reached_fixpoint);
+  EXPECT_EQ(stratified->stats.iterations, 2);
+  EXPECT_EQ(stratified->stats.scc_iterations, (std::vector<long>{1, 1}));
 }
 
 }  // namespace
