@@ -10,11 +10,11 @@
 
 #include <chrono>
 #include <cstdio>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "constraint/decision_scope.h"
 #include "constraint/interval.h"
 #include "testing/generator.h"
 #include "testing/properties.h"
@@ -113,8 +113,7 @@ void PrintAndMaybeWriteJson(bool json) {
   double arm_ms[2] = {0, 0};
   cqlopt::prepass::Counters split[2];
   for (int arm = 0; arm < 2; ++arm) {
-    std::optional<cqlopt::prepass::PrepassDisabler> prepass_off;
-    if (arm == 1) prepass_off.emplace();
+    cqlopt::DecisionScope tiers({.prepass = arm == 0});
     cqlopt::prepass::Counters before = cqlopt::prepass::Snapshot();
     auto start = std::chrono::steady_clock::now();
     for (const FuzzCase& c : cases) {

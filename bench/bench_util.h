@@ -11,7 +11,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -19,6 +18,7 @@
 #include "ast/parser.h"
 #include "ast/printer.h"
 #include "constraint/decision_cache.h"
+#include "constraint/decision_scope.h"
 #include "constraint/interval.h"
 #include "core/equivalence.h"
 #include "core/workload.h"
@@ -211,8 +211,7 @@ inline void WriteBenchJson(const char* name, const Program& program,
                      "\",\n  \"arms\": [\n";
   bool first = true;
   for (const JsonArm& arm : arms) {
-    std::optional<DecisionCacheDisabler> cache_off;
-    if (!arm.cache) cache_off.emplace();
+    DecisionScope tiers({.cache = arm.cache});
     DecisionCache::Instance().Clear();
     prepass::ClearMemo();
     EvalOptions opts;
@@ -407,8 +406,7 @@ inline void WritePrepassJson(const char* workload, const Program& program,
   };
   ArmOut out[2];  // [0] = prepass on, [1] = prepass off.
   for (int arm = 0; arm < 2; ++arm) {
-    std::optional<prepass::PrepassDisabler> prepass_off;
-    if (arm == 1) prepass_off.emplace();
+    DecisionScope tiers({.prepass = arm == 0});
     std::vector<double> walls;
     for (int rep = 0; rep < reps; ++rep) {
       DecisionCache::Instance().Clear();

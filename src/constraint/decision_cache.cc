@@ -1,6 +1,45 @@
 #include "constraint/decision_cache.h"
 
+#include "constraint/decision_scope.h"
+
 namespace cqlopt {
+
+std::optional<uint8_t> VerdictTable::Lookup(uint64_t key) const {
+  const Shard& shard = shards_[ShardOf(key)];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  auto it = shard.map.find(key);
+  if (it == shard.map.end()) return std::nullopt;
+  return it->second;
+}
+
+long VerdictTable::Store(uint64_t key, uint8_t value) {
+  Shard& shard = shards_[ShardOf(key)];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  long evicted = 0;
+  if (shard.map.size() >= capacity_.load(std::memory_order_relaxed) &&
+      shard.map.find(key) == shard.map.end()) {
+    evicted = static_cast<long>(shard.map.size());
+    shard.map.clear();
+  }
+  shard.map.emplace(key, value);
+  return evicted;
+}
+
+long VerdictTable::size() const {
+  long entries = 0;
+  for (const Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    entries += static_cast<long>(shard.map.size());
+  }
+  return entries;
+}
+
+void VerdictTable::Clear() {
+  for (Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    shard.map.clear();
+  }
+}
 
 DecisionCache& DecisionCache::Instance() {
   static DecisionCache* cache = new DecisionCache();  // never destroyed
@@ -8,29 +47,22 @@ DecisionCache& DecisionCache::Instance() {
 }
 
 std::optional<bool> DecisionCache::Lookup(uint64_t key) {
-  if (!enabled()) return std::nullopt;
-  Shard& shard = shards_[ShardOf(key)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(key);
-  if (it == shard.map.end()) {
+  std::optional<uint8_t> hit = table_.Lookup(key);
+  if (!hit.has_value()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
+    DecisionScope::Count(&DecisionScope::Counts::cache_misses);
     return std::nullopt;
   }
   hits_.fetch_add(1, std::memory_order_relaxed);
-  return it->second;
+  DecisionScope::Count(&DecisionScope::Counts::cache_hits);
+  return *hit != 0;
 }
 
 void DecisionCache::Store(uint64_t key, bool value) {
-  if (!enabled()) return;
-  Shard& shard = shards_[ShardOf(key)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.map.size() >= capacity_per_shard() &&
-      shard.map.find(key) == shard.map.end()) {
-    evictions_.fetch_add(static_cast<long>(shard.map.size()),
-                         std::memory_order_relaxed);
-    shard.map.clear();
+  if (long evicted = table_.Store(key, value ? 1 : 0)) {
+    evictions_.fetch_add(evicted, std::memory_order_relaxed);
+    DecisionScope::Count(&DecisionScope::Counts::cache_evictions, evicted);
   }
-  shard.map.emplace(key, value);
 }
 
 DecisionCache::Counters DecisionCache::Snapshot() const {
@@ -38,18 +70,8 @@ DecisionCache::Counters DecisionCache::Snapshot() const {
   out.hits = hits_.load(std::memory_order_relaxed);
   out.misses = misses_.load(std::memory_order_relaxed);
   out.evictions = evictions_.load(std::memory_order_relaxed);
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    out.entries += static_cast<long>(shard.map.size());
-  }
+  out.entries = table_.size();
   return out;
-}
-
-void DecisionCache::Clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.map.clear();
-  }
 }
 
 }  // namespace cqlopt

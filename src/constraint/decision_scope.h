@@ -1,53 +1,80 @@
 #ifndef CQLOPT_CONSTRAINT_DECISION_SCOPE_H_
 #define CQLOPT_CONSTRAINT_DECISION_SCOPE_H_
 
-#include "constraint/decision_cache.h"
-#include "constraint/interval.h"
-
 namespace cqlopt {
 
-/// Attributes the process-wide constraint-decision counters — DecisionCache
-/// hits / misses / evictions and interval-prepass conclusive / fallback
-/// verdicts — to one run by differencing them around it: construct at the
-/// run's entry, AddTo the run's counters at its end. With `prepass` false
-/// it also holds the process-wide prepass flag down for its lifetime (the
-/// EvalOptions::prepass toggle).
-///
-/// This is the one place an evaluation or inference entry point touches
-/// the process-wide counters.
+/// The calling thread's current constraint-decision context (DESIGN.md §7):
+/// which decision tiers (the interval prepass, the DecisionCache) are on,
+/// and how many decisions of each kind ran inside it — the only way to turn
+/// a tier off or attribute decision counts to a run. Each evaluation and
+/// inference entry point installs one; fm::, prepass:: and Implies read the
+/// innermost through a thread_local pointer. One query evaluates serially
+/// on one thread, so a scope sees exactly its own call's decisions. Scopes
+/// are stack objects and never cross threads.
 class DecisionScope {
  public:
-  explicit DecisionScope(bool prepass)
-      : prepass_off_(!prepass), prepass_was_enabled_(prepass::enabled()) {
-    if (prepass_off_) prepass::set_enabled(false);
-    cache_before_ = DecisionCache::Instance().Snapshot();
-    prepass_before_ = prepass::Snapshot();
+  /// Requested tiers. A scope's effective tier is its parent's AND its
+  /// request, so a nested scope can only turn a tier off (an outer "off"
+  /// wins). Outside any scope both tiers are on.
+  struct Tiers {
+    bool prepass = true;
+    bool cache = true;
+  };
+
+  /// Decisions made while the scope was current, nested scopes included
+  /// (the process-wide Snapshot() totals are bumped alongside).
+  struct Counts {
+    long cache_hits = 0;
+    long cache_misses = 0;
+    long cache_evictions = 0;
+    long prepass_conclusive = 0;
+    long prepass_fallback = 0;
+  };
+
+  explicit DecisionScope(Tiers requested)
+      : parent_(current_),
+        tiers_{requested.prepass && prepass_on(),
+               requested.cache && cache_on()} {
+    current_ = this;
   }
+  /// Reinstates the parent and adds this scope's counts to it.
   ~DecisionScope() {
-    if (prepass_off_) prepass::set_enabled(prepass_was_enabled_);
+    current_ = parent_;
+    if (parent_ != nullptr) AddTo(&parent_->counts_);
   }
   DecisionScope(const DecisionScope&) = delete;
   DecisionScope& operator=(const DecisionScope&) = delete;
 
-  /// Adds the activity since construction to `sink`'s cache_hits,
-  /// cache_misses, cache_evictions, prepass_conclusive and
-  /// prepass_fallback (EvalStats, InferenceResult).
+  /// The effective tiers of the calling thread's current scope.
+  static bool prepass_on() {
+    return current_ == nullptr || current_->tiers_.prepass;
+  }
+  static bool cache_on() {
+    return current_ == nullptr || current_->tiers_.cache;
+  }
+
+  /// Adds `n` to `field` of the current scope (dropped outside any scope).
+  static void Count(long Counts::*field, long n = 1) {
+    if (current_ != nullptr) current_->counts_.*field += n;
+  }
+
+  /// Adds this scope's counts so far to `sink`'s fields of the same names
+  /// (EvalStats, InferenceResult, a parent's Counts).
   template <typename Sink>
   void AddTo(Sink* sink) const {
-    DecisionCache::Counters cache = DecisionCache::Instance().Snapshot();
-    prepass::Counters pre = prepass::Snapshot();
-    sink->cache_hits += cache.hits - cache_before_.hits;
-    sink->cache_misses += cache.misses - cache_before_.misses;
-    sink->cache_evictions += cache.evictions - cache_before_.evictions;
-    sink->prepass_conclusive += pre.conclusive() - prepass_before_.conclusive();
-    sink->prepass_fallback += pre.fallback - prepass_before_.fallback;
+    sink->cache_hits += counts_.cache_hits;
+    sink->cache_misses += counts_.cache_misses;
+    sink->cache_evictions += counts_.cache_evictions;
+    sink->prepass_conclusive += counts_.prepass_conclusive;
+    sink->prepass_fallback += counts_.prepass_fallback;
   }
 
  private:
-  const bool prepass_off_;
-  const bool prepass_was_enabled_;
-  DecisionCache::Counters cache_before_;
-  prepass::Counters prepass_before_;
+  static inline thread_local DecisionScope* current_ = nullptr;
+
+  DecisionScope* const parent_;
+  const Tiers tiers_;
+  Counts counts_;
 };
 
 }  // namespace cqlopt

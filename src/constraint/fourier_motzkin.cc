@@ -5,6 +5,7 @@
 #include <set>
 
 #include "constraint/decision_cache.h"
+#include "constraint/decision_scope.h"
 #include "constraint/fingerprint.h"
 
 namespace cqlopt {
@@ -175,8 +176,8 @@ bool IsSatisfiableUncached(const std::vector<LinearConstraint>& constraints) {
 }  // namespace
 
 bool IsSatisfiable(const std::vector<LinearConstraint>& constraints) {
+  if (!DecisionScope::cache_on()) return IsSatisfiableUncached(constraints);
   DecisionCache& cache = DecisionCache::Instance();
-  if (!cache.enabled()) return IsSatisfiableUncached(constraints);
   uint64_t key = fp::Mix(kSatisfiableSalt, fp::FingerprintOf(constraints));
   if (std::optional<bool> hit = cache.Lookup(key)) return *hit;
   bool value = IsSatisfiableUncached(constraints);
@@ -196,7 +197,7 @@ bool ImpliesAtom(const std::vector<LinearConstraint>& constraints,
   // Memoized at this level too (on top of the per-negation IsSatisfiable
   // caching): a hit skips the Negations() expansion and the vector copies.
   DecisionCache& cache = DecisionCache::Instance();
-  const bool use_cache = cache.enabled();
+  const bool use_cache = DecisionScope::cache_on();
   uint64_t key = 0;
   if (use_cache) {
     key = fp::Mix(fp::Mix(kImpliesAtomSalt, fp::FingerprintOf(constraints)),

@@ -1,6 +1,7 @@
 #include "constraint/implication.h"
 
 #include "constraint/decision_cache.h"
+#include "constraint/decision_scope.h"
 #include "constraint/fingerprint.h"
 #include "constraint/fourier_motzkin.h"
 #include "constraint/interval.h"
@@ -94,7 +95,7 @@ bool Implies(const Conjunction& a, const Conjunction& b) {
   // same (new fact, stored fact) constraint pairs across iterations and
   // strategies, so this is the hottest key family of the DecisionCache.
   DecisionCache& cache = DecisionCache::Instance();
-  const bool use_cache = cache.enabled();
+  const bool use_cache = DecisionScope::cache_on();
   uint64_t key = 0;
   if (use_cache) {
     key = fp::Mix(fp::Mix(kImpliesSalt, fp::FingerprintOf(a)),

@@ -1,10 +1,10 @@
 #include "constraint/interval.h"
 
 #include <atomic>
-#include <mutex>
-#include <unordered_map>
 
 #include "constraint/conjunction.h"
+#include "constraint/decision_cache.h"
+#include "constraint/decision_scope.h"
 #include "constraint/fingerprint.h"
 #include "constraint/fourier_motzkin.h"
 
@@ -217,7 +217,6 @@ bool IntervalDomain::ProvesAll(const std::vector<LinearConstraint>& cs) const {
 namespace prepass {
 namespace {
 
-std::atomic<bool> g_enabled{true};
 std::atomic<long> g_sat{0};
 std::atomic<long> g_unsat{0};
 std::atomic<long> g_implied{0};
@@ -226,6 +225,9 @@ std::atomic<long> g_fallback{0};
 
 void Count(std::atomic<long>* counter) {
   counter->fetch_add(1, std::memory_order_relaxed);
+  DecisionScope::Count(counter == &g_fallback
+                           ? &DecisionScope::Counts::prepass_fallback
+                           : &DecisionScope::Counts::prepass_conclusive);
 }
 
 // Domain-separation salts for the verdict memo (distinct from the
@@ -235,76 +237,34 @@ constexpr uint64_t kMemoSatSalt = 0x9e3779b97f4a7c15ull;
 constexpr uint64_t kMemoImpliesAtomSalt = 0xbf58476d1ce4e5b9ull;
 constexpr uint64_t kMemoImpliesSalt = 0x94d049bb133111ebull;
 
-/// Three-state outcome of an interval probe, memoized so a repeated probe
-/// costs one fingerprint lookup instead of a fresh BigInt-rational
-/// propagation. The memo is *not* the DecisionCache: conclusive prepass
-/// answers stay out of the exact tier's cache by design (its entries and
-/// hit/miss counters keep measuring exact-procedure traffic only), and
-/// inconclusiveness — which the DecisionCache cannot represent — is
-/// memoized here too, so repeats of hard probes skip straight to the
-/// cached exact procedure. Verdicts are pure functions of the canonical
-/// fingerprints, so memoization can never change an answer.
-enum class Verdict : uint8_t { kInconclusive = 0, kFalse = 1, kTrue = 2 };
-
-Verdict ToVerdict(const std::optional<bool>& fast) {
-  if (!fast.has_value()) return Verdict::kInconclusive;
-  return *fast ? Verdict::kTrue : Verdict::kFalse;
-}
-
-std::optional<bool> FromVerdict(Verdict v) {
-  if (v == Verdict::kInconclusive) return std::nullopt;
-  return v == Verdict::kTrue;
-}
-
-class VerdictMemo {
- public:
-  std::optional<Verdict> Lookup(uint64_t key) {
-    Shard& shard = shards_[ShardOf(key)];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it == shard.map.end()) return std::nullopt;
-    return static_cast<Verdict>(it->second);
-  }
-
-  void Store(uint64_t key, Verdict v) {
-    Shard& shard = shards_[ShardOf(key)];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    // Wholesale clear on a full shard, like the DecisionCache: entries are
-    // single bytes, recency tracking would cost more than re-propagating.
-    if (shard.map.size() >= kShardCapacity) shard.map.clear();
-    shard.map.emplace(key, static_cast<uint8_t>(v));
-  }
-
-  void Clear() {
-    for (Shard& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      shard.map.clear();
-    }
-  }
-
- private:
-  struct Shard {
-    std::mutex mu;
-    std::unordered_map<uint64_t, uint8_t> map;
-  };
-  static constexpr int kShards = 8;
-  static constexpr size_t kShardCapacity = size_t{1} << 14;
-  static size_t ShardOf(uint64_t key) { return (key >> 60) & (kShards - 1); }
-
-  Shard shards_[kShards];
-};
-
-VerdictMemo& Memo() {
-  static VerdictMemo* memo = new VerdictMemo();
+/// Three-state outcome of an interval probe (0 inconclusive, 1 false,
+/// 2 true), memoized so a repeated probe costs one fingerprint lookup
+/// instead of a fresh BigInt-rational propagation. The memo is *not* the
+/// DecisionCache: conclusive prepass answers stay out of the exact tier's
+/// cache by design (its entries and hit/miss counters keep measuring
+/// exact-procedure traffic only), and inconclusiveness — which the
+/// DecisionCache cannot represent — is memoized here too, so repeats of
+/// hard probes skip straight to the cached exact procedure. Verdicts are
+/// pure functions of the canonical fingerprints, so memoization can never
+/// change an answer. 2^17 entries in total, uncounted.
+VerdictTable& Memo() {
+  static VerdictTable* memo = new VerdictTable(size_t{1} << 13);
   return *memo;
 }
 
-}  // namespace
-
-bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
-void set_enabled(bool on) {
-  g_enabled.store(on, std::memory_order_relaxed);
+/// The memoized verdict of `probe()` under `key`.
+template <typename Probe>
+std::optional<bool> Memoized(uint64_t key, Probe probe) {
+  if (std::optional<uint8_t> hit = Memo().Lookup(key)) {
+    if (*hit == 0) return std::nullopt;
+    return *hit == 2;
+  }
+  std::optional<bool> fast = probe();
+  Memo().Store(key, fast.has_value() ? 1 + *fast : 0);
+  return fast;
 }
+
+}  // namespace
 
 Counters Snapshot() {
   Counters c;
@@ -346,7 +306,7 @@ std::optional<bool> TryImpliesAtom(const std::vector<LinearConstraint>& cs,
 void ClearMemo() { Memo().Clear(); }
 
 bool IsSatisfiable(const std::vector<LinearConstraint>& cs) {
-  if (enabled()) {
+  if (DecisionScope::prepass_on()) {
     // Structural screens first: the ground case (no linear atoms — the
     // bulk of EmitHead's satisfiability traffic on ground workloads) and
     // one-atom systems are cheaper to answer directly than to fingerprint
@@ -359,13 +319,8 @@ bool IsSatisfiable(const std::vector<LinearConstraint>& cs) {
     if (cs.size() == 1) {
       fast = TrySatisfiable(cs);
     } else {
-      uint64_t key = fp::Mix(kMemoSatSalt, fp::FingerprintOf(cs));
-      if (std::optional<Verdict> hit = Memo().Lookup(key)) {
-        fast = FromVerdict(*hit);
-      } else {
-        fast = TrySatisfiable(cs);
-        Memo().Store(key, ToVerdict(fast));
-      }
+      fast = Memoized(fp::Mix(kMemoSatSalt, fp::FingerprintOf(cs)),
+                      [&] { return TrySatisfiable(cs); });
     }
     if (fast.has_value()) {
       Count(*fast ? &g_sat : &g_unsat);
@@ -378,22 +333,17 @@ bool IsSatisfiable(const std::vector<LinearConstraint>& cs) {
 
 bool ImpliesAtom(const std::vector<LinearConstraint>& cs,
                  const LinearConstraint& atom) {
-  if (enabled()) {
+  if (DecisionScope::prepass_on()) {
     std::optional<bool> fast;
     if (atom.IsTriviallyTrue()) {
       fast = true;  // Valid atom: implied by anything (matches exact).
     } else if (cs.size() <= 1) {
       fast = TryImpliesAtom(cs, atom);
     } else {
-      uint64_t key = fp::Mix(
-          fp::Mix(kMemoImpliesAtomSalt, fp::FingerprintOf(cs)),
-          fp::FingerprintOf(atom));
-      if (std::optional<Verdict> hit = Memo().Lookup(key)) {
-        fast = FromVerdict(*hit);
-      } else {
-        fast = TryImpliesAtom(cs, atom);
-        Memo().Store(key, ToVerdict(fast));
-      }
+      fast = Memoized(
+          fp::Mix(fp::Mix(kMemoImpliesAtomSalt, fp::FingerprintOf(cs)),
+                  fp::FingerprintOf(atom)),
+          [&] { return TryImpliesAtom(cs, atom); });
     }
     if (fast.has_value()) {
       Count(*fast ? &g_implied : &g_not_implied);
@@ -461,7 +411,7 @@ std::optional<bool> TryImpliesImpl(const Conjunction& a,
 }  // namespace
 
 std::optional<bool> TryImplies(const Conjunction& a, const Conjunction& b) {
-  if (!enabled()) return std::nullopt;
+  if (!DecisionScope::prepass_on()) return std::nullopt;
   // Structural screens before any fingerprinting: an UNSAT left side
   // implies anything, and a right side with no obligations at all (no
   // bindings, equalities, or linear atoms — the ground-fact case) is
@@ -489,14 +439,9 @@ std::optional<bool> TryImplies(const Conjunction& a, const Conjunction& b) {
     // symbol) without propagating a single bound.
     fast = !a.IsSatisfiable();
   } else {
-    uint64_t key = fp::Mix(fp::Mix(kMemoImpliesSalt, fp::FingerprintOf(a)),
-                           fp::FingerprintOf(b));
-    if (std::optional<Verdict> hit = Memo().Lookup(key)) {
-      fast = FromVerdict(*hit);
-    } else {
-      fast = TryImpliesImpl(a, b);
-      Memo().Store(key, ToVerdict(fast));
-    }
+    fast = Memoized(fp::Mix(fp::Mix(kMemoImpliesSalt, fp::FingerprintOf(a)),
+                            fp::FingerprintOf(b)),
+                    [&] { return TryImpliesImpl(a, b); });
   }
   if (fast.has_value()) {
     Count(*fast ? &g_implied : &g_not_implied);

@@ -141,8 +141,9 @@ class IntervalDomain {
 namespace prepass {
 
 /// Monotonic process-wide counters, split by conclusive verdict kind plus
-/// the inconclusive fallbacks to exact FM. Snapshot-diffed into
-/// EvalStats / InferenceResult the same way the DecisionCache counters are.
+/// the inconclusive fallbacks to exact FM. Each count is also added to the
+/// current DecisionScope (as prepass_conclusive / prepass_fallback), which
+/// is how EvalStats / InferenceResult get theirs.
 struct Counters {
   long sat = 0;          // conclusive "satisfiable"
   long unsat = 0;        // conclusive "unsatisfiable"
@@ -152,12 +153,6 @@ struct Counters {
 
   long conclusive() const { return sat + unsat + implied + not_implied; }
 };
-
-/// When disabled, the wrappers below go straight to exact FM without
-/// probing or counting — the `prepass = off` arm of every differential
-/// harness and the EvalOptions::prepass toggle.
-bool enabled();
-void set_enabled(bool on);
 
 Counters Snapshot();
 
@@ -173,9 +168,12 @@ std::optional<bool> TryImpliesAtom(const std::vector<LinearConstraint>& cs,
 /// fill) — then exact cached FM. These are the entry points the evaluator's
 /// call sites use (Conjunction::IsSatisfiable, implication.cc). Probe
 /// verdicts (including inconclusiveness) are memoized in a prepass-private
-/// fingerprint-keyed table so repeated probes skip the rational
+/// fingerprint-keyed VerdictTable so repeated probes skip the rational
 /// propagation; the memo never holds anything but recomputable pure
-/// verdicts, so it cannot change an answer.
+/// verdicts, so it cannot change an answer. When the current DecisionScope
+/// turns the prepass off (the EvalOptions::prepass toggle, the
+/// `prepass = off` arm of every differential harness) they go straight to
+/// exact FM without probing or counting.
 bool IsSatisfiable(const std::vector<LinearConstraint>& cs);
 bool ImpliesAtom(const std::vector<LinearConstraint>& cs,
                  const LinearConstraint& atom);
@@ -189,21 +187,9 @@ void ClearMemo();
 /// — symbol bindings, variable equalities, linear atoms — is tested against
 /// it. Conclusive answers (and inconclusive fallbacks) are counted here,
 /// since Implies() has no wrapping prepass call. nullopt sends the caller
-/// to the cached exact path.
+/// to the cached exact path; it is returned uncounted when the current
+/// DecisionScope turns the prepass off.
 std::optional<bool> TryImplies(const Conjunction& a, const Conjunction& b);
-
-/// RAII guard disabling the prepass in a scope (differential arms, the
-/// EvalOptions::prepass = false runs).
-class PrepassDisabler {
- public:
-  PrepassDisabler() : was_enabled_(enabled()) { set_enabled(false); }
-  ~PrepassDisabler() { set_enabled(was_enabled_); }
-  PrepassDisabler(const PrepassDisabler&) = delete;
-  PrepassDisabler& operator=(const PrepassDisabler&) = delete;
-
- private:
-  bool was_enabled_;
-};
 
 }  // namespace prepass
 }  // namespace cqlopt

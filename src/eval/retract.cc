@@ -373,12 +373,12 @@ Result<EvalResult> RetractEvaluate(const Program& program, EvalResult base,
   }
 
   // --- Path "prefix": re-derive the suffix with the ordinary stratified
-  // fixpoint, resumed mid-plan at the first unrepairable stratum. Counter
-  // attribution mirrors Evaluate/ResumeEvaluate: the process-wide
-  // decision-cache and prepass counters are snapshot-diffed around the run.
+  // fixpoint, resumed mid-plan at the first unrepairable stratum. As in
+  // Evaluate/ResumeEvaluate, a DecisionScope applies options.prepass and
+  // collects the run's decision-cache and prepass counts.
   result.stats.retract_path = "prefix";
   result.stats.reached_fixpoint = false;
-  DecisionScope decisions(options.prepass);
+  DecisionScope decisions({.prepass = options.prepass});
   Governor governor(options, /*baseline_inserted=*/result.stats.inserted);
   CQLOPT_RETURN_IF_ERROR(RunStrata(program, plan, suffix_start, prefix_iters,
                                    options, &governor, &result));

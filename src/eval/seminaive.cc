@@ -15,7 +15,7 @@ using eval_internal::GovernedAbort;
 Result<EvalResult> Evaluate(const Program& program, const Database& edb,
                             const EvalOptions& options) {
   CQLOPT_RETURN_IF_ERROR(CheckEvalOptions(program, options));
-  DecisionScope decisions(options.prepass);
+  DecisionScope decisions({.prepass = options.prepass});
   Governor governor(options, /*baseline_inserted=*/0);
   EvalResult result;
   result.db = edb;  // EDB facts carry birth -1.
@@ -56,7 +56,7 @@ Result<EvalResult> ResumeEvaluate(const Program& program, EvalResult base,
         where + "; " + FactsSoFar(base) +
         "; re-evaluate from scratch (with a higher max_iterations) instead");
   }
-  DecisionScope decisions(options.prepass);
+  DecisionScope decisions({.prepass = options.prepass});
   const long baseline_inserted = base.stats.inserted;
   Governor governor(options, baseline_inserted);
   EvalResult result = std::move(base);

@@ -53,10 +53,11 @@ struct EvalOptions {
   /// prepass first, falling back to exact cached Fourier–Motzkin only on
   /// inconclusive probes. Conclusive prepass answers are proven equal to
   /// the exact decision, so toggling this never changes facts, births, or
-  /// traces — only wall-clock and the prepass/cache counters. The flag is
-  /// applied process-wide for the duration of the call (like the
-  /// DecisionCache enable flag), so concurrent evaluations in one process
-  /// should agree on it.
+  /// traces — only wall-clock and the prepass/cache counters. The flag
+  /// applies to this call only, through its DecisionScope
+  /// (constraint/decision_scope.h): concurrent evaluations on other threads
+  /// keep their own setting, and an enclosing scope that turned the prepass
+  /// off keeps it off.
   bool prepass = true;
   /// Interval-indexed candidate pruning (DESIGN.md §12): when true
   /// (default), body literals with no uniquely-bound position — where the

@@ -79,19 +79,20 @@ struct EvalStats {
   /// unlabeled rules) — lets benches attribute wins rule by rule.
   std::map<std::string, long> derivations_per_rule;
 
-  // --- Decision-cache accounting: the DecisionCache counter deltas
-  // accumulated by this evaluation (the cache itself is process-wide;
-  // Evaluate snapshots before/after). ---
+  // --- Decision-cache accounting: the DecisionCache hits, misses and
+  // evictions of this evaluation's own decisions, counted by its
+  // DecisionScope (the cache itself is process-wide and shared). ---
   long cache_hits = 0;
   long cache_misses = 0;
   long cache_evictions = 0;
 
-  // --- Interval-prepass accounting (DESIGN.md §11): counter deltas of the
-  // approximate decision tier over this evaluation, snapshot-diffed like
-  // the cache counters above. `prepass_conclusive` decisions were answered
-  // by bound propagation alone (never touching the DecisionCache);
-  // `prepass_fallback` probes were inconclusive and fell through to the
-  // exact cached Fourier–Motzkin tier. Both stay 0 with prepass disabled.
+  // --- Interval-prepass accounting (DESIGN.md §11): verdicts of the
+  // approximate decision tier in this evaluation, counted by its
+  // DecisionScope like the cache counters above. `prepass_conclusive`
+  // decisions were answered by bound propagation alone (never touching the
+  // DecisionCache); `prepass_fallback` probes were inconclusive and fell
+  // through to the exact cached Fourier–Motzkin tier. Both stay 0 with
+  // prepass disabled.
   long prepass_conclusive = 0;
   long prepass_fallback = 0;
 

@@ -60,7 +60,9 @@ class PreparedCache {
   /// Inserts a freshly prepared entry, evicting the least-recently-used
   /// entry when full. If a concurrent session inserted the same key first,
   /// that session's entry wins and is returned (pipeline outputs for equal
-  /// keys are interchangeable).
+  /// keys compute the same answers; QueryService inserts under its pipeline
+  /// lock, so the winner is also the one whose fresh predicate names
+  /// answers render).
   std::shared_ptr<PreparedEntry> Insert(std::shared_ptr<PreparedEntry> entry);
 
   struct Counters {

@@ -135,12 +135,14 @@ Result<std::shared_ptr<PreparedEntry>> QueryService::PrepareEntry(
   auto entry = std::make_shared<PreparedEntry>();
   entry->fingerprint = fingerprint;
   entry->canonical = std::move(canonical);
-  {
-    std::lock_guard<std::mutex> lock(symbols_mutex_);
-    CQLOPT_ASSIGN_OR_RETURN(
-        entry->prepared,
-        ApplyPipeline(program_, query, steps, options_.pipeline));
-  }
+  // Insert under the same lock as the pipeline: of two sessions racing to
+  // prepare one key, the first to run the pipeline got the unsuffixed fresh
+  // predicate names, and its entry must win so that answers render the same
+  // names however the race went.
+  std::lock_guard<std::mutex> lock(symbols_mutex_);
+  CQLOPT_ASSIGN_OR_RETURN(
+      entry->prepared,
+      ApplyPipeline(program_, query, steps, options_.pipeline));
   return prepared_.Insert(std::move(entry));
 }
 

@@ -4,7 +4,7 @@
 #include <string>
 
 #include "ast/arg_map.h"
-#include "constraint/decision_cache.h"
+#include "constraint/decision_scope.h"
 #include "constraint/implication.h"
 
 namespace cqlopt {
@@ -73,8 +73,9 @@ Result<OracleResult> OracleEvaluate(const Program& program,
                                     const std::vector<Fact>& edb,
                                     const OracleOptions& options) {
   // The oracle recomputes every decision from scratch: no memoized answer
-  // of the engine under test can leak into the reference run.
-  DecisionCacheDisabler no_cache;
+  // of the engine under test can leak into the reference run, and the
+  // oracle fills no entry a concurrent engine run could hit.
+  DecisionScope no_cache({.cache = false});
 
   OracleResult result;
   std::set<std::string> seen;
@@ -103,7 +104,7 @@ Result<OracleResult> OracleEvaluate(const Program& program,
 
 Result<std::vector<Fact>> OracleQueryAnswers(const OracleResult& result,
                                              const Query& query) {
-  DecisionCacheDisabler no_cache;
+  DecisionScope no_cache({.cache = false});
   std::vector<Fact> answers;
   auto it = result.facts.find(query.literal.pred);
   if (it == result.facts.end()) return answers;

@@ -120,7 +120,7 @@ Result<InferenceResult> GenPredicateConstraints(
     const Program& program,
     const std::map<PredId, ConstraintSet>& edb_constraints,
     const InferenceOptions& options) {
-  DecisionScope decisions(/*prepass=*/true);
+  DecisionScope decisions({});
   Result<InferenceResult> result =
       GenPredicateConstraintsImpl(program, edb_constraints, options);
   if (result.ok()) decisions.AddTo(&*result);

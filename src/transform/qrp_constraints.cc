@@ -77,7 +77,7 @@ Result<InferenceResult> GenQrpConstraintsImpl(const Program& program,
 Result<InferenceResult> GenQrpConstraints(const Program& program,
                                           PredId query_pred,
                                           const InferenceOptions& options) {
-  DecisionScope decisions(/*prepass=*/true);
+  DecisionScope decisions({});
   Result<InferenceResult> result =
       GenQrpConstraintsImpl(program, query_pred, options);
   if (result.ok()) decisions.AddTo(&*result);

@@ -1,20 +1,31 @@
-// Tests for the constraint fingerprints and the process-wide decision
-// cache: fingerprint determinism and order-insensitivity, hit/miss/evict
-// accounting, the disable switch, and — the property everything rests on —
-// that evaluation with the cache is observably identical to evaluation
-// without it.
+// Tests for the constraint fingerprints, the process-wide decision cache
+// and the per-call DecisionScope: fingerprint determinism and
+// order-insensitivity, hit/miss/evict accounting, turning the cache off in
+// a scope, per-evaluation counters and switches under concurrent
+// evaluations, and — the property everything rests on — that evaluation
+// with the cache is observably identical to evaluation without it.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "ast/parser.h"
 #include "constraint/decision_cache.h"
+#include "constraint/decision_scope.h"
 #include "constraint/fingerprint.h"
 #include "constraint/fourier_motzkin.h"
 #include "constraint/implication.h"
 #include "constraint/interval.h"
 #include "core/workload.h"
+#include "eval/loader.h"
 #include "eval/seminaive.h"
 #include "testing/generator.h"
+#include "testing/oracle.h"
 #include "testing/properties.h"
 
 namespace cqlopt {
@@ -104,26 +115,46 @@ TEST(DecisionCacheTest, StoreLookupAndCounters) {
   EXPECT_FALSE(cache.Lookup(key).has_value());
 }
 
-TEST(DecisionCacheTest, DisablerTurnsLookupsOff) {
+TEST(DecisionCacheTest, ScopeTurnsLookupsOff) {
+  // Inside a cache-off scope the deciders neither look up nor fill the
+  // cache, so nothing is counted and no entry appears.
+  std::vector<LinearConstraint> divergent = {
+      Atom({{1, 1}, {2, -1}}, 1, CmpOp::kLe),
+      Atom({{2, 1}, {1, -1}}, 1, CmpOp::kLe),
+  };
+  LinearConstraint goal = Atom({{1, 1}}, -10, CmpOp::kLe);
+  Conjunction a;
+  ASSERT_TRUE(a.AddLinear(divergent[0]).ok());
+  ASSERT_TRUE(a.AddLinear(divergent[1]).ok());
+  Conjunction b;
+  ASSERT_TRUE(b.AddLinear(goal).ok());
   DecisionCache& cache = DecisionCache::Instance();
   cache.Clear();
-  uint64_t key = fp::Mix(0xfeedfacecafebeefull, 7);
-  cache.Store(key, false);
-  ASSERT_TRUE(cache.Lookup(key).has_value());
-  DecisionCache::Counters mid = cache.Snapshot();
+  DecisionCache::Counters before = cache.Snapshot();
   {
-    DecisionCacheDisabler off;
-    EXPECT_FALSE(cache.enabled());
-    EXPECT_FALSE(cache.Lookup(key).has_value());
-    cache.Store(fp::Mix(key, 1), true);
-    EXPECT_FALSE(cache.Lookup(fp::Mix(key, 1)).has_value());
+    DecisionScope off({.cache = false});
+    EXPECT_FALSE(DecisionScope::cache_on());
+    EXPECT_FALSE(fm::IsSatisfiable(divergent));
+    EXPECT_TRUE(fm::ImpliesAtom(divergent, goal));
+    EXPECT_TRUE(Implies(a, b));
+    {
+      // A nested scope cannot turn the cache back on.
+      DecisionScope on({.cache = true});
+      EXPECT_FALSE(DecisionScope::cache_on());
+      EXPECT_FALSE(fm::IsSatisfiable(divergent));
+    }
+    DecisionScope::Counts counts;
+    off.AddTo(&counts);
+    EXPECT_EQ(counts.cache_hits + counts.cache_misses, 0);
   }
-  EXPECT_TRUE(cache.enabled());
-  // Disabled traffic is not counted.
-  DecisionCache::Counters end = cache.Snapshot();
-  EXPECT_EQ(end.hits, mid.hits);
-  EXPECT_EQ(end.misses, mid.misses);
-  ASSERT_TRUE(cache.Lookup(key).has_value());
+  EXPECT_TRUE(DecisionScope::cache_on());
+  DecisionCache::Counters after = cache.Snapshot();
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.entries, 0);
+  // Back outside the scope the same decision fills the cache.
+  EXPECT_FALSE(fm::IsSatisfiable(divergent));
+  EXPECT_GT(cache.Snapshot().entries, 0);
   cache.Clear();
 }
 
@@ -172,7 +203,7 @@ TEST(DecisionCacheTest, MemoizedDecisionsMatchFreshOnes) {
     EXPECT_FALSE(Implies(wide, narrow));
   }
   {
-    DecisionCacheDisabler off;
+    DecisionScope off({.cache = false});
     EXPECT_TRUE(fm::IsSatisfiable(sat));
     EXPECT_FALSE(fm::IsSatisfiable(unsat));
     EXPECT_TRUE(fm::ImpliesAtom(sat, goal));
@@ -207,7 +238,7 @@ TEST(DecisionCacheTest, EvaluationUnchangedByCache) {
 
   EvalResult uncached;
   {
-    DecisionCacheDisabler off;
+    DecisionScope off({.cache = false});
     auto run = Evaluate(program, db, options);
     ASSERT_TRUE(run.ok()) << run.status().ToString();
     uncached = std::move(*run);
@@ -285,7 +316,7 @@ TEST(DecisionCacheTest, CapacityOneThrashMatchesCacheOff) {
 
   EvalResult uncached;
   {
-    DecisionCacheDisabler off;
+    DecisionScope off({.cache = false});
     auto run = Evaluate(program, db, options);
     ASSERT_TRUE(run.ok()) << run.status().ToString();
     uncached = std::move(*run);
@@ -436,7 +467,7 @@ TEST(DecisionCacheTest, FuzzPropertyHoldsUnderCapacityOneThrash) {
     // Prepass held off for the same reason as the thrash test above: the
     // assertion is that the *cache* evicts, which needs the decisions to
     // actually reach it.
-    prepass::PrepassDisabler no_prepass;
+    DecisionScope no_prepass({.prepass = false});
     DecisionCacheCapacityOverride tiny(1);
     before = DecisionCache::Instance().Snapshot();
     cqlopt::testing::PropertyOutcome outcome = confluence->fn(c, {});
@@ -445,6 +476,175 @@ TEST(DecisionCacheTest, FuzzPropertyHoldsUnderCapacityOneThrash) {
     DecisionCache::Counters after = DecisionCache::Instance().Snapshot();
     EXPECT_GT(after.evictions - before.evictions, 0);
   }
+}
+
+// ---------------------------------------------------------------------------
+// DecisionScope under concurrent evaluations: each evaluation's switches
+// and counters are its own, whatever other threads evaluate meanwhile.
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream file(path);
+  EXPECT_TRUE(file.good()) << path;
+  std::ostringstream buffer;
+  buffer << file.rdbuf();
+  return buffer.str();
+}
+
+/// The flights program (Example 1.1) over its companion EDB.
+struct Flights {
+  Program program;
+  Database edb;
+};
+
+EvalStats EvaluateFlights(const Flights& f, bool prepass);
+
+/// Loads flights and evaluates it once: the first evaluation of a program
+/// fills the satisfiability its rule constraints cache, so it makes a few
+/// more prepass decisions than every later one. The tests below compare
+/// and share only warmed programs.
+Flights LoadWarmFlights() {
+  const std::string dir = CQLOPT_PROGRAMS_DIR;
+  auto parsed = ParseProgram(ReadFile(dir + "/flights.cql"));
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  Flights f{std::move(parsed->program), Database()};
+  auto loaded = LoadDatabaseText(ReadFile(dir + "/flights_edb.cql"),
+                                 f.program.symbols, &f.edb);
+  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EvaluateFlights(f, true);
+  return f;
+}
+
+EvalStats EvaluateFlights(const Flights& f, bool prepass) {
+  EvalOptions options;
+  options.strategy = EvalStrategy::kStratified;
+  options.prepass = prepass;
+  auto run = Evaluate(f.program, f.edb, options);
+  EXPECT_TRUE(run.ok()) << run.status().ToString();
+  return run.ok() ? run->stats : EvalStats();
+}
+
+long PrepassDecisions(const EvalStats& s) {
+  return s.prepass_conclusive + s.prepass_fallback;
+}
+
+TEST(DecisionScopeTest, ConcurrentPrepassOffDoesNotLeak) {
+  // Two threads evaluate with the prepass off while a third evaluates with
+  // it on: the off runs record no prepass activity, the on runs record
+  // exactly their solo count, and the prepass is still on afterwards.
+  const Flights f = LoadWarmFlights();
+  const long solo = PrepassDecisions(EvaluateFlights(f, true));
+  ASSERT_GT(solo, 0);
+  constexpr int kRounds = 200;
+  std::vector<EvalStats> off[2];
+  std::vector<EvalStats> on;
+  {
+    std::vector<std::thread> threads;
+    for (std::vector<EvalStats>* out : {&off[0], &off[1], &on}) {
+      const bool prepass = out == &on;
+      threads.emplace_back([&f, out, prepass] {
+        for (int round = 0; round < kRounds; ++round) {
+          out->push_back(EvaluateFlights(f, prepass));
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+  }
+  int leaked_off = 0;
+  int wrong_on = 0;
+  for (const std::vector<EvalStats>& runs : off) {
+    for (const EvalStats& s : runs) {
+      if (s.prepass_conclusive != 0 || s.prepass_fallback != 0) ++leaked_off;
+    }
+  }
+  for (const EvalStats& s : on) {
+    if (PrepassDecisions(s) != solo) ++wrong_on;
+  }
+  EXPECT_EQ(leaked_off, 0) << "prepass-off runs that recorded prepass work";
+  EXPECT_EQ(wrong_on, 0) << "prepass-on runs whose count differs from "
+                         << solo;
+  EXPECT_EQ(PrepassDecisions(EvaluateFlights(f, true)), solo)
+      << "the prepass stayed off after the concurrent runs";
+}
+
+TEST(DecisionScopeTest, ConcurrentCountersPartitionProcessTotals) {
+  // Per-evaluation counters partition the process-wide totals: summed over
+  // eight concurrent evaluations (prepass on and off) they equal the
+  // process-wide deltas over the run, counter by counter. Cache hits
+  // themselves depend on thread timing (the cache is shared), so only the
+  // sums are pinned.
+  const Flights f = LoadWarmFlights();
+  DecisionCache::Instance().Clear();
+  const DecisionCache::Counters cache_before =
+      DecisionCache::Instance().Snapshot();
+  const prepass::Counters prepass_before = prepass::Snapshot();
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 10;
+  std::vector<EvalStats> runs[kThreads];
+  {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&f, &runs, t] {
+        for (int round = 0; round < kRounds; ++round) {
+          runs[t].push_back(EvaluateFlights(f, (t + round) % 3 != 0));
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+  }
+  const DecisionCache::Counters cache_after =
+      DecisionCache::Instance().Snapshot();
+  const prepass::Counters prepass_after = prepass::Snapshot();
+  EvalStats sum;
+  for (const std::vector<EvalStats>& per_thread : runs) {
+    for (const EvalStats& s : per_thread) {
+      sum.cache_hits += s.cache_hits;
+      sum.cache_misses += s.cache_misses;
+      sum.cache_evictions += s.cache_evictions;
+      sum.prepass_conclusive += s.prepass_conclusive;
+      sum.prepass_fallback += s.prepass_fallback;
+    }
+  }
+  EXPECT_GT(sum.cache_misses, 0);
+  EXPECT_GT(PrepassDecisions(sum), 0);
+  EXPECT_EQ(sum.cache_hits, cache_after.hits - cache_before.hits);
+  EXPECT_EQ(sum.cache_misses, cache_after.misses - cache_before.misses);
+  EXPECT_EQ(sum.cache_evictions,
+            cache_after.evictions - cache_before.evictions);
+  EXPECT_EQ(PrepassDecisions(sum),
+            prepass_after.conclusive() - prepass_before.conclusive() +
+                prepass_after.fallback - prepass_before.fallback);
+}
+
+TEST(DecisionScopeTest, OracleDoesNotTouchConcurrentCache) {
+  // The naive oracle decides with the cache off in its own scope: it
+  // neither reads nor fills the shared cache, and does not turn it off for
+  // an evaluation running beside it, whose cache traffic is therefore
+  // exactly its solo traffic.
+  const Flights f = LoadWarmFlights();
+  std::vector<Fact> edb_facts;
+  for (const auto& [pred, rel] : f.edb.relations()) {
+    for (size_t i = 0; i < rel.size(); ++i) edb_facts.push_back(rel.fact(i));
+  }
+  DecisionCache::Instance().Clear();
+  const EvalStats solo = EvaluateFlights(f, true);
+  ASSERT_GT(solo.cache_misses, 0);
+
+  DecisionCache::Instance().Clear();
+  std::atomic<bool> stop{false};
+  std::atomic<int> oracle_runs{0};
+  std::thread oracle([&] {
+    while (!stop.load()) {
+      auto run = cqlopt::testing::OracleEvaluate(f.program, edb_facts);
+      EXPECT_TRUE(run.ok() && run->reached_fixpoint);
+      oracle_runs.fetch_add(1);
+    }
+  });
+  while (oracle_runs.load() == 0) std::this_thread::yield();
+  const EvalStats beside = EvaluateFlights(f, true);
+  stop.store(true);
+  oracle.join();
+  EXPECT_EQ(beside.cache_hits, solo.cache_hits);
+  EXPECT_EQ(beside.cache_misses, solo.cache_misses);
 }
 
 }  // namespace

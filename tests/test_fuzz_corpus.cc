@@ -1,10 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "constraint/interval.h"
+#include "constraint/decision_scope.h"
 #include "testing/corpus.h"
 #include "testing/properties.h"
 
@@ -41,8 +40,7 @@ TEST(FuzzCorpus, ReplaysEveryRepro) {
         << "unknown property " << loaded->property;
     for (bool prepass_on : {true, false}) {
       SCOPED_TRACE(prepass_on ? "prepass=on" : "prepass=off");
-      std::optional<prepass::PrepassDisabler> prepass_off;
-      if (!prepass_on) prepass_off.emplace();
+      DecisionScope tiers({.prepass = prepass_on});
       FuzzOptions fuzz;
       fuzz.bug = loaded->bug;
       PropertyOutcome outcome = property->fn(loaded->c, fuzz);

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "constraint/conjunction.h"
+#include "constraint/decision_scope.h"
 #include "constraint/fourier_motzkin.h"
 #include "constraint/implication.h"
 #include "constraint/interval.h"
@@ -327,18 +328,49 @@ TEST(PrepassTest, ConclusiveVerdictsOnEasyInputs) {
             std::optional<bool>(false));  // x >= 0 does not imply x >= 2
 }
 
-TEST(PrepassTest, DisablerSuppressesProbes) {
+TEST(PrepassTest, ScopeOffSuppressesProbes) {
   const VarId x = 1;
   std::vector<LinearConstraint> unsat = {
       Atom({{x, -1}}, 1, CmpOp::kLe),
       Atom({{x, 1}}, 0, CmpOp::kLe),
   };
-  prepass::PrepassDisabler off;
+  DecisionScope off({.prepass = false});
   prepass::Counters before = prepass::Snapshot();
   EXPECT_FALSE(prepass::IsSatisfiable(unsat));  // exact tier decides
+  EXPECT_FALSE(prepass::TryImplies(Conjunction(), Conjunction()).has_value());
   prepass::Counters after = prepass::Snapshot();
   EXPECT_EQ(after.conclusive(), before.conclusive());
   EXPECT_EQ(after.fallback, before.fallback);
+  DecisionScope::Counts counts;
+  off.AddTo(&counts);
+  EXPECT_EQ(counts.prepass_conclusive, 0);
+  EXPECT_EQ(counts.prepass_fallback, 0);
+  {
+    // A nested scope cannot turn the tier back on.
+    DecisionScope on({.prepass = true});
+    EXPECT_FALSE(DecisionScope::prepass_on());
+  }
+}
+
+TEST(PrepassTest, ScopeCountsItsOwnVerdicts) {
+  const VarId x = 1;
+  std::vector<LinearConstraint> unsat = {
+      Atom({{x, -1}}, 1, CmpOp::kLe),
+      Atom({{x, 1}}, 0, CmpOp::kLe),
+  };
+  DecisionScope outer({});
+  {
+    DecisionScope inner({});
+    EXPECT_FALSE(prepass::IsSatisfiable(unsat));  // conclusive UNSAT
+    DecisionScope::Counts counts;
+    inner.AddTo(&counts);
+    EXPECT_EQ(counts.prepass_conclusive, 1);
+  }
+  // The inner scope handed its count to the outer one on exit.
+  DecisionScope::Counts counts;
+  outer.AddTo(&counts);
+  EXPECT_EQ(counts.prepass_conclusive, 1);
+  EXPECT_EQ(counts.prepass_fallback, 0);
 }
 
 TEST(PrepassTest, WrapperCountsVerdicts) {
@@ -409,7 +441,7 @@ TEST(PrepassSoundnessTest, RandomizedTryImpliesMatchesExactImplies) {
     std::optional<bool> fast = prepass::TryImplies(a, b);
     if (!fast.has_value()) continue;
     ++hits;
-    prepass::PrepassDisabler off;
+    DecisionScope off({.prepass = false});
     EXPECT_EQ(*fast, Implies(a, b))
         << "case " << i << ": TryImplies diverged from exact Implies";
   }
