@@ -1,6 +1,7 @@
 #include "service/protocol.h"
 
 #include <cstdio>
+#include <limits>
 
 namespace cqlopt {
 
@@ -42,25 +43,6 @@ std::string Hex(uint64_t value) {
                 static_cast<unsigned long long>(value));
   return buf;
 }
-
-/// Parses a whole base-10 signed integer; false on junk, sign-only, or
-/// trailing characters (protocol arguments are exact, not prefixes).
-bool ParseInt64(const std::string& word, int64_t* value) {
-  if (word.empty()) return false;
-  size_t i = word[0] == '-' ? 1 : 0;
-  if (i == word.size()) return false;
-  int64_t parsed = 0;
-  for (; i < word.size(); ++i) {
-    if (word[i] < '0' || word[i] > '9') return false;
-    parsed = parsed * 10 + (word[i] - '0');
-  }
-  *value = word[0] == '-' ? -parsed : parsed;
-  return true;
-}
-
-}  // namespace
-
-namespace {
 
 std::string FormatMs(double ms) {
   char buf[32];
@@ -116,6 +98,27 @@ bool RejectFollowerWrite(QueryService& service, const std::string& verb,
 }
 
 }  // namespace
+
+bool ParseInt64(const std::string& word, int64_t* value) {
+  if (word.empty()) return false;
+  const bool negative = word[0] == '-';
+  size_t i = negative ? 1 : 0;
+  if (i == word.size()) return false;
+  // Accumulate the magnitude unsigned, refusing any digit that would carry
+  // it past the bound (INT64_MIN's magnitude is one more than INT64_MAX).
+  const uint64_t limit =
+      static_cast<uint64_t>(std::numeric_limits<int64_t>::max()) +
+      (negative ? 1 : 0);
+  uint64_t magnitude = 0;
+  for (; i < word.size(); ++i) {
+    if (word[i] < '0' || word[i] > '9') return false;
+    const uint64_t digit = static_cast<uint64_t>(word[i] - '0');
+    if (magnitude > (limit - digit) / 10) return false;
+    magnitude = magnitude * 10 + digit;
+  }
+  *value = static_cast<int64_t>(negative ? 0 - magnitude : magnitude);
+  return true;
+}
 
 ProtocolAction HandleLine(QueryService& service, const std::string& line,
                           std::vector<std::string>* out,
@@ -215,8 +218,7 @@ ProtocolAction HandleLine(QueryService& service, const std::string& line,
       out->push_back("END");
       return ProtocolAction::kContinue;
     }
-    Result<IngestOutcome> result =
-        ttl_ms > 0 ? service.IngestTtl(rest, ttl_ms) : service.Ingest(rest);
+    Result<IngestOutcome> result = service.Ingest(rest, ttl_ms);
     if (!result.ok()) {
       EmitError(result.status(), out);
     } else {

@@ -1,6 +1,7 @@
 #ifndef CQLOPT_SERVICE_PROTOCOL_H_
 #define CQLOPT_SERVICE_PROTOCOL_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -80,6 +81,12 @@ struct LineOutcome {
   bool priority_changed = false;
   PriorityClass priority = PriorityClass::kNormal;
 };
+
+/// Parses a whole base-10 signed integer — protocol arguments and the
+/// cqld/cqlc numeric flags. False on junk, a bare sign, trailing
+/// characters (arguments are exact, not prefixes), or a value outside
+/// int64_t.
+bool ParseInt64(const std::string& word, int64_t* value);
 
 /// Handles one request line against `service`, appending the response lines
 /// (including the trailing `END`) to `out`. Pure request/response logic —

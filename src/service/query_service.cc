@@ -1,6 +1,7 @@
 #include "service/query_service.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "ast/parser.h"
@@ -60,14 +61,7 @@ QueryService::QueryService(Program program, Database edb,
     : program_(std::move(program)),
       options_(options),
       prepared_(options.prepared_capacity) {
-  auto deltas = std::make_shared<EpochDelta>();
-  deltas->id = 0;
-  auto head = std::make_shared<EpochSnapshot>();
-  head->id = 0;
-  head->edb = std::move(edb);
-  head->edb.set_epoch(0);
-  head->deltas = std::move(deltas);
-  head_ = std::move(head);
+  PublishHeadLocked(std::move(edb), std::make_shared<EpochDelta>());
 }
 
 Result<std::unique_ptr<QueryService>> QueryService::FromText(
@@ -343,212 +337,57 @@ Result<QueryOutcome> QueryService::Execute(const std::string& query_text,
   return outcome;
 }
 
-Result<IngestOutcome> QueryService::Ingest(const std::string& facts_text) {
+Result<std::vector<Fact>> QueryService::ParseFacts(
+    const std::string& facts_text) {
   Database staged;
-  {
-    std::lock_guard<std::mutex> lock(symbols_mutex_);
-    CQLOPT_ASSIGN_OR_RETURN(
-        int loaded, LoadDatabaseText(facts_text, program_.symbols, &staged));
-    (void)loaded;
-  }
-  // The verbatim text is the WAL payload: replay parses it with the same
-  // loader against the same prior state, so it re-commits these exact
-  // facts.
-  return CommitBatch(FactsOf(staged), facts_text, /*ttl_ms=*/0);
-}
-
-Result<IngestOutcome> QueryService::IngestTtl(const std::string& facts_text,
-                                              int64_t ttl_ms) {
-  if (ttl_ms <= 0) {
-    return Status::InvalidArgument("TTL must be > 0 ms, got " +
-                                   std::to_string(ttl_ms));
-  }
-  Database staged;
-  {
-    std::lock_guard<std::mutex> lock(symbols_mutex_);
-    CQLOPT_ASSIGN_OR_RETURN(
-        int loaded, LoadDatabaseText(facts_text, program_.symbols, &staged));
-    (void)loaded;
-  }
-  return CommitBatch(FactsOf(staged), facts_text, ttl_ms);
-}
-
-/// Renders `batch` to loader syntax and re-parses it, returning the
-/// re-parsed facts — the facts the WAL replay will reconstruct. Committing
-/// these (not the originals) keeps "committed state == parse(logged text)"
-/// exact. Must be called with symbols_mutex_ held.
-static Result<std::vector<Fact>> RoundTripBatchLocked(
-    const std::vector<Fact>& batch, Program* program, std::string* text) {
-  Database staged;
-  for (const Fact& fact : batch) {
-    *text += RenderFactStatement(fact, *program->symbols);
-    *text += '\n';
-  }
-  Result<int> loaded = LoadDatabaseText(*text, program->symbols, &staged);
-  if (!loaded.ok()) {
-    return Status::Internal(
-        "WAL-bound batch failed to round-trip through the loader: " +
-        loaded.status().ToString());
-  }
+  std::lock_guard<std::mutex> lock(symbols_mutex_);
+  CQLOPT_ASSIGN_OR_RETURN(
+      int loaded, LoadDatabaseText(facts_text, program_.symbols, &staged));
+  (void)loaded;
   return FactsOf(staged);
 }
 
-Result<IngestOutcome> QueryService::IngestFacts(
-    const std::vector<Fact>& batch) {
-  if (wal_ == nullptr) return CommitBatch(batch, std::string(), /*ttl_ms=*/0);
-  // Durable path: render the batch to loader syntax and commit what that
-  // text *parses back to* — recovery replays text, so logging anything the
-  // parse doesn't reproduce exactly would fork the recovered state.
-  std::string text;
-  std::vector<Fact> round_tripped;
-  {
-    std::lock_guard<std::mutex> lock(symbols_mutex_);
-    CQLOPT_ASSIGN_OR_RETURN(round_tripped,
-                            RoundTripBatchLocked(batch, &program_, &text));
-  }
-  return CommitBatch(round_tripped, text, /*ttl_ms=*/0);
-}
-
-Result<IngestOutcome> QueryService::IngestTtlFacts(
-    const std::vector<Fact>& batch, int64_t ttl_ms) {
-  if (ttl_ms <= 0) {
-    return Status::InvalidArgument("TTL must be > 0 ms, got " +
+Result<IngestOutcome> QueryService::Ingest(const std::string& facts_text,
+                                           int64_t ttl_ms) {
+  if (ttl_ms < 0) {
+    return Status::InvalidArgument("TTL must be >= 0 ms, got " +
                                    std::to_string(ttl_ms));
   }
-  if (wal_ == nullptr) return CommitBatch(batch, std::string(), ttl_ms);
-  std::string text;
-  std::vector<Fact> round_tripped;
-  {
-    std::lock_guard<std::mutex> lock(symbols_mutex_);
-    CQLOPT_ASSIGN_OR_RETURN(round_tripped,
-                            RoundTripBatchLocked(batch, &program_, &text));
-  }
-  return CommitBatch(round_tripped, text, ttl_ms);
-}
-
-Result<RetractOutcome> QueryService::Retract(const std::string& facts_text) {
-  Database staged;
-  {
-    std::lock_guard<std::mutex> lock(symbols_mutex_);
-    CQLOPT_ASSIGN_OR_RETURN(
-        int loaded, LoadDatabaseText(facts_text, program_.symbols, &staged));
-    (void)loaded;
-  }
-  return CommitRetract(FactsOf(staged), facts_text);
-}
-
-Result<RetractOutcome> QueryService::RetractFacts(
-    const std::vector<Fact>& batch) {
-  if (wal_ == nullptr) return CommitRetract(batch, std::string());
-  std::string text;
-  std::vector<Fact> round_tripped;
-  {
-    std::lock_guard<std::mutex> lock(symbols_mutex_);
-    CQLOPT_ASSIGN_OR_RETURN(round_tripped,
-                            RoundTripBatchLocked(batch, &program_, &text));
-  }
-  return CommitRetract(round_tripped, text);
-}
-
-Result<IngestOutcome> QueryService::CommitBatch(const std::vector<Fact>& batch,
-                                                const std::string& statements,
-                                                int64_t ttl_ms) {
+  CQLOPT_ASSIGN_OR_RETURN(std::vector<Fact> batch, ParseFacts(facts_text));
   IngestOutcome out;
-  bool compact_due = false;
-  long wal_bytes = 0;
-  {
-    std::lock_guard<std::mutex> lock(head_mutex_);
-    Database next = head_->edb;  // deep copy; readers keep the old snapshot
-    std::vector<Fact> accepted;
-    for (const Fact& fact : batch) {
-      if (next.AddFact(fact) == InsertOutcome::kInserted) {
-        accepted.push_back(fact);
-      } else {
-        ++out.duplicates;
-      }
-    }
-    out.accepted = static_cast<int>(accepted.size());
-    if (accepted.empty()) {
-      out.epoch = head_->id;  // no-op commit burns no epoch (and no WAL I/O)
-      return out;
-    }
-    const bool log_this = wal_ != nullptr && !replaying_;
-    // Plain inserts keep the legacy bare-text payload (byte-identical to
-    // pre-§14 logs); TTL'd inserts carry the clock and TTL so replay
-    // re-registers the same deadlines. Computed whenever a WAL exists —
-    // replay skips the disk append but still feeds the replication stream
-    // (re-encoding a decoded record reproduces its bytes exactly).
-    std::string payload;
-    if (wal_ != nullptr) {
-      payload = ttl_ms > 0
-                    ? EncodeWalRecord({WalRecord::Kind::kInsertTtl, now_ms_,
-                                       ttl_ms, statements})
-                    : statements;
-    }
-    if (log_this) {
-      // Durability barrier: the record must be on disk before any reader
-      // can observe the new epoch. An append failure (real or injected)
-      // aborts the commit — the epoch never existed.
-      CQLOPT_RETURN_IF_ERROR(wal_->Append(payload));
-      if (failpoint::ShouldFail(failpoint::kWalCrashBeforeCommit)) {
-        return Status::Internal(
-            std::string("injected crash between WAL append and epoch "
-                        "commit (failpoint ") +
-            failpoint::kWalCrashBeforeCommit + ")");
-      }
-    }
-    auto deltas = std::make_shared<EpochDelta>();
-    deltas->id = head_->id + 1;
-    deltas->facts = accepted;
-    deltas->prev = head_->deltas;
-    auto head = std::make_shared<EpochSnapshot>();
-    head->id = deltas->id;
-    head->edb = std::move(next);
-    head->edb.set_epoch(head->id);
-    head->deltas = std::move(deltas);
-    head_ = std::move(head);
-    out.epoch = head_->id;
-    if (ttl_ms > 0) {
-      // Deadlines register at the epoch commit, not the WAL append: an
-      // aborted commit must not leave a live deadline behind. Duplicates
-      // never reach here, so re-ingesting a stored fact does NOT refresh
-      // its deadline (§14: first-write-wins window semantics).
-      for (const Fact& fact : accepted) {
-        deadlines_.emplace(now_ms_ + ttl_ms, fact);
-      }
-    }
-    if (wal_ != nullptr) FeedAppendLocked(std::move(payload));
-    if (log_this) {
-      wal_bytes = wal_->log_bytes();
-      compact_due = options_.wal_compact_bytes > 0 &&
-                    wal_bytes > options_.wal_compact_bytes;
-      if (failpoint::ShouldFail(failpoint::kWalCrashAfterCommit)) {
-        return Status::Internal(
-            std::string("injected crash after epoch commit (failpoint ") +
-            failpoint::kWalCrashAfterCommit + ")");
-      }
+  std::unique_lock<std::mutex> lock(head_mutex_);
+  if (ttl_ms > std::numeric_limits<int64_t>::max() - now_ms_) {
+    return Status::InvalidArgument(
+        "TTL " + std::to_string(ttl_ms) + "ms from clock " +
+        std::to_string(now_ms_) + "ms puts the deadline past INT64_MAX");
+  }
+  Database next = head_->edb;  // deep copy; readers keep the old snapshot
+  std::vector<Fact> accepted;
+  for (const Fact& fact : batch) {
+    if (next.AddFact(fact) == InsertOutcome::kInserted) {
+      accepted.push_back(fact);
+    } else {
+      ++out.duplicates;
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.ingests;
-    if (ttl_ms > 0) ++stats_.ttl_ingests;
-    stats_.epoch = out.epoch;
-    if (wal_ != nullptr && !replaying_) {
-      ++stats_.wal_appends;
-      stats_.wal_bytes = wal_bytes;
-    }
+  out.accepted = static_cast<int>(accepted.size());
+  if (accepted.empty()) {
+    out.epoch = head_->id;  // no-op commit burns no epoch (and no WAL I/O)
+    return out;
   }
-  if (compact_due) {
-    // The epoch is already durable and visible; failing the ingest over a
-    // compaction problem would make the caller retry a committed batch.
-    // Count the failure instead — the un-reset log stays replayable.
-    Status compacted = Compact();
-    if (!compacted.ok()) {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.wal_compaction_failures;
-    }
+  // Plain inserts keep the legacy bare-text payload (byte-identical to
+  // pre-§14 logs); TTL'd inserts carry the clock and TTL so replay
+  // re-registers the same deadlines.
+  WalRecord record{WalRecord::Kind::kInsert, 0, 0, facts_text};
+  if (ttl_ms > 0) {
+    record = {WalRecord::Kind::kInsertTtl, now_ms_, ttl_ms, facts_text};
   }
+  CQLOPT_ASSIGN_OR_RETURN(out.epoch, Commit(record, std::move(next),
+                                            std::move(accepted),
+                                            std::move(lock)));
+  std::lock_guard<std::mutex> stats_lock(stats_mutex_);
+  ++stats_.ingests;
+  if (ttl_ms > 0) ++stats_.ttl_ingests;
   return out;
 }
 
@@ -590,86 +429,36 @@ Database SplicedEdb(const Database& base,
 
 }  // namespace
 
-Result<RetractOutcome> QueryService::CommitRetract(
-    const std::vector<Fact>& batch, const std::string& statements) {
+Result<RetractOutcome> QueryService::Retract(const std::string& facts_text) {
+  CQLOPT_ASSIGN_OR_RETURN(std::vector<Fact> batch, ParseFacts(facts_text));
   RetractOutcome out;
-  bool compact_due = false;
-  long wal_bytes = 0;
-  {
-    std::lock_guard<std::mutex> lock(head_mutex_);
-    std::map<PredId, std::vector<uint8_t>> dead;
-    std::vector<Fact> removed;
-    for (const Fact& fact : batch) {
-      if (MarkDead(head_->edb, fact, &dead)) {
-        removed.push_back(fact);
-      } else {
-        ++out.missing;  // never inserted, already gone, or batch-duplicate
-      }
-    }
-    out.removed = static_cast<int>(removed.size());
-    if (removed.empty()) {
-      out.epoch = head_->id;  // no-op retraction burns no epoch, no WAL I/O
-      return out;
-    }
-    const bool log_this = wal_ != nullptr && !replaying_;
-    std::string payload;
-    if (wal_ != nullptr) {
-      payload = EncodeWalRecord({WalRecord::Kind::kRetract, 0, 0, statements});
-    }
-    if (log_this) {
-      CQLOPT_RETURN_IF_ERROR(wal_->Append(payload));
-      if (failpoint::ShouldFail(failpoint::kWalCrashBeforeCommit)) {
-        return Status::Internal(
-            std::string("injected crash between WAL append and epoch "
-                        "commit (failpoint ") +
-            failpoint::kWalCrashBeforeCommit + ")");
-      }
-    }
-    auto deltas = std::make_shared<EpochDelta>();
-    deltas->id = head_->id + 1;
-    deltas->retract = true;
-    deltas->facts = std::move(removed);
-    deltas->prev = head_->deltas;
-    auto head = std::make_shared<EpochSnapshot>();
-    head->id = deltas->id;
-    head->edb = SplicedEdb(head_->edb, dead);
-    head->edb.set_epoch(head->id);
-    head->deltas = std::move(deltas);
-    head_ = std::move(head);
-    out.epoch = head_->id;
-    // Pending deadlines for the removed facts are left in place: the sweep
-    // skips entries whose fact is no longer stored, so they age out as
-    // harmless no-ops — cheaper than a multimap scan per retraction.
-    if (wal_ != nullptr) FeedAppendLocked(std::move(payload));
-    if (log_this) {
-      wal_bytes = wal_->log_bytes();
-      compact_due = options_.wal_compact_bytes > 0 &&
-                    wal_bytes > options_.wal_compact_bytes;
-      if (failpoint::ShouldFail(failpoint::kWalCrashAfterCommit)) {
-        return Status::Internal(
-            std::string("injected crash after epoch commit (failpoint ") +
-            failpoint::kWalCrashAfterCommit + ")");
-      }
+  std::unique_lock<std::mutex> lock(head_mutex_);
+  std::map<PredId, std::vector<uint8_t>> dead;
+  std::vector<Fact> removed;
+  for (const Fact& fact : batch) {
+    if (MarkDead(head_->edb, fact, &dead)) {
+      removed.push_back(fact);
+    } else {
+      ++out.missing;  // never inserted, already gone, or batch-duplicate
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.retracts;
-    stats_.retracted_facts += out.removed;
-    stats_.retract_missing += out.missing;
-    stats_.epoch = out.epoch;
-    if (wal_ != nullptr && !replaying_) {
-      ++stats_.wal_appends;
-      stats_.wal_bytes = wal_bytes;
-    }
+  out.removed = static_cast<int>(removed.size());
+  if (removed.empty()) {
+    out.epoch = head_->id;  // no-op retraction burns no epoch, no WAL I/O
+    return out;
   }
-  if (compact_due) {
-    Status compacted = Compact();
-    if (!compacted.ok()) {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.wal_compaction_failures;
-    }
-  }
+  // Pending deadlines for the removed facts are left in place: the sweep
+  // skips entries whose fact is no longer stored, so they age out as
+  // harmless no-ops — cheaper than a multimap scan per retraction.
+  CQLOPT_ASSIGN_OR_RETURN(
+      out.epoch,
+      Commit({WalRecord::Kind::kRetract, 0, 0, facts_text},
+             SplicedEdb(head_->edb, dead), std::move(removed),
+             std::move(lock)));
+  std::lock_guard<std::mutex> stats_lock(stats_mutex_);
+  ++stats_.retracts;
+  stats_.retracted_facts += out.removed;
+  stats_.retract_missing += out.missing;
   return out;
 }
 
@@ -690,131 +479,152 @@ Result<TickOutcome> QueryService::AdvanceClock(int64_t delta_ms) {
       // Pure read: report the clock without logging a tick.
       return TickOutcome{now_ms_, 0, head_->id};
     }
+    if (delta_ms > std::numeric_limits<int64_t>::max() - now_ms_) {
+      return Status::InvalidArgument(
+          "advancing clock " + std::to_string(now_ms_) + "ms by " +
+          std::to_string(delta_ms) + "ms would pass INT64_MAX");
+    }
     target = now_ms_ + delta_ms;
   }
   return AdvanceClockTo(target);
 }
 
 Result<TickOutcome> QueryService::AdvanceClockTo(int64_t target_now_ms) {
+  std::unique_lock<std::mutex> lock(head_mutex_);
+  if (target_now_ms <= now_ms_) {
+    return TickOutcome{now_ms_, 0, head_->id};  // clock is monotone
+  }
+  // Sweep every deadline that the advance crosses. Entries whose fact is
+  // no longer stored (retracted, or expired by an earlier overlapping
+  // deadline) are stale — dropped without effect. Replay re-derives this
+  // exact sweep from the reconstructed deadline table, so the kExpire
+  // record needs only the target clock for determinism; it still carries
+  // the expired statements so the log is self-describing. Commit erases
+  // the swept range only at the commit point — an append failure must
+  // leave the table (like every other piece of state) untouched.
+  std::map<PredId, std::vector<uint8_t>> dead;
+  std::vector<Fact> expired;
+  const auto sweep_end = deadlines_.upper_bound(target_now_ms);
+  for (auto it = deadlines_.begin(); it != sweep_end; ++it) {
+    if (MarkDead(head_->edb, it->second, &dead)) {
+      expired.push_back(it->second);
+    }
+  }
   TickOutcome out;
-  long wal_bytes = 0;
-  bool logged = false;
-  {
-    std::lock_guard<std::mutex> lock(head_mutex_);
-    if (target_now_ms <= now_ms_) {
-      return TickOutcome{now_ms_, 0, head_->id};  // clock is monotone
-    }
-    // Sweep every deadline that the advance crosses. Entries whose fact is
-    // no longer stored (retracted, or expired by an earlier overlapping
-    // deadline) are stale — dropped without effect. Replay re-derives this
-    // exact sweep from the reconstructed deadline table, so the kExpire
-    // record needs only the target clock for determinism; it still carries
-    // the expired statements so the log is self-describing. The swept range
-    // is only erased at the commit point below — an append failure must
-    // leave the table (like every other piece of state) untouched.
-    std::map<PredId, std::vector<uint8_t>> dead;
-    std::vector<Fact> expired;
-    const auto sweep_end = deadlines_.upper_bound(target_now_ms);
-    for (auto it = deadlines_.begin(); it != sweep_end; ++it) {
-      if (MarkDead(head_->edb, it->second, &dead)) {
-        expired.push_back(it->second);
+  out.now_ms = target_now_ms;
+  out.expired = static_cast<int>(expired.size());
+  // A sweep that expires nothing still logs a kTick record: the clock
+  // itself is durable state, and without the record a recovered service
+  // would run behind (RenderStateText, and thus the crash differential,
+  // would diverge on clock_ms).
+  WalRecord record{WalRecord::Kind::kTick, target_now_ms, 0, std::string()};
+  Database next;
+  if (!expired.empty()) {
+    record.kind = WalRecord::Kind::kExpire;
+    if (wal_ != nullptr) {
+      // Lock order: head_mutex_ > symbols_mutex_.
+      std::lock_guard<std::mutex> sym(symbols_mutex_);
+      for (const Fact& fact : expired) {
+        record.statements += RenderFactStatement(fact, *program_.symbols);
+        record.statements += '\n';
       }
     }
-    out.expired = static_cast<int>(expired.size());
-    const bool log_this = wal_ != nullptr && !replaying_;
-    if (expired.empty()) {
-      std::string payload;
-      if (wal_ != nullptr) {
-        payload = EncodeWalRecord(
-            {WalRecord::Kind::kTick, target_now_ms, 0, std::string()});
-      }
-      if (log_this) {
-        // The clock itself is durable state: without the tick record a
-        // recovered service would run behind and re-expire nothing early,
-        // but RenderStateText (and thus the crash differential) would
-        // diverge on clock_ms.
-        CQLOPT_RETURN_IF_ERROR(wal_->Append(payload));
-        logged = true;
-        wal_bytes = wal_->log_bytes();
-        if (failpoint::ShouldFail(failpoint::kWalCrashBeforeCommit)) {
-          return Status::Internal(
-              std::string("injected crash between WAL append and epoch "
-                          "commit (failpoint ") +
-              failpoint::kWalCrashBeforeCommit + ")");
-        }
-      }
-      deadlines_.erase(deadlines_.begin(), sweep_end);  // stale-only sweep
-      now_ms_ = target_now_ms;
-      out.now_ms = now_ms_;
-      out.epoch = head_->id;
-      if (wal_ != nullptr) FeedAppendLocked(std::move(payload));
-      if (log_this && failpoint::ShouldFail(failpoint::kWalCrashAfterCommit)) {
-        return Status::Internal(
-            std::string("injected crash after epoch commit (failpoint ") +
-            failpoint::kWalCrashAfterCommit + ")");
-      }
-    } else {
-      std::string payload;
-      if (wal_ != nullptr) {
-        std::string statements;
-        {
-          // Lock order: head_mutex_ > symbols_mutex_.
-          std::lock_guard<std::mutex> sym(symbols_mutex_);
-          for (const Fact& fact : expired) {
-            statements += RenderFactStatement(fact, *program_.symbols);
-            statements += '\n';
-          }
-        }
-        payload = EncodeWalRecord(
-            {WalRecord::Kind::kExpire, target_now_ms, 0, statements});
-      }
-      if (log_this) {
-        CQLOPT_RETURN_IF_ERROR(wal_->Append(payload));
-        logged = true;
-        if (failpoint::ShouldFail(failpoint::kWalCrashBeforeCommit)) {
-          return Status::Internal(
-              std::string("injected crash between WAL append and epoch "
-                          "commit (failpoint ") +
-              failpoint::kWalCrashBeforeCommit + ")");
-        }
-      }
-      auto deltas = std::make_shared<EpochDelta>();
-      deltas->id = head_->id + 1;
-      deltas->retract = true;
-      deltas->facts = std::move(expired);
-      deltas->prev = head_->deltas;
-      auto head = std::make_shared<EpochSnapshot>();
-      head->id = deltas->id;
-      head->edb = SplicedEdb(head_->edb, dead);
-      head->edb.set_epoch(head->id);
-      head->deltas = std::move(deltas);
-      head_ = std::move(head);
-      deadlines_.erase(deadlines_.begin(), sweep_end);
-      now_ms_ = target_now_ms;
-      out.now_ms = now_ms_;
-      out.epoch = head_->id;
-      if (wal_ != nullptr) FeedAppendLocked(std::move(payload));
-      if (log_this) {
-        wal_bytes = wal_->log_bytes();
-        if (failpoint::ShouldFail(failpoint::kWalCrashAfterCommit)) {
-          return Status::Internal(
-              std::string("injected crash after epoch commit (failpoint ") +
-              failpoint::kWalCrashAfterCommit + ")");
-        }
-      }
-    }
+    next = SplicedEdb(head_->edb, dead);
   }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.ticks;
-    stats_.expired_facts += out.expired;
-    stats_.epoch = out.epoch;
-    if (logged) {
-      ++stats_.wal_appends;
-      stats_.wal_bytes = wal_bytes;
-    }
-  }
+  CQLOPT_ASSIGN_OR_RETURN(out.epoch, Commit(record, std::move(next),
+                                            std::move(expired),
+                                            std::move(lock)));
+  std::lock_guard<std::mutex> stats_lock(stats_mutex_);
+  ++stats_.ticks;
+  stats_.expired_facts += out.expired;
   return out;
+}
+
+Result<int64_t> QueryService::Commit(const WalRecord& record, Database edb,
+                                     std::vector<Fact> delta,
+                                     std::unique_lock<std::mutex> lock) {
+  const bool log_this = wal_ != nullptr && !replaying_;
+  // The payload is computed whenever a WAL exists: replay skips the disk
+  // append but still feeds the replication stream (re-encoding a decoded
+  // record reproduces its bytes exactly).
+  std::string payload;
+  if (wal_ != nullptr) payload = EncodeWalRecord(record);
+  if (log_this) {
+    // Durability barrier: the record must be on disk before any reader
+    // can observe the new epoch. An append failure (real or injected)
+    // aborts the commit — the epoch never existed.
+    CQLOPT_RETURN_IF_ERROR(wal_->Append(payload));
+    if (failpoint::ShouldFail(failpoint::kWalCrashBeforeCommit)) {
+      return Status::Internal(
+          std::string("injected crash between WAL append and epoch "
+                      "commit (failpoint ") +
+          failpoint::kWalCrashBeforeCommit + ")");
+    }
+  }
+  if (!delta.empty()) {
+    auto node = std::make_shared<EpochDelta>();
+    node->id = head_->id + 1;
+    node->retract = record.kind == WalRecord::Kind::kRetract ||
+                    record.kind == WalRecord::Kind::kExpire;
+    node->prev = head_->deltas;
+    if (record.kind == WalRecord::Kind::kInsertTtl) {
+      // Deadlines register at the epoch commit, not the WAL append: an
+      // aborted commit must not leave a live deadline behind. Duplicates
+      // never reach here, so re-ingesting a stored fact does NOT refresh
+      // its deadline (§14: first-write-wins window semantics).
+      for (const Fact& fact : delta) {
+        deadlines_.emplace(record.now_ms + record.ttl_ms, fact);
+      }
+    }
+    node->facts = std::move(delta);
+    PublishHeadLocked(std::move(edb), std::move(node));
+  }
+  if (record.kind == WalRecord::Kind::kExpire ||
+      record.kind == WalRecord::Kind::kTick) {
+    deadlines_.erase(deadlines_.begin(),
+                     deadlines_.upper_bound(record.now_ms));
+    now_ms_ = record.now_ms;
+  }
+  const int64_t epoch = head_->id;
+  long wal_bytes = 0;
+  if (wal_ != nullptr) FeedAppendLocked(std::move(payload));
+  if (log_this) {
+    wal_bytes = wal_->log_bytes();
+    if (failpoint::ShouldFail(failpoint::kWalCrashAfterCommit)) {
+      return Status::Internal(
+          std::string("injected crash after epoch commit (failpoint ") +
+          failpoint::kWalCrashAfterCommit + ")");
+    }
+  }
+  lock.unlock();
+  if (!log_this) return epoch;
+  {
+    std::lock_guard<std::mutex> stats_lock(stats_mutex_);
+    ++stats_.wal_appends;
+    stats_.wal_bytes = wal_bytes;
+  }
+  if (options_.wal_compact_bytes > 0 &&
+      wal_bytes > options_.wal_compact_bytes) {
+    // The epoch is already durable and visible; failing the write over a
+    // compaction problem would make the caller retry a committed batch.
+    // Count the failure instead — the un-reset log stays replayable.
+    Status compacted = Compact();
+    if (!compacted.ok()) {
+      std::lock_guard<std::mutex> stats_lock(stats_mutex_);
+      ++stats_.wal_compaction_failures;
+    }
+  }
+  return epoch;
+}
+
+void QueryService::PublishHeadLocked(Database edb,
+                                     std::shared_ptr<const EpochDelta> deltas) {
+  auto head = std::make_shared<EpochSnapshot>();
+  head->id = deltas->id;
+  head->edb = std::move(edb);
+  head->edb.set_epoch(head->id);
+  head->deltas = std::move(deltas);
+  head_ = std::move(head);
 }
 
 Status QueryService::ReplayRecord(const WalRecord& record) {
@@ -830,7 +640,7 @@ Status QueryService::ReplayRecord(const WalRecord& record) {
         std::lock_guard<std::mutex> lock(head_mutex_);
         if (record.now_ms > now_ms_) now_ms_ = record.now_ms;
       }
-      return IngestTtl(record.statements, record.ttl_ms).status();
+      return Ingest(record.statements, record.ttl_ms).status();
     case WalRecord::Kind::kExpire:
     case WalRecord::Kind::kTick:
       // Both replay as a clock advance: the sweep is re-derived from the
@@ -856,46 +666,8 @@ Status QueryService::Recover(RecoverOutcome* out) {
   WalSnapshot snapshot;
   CQLOPT_RETURN_IF_ERROR(wal_->ReadSnapshot(&snapshot_found, &snapshot));
   if (snapshot_found) {
-    Database edb;
-    std::multimap<int64_t, Fact> deadlines;
-    {
-      std::lock_guard<std::mutex> lock(symbols_mutex_);
-      Result<int> loaded =
-          LoadDatabaseText(snapshot.statements, program_.symbols, &edb);
-      if (!loaded.ok()) {
-        return Status::Internal("WAL snapshot failed to load: " +
-                                loaded.status().ToString());
-      }
-      for (const auto& [deadline_ms, statement] : snapshot.deadlines) {
-        Database one;
-        Result<int> fact_loaded =
-            LoadDatabaseText(statement, program_.symbols, &one);
-        if (!fact_loaded.ok() || one.TotalFacts() != 1) {
-          return Status::Internal(
-              "WAL snapshot deadline entry failed to load: " + statement);
-        }
-        for (const Fact& fact : FactsOf(one)) {
-          deadlines.emplace(deadline_ms, fact);
-        }
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lock(head_mutex_);
-      auto deltas = std::make_shared<EpochDelta>();
-      deltas->id = snapshot.epoch;  // chain bottoms out at the snapshot
-      auto head = std::make_shared<EpochSnapshot>();
-      head->id = snapshot.epoch;
-      head->edb = std::move(edb);
-      head->edb.set_epoch(snapshot.epoch);
-      head->deltas = std::move(deltas);
-      head_ = std::move(head);
-      now_ms_ = snapshot.now_ms;
-      deadlines_ = std::move(deadlines);
-      // The snapshot starts a feed generation: replication coordinates are
-      // stable across restarts because this base is re-derived, not counted.
-      feed_.clear();
-      feed_base_epoch_ = snapshot.epoch;
-    }
+    CQLOPT_RETURN_IF_ERROR(
+        InstallState(snapshot, "WAL snapshot", /*persist=*/false));
     recovered.snapshot_loaded = true;
     recovered.snapshot_epoch = snapshot.epoch;
   }
@@ -925,7 +697,6 @@ Status QueryService::Recover(RecoverOutcome* out) {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     stats_.wal_replayed_batches += recovered.batches_replayed;
     stats_.wal_bytes = wal_->log_bytes();
-    stats_.epoch = recovered.epoch;
   }
   if (out != nullptr) *out = recovered;
   return Status::OK();
@@ -938,18 +709,7 @@ Status QueryService::Compact() {
   long wal_bytes = 0;
   {
     std::lock_guard<std::mutex> lock(head_mutex_);
-    WalSnapshot snapshot;
-    snapshot.epoch = head_->id;
-    snapshot.now_ms = now_ms_;
-    {
-      // Lock order: head_mutex_ > symbols_mutex_ (rendering reads names).
-      std::lock_guard<std::mutex> sym(symbols_mutex_);
-      snapshot.statements = RenderDatabaseText(head_->edb, *program_.symbols);
-      for (const auto& [deadline_ms, fact] : deadlines_) {
-        snapshot.deadlines.emplace_back(
-            deadline_ms, RenderFactStatement(fact, *program_.symbols));
-      }
-    }
+    WalSnapshot snapshot = SnapshotLocked();
     CQLOPT_RETURN_IF_ERROR(wal_->WriteSnapshot(snapshot));
     // Only after the snapshot is durably in place do the records become
     // redundant; a crash between the two leaves snapshot + stale log, and
@@ -971,22 +731,39 @@ Status QueryService::Compact() {
   return Status::OK();
 }
 
-std::string QueryService::RenderStateTextLocked() const {
-  // Caller holds head_mutex_; lock order head_mutex_ > symbols_mutex_.
-  std::lock_guard<std::mutex> lock(symbols_mutex_);
-  std::string text = "epoch=" + std::to_string(head_->id) + "\nclock_ms=" +
-                     std::to_string(now_ms_) + "\n" +
-                     RenderDatabaseText(head_->edb, *program_.symbols);
+WalSnapshot QueryService::SnapshotLocked() const {
+  WalSnapshot snapshot;
+  snapshot.epoch = head_->id;
+  snapshot.now_ms = now_ms_;
+  // Lock order: head_mutex_ > symbols_mutex_ (rendering reads names).
+  std::lock_guard<std::mutex> sym(symbols_mutex_);
+  snapshot.statements = RenderDatabaseText(head_->edb, *program_.symbols);
   for (const auto& [deadline_ms, fact] : deadlines_) {
-    text += "# ttl " + std::to_string(deadline_ms) + " " +
-            RenderFactStatement(fact, *program_.symbols) + "\n";
+    snapshot.deadlines.emplace_back(
+        deadline_ms, RenderFactStatement(fact, *program_.symbols));
+  }
+  return snapshot;
+}
+
+namespace {
+
+/// RenderStateText's format for a captured state: header lines, the EDB
+/// statements, then one `# ttl` line per pending deadline.
+std::string StateText(const WalSnapshot& state) {
+  std::string text = "epoch=" + std::to_string(state.epoch) +
+                     "\nclock_ms=" + std::to_string(state.now_ms) + "\n" +
+                     state.statements;
+  for (const auto& [deadline_ms, statement] : state.deadlines) {
+    text += "# ttl " + std::to_string(deadline_ms) + " " + statement + "\n";
   }
   return text;
 }
 
+}  // namespace
+
 std::string QueryService::RenderStateText() const {
   std::lock_guard<std::mutex> lock(head_mutex_);
-  return RenderStateTextLocked();
+  return StateText(SnapshotLocked());
 }
 
 void QueryService::FeedAppendLocked(std::string payload) {
@@ -1008,30 +785,21 @@ Status QueryService::FetchReplication(int64_t base_epoch, uint64_t index,
   *out = ReplicationBatch();
   {
     std::lock_guard<std::mutex> lock(head_mutex_);
+    WalSnapshot state = SnapshotLocked();
     out->base_epoch = feed_base_epoch_;
     out->feed_size = feed_.size();
-    out->primary_epoch = head_->id;
-    out->primary_clock_ms = now_ms_;
+    out->primary_epoch = state.epoch;
+    out->primary_clock_ms = state.now_ms;
     // The CRC and the cut are atomic: a follower whose applied prefix
     // reaches feed_size must reproduce these exact bytes.
-    out->state_crc = WalCrc32(RenderStateTextLocked());
+    out->state_crc = WalCrc32(StateText(state));
     if (base_epoch != feed_base_epoch_ || index > feed_.size()) {
       // Renegotiation: the follower's coordinates predate this generation
       // (compaction), come from another log, or are a bootstrap probe.
       // Ship the head state outright with the coordinates to resume from.
       out->snapshot = true;
       out->next_index = feed_.size();
-      out->snap.epoch = head_->id;
-      out->snap.now_ms = now_ms_;
-      {
-        std::lock_guard<std::mutex> sym(symbols_mutex_);
-        out->snap.statements =
-            RenderDatabaseText(head_->edb, *program_.symbols);
-        for (const auto& [deadline_ms, fact] : deadlines_) {
-          out->snap.deadlines.emplace_back(
-              deadline_ms, RenderFactStatement(fact, *program_.symbols));
-        }
-      }
+      out->snap = std::move(state);
     } else {
       size_t end = std::min(feed_.size(), index + max_records);
       out->records.assign(feed_.begin() + index, feed_.begin() + end);
@@ -1064,7 +832,8 @@ Status QueryService::ApplyReplicated(const std::string& payload) {
   return Status::OK();
 }
 
-Status QueryService::InstallSnapshot(const WalSnapshot& snapshot) {
+Status QueryService::InstallState(const WalSnapshot& snapshot,
+                                  const std::string& source, bool persist) {
   Database edb;
   std::multimap<int64_t, Fact> deadlines;
   {
@@ -1072,7 +841,7 @@ Status QueryService::InstallSnapshot(const WalSnapshot& snapshot) {
     Result<int> loaded =
         LoadDatabaseText(snapshot.statements, program_.symbols, &edb);
     if (!loaded.ok()) {
-      return Status::Internal("replication snapshot failed to load: " +
+      return Status::Internal(source + " failed to load: " +
                               loaded.status().ToString());
     }
     for (const auto& [deadline_ms, statement] : snapshot.deadlines) {
@@ -1080,44 +849,42 @@ Status QueryService::InstallSnapshot(const WalSnapshot& snapshot) {
       Result<int> fact_loaded =
           LoadDatabaseText(statement, program_.symbols, &one);
       if (!fact_loaded.ok() || one.TotalFacts() != 1) {
-        return Status::Internal(
-            "replication snapshot deadline entry failed to load: " +
-            statement);
+        return Status::Internal(source +
+                                " deadline entry failed to load: " + statement);
       }
       for (const Fact& fact : FactsOf(one)) {
         deadlines.emplace(deadline_ms, fact);
       }
     }
   }
+  long wal_bytes = 0;
   {
     std::lock_guard<std::mutex> lock(head_mutex_);
-    auto deltas = std::make_shared<EpochDelta>();
-    deltas->id = snapshot.epoch;  // chain bottoms out at the snapshot
-    auto head = std::make_shared<EpochSnapshot>();
-    head->id = snapshot.epoch;
-    head->edb = std::move(edb);
-    head->edb.set_epoch(snapshot.epoch);
-    head->deltas = std::move(deltas);
-    head_ = std::move(head);
+    auto base = std::make_shared<EpochDelta>();
+    base->id = snapshot.epoch;  // chain bottoms out at the snapshot
+    PublishHeadLocked(std::move(edb), std::move(base));
     now_ms_ = snapshot.now_ms;
     deadlines_ = std::move(deadlines);
-    // This node's own feed restarts at the installed snapshot, mirroring
-    // what Compact() would produce — chained replication stays consistent.
+    // The snapshot starts a feed generation: replication coordinates are
+    // stable across restarts because this base is re-derived, not counted,
+    // and an installed snapshot mirrors what Compact() would produce, so
+    // chained replication stays consistent.
     feed_.clear();
     feed_base_epoch_ = snapshot.epoch;
-    if (wal_ != nullptr) {
-      // Persist: a follower restart must recover to (at least) the
-      // installed state from its own disk, without the primary.
-      CQLOPT_RETURN_IF_ERROR(wal_->WriteSnapshot(snapshot));
-      CQLOPT_RETURN_IF_ERROR(wal_->Reset());
-    }
+    if (!persist || wal_ == nullptr) return Status::OK();
+    // Persist: a follower restart must recover to (at least) the
+    // installed state from its own disk, without the primary.
+    CQLOPT_RETURN_IF_ERROR(wal_->WriteSnapshot(snapshot));
+    CQLOPT_RETURN_IF_ERROR(wal_->Reset());
+    wal_bytes = wal_->log_bytes();
   }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats_.epoch = snapshot.epoch;
-    if (wal_ != nullptr) stats_.wal_bytes = wal_->log_bytes();
-  }
+  std::lock_guard<std::mutex> lock(stats_mutex_);
+  stats_.wal_bytes = wal_bytes;
   return Status::OK();
+}
+
+Status QueryService::InstallSnapshot(const WalSnapshot& snapshot) {
+  return InstallState(snapshot, "replication snapshot", /*persist=*/true);
 }
 
 NodeRole QueryService::role() const {

@@ -30,13 +30,14 @@ struct ServiceOptions {
   /// Bound on distinct prepared programs kept resident.
   size_t prepared_capacity = 64;
   /// Directory of the write-ahead log (service/wal.h). Empty (the default)
-  /// disables durability. When set, every ingest batch is appended and
-  /// fsynced *before* its epoch becomes visible, and Recover() replays the
-  /// log on startup.
+  /// disables durability. When set, every write (insert, retract, expiry
+  /// sweep, clock tick) is appended and fsynced *before* its epoch becomes
+  /// visible, and Recover() replays the log on startup.
   std::string wal_dir;
-  /// Auto-compaction threshold: after a commit leaves wal.log larger than
-  /// this many bytes, the EDB is snapshotted and the log reset. 0 (the
-  /// default) means compact only on explicit Compact() calls.
+  /// Auto-compaction threshold: after any logged commit — insert, TTL
+  /// insert, retract, expiry sweep or pure tick — leaves wal.log larger
+  /// than this many bytes, the head state is snapshotted and the log
+  /// reset. 0 (the default) means compact only on explicit Compact() calls.
   long wal_compact_bytes = 0;
 };
 
@@ -281,6 +282,13 @@ struct ServiceStats {
 ///     materialized fixpoint is resumed with the accumulated EDB deltas
 ///     (ResumeEvaluate) instead of recomputed.
 ///
+/// Writes enter through Ingest (optionally with a TTL), Retract and
+/// AdvanceClock, all taking loader-syntax text or plain numbers. Each
+/// computes its WAL record and successor state and hands them to one
+/// private Commit, the only code that logs, publishes an epoch, feeds
+/// replication and triggers auto-compaction — so every commit kind obeys
+/// the same durable-before-visible order.
+///
 /// Thread-safety: all public methods may be called concurrently. Lock
 /// order is entry mutex > symbols mutex (never the reverse); the head
 /// epoch pointer has its own lock and is only held for pointer swaps.
@@ -323,26 +331,20 @@ class QueryService {
   /// the batch text is appended and fsynced before the epoch is published —
   /// an error means the epoch did NOT become visible (though the record may
   /// sit in the log if the fault hit between fsync and commit; recovery
-  /// then surfaces it, which is the durable-write contract).
-  Result<IngestOutcome> Ingest(const std::string& facts_text);
-
-  /// Commits pre-built facts as a new epoch (bench/test entry point). With
-  /// a WAL configured the batch is first rendered to loader syntax and
-  /// re-parsed, and the *re-parsed* facts are committed — this keeps the
-  /// recovery invariant "committed state == parse(logged text)" exact, so
-  /// replay reproduces the epochs byte for byte.
-  Result<IngestOutcome> IngestFacts(const std::vector<Fact>& batch);
-
-  /// Like Ingest, but every accepted fact expires `ttl_ms` (> 0) logical
+  /// then surfaces it, which is the durable-write contract). The logged
+  /// text is exactly the text parsed here, so replay re-commits the same
+  /// facts.
+  ///
+  /// With `ttl_ms` > 0 every accepted fact expires `ttl_ms` logical
   /// milliseconds from now: when AdvanceClock moves the clock past
   /// now + ttl_ms the fact is retracted exactly as by Retract. Duplicates
   /// of already-stored facts are dropped as usual and do NOT refresh any
   /// existing deadline (re-ingesting a fact never extends its life — the
-  /// first deadline wins; documented sliding-window semantics).
-  Result<IngestOutcome> IngestTtl(const std::string& facts_text,
-                                  int64_t ttl_ms);
-  Result<IngestOutcome> IngestTtlFacts(const std::vector<Fact>& batch,
-                                       int64_t ttl_ms);
+  /// first deadline wins; documented sliding-window semantics). A negative
+  /// `ttl_ms`, or one whose deadline would pass INT64_MAX, is
+  /// InvalidArgument and commits nothing.
+  Result<IngestOutcome> Ingest(const std::string& facts_text,
+                               int64_t ttl_ms = 0);
 
   /// Parses facts in the loader syntax and retracts them from the EDB as a
   /// new epoch. Facts that are stored are removed; entries matching nothing
@@ -352,15 +354,12 @@ class QueryService {
   /// Ingest (record kind 0x02, durable before visible).
   Result<RetractOutcome> Retract(const std::string& facts_text);
 
-  /// Retracts pre-built facts (bench/test entry point); the same
-  /// render-and-reparse dance as IngestFacts keeps replay exact.
-  Result<RetractOutcome> RetractFacts(const std::vector<Fact>& batch);
-
   /// Advances the logical clock by `delta_ms` (>= 0; 0 reads the clock
   /// without logging) and retracts every TTL'd fact whose deadline
   /// elapsed. The sweep is one retraction epoch (kind 0x03 in the WAL,
   /// carrying the new clock); a tick that expires nothing logs a clock
-  /// record (kind 0x05) and burns no epoch.
+  /// record (kind 0x05) and burns no epoch. An advance that would carry
+  /// the clock past INT64_MAX is InvalidArgument and commits nothing.
   Result<TickOutcome> AdvanceClock(int64_t delta_ms);
 
   /// Current logical clock (advanced only by AdvanceClock / recovery).
@@ -501,22 +500,31 @@ class QueryService {
   /// stats and passes the error through — Execute's failure funnel.
   Status NoteEvalError(const Status& status);
 
-  /// The shared commit path of Ingest/IngestFacts/IngestTtl/replay: dedups
-  /// `batch` against the head EDB, WAL-appends the batch record (unless
-  /// replaying or the batch was a no-op), and publishes the next epoch.
-  /// `statements` is the loader-syntax text logged (and replayed) for the
-  /// batch. When `ttl_ms` > 0 every accepted fact gets a deadline at
-  /// now + ttl_ms and the record is logged as kInsertTtl. Hosts the
-  /// crash-before/after-commit failpoints.
-  Result<IngestOutcome> CommitBatch(const std::vector<Fact>& batch,
-                                    const std::string& statements,
-                                    int64_t ttl_ms);
+  /// Parses loader-syntax `facts_text` into commit order: relations by
+  /// PredId, facts in insertion order — deterministic, so a WAL replay that
+  /// parses the same text re-commits the same sequence.
+  Result<std::vector<Fact>> ParseFacts(const std::string& facts_text);
 
-  /// The shared retraction commit path of Retract/RetractFacts and the
-  /// expiry sweep: matches `batch` against the head EDB, WAL-appends the
-  /// retract record, and publishes a spliced EDB as the next epoch.
-  Result<RetractOutcome> CommitRetract(const std::vector<Fact>& batch,
-                                       const std::string& statements);
+  /// The durable-commit protocol — the only code that logs or publishes a
+  /// write. Every commit kind (insert, TTL insert, retract, expiry sweep,
+  /// pure tick) computes its `record` and successor state under `lock`
+  /// (head_mutex_) and hands them here, which in order: appends the record
+  /// to the WAL (skipped while replaying), hits the crash-before-commit
+  /// failpoint, publishes `edb` as the next epoch with `delta` as its chain
+  /// node (an empty delta — a pure tick — keeps the head epoch), applies
+  /// the record's clock and deadline effects, appends the payload to the
+  /// replication feed, hits the crash-after-commit failpoint, releases the
+  /// lock, updates the WAL stats, and auto-compacts past
+  /// ServiceOptions::wal_compact_bytes. Returns the head epoch after the
+  /// commit.
+  Result<int64_t> Commit(const WalRecord& record, Database edb,
+                         std::vector<Fact> delta,
+                         std::unique_lock<std::mutex> lock);
+
+  /// Publishes `edb` as the head epoch `deltas->id`. head_mutex_ must be
+  /// held (or the service not yet shared, as in the constructor).
+  void PublishHeadLocked(Database edb,
+                         std::shared_ptr<const EpochDelta> deltas);
 
   /// Moves the clock to `target_now_ms` (monotone; no-op when not ahead)
   /// and commits the elapsed deadlines as one expiry epoch — the body of
@@ -528,15 +536,26 @@ class QueryService {
   /// Recover's replay switch, shared with ApplyReplicated.
   Status ReplayRecord(const WalRecord& record);
 
-  /// RenderStateText's body; head_mutex_ must be held (takes symbols_mutex_
-  /// inside — lock order head > symbols). FetchReplication digests state
-  /// with this so the CRC and the feed cut are atomic.
-  std::string RenderStateTextLocked() const;
+  /// The head state (epoch, clock, EDB statements, pending deadlines) as a
+  /// WalSnapshot — the body Compact() writes, the renegotiation payload
+  /// FetchReplication ships, and the source of RenderStateText.
+  /// head_mutex_ must be held (takes symbols_mutex_ inside — lock order
+  /// head > symbols).
+  WalSnapshot SnapshotLocked() const;
+
+  /// Installs `snapshot` as this node's entire state — EDB at the
+  /// snapshot's epoch (the delta chain bottoms out there), clock, pending
+  /// deadlines — and starts a new replication feed generation at that
+  /// epoch. With `persist` and a WAL, also writes the snapshot and resets
+  /// the log under the same lock. `source` names the snapshot in load
+  /// errors. Shared by Recover and InstallSnapshot.
+  Status InstallState(const WalSnapshot& snapshot, const std::string& source,
+                      bool persist);
 
   /// Appends one committed record's payload bytes to the in-memory
-  /// replication feed. head_mutex_ must be held; called from every commit
-  /// path (replay included — re-encoding a decoded record reproduces its
-  /// bytes exactly, so recovery rebuilds the same feed).
+  /// replication feed. head_mutex_ must be held; called only from Commit
+  /// (replay included — re-encoding a decoded record reproduces its bytes
+  /// exactly, so recovery rebuilds the same feed).
   void FeedAppendLocked(std::string payload);
 
   Program program_;

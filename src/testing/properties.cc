@@ -848,34 +848,72 @@ Result<std::unique_ptr<QueryService>> MakeWalService(const FuzzCase& c,
   return QueryService::FromParts(c.program, base_db, sopts);
 }
 
-/// The crash-recovery metamorphic property (`cqlfuzz --faults`): for every
-/// WAL fail-point site and every ingest batch, crash the commit of that
-/// batch at that site, recover a fresh service from the surviving files,
-/// and require the recovered state to equal the never-crashed run —
-/// batches whose record reached the log durably are recovered, a torn
-/// record is truncated (and reported), and nothing else changes. The
-/// scenario then finishes the remaining ingests and must converge to the
-/// reference's final state. A seeded mid-run Compact() covers
-/// snapshot-plus-tail-records recovery; eval/rule-alloc coverage at the end
-/// checks an injected evaluation fault is a typed, non-poisoning error.
-PropertyOutcome CrashRecovery(const FuzzCase& c, const FuzzOptions& fo) {
-  // Partition the EDB into an initial database plus ingest batches of
-  // genuinely new facts. (A batch that dedups to a no-op burns no epoch and
-  // writes no record, so it could never crash — filter those out up front.)
-  Rng rng(Rng::DeriveSeed(c.seed, 0xFA11));
+/// One step of the WAL op script: an INGEST (with a TTL when `ms` > 0), a
+/// RETRACT, or a TICK to absolute clock `ms`. Batches are loader-syntax
+/// text, so the script drives the same text API as a cqld client.
+struct WalOp {
+  enum class Kind { kIngest, kRetract, kTick };
+  Kind kind;
+  std::string facts;
+  int64_t ms = 0;
+};
+
+const char* WalOpName(const WalOp& op) {
+  switch (op.kind) {
+    case WalOp::Kind::kIngest: return op.ms > 0 ? "INGEST TTL" : "INGEST";
+    case WalOp::Kind::kRetract: return "RETRACT";
+    case WalOp::Kind::kTick: return "TICK";
+  }
+  return "?";
+}
+
+/// Applies one script op. A RETRACT that removes nothing is an error: every
+/// scripted retraction must burn an epoch and a WAL record, so an armed
+/// fail-point always has a record to fire on.
+Status ApplyWalOp(QueryService& service, const WalOp& op) {
+  switch (op.kind) {
+    case WalOp::Kind::kIngest:
+      return service.Ingest(op.facts, op.ms).status();
+    case WalOp::Kind::kRetract: {
+      auto removed = service.Retract(op.facts);
+      if (!removed.ok()) return removed.status();
+      if (removed->removed == 0) {
+        return Status::Internal(
+            "RETRACT op removed nothing — no record to crash");
+      }
+      return Status::OK();
+    }
+    case WalOp::Kind::kTick:
+      return service.AdvanceClock(op.ms - service.now_ms()).status();
+  }
+  return Status::OK();
+}
+
+/// The op script crash_recovery and replica_vs_primary run: `c`'s EDB
+/// partitioned (drawing from `rng`) into an initial database plus up to three
+/// batches of genuinely new facts, then growth, TTL'd growth, shrinkage,
+/// and an expiry sweep — every WAL record kind a serving run can write.
+/// (A batch that dedups to a no-op burns no epoch and writes no record, so
+/// it could never crash — those are filtered out up front.) Retracting
+/// batch 0 right after it was ingested guarantees the retraction removes at
+/// least one fact, and ticking past the 100ms TTL deadline drives the
+/// expire path whenever a TTL batch exists (a trailing tick on
+/// single-batch cases still logs a pure kTick record). False when the EDB
+/// is too small to form a batch.
+bool BuildWalScript(const FuzzCase& c, Rng* rng, Database* base_db,
+                    std::vector<WalOp>* ops) {
   std::vector<Fact> initial;
   std::vector<std::vector<Fact>> raw(3);
   for (const Fact& fact : c.edb) {
-    if (rng.Chance(30)) {
+    if (rng->Chance(30)) {
       initial.push_back(fact);
     } else {
-      raw[static_cast<size_t>(rng.Uniform(0, 2))].push_back(fact);
+      raw[static_cast<size_t>(rng->Uniform(0, 2))].push_back(fact);
     }
   }
   Database seen;
-  Database base_db;
   for (const Fact& fact : initial) {
-    if (seen.AddFact(fact) == InsertOutcome::kInserted) base_db.AddFact(fact);
+    if (seen.AddFact(fact) == InsertOutcome::kInserted) base_db->AddFact(fact);
   }
   std::vector<std::vector<Fact>> batches;
   for (std::vector<Fact>& candidates : raw) {
@@ -887,76 +925,55 @@ PropertyOutcome CrashRecovery(const FuzzCase& c, const FuzzOptions& fo) {
     }
     if (!fresh.empty()) batches.push_back(std::move(fresh));
   }
-  if (batches.empty()) {
-    return PropertyOutcome::Skip("EDB too small to form an ingest batch");
-  }
-
-  // The op script: growth, TTL'd growth, shrinkage, and an expiry sweep —
-  // every WAL record kind a serving run can write. Retracting batch 0
-  // right after it was ingested guarantees the retraction removes at least
-  // one fact (burns an epoch and a WAL record, so an armed fail-point must
-  // fire), and ticking past the 100ms TTL deadline drives the expire path
-  // whenever a TTL batch exists (a trailing tick on single-batch cases
-  // still logs a pure kTick record).
-  struct CrashOp {
-    enum class Kind { kIngest, kIngestTtl, kRetract, kTick };
-    Kind kind;
-    const std::vector<Fact>* facts = nullptr;
-    int64_t ms = 0;
+  if (batches.empty()) return false;
+  auto text = [&c](const std::vector<Fact>& facts) {
+    std::string rendered;
+    for (const Fact& fact : facts) {
+      rendered += RenderFactStatement(fact, *c.program.symbols) + "\n";
+    }
+    return rendered;
   };
-  std::vector<Fact> ttl_head;  // stale-deadline probe: retracted pre-expiry
-  std::vector<CrashOp> ops;
-  ops.push_back({CrashOp::Kind::kIngest, &batches[0], 0});
+  ops->push_back({WalOp::Kind::kIngest, text(batches[0]), 0});
   if (batches.size() > 1) {
-    ops.push_back({CrashOp::Kind::kIngestTtl, &batches[1], 100});
+    ops->push_back({WalOp::Kind::kIngest, text(batches[1]), 100});
   }
-  ops.push_back({CrashOp::Kind::kRetract, &batches[0], 0});
+  ops->push_back({WalOp::Kind::kRetract, text(batches[0]), 0});
   if (batches.size() > 1 && batches[1].size() > 1) {
     // Retract one TTL'd fact before its deadline: its deadline entry goes
     // stale, and the tick's sweep must skip it — in the original run and
-    // byte-identically in every recovered one.
-    ttl_head.push_back(batches[1].front());
-    ops.push_back({CrashOp::Kind::kRetract, &ttl_head, 0});
+    // byte-identically in every recovered or replicated one.
+    ops->push_back({WalOp::Kind::kRetract, text({batches[1].front()}), 0});
   }
-  ops.push_back({CrashOp::Kind::kTick, nullptr, 150});
+  ops->push_back({WalOp::Kind::kTick, std::string(), 150});
   if (batches.size() > 2) {
-    ops.push_back({CrashOp::Kind::kIngest, &batches[2], 0});
+    ops->push_back({WalOp::Kind::kIngest, text(batches[2]), 0});
   }
-  auto op_name = [](const CrashOp& op) -> const char* {
-    switch (op.kind) {
-      case CrashOp::Kind::kIngest: return "INGEST";
-      case CrashOp::Kind::kIngestTtl: return "INGEST TTL";
-      case CrashOp::Kind::kRetract: return "RETRACT";
-      case CrashOp::Kind::kTick: return "TICK";
-    }
-    return "?";
-  };
-  auto apply_op = [](QueryService& service, const CrashOp& op) -> Status {
-    switch (op.kind) {
-      case CrashOp::Kind::kIngest:
-        return service.IngestFacts(*op.facts).status();
-      case CrashOp::Kind::kIngestTtl:
-        return service.IngestTtlFacts(*op.facts, op.ms).status();
-      case CrashOp::Kind::kRetract: {
-        auto removed = service.RetractFacts(*op.facts);
-        if (!removed.ok()) return removed.status();
-        if (removed->removed == 0) {
-          return Status::Internal(
-              "RETRACT op removed nothing — no record to crash");
-        }
-        return Status::OK();
-      }
-      case CrashOp::Kind::kTick:
-        return service.AdvanceClock(op.ms - service.now_ms()).status();
-    }
-    return Status::OK();
-  };
+  return true;
+}
+
+/// The crash-recovery metamorphic property (`cqlfuzz --faults`): for every
+/// WAL fail-point site and every ingest batch, crash the commit of that
+/// batch at that site, recover a fresh service from the surviving files,
+/// and require the recovered state to equal the never-crashed run —
+/// batches whose record reached the log durably are recovered, a torn
+/// record is truncated (and reported), and nothing else changes. The
+/// scenario then finishes the remaining ingests and must converge to the
+/// reference's final state. A seeded mid-run Compact() covers
+/// snapshot-plus-tail-records recovery; eval/rule-alloc coverage at the end
+/// checks an injected evaluation fault is a typed, non-poisoning error.
+PropertyOutcome CrashRecovery(const FuzzCase& c, const FuzzOptions& fo) {
+  Rng rng(Rng::DeriveSeed(c.seed, 0xFA11));
+  Database base_db;
+  std::vector<WalOp> ops;
+  if (!BuildWalScript(c, &rng, &base_db, &ops)) {
+    return PropertyOutcome::Skip("EDB too small to form an ingest batch");
+  }
 
   failpoint::DisarmAll();
 
-  // Reference: the never-crashed run, WAL on (so it takes the exact
-  // render/re-parse commit path recovery will replay). state_after[j] is
-  // the rendered head state once j batches are committed.
+  // Reference: the never-crashed run, WAL on (so it writes the exact
+  // records recovery will replay). state_after[j] is the rendered head
+  // state once j ops are committed.
   TempWalDir ref_dir;
   if (ref_dir.path.empty()) {
     return PropertyOutcome::Fail("mkdtemp failed for the reference WAL");
@@ -968,10 +985,10 @@ PropertyOutcome CrashRecovery(const FuzzCase& c, const FuzzOptions& fo) {
   }
   std::vector<std::string> state_after;
   state_after.push_back((*ref)->RenderStateText());
-  for (const CrashOp& op : ops) {
-    Status committed = apply_op(**ref, op);
+  for (const WalOp& op : ops) {
+    Status committed = ApplyWalOp(**ref, op);
     if (!committed.ok()) {
-      return PropertyOutcome::Fail(std::string("reference ") + op_name(op) +
+      return PropertyOutcome::Fail(std::string("reference ") + WalOpName(op) +
                                    " failed: " + committed.message());
     }
     state_after.push_back((*ref)->RenderStateText());
@@ -1031,10 +1048,10 @@ PropertyOutcome CrashRecovery(const FuzzCase& c, const FuzzOptions& fo) {
                                          compacted.message());
           }
         }
-        Status committed = apply_op(**victim, ops[j]);
+        Status committed = ApplyWalOp(**victim, ops[j]);
         if (!committed.ok()) {
           return PropertyOutcome::Fail(std::string("pre-crash ") +
-                                       op_name(ops[j]) +
+                                       WalOpName(ops[j]) +
                                        " failed: " + committed.message());
         }
       }
@@ -1047,13 +1064,13 @@ PropertyOutcome CrashRecovery(const FuzzCase& c, const FuzzOptions& fo) {
       }
 
       failpoint::Arm(ws.site);
-      Status crashed = apply_op(**victim, ops[k]);
+      Status crashed = ApplyWalOp(**victim, ops[k]);
       failpoint::DisarmAll();
       if (crashed.ok()) {
         return PropertyOutcome::Fail(std::string(ws.site) +
                                      " was armed but op " +
                                      std::to_string(k) + " (" +
-                                     op_name(ops[k]) + ") succeeded");
+                                     WalOpName(ops[k]) + ") succeeded");
       }
       // "Crash": abandon the wreck — only the files survive.
       victim->reset();
@@ -1068,7 +1085,7 @@ PropertyOutcome CrashRecovery(const FuzzCase& c, const FuzzOptions& fo) {
       if (!recovered.ok()) {
         return PropertyOutcome::Fail(
             std::string(ws.site) + " crash at op " + std::to_string(k) +
-            " (" + op_name(ops[k]) +
+            " (" + WalOpName(ops[k]) +
             "): recovery failed: " + recovered.message());
       }
       const size_t committed_ops = k + (ws.record_survives ? 1 : 0);
@@ -1087,7 +1104,7 @@ PropertyOutcome CrashRecovery(const FuzzCase& c, const FuzzOptions& fo) {
       if (got != state_after[committed_ops]) {
         return PropertyOutcome::Fail(
             std::string(ws.site) + " crash at op " + std::to_string(k) +
-            " (" + op_name(ops[k]) +
+            " (" + WalOpName(ops[k]) +
             "): recovered state differs from the never-crashed state "
             "after " +
             std::to_string(committed_ops) + " ops (recovered " +
@@ -1100,17 +1117,17 @@ PropertyOutcome CrashRecovery(const FuzzCase& c, const FuzzOptions& fo) {
       // Finish the run: the recovered service must accept the remaining
       // ops and converge to the reference's final state.
       for (size_t j = committed_ops; j < ops.size(); ++j) {
-        Status more = apply_op(**revived, ops[j]);
+        Status more = ApplyWalOp(**revived, ops[j]);
         if (!more.ok()) {
           return PropertyOutcome::Fail(
-              std::string(ws.site) + ": post-recovery " + op_name(ops[j]) +
+              std::string(ws.site) + ": post-recovery " + WalOpName(ops[j]) +
               " failed: " + more.message());
         }
       }
       if ((*revived)->RenderStateText() != state_after.back()) {
         return PropertyOutcome::Fail(
             std::string(ws.site) + " crash at op " + std::to_string(k) +
-            " (" + op_name(ops[k]) +
+            " (" + WalOpName(ops[k]) +
             "): final state after post-recovery ops diverged from the "
             "never-crashed run");
       }
@@ -1223,70 +1240,14 @@ class SlotReplicationSource : public ReplicationSource {
 /// must be quarantined by the next divergence check — reads refused with
 /// typed DATA_LOSS, promotion refused — never serving wrong answers.
 PropertyOutcome ReplicaVsPrimary(const FuzzCase& c, const FuzzOptions& fo) {
-  // EDB partition + op script: same shape as crash_recovery, fresh salt so
-  // the two properties stress different partitions of the same case.
+  // Same op script as crash_recovery, fresh salt so the two properties
+  // stress different partitions of the same case.
   Rng rng(Rng::DeriveSeed(c.seed, 0x5EED5));
-  std::vector<Fact> initial;
-  std::vector<std::vector<Fact>> raw(3);
-  for (const Fact& fact : c.edb) {
-    if (rng.Chance(30)) {
-      initial.push_back(fact);
-    } else {
-      raw[static_cast<size_t>(rng.Uniform(0, 2))].push_back(fact);
-    }
-  }
-  Database seen;
   Database base_db;
-  for (const Fact& fact : initial) {
-    if (seen.AddFact(fact) == InsertOutcome::kInserted) base_db.AddFact(fact);
-  }
-  std::vector<std::vector<Fact>> batches;
-  for (std::vector<Fact>& candidates : raw) {
-    std::vector<Fact> fresh;
-    for (const Fact& fact : candidates) {
-      if (seen.AddFact(fact) == InsertOutcome::kInserted) {
-        fresh.push_back(fact);
-      }
-    }
-    if (!fresh.empty()) batches.push_back(std::move(fresh));
-  }
-  if (batches.empty()) {
+  std::vector<WalOp> ops;
+  if (!BuildWalScript(c, &rng, &base_db, &ops)) {
     return PropertyOutcome::Skip("EDB too small to form an ingest batch");
   }
-  struct RepOp {
-    enum class Kind { kIngest, kIngestTtl, kRetract, kTick };
-    Kind kind;
-    const std::vector<Fact>* facts = nullptr;
-    int64_t ms = 0;
-  };
-  std::vector<Fact> ttl_head;
-  std::vector<RepOp> ops;
-  ops.push_back({RepOp::Kind::kIngest, &batches[0], 0});
-  if (batches.size() > 1) {
-    ops.push_back({RepOp::Kind::kIngestTtl, &batches[1], 100});
-  }
-  ops.push_back({RepOp::Kind::kRetract, &batches[0], 0});
-  if (batches.size() > 1 && batches[1].size() > 1) {
-    ttl_head.push_back(batches[1].front());
-    ops.push_back({RepOp::Kind::kRetract, &ttl_head, 0});
-  }
-  ops.push_back({RepOp::Kind::kTick, nullptr, 150});
-  if (batches.size() > 2) {
-    ops.push_back({RepOp::Kind::kIngest, &batches[2], 0});
-  }
-  auto apply_op = [](QueryService& service, const RepOp& op) -> Status {
-    switch (op.kind) {
-      case RepOp::Kind::kIngest:
-        return service.IngestFacts(*op.facts).status();
-      case RepOp::Kind::kIngestTtl:
-        return service.IngestTtlFacts(*op.facts, op.ms).status();
-      case RepOp::Kind::kRetract:
-        return service.RetractFacts(*op.facts).status();
-      case RepOp::Kind::kTick:
-        return service.AdvanceClock(op.ms - service.now_ms()).status();
-    }
-    return Status::OK();
-  };
 
   failpoint::DisarmAll();
 
@@ -1360,7 +1321,7 @@ PropertyOutcome ReplicaVsPrimary(const FuzzCase& c, const FuzzOptions& fo) {
                                      compacted.message());
       }
     }
-    Status committed = apply_op(*primary, ops[k]);
+    Status committed = ApplyWalOp(*primary, ops[k]);
     if (!committed.ok()) {
       return PropertyOutcome::Fail(where + ": primary op failed: " +
                                    committed.message());
@@ -1515,7 +1476,7 @@ PropertyOutcome ReplicaVsPrimary(const FuzzCase& c, const FuzzOptions& fo) {
   // the promoted node must land on the dead primary's exact final state
   // (epoch, clock, facts, and TTL deadlines; batch 0 was retracted above,
   // so re-ingesting it burns a real epoch and a real record).
-  Status lag_write = apply_op(*primary, {RepOp::Kind::kIngest, &batches[0], 0});
+  Status lag_write = ApplyWalOp(*primary, ops.front());
   if (!lag_write.ok()) {
     return PropertyOutcome::Fail("lag write failed: " + lag_write.message());
   }
@@ -1629,45 +1590,48 @@ PropertyOutcome ReplicaVsPrimary(const FuzzCase& c, const FuzzOptions& fo) {
 }
 
 // ---------------------------------------------------------------------------
-// prepass_equiv: the interval prepass never changes an answer.
+// prepass_equiv / interval_equiv: a decision tier or access path that must
+// never change an answer.
 
-/// Evaluates the case twice — interval prepass on, then off — and demands
-/// byte identity: same storage fingerprint (fact keys, order, births), same
-/// rendered trace, same core counters. Conclusive prepass verdicts are
-/// proven equal to the exact FM decision (DESIGN.md §11), so *any*
-/// divergence here is a soundness bug in interval.cc. The DecisionCache is
-/// cleared before each arm so the off-arm cannot coast on entries the
-/// on-arm filled (and vice versa) — both arms decide from cold.
-PropertyOutcome PrepassEquiv(const FuzzCase& c, const FuzzOptions& fo) {
+/// Evaluates the case twice — `toggle` on, then off — and demands byte
+/// identity: same storage fingerprint (fact keys, order, births), same
+/// rendered trace, same core counters. Both arms run from a cold
+/// DecisionCache so neither coasts on the other's memo entries. The toggle
+/// must actually gate its tier: the off arm may record no activity in
+/// either of the `activity` counters. `name` labels failure messages.
+PropertyOutcome ToggleEquiv(const FuzzCase& c, const FuzzOptions& fo,
+                            const std::string& name, bool EvalOptions::*toggle,
+                            long EvalStats::*activity_a,
+                            long EvalStats::*activity_b) {
   Database db = BuildDatabase(c);
   EvalOptions opts = EngineOptions(fo, EvalStrategy::kStratified);
   opts.record_trace = true;
 
   DecisionCache::Instance().Clear();
-  opts.prepass = true;
+  opts.*toggle = true;
   auto on = Evaluate(c.program, db, opts);
   if (!on.ok()) {
-    return PropertyOutcome::Fail("prepass-on evaluation failed: " +
+    return PropertyOutcome::Fail(name + "-on evaluation failed: " +
                                  on.status().message());
   }
 
   DecisionCache::Instance().Clear();
-  opts.prepass = false;
+  opts.*toggle = false;
   auto off = Evaluate(c.program, db, opts);
   if (!off.ok()) {
-    return PropertyOutcome::Fail("prepass-off evaluation failed: " +
+    return PropertyOutcome::Fail(name + "-off evaluation failed: " +
                                  off.status().message());
   }
 
   if (StorageFingerprint(*on) != StorageFingerprint(*off)) {
     return PropertyOutcome::Fail(
-        "prepass-on storage differs from prepass-off: " +
+        name + "-on storage differs from " + name + "-off: " +
         CountsByPred(EvalToMap(*on)) + " vs " +
         CountsByPred(EvalToMap(*off)));
   }
   if (RenderTrace(on->trace) != RenderTrace(off->trace)) {
-    return PropertyOutcome::Fail(
-        "prepass-on derivation trace differs from prepass-off");
+    return PropertyOutcome::Fail(name + "-on derivation trace differs from " +
+                                 name + "-off");
   }
   const EvalStats& a = on->stats;
   const EvalStats& b = off->stats;
@@ -1677,17 +1641,15 @@ PropertyOutcome PrepassEquiv(const FuzzCase& c, const FuzzOptions& fo) {
       a.reached_fixpoint != b.reached_fixpoint ||
       a.all_ground != b.all_ground) {
     return PropertyOutcome::Fail(
-        "prepass-on stats differ from prepass-off: " +
+        name + "-on stats differ from " + name + "-off: " +
         std::to_string(a.derivations) + "/" + std::to_string(a.inserted) +
         "/" + std::to_string(a.subsumed) + " vs " +
         std::to_string(b.derivations) + "/" + std::to_string(b.inserted) +
         "/" + std::to_string(b.subsumed));
   }
-  // The toggle must actually gate the tier: no prepass activity may be
-  // attributed to the off arm.
-  if (b.prepass_conclusive != 0 || b.prepass_fallback != 0) {
-    return PropertyOutcome::Fail(
-        "prepass-off arm recorded prepass activity");
+  if (b.*activity_a != 0 || b.*activity_b != 0) {
+    return PropertyOutcome::Fail(name + "-off arm recorded " + name +
+                                 " activity");
   }
   if (!on->stats.reached_fixpoint) {
     return PropertyOutcome::Skip("iteration cap hit before fixpoint");
@@ -1695,73 +1657,25 @@ PropertyOutcome PrepassEquiv(const FuzzCase& c, const FuzzOptions& fo) {
   return PropertyOutcome::Ok();
 }
 
-// ---------------------------------------------------------------------------
-// interval_equiv: interval-indexed probe pruning never changes an answer.
+/// prepass_equiv: interval prepass on vs off. Conclusive prepass verdicts
+/// are proven equal to the exact FM decision (DESIGN.md §11), so *any*
+/// divergence is a soundness bug in interval.cc.
+PropertyOutcome PrepassEquiv(const FuzzCase& c, const FuzzOptions& fo) {
+  return ToggleEquiv(c, fo, "prepass", &EvalOptions::prepass,
+                     &EvalStats::prepass_conclusive,
+                     &EvalStats::prepass_fallback);
+}
 
-/// Evaluates the case twice — interval-index pruning on, then off — and
-/// demands byte identity: same storage fingerprint (fact keys, order,
-/// births), same rendered trace, same core counters. A pruned row is one
-/// whose column value (or propagated bound summary) is disjoint from a
-/// sound over-approximation of the accumulated join state (DESIGN.md §12),
-/// so the per-tuple satisfiability check would have rejected it anyway —
-/// *any* divergence here is a soundness bug in the index maintenance or the
-/// AdmittedRange binary search in relation.cc. Both arms run from a cold
-/// DecisionCache so neither coasts on the other's memo entries.
+/// interval_equiv: interval-indexed probe pruning on vs off. A pruned row
+/// is one whose column value (or propagated bound summary) is disjoint from
+/// a sound over-approximation of the accumulated join state (DESIGN.md
+/// §12), so the per-tuple satisfiability check would have rejected it
+/// anyway — *any* divergence is a soundness bug in the index maintenance
+/// or the AdmittedRange binary search in relation.cc.
 PropertyOutcome IntervalEquiv(const FuzzCase& c, const FuzzOptions& fo) {
-  Database db = BuildDatabase(c);
-  EvalOptions opts = EngineOptions(fo, EvalStrategy::kStratified);
-  opts.record_trace = true;
-
-  DecisionCache::Instance().Clear();
-  opts.interval_index = true;
-  auto on = Evaluate(c.program, db, opts);
-  if (!on.ok()) {
-    return PropertyOutcome::Fail("interval-on evaluation failed: " +
-                                 on.status().message());
-  }
-
-  DecisionCache::Instance().Clear();
-  opts.interval_index = false;
-  auto off = Evaluate(c.program, db, opts);
-  if (!off.ok()) {
-    return PropertyOutcome::Fail("interval-off evaluation failed: " +
-                                 off.status().message());
-  }
-
-  if (StorageFingerprint(*on) != StorageFingerprint(*off)) {
-    return PropertyOutcome::Fail(
-        "interval-on storage differs from interval-off: " +
-        CountsByPred(EvalToMap(*on)) + " vs " +
-        CountsByPred(EvalToMap(*off)));
-  }
-  if (RenderTrace(on->trace) != RenderTrace(off->trace)) {
-    return PropertyOutcome::Fail(
-        "interval-on derivation trace differs from interval-off");
-  }
-  const EvalStats& a = on->stats;
-  const EvalStats& b = off->stats;
-  if (a.derivations != b.derivations || a.inserted != b.inserted ||
-      a.subsumed != b.subsumed || a.duplicates != b.duplicates ||
-      a.iterations != b.iterations ||
-      a.reached_fixpoint != b.reached_fixpoint ||
-      a.all_ground != b.all_ground) {
-    return PropertyOutcome::Fail(
-        "interval-on stats differ from interval-off: " +
-        std::to_string(a.derivations) + "/" + std::to_string(a.inserted) +
-        "/" + std::to_string(a.subsumed) + " vs " +
-        std::to_string(b.derivations) + "/" + std::to_string(b.inserted) +
-        "/" + std::to_string(b.subsumed));
-  }
-  // The toggle must actually gate the access path: the off arm may not
-  // record any interval-probe activity.
-  if (b.interval_probes != 0 || b.interval_candidates != 0) {
-    return PropertyOutcome::Fail(
-        "interval-off arm recorded interval-probe activity");
-  }
-  if (!on->stats.reached_fixpoint) {
-    return PropertyOutcome::Skip("iteration cap hit before fixpoint");
-  }
-  return PropertyOutcome::Ok();
+  return ToggleEquiv(c, fo, "interval", &EvalOptions::interval_index,
+                     &EvalStats::interval_probes,
+                     &EvalStats::interval_candidates);
 }
 
 }  // namespace

@@ -119,7 +119,7 @@ TEST(ReplicatorTest, FollowerBootstrapsAndTailsThePrimary) {
 
   // Live tail: every record kind ships as exact WAL payload bytes.
   ASSERT_TRUE(primary->Ingest("singleleg(sea, msn, 210, 140).\n").ok());
-  ASSERT_TRUE(primary->IngestTtl("singleleg(den, jfk, 240, 160).\n", 100).ok());
+  ASSERT_TRUE(primary->Ingest("singleleg(den, jfk, 240, 160).\n", 100).ok());
   ASSERT_TRUE(primary->AdvanceClock(150).ok());  // expires the TTL batch
   ASSERT_TRUE(primary->Retract("singleleg(sea, msn, 210, 140).\n").ok());
   ASSERT_TRUE(CatchUp(replicator).ok());
@@ -300,7 +300,7 @@ TEST(ReplicatorTest, PromoteDrainsTheDeadPrimarysWal) {
   // whole dead WAL would resurrect it with a fresh deadline computed from
   // the current clock — byte-identity below is the regression gate.
   ASSERT_TRUE(primary->Ingest("singleleg(msn, sea, 150, 80).\n").ok());
-  ASSERT_TRUE(primary->IngestTtl("singleleg(den, jfk, 240, 160).\n", 100).ok());
+  ASSERT_TRUE(primary->Ingest("singleleg(den, jfk, 240, 160).\n", 100).ok());
   ASSERT_TRUE(primary->AdvanceClock(150).ok());
   ASSERT_TRUE(CatchUp(replicator).ok());
 
@@ -377,7 +377,7 @@ TEST(RemoteReplicationTest, ShipsSnapshotAndRecordsOverTheWire) {
   EXPECT_EQ(replicator.Progress().snapshots_installed, 1);
   EXPECT_EQ(follower->RenderStateText(), primary->RenderStateText());
 
-  ASSERT_TRUE(primary->IngestTtl("singleleg(den, jfk, 240, 160).\n", 100).ok());
+  ASSERT_TRUE(primary->Ingest("singleleg(den, jfk, 240, 160).\n", 100).ok());
   ASSERT_TRUE(primary->AdvanceClock(150).ok());
   ASSERT_TRUE(CatchUp(replicator).ok());
   EXPECT_EQ(follower->RenderStateText(), primary->RenderStateText());

@@ -250,8 +250,8 @@ TEST(TtlExpiryTest, DeadlinesExpireInOrderBetweenQueries) {
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
   EXPECT_EQ(warm->answers.size(), 1u);
 
-  ASSERT_TRUE((*service)->IngestTtl("s(2).\n", 100).ok());
-  ASSERT_TRUE((*service)->IngestTtl("s(3).\n", 200).ok());
+  ASSERT_TRUE((*service)->Ingest("s(2).\n", 100).ok());
+  ASSERT_TRUE((*service)->Ingest("s(3).\n", 200).ok());
   auto all = (*service)->Execute(query, "");
   ASSERT_TRUE(all.ok());
   EXPECT_EQ(all->answers.size(), 3u);
@@ -299,7 +299,7 @@ TEST(TtlExpiryTest, DeadlinesExpireInOrderBetweenQueries) {
 TEST(TtlExpiryTest, DuplicatePermanentIngestDoesNotRefreshTheDeadline) {
   auto service = QueryService::FromText("r(X) :- s(X).\n", "");
   ASSERT_TRUE(service.ok());
-  ASSERT_TRUE((*service)->IngestTtl("s(9).\n", 100).ok());
+  ASSERT_TRUE((*service)->Ingest("s(9).\n", 100).ok());
   // Re-ingesting the same fact without a TTL dedups against the stored row
   // — it neither refreshes nor cancels the deadline, so the fact still
   // expires on schedule (the documented EDB-set semantics).
@@ -318,7 +318,7 @@ TEST(TtlExpiryTest, DuplicatePermanentIngestDoesNotRefreshTheDeadline) {
 TEST(TtlExpiryTest, RetractedTtlFactLeavesOnlyAStaleDeadlineBehind) {
   auto service = QueryService::FromText("r(X) :- s(X).\n", "");
   ASSERT_TRUE(service.ok());
-  ASSERT_TRUE((*service)->IngestTtl("s(4).\n", 100).ok());
+  ASSERT_TRUE((*service)->Ingest("s(4).\n", 100).ok());
   auto removed = (*service)->Retract("s(4).\n");
   ASSERT_TRUE(removed.ok()) << removed.status().ToString();
   EXPECT_EQ(removed->removed, 1);

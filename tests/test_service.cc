@@ -19,6 +19,7 @@
 #include <cstring>
 #include <future>
 #include <fstream>
+#include <limits>
 #include <random>
 #include <set>
 #include <sstream>
@@ -734,6 +735,30 @@ TEST(WalRecoveryTest, AutoCompactionTriggersPastTheThreshold) {
   EXPECT_EQ(revived->RenderStateText(), pre_crash);
 }
 
+TEST(WalRecoveryTest, AutoCompactionFollowsAnExpiringTick) {
+  TempWalDir dir;
+  ASSERT_FALSE(dir.path.empty());
+  // A 100-byte threshold: the TTL insert's record leaves wal.log under it,
+  // the expiry sweep's record (which renders the expired fact) crosses it.
+  auto service = DurableFlights(dir.path, /*compact_bytes=*/100);
+  ASSERT_TRUE(service->Ingest("singleleg(den, jfk, 240, 160).\n", 100).ok());
+  ASSERT_EQ(service->Stats().wal_compactions, 0);
+  auto ticked = service->AdvanceClock(150);
+  ASSERT_TRUE(ticked.ok());
+  EXPECT_EQ(ticked->expired, 1);
+  ServiceStats stats = service->Stats();
+  EXPECT_EQ(stats.wal_compactions, 1);
+  EXPECT_LE(stats.wal_bytes, 100);
+  std::string pre_crash = service->RenderStateText();
+  service.reset();
+
+  auto revived = DurableFlights(dir.path, /*compact_bytes=*/100);
+  RecoverOutcome outcome;
+  ASSERT_TRUE(revived->Recover(&outcome).ok());
+  EXPECT_TRUE(outcome.snapshot_loaded);
+  EXPECT_EQ(revived->RenderStateText(), pre_crash);
+}
+
 TEST(WalRecoveryTest, DoubleRecoverIsIdempotent) {
   TempWalDir dir;
   ASSERT_FALSE(dir.path.empty());
@@ -958,6 +983,54 @@ TEST(ServerIoTest, WriteFullReportsAClosedPeerInsteadOfSignalling) {
   std::string big(1 << 20, 'x');
   EXPECT_FALSE(WriteFull(fds[0], big));
   ::close(fds[0]);
+}
+
+TEST(ProtocolTest, ParseInt64RejectsJunkAndOverflow) {
+  int64_t value = 0;
+  EXPECT_TRUE(ParseInt64("9223372036854775807", &value));
+  EXPECT_EQ(value, std::numeric_limits<int64_t>::max());
+  EXPECT_TRUE(ParseInt64("-9223372036854775808", &value));
+  EXPECT_EQ(value, std::numeric_limits<int64_t>::min());
+  EXPECT_FALSE(ParseInt64("9223372036854775808", &value));
+  EXPECT_FALSE(ParseInt64("-9223372036854775809", &value));
+  EXPECT_FALSE(ParseInt64("18446744073709551617", &value));
+  EXPECT_FALSE(ParseInt64("12kb", &value));
+  EXPECT_FALSE(ParseInt64("-", &value));
+  EXPECT_FALSE(ParseInt64("", &value));
+}
+
+TEST(ProtocolTest, OutOfRangeTickIsInvalidArgument) {
+  auto service = FlightsService();
+  std::vector<std::string> out;
+  // 2^64 + 1: used to wrap to 1 and advance the clock.
+  HandleLine(*service, "TICK 18446744073709551617", &out);
+  ASSERT_FALSE(out.empty());
+  EXPECT_EQ(out[0].rfind("ERR INVALID_ARGUMENT", 0), 0u) << out[0];
+  EXPECT_EQ(service->now_ms(), 0);
+}
+
+TEST(ProtocolTest, ClockAndTtlOverflowCommitNothing) {
+  TempWalDir dir;
+  ASSERT_FALSE(dir.path.empty());
+  auto service = DurableFlights(dir.path);
+  std::vector<std::string> out;
+  HandleLine(*service, "TICK 9223372036854775807", &out);
+  ASSERT_EQ(out[0], "OK now_ms=9223372036854775807 expired=0 epoch=0");
+  const long appends = service->Stats().wal_appends;
+
+  // now + ttl would pass INT64_MAX: refused, no epoch, no WAL record.
+  out.clear();
+  HandleLine(*service, "INGEST TTL 5 singleleg(msn, sea, 100, 50).", &out);
+  EXPECT_EQ(out[0].rfind("ERR INVALID_ARGUMENT", 0), 0u) << out[0];
+  // now + delta would pass INT64_MAX: refused rather than a silent no-op.
+  out.clear();
+  HandleLine(*service, "TICK 1", &out);
+  EXPECT_EQ(out[0].rfind("ERR INVALID_ARGUMENT", 0), 0u) << out[0];
+
+  EXPECT_EQ(service->epoch(), 0);
+  EXPECT_EQ(service->now_ms(), std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(service->Stats().wal_appends, appends);
+  EXPECT_EQ(service->Stats().ttl_pending, 0u);
 }
 
 TEST(ProtocolTest, ServeStreamsRunsASession) {

@@ -27,12 +27,14 @@
 #include <chrono>
 #include <csignal>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "service/client.h"
+#include "service/protocol.h"
 
 namespace {
 
@@ -111,28 +113,38 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // A numeric flag's value: a whole integer in [0, INT_MAX] (ParseInt64 —
+    // no junk, no overflow).
+    auto int_flag = [&](int* field) {
+      const char* v = next();
+      int64_t parsed = 0;
+      if (v == nullptr || !cqlopt::ParseInt64(v, &parsed) || parsed < 0 ||
+          parsed > std::numeric_limits<int>::max()) {
+        std::cerr << "cqlc: " << arg << " needs an integer in [0, "
+                  << std::numeric_limits<int>::max() << "], got '"
+                  << (v != nullptr ? v : "") << "'\n";
+        return false;
+      }
+      *field = static_cast<int>(parsed);
+      return true;
+    };
     if (arg == "--socket") {
       if (const char* v = next()) socket_list = v; else return Usage(argv[0]);
     } else if (arg == "--tcp") {
       if (const char* v = next()) tcp_list = v; else return Usage(argv[0]);
     } else if (arg == "--connect-timeout-ms") {
-      if (const char* v = next()) connect_timeout_ms = std::atoi(v);
-      else return Usage(argv[0]);
+      if (!int_flag(&connect_timeout_ms)) return kExitUsage;
     } else if (arg == "--read-timeout-ms") {
-      if (const char* v = next()) read_timeout_ms = std::atoi(v);
-      else return Usage(argv[0]);
+      if (!int_flag(&read_timeout_ms)) return kExitUsage;
     } else if (arg == "--retries") {
-      if (const char* v = next()) retries = std::atoi(v);
-      else return Usage(argv[0]);
+      if (!int_flag(&retries)) return kExitUsage;
     } else if (arg == "--retry-backoff-ms") {
-      if (const char* v = next()) retry_backoff_ms = std::atoi(v);
-      else return Usage(argv[0]);
+      if (!int_flag(&retry_backoff_ms)) return kExitUsage;
     } else {
       requests.push_back(arg);
     }
   }
   if (socket_list.empty() == tcp_list.empty()) return Usage(argv[0]);
-  if (retries < 0) retries = 0;
 
   std::vector<Endpoint> endpoints;
   if (!ParseEndpoints(tcp_list.empty() ? socket_list : tcp_list,

@@ -44,8 +44,12 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <limits>
 #include <string>
+#include <type_traits>
+#include <utility>
 
+#include "service/protocol.h"
 #include "service/replica.h"
 #include "service/server.h"
 
@@ -105,6 +109,25 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // A numeric flag's value: a whole integer in [0, hi] (ParseInt64 — no
+    // junk, no overflow), `hi` capped at the field type's maximum.
+    auto int_flag = [&](auto* field,
+                        int64_t hi = std::numeric_limits<int64_t>::max()) {
+      using T = std::remove_pointer_t<decltype(field)>;
+      if (std::cmp_less(std::numeric_limits<T>::max(), hi)) {
+        hi = static_cast<int64_t>(std::numeric_limits<T>::max());
+      }
+      const char* v = next();
+      int64_t parsed = 0;
+      if (v == nullptr || !cqlopt::ParseInt64(v, &parsed) || parsed < 0 ||
+          parsed > hi) {
+        std::cerr << "cqld: " << arg << " needs an integer in [0, " << hi
+                  << "], got '" << (v != nullptr ? v : "") << "'\n";
+        return false;
+      }
+      *field = static_cast<T>(parsed);
+      return true;
+    };
     if (arg == "--program") {
       if (const char* v = next()) program_path = v; else return Usage(argv[0]);
     } else if (arg == "--edb") {
@@ -114,17 +137,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--stdio") {
       stdio = true;
     } else if (arg == "--tcp-port") {
-      if (const char* v = next()) server.tcp_port = std::atoi(v);
-      else return Usage(argv[0]);
+      if (!int_flag(&server.tcp_port, 65535)) return 2;
     } else if (arg == "--workers") {
-      if (const char* v = next()) server.scheduler.workers = std::atoi(v);
-      else return Usage(argv[0]);
+      if (!int_flag(&server.scheduler.workers)) return 2;
     } else if (arg == "--queue-depth") {
-      if (const char* v = next()) server.scheduler.queue_depth = std::atoi(v);
-      else return Usage(argv[0]);
+      if (!int_flag(&server.scheduler.queue_depth)) return 2;
     } else if (arg == "--listen-backlog") {
-      if (const char* v = next()) server.listen_backlog = std::atoi(v);
-      else return Usage(argv[0]);
+      if (!int_flag(&server.listen_backlog)) return 2;
     } else if (arg == "--priority-weights") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
@@ -140,35 +159,25 @@ int main(int argc, char** argv) {
         server.scheduler.weights[c] = weights[c];
       }
     } else if (arg == "--max-iterations") {
-      if (const char* v = next()) options.eval.max_iterations = std::atoi(v);
-      else return Usage(argv[0]);
+      if (!int_flag(&options.eval.max_iterations)) return 2;
     } else if (arg == "--prepared-capacity") {
-      if (const char* v = next()) {
-        options.prepared_capacity = static_cast<size_t>(std::atol(v));
-      } else {
-        return Usage(argv[0]);
-      }
+      if (!int_flag(&options.prepared_capacity)) return 2;
     } else if (arg == "--wal-dir") {
       if (const char* v = next()) options.wal_dir = v;
       else return Usage(argv[0]);
     } else if (arg == "--wal-compact-bytes") {
-      if (const char* v = next()) options.wal_compact_bytes = std::atol(v);
-      else return Usage(argv[0]);
+      if (!int_flag(&options.wal_compact_bytes)) return 2;
     } else if (arg == "--query-deadline-ms") {
-      if (const char* v = next()) options.eval.deadline_ms = std::atol(v);
-      else return Usage(argv[0]);
+      if (!int_flag(&options.eval.deadline_ms)) return 2;
     } else if (arg == "--max-derived-facts") {
-      if (const char* v = next()) options.eval.max_derived_facts = std::atol(v);
-      else return Usage(argv[0]);
+      if (!int_flag(&options.eval.max_derived_facts)) return 2;
     } else if (arg == "--follow") {
       if (const char* v = next()) follow_endpoint = v;
       else return Usage(argv[0]);
     } else if (arg == "--replica-timeout-ms") {
-      if (const char* v = next()) replica_timeout_ms = std::atoi(v);
-      else return Usage(argv[0]);
+      if (!int_flag(&replica_timeout_ms)) return 2;
     } else if (arg == "--drain-timeout-ms") {
-      if (const char* v = next()) server.drain_timeout_ms = std::atoi(v);
-      else return Usage(argv[0]);
+      if (!int_flag(&server.drain_timeout_ms)) return 2;
     } else if (arg == "--subsumption") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
