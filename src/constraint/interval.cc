@@ -239,7 +239,7 @@ constexpr uint64_t kMemoImpliesSalt = 0x94d049bb133111ebull;
 
 /// Three-state outcome of an interval probe (0 inconclusive, 1 false,
 /// 2 true), memoized so a repeated probe costs one fingerprint lookup
-/// instead of a fresh BigInt-rational propagation. The memo is *not* the
+/// instead of a fresh rational propagation. The memo is *not* the
 /// DecisionCache: conclusive prepass answers stay out of the exact tier's
 /// cache by design (its entries and hit/miss counters keep measuring
 /// exact-procedure traffic only), and inconclusiveness — which the

@@ -29,35 +29,82 @@ LinearConstraint LinearConstraint::Make(const LinearExpr& lhs,
   return LinearConstraint(lhs - rhs, CmpOp::kEq);
 }
 
+namespace {
+
+/// Calls `fn` on every coefficient of `expr`, then its constant, while `fn`
+/// returns true. Returns whether every call did.
+template <typename Fn>
+bool AllValues(const LinearExpr& expr, Fn fn) {
+  for (const auto& [v, c] : expr.coefficients()) {
+    if (!fn(c)) return false;
+  }
+  return fn(expr.constant());
+}
+
+/// The factor lcm(denominators) / gcd(numerators scaled by that lcm) that
+/// makes every coefficient and the constant of `expr` an integer, with gcd 1
+/// among them. Computed in int64 with no BigInt; false when a value or an
+/// intermediate does not fit, and then `BigScaleFactor` decides.
+bool SmallScaleFactor(const LinearExpr& expr, Rational* factor) {
+  int64_t lcm = 1;
+  bool fits = AllValues(expr, [&lcm](const Rational& c) {
+    int64_t num = 0;
+    int64_t den = 0;
+    if (!c.ToInt64(&num, &den)) return false;
+    uint64_t g = BigInt::Gcd64(static_cast<uint64_t>(lcm),
+                               static_cast<uint64_t>(den));
+    return !__builtin_mul_overflow(lcm, den / static_cast<int64_t>(g), &lcm);
+  });
+  if (!fits) return false;
+  uint64_t gcd = 0;
+  fits = AllValues(expr, [lcm, &gcd](const Rational& c) {
+    int64_t num = 0;
+    int64_t den = 0;
+    c.ToInt64(&num, &den);
+    int64_t scaled = 0;
+    if (__builtin_mul_overflow(num, lcm / den, &scaled) ||
+        scaled == INT64_MIN) {
+      return false;
+    }
+    gcd = BigInt::Gcd64(gcd,
+                        static_cast<uint64_t>(scaled < 0 ? -scaled : scaled));
+    return true;
+  });
+  if (fits) *factor = Rational(lcm, static_cast<int64_t>(gcd));
+  return fits;
+}
+
+/// SmallScaleFactor in BigInt, for expressions beyond int64.
+Rational BigScaleFactor(const LinearExpr& expr) {
+  BigInt lcm(1);
+  AllValues(expr, [&lcm](const Rational& c) {
+    BigInt den = c.denominator();
+    lcm = lcm / BigInt::Gcd(lcm, den) * den;
+    return true;
+  });
+  BigInt gcd(0);
+  AllValues(expr, [&lcm, &gcd](const Rational& c) {
+    gcd = BigInt::Gcd(gcd, c.numerator() * (lcm / c.denominator()));
+    return true;
+  });
+  return Rational(lcm, gcd);
+}
+
+}  // namespace
+
 void LinearConstraint::Canonicalize() {
   if (expr_.coefficients().empty()) return;
   // Scale so all coefficients and the constant become integers with gcd 1.
-  BigInt den_lcm(1);
-  for (const auto& [v, c] : expr_.coefficients()) {
-    BigInt g = BigInt::Gcd(den_lcm, c.denominator());
-    den_lcm = den_lcm / g * c.denominator();
-  }
-  {
-    BigInt g = BigInt::Gcd(den_lcm, expr_.constant().denominator());
-    den_lcm = den_lcm / g * expr_.constant().denominator();
-  }
-  LinearExpr scaled = expr_.Scale(Rational(den_lcm, BigInt(1)));
-  BigInt num_gcd(0);
-  for (const auto& [v, c] : scaled.coefficients()) {
-    num_gcd = BigInt::Gcd(num_gcd, c.numerator());
-  }
-  num_gcd = BigInt::Gcd(num_gcd, scaled.constant().numerator());
-  if (!num_gcd.is_zero() && num_gcd != BigInt(1)) {
-    scaled = scaled.Scale(Rational(BigInt(1), num_gcd));
-  }
+  Rational factor;
+  if (!SmallScaleFactor(expr_, &factor)) factor = BigScaleFactor(expr_);
+  if (factor != Rational(1)) expr_ = expr_.Scale(factor);
   // For equalities, pick the orientation with a positive leading coefficient.
   if (op_ == CmpOp::kEq) {
-    const auto& coeffs = scaled.coefficients();
+    const auto& coeffs = expr_.coefficients();
     if (!coeffs.empty() && coeffs.begin()->second.is_negative()) {
-      scaled = -scaled;
+      expr_ = -expr_;
     }
   }
-  expr_ = std::move(scaled);
 }
 
 bool LinearConstraint::GroundValue() const {

@@ -305,12 +305,21 @@ Result<QueryOutcome> QueryService::Execute(const std::string& query_text,
   }
 
   outcome.reached_fixpoint = eval->stats.reached_fixpoint;
-  CQLOPT_ASSIGN_OR_RETURN(std::vector<Fact> answers,
-                          QueryAnswers(*eval, entry->prepared.query));
+  Result<std::vector<Fact>> answers =
+      QueryAnswers(*eval, entry->prepared.query);
+  {
+    // Release the materialization under the entry mutex. A later resume
+    // that finds itself its only holder (use_count() == 1) consumes it in
+    // place, and use_count() is a relaxed load: only this mutex orders the
+    // reads above before that resume's writes.
+    std::lock_guard<std::mutex> lock(entry->mutex);
+    eval.reset();
+  }
+  if (!answers.ok()) return answers.status();
   {
     std::lock_guard<std::mutex> lock(symbols_mutex_);
-    outcome.answers.reserve(answers.size());
-    for (const Fact& fact : answers) {
+    outcome.answers.reserve(answers->size());
+    for (const Fact& fact : *answers) {
       outcome.answers.push_back(fact.ToString(*program_.symbols));
     }
   }

@@ -18,10 +18,18 @@ namespace cqlopt {
 ///
 /// Representation: sign + little-endian base-2^32 magnitude with no leading
 /// zero limbs; zero is the empty magnitude with non-negative sign.
+///
+/// Most constraint coefficients are small, so `Rational` keeps values that
+/// fit in int64 inline and only holds `BigInt`s for the ones that do not
+/// (see rational.h). What reaches this class is the overflow tail, and its
+/// division is limb-wise: one pass for a one-limb divisor, Knuth's
+/// Algorithm D (TAOCP 4.3.1) otherwise.
 class BigInt {
  public:
   BigInt() : negative_(false) {}
   BigInt(int64_t value);  // NOLINT(runtime/explicit): ints are BigInts.
+  /// The value of a 128-bit integer (named, so int literals stay unambiguous).
+  static BigInt FromInt128(__int128 value);
 
   /// Parses an optionally signed decimal string. Returns false on malformed
   /// input (empty, or any non-digit past the sign).
@@ -63,6 +71,8 @@ class BigInt {
 
   /// Greatest common divisor, always non-negative; Gcd(0,0) == 0.
   static BigInt Gcd(const BigInt& a, const BigInt& b);
+  /// Gcd of two machine words; Gcd64(0,0) == 0.
+  static uint64_t Gcd64(uint64_t a, uint64_t b);
 
   /// Value as int64 if it fits. Returns false on overflow.
   bool ToInt64(int64_t* out) const;
@@ -72,6 +82,8 @@ class BigInt {
 
   /// Hash suitable for unordered containers.
   size_t Hash() const;
+  /// Equals BigInt(value).Hash(), computed without building the BigInt.
+  static size_t HashInt64(int64_t value);
 
  private:
   /// Compares magnitudes only.
@@ -84,11 +96,16 @@ class BigInt {
                                             const std::vector<uint32_t>& b);
   static std::vector<uint32_t> MulMagnitude(const std::vector<uint32_t>& a,
                                             const std::vector<uint32_t>& b);
-  /// Schoolbook long division on magnitudes. Precondition: b non-empty.
+  /// Limb-wise long division on magnitudes. Precondition: b non-empty.
   static void DivModMagnitude(const std::vector<uint32_t>& a,
                               const std::vector<uint32_t>& b,
                               std::vector<uint32_t>* quotient,
                               std::vector<uint32_t>* remainder);
+  /// limbs = limbs * mul + add, in place.
+  static void MulAddSmall(std::vector<uint32_t>* limbs, uint32_t mul,
+                          uint32_t add);
+  /// limbs /= divisor, in place; returns the remainder.
+  static uint32_t DivSmall(std::vector<uint32_t>* limbs, uint32_t divisor);
   static void Trim(std::vector<uint32_t>* limbs);
 
   void Normalize();

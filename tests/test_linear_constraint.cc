@@ -38,6 +38,42 @@ TEST(LinearConstraintTest, CanonicalizationScalesToIntegerGcdOne) {
   EXPECT_EQ(c.expr().constant(), Rational(-3));
 }
 
+TEST(LinearConstraintTest, CanonicalizationBeyondInt64) {
+  // Scaling by a positive factor never changes the canonical form, also
+  // when the scaled coefficients or their lcm/gcd leave int64.
+  LinearExpr e;
+  e.Add(1, Rational(BigInt(2), BigInt(3)));
+  e.Add(2, Rational(BigInt(4), BigInt(3)));
+  e.AddConstant(Rational(-2));
+  const LinearConstraint small(e, CmpOp::kLe);
+  BigInt huge;
+  ASSERT_TRUE(BigInt::FromString("98765432109876543210987", &huge));
+  for (const Rational& k :
+       {Rational(huge, BigInt(7)), Rational(BigInt(7), huge),
+        Rational(int64_t{3} << 61)}) {
+    EXPECT_EQ(LinearConstraint(e.Scale(k), CmpOp::kLe), small) << k.ToString();
+  }
+  // 2^62/3 $1 + 2^62/5 $2 <= 0: the lcm-scaled numerators overflow int64,
+  // the result 5$1 + 3$2 <= 0 does not.
+  const int64_t two62 = int64_t{1} << 62;
+  LinearExpr wide;
+  wide.Add(1, Rational(two62, 3));
+  wide.Add(2, Rational(two62, 5));
+  LinearConstraint reduced(wide, CmpOp::kLe);
+  EXPECT_EQ(reduced.expr().CoefficientOf(1), Rational(5));
+  EXPECT_EQ(reduced.expr().CoefficientOf(2), Rational(3));
+  // A result that stays past int64: 10^20/3 $1 + 5/2 <= 0 is
+  // 4*10^19 $1 + 3 <= 0.
+  BigInt e20;
+  ASSERT_TRUE(BigInt::FromString("100000000000000000000", &e20));
+  LinearExpr big;
+  big.Add(1, Rational(e20, BigInt(3)));
+  big.AddConstant(Rational(5, 2));
+  LinearConstraint kept(big, CmpOp::kLe);
+  EXPECT_EQ(kept.expr().CoefficientOf(1).ToString(), "40000000000000000000");
+  EXPECT_EQ(kept.expr().constant(), Rational(3));
+}
+
 TEST(LinearConstraintTest, EqualityOrientationCanonical) {
   // x - y = 0 and y - x = 0 canonicalize identically.
   LinearConstraint a(LinearExpr::Var(1) - LinearExpr::Var(2), CmpOp::kEq);
