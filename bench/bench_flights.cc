@@ -231,7 +231,6 @@ int main(int argc, char** argv) {
         cqlopt::bench::MakeNetwork(in.program.symbols.get(), 12, 48, 42);
     cqlopt::bench::WriteBenchJson("flights", in.program, db, 64,
                                   cqlopt::bench::ConstrainedJoinSection());
-    cqlopt::bench::WritePrepassJson("flights", in.program, db);
   }
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -14,8 +14,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "constraint/decision_scope.h"
-#include "constraint/interval.h"
 #include "testing/generator.h"
 #include "testing/properties.h"
 
@@ -106,60 +104,7 @@ void PrintAndMaybeWriteJson(bool json) {
                 return total > 0 ? total : 1.0;
               }());
 
-  // Interval-prepass ablation on the heaviest differential property: runs
-  // oracle_equiv over the shared case set with the prepass on vs off and
-  // reports the constraint-decision split of the fast tier.
-  const PropertyInfo* oracle = cqlopt::testing::FindProperty("oracle_equiv");
-  double arm_ms[2] = {0, 0};
-  cqlopt::prepass::Counters split[2];
-  for (int arm = 0; arm < 2; ++arm) {
-    cqlopt::DecisionScope tiers({.prepass = arm == 0});
-    cqlopt::prepass::Counters before = cqlopt::prepass::Snapshot();
-    auto start = std::chrono::steady_clock::now();
-    for (const FuzzCase& c : cases) {
-      auto outcome = oracle->fn(c, fuzz);
-      if (!outcome.ok) {
-        std::fprintf(stderr, "oracle_equiv FAILED during prepass bench: %s\n",
-                     outcome.message.c_str());
-        std::abort();
-      }
-    }
-    arm_ms[arm] = 1000.0 * Seconds(start);
-    cqlopt::prepass::Counters after = cqlopt::prepass::Snapshot();
-    split[arm].sat = after.sat - before.sat;
-    split[arm].unsat = after.unsat - before.unsat;
-    split[arm].implied = after.implied - before.implied;
-    split[arm].not_implied = after.not_implied - before.not_implied;
-    split[arm].fallback = after.fallback - before.fallback;
-  }
-  double fuzz_delta_pct =
-      arm_ms[1] > 0 ? 100.0 * (arm_ms[1] - arm_ms[0]) / arm_ms[1] : 0.0;
-  long fuzz_decisions = split[0].conclusive() + split[0].fallback;
-  double fuzz_rate =
-      fuzz_decisions > 0
-          ? static_cast<double>(split[0].conclusive()) / fuzz_decisions
-          : 0.0;
-  std::printf("prepass ablation (oracle_equiv x %d cases): on=%.1fms "
-              "off=%.1fms delta=%.1f%% conclusive=%ld fallback=%ld\n\n",
-              kCheckCases, arm_ms[0], arm_ms[1], fuzz_delta_pct,
-              split[0].conclusive(), split[0].fallback);
-
   if (!json) return;
-  {
-    char row[512];
-    std::snprintf(
-        row, sizeof(row),
-        "{\"workload\": \"fuzz_oracle_equiv\", \"reps\": 1, "
-        "\"delta_pct\": %.1f, \"conclusive_rate\": %.4f, \"arms\": ["
-        "{\"label\": \"prepass-on\", \"wall_ms\": %.3f, "
-        "\"prepass_conclusive\": %ld, \"prepass_fallback\": %ld}, "
-        "{\"label\": \"prepass-off\", \"wall_ms\": %.3f, "
-        "\"prepass_conclusive\": %ld, \"prepass_fallback\": %ld}]}",
-        fuzz_delta_pct, fuzz_rate, arm_ms[0], split[0].conclusive(),
-        split[0].fallback, arm_ms[1], split[1].conclusive(),
-        split[1].fallback);
-    MergePrepassWorkload("fuzz_oracle_equiv", row);
-  }
   std::string out = "{\n  \"bench\": \"fuzz\",\n";
   char buf[256];
   std::snprintf(buf, sizeof(buf),

@@ -110,13 +110,6 @@ int main(int argc, char** argv) {
     // same capped prefix google-benchmark times below.
     cqlopt::bench::WriteBenchJson("table1_fib_magic", magic.program,
                                   cqlopt::Database(), /*max_iterations=*/24);
-    // The prepass ablation runs deeper than the timing arms: the diverging
-    // evaluation grows its constraint chains with every iteration, and the
-    // deeper prefix is where exact FM's superlinear elimination cost
-    // separates from the prepass's linear bound propagation.
-    cqlopt::bench::WritePrepassJson("table1_fib_magic", magic.program,
-                                    cqlopt::Database(),
-                                    /*max_iterations=*/40);
   }
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

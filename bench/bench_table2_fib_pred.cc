@@ -160,8 +160,6 @@ int main(int argc, char** argv) {
         cqlopt::MagicTemplates(pfib1, in.query, options), "magic");
     cqlopt::bench::WriteBenchJson("table2_fib_pred", magic.program,
                                   cqlopt::Database());
-    cqlopt::bench::WritePrepassJson("table2_fib_pred", magic.program,
-                                    cqlopt::Database());
   }
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

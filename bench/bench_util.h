@@ -19,7 +19,6 @@
 #include "ast/printer.h"
 #include "constraint/decision_cache.h"
 #include "constraint/decision_scope.h"
-#include "constraint/interval.h"
 #include "core/equivalence.h"
 #include "core/workload.h"
 #include "eval/seminaive.h"
@@ -181,15 +180,14 @@ struct JsonArm {
   std::string label;
   EvalStrategy strategy = EvalStrategy::kStratified;
   bool cache = true;
-  bool prepass = true;
   bool interval = true;
 };
 
 /// `--json` mode: evaluates `program` once per arm — the global semi-naive
-/// plan, the stratified plan, and stratified cache-off / prepass-off /
+/// plan, the stratified plan, and stratified cache-off /
 /// interval-index-off ablations — and writes
 /// BENCH_<name>.json with the wall-clock and the
-/// derivation/probe/cache/prepass/interval counters of each arm, plus the
+/// derivation/probe/cache/interval counters of each arm, plus the
 /// columnar-storage footprint (approximate resident bytes and bytes per
 /// stored fact of the final database). The decision cache is cleared before
 /// every arm so each measures a cold start (hits within an arm are real
@@ -201,11 +199,10 @@ inline void WriteBenchJson(const char* name, const Program& program,
                            const Database& edb, int max_iterations = 64,
                            const std::string& extra_sections = "") {
   const JsonArm arms[] = {
-      {"seminaive", EvalStrategy::kSemiNaive, true, true, true},
-      {"stratified", EvalStrategy::kStratified, true, true, true},
-      {"stratified-nocache", EvalStrategy::kStratified, false, true, true},
-      {"stratified-noprepass", EvalStrategy::kStratified, true, false, true},
-      {"stratified-nointerval", EvalStrategy::kStratified, true, true, false},
+      {"seminaive", EvalStrategy::kSemiNaive, true, true},
+      {"stratified", EvalStrategy::kStratified, true, true},
+      {"stratified-nocache", EvalStrategy::kStratified, false, true},
+      {"stratified-nointerval", EvalStrategy::kStratified, true, false},
   };
   std::string json = "{\n  \"bench\": \"" + std::string(name) +
                      "\",\n  \"arms\": [\n";
@@ -213,11 +210,9 @@ inline void WriteBenchJson(const char* name, const Program& program,
   for (const JsonArm& arm : arms) {
     DecisionScope tiers({.cache = arm.cache});
     DecisionCache::Instance().Clear();
-    prepass::ClearMemo();
     EvalOptions opts;
     opts.max_iterations = max_iterations;
     opts.strategy = arm.strategy;
-    opts.prepass = arm.prepass;
     opts.interval_index = arm.interval;
     auto start = std::chrono::steady_clock::now();
     EvalResult run = ValueOrDie(Evaluate(program, edb, opts),
@@ -234,7 +229,7 @@ inline void WriteBenchJson(const char* name, const Program& program,
     std::snprintf(
         row, sizeof(row),
         "    {\"label\": \"%s\", \"cache\": %s, "
-        "\"prepass\": %s, \"interval\": %s, \"wall_ms\": %.3f, "
+        "\"interval\": %s, \"wall_ms\": %.3f, "
         "\"derivations\": %ld, "
         "\"inserted\": %ld, \"subsumed\": %ld, \"duplicates\": %ld, "
         "\"iterations\": %d, \"index_probes\": %ld, \"scan_probes\": %ld, "
@@ -243,17 +238,15 @@ inline void WriteBenchJson(const char* name, const Program& program,
         "\"interval_build_ms\": %.3f, "
         "\"resident_bytes\": %zu, \"bytes_per_fact\": %.1f, "
         "\"cache_hits\": %ld, \"cache_misses\": %ld, "
-        "\"cache_evictions\": %ld, \"prepass_conclusive\": %ld, "
-        "\"prepass_fallback\": %ld}",
+        "\"cache_evictions\": %ld}",
         arm.label.c_str(), arm.cache ? "true" : "false",
-        arm.prepass ? "true" : "false", arm.interval ? "true" : "false",
+        arm.interval ? "true" : "false",
         wall_ms, s.derivations, s.inserted,
         s.subsumed, s.duplicates, s.iterations, s.index_probes, s.scan_probes,
         s.interval_probes, s.interval_candidates, s.interval_scan_equivalent,
         s.interval_runs_pruned, s.interval_index_build_ns / 1e6,
         resident, bytes_per_fact,
-        s.cache_hits, s.cache_misses, s.cache_evictions, s.prepass_conclusive,
-        s.prepass_fallback);
+        s.cache_hits, s.cache_misses, s.cache_evictions);
     if (!first) json += ",\n";
     json += row;
     first = false;
@@ -291,7 +284,6 @@ inline std::string MeasureIntervalAblation(const char* label,
     std::vector<double> walls;
     for (int rep = 0; rep < reps; ++rep) {
       DecisionCache::Instance().Clear();
-      prepass::ClearMemo();
       EvalOptions opts;
       opts.max_iterations = max_iterations;
       opts.strategy = EvalStrategy::kStratified;
@@ -329,134 +321,6 @@ inline std::string MeasureIntervalAblation(const char* label,
               label, wall[0], wall[1], speedup, on.interval_candidates,
               on.interval_scan_equivalent, cut, on.interval_runs_pruned);
   return row;
-}
-
-/// Merges one workload row into BENCH_prepass.json. The file keeps every
-/// workload entry on its own line inside the "workloads" array, so each
-/// bench binary can contribute its row independently: the writer reads the
-/// existing file, keeps the rows of other workloads, and replaces (or
-/// appends) the row for `workload`. `row_json` must be a complete one-line
-/// JSON object starting with {"workload": "<name>", ...}.
-inline void MergePrepassWorkload(const std::string& workload,
-                                 const std::string& row_json) {
-  const char* path = "BENCH_prepass.json";
-  std::vector<std::string> rows;
-  if (FILE* f = std::fopen(path, "r")) {
-    std::string contents;
-    char buf[4096];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-      contents.append(buf, n);
-    }
-    std::fclose(f);
-    const std::string marker = "{\"workload\": \"";
-    size_t pos = 0;
-    while ((pos = contents.find(marker, pos)) != std::string::npos) {
-      size_t name_start = pos + marker.size();
-      size_t name_end = contents.find('"', name_start);
-      size_t line_end = contents.find('\n', pos);
-      if (name_end == std::string::npos) break;
-      if (line_end == std::string::npos) line_end = contents.size();
-      std::string name = contents.substr(name_start, name_end - name_start);
-      if (name != workload) {
-        std::string row = contents.substr(pos, line_end - pos);
-        while (!row.empty() && (row.back() == ',' || row.back() == '\r')) {
-          row.pop_back();
-        }
-        rows.push_back(row);
-      }
-      pos = line_end;
-    }
-  }
-  rows.push_back(row_json);
-  std::string out = "{\n  \"bench\": \"prepass\",\n  \"workloads\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    out += "    " + rows[i];
-    if (i + 1 < rows.size()) out += ",";
-    out += "\n";
-  }
-  out += "  ]\n}\n";
-  FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    std::abort();
-  }
-  std::fputs(out.c_str(), f);
-  std::fclose(f);
-  std::printf("wrote %s (workload %s)\n", path, workload.c_str());
-}
-
-/// Measures the interval-prepass ablation on one evaluation workload and
-/// records it in BENCH_prepass.json: stratified runs with the
-/// prepass on vs off, the decision cache cleared before every run (cold
-/// start — the prepass win must not hide behind warm cache hits), median
-/// wall-clock of `reps` runs per arm, plus the conclusive/fallback split of
-/// the approximate tier. The arms run under full set-implication
-/// subsumption — the engine's decision-heaviest configuration (the paper's
-/// Section 2 semantic check), where constraint decisions rather than join
-/// machinery dominate and the two-tier split is what's actually being
-/// measured; both arms stay byte-identical in every mode (the differential
-/// matrices in tests/ pin that).
-inline void WritePrepassJson(const char* workload, const Program& program,
-                             const Database& edb, int max_iterations = 64,
-                             int reps = 5) {
-  struct ArmOut {
-    double wall_ms = 0;
-    EvalStats stats;
-  };
-  ArmOut out[2];  // [0] = prepass on, [1] = prepass off.
-  for (int arm = 0; arm < 2; ++arm) {
-    DecisionScope tiers({.prepass = arm == 0});
-    std::vector<double> walls;
-    for (int rep = 0; rep < reps; ++rep) {
-      DecisionCache::Instance().Clear();
-      prepass::ClearMemo();
-      EvalOptions opts;
-      opts.max_iterations = max_iterations;
-      opts.strategy = EvalStrategy::kStratified;
-      opts.subsumption = SubsumptionMode::kSetImplication;
-      auto start = std::chrono::steady_clock::now();
-      EvalResult run = ValueOrDie(Evaluate(program, edb, opts), workload);
-      walls.push_back(std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - start)
-                          .count());
-      out[arm].stats = run.stats;
-    }
-    std::sort(walls.begin(), walls.end());
-    out[arm].wall_ms = walls[walls.size() / 2];
-  }
-  const EvalStats& on = out[0].stats;
-  const EvalStats& off = out[1].stats;
-  long decisions = on.prepass_conclusive + on.prepass_fallback;
-  double conclusive_rate =
-      decisions > 0
-          ? static_cast<double>(on.prepass_conclusive) / decisions
-          : 0.0;
-  double delta_pct =
-      out[1].wall_ms > 0
-          ? 100.0 * (out[1].wall_ms - out[0].wall_ms) / out[1].wall_ms
-          : 0.0;
-  char row[1024];
-  std::snprintf(
-      row, sizeof(row),
-      "{\"workload\": \"%s\", \"reps\": %d, \"delta_pct\": %.1f, "
-      "\"conclusive_rate\": %.4f, \"arms\": ["
-      "{\"label\": \"prepass-on\", \"wall_ms\": %.3f, "
-      "\"prepass_conclusive\": %ld, \"prepass_fallback\": %ld, "
-      "\"cache_hits\": %ld, \"cache_misses\": %ld}, "
-      "{\"label\": \"prepass-off\", \"wall_ms\": %.3f, "
-      "\"prepass_conclusive\": %ld, \"prepass_fallback\": %ld, "
-      "\"cache_hits\": %ld, \"cache_misses\": %ld}]}",
-      workload, reps, delta_pct, conclusive_rate, out[0].wall_ms,
-      on.prepass_conclusive, on.prepass_fallback, on.cache_hits,
-      on.cache_misses, out[1].wall_ms, off.prepass_conclusive,
-      off.prepass_fallback, off.cache_hits, off.cache_misses);
-  std::printf("prepass ablation (%s): on=%.3fms off=%.3fms delta=%.1f%% "
-              "conclusive=%ld fallback=%ld (rate %.1f%%)\n",
-              workload, out[0].wall_ms, out[1].wall_ms, delta_pct,
-              on.prepass_conclusive, on.prepass_fallback,
-              100.0 * conclusive_rate);
-  MergePrepassWorkload(workload, row);
 }
 
 }  // namespace bench

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "constraint/fourier_motzkin.h"
-#include "constraint/interval.h"
 
 namespace cqlopt {
 
@@ -157,7 +156,7 @@ Status Conjunction::AddConjunction(const Conjunction& other) {
 
 bool Conjunction::IsSatisfiable() const {
   if (unsat_) return false;
-  if (!sat_cache_.has_value()) sat_cache_ = prepass::IsSatisfiable(linear_);
+  if (!sat_cache_.has_value()) sat_cache_ = fm::IsSatisfiable(linear_);
   return *sat_cache_;
 }
 

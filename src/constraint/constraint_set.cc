@@ -33,9 +33,9 @@ bool ConstraintSet::IsTriviallyTrue() const {
 }
 
 bool ConstraintSet::AddDisjunct(const Conjunction& disjunct) {
-  // The satisfiability / implication decisions below resolve through the
-  // two-tier procedure (interval prepass, then exact FM — DESIGN.md §11)
-  // via Conjunction::IsSatisfiable, Implies, and ImpliesDisjunction.
+  // The satisfiability / implication decisions below are exact cached FM
+  // decisions (DESIGN.md §11), via Conjunction::IsSatisfiable, Implies,
+  // and ImpliesDisjunction.
   if (!disjunct.IsSatisfiable()) return false;
   if (ImpliesDisjunction(disjunct, disjuncts_)) return false;
   // Drop existing disjuncts the new one subsumes.

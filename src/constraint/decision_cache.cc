@@ -4,50 +4,19 @@
 
 namespace cqlopt {
 
-std::optional<uint8_t> VerdictTable::Lookup(uint64_t key) const {
-  const Shard& shard = shards_[ShardOf(key)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(key);
-  if (it == shard.map.end()) return std::nullopt;
-  return it->second;
-}
-
-long VerdictTable::Store(uint64_t key, uint8_t value) {
-  Shard& shard = shards_[ShardOf(key)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  long evicted = 0;
-  if (shard.map.size() >= capacity_.load(std::memory_order_relaxed) &&
-      shard.map.find(key) == shard.map.end()) {
-    evicted = static_cast<long>(shard.map.size());
-    shard.map.clear();
-  }
-  shard.map.emplace(key, value);
-  return evicted;
-}
-
-long VerdictTable::size() const {
-  long entries = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    entries += static_cast<long>(shard.map.size());
-  }
-  return entries;
-}
-
-void VerdictTable::Clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.map.clear();
-  }
-}
-
 DecisionCache& DecisionCache::Instance() {
   static DecisionCache* cache = new DecisionCache();  // never destroyed
   return *cache;
 }
 
 std::optional<bool> DecisionCache::Lookup(uint64_t key) {
-  std::optional<uint8_t> hit = table_.Lookup(key);
+  std::optional<bool> hit;
+  {
+    Shard& shard = ShardOf(key);
+    std::lock_guard<std::mutex> lock(shard.mu);
+    auto it = shard.map.find(key);
+    if (it != shard.map.end()) hit = it->second;
+  }
   if (!hit.has_value()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     DecisionScope::Count(&DecisionScope::Counts::cache_misses);
@@ -55,11 +24,22 @@ std::optional<bool> DecisionCache::Lookup(uint64_t key) {
   }
   hits_.fetch_add(1, std::memory_order_relaxed);
   DecisionScope::Count(&DecisionScope::Counts::cache_hits);
-  return *hit != 0;
+  return hit;
 }
 
 void DecisionCache::Store(uint64_t key, bool value) {
-  if (long evicted = table_.Store(key, value ? 1 : 0)) {
+  long evicted = 0;
+  {
+    Shard& shard = ShardOf(key);
+    std::lock_guard<std::mutex> lock(shard.mu);
+    if (shard.map.size() >= capacity_.load(std::memory_order_relaxed) &&
+        shard.map.find(key) == shard.map.end()) {
+      evicted = static_cast<long>(shard.map.size());
+      shard.map.clear();
+    }
+    shard.map.emplace(key, value);
+  }
+  if (evicted > 0) {
     evictions_.fetch_add(evicted, std::memory_order_relaxed);
     DecisionScope::Count(&DecisionScope::Counts::cache_evictions, evicted);
   }
@@ -70,8 +50,18 @@ DecisionCache::Counters DecisionCache::Snapshot() const {
   out.hits = hits_.load(std::memory_order_relaxed);
   out.misses = misses_.load(std::memory_order_relaxed);
   out.evictions = evictions_.load(std::memory_order_relaxed);
-  out.entries = table_.size();
+  for (const Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    out.entries += static_cast<long>(shard.map.size());
+  }
   return out;
+}
+
+void DecisionCache::Clear() {
+  for (Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    shard.map.clear();
+  }
 }
 
 }  // namespace cqlopt

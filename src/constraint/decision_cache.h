@@ -9,49 +9,6 @@
 
 namespace cqlopt {
 
-/// Sharded table of one-byte verdicts keyed by 64-bit decision fingerprints
-/// (constraint/fingerprint.h): the storage of both the DecisionCache and
-/// the prepass verdict memo (interval.cc), each with its own capacity and
-/// key salts. Each shard has its own mutex, so queries evaluated
-/// concurrently (cqld's scheduler workers) share entries without one hot
-/// lock. An insert into a full shard clears that shard first (wholesale
-/// eviction — entries are single bytes keyed by uint64, so tracking
-/// recency would cost more than recomputing the evicted decisions).
-class VerdictTable {
- public:
-  static constexpr int kShardCount = 16;
-
-  explicit VerdictTable(size_t capacity_per_shard)
-      : capacity_(capacity_per_shard) {}
-
-  std::optional<uint8_t> Lookup(uint64_t key) const;
-  /// Returns the number of entries evicted to make room (0 or a full
-  /// shard's worth).
-  long Store(uint64_t key, uint8_t value);
-  long size() const;
-  void Clear();
-
-  void set_capacity_per_shard(size_t n) {
-    capacity_.store(n, std::memory_order_relaxed);
-  }
-
- private:
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<uint64_t, uint8_t> map;
-  };
-
-  static size_t ShardOf(uint64_t key) {
-    // The fingerprints are already well mixed; fold the high bits so shard
-    // choice is independent of the map's own bucket choice (low bits).
-    return static_cast<size_t>((key >> 48) ^ (key >> 32)) %
-           static_cast<size_t>(kShardCount);
-  }
-
-  Shard shards_[kShardCount];
-  std::atomic<size_t> capacity_;
-};
-
 /// Process-wide memo table for boolean constraint decisions — the answers
 /// of fm::IsSatisfiable, fm::ImpliesAtom, and Implies(Conjunction,
 /// Conjunction) keyed by the fingerprints of their inputs
@@ -67,12 +24,16 @@ class VerdictTable {
 /// cache when the current DecisionScope turns it off, and each count below
 /// is also added to that scope.
 ///
-/// Storage is a VerdictTable of kShardCount shards holding at most
-/// kMaxEntriesPerShard entries each; counters are relaxed atomics. Evicted
-/// entry counts are reported so benches can see thrash.
+/// Storage is kShardCount shards of at most kMaxEntriesPerShard entries,
+/// each shard behind its own mutex, so queries evaluated concurrently
+/// (cqld's scheduler workers) share entries without one hot lock. An insert
+/// into a full shard clears that shard first (wholesale eviction — entries
+/// are single bools keyed by uint64, so tracking recency would cost more
+/// than recomputing the evicted decisions). Counters are relaxed atomics;
+/// evicted entry counts are reported so benches can see thrash.
 class DecisionCache {
  public:
-  static constexpr int kShardCount = VerdictTable::kShardCount;
+  static constexpr int kShardCount = 16;
   static constexpr size_t kMaxEntriesPerShard = 1u << 15;
 
   /// Monotonic counter snapshot (entries is a point-in-time gauge).
@@ -93,7 +54,8 @@ class DecisionCache {
   /// into an eviction, the worst-case thrash the cache-equivalence property
   /// pins byte-identical results under).
   void set_capacity_per_shard_for_testing(size_t n) {
-    table_.set_capacity_per_shard(n == 0 ? kMaxEntriesPerShard : n);
+    capacity_.store(n == 0 ? kMaxEntriesPerShard : n,
+                    std::memory_order_relaxed);
   }
 
   /// Process-wide totals since start-up, across all threads.
@@ -101,12 +63,25 @@ class DecisionCache {
 
   /// Drops all entries (counters keep accumulating): cold-start runs in
   /// benches and differential properties.
-  void Clear() { table_.Clear(); }
+  void Clear();
 
  private:
+  struct Shard {
+    mutable std::mutex mu;
+    std::unordered_map<uint64_t, bool> map;
+  };
+
   DecisionCache() = default;
 
-  VerdictTable table_{kMaxEntriesPerShard};
+  Shard& ShardOf(uint64_t key) {
+    // The fingerprints are already well mixed; fold the high bits so shard
+    // choice is independent of the map's own bucket choice (low bits).
+    return shards_[static_cast<size_t>((key >> 48) ^ (key >> 32)) %
+                   static_cast<size_t>(kShardCount)];
+  }
+
+  Shard shards_[kShardCount];
+  std::atomic<size_t> capacity_{kMaxEntriesPerShard};
   std::atomic<long> hits_{0};
   std::atomic<long> misses_{0};
   std::atomic<long> evictions_{0};

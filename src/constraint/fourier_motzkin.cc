@@ -176,6 +176,8 @@ bool IsSatisfiableUncached(const std::vector<LinearConstraint>& constraints) {
 }  // namespace
 
 bool IsSatisfiable(const std::vector<LinearConstraint>& constraints) {
+  // No linear atoms (a fact over symbols only): true without a fingerprint.
+  if (constraints.empty()) return true;
   if (!DecisionScope::cache_on()) return IsSatisfiableUncached(constraints);
   DecisionCache& cache = DecisionCache::Instance();
   uint64_t key = fp::Mix(kSatisfiableSalt, fp::FingerprintOf(constraints));
@@ -222,12 +224,7 @@ std::vector<LinearConstraint> RemoveRedundant(
   if (!Tidy(&constraints)) return constraints;
   // Simplification runs per derivation (Conjunction::Simplify in EmitHead)
   // over large pre-simplification conjunctions whose content repeats across
-  // derivations, so these decisions stay on the memoized exact procedures:
-  // probing the interval prepass per atom here costs O(atoms^2) rational
-  // propagation per Simplify and is mostly inconclusive (redundancy needs
-  // the rarely-provable "not implied" direction), while a repeated exact
-  // decision is one cache hit. The prepass instead guards the callers'
-  // entry points (Conjunction::IsSatisfiable, Implies).
+  // derivations, so a repeated decision here is one cache hit.
   if (!IsSatisfiable(constraints)) {
     // Canonical "false": 0 < 0 ... represented as constant 0 with kLt is
     // trivially false only if constant is >= 0; use 1 <= 0.

@@ -1,10 +1,11 @@
 #include "constraint/implication.h"
 
+#include <optional>
+
 #include "constraint/decision_cache.h"
 #include "constraint/decision_scope.h"
 #include "constraint/fingerprint.h"
 #include "constraint/fourier_motzkin.h"
-#include "constraint/interval.h"
 
 namespace cqlopt {
 namespace {
@@ -35,7 +36,7 @@ bool HasSymbolicAtoms(const Conjunction& c) {
 bool RefuteAll(std::vector<LinearConstraint> base,
                const std::vector<std::vector<LinearConstraint>>& disjuncts,
                size_t idx) {
-  if (!prepass::IsSatisfiable(base)) return true;
+  if (!fm::IsSatisfiable(base)) return true;
   if (idx == disjuncts.size()) return false;
   for (const LinearConstraint& atom : disjuncts[idx]) {
     for (const LinearConstraint& piece : atom.Negations()) {
@@ -51,17 +52,41 @@ bool RefuteAll(std::vector<LinearConstraint> base,
   return true;
 }
 
-/// The uncached body of Implies() below.
-bool ImpliesUncached(const Conjunction& a, const Conjunction& b) {
+/// The steps of Implies() that need no elimination: an UNSAT `a` implies
+/// anything, nothing satisfiable implies a known-UNSAT `b`, symbol
+/// bindings of `b` are entailed only syntactically (linear atoms cannot
+/// bind symbols), and a linear atom of `b` whose variables `a` pins by
+/// direct equality atoms (the canonical form of ground facts) is decided
+/// by evaluating it at that point. nullopt leaves the pair to
+/// ImpliesObligations. Every answer is exact. Set-implication subsumption
+/// spends nearly all its pairs here (candidate and stored fact differing in
+/// a symbol, or both ground), so they cost no fingerprint and no cache
+/// traffic.
+std::optional<bool> ImpliesSyntactic(const Conjunction& a,
+                                     const Conjunction& b) {
   if (!a.IsSatisfiable()) return true;
   if (b.known_unsat()) return false;
-  std::vector<LinearConstraint> a_atoms = a.LinearWithEqualities();
-  // Symbol bindings of b must be entailed syntactically.
   for (const auto& [root, symbol] : b.SymbolBindings()) {
     auto bound = a.GetSymbol(root);
     if (!bound.has_value() || *bound != symbol) return false;
   }
-  // Variable equalities of b.
+  if (!b.EqualityPairs().empty()) return std::nullopt;
+  for (const LinearConstraint& atom : b.linear()) {
+    LinearConstraint at_point = atom;
+    for (const auto& [v, coeff] : atom.expr().coefficients()) {
+      std::optional<Rational> value = a.QuickNumericValue(v);
+      if (!value.has_value()) return std::nullopt;
+      at_point = at_point.Substitute(v, LinearExpr::Constant(*value));
+    }
+    if (!at_point.GroundValue()) return false;
+  }
+  return true;
+}
+
+/// The rest of Implies() for a satisfiable `a` whose symbol bindings cover
+/// b's: b's variable equalities and linear atoms, by exact FM.
+bool ImpliesObligations(const Conjunction& a, const Conjunction& b) {
+  std::vector<LinearConstraint> a_atoms = a.LinearWithEqualities();
   for (const auto& [member, root] : b.EqualityPairs()) {
     // If the class is symbol-bound in b, entailment must be via symbols.
     if (b.GetSymbol(root).has_value()) {
@@ -73,11 +98,6 @@ bool ImpliesUncached(const Conjunction& a, const Conjunction& b) {
     }
     if (!EntailsEquality(a, a_atoms, member, root)) return false;
   }
-  // Linear atoms of b. These stay on the memoized exact procedure: this
-  // body only runs after the pair-level interval prepass (TryImplies in
-  // Implies) was inconclusive, which already checked each of these atoms
-  // against a's propagated box — re-propagating per atom here would be
-  // pure overhead.
   for (const LinearConstraint& atom : b.linear()) {
     if (!fm::ImpliesAtom(a_atoms, atom)) return false;
   }
@@ -87,9 +107,7 @@ bool ImpliesUncached(const Conjunction& a, const Conjunction& b) {
 }  // namespace
 
 bool Implies(const Conjunction& a, const Conjunction& b) {
-  // Approximate tier first: a conclusive interval-propagation answer equals
-  // the exact decision and skips both the cache probe and the FM fallback.
-  if (std::optional<bool> fast = prepass::TryImplies(a, b)) return *fast;
+  if (std::optional<bool> settled = ImpliesSyntactic(a, b)) return *settled;
   // Memoized on the conjunction fingerprints: the decision depends only on
   // the canonical stores the fingerprint covers. Subsumption probes the
   // same (new fact, stored fact) constraint pairs across iterations and
@@ -102,7 +120,7 @@ bool Implies(const Conjunction& a, const Conjunction& b) {
                   fp::FingerprintOf(b));
     if (std::optional<bool> hit = cache.Lookup(key)) return *hit;
   }
-  bool value = ImpliesUncached(a, b);
+  bool value = ImpliesObligations(a, b);
   if (use_cache) cache.Store(key, value);
   return value;
 }

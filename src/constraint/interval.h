@@ -10,12 +10,10 @@
 
 namespace cqlopt {
 
-class Conjunction;
-
 /// An interval over the rationals with open/closed endpoints and infinite
-/// ends — the per-variable domain of the approximate decision tier
-/// (DESIGN.md §11). A default-constructed interval is the full line
-/// (-inf, +inf); Tighten* only ever shrinks it.
+/// ends — the per-variable domain of the interval index (DESIGN.md §12).
+/// A default-constructed interval is the full line (-inf, +inf); Tighten*
+/// only ever shrinks it.
 class Interval {
  public:
   Interval() = default;
@@ -80,12 +78,11 @@ struct ExprRange {
 };
 
 /// Per-variable interval domains derived from a conjunction of linear
-/// constraints by round-capped bound propagation. The box is a sound
-/// over-approximation of the solution set: every solution lies inside it,
-/// so an empty box proves UNSAT, and an atom that holds at every box point
-/// is implied. Completeness is never claimed — a nonempty box proves
-/// nothing by itself (callers use ProvesAll to recognize the case where
-/// every box point is in fact a solution).
+/// constraints by round-capped bound propagation — the bound summaries of
+/// the interval index (DESIGN.md §12). The box is a sound over-approximation
+/// of the solution set: every solution lies inside it, so an empty box
+/// proves UNSAT and a variable's interval bounds every value it can take.
+/// A nonempty box proves nothing by itself.
 class IntervalDomain {
  public:
   /// Fixed round cap: divergent tightenings (x <= y - 1 & y <= x - 1 walks
@@ -105,91 +102,28 @@ class IntervalDomain {
   /// The domain of `v` (the full line if never constrained).
   const Interval& Of(VarId v) const;
 
-  /// Attainment-aware interval evaluation of `expr` over the box.
-  ExprRange RangeOf(const LinearExpr& expr) const;
-
-  /// `atom` holds at EVERY point of the box. With a nonempty box this is a
-  /// sound implication proof for any constraint set the box over-covers.
-  bool ProvesAtom(const LinearConstraint& atom) const;
-  /// `atom` fails at EVERY point of the box: since all solutions lie in the
-  /// box, conjoining `atom` is definitely UNSAT.
-  bool RefutesAtom(const LinearConstraint& atom) const;
-  /// `atom` fails at SOME point of the box. Only meaningful as a disproof
-  /// when every box point is known to be a solution (ProvesAll).
-  bool ViolatedSomewhere(const LinearConstraint& atom) const;
-  /// Every atom of `cs` holds on the whole box. Combined with a nonempty
-  /// box this certifies satisfiability: any box point is a model, and the
-  /// box coincides with the solution set for disproof purposes.
-  bool ProvesAll(const std::vector<LinearConstraint>& cs) const;
-
  private:
   /// Achieved range of `expr` minus its `skip` term over the box (the
-  /// "rest" used to bound `skip` from a constraint). skip == kNoVar means
-  /// the whole expression.
+  /// "rest" used to bound `skip` from a constraint).
   ExprRange RestRange(const LinearExpr& expr, VarId skip) const;
 
   bool empty_ = false;
   std::map<VarId, Interval> intervals_;
 };
 
-/// The approximate-first decision tier (DESIGN.md §11): interval bound
-/// propagation answers the easy satisfiability / implication queries and
-/// falls through to exact Fourier–Motzkin (with its DecisionCache) on the
-/// rest. Every conclusive answer equals the exact decision — the prepass is
-/// sound both ways by construction and the differential layer
-/// (prepass_equiv, test_interval's randomized sweep) pins it.
+/// Stubs kept only so perfbench, whose sources predate the removal of the
+/// interval prepass decision tier (DESIGN.md §11), still builds: there is
+/// no prepass memo to clear and no prepass verdict to count, so its
+/// `constraint.prepass_*` metrics read 0.
 namespace prepass {
 
-/// Monotonic process-wide counters, split by conclusive verdict kind plus
-/// the inconclusive fallbacks to exact FM. Each count is also added to the
-/// current DecisionScope (as prepass_conclusive / prepass_fallback), which
-/// is how EvalStats / InferenceResult get theirs.
 struct Counters {
-  long sat = 0;          // conclusive "satisfiable"
-  long unsat = 0;        // conclusive "unsatisfiable"
-  long implied = 0;      // conclusive "implies"
-  long not_implied = 0;  // conclusive "does not imply"
-  long fallback = 0;     // inconclusive -> exact FM decided
-
-  long conclusive() const { return sat + unsat + implied + not_implied; }
+  long fallback = 0;
+  long conclusive() const { return 0; }
 };
 
-Counters Snapshot();
-
-/// Approximate tier only — pure probes with no fallback and no counter
-/// updates (the unit/randomized tests call these directly). nullopt means
-/// inconclusive; any non-null answer equals the exact FM decision.
-std::optional<bool> TrySatisfiable(const std::vector<LinearConstraint>& cs);
-std::optional<bool> TryImpliesAtom(const std::vector<LinearConstraint>& cs,
-                                   const LinearConstraint& atom);
-
-/// Two-tier decisions: the interval prepass first — a conclusive answer
-/// returns immediately and never touches the DecisionCache (no lookup, no
-/// fill) — then exact cached FM. These are the entry points the evaluator's
-/// call sites use (Conjunction::IsSatisfiable, implication.cc). Probe
-/// verdicts (including inconclusiveness) are memoized in a prepass-private
-/// fingerprint-keyed VerdictTable so repeated probes skip the rational
-/// propagation; the memo never holds anything but recomputable pure
-/// verdicts, so it cannot change an answer. When the current DecisionScope
-/// turns the prepass off (the EvalOptions::prepass toggle, the
-/// `prepass = off` arm of every differential harness) they go straight to
-/// exact FM without probing or counting.
-bool IsSatisfiable(const std::vector<LinearConstraint>& cs);
-bool ImpliesAtom(const std::vector<LinearConstraint>& cs,
-                 const LinearConstraint& atom);
-
-/// Empties the prepass verdict memo (cold-start benchmarking, alongside
-/// DecisionCache::Instance().Clear()).
-void ClearMemo();
-
-/// Conjunction-level prepass for Implies(a, b): one domain is propagated
-/// from a's atoms (with equalities materialized) and every obligation of b
-/// — symbol bindings, variable equalities, linear atoms — is tested against
-/// it. Conclusive answers (and inconclusive fallbacks) are counted here,
-/// since Implies() has no wrapping prepass call. nullopt sends the caller
-/// to the cached exact path; it is returned uncounted when the current
-/// DecisionScope turns the prepass off.
-std::optional<bool> TryImplies(const Conjunction& a, const Conjunction& b);
+inline Counters Snapshot() { return {}; }
+inline void ClearMemo() {}
 
 }  // namespace prepass
 }  // namespace cqlopt

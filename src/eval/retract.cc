@@ -374,11 +374,11 @@ Result<EvalResult> RetractEvaluate(const Program& program, EvalResult base,
 
   // --- Path "prefix": re-derive the suffix with the ordinary stratified
   // fixpoint, resumed mid-plan at the first unrepairable stratum. As in
-  // Evaluate/ResumeEvaluate, a DecisionScope applies options.prepass and
-  // collects the run's decision-cache and prepass counts.
+  // Evaluate/ResumeEvaluate, a DecisionScope collects the run's
+  // decision-cache counts.
   result.stats.retract_path = "prefix";
   result.stats.reached_fixpoint = false;
-  DecisionScope decisions({.prepass = options.prepass});
+  DecisionScope decisions({});
   Governor governor(options, /*baseline_inserted=*/result.stats.inserted);
   CQLOPT_RETURN_IF_ERROR(RunStrata(program, plan, suffix_start, prefix_iters,
                                    options, &governor, &result));

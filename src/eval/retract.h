@@ -51,7 +51,7 @@ namespace cqlopt {
 /// (same facts per predicate, same answers) but may differ in row order
 /// and birth stamps, exactly like ResumeEvaluate's contract.
 ///
-/// Work counters (derivations / inserted / cache / prepass) accumulate on
+/// Work counters (derivations / inserted / cache) accumulate on
 /// top of the base's, reflecting the incremental work actually done — they
 /// are NOT scratch-identical. iterations / scc_iterations /
 /// reached_fixpoint / facts_per_pred / all_ground ARE scratch-identical on

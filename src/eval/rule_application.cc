@@ -46,9 +46,9 @@ struct JoinContext {
 Status EmitHead(const JoinContext& ctx, const Conjunction& accumulated,
                 const std::vector<Relation::FactRef>& parents) {
   // Satisfiability and implication checks on this path (and in the
-  // subsumption probes downstream) go through the two-tier decision
-  // procedure: interval prepass first, exact cached FM on fallback
-  // (DESIGN.md §11). Conjunction::IsSatisfiable and Implies route there.
+  // subsumption probes downstream) are exact cached Fourier–Motzkin
+  // decisions (DESIGN.md §11), through Conjunction::IsSatisfiable and
+  // Implies.
   if (!accumulated.IsSatisfiable()) return Status::OK();
   CQLOPT_ASSIGN_OR_RETURN(Conjunction head_constraint,
                           LtopConjunction(ctx.rule->head, accumulated));

@@ -48,17 +48,6 @@ struct EvalOptions {
   EvalStrategy strategy = EvalStrategy::kSemiNaive;
   /// Record per-iteration derivation lists (the format of Tables 1 and 2).
   bool record_trace = false;
-  /// Two-tier constraint decisions (DESIGN.md §11): when true (default)
-  /// satisfiability / implication queries try the interval-propagation
-  /// prepass first, falling back to exact cached Fourier–Motzkin only on
-  /// inconclusive probes. Conclusive prepass answers are proven equal to
-  /// the exact decision, so toggling this never changes facts, births, or
-  /// traces — only wall-clock and the prepass/cache counters. The flag
-  /// applies to this call only, through its DecisionScope
-  /// (constraint/decision_scope.h): concurrent evaluations on other threads
-  /// keep their own setting, and an enclosing scope that turned the prepass
-  /// off keeps it off.
-  bool prepass = true;
   /// Interval-indexed candidate pruning (DESIGN.md §12): when true
   /// (default), body literals with no uniquely-bound position — where the
   /// hash index cannot help — intersect the accumulated state's interval

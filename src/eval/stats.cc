@@ -29,14 +29,6 @@ std::string EvalStats::ToString(const SymbolTable& symbols) const {
       out += " cache-evictions=" + std::to_string(cache_evictions);
     }
   }
-  if (prepass_conclusive > 0 || prepass_fallback > 0) {
-    long probes = prepass_conclusive + prepass_fallback;
-    out += " prepass-conclusive=" + std::to_string(prepass_conclusive) +
-           " prepass-fallback=" + std::to_string(prepass_fallback) +
-           " prepass-hit-rate=" +
-           std::to_string(probes > 0 ? 100 * prepass_conclusive / probes : 0) +
-           "%";
-  }
   if (index_probes > 0 || scan_probes > 0) {
     out += " index-probes=" + std::to_string(index_probes) +
            " scan-probes=" + std::to_string(scan_probes) +

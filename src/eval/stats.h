@@ -86,16 +86,6 @@ struct EvalStats {
   long cache_misses = 0;
   long cache_evictions = 0;
 
-  // --- Interval-prepass accounting (DESIGN.md §11): verdicts of the
-  // approximate decision tier in this evaluation, counted by its
-  // DecisionScope like the cache counters above. `prepass_conclusive`
-  // decisions were answered by bound propagation alone (never touching the
-  // DecisionCache); `prepass_fallback` probes were inconclusive and fell
-  // through to the exact cached Fourier–Motzkin tier. Both stay 0 with
-  // prepass disabled.
-  long prepass_conclusive = 0;
-  long prepass_fallback = 0;
-
   // --- Resource-governance accounting (EvalOptions::{cancel, deadline_ms,
   // max_derived_facts}). Untouched when the evaluation runs to fixpoint or
   // hits only the iteration cap. ---

@@ -32,12 +32,11 @@ EvalOptions EngineOptions(const FuzzOptions& fo, EvalStrategy strategy) {
   opts.max_iterations = fo.eval_max_iterations;
   opts.subsumption = fo.subsumption;
   opts.strategy = strategy;
-  opts.prepass = fo.prepass;
   return opts;
 }
 
 /// Key + birth of every stored fact, in storage order — the byte-level
-/// fingerprint answer-neutral toggles (prepass, interval index) and
+/// fingerprint answer-neutral toggles (the interval index) and
 /// retraction must leave unchanged.
 std::string StorageFingerprint(const EvalResult& r) {
   std::string out;
@@ -1590,48 +1589,50 @@ PropertyOutcome ReplicaVsPrimary(const FuzzCase& c, const FuzzOptions& fo) {
 }
 
 // ---------------------------------------------------------------------------
-// prepass_equiv / interval_equiv: a decision tier or access path that must
-// never change an answer.
+// interval_equiv: an access path that must never change an answer.
 
-/// Evaluates the case twice — `toggle` on, then off — and demands byte
+/// interval_equiv: interval-indexed probe pruning on vs off. A pruned row
+/// is one whose column value (or propagated bound summary) is disjoint from
+/// a sound over-approximation of the accumulated join state (DESIGN.md
+/// §12), so the per-tuple satisfiability check would have rejected it
+/// anyway — *any* divergence is a soundness bug in the index maintenance
+/// or the AdmittedRange binary search in relation.cc.
+///
+/// Evaluates the case twice — index on, then off — and demands byte
 /// identity: same storage fingerprint (fact keys, order, births), same
 /// rendered trace, same core counters. Both arms run from a cold
-/// DecisionCache so neither coasts on the other's memo entries. The toggle
-/// must actually gate its tier: the off arm may record no activity in
-/// either of the `activity` counters. `name` labels failure messages.
-PropertyOutcome ToggleEquiv(const FuzzCase& c, const FuzzOptions& fo,
-                            const std::string& name, bool EvalOptions::*toggle,
-                            long EvalStats::*activity_a,
-                            long EvalStats::*activity_b) {
+/// DecisionCache so neither coasts on the other's memo entries. The off
+/// arm may record no index activity.
+PropertyOutcome IntervalEquiv(const FuzzCase& c, const FuzzOptions& fo) {
   Database db = BuildDatabase(c);
   EvalOptions opts = EngineOptions(fo, EvalStrategy::kStratified);
   opts.record_trace = true;
 
   DecisionCache::Instance().Clear();
-  opts.*toggle = true;
+  opts.interval_index = true;
   auto on = Evaluate(c.program, db, opts);
   if (!on.ok()) {
-    return PropertyOutcome::Fail(name + "-on evaluation failed: " +
+    return PropertyOutcome::Fail("interval-on evaluation failed: " +
                                  on.status().message());
   }
 
   DecisionCache::Instance().Clear();
-  opts.*toggle = false;
+  opts.interval_index = false;
   auto off = Evaluate(c.program, db, opts);
   if (!off.ok()) {
-    return PropertyOutcome::Fail(name + "-off evaluation failed: " +
+    return PropertyOutcome::Fail("interval-off evaluation failed: " +
                                  off.status().message());
   }
 
   if (StorageFingerprint(*on) != StorageFingerprint(*off)) {
     return PropertyOutcome::Fail(
-        name + "-on storage differs from " + name + "-off: " +
+        "interval-on storage differs from interval-off: " +
         CountsByPred(EvalToMap(*on)) + " vs " +
         CountsByPred(EvalToMap(*off)));
   }
   if (RenderTrace(on->trace) != RenderTrace(off->trace)) {
-    return PropertyOutcome::Fail(name + "-on derivation trace differs from " +
-                                 name + "-off");
+    return PropertyOutcome::Fail(
+        "interval-on derivation trace differs from interval-off");
   }
   const EvalStats& a = on->stats;
   const EvalStats& b = off->stats;
@@ -1641,41 +1642,19 @@ PropertyOutcome ToggleEquiv(const FuzzCase& c, const FuzzOptions& fo,
       a.reached_fixpoint != b.reached_fixpoint ||
       a.all_ground != b.all_ground) {
     return PropertyOutcome::Fail(
-        name + "-on stats differ from " + name + "-off: " +
+        "interval-on stats differ from interval-off: " +
         std::to_string(a.derivations) + "/" + std::to_string(a.inserted) +
         "/" + std::to_string(a.subsumed) + " vs " +
         std::to_string(b.derivations) + "/" + std::to_string(b.inserted) +
         "/" + std::to_string(b.subsumed));
   }
-  if (b.*activity_a != 0 || b.*activity_b != 0) {
-    return PropertyOutcome::Fail(name + "-off arm recorded " + name +
-                                 " activity");
+  if (b.interval_probes != 0 || b.interval_candidates != 0) {
+    return PropertyOutcome::Fail("interval-off arm recorded interval activity");
   }
   if (!on->stats.reached_fixpoint) {
     return PropertyOutcome::Skip("iteration cap hit before fixpoint");
   }
   return PropertyOutcome::Ok();
-}
-
-/// prepass_equiv: interval prepass on vs off. Conclusive prepass verdicts
-/// are proven equal to the exact FM decision (DESIGN.md §11), so *any*
-/// divergence is a soundness bug in interval.cc.
-PropertyOutcome PrepassEquiv(const FuzzCase& c, const FuzzOptions& fo) {
-  return ToggleEquiv(c, fo, "prepass", &EvalOptions::prepass,
-                     &EvalStats::prepass_conclusive,
-                     &EvalStats::prepass_fallback);
-}
-
-/// interval_equiv: interval-indexed probe pruning on vs off. A pruned row
-/// is one whose column value (or propagated bound summary) is disjoint from
-/// a sound over-approximation of the accumulated join state (DESIGN.md
-/// §12), so the per-tuple satisfiability check would have rejected it
-/// anyway — *any* divergence is a soundness bug in the index maintenance
-/// or the AdmittedRange binary search in relation.cc.
-PropertyOutcome IntervalEquiv(const FuzzCase& c, const FuzzOptions& fo) {
-  return ToggleEquiv(c, fo, "interval", &EvalOptions::interval_index,
-                     &EvalStats::interval_probes,
-                     &EvalStats::interval_candidates);
 }
 
 }  // namespace
@@ -1738,10 +1717,6 @@ const std::vector<PropertyInfo>& AllProperties() {
            "fault schedule, failover loses no acknowledged write, and "
            "divergence is always quarantined",
            &ReplicaVsPrimary},
-          {"prepass_equiv",
-           "interval prepass on vs off: byte-identical facts, births, "
-           "traces, and core stats",
-           &PrepassEquiv},
           {"interval_equiv",
            "interval-indexed probe pruning on vs off: byte-identical facts, "
            "births, traces, and core stats",

@@ -47,10 +47,6 @@ namespace testing {
 ///                       resurrected); a tampered follower is quarantined
 ///                       at the next divergence check and refuses reads
 ///                       with typed DATA_LOSS (DESIGN.md §15)
-///   prepass_equiv       evaluation with the interval prepass on ≡ off —
-///                       byte-identical facts, births, traces, and core
-///                       stats (the two-tier decision procedure of
-///                       DESIGN.md §11 never changes an answer)
 ///   interval_equiv      evaluation with interval-indexed probe pruning on
 ///                       ≡ off — byte-identical facts, births, traces, and
 ///                       core stats (the columnar interval index of
@@ -96,9 +92,6 @@ struct FuzzOptions {
   /// when one does, the property reports skipped, not failed.
   int eval_max_iterations = 48;
   SubsumptionMode subsumption = SubsumptionMode::kSingleFact;
-  /// Interval-prepass toggle applied to every evaluation (prepass_equiv
-  /// overrides it per arm).
-  bool prepass = true;
   PlantedBug bug = PlantedBug::kNone;
 };
 

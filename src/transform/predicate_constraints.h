@@ -36,11 +36,6 @@ struct InferenceResult {
   long cache_hits = 0;
   long cache_misses = 0;
   long cache_evictions = 0;
-  /// Interval-prepass activity attributed to this inference run (DESIGN.md
-  /// §11): decisions answered conclusively by bound propagation vs. probes
-  /// that fell through to the exact cached Fourier–Motzkin tier.
-  long prepass_conclusive = 0;
-  long prepass_fallback = 0;
   /// Interval-index activity (DESIGN.md §12). Pure constraint inference
   /// stores no facts, so these stay zero here; they are populated when an
   /// InferenceResult is reported alongside an evaluation run (the --json

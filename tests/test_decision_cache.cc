@@ -20,7 +20,6 @@
 #include "constraint/fingerprint.h"
 #include "constraint/fourier_motzkin.h"
 #include "constraint/implication.h"
-#include "constraint/interval.h"
 #include "core/workload.h"
 #include "eval/loader.h"
 #include "eval/seminaive.h"
@@ -230,11 +229,6 @@ TEST(DecisionCacheTest, EvaluationUnchangedByCache) {
   options.strategy = EvalStrategy::kStratified;
   options.subsumption = SubsumptionMode::kSingleFact;
   options.record_trace = true;
-  // This test pins pure cache accounting (hit counts across cold/warm
-  // runs); the interval prepass would divert the easy decisions away from
-  // the cache, so it is held off here. PrepassCacheInteractionTest covers
-  // the combined regime.
-  options.prepass = false;
 
   EvalResult uncached;
   {
@@ -294,9 +288,6 @@ TEST(DecisionCacheTest, CapacityOneThrashMatchesCacheOff) {
   EvalOptions options;
   options.strategy = EvalStrategy::kStratified;
   options.subsumption = SubsumptionMode::kSingleFact;
-  // Pure cache-thrash accounting: keep the prepass out so every decision
-  // flows through the capacity-1 cache (see EvaluationUnchangedByCache).
-  options.prepass = false;
 
   auto fingerprint = [](const EvalResult& r) {
     std::string out;
@@ -343,116 +334,6 @@ TEST(DecisionCacheTest, CapacityOneThrashMatchesCacheOff) {
   EXPECT_EQ(uncached.stats.iterations, thrashed.stats.iterations);
 }
 
-TEST(PrepassCacheInteractionTest, ConclusiveDecisionsNeverTouchTheCache) {
-  // A prepass-conclusive decision must not pollute the cache: no lookup
-  // (no hit/miss counted) and no fill (no entry stored). x >= 1 && x <= 0
-  // is conclusively UNSAT by bound propagation; x >= 2 => x >= 0 is
-  // conclusively implied.
-  DecisionCache::Instance().Clear();
-  DecisionCache::Counters before = DecisionCache::Instance().Snapshot();
-  prepass::Counters pre_before = prepass::Snapshot();
-
-  EXPECT_FALSE(prepass::IsSatisfiable({
-      Atom({{1, -1}}, 1, CmpOp::kLe),
-      Atom({{1, 1}}, 0, CmpOp::kLe),
-  }));
-  EXPECT_TRUE(prepass::ImpliesAtom({Atom({{1, -1}}, 2, CmpOp::kLe)},
-                                   Atom({{1, -1}}, 0, CmpOp::kLe)));
-
-  DecisionCache::Counters after = DecisionCache::Instance().Snapshot();
-  EXPECT_EQ(after.hits, before.hits);
-  EXPECT_EQ(after.misses, before.misses);
-  EXPECT_EQ(after.entries, 0);
-  prepass::Counters pre_after = prepass::Snapshot();
-  EXPECT_EQ(pre_after.unsat, pre_before.unsat + 1);
-  EXPECT_EQ(pre_after.implied, pre_before.implied + 1);
-  EXPECT_EQ(pre_after.fallback, pre_before.fallback);
-}
-
-TEST(PrepassCacheInteractionTest, InconclusiveProbesFallThroughToTheCache) {
-  // x <= y - 1 && y <= x - 1 defeats interval propagation (the bounds walk
-  // down forever), so the wrapper must count a fallback and let the exact
-  // cached tier decide — filling the cache exactly as before the prepass
-  // existed.
-  std::vector<LinearConstraint> divergent = {
-      Atom({{1, 1}, {2, -1}}, 1, CmpOp::kLe),
-      Atom({{2, 1}, {1, -1}}, 1, CmpOp::kLe),
-  };
-  DecisionCache::Instance().Clear();
-  DecisionCache::Counters before = DecisionCache::Instance().Snapshot();
-  prepass::Counters pre_before = prepass::Snapshot();
-
-  EXPECT_FALSE(prepass::IsSatisfiable(divergent));  // FM decides: UNSAT
-
-  DecisionCache::Counters after = DecisionCache::Instance().Snapshot();
-  prepass::Counters pre_after = prepass::Snapshot();
-  EXPECT_EQ(pre_after.fallback, pre_before.fallback + 1);
-  EXPECT_GT(after.misses, before.misses);
-  EXPECT_GT(after.entries, 0);
-
-  // Re-asking hits the cache (the prepass stays inconclusive, so the memo
-  // serves the repeat exactly as it always did).
-  EXPECT_FALSE(prepass::IsSatisfiable(divergent));
-  DecisionCache::Counters again = DecisionCache::Instance().Snapshot();
-  EXPECT_GT(again.hits, after.hits);
-}
-
-TEST(PrepassCacheInteractionTest, HitAccountingConsistentUnderBothArms) {
-  // With the prepass short-circuiting the easy queries, the cache sees
-  // only the hard remainder: the prepass-on arm must record no more
-  // lookups than the prepass-off arm, while facts, births, and derivation
-  // stats stay byte-identical. (Lookups = hits + misses; conclusive
-  // decisions subtract from that total, never add.)
-  auto parsed = ParseProgram(
-      "t(X, Y) :- e(X, Y).\n"
-      "t(X, Y) :- e(X, Z), t(Z, Y).\n"
-      "s(X) :- t(X, Y), X >= 2, Y <= 9.\n");
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  Program& program = parsed->program;
-  Database db;
-  ASSERT_TRUE(
-      AddLayeredGraph(program.symbols.get(), "e", 4, 3, 2, 11, &db).ok());
-
-  EvalOptions options;
-  options.strategy = EvalStrategy::kStratified;
-  options.subsumption = SubsumptionMode::kSingleFact;
-  options.record_trace = true;
-
-  DecisionCache::Instance().Clear();
-  options.prepass = true;
-  auto on = Evaluate(program, db, options);
-  ASSERT_TRUE(on.ok()) << on.status().ToString();
-
-  DecisionCache::Instance().Clear();
-  options.prepass = false;
-  auto off = Evaluate(program, db, options);
-  ASSERT_TRUE(off.ok()) << off.status().ToString();
-
-  // Byte-identical evaluation either way.
-  EXPECT_EQ(RenderTrace(on->trace), RenderTrace(off->trace));
-  EXPECT_EQ(on->stats.derivations, off->stats.derivations);
-  EXPECT_EQ(on->stats.inserted, off->stats.inserted);
-  EXPECT_EQ(on->stats.subsumed, off->stats.subsumed);
-  EXPECT_EQ(on->stats.iterations, off->stats.iterations);
-  for (const auto& [pred, rel] : on->db.relations()) {
-    const Relation* other = off->db.Find(pred);
-    ASSERT_NE(other, nullptr);
-    ASSERT_EQ(rel.size(), other->size());
-    for (size_t i = 0; i < rel.size(); ++i) {
-      EXPECT_EQ(rel.fact(i).Key(), other->fact(i).Key());
-      EXPECT_EQ(rel.birth(i), other->birth(i));
-    }
-  }
-
-  // Counter semantics: the on arm took the fast tier at least once, the
-  // off arm never did, and the on arm asked the cache no more often.
-  EXPECT_GT(on->stats.prepass_conclusive, 0);
-  EXPECT_EQ(off->stats.prepass_conclusive, 0);
-  EXPECT_EQ(off->stats.prepass_fallback, 0);
-  EXPECT_LE(on->stats.cache_hits + on->stats.cache_misses,
-            off->stats.cache_hits + off->stats.cache_misses);
-}
-
 TEST(DecisionCacheTest, FuzzPropertyHoldsUnderCapacityOneThrash) {
   // strategy_confluence checks semi-naive and stratified runs against the
   // naive oracle; executing it under a capacity-1 cache exercises that
@@ -464,10 +345,6 @@ TEST(DecisionCacheTest, FuzzPropertyHoldsUnderCapacityOneThrash) {
   ASSERT_NE(confluence, nullptr);
   DecisionCache::Counters before;
   {
-    // Prepass held off for the same reason as the thrash test above: the
-    // assertion is that the *cache* evicts, which needs the decisions to
-    // actually reach it.
-    DecisionScope no_prepass({.prepass = false});
     DecisionCacheCapacityOverride tiny(1);
     before = DecisionCache::Instance().Snapshot();
     cqlopt::testing::PropertyOutcome outcome = confluence->fn(c, {});
@@ -496,11 +373,11 @@ struct Flights {
   Database edb;
 };
 
-EvalStats EvaluateFlights(const Flights& f, bool prepass);
+EvalStats EvaluateFlights(const Flights& f);
 
 /// Loads flights and evaluates it once: the first evaluation of a program
 /// fills the satisfiability its rule constraints cache, so it makes a few
-/// more prepass decisions than every later one. The tests below compare
+/// more cache lookups than every later one. The tests below compare
 /// and share only warmed programs.
 Flights LoadWarmFlights() {
   const std::string dir = CQLOPT_PROGRAMS_DIR;
@@ -510,65 +387,21 @@ Flights LoadWarmFlights() {
   auto loaded = LoadDatabaseText(ReadFile(dir + "/flights_edb.cql"),
                                  f.program.symbols, &f.edb);
   EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EvaluateFlights(f, true);
+  EvaluateFlights(f);
   return f;
 }
 
-EvalStats EvaluateFlights(const Flights& f, bool prepass) {
+EvalStats EvaluateFlights(const Flights& f) {
   EvalOptions options;
   options.strategy = EvalStrategy::kStratified;
-  options.prepass = prepass;
   auto run = Evaluate(f.program, f.edb, options);
   EXPECT_TRUE(run.ok()) << run.status().ToString();
   return run.ok() ? run->stats : EvalStats();
 }
 
-long PrepassDecisions(const EvalStats& s) {
-  return s.prepass_conclusive + s.prepass_fallback;
-}
-
-TEST(DecisionScopeTest, ConcurrentPrepassOffDoesNotLeak) {
-  // Two threads evaluate with the prepass off while a third evaluates with
-  // it on: the off runs record no prepass activity, the on runs record
-  // exactly their solo count, and the prepass is still on afterwards.
-  const Flights f = LoadWarmFlights();
-  const long solo = PrepassDecisions(EvaluateFlights(f, true));
-  ASSERT_GT(solo, 0);
-  constexpr int kRounds = 200;
-  std::vector<EvalStats> off[2];
-  std::vector<EvalStats> on;
-  {
-    std::vector<std::thread> threads;
-    for (std::vector<EvalStats>* out : {&off[0], &off[1], &on}) {
-      const bool prepass = out == &on;
-      threads.emplace_back([&f, out, prepass] {
-        for (int round = 0; round < kRounds; ++round) {
-          out->push_back(EvaluateFlights(f, prepass));
-        }
-      });
-    }
-    for (std::thread& t : threads) t.join();
-  }
-  int leaked_off = 0;
-  int wrong_on = 0;
-  for (const std::vector<EvalStats>& runs : off) {
-    for (const EvalStats& s : runs) {
-      if (s.prepass_conclusive != 0 || s.prepass_fallback != 0) ++leaked_off;
-    }
-  }
-  for (const EvalStats& s : on) {
-    if (PrepassDecisions(s) != solo) ++wrong_on;
-  }
-  EXPECT_EQ(leaked_off, 0) << "prepass-off runs that recorded prepass work";
-  EXPECT_EQ(wrong_on, 0) << "prepass-on runs whose count differs from "
-                         << solo;
-  EXPECT_EQ(PrepassDecisions(EvaluateFlights(f, true)), solo)
-      << "the prepass stayed off after the concurrent runs";
-}
-
 TEST(DecisionScopeTest, ConcurrentCountersPartitionProcessTotals) {
   // Per-evaluation counters partition the process-wide totals: summed over
-  // eight concurrent evaluations (prepass on and off) they equal the
+  // eight concurrent evaluations they equal the
   // process-wide deltas over the run, counter by counter. Cache hits
   // themselves depend on thread timing (the cache is shared), so only the
   // sums are pinned.
@@ -576,7 +409,6 @@ TEST(DecisionScopeTest, ConcurrentCountersPartitionProcessTotals) {
   DecisionCache::Instance().Clear();
   const DecisionCache::Counters cache_before =
       DecisionCache::Instance().Snapshot();
-  const prepass::Counters prepass_before = prepass::Snapshot();
   constexpr int kThreads = 8;
   constexpr int kRounds = 10;
   std::vector<EvalStats> runs[kThreads];
@@ -585,7 +417,7 @@ TEST(DecisionScopeTest, ConcurrentCountersPartitionProcessTotals) {
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&f, &runs, t] {
         for (int round = 0; round < kRounds; ++round) {
-          runs[t].push_back(EvaluateFlights(f, (t + round) % 3 != 0));
+          runs[t].push_back(EvaluateFlights(f));
         }
       });
     }
@@ -593,26 +425,19 @@ TEST(DecisionScopeTest, ConcurrentCountersPartitionProcessTotals) {
   }
   const DecisionCache::Counters cache_after =
       DecisionCache::Instance().Snapshot();
-  const prepass::Counters prepass_after = prepass::Snapshot();
   EvalStats sum;
   for (const std::vector<EvalStats>& per_thread : runs) {
     for (const EvalStats& s : per_thread) {
       sum.cache_hits += s.cache_hits;
       sum.cache_misses += s.cache_misses;
       sum.cache_evictions += s.cache_evictions;
-      sum.prepass_conclusive += s.prepass_conclusive;
-      sum.prepass_fallback += s.prepass_fallback;
     }
   }
   EXPECT_GT(sum.cache_misses, 0);
-  EXPECT_GT(PrepassDecisions(sum), 0);
   EXPECT_EQ(sum.cache_hits, cache_after.hits - cache_before.hits);
   EXPECT_EQ(sum.cache_misses, cache_after.misses - cache_before.misses);
   EXPECT_EQ(sum.cache_evictions,
             cache_after.evictions - cache_before.evictions);
-  EXPECT_EQ(PrepassDecisions(sum),
-            prepass_after.conclusive() - prepass_before.conclusive() +
-                prepass_after.fallback - prepass_before.fallback);
 }
 
 TEST(DecisionScopeTest, OracleDoesNotTouchConcurrentCache) {
@@ -626,7 +451,7 @@ TEST(DecisionScopeTest, OracleDoesNotTouchConcurrentCache) {
     for (size_t i = 0; i < rel.size(); ++i) edb_facts.push_back(rel.fact(i));
   }
   DecisionCache::Instance().Clear();
-  const EvalStats solo = EvaluateFlights(f, true);
+  const EvalStats solo = EvaluateFlights(f);
   ASSERT_GT(solo.cache_misses, 0);
 
   DecisionCache::Instance().Clear();
@@ -640,7 +465,7 @@ TEST(DecisionScopeTest, OracleDoesNotTouchConcurrentCache) {
     }
   });
   while (oracle_runs.load() == 0) std::this_thread::yield();
-  const EvalStats beside = EvaluateFlights(f, true);
+  const EvalStats beside = EvaluateFlights(f);
   stop.store(true);
   oracle.join();
   EXPECT_EQ(beside.cache_hits, solo.cache_hits);

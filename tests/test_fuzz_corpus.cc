@@ -3,7 +3,6 @@
 #include <string>
 #include <vector>
 
-#include "constraint/decision_scope.h"
 #include "testing/corpus.h"
 #include "testing/properties.h"
 
@@ -23,9 +22,6 @@ using testing::PropertyOutcome;
 /// `% bug:` header are harness self-checks: the named property must still
 /// FAIL under the planted bug (the differential oracle keeps catching it).
 /// Plain files are fixed engine bugs: the property must hold, forever.
-/// Each repro is replayed under both decision-procedure arms — interval
-/// prepass enabled and disabled — since the corpus verdicts must be
-/// independent of which tier answered the constraint queries.
 TEST(FuzzCorpus, ReplaysEveryRepro) {
   auto files = ListCorpusFiles(CQLOPT_FUZZ_CORPUS_DIR);
   ASSERT_TRUE(files.ok()) << files.status().ToString();
@@ -38,21 +34,17 @@ TEST(FuzzCorpus, ReplaysEveryRepro) {
     const PropertyInfo* property = FindProperty(loaded->property);
     ASSERT_NE(property, nullptr)
         << "unknown property " << loaded->property;
-    for (bool prepass_on : {true, false}) {
-      SCOPED_TRACE(prepass_on ? "prepass=on" : "prepass=off");
-      DecisionScope tiers({.prepass = prepass_on});
-      FuzzOptions fuzz;
-      fuzz.bug = loaded->bug;
-      PropertyOutcome outcome = property->fn(loaded->c, fuzz);
-      EXPECT_FALSE(outcome.skipped)
-          << "repro skipped instead of checked: " << outcome.message;
-      if (loaded->bug != PlantedBug::kNone) {
-        EXPECT_FALSE(outcome.ok)
-            << "planted-bug repro no longer fails; the self-check harness "
-               "has lost its teeth";
-      } else {
-        EXPECT_TRUE(outcome.ok) << outcome.message;
-      }
+    FuzzOptions fuzz;
+    fuzz.bug = loaded->bug;
+    PropertyOutcome outcome = property->fn(loaded->c, fuzz);
+    EXPECT_FALSE(outcome.skipped)
+        << "repro skipped instead of checked: " << outcome.message;
+    if (loaded->bug != PlantedBug::kNone) {
+      EXPECT_FALSE(outcome.ok)
+          << "planted-bug repro no longer fails; the self-check harness "
+             "has lost its teeth";
+    } else {
+      EXPECT_TRUE(outcome.ok) << outcome.message;
     }
   }
 }

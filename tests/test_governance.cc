@@ -58,34 +58,6 @@ TEST(GovernanceTest, FactBudgetAbortsWithResourceExhausted) {
   EXPECT_GT(partial.inserted, 10);
 }
 
-TEST(GovernanceTest, FactBudgetAbortIsPrepassInvariant) {
-  // The budget is only checked at the iteration boundary, so the abort
-  // point is a fully committed iteration. The interval prepass changes
-  // which machinery answers constraint queries, never how many facts an
-  // iteration stores, so the abort point — and the partial database the
-  // service would discard — is identical with the prepass on and off.
-  Program p = Counter();
-  std::string first_point;
-  long first_inserted = -1;
-  for (bool prepass : {true, false}) {
-    EvalOptions options = Governed();
-    options.prepass = prepass;
-    options.max_derived_facts = 25;
-    EvalStats partial;
-    options.abort_stats = &partial;
-    auto result = Evaluate(p, Database(), options);
-    ASSERT_FALSE(result.ok()) << "prepass=" << prepass;
-    EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
-    if (first_inserted < 0) {
-      first_point = partial.abort_point;
-      first_inserted = partial.inserted;
-    } else {
-      EXPECT_EQ(partial.abort_point, first_point) << "prepass=" << prepass;
-      EXPECT_EQ(partial.inserted, first_inserted) << "prepass=" << prepass;
-    }
-  }
-}
-
 TEST(GovernanceTest, DeadlineAbortsADivergingEvaluation) {
   Program p = Counter();
   EvalOptions options = Governed();

@@ -227,25 +227,20 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Differential: retract_vs_scratch replayed across the full subsumption x
-// prepass matrix. The property itself (testing/properties.cc)
+// Differential: retract_vs_scratch replayed across every subsumption mode. The property itself (testing/properties.cc)
 // pins RetractEvaluate to byte-identity with a scratch run on the surviving
 // EDB and checks RETRACT over the protocol; here it must hold at every
 // point of the configuration lattice, not just the fuzzer's defaults.
 
-using RetractMatrixParam = std::tuple<ModeParam, bool>;
-
-class RetractDifferentialTest
-    : public ::testing::TestWithParam<RetractMatrixParam> {};
+class RetractDifferentialTest : public ::testing::TestWithParam<ModeParam> {};
 
 TEST_P(RetractDifferentialTest, RetractVsScratchHoldsAcrossSeeds) {
-  const auto& [mode, prepass] = GetParam();
+  const ModeParam& mode = GetParam();
   const cqlopt::testing::PropertyInfo* property =
       cqlopt::testing::FindProperty("retract_vs_scratch");
   ASSERT_NE(property, nullptr);
   cqlopt::testing::FuzzOptions fo;
   fo.subsumption = mode.mode;
-  fo.prepass = prepass;
   int checked = 0;
   for (uint64_t seed = 1; seed <= 12; ++seed) {
     cqlopt::testing::FuzzCase c =
@@ -261,16 +256,12 @@ TEST_P(RetractDifferentialTest, RetractVsScratchHoldsAcrossSeeds) {
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, RetractDifferentialTest,
-    ::testing::Combine(
-        ::testing::Values(ModeParam{"none", SubsumptionMode::kNone},
-                          ModeParam{"single_fact",
-                                    SubsumptionMode::kSingleFact},
-                          ModeParam{"set_implication",
-                                    SubsumptionMode::kSetImplication}),
-        ::testing::Bool()),
-    [](const ::testing::TestParamInfo<RetractMatrixParam>& info) {
-      return std::string(std::get<0>(info.param).name) +
-             (std::get<1>(info.param) ? "_prepass" : "_noprepass");
+    ::testing::Values(ModeParam{"none", SubsumptionMode::kNone},
+                      ModeParam{"single_fact", SubsumptionMode::kSingleFact},
+                      ModeParam{"set_implication",
+                                SubsumptionMode::kSetImplication}),
+    [](const ::testing::TestParamInfo<ModeParam>& info) {
+      return std::string(info.param.name);
     });
 
 TEST(ResumeEvaluateTest, EmptyDeltaReturnsBaseUnchanged) {

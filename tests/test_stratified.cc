@@ -112,7 +112,7 @@ struct StrategyRun {
 std::vector<StrategyRun> RunAllStrategies(const Program& program,
                                           const Database& db,
                                           SubsumptionMode mode,
-                                          int max_iterations, bool prepass) {
+                                          int max_iterations) {
   std::vector<StrategyRun> runs;
   for (auto [name, strategy] :
        {std::pair<const char*, EvalStrategy>{"semi-naive",
@@ -122,7 +122,6 @@ std::vector<StrategyRun> RunAllStrategies(const Program& program,
     options.strategy = strategy;
     options.subsumption = mode;
     options.max_iterations = max_iterations;
-    options.prepass = prepass;
     auto run = Evaluate(program, db, options);
     EXPECT_TRUE(run.ok()) << name << ": " << run.status().ToString();
     runs.push_back(StrategyRun{name, std::move(*run)});
@@ -133,10 +132,7 @@ std::vector<StrategyRun> RunAllStrategies(const Program& program,
 void ExpectStrategiesAgree(const Program& program, const Database& db,
                            const std::string& label,
                            int max_iterations = 48) {
-  // Full matrix: strategies × subsumption modes × prepass on/off. The
-  // prepass-on arm records a storage fingerprint per subsumption mode; the
-  // prepass-off arm must reproduce it byte for byte — the approximate
-  // decision tier never changes a verdict, a fact, or a counter.
+  // Full matrix: strategies × subsumption modes.
   //
   // The naive oracle never subsumes, so it is run once and compared by
   // denotation with every run that reached a fixpoint. It also never stops
@@ -158,79 +154,43 @@ void ExpectStrategiesAgree(const Program& program, const Database& db,
     ASSERT_TRUE(reference->reached_fixpoint);
     naive = std::move(*reference);
   }
-  std::map<std::string, std::string> on_fingerprints;
-  auto fingerprint = [](const EvalResult& r) {
-    std::string out;
-    for (const auto& [pred, rel] : r.db.relations()) {
-      out += std::to_string(pred) + "{";
-      for (size_t i = 0; i < rel.size(); ++i) {
-        out += rel.fact(i).Key() + "@" + std::to_string(rel.birth(i)) + ";";
-      }
-      out += "}";
+  for (auto [mode_name, mode] :
+       {std::pair<const char*, SubsumptionMode>{"none",
+                                                SubsumptionMode::kNone},
+        {"single-fact", SubsumptionMode::kSingleFact},
+        {"set-implication", SubsumptionMode::kSetImplication}}) {
+    SCOPED_TRACE(label + " / subsumption=" + mode_name);
+    auto runs = RunAllStrategies(program, db, mode, max_iterations);
+    const EvalResult& oracle = runs[0].result;  // global semi-naive
+    for (const StrategyRun& run : runs) {
+      EXPECT_EQ(run.result.stats.reached_fixpoint,
+                oracle.stats.reached_fixpoint)
+          << run.name;
     }
-    out += "|d=" + std::to_string(r.stats.derivations) +
-           " i=" + std::to_string(r.stats.inserted) +
-           " s=" + std::to_string(r.stats.subsumed) +
-           " it=" + std::to_string(r.stats.iterations);
-    return out;
-  };
-  for (bool prepass : {true, false}) {
-    for (auto [mode_name, mode] :
-         {std::pair<const char*, SubsumptionMode>{"none",
-                                                  SubsumptionMode::kNone},
-          {"single-fact", SubsumptionMode::kSingleFact},
-          {"set-implication", SubsumptionMode::kSetImplication}}) {
-      SCOPED_TRACE(label + " / subsumption=" + mode_name +
-                   (prepass ? " / prepass=on" : " / prepass=off"));
-      auto runs = RunAllStrategies(program, db, mode, max_iterations, prepass);
-      const EvalResult& oracle = runs[0].result;  // global semi-naive
-      for (const StrategyRun& run : runs) {
-        EXPECT_EQ(run.result.stats.reached_fixpoint,
-                  oracle.stats.reached_fixpoint)
-            << run.name;
-        // The toggle must gate the tier completely.
-        if (!prepass) {
-          EXPECT_EQ(run.result.stats.prepass_conclusive, 0) << run.name;
-          EXPECT_EQ(run.result.stats.prepass_fallback, 0) << run.name;
-        }
-      }
-      if (!oracle.stats.reached_fixpoint) continue;  // capped: frontiers
-                                                     // differ
-      for (const StrategyRun& run : runs) {
-        SCOPED_TRACE(run.name);
-        EXPECT_TRUE(
-            DatabasesAgree(run.result.db, oracle.db, *program.symbols));
-        EXPECT_EQ(run.result.stats.all_ground, oracle.stats.all_ground);
-        if (naive) {
-          EXPECT_TRUE(testing::SameDenotation(
-              naive->facts, testing::EvalToMap(run.result)))
-              << "denotation differs from the naive oracle";
-        }
-      }
-      // Stratified bookkeeping must be coherent: per-stratum iterations sum
-      // to the global count, and every derivation is attributed to a rule.
-      const EvalStats& stratified = runs[1].result.stats;
-      long scc_sum = 0;
-      for (long n : stratified.scc_iterations) scc_sum += n;
-      EXPECT_EQ(scc_sum, stratified.iterations);
-      long per_rule = 0;
-      for (const auto& [rule, n] : stratified.derivations_per_rule) {
-        per_rule += n;
-      }
-      EXPECT_EQ(per_rule, stratified.derivations);
-      // Cross-arm byte identity, per subsumption mode: the prepass-off
-      // stratified run must reproduce the prepass-on one exactly.
-      std::string fp = fingerprint(runs[1].result);
-      if (prepass) {
-        on_fingerprints[mode_name] = fp;
-      } else {
-        auto it = on_fingerprints.find(mode_name);
-        if (it != on_fingerprints.end()) {
-          EXPECT_EQ(fp, it->second)
-              << "prepass-off storage/stats diverged from prepass-on";
-        }
+    if (!oracle.stats.reached_fixpoint) continue;  // capped: frontiers
+                                                   // differ
+    for (const StrategyRun& run : runs) {
+      SCOPED_TRACE(run.name);
+      EXPECT_TRUE(
+          DatabasesAgree(run.result.db, oracle.db, *program.symbols));
+      EXPECT_EQ(run.result.stats.all_ground, oracle.stats.all_ground);
+      if (naive) {
+        EXPECT_TRUE(testing::SameDenotation(
+            naive->facts, testing::EvalToMap(run.result)))
+            << "denotation differs from the naive oracle";
       }
     }
+    // Stratified bookkeeping must be coherent: per-stratum iterations sum
+    // to the global count, and every derivation is attributed to a rule.
+    const EvalStats& stratified = runs[1].result.stats;
+    long scc_sum = 0;
+    for (long n : stratified.scc_iterations) scc_sum += n;
+    EXPECT_EQ(scc_sum, stratified.iterations);
+    long per_rule = 0;
+    for (const auto& [rule, n] : stratified.derivations_per_rule) {
+      per_rule += n;
+    }
+    EXPECT_EQ(per_rule, stratified.derivations);
   }
 }
 
