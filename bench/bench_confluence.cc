@@ -9,8 +9,6 @@
 //   - Example 7.2 (selection below the query binding): P^{mg,qrp} computes
 //     a subset of the facts of P^{qrp,mg} (Example D.2).
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 
 namespace cqlopt {
@@ -63,45 +61,11 @@ void PrintReproduction() {
   std::printf("\n");
 }
 
-void BM_Pipeline(benchmark::State& state, const char* source,
-                 const char* spec) {
-  ParsedInput in = ParseWithQueryOrDie(source);
-  Database db = MakeEdb(in.program.symbols.get(), 40, 31);
-  auto steps = ValueOrDie(ParseSteps(spec), "steps");
-  auto rewritten =
-      ValueOrDie(ApplyPipeline(in.program, in.query, steps, {}), spec);
-  EvalOptions eval;
-  eval.max_iterations = 64;
-  for (auto _ : state) {
-    auto run = Evaluate(rewritten.program, db, eval);
-    benchmark::DoNotOptimize(run.ok());
-  }
-  state.SetLabel(spec);
-}
-void BM_Ex71QrpMg(benchmark::State& state) {
-  BM_Pipeline(state, kExample71, "qrp,mg");
-}
-void BM_Ex71MgQrp(benchmark::State& state) {
-  BM_Pipeline(state, kExample71, "mg,qrp");
-}
-void BM_Ex72QrpMg(benchmark::State& state) {
-  BM_Pipeline(state, kExample72, "qrp,mg");
-}
-void BM_Ex72MgQrp(benchmark::State& state) {
-  BM_Pipeline(state, kExample72, "mg,qrp");
-}
-BENCHMARK(BM_Ex71QrpMg);
-BENCHMARK(BM_Ex71MgQrp);
-BENCHMARK(BM_Ex72QrpMg);
-BENCHMARK(BM_Ex72MgQrp);
-
 }  // namespace
 }  // namespace bench
 }  // namespace cqlopt
 
-int main(int argc, char** argv) {
+int main() {
   cqlopt::bench::PrintReproduction();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

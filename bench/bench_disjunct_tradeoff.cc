@@ -11,8 +11,6 @@
 //   single        the 1-disjunct weakening ($3>0 & $4>0): no duplicate
 //                 derivations but also no pruning (paper's 2nd remedy).
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "constraint/disjoint.h"
 #include "transform/propagate.h"
@@ -114,52 +112,11 @@ void PrintReproduction() {
               "intersection; disjoint or single-disjunct avoid them)\n\n");
 }
 
-void BM_MakeDisjointFlightQrp(benchmark::State& state) {
-  ParsedInput in = ParseWithQueryOrDie(FlightsProgram());
-  PredId cheap = in.program.symbols->LookupPredicate("cheaporshort");
-  auto rewritten =
-      ValueOrDie(ConstraintRewrite(in.program, cheap, {}), "rewrite");
-  PredId flight = in.program.symbols->LookupPredicate("flight");
-  const ConstraintSet& qrp = rewritten.qrp_constraints.at(flight);
-  for (auto _ : state) {
-    auto out = MakeDisjoint(qrp);
-    benchmark::DoNotOptimize(out.ok());
-  }
-}
-BENCHMARK(BM_MakeDisjointFlightQrp);
-
-void BM_EvalArm(benchmark::State& state, int which) {
-  Arms arms = BuildArms();
-  const Program& program = which == 0   ? arms.overlapping
-                           : which == 1 ? arms.disjoint
-                                        : arms.single;
-  ParsedInput in = ParseWithQueryOrDie(FlightsProgram());
-  FlightNetworkSpec spec;
-  spec.airports = 12;
-  spec.legs = 48;
-  Database db;
-  (void)AddFlightNetwork(in.program.symbols.get(), spec, &db);
-  EvalOptions eval;
-  eval.max_iterations = 64;
-  for (auto _ : state) {
-    auto run = Evaluate(program, db, eval);
-    benchmark::DoNotOptimize(run.ok());
-  }
-}
-void BM_EvalOverlapping(benchmark::State& state) { BM_EvalArm(state, 0); }
-void BM_EvalDisjoint(benchmark::State& state) { BM_EvalArm(state, 1); }
-void BM_EvalSingle(benchmark::State& state) { BM_EvalArm(state, 2); }
-BENCHMARK(BM_EvalOverlapping);
-BENCHMARK(BM_EvalDisjoint);
-BENCHMARK(BM_EvalSingle);
-
 }  // namespace
 }  // namespace bench
 }  // namespace cqlopt
 
-int main(int argc, char** argv) {
+int main() {
   cqlopt::bench::PrintReproduction();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -13,8 +13,6 @@
 // Cost > 150; every arm computes only ground facts; pred,qrp,mg computes
 // the fewest facts; all arms return the same answers.
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 
 namespace cqlopt {
@@ -140,99 +138,11 @@ void PrintReproduction() {
   std::printf("\n");
 }
 
-void BM_FlightsArm(benchmark::State& state, const char* spec,
-                   EvalStrategy strategy = EvalStrategy::kSemiNaive) {
-  ParsedInput in = ParseWithQueryOrDie(FlightsProgram());
-  Database db = MakeNetwork(in.program.symbols.get(), 12,
-                            static_cast<int>(state.range(0)), 42);
-  PipelineOptions options;
-  auto steps = ValueOrDie(ParseSteps(spec), "steps");
-  auto rewritten =
-      ValueOrDie(ApplyPipeline(in.program, in.query, steps, options), spec);
-  EvalOptions eval;
-  eval.max_iterations = 64;
-  eval.strategy = strategy;
-  for (auto _ : state) {
-    auto run = Evaluate(rewritten.program, db, eval);
-    benchmark::DoNotOptimize(run.ok());
-  }
-  state.SetLabel(spec);
-}
-
-void BM_FlightsOriginal(benchmark::State& state) {
-  BM_FlightsArm(state, "");
-}
-void BM_FlightsPredQrp(benchmark::State& state) {
-  BM_FlightsArm(state, "pred,qrp");
-}
-void BM_FlightsOptimal(benchmark::State& state) {
-  BM_FlightsArm(state, "pred,qrp,mg");
-}
-void BM_FlightsOriginalStratified(benchmark::State& state) {
-  BM_FlightsArm(state, "", EvalStrategy::kStratified);
-}
-void BM_FlightsPredQrpStratified(benchmark::State& state) {
-  BM_FlightsArm(state, "pred,qrp", EvalStrategy::kStratified);
-}
-BENCHMARK(BM_FlightsOriginal)->Arg(24)->Arg(48);
-BENCHMARK(BM_FlightsPredQrp)->Arg(24)->Arg(48);
-BENCHMARK(BM_FlightsOptimal)->Arg(24)->Arg(48);
-BENCHMARK(BM_FlightsOriginalStratified)->Arg(24)->Arg(48);
-BENCHMARK(BM_FlightsPredQrpStratified)->Arg(24)->Arg(48);
-
-// Constrained-join ablation (DESIGN.md §12): time-budgeted leg selection
-// over a large leg relation. Each budget fact binds B to a point, so the
-// singleleg literal is reached with only the range constraint T <= B — no
-// position is uniquely bound, every leg survives the hash index's
-// pre-filter, and before the interval index the engine enumerated all
-// 20000 legs per budget and rejected ~95% of them one satisfiability check
-// at a time. The interval index answers each probe from the sorted bound
-// runs instead: binary search admits only the legs whose time can lie
-// under the budget.
-std::string ConstrainedJoinSection() {
-  ParsedInput in = ParseWithQueryOrDie(
-      "s1: withinbudget(S, D, T, C) :- budget(B), singleleg(S, D, T, C), "
-      "T <= B.\n"
-      "?- withinbudget(S, D, T, C).\n");
-  FlightNetworkSpec spec;
-  spec.airports = 200;
-  spec.legs = 20000;
-  spec.seed = 42;
-  Database db;
-  (void)AddFlightNetwork(in.program.symbols.get(), spec, &db);
-  for (int budget : {35, 40, 45, 50, 55}) {
-    (void)db.AddGroundFact(in.program.symbols.get(), "budget",
-                           {Database::Value::Number(Rational(budget))});
-  }
-  return MeasureIntervalAblation("flights-constrained-join", in.program, db);
-}
-
-void BM_ConstraintRewriteFlights(benchmark::State& state) {
-  ParsedInput in = ParseWithQueryOrDie(FlightsProgram());
-  auto steps = ValueOrDie(ParseSteps("pred,qrp"), "steps");
-  for (auto _ : state) {
-    auto rewritten = ApplyPipeline(in.program, in.query, steps, {});
-    benchmark::DoNotOptimize(rewritten.ok());
-  }
-}
-BENCHMARK(BM_ConstraintRewriteFlights);
-
 }  // namespace
 }  // namespace bench
 }  // namespace cqlopt
 
-int main(int argc, char** argv) {
-  bool json = cqlopt::bench::StripJsonFlag(&argc, argv);
+int main() {
   cqlopt::bench::PrintReproduction();
-  if (json) {
-    cqlopt::bench::ParsedInput in =
-        cqlopt::bench::ParseWithQueryOrDie(cqlopt::bench::FlightsProgram());
-    cqlopt::Database db =
-        cqlopt::bench::MakeNetwork(in.program.symbols.get(), 12, 48, 42);
-    cqlopt::bench::WriteBenchJson("flights", in.program, db, 64,
-                                  cqlopt::bench::ConstrainedJoinSection());
-  }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

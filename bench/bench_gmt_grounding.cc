@@ -11,8 +11,6 @@
 
 #include <random>
 
-#include <benchmark/benchmark.h>
-
 #include "ast/normalize.h"
 #include "bench_util.h"
 #include "transform/gmt.h"
@@ -77,49 +75,11 @@ void PrintReproduction() {
               grounded.db.TotalFacts() - db.TotalFacts());
 }
 
-void BM_GmtTransform(benchmark::State& state) {
-  ParsedInput in = ParseWithQueryOrDie(kExample61);
-  for (auto _ : state) {
-    auto gmt = GmtTransform(in.program, in.query);
-    benchmark::DoNotOptimize(gmt.ok());
-  }
-}
-BENCHMARK(BM_GmtTransform);
-
-void BM_EvalGrounded(benchmark::State& state) {
-  ParsedInput in = ParseWithQueryOrDie(kExample61);
-  auto gmt = ValueOrDie(GmtTransform(in.program, in.query), "gmt");
-  Database db = MakeEdb(in.program.symbols.get(),
-                        static_cast<int>(state.range(0)), 17);
-  EvalOptions eval;
-  eval.max_iterations = 64;
-  for (auto _ : state) {
-    auto run = Evaluate(gmt.grounded, db, eval);
-    benchmark::DoNotOptimize(run.ok());
-  }
-}
-BENCHMARK(BM_EvalGrounded)->Arg(20)->Arg(40);
-
-void BM_EvalOriginalAllAnswers(benchmark::State& state) {
-  ParsedInput in = ParseWithQueryOrDie(kExample61);
-  Database db = MakeEdb(in.program.symbols.get(),
-                        static_cast<int>(state.range(0)), 17);
-  EvalOptions eval;
-  eval.max_iterations = 64;
-  for (auto _ : state) {
-    auto run = Evaluate(in.program, db, eval);
-    benchmark::DoNotOptimize(run.ok());
-  }
-}
-BENCHMARK(BM_EvalOriginalAllAnswers)->Arg(20)->Arg(40);
-
 }  // namespace
 }  // namespace bench
 }  // namespace cqlopt
 
-int main(int argc, char** argv) {
+int main() {
   cqlopt::bench::PrintReproduction();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -8,8 +8,6 @@
 // table on the flights program and the Example 7.1 program over several
 // seeded EDBs and flag any arm that beats the optimum (there must be none).
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 
 namespace cqlopt {
@@ -85,38 +83,11 @@ void PrintReproduction() {
   std::printf("\n");
 }
 
-void BM_Arm(benchmark::State& state, const char* spec) {
-  ParsedInput in = ParseWithQueryOrDie(FlightsProgram());
-  FlightNetworkSpec spec_net;
-  spec_net.airports = 12;
-  spec_net.legs = 48;
-  Database db;
-  (void)AddFlightNetwork(in.program.symbols.get(), spec_net, &db);
-  auto steps = ValueOrDie(ParseSteps(spec), "steps");
-  auto rewritten =
-      ValueOrDie(ApplyPipeline(in.program, in.query, steps, {}), spec);
-  EvalOptions eval;
-  eval.max_iterations = 64;
-  for (auto _ : state) {
-    auto run = Evaluate(rewritten.program, db, eval);
-    benchmark::DoNotOptimize(run.ok());
-  }
-  state.SetLabel(spec);
-}
-void BM_MagicOnly(benchmark::State& state) { BM_Arm(state, "mg"); }
-void BM_MagicThenQrp(benchmark::State& state) { BM_Arm(state, "mg,qrp"); }
-void BM_Optimal(benchmark::State& state) { BM_Arm(state, "pred,qrp,mg"); }
-BENCHMARK(BM_MagicOnly);
-BENCHMARK(BM_MagicThenQrp);
-BENCHMARK(BM_Optimal);
-
 }  // namespace
 }  // namespace bench
 }  // namespace cqlopt
 
-int main(int argc, char** argv) {
+int main() {
   cqlopt::bench::PrintReproduction();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

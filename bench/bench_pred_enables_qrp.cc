@@ -10,8 +10,6 @@
 //     combinatorial bound n * 2^(2k^2+4k) of Theorem 5.1;
 //   - the pred,qrp evaluation computes fewer `a` facts than qrp alone.
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "transform/qrp_constraints.h"
 
@@ -73,50 +71,11 @@ void PrintReproduction() {
   std::printf("\n");
 }
 
-void BM_GenQrpWithoutPred(benchmark::State& state) {
-  ParsedInput in = ParseWithQueryOrDie(kExample42);
-  PredId q = in.program.symbols->LookupPredicate("q");
-  for (auto _ : state) {
-    auto out = GenQrpConstraints(in.program, q, {});
-    benchmark::DoNotOptimize(out.ok());
-  }
-}
-BENCHMARK(BM_GenQrpWithoutPred);
-
-void BM_ConstraintRewriteFull(benchmark::State& state) {
-  ParsedInput in = ParseWithQueryOrDie(kExample42);
-  PredId q = in.program.symbols->LookupPredicate("q");
-  for (auto _ : state) {
-    auto out = ConstraintRewrite(in.program, q, {});
-    benchmark::DoNotOptimize(out.ok());
-  }
-}
-BENCHMARK(BM_ConstraintRewriteFull);
-
-void BM_EvalPredQrp(benchmark::State& state) {
-  ParsedInput in = ParseWithQueryOrDie(kExample42);
-  Database db;
-  (void)AddBinaryRelation(in.program.symbols.get(), "p",
-                          static_cast<int>(state.range(0)), 30, 5, &db);
-  auto steps = ValueOrDie(ParseSteps("pred,qrp"), "steps");
-  auto rewritten =
-      ValueOrDie(ApplyPipeline(in.program, in.query, steps, {}), "pred,qrp");
-  EvalOptions eval;
-  eval.max_iterations = 32;
-  for (auto _ : state) {
-    auto run = Evaluate(rewritten.program, db, eval);
-    benchmark::DoNotOptimize(run.ok());
-  }
-}
-BENCHMARK(BM_EvalPredQrp)->Arg(32)->Arg(64);
-
 }  // namespace
 }  // namespace bench
 }  // namespace cqlopt
 
-int main(int argc, char** argv) {
+int main() {
   cqlopt::bench::PrintReproduction();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -9,8 +9,6 @@
 // facts stay bounded by the selectivity of Y <= 4, the syntactic arm
 // computes every b2 tuple.
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 
 namespace cqlopt {
@@ -58,51 +56,11 @@ void PrintReproduction() {
               "semantic rewrite keeps only Y <= 4)\n\n");
 }
 
-void BM_SemanticRewrite(benchmark::State& state) {
-  ParsedInput in = ParseWithQueryOrDie(kExample41);
-  auto steps = ValueOrDie(ParseSteps("qrp"), "steps");
-  for (auto _ : state) {
-    auto out = ApplyPipeline(in.program, in.query, steps, {});
-    benchmark::DoNotOptimize(out.ok());
-  }
-}
-BENCHMARK(BM_SemanticRewrite);
-
-void BM_SyntacticRewrite(benchmark::State& state) {
-  ParsedInput in = ParseWithQueryOrDie(kExample41);
-  auto steps = ValueOrDie(ParseSteps("balbin"), "steps");
-  for (auto _ : state) {
-    auto out = ApplyPipeline(in.program, in.query, steps, {});
-    benchmark::DoNotOptimize(out.ok());
-  }
-}
-BENCHMARK(BM_SyntacticRewrite);
-
-void BM_EvalArm(benchmark::State& state, const char* spec) {
-  ParsedInput in = ParseWithQueryOrDie(kExample41);
-  Database db = MakeEdb(in.program.symbols.get(),
-                        static_cast<int>(state.range(0)), 40, 11);
-  auto steps = ValueOrDie(ParseSteps(spec), "steps");
-  auto rewritten =
-      ValueOrDie(ApplyPipeline(in.program, in.query, steps, {}), spec);
-  for (auto _ : state) {
-    auto run = Evaluate(rewritten.program, db, {});
-    benchmark::DoNotOptimize(run.ok());
-  }
-  state.SetLabel(spec);
-}
-void BM_EvalSemantic(benchmark::State& state) { BM_EvalArm(state, "qrp"); }
-void BM_EvalSyntactic(benchmark::State& state) { BM_EvalArm(state, "balbin"); }
-BENCHMARK(BM_EvalSemantic)->Arg(64)->Arg(128);
-BENCHMARK(BM_EvalSyntactic)->Arg(64)->Arg(128);
-
 }  // namespace
 }  // namespace bench
 }  // namespace cqlopt
 
-int main(int argc, char** argv) {
+int main() {
   cqlopt::bench::PrintReproduction();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

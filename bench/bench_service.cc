@@ -1,35 +1,25 @@
-// Serving-path benchmark for the cqld subsystem (src/service): the same
-// flights query served three ways —
-//   cold         fresh service: parse + pipeline + stratified evaluation
-//   epoch-hit    repeated query at an unchanged epoch: answers come from
-//                the entry's materialized evaluation
-//   incremental  re-query after ingesting ~1% of the EDB: the materialized
-//                fixpoint is resumed with the delta instead of recomputed
-// The headline number is the speedup of each warm path over cold; the
-// prepared+incremental path is the subsystem's reason to exist.
+// Open-loop load sweep for the cqld serve loop (src/service): Poisson
+// arrivals at a sweep of fractions of the calibrated service capacity,
+// fanned over pipelined unix-socket connections against a small worker
+// pool, on the flights query. Per rate point it reports p50/p99/p999
+// latency (scheduled arrival → response) and the shed rate — the
+// scheduler's contract is that overload turns into typed
+// RESOURCE_EXHAUSTED sheds, never into accepted-but-unanswered requests,
+// so `unanswered` must be zero at every point.
 //
-// A second section measures the robustness features' overhead on the same
-// workload: ingestion with the write-ahead log on vs off (the fsync tax a
-// durable deployment pays per batch) and the cold query with governance
-// armed vs off (deadline + derived-fact budget checks that never trigger —
-// the acceptance bar is < 2% on this workload).
+//   bench_service [--json]   # --json also writes BENCH_service.json
 //
-// A third section drives the epoll serve loop open-loop: Poisson arrivals
-// at a sweep of fractions of the calibrated service capacity, fanned over
-// pipelined unix-socket connections against a small worker pool. Per rate
-// point it reports p50/p99/p999 latency (scheduled arrival → response) and
-// the shed rate — the scheduler's contract is that overload turns into
-// typed RESOURCE_EXHAUSTED sheds, never into accepted-but-unanswered
-// requests, so `unanswered` must be zero at every point.
+// CI's load-smoke job gates the JSON against
+// bench/baselines/service_load.json. Latencies are reported, never gated;
+// perfbench/run.py is the harness that times the serving paths.
 
-#include <benchmark/benchmark.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <future>
@@ -39,7 +29,6 @@
 
 #include "bench_util.h"
 #include "service/protocol.h"
-#include "service/replica.h"
 #include "service/query_service.h"
 #include "service/server.h"
 
@@ -55,7 +44,7 @@ std::string ServiceQuery() {
   return "?- cheaporshort(a5, a9, Time, Cost).";
 }
 
-std::unique_ptr<QueryService> MakeService(const ServiceOptions& options = {}) {
+std::unique_ptr<QueryService> MakeService() {
   ParsedInput in = ParseWithQueryOrDie(FlightsProgram());
   FlightNetworkSpec spec;
   spec.airports = kAirports;
@@ -64,14 +53,15 @@ std::unique_ptr<QueryService> MakeService(const ServiceOptions& options = {}) {
   Database db;
   (void)AddFlightNetwork(in.program.symbols.get(), spec, &db);
   return ValueOrDie(
-      QueryService::FromParts(std::move(in.program), std::move(db), options),
+      QueryService::FromParts(std::move(in.program), std::move(db), {}),
       "service");
 }
 
-/// Scratch directory for the WAL-on ingestion arm, removed on destruction.
-struct TempWalDir {
+/// Scratch directory for one rate point's socket, removed on destruction
+/// (the serve loop unlinks the socket itself on teardown).
+struct TempDir {
   std::string path;
-  TempWalDir() {
+  TempDir() {
     const char* base = std::getenv("TMPDIR");
     path = std::string(base != nullptr ? base : "/tmp") +
            "/cqlopt-bench-XXXXXX";
@@ -80,296 +70,14 @@ struct TempWalDir {
       std::abort();
     }
   }
-  ~TempWalDir() {
-    (void)unlink((path + "/wal.log").c_str());
-    (void)unlink((path + "/snapshot.cql").c_str());
-    (void)unlink((path + "/snapshot.tmp").c_str());
-    (void)rmdir(path.c_str());
-  }
+  ~TempDir() { (void)rmdir(path.c_str()); }
 };
-
-/// Governance armed with limits the flights workload never reaches, so the
-/// measured cost is purely the cooperative checks, not an abort.
-ServiceOptions GovernedOptions() {
-  ServiceOptions options;
-  options.eval.deadline_ms = 60000;
-  options.eval.max_derived_facts = 100000000;
-  options.eval.cancel = CancelToken::Cancellable();
-  return options;
-}
-
-/// A batch of kLegs/100 fresh legs drawn from the same time/cost
-/// distribution as the base network (a typical feed update, not a swarm of
-/// outlier cheap legs that would recompute most of the closure). `round`
-/// seeds the generator so successive batches are distinct; legs go low →
-/// high airport, preserving the network's acyclicity.
-std::string IngestBatch(int round) {
-  std::string text;
-  std::mt19937_64 rng(9000 + static_cast<uint64_t>(round));
-  for (int i = 0; i < kLegs / 100; ++i) {
-    int from = static_cast<int>(rng() % (kAirports - 1));
-    int to = from + 1 +
-             static_cast<int>(rng() % static_cast<uint64_t>(kAirports - 1 -
-                                                            from));
-    int time = 30 + static_cast<int>(rng() % 570);
-    int cost = 20 + static_cast<int>(rng() % 380);
-    text += "singleleg(a" + std::to_string(from) + ", a" +
-            std::to_string(to) + ", " + std::to_string(time) + ", " +
-            std::to_string(cost) + ").\n";
-  }
-  return text;
-}
 
 double MillisSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start)
       .count();
 }
-
-struct ArmSample {
-  double wall_ms = 0;
-  ServePath path = ServePath::kCold;
-  size_t answers = 0;
-  int iterations_run = 0;
-};
-
-ArmSample MeasureCold(QueryService& service) {
-  auto start = std::chrono::steady_clock::now();
-  QueryOutcome outcome =
-      ValueOrDie(service.Execute(ServiceQuery(), kSteps), "cold");
-  return ArmSample{MillisSince(start), outcome.path, outcome.answers.size(),
-                   outcome.iterations_run};
-}
-
-ArmSample MeasureEpochHit(QueryService& service) {
-  auto start = std::chrono::steady_clock::now();
-  QueryOutcome outcome =
-      ValueOrDie(service.Execute(ServiceQuery(), kSteps), "epoch-hit");
-  return ArmSample{MillisSince(start), outcome.path, outcome.answers.size(),
-                   outcome.iterations_run};
-}
-
-/// Ingest outside the clock — the measured cost is the re-query.
-ArmSample MeasureIncremental(QueryService& service, int round) {
-  (void)ValueOrDie(service.Ingest(IngestBatch(round)), "ingest");
-  auto start = std::chrono::steady_clock::now();
-  QueryOutcome outcome =
-      ValueOrDie(service.Execute(ServiceQuery(), kSteps), "incremental");
-  return ArmSample{MillisSince(start), outcome.path, outcome.answers.size(),
-                   outcome.iterations_run};
-}
-
-struct ArmSummary {
-  double wall_ms = 0;  // best of the repetitions
-  ArmSample last;
-};
-
-constexpr int kIngestBatches = 20;
-
-/// Total wall of kIngestBatches Ingest calls — the per-batch commit cost,
-/// which with a WAL includes the append + fsync before the epoch flips.
-double MeasureIngestTotal(QueryService& service) {
-  auto start = std::chrono::steady_clock::now();
-  for (int round = 0; round < kIngestBatches; ++round) {
-    (void)ValueOrDie(service.Ingest(IngestBatch(100 + round)), "ingest");
-  }
-  return MillisSince(start);
-}
-
-// ---------------------------------------------------------------------------
-// Retraction arm: incremental shrink vs re-evaluation from scratch.
-
-struct RetractArmResult {
-  double incremental_ms = 1e18;
-  double scratch_ms = 1e18;
-  size_t incremental_answers = 0;
-  size_t scratch_answers = 0;
-  int removed = 0;
-  int missing = 0;
-  long retract_resumes = 0;
-};
-
-/// Ingests one batch, materializes, retracts ONE leg of it (the typical
-/// feed correction), and measures the catch-up query (the retract-delta
-/// resume of DESIGN.md §14) against a cold evaluation of the identical
-/// surviving database — a fresh service that applies the same
-/// ingest+retract before its first query, so the two EDBs are
-/// byte-identical even if the random batch collided with a base leg. The
-/// batch is fixed across repetitions so the answer sets are directly
-/// comparable.
-RetractArmResult MeasureRetractArm() {
-  RetractArmResult out;
-  constexpr int kReps = 5;
-  const std::string batch = IngestBatch(500);
-  const std::string victim = batch.substr(0, batch.find('\n') + 1);
-  for (int rep = 0; rep < kReps; ++rep) {
-    auto warm = MakeService();
-    (void)ValueOrDie(warm->Ingest(batch), "retract-arm ingest");
-    (void)ValueOrDie(warm->Execute(ServiceQuery(), kSteps),
-                     "retract-arm warm query");
-    RetractOutcome removed = ValueOrDie(warm->Retract(victim), "retract");
-    auto start = std::chrono::steady_clock::now();
-    QueryOutcome incremental =
-        ValueOrDie(warm->Execute(ServiceQuery(), kSteps),
-                   "retract-arm re-query");
-    double inc_ms = MillisSince(start);
-    if (inc_ms < out.incremental_ms) {
-      out.incremental_ms = inc_ms;
-      out.incremental_answers = incremental.answers.size();
-      out.removed = removed.removed;
-      out.missing = removed.missing;
-      out.retract_resumes = warm->Stats().retract_resumes;
-    }
-
-    auto scratch = MakeService();
-    (void)ValueOrDie(scratch->Ingest(batch), "retract-arm scratch ingest");
-    (void)ValueOrDie(scratch->Retract(victim),
-                     "retract-arm scratch retract");
-    start = std::chrono::steady_clock::now();
-    QueryOutcome cold = ValueOrDie(scratch->Execute(ServiceQuery(), kSteps),
-                                   "retract-arm scratch query");
-    double scr_ms = MillisSince(start);
-    if (scr_ms < out.scratch_ms) {
-      out.scratch_ms = scr_ms;
-      out.scratch_answers = cold.answers.size();
-    }
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Replication arm: a WAL-shipping primary with an in-process follower
-// (DESIGN.md §15) — bootstrap catch-up cost, follower read throughput
-// against the primary's, the worst lag while tailing a write burst, and
-// the structural gates of bench/baselines/service_replication.json
-// (answers_match, zero divergences, failover write survival).
-
-struct ReplicationArmResult {
-  double bootstrap_ms = 0;         // snapshot install, level with history
-  double tail_drain_ms = 0;        // draining the write burst to lag 0
-  long records_applied = 0;
-  long snapshots_installed = 0;
-  long max_lag_records = 0;        // worst lag observed mid-burst
-  double primary_reads_per_s = 0;
-  double follower_reads_per_s = 0;
-  size_t primary_answers = 0;
-  size_t follower_answers = 0;
-  bool answers_match = false;
-  long divergences = 0;
-  bool failover_write_survived = false;
-};
-
-ReplicationArmResult MeasureReplicationArm() {
-  ReplicationArmResult out;
-  TempWalDir p_dir;
-  TempWalDir f_dir;
-  ServiceOptions p_opts;
-  p_opts.wal_dir = p_dir.path;
-  auto primary = MakeService(p_opts);
-  constexpr int kHistoryBatches = 10;
-  for (int i = 0; i < kHistoryBatches; ++i) {
-    (void)ValueOrDie(primary->Ingest(IngestBatch(i)), "replication history");
-  }
-
-  // The follower: same program, empty EDB, its own WAL — everything it
-  // knows must arrive over the feed.
-  ParsedInput in = ParseWithQueryOrDie(FlightsProgram());
-  ServiceOptions f_opts;
-  f_opts.wal_dir = f_dir.path;
-  auto follower = ValueOrDie(
-      QueryService::FromParts(std::move(in.program), Database(), f_opts),
-      "follower service");
-  // Small fetch batches so the burst below can genuinely outrun the
-  // follower and the lag counter measures something real.
-  ReplicatorOptions rep_opts;
-  rep_opts.max_records = 2;
-  Replicator replicator(
-      follower.get(),
-      std::make_unique<LocalReplicationSource>(primary.get()), rep_opts);
-  replicator.AttachHooks();
-  auto drain = [&replicator] {
-    for (;;) {
-      if (ValueOrDie(replicator.Step(), "replication step") == 0) return;
-    }
-  };
-
-  // Bootstrap: the first fetch renegotiates a full snapshot cut at the
-  // primary's head (the follower holds no generation yet).
-  auto start = std::chrono::steady_clock::now();
-  drain();
-  out.bootstrap_ms = MillisSince(start);
-
-  // Tail a write burst, stepping once per two commits so real lag builds
-  // up, then drain level. The lag numbers come from the replicator's own
-  // progress counters — the same ones HEALTH reports.
-  constexpr int kBurstBatches = 10;
-  start = std::chrono::steady_clock::now();
-  for (int i = 0; i < kBurstBatches; ++i) {
-    (void)ValueOrDie(primary->Ingest(IngestBatch(kHistoryBatches + i)),
-                     "burst ingest");
-    if (i % 3 == 2) {
-      (void)ValueOrDie(replicator.Step(), "burst step");
-      ReplicatorProgress progress = replicator.Progress();
-      if (progress.lag_records > out.max_lag_records) {
-        out.max_lag_records = progress.lag_records;
-      }
-    }
-  }
-  drain();
-  out.tail_drain_ms = MillisSince(start);
-  {
-    ReplicatorProgress progress = replicator.Progress();
-    out.records_applied = progress.records_applied;
-    out.snapshots_installed = progress.snapshots_installed;
-  }
-
-  // Read throughput at the same epoch, warm on both sides. The answers
-  // must be byte-identical — the property the whole subsystem sells.
-  QueryOutcome p_warm =
-      ValueOrDie(primary->Execute(ServiceQuery(), kSteps), "primary warm");
-  QueryOutcome f_warm =
-      ValueOrDie(follower->Execute(ServiceQuery(), kSteps), "follower warm");
-  out.primary_answers = p_warm.answers.size();
-  out.follower_answers = f_warm.answers.size();
-  out.answers_match = p_warm.answers == f_warm.answers &&
-                      primary->epoch() == follower->epoch();
-  constexpr int kReads = 200;
-  start = std::chrono::steady_clock::now();
-  for (int i = 0; i < kReads; ++i) {
-    (void)ValueOrDie(primary->Execute(ServiceQuery(), kSteps),
-                     "primary read");
-  }
-  double primary_ms = MillisSince(start);
-  start = std::chrono::steady_clock::now();
-  for (int i = 0; i < kReads; ++i) {
-    (void)ValueOrDie(follower->Execute(ServiceQuery(), kSteps),
-                     "follower read");
-  }
-  double follower_ms = MillisSince(start);
-  out.primary_reads_per_s = primary_ms > 0 ? 1000.0 * kReads / primary_ms : 0;
-  out.follower_reads_per_s =
-      follower_ms > 0 ? 1000.0 * kReads / follower_ms : 0;
-
-  // Failover: one acknowledged write the follower never pulls, kill the
-  // primary, PROMOTE with its WAL directory. The drain must leave the
-  // promoted node byte-identical to the dead primary's final state.
-  (void)ValueOrDie(primary->Ingest(IngestBatch(kHistoryBatches + kBurstBatches)),
-                   "failover write");
-  std::string dead_state = primary->RenderStateText();
-  primary.reset();
-  Status promoted = follower->Promote(p_dir.path);
-  if (!promoted.ok()) {
-    std::fprintf(stderr, "replication arm: promote failed: %s\n",
-                 promoted.ToString().c_str());
-    std::abort();
-  }
-  out.failover_write_survived = follower->RenderStateText() == dead_state;
-  out.divergences = replicator.Progress().quarantined ? 1 : 0;
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Open-loop load generation against the epoll serve loop.
 
 constexpr int kLoadConnections = 8;
 constexpr int kLoadWorkers = 2;
@@ -485,7 +193,7 @@ LoadPoint RunLoadPoint(double multiplier, double rate_per_s) {
   point.sent = std::max<long>(
       60, std::min<long>(1200, std::lround(rate_per_s * kLoadSeconds)));
 
-  TempWalDir scratch;
+  TempDir scratch;
   const std::string socket_path = scratch.path + "/load.sock";
   auto service = MakeService();
   (void)ValueOrDie(service->Execute(ServiceQuery(), kSteps), "warm");
@@ -635,294 +343,23 @@ void RunLoadSweep(std::string* json_out) {
   *json_out = section;
 }
 
-void PrintAndMaybeWriteJson(bool json) {
-  constexpr int kReps = 5;
-  ArmSummary cold;
-  ArmSummary hit;
-  ArmSummary incremental;
-  cold.wall_ms = hit.wall_ms = incremental.wall_ms = 1e18;
-
-  for (int rep = 0; rep < kReps; ++rep) {
-    // Cold: a fresh service every repetition, nothing warm.
-    auto fresh = MakeService();
-    ArmSample c = MeasureCold(*fresh);
-    if (c.wall_ms < cold.wall_ms) cold.wall_ms = c.wall_ms;
-    cold.last = c;
-  }
-  auto service = MakeService();
-  (void)MeasureCold(*service);  // warm the prepared entry + materialization
-  for (int rep = 0; rep < kReps; ++rep) {
-    ArmSample h = MeasureEpochHit(*service);
-    if (h.wall_ms < hit.wall_ms) hit.wall_ms = h.wall_ms;
-    hit.last = h;
-  }
-  ServiceStats inc_stats;
-  for (int rep = 0; rep < kReps; ++rep) {
-    // A fresh warmed service per repetition keeps the database the same
-    // size as the cold arm's (one 1% batch ahead), so the speedup is
-    // incremental-vs-recompute, not small-database-vs-large.
-    auto warm = MakeService();
-    (void)MeasureCold(*warm);
-    ArmSample i = MeasureIncremental(*warm, rep);
-    if (i.wall_ms < incremental.wall_ms) incremental.wall_ms = i.wall_ms;
-    incremental.last = i;
-    inc_stats = warm->Stats();
-  }
-
-  auto speedup = [&](double ms) {
-    return ms > 0 ? cold.wall_ms / ms : 0.0;
-  };
-  std::printf("=== cqld serving paths: flights, %d airports / %d legs, "
-              "%s ===\n",
-              kAirports, kLegs, kSteps);
-  std::printf("%-14s %10s %12s %9s %11s %10s\n", "arm", "wall_ms", "path",
-              "answers", "iterations", "vs cold");
-  struct Row {
-    const char* name;
-    const ArmSummary* summary;
-  };
-  for (const Row& row : {Row{"cold", &cold}, Row{"epoch-hit", &hit},
-                         Row{"incremental", &incremental}}) {
-    std::printf("%-14s %10.3f %12s %9zu %11d %9.1fx\n", row.name,
-                row.summary->wall_ms, ServePathName(row.summary->last.path),
-                row.summary->last.answers, row.summary->last.iterations_run,
-                speedup(row.summary->wall_ms));
-  }
-  std::printf("incremental service: queries=%ld resumes=%ld "
-              "resumed_iterations=%ld epoch=%lld prepared_entries=%zu\n\n",
-              inc_stats.queries, inc_stats.resumes,
-              inc_stats.resumed_iterations,
-              static_cast<long long>(inc_stats.epoch),
-              inc_stats.prepared_entries);
-
-  // Robustness overheads on the same workload: the WAL's per-batch fsync
-  // tax, and governance checks that never trigger on the cold path.
-  double ingest_off_ms = 1e18;
-  double ingest_on_ms = 1e18;
-  ServiceStats wal_stats;
-  for (int rep = 0; rep < kReps; ++rep) {
-    auto plain = MakeService();
-    double off = MeasureIngestTotal(*plain);
-    if (off < ingest_off_ms) ingest_off_ms = off;
-    TempWalDir dir;
-    ServiceOptions durable;
-    durable.wal_dir = dir.path;
-    auto walled = MakeService(durable);
-    double on = MeasureIngestTotal(*walled);
-    if (on < ingest_on_ms) ingest_on_ms = on;
-    wal_stats = walled->Stats();
-  }
-  // Interleave governed and ungoverned cold runs so both see the same
-  // process state (global decision cache, allocator, machine load) — the
-  // cold arm above ran much earlier and is not a fair baseline here.
-  double governed_ms = 1e18;
-  double ungoverned_ms = 1e18;
-  for (int rep = 0; rep < kReps; ++rep) {
-    auto plain = MakeService();
-    ArmSample u = MeasureCold(*plain);
-    if (u.wall_ms < ungoverned_ms) ungoverned_ms = u.wall_ms;
-    auto governed = MakeService(GovernedOptions());
-    ArmSample g = MeasureCold(*governed);
-    if (g.wall_ms < governed_ms) governed_ms = g.wall_ms;
-  }
-  auto pct = [](double base, double with) {
-    return base > 0 ? 100.0 * (with - base) / base : 0.0;
-  };
-  double wal_pct = pct(ingest_off_ms, ingest_on_ms);
-  double gov_pct = pct(ungoverned_ms, governed_ms);
-  std::printf("=== robustness overheads (same workload) ===\n");
-  std::printf("ingest x%d batches: wal-off %.3f ms, wal-on %.3f ms "
-              "(%+.1f%%; appends=%ld bytes=%ld)\n",
-              kIngestBatches, ingest_off_ms, ingest_on_ms, wal_pct,
-              wal_stats.wal_appends, wal_stats.wal_bytes);
-  std::printf("cold query: ungoverned %.3f ms, governed %.3f ms "
-              "(%+.1f%%, target < 2%%)\n\n",
-              ungoverned_ms, governed_ms, gov_pct);
-
-  RetractArmResult retract = MeasureRetractArm();
-  std::printf("=== retraction: incremental shrink vs scratch re-eval ===\n");
-  std::printf("retract %d fact(s): incremental %.3f ms, scratch %.3f ms "
-              "(%.1fx); answers %zu vs %zu (%s), retract_resumes=%ld\n\n",
-              retract.removed, retract.incremental_ms, retract.scratch_ms,
-              retract.incremental_ms > 0
-                  ? retract.scratch_ms / retract.incremental_ms
-                  : 0.0,
-              retract.incremental_answers, retract.scratch_answers,
-              retract.incremental_answers == retract.scratch_answers
-                  ? "match"
-                  : "MISMATCH",
-              retract.retract_resumes);
-
-  ReplicationArmResult rep = MeasureReplicationArm();
-  std::printf("=== replication: WAL-shipped follower vs primary ===\n");
-  std::printf("bootstrap %.3f ms (snapshots=%ld), tail drain %.3f ms "
-              "(records=%ld, max lag %ld)\n",
-              rep.bootstrap_ms, rep.snapshots_installed, rep.tail_drain_ms,
-              rep.records_applied, rep.max_lag_records);
-  std::printf("reads/s: primary %.0f, follower %.0f (%.2fx); answers %zu "
-              "vs %zu (%s); divergences=%ld; failover write %s\n\n",
-              rep.primary_reads_per_s, rep.follower_reads_per_s,
-              rep.primary_reads_per_s > 0
-                  ? rep.follower_reads_per_s / rep.primary_reads_per_s
-                  : 0.0,
-              rep.primary_answers, rep.follower_answers,
-              rep.answers_match ? "match" : "MISMATCH", rep.divergences,
-              rep.failover_write_survived ? "survived" : "LOST");
-
-  std::string load_section;
-  RunLoadSweep(&load_section);
-
-  if (!json) return;
-  std::string out = "{\n  \"bench\": \"service\",\n  \"arms\": [\n";
-  bool first = true;
-  for (const Row& row : {Row{"cold", &cold}, Row{"epoch-hit", &hit},
-                         Row{"incremental", &incremental}}) {
-    char buf[512];
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"label\": \"%s\", \"wall_ms\": %.3f, "
-                  "\"path\": \"%s\", \"answers\": %zu, "
-                  "\"iterations_run\": %d, \"speedup_vs_cold\": %.2f}",
-                  row.name, row.summary->wall_ms,
-                  ServePathName(row.summary->last.path),
-                  row.summary->last.answers, row.summary->last.iterations_run,
-                  speedup(row.summary->wall_ms));
-    if (!first) out += ",\n";
-    out += buf;
-    first = false;
-  }
-  out += "\n  ],\n";
-  char overheads[512];
-  std::snprintf(
-      overheads, sizeof(overheads),
-      "  \"overheads\": {\"ingest_batches\": %d, "
-      "\"ingest_wal_off_ms\": %.3f, \"ingest_wal_on_ms\": %.3f, "
-      "\"wal_overhead_pct\": %.2f, \"wal_appends\": %ld, "
-      "\"wal_bytes\": %ld, \"cold_ungoverned_ms\": %.3f, "
-      "\"cold_governed_ms\": %.3f, "
-      "\"governance_overhead_pct\": %.2f},\n",
-      kIngestBatches, ingest_off_ms, ingest_on_ms, wal_pct,
-      wal_stats.wal_appends, wal_stats.wal_bytes, ungoverned_ms,
-      governed_ms, gov_pct);
-  out += overheads;
-  char retract_json[512];
-  std::snprintf(
-      retract_json, sizeof(retract_json),
-      "  \"retract\": {\"removed\": %d, \"missing\": %d, "
-      "\"incremental_ms\": %.3f, \"scratch_ms\": %.3f, "
-      "\"speedup_vs_scratch\": %.2f, \"incremental_answers\": %zu, "
-      "\"scratch_answers\": %zu, \"answers_match\": %s, "
-      "\"retract_resumes\": %ld},\n",
-      retract.removed, retract.missing, retract.incremental_ms,
-      retract.scratch_ms,
-      retract.incremental_ms > 0
-          ? retract.scratch_ms / retract.incremental_ms
-          : 0.0,
-      retract.incremental_answers, retract.scratch_answers,
-      retract.incremental_answers == retract.scratch_answers ? "true"
-                                                             : "false",
-      retract.retract_resumes);
-  out += retract_json;
-  char replication_json[768];
-  std::snprintf(
-      replication_json, sizeof(replication_json),
-      "  \"replication\": {\"bootstrap_ms\": %.3f, "
-      "\"tail_drain_ms\": %.3f, \"records_applied\": %ld, "
-      "\"snapshots_installed\": %ld, \"max_lag_records\": %ld, "
-      "\"primary_reads_per_s\": %.1f, \"follower_reads_per_s\": %.1f, "
-      "\"primary_answers\": %zu, \"follower_answers\": %zu, "
-      "\"answers_match\": %s, \"divergences\": %ld, "
-      "\"failover_write_survived\": %s},\n",
-      rep.bootstrap_ms, rep.tail_drain_ms, rep.records_applied,
-      rep.snapshots_installed, rep.max_lag_records, rep.primary_reads_per_s,
-      rep.follower_reads_per_s, rep.primary_answers, rep.follower_answers,
-      rep.answers_match ? "true" : "false", rep.divergences,
-      rep.failover_write_survived ? "true" : "false");
-  out += replication_json;
-  out += load_section;
-  out += "}\n";
-  FILE* f = std::fopen("BENCH_service.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_service.json\n");
-    std::abort();
-  }
-  std::fputs(out.c_str(), f);
-  std::fclose(f);
-  std::printf("wrote BENCH_service.json\n");
-}
-
-void BM_ServiceCold(benchmark::State& state) {
-  for (auto _ : state) {
-    auto service = MakeService();
-    auto outcome = service->Execute(ServiceQuery(), kSteps);
-    benchmark::DoNotOptimize(outcome.ok());
-  }
-}
-BENCHMARK(BM_ServiceCold);
-
-void BM_ServiceEpochHit(benchmark::State& state) {
-  auto service = MakeService();
-  (void)ValueOrDie(service->Execute(ServiceQuery(), kSteps), "warm");
-  for (auto _ : state) {
-    auto outcome = service->Execute(ServiceQuery(), kSteps);
-    benchmark::DoNotOptimize(outcome.ok());
-  }
-}
-BENCHMARK(BM_ServiceEpochHit);
-
-void BM_ServiceIncremental(benchmark::State& state) {
-  auto service = MakeService();
-  (void)ValueOrDie(service->Execute(ServiceQuery(), kSteps), "warm");
-  int round = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    (void)ValueOrDie(service->Ingest(IngestBatch(round++)), "ingest");
-    state.ResumeTiming();
-    auto outcome = service->Execute(ServiceQuery(), kSteps);
-    benchmark::DoNotOptimize(outcome.ok());
-  }
-}
-BENCHMARK(BM_ServiceIncremental);
-
-void BM_ServiceIngestNoWal(benchmark::State& state) {
-  auto service = MakeService();
-  int round = 0;
-  for (auto _ : state) {
-    auto outcome = service->Ingest(IngestBatch(round++));
-    benchmark::DoNotOptimize(outcome.ok());
-  }
-}
-BENCHMARK(BM_ServiceIngestNoWal);
-
-void BM_ServiceIngestWal(benchmark::State& state) {
-  TempWalDir dir;
-  ServiceOptions durable;
-  durable.wal_dir = dir.path;
-  auto service = MakeService(durable);
-  int round = 0;
-  for (auto _ : state) {
-    auto outcome = service->Ingest(IngestBatch(round++));
-    benchmark::DoNotOptimize(outcome.ok());
-  }
-}
-BENCHMARK(BM_ServiceIngestWal);
-
-void BM_ServiceColdGoverned(benchmark::State& state) {
-  for (auto _ : state) {
-    auto service = MakeService(GovernedOptions());
-    auto outcome = service->Execute(ServiceQuery(), kSteps);
-    benchmark::DoNotOptimize(outcome.ok());
-  }
-}
-BENCHMARK(BM_ServiceColdGoverned);
-
 }  // namespace
 }  // namespace bench
 }  // namespace cqlopt
 
 int main(int argc, char** argv) {
-  bool json = cqlopt::bench::StripJsonFlag(&argc, argv);
-  cqlopt::bench::PrintAndMaybeWriteJson(json);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  bool json = argc > 1 && std::strcmp(argv[1], "--json") == 0;
+  std::string load_section;
+  cqlopt::bench::RunLoadSweep(&load_section);
+  if (!json) return 0;
+  std::string out = "{\n  \"bench\": \"service\",\n" + load_section + "}\n";
+  FILE* f = std::fopen("BENCH_service.json", "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot write BENCH_service.json\n");
+    return 1;
+  }
+  std::fputs(out.c_str(), f);
+  std::fclose(f);
+  std::printf("wrote BENCH_service.json\n");
   return 0;
 }

@@ -11,8 +11,6 @@
 //   - the evaluation computes constraint facts and NEVER terminates —
 //     shown here by running to an iteration cap without a fixpoint.
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "transform/magic.h"
 
@@ -61,57 +59,11 @@ void PrintReproduction() {
   std::printf("\n");
 }
 
-void BM_MagicRewriteFib(benchmark::State& state) {
-  ParsedInput in = ParseWithQueryOrDie(FibProgram());
-  MagicOptions options;
-  options.sips = SipStrategy::kFullLeftToRight;
-  for (auto _ : state) {
-    auto magic = MagicTemplates(in.program, in.query, options);
-    benchmark::DoNotOptimize(magic.ok());
-  }
-}
-BENCHMARK(BM_MagicRewriteFib);
-
-void BM_EvaluateFibMagicCapped(benchmark::State& state) {
-  MagicResult magic = RewriteFib();
-  EvalOptions eval;
-  eval.max_iterations = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    auto run = Evaluate(magic.program, Database(), eval);
-    benchmark::DoNotOptimize(run.ok());
-  }
-  state.SetLabel("iterations=" + std::to_string(state.range(0)));
-}
-BENCHMARK(BM_EvaluateFibMagicCapped)->Arg(9)->Arg(16)->Arg(24);
-
-void BM_EvaluateFibMagicCappedStratified(benchmark::State& state) {
-  MagicResult magic = RewriteFib();
-  EvalOptions eval;
-  eval.max_iterations = static_cast<int>(state.range(0));
-  eval.strategy = EvalStrategy::kStratified;
-  for (auto _ : state) {
-    auto run = Evaluate(magic.program, Database(), eval);
-    benchmark::DoNotOptimize(run.ok());
-  }
-  state.SetLabel("iterations=" + std::to_string(state.range(0)));
-}
-BENCHMARK(BM_EvaluateFibMagicCappedStratified)->Arg(9)->Arg(16)->Arg(24);
-
 }  // namespace
 }  // namespace bench
 }  // namespace cqlopt
 
-int main(int argc, char** argv) {
-  bool json = cqlopt::bench::StripJsonFlag(&argc, argv);
+int main() {
   cqlopt::bench::PrintReproduction();
-  if (json) {
-    cqlopt::MagicResult magic = cqlopt::bench::RewriteFib();
-    // The evaluation never terminates (the point of Table 1); measure the
-    // same capped prefix google-benchmark times below.
-    cqlopt::bench::WriteBenchJson("table1_fib_magic", magic.program,
-                                  cqlopt::Database(), /*max_iterations=*/24);
-  }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -13,8 +13,6 @@
 //   - the evaluation terminates after iteration 8;
 //   - ?- fib(N, 6) terminates answering "no" (Example 4.4).
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "transform/magic.h"
 #include "transform/predicate_constraints.h"
@@ -108,60 +106,11 @@ void PrintReproduction() {
   std::printf("\n");
 }
 
-void BM_PropagateGivenConstraint(benchmark::State& state) {
-  ParsedInput in = ParseWithQueryOrDie(FibProgram());
-  std::map<PredId, ConstraintSet> given;
-  given[in.program.symbols->LookupPredicate("fib")] = SecondArgAtLeastOne();
-  for (auto _ : state) {
-    auto out = PropagateGivenConstraints(in.program, given);
-    benchmark::DoNotOptimize(out.ok());
-  }
-}
-BENCHMARK(BM_PropagateGivenConstraint);
-
-void BM_EvaluateFib1MagicToFixpoint(benchmark::State& state) {
-  ParsedInput in = ParseWithQueryOrDie(FibProgram());
-  Program pfib1 = Pfib1(in);
-  MagicOptions options;
-  options.sips = SipStrategy::kFullLeftToRight;
-  auto magic = ValueOrDie(MagicTemplates(pfib1, in.query, options), "magic");
-  EvalOptions eval;
-  eval.max_iterations = 64;
-  for (auto _ : state) {
-    auto run = Evaluate(magic.program, Database(), eval);
-    benchmark::DoNotOptimize(run.ok());
-  }
-}
-BENCHMARK(BM_EvaluateFib1MagicToFixpoint);
-
-void BM_WideningDerivesConstraint(benchmark::State& state) {
-  ParsedInput in = ParseWithQueryOrDie(FibProgram());
-  for (auto _ : state) {
-    auto widened = GenPredicateConstraintsWithWidening(in.program, {}, {});
-    benchmark::DoNotOptimize(widened.ok());
-  }
-}
-BENCHMARK(BM_WideningDerivesConstraint);
-
 }  // namespace
 }  // namespace bench
 }  // namespace cqlopt
 
-int main(int argc, char** argv) {
-  bool json = cqlopt::bench::StripJsonFlag(&argc, argv);
+int main() {
   cqlopt::bench::PrintReproduction();
-  if (json) {
-    cqlopt::bench::ParsedInput in =
-        cqlopt::bench::ParseWithQueryOrDie(cqlopt::bench::FibProgram());
-    cqlopt::Program pfib1 = cqlopt::bench::Pfib1(in);
-    cqlopt::MagicOptions options;
-    options.sips = cqlopt::SipStrategy::kFullLeftToRight;
-    auto magic = cqlopt::bench::ValueOrDie(
-        cqlopt::MagicTemplates(pfib1, in.query, options), "magic");
-    cqlopt::bench::WriteBenchJson("table2_fib_pred", magic.program,
-                                  cqlopt::Database());
-  }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -8,8 +8,6 @@
 // in a couple of iterations, wildly below the combinatorial bound — across
 // generated order-constraint programs of growing arity and recursion depth.
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "transform/qrp_constraints.h"
 
@@ -90,32 +88,11 @@ void PrintReproduction() {
   }
 }
 
-void BM_GenQrpOrderClass(benchmark::State& state) {
-  int k = static_cast<int>(state.range(0));
-  int depth = static_cast<int>(state.range(1));
-  ParsedInput in = ParseWithQueryOrDie(OrderConstraintProgram(k, depth));
-  PredId q = in.program.symbols->LookupPredicate("q");
-  InferenceOptions options;
-  options.max_iterations = 512;
-  options.max_disjuncts = 512;
-  for (auto _ : state) {
-    auto qrp = GenQrpConstraints(in.program, q, options);
-    benchmark::DoNotOptimize(qrp.ok());
-  }
-}
-BENCHMARK(BM_GenQrpOrderClass)
-    ->Args({2, 4})
-    ->Args({2, 8})
-    ->Args({3, 4})
-    ->Args({3, 8});
-
 }  // namespace
 }  // namespace bench
 }  // namespace cqlopt
 
-int main(int argc, char** argv) {
+int main() {
   cqlopt::bench::PrintReproduction();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -27,8 +27,7 @@ Database::BatchOutcome Database::AddFacts(const std::vector<Fact>& batch,
   BatchOutcome out;
   for (const Fact& fact : batch) {
     InsertOutcome o = relations_[fact.pred].Insert(
-        fact, birth, SubsumptionMode::kNone, /*rule_label=*/"",
-        /*parents=*/{}, /*edb=*/true);
+        fact, birth, /*rule_label=*/"", /*parents=*/{}, /*edb=*/true);
     if (o == InsertOutcome::kInserted) {
       ++out.inserted;
     } else {

@@ -22,15 +22,14 @@ class Database {
   /// (eval/retract.h).
   InsertOutcome AddFact(Fact fact) {
     return relations_[fact.pred].Insert(std::move(fact), /*birth=*/-1,
-                                        SubsumptionMode::kNone,
                                         /*rule_label=*/"", /*parents=*/{},
                                         /*edb=*/true);
   }
 
-  InsertOutcome AddFact(Fact fact, int birth, SubsumptionMode mode,
-                        std::string rule_label = "",
-                        std::vector<Relation::FactRef> parents = {}) {
-    return relations_[fact.pred].Insert(std::move(fact), birth, mode,
+  /// Inserts a derived fact with its birth iteration and provenance.
+  InsertOutcome AddFact(Fact fact, int birth, std::string rule_label,
+                        std::vector<Relation::FactRef> parents) {
+    return relations_[fact.pred].Insert(std::move(fact), birth,
                                         std::move(rule_label),
                                         std::move(parents));
   }

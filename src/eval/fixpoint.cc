@@ -80,8 +80,9 @@ void Reconcile(std::vector<Pending>* pending, const Database& db,
     return;
   }
   // Pass 2: subsumption against existing database facts. Ground-vs-ground
-  // pairs are skipped: a ground fact can only subsume a structurally
-  // identical one (see Relation::Insert).
+  // pairs are skipped: a ground fact denotes a single point, so it can only
+  // subsume a structurally identical one — already caught by pass 1 (facts
+  // are kept in canonical simplified form).
   for (Pending& p : *pending) {
     if (p.outcome != InsertOutcome::kInserted) continue;
     const Relation* rel = db.Find(p.fact.pred);
@@ -179,10 +180,9 @@ Result<long> RunIteration(const Program& program,
       case InsertOutcome::kInserted: {
         ++result->stats.inserted;
         ++inserted;
-        if (!p.fact.IsGround()) result->stats.all_ground = false;
+        if (!p.ground) result->stats.all_ground = false;
         PredId pred = p.fact.pred;
-        result->db.AddFact(std::move(p.fact), iteration,
-                           SubsumptionMode::kNone, p.rule_label,
+        result->db.AddFact(std::move(p.fact), iteration, p.rule_label,
                            std::move(p.parents));
         committed_row[i] = result->db.Find(pred)->size() - 1;
         break;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "constraint/implication.h"
-
 namespace cqlopt {
 
 namespace {
@@ -120,40 +118,10 @@ void Relation::SealTail(IntervalIndex* idx) {
   idx->runs.push_back(std::move(merged));
 }
 
-InsertOutcome Relation::Insert(Fact fact, int birth, SubsumptionMode mode,
-                               std::string rule_label,
+InsertOutcome Relation::Insert(Fact fact, int birth, std::string rule_label,
                                std::vector<FactRef> parents, bool edb) {
   std::string key = fact.Key();
   if (keys_.count(key) > 0) return InsertOutcome::kDuplicate;
-  bool is_ground = fact.IsGround();
-  if (mode == SubsumptionMode::kSingleFact) {
-    for (size_t i = 0; i < size_; ++i) {
-      // Fast path: a ground fact denotes a single point, so it can subsume
-      // another fact only if they are structurally identical — already
-      // excluded by the key check (facts are kept in canonical simplified
-      // form, see fm::RemoveRedundant's equality merging).
-      if (ground(i) && is_ground) continue;
-      const Fact& existing = this->fact(i);
-      if (existing.pred != fact.pred || existing.arity != fact.arity) {
-        continue;
-      }
-      if (Implies(fact.constraint, existing.constraint)) {
-        return InsertOutcome::kSubsumed;
-      }
-    }
-  } else if (mode == SubsumptionMode::kSetImplication) {
-    std::vector<Conjunction> existing;
-    existing.reserve(size_);
-    for (size_t i = 0; i < size_; ++i) {
-      const Fact& stored = this->fact(i);
-      if (stored.pred == fact.pred && stored.arity == fact.arity) {
-        existing.push_back(stored.constraint);
-      }
-    }
-    if (!existing.empty() && ImpliesDisjunction(fact.constraint, existing)) {
-      return InsertOutcome::kSubsumed;
-    }
-  }
 
   // Classify each argument position (the column tag) and collect interval
   // summaries for numerically constrained positions. Bound propagation runs
@@ -207,9 +175,9 @@ InsertOutcome Relation::Insert(Fact fact, int birth, SubsumptionMode mode,
       col.numbers.resize(row_in_chunk);
     }
   }
+  tail->ground.push_back(fact.IsGround() ? 1 : 0);
   tail->facts.push_back(std::move(fact));
   tail->births.push_back(birth);
-  tail->ground.push_back(is_ground ? 1 : 0);
   tail->edb.push_back(edb ? 1 : 0);
   tail->support.push_back(1);
   tail->blocked.push_back(0);
@@ -297,8 +265,7 @@ Relation Relation::Spliced(const std::vector<uint8_t>& dead,
     if (remap) {
       for (FactRef& ref : refs) ref = remap(ref);
     }
-    out.Insert(fact(i), birth(i), SubsumptionMode::kNone, rule_label(i),
-               std::move(refs), edb(i));
+    out.Insert(fact(i), birth(i), rule_label(i), std::move(refs), edb(i));
     Chunk* tail = out.chunks_.back().get();
     size_t row_in_chunk = (out.size_ - 1) & kChunkMask;
     tail->support[row_in_chunk] = support(i);

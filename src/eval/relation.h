@@ -38,7 +38,7 @@ enum class SubsumptionMode {
 enum class InsertOutcome {
   kInserted,
   kDuplicate,  // structurally identical fact already present
-  kSubsumed,   // implied by an existing fact (kSingleFact mode)
+  kSubsumed,   // implied by stored or same-iteration facts (reconciliation)
 };
 
 /// The set of facts of one predicate, each stamped with the iteration that
@@ -93,12 +93,14 @@ class Relation {
     kInterval,
   };
 
-  /// Attempts to insert; `birth` is the deriving iteration. `rule_label`
-  /// and `parents` record provenance (empty for EDB facts). `edb` marks a
-  /// base fact — a row retractions may target (eval/retract.h); the
-  /// derivation path never sets it.
-  InsertOutcome Insert(Fact fact, int birth, SubsumptionMode mode,
-                       std::string rule_label = "",
+  /// Inserts unless a structurally identical fact is stored (kDuplicate).
+  /// No subsumption check: the fixpoint's end-of-iteration reconciliation
+  /// (eval/fixpoint.cc) discards subsumed derivations before they reach
+  /// storage, and EDB facts are taken verbatim. `birth` is the deriving
+  /// iteration. `rule_label` and `parents` record provenance (empty for EDB
+  /// facts). `edb` marks a base fact — a row retractions may target
+  /// (eval/retract.h); the derivation path never sets it.
+  InsertOutcome Insert(Fact fact, int birth, std::string rule_label = "",
                        std::vector<FactRef> parents = {}, bool edb = false);
 
   /// True if a structurally identical fact is stored.

@@ -2,9 +2,9 @@
 // cases of the per-position interval index — open/closed/infinite query
 // bounds, unconstrained and symbol-bound positions, fully point-valued
 // columns with sealed runs, empty relations — plus the copy-on-write chunk
-// sharing contract and the corpus-replay differential pinning byte-identity
+// sharing contract, the corpus-replay differential pinning byte-identity
 // of evaluation with interval pruning on vs off across every subsumption
-// mode.
+// mode, and the constrained-join candidate cut of EXPERIMENTS.md E1.
 
 #include <algorithm>
 #include <optional>
@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "ast/parser.h"
+#include "core/workload.h"
 #include "eval/relation.h"
 #include "eval/seminaive.h"
 #include "testing/corpus.h"
@@ -97,9 +98,9 @@ TEST(IntervalIndexTest, EmptyRelation) {
 
 TEST(IntervalIndexTest, ClosedAndOpenQueryBounds) {
   Relation rel;
-  (void)rel.Insert(NumberFact(40), 0, SubsumptionMode::kNone);  // 0
-  (void)rel.Insert(NumberFact(50), 0, SubsumptionMode::kNone);  // 1
-  (void)rel.Insert(NumberFact(60), 0, SubsumptionMode::kNone);  // 2
+  (void)rel.Insert(NumberFact(40), 0);  // 0
+  (void)rel.Insert(NumberFact(50), 0);  // 1
+  (void)rel.Insert(NumberFact(60), 0);  // 2
   EXPECT_TRUE(rel.HasIntervalIndex(1));
   // Closed ends include the boundary values; open ends exclude them.
   EXPECT_EQ(IntervalProbeVec(rel, 1, Between(40, false, 60, false), 3),
@@ -115,9 +116,9 @@ TEST(IntervalIndexTest, ClosedAndOpenQueryBounds) {
 
 TEST(IntervalIndexTest, InfiniteQueryEnds) {
   Relation rel;
-  (void)rel.Insert(NumberFact(10), 0, SubsumptionMode::kNone);  // 0
-  (void)rel.Insert(NumberFact(50), 0, SubsumptionMode::kNone);  // 1
-  (void)rel.Insert(NumberFact(90), 0, SubsumptionMode::kNone);  // 2
+  (void)rel.Insert(NumberFact(10), 0);  // 0
+  (void)rel.Insert(NumberFact(50), 0);  // 1
+  (void)rel.Insert(NumberFact(90), 0);  // 2
   EXPECT_EQ(IntervalProbeVec(rel, 1, AtMost(50), 3),
             std::vector<size_t>({0, 1}));
   EXPECT_EQ(IntervalProbeVec(rel, 1, AtLeast(50), 3),
@@ -129,9 +130,9 @@ TEST(IntervalIndexTest, InfiniteQueryEnds) {
 
 TEST(IntervalIndexTest, UnprunablePositionsAlwaysEnumerated) {
   Relation rel;
-  (void)rel.Insert(SymbolFact(7), 0, SubsumptionMode::kNone);    // 0
-  (void)rel.Insert(UnboundFact(), 0, SubsumptionMode::kNone);    // 1
-  (void)rel.Insert(NumberFact(1000), 0, SubsumptionMode::kNone);  // 2
+  (void)rel.Insert(SymbolFact(7), 0);    // 0
+  (void)rel.Insert(UnboundFact(), 0);    // 1
+  (void)rel.Insert(NumberFact(1000), 0);  // 2
   // The query excludes every numeric value stored, but symbol-bound and
   // unconstrained rows can never be numerically excluded.
   EXPECT_EQ(IntervalProbeVec(rel, 1, Between(1, false, 2, false), 3),
@@ -142,9 +143,9 @@ TEST(IntervalIndexTest, UnprunablePositionsAlwaysEnumerated) {
 
 TEST(IntervalIndexTest, RangedRowsPrunedOnDisjointSummary) {
   Relation rel;
-  (void)rel.Insert(RangeFact(10, 20), 0, SubsumptionMode::kNone);   // 0
-  (void)rel.Insert(RangeFact(35, 50), 0, SubsumptionMode::kNone);   // 1
-  (void)rel.Insert(LowerBoundFact(100), 0, SubsumptionMode::kNone);  // 2
+  (void)rel.Insert(RangeFact(10, 20), 0);   // 0
+  (void)rel.Insert(RangeFact(35, 50), 0);   // 1
+  (void)rel.Insert(LowerBoundFact(100), 0);  // 2
   // [30, 40] intersects [35, 50] only.
   EXPECT_EQ(IntervalProbeVec(rel, 1, Between(30, false, 40, false), 3),
             std::vector<size_t>({1}));
@@ -165,7 +166,7 @@ TEST(IntervalIndexTest, AllConstrainedColumnWithSealedRuns) {
   std::vector<int> values(kRows);
   for (int i = 0; i < kRows; ++i) values[i] = (i * 7919) % 601;
   for (int v : values) {
-    (void)rel.Insert(NumberFact(v), 0, SubsumptionMode::kNone);
+    (void)rel.Insert(NumberFact(v), 0);
   }
   ASSERT_EQ(rel.size(), static_cast<size_t>(kRows));
   Interval mid = Between(100, false, 200, false);
@@ -191,11 +192,11 @@ TEST(IntervalIndexTest, AllConstrainedColumnWithSealedRuns) {
 
 TEST(IntervalIndexTest, ResultsAscendingAcrossRowKinds) {
   Relation rel;
-  (void)rel.Insert(SymbolFact(3), 0, SubsumptionMode::kNone);     // 0 loose
-  (void)rel.Insert(NumberFact(45), 0, SubsumptionMode::kNone);    // 1 point
-  (void)rel.Insert(RangeFact(40, 70), 0, SubsumptionMode::kNone);  // 2 ranged
-  (void)rel.Insert(NumberFact(10), 0, SubsumptionMode::kNone);    // 3 point
-  (void)rel.Insert(UnboundFact(), 0, SubsumptionMode::kNone);     // 4 loose
+  (void)rel.Insert(SymbolFact(3), 0);     // 0 loose
+  (void)rel.Insert(NumberFact(45), 0);    // 1 point
+  (void)rel.Insert(RangeFact(40, 70), 0);  // 2 ranged
+  (void)rel.Insert(NumberFact(10), 0);    // 3 point
+  (void)rel.Insert(UnboundFact(), 0);     // 4 loose
   std::vector<size_t> got =
       IntervalProbeVec(rel, 1, Between(40, false, 60, false), rel.size());
   EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
@@ -205,7 +206,7 @@ TEST(IntervalIndexTest, ResultsAscendingAcrossRowKinds) {
 TEST(ColumnarStorageTest, CopyOnWriteSharesSealedChunks) {
   Relation rel;
   for (int i = 0; i < 600; ++i) {  // several full 256-row chunks
-    (void)rel.Insert(NumberFact(i), 0, SubsumptionMode::kNone);
+    (void)rel.Insert(NumberFact(i), 0);
   }
   ASSERT_EQ(rel.size(), 600u);
   EXPECT_EQ(rel.SharedBytes(), 0u);  // sole owner: nothing shared
@@ -217,7 +218,7 @@ TEST(ColumnarStorageTest, CopyOnWriteSharesSealedChunks) {
 
   // Appending into the copy clones only its tail chunk; the original's
   // rows are untouched.
-  (void)copy.Insert(NumberFact(9999), 1, SubsumptionMode::kNone);
+  (void)copy.Insert(NumberFact(9999), 1);
   ASSERT_EQ(copy.size(), 601u);
   ASSERT_EQ(rel.size(), 600u);
   for (size_t i = 0; i < rel.size(); ++i) {
@@ -244,35 +245,26 @@ std::string Fingerprint(const EvalResult& r) {
   return out;
 }
 
-TEST(IntervalIndexTest, EvaluationPrunesAndStaysByteIdentical) {
-  auto parsed = ParseProgram(
-      "s1: withinbudget(S, T) :- budget(B), leg(S, T), T <= B.\n");
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  Program& p = parsed->program;
-  Database db;
-  for (int i = 0; i < 300; ++i) {
-    ASSERT_TRUE(db.AddGroundFact(
-                      p.symbols.get(), "leg",
-                      {Database::Value::Symbol("s" + std::to_string(i % 40)),
-                       Database::Value::Number(Rational((i * 7919) % 601))})
-                    .ok());
-  }
-  ASSERT_TRUE(
-      db.AddGroundFact(p.symbols.get(), "budget",
-                       {Database::Value::Number(Rational(60))})
-          .ok());
+/// Evaluates `program` over `db` (stratified, interval index on vs off),
+/// checks that the interval path fired, cut candidates vs the scan it
+/// replaced, and left storage and derivation counters byte-identical, and
+/// returns the interval-on run's stats.
+EvalStats ExpectPrunesAndStaysByteIdentical(const Program& program,
+                                            const Database& db) {
   EvalOptions opts;
-  opts.max_iterations = 16;
+  opts.max_iterations = 64;
   opts.strategy = EvalStrategy::kStratified;
   opts.interval_index = true;
-  auto on = Evaluate(p, db, opts);
-  ASSERT_TRUE(on.ok()) << on.status().ToString();
+  auto on = Evaluate(program, db, opts);
+  EXPECT_TRUE(on.ok()) << on.status().ToString();
   opts.interval_index = false;
-  auto off = Evaluate(p, db, opts);
-  ASSERT_TRUE(off.ok()) << off.status().ToString();
+  auto off = Evaluate(program, db, opts);
+  EXPECT_TRUE(off.ok()) << off.status().ToString();
+  if (!on.ok() || !off.ok()) return {};
 
   // The interval path actually fired and cut candidates vs the scan it
   // replaced; the off arm recorded none.
+  EXPECT_TRUE(on->stats.reached_fixpoint);
   EXPECT_GT(on->stats.interval_probes, 0);
   EXPECT_LT(on->stats.interval_candidates, on->stats.interval_scan_equivalent);
   EXPECT_GE(on->stats.interval_index_build_ns, 0);
@@ -284,6 +276,68 @@ TEST(IntervalIndexTest, EvaluationPrunesAndStaysByteIdentical) {
   EXPECT_EQ(on->stats.derivations, off->stats.derivations);
   EXPECT_EQ(on->stats.inserted, off->stats.inserted);
   EXPECT_EQ(on->stats.iterations, off->stats.iterations);
+  return on->stats;
+}
+
+TEST(IntervalIndexTest, EvaluationPrunesAndStaysByteIdentical) {
+  {
+    SCOPED_TRACE("300 legs, one budget");
+    auto parsed = ParseProgram(
+        "s1: withinbudget(S, T) :- budget(B), leg(S, T), T <= B.\n");
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    Program& p = parsed->program;
+    Database db;
+    for (int i = 0; i < 300; ++i) {
+      ASSERT_TRUE(db.AddGroundFact(
+                        p.symbols.get(), "leg",
+                        {Database::Value::Symbol("s" + std::to_string(i % 40)),
+                         Database::Value::Number(Rational((i * 7919) % 601))})
+                      .ok());
+    }
+    ASSERT_TRUE(
+        db.AddGroundFact(p.symbols.get(), "budget",
+                         {Database::Value::Number(Rational(60))})
+            .ok());
+    ExpectPrunesAndStaysByteIdentical(p, db);
+  }
+
+  // The constrained-join workload of EXPERIMENTS.md E1: time-budgeted leg
+  // selection over a 20000-leg flights network (200 airports, seed 42,
+  // times uniform in [30, 600]) and five budgets 35..55. Each budget binds
+  // B to a point, so the singleleg literal is reached with only the range
+  // bound T <= B: no position is uniquely bound, the hash index admits
+  // every leg, and only the interval index's sorted bound runs can skip
+  // the legs whose time lies above the budget. The counters are
+  // deterministic, so they are pinned exactly.
+  {
+    SCOPED_TRACE("flights constrained join, 20000 legs, five budgets");
+    auto parsed = ParseProgram(
+        "s1: withinbudget(S, D, T, C) :- budget(B), singleleg(S, D, T, C), "
+        "T <= B.\n");
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    Program& p = parsed->program;
+    FlightNetworkSpec spec;
+    spec.airports = 200;
+    spec.legs = 20000;
+    spec.seed = 42;
+    Database db;
+    ASSERT_TRUE(AddFlightNetwork(p.symbols.get(), spec, &db).ok());
+    for (int budget : {35, 40, 45, 50, 55}) {
+      ASSERT_TRUE(db.AddGroundFact(p.symbols.get(), "budget",
+                                   {Database::Value::Number(Rational(budget))})
+                      .ok());
+    }
+    EvalStats on = ExpectPrunesAndStaysByteIdentical(p, db);
+    EXPECT_EQ(on.interval_candidates, 2834);
+    EXPECT_EQ(on.interval_scan_equivalent, 100000);
+    // The candidate cut: scan-equivalent candidates per candidate the
+    // sorted-run binary searches actually enumerated.
+    double cut = on.interval_candidates > 0
+                     ? static_cast<double>(on.interval_scan_equivalent) /
+                           static_cast<double>(on.interval_candidates)
+                     : 0.0;
+    EXPECT_GE(cut, 35.3 - 0.5);
+  }
 }
 
 /// Corpus-replay differential: every minimized repro in tests/fuzz_corpus/

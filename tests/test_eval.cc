@@ -262,8 +262,7 @@ TEST(EvalTest, StreamingEmitInsertsInvisibleWithinApplication) {
   auto stream = [&](Fact fact,
                     const std::vector<Relation::FactRef>& parents) -> Status {
     streamed.push_back(fact.ToString(*p.symbols));
-    db2.AddFact(std::move(fact), /*birth=*/0, SubsumptionMode::kNone, "",
-                parents);
+    db2.AddFact(std::move(fact), /*birth=*/0, "", parents);
     return Status::OK();
   };
   EvalStats streamed_stats;
@@ -287,8 +286,7 @@ TEST(EvalTest, StreamingInsertAtMaxBirthCascades) {
   auto stream = [&](Fact fact,
                     const std::vector<Relation::FactRef>& parents) -> Status {
     streamed.push_back(fact.ToString(*p.symbols));
-    db.AddFact(std::move(fact), /*birth=*/-1, SubsumptionMode::kNone, "",
-               parents);
+    db.AddFact(std::move(fact), /*birth=*/-1, "", parents);
     return Status::OK();
   };
   EvalStats stats;

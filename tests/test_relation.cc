@@ -25,71 +25,23 @@ Fact MakeFact(int bound, CmpOp op = CmpOp::kLe) {
 
 TEST(RelationTest, InsertAndDuplicate) {
   Relation rel;
-  EXPECT_EQ(rel.Insert(MakeFact(3), 0, SubsumptionMode::kNone),
-            InsertOutcome::kInserted);
-  EXPECT_EQ(rel.Insert(MakeFact(3), 1, SubsumptionMode::kNone),
-            InsertOutcome::kDuplicate);
-  EXPECT_EQ(rel.size(), 1u);
-}
-
-TEST(RelationTest, SubsumptionDiscardsImpliedFact) {
-  Relation rel;
-  EXPECT_EQ(rel.Insert(MakeFact(5), 0, SubsumptionMode::kSingleFact),
-            InsertOutcome::kInserted);
-  // x <= 3 implies x <= 5: subsumed.
-  EXPECT_EQ(rel.Insert(MakeFact(3), 1, SubsumptionMode::kSingleFact),
-            InsertOutcome::kSubsumed);
+  EXPECT_EQ(rel.Insert(MakeFact(3), 0), InsertOutcome::kInserted);
+  EXPECT_EQ(rel.Insert(MakeFact(3), 1), InsertOutcome::kDuplicate);
   EXPECT_EQ(rel.size(), 1u);
 }
 
 TEST(RelationTest, NoSubsumptionModeKeepsBoth) {
+  // Insert checks structure only: x <= 3 is stored beside x <= 5, which
+  // implies it. Subsumption is the fixpoint's reconciliation step.
   Relation rel;
-  EXPECT_EQ(rel.Insert(MakeFact(5), 0, SubsumptionMode::kNone),
-            InsertOutcome::kInserted);
-  EXPECT_EQ(rel.Insert(MakeFact(3), 1, SubsumptionMode::kNone),
-            InsertOutcome::kInserted);
+  EXPECT_EQ(rel.Insert(MakeFact(5), 0), InsertOutcome::kInserted);
+  EXPECT_EQ(rel.Insert(MakeFact(3), 1), InsertOutcome::kInserted);
   EXPECT_EQ(rel.size(), 2u);
-}
-
-TEST(RelationTest, WiderFactStillInsertedAfterNarrower) {
-  Relation rel;
-  EXPECT_EQ(rel.Insert(MakeFact(3), 0, SubsumptionMode::kSingleFact),
-            InsertOutcome::kInserted);
-  // x <= 5 is NOT implied by x <= 3; the paper keeps both (old facts are
-  // not retracted).
-  EXPECT_EQ(rel.Insert(MakeFact(5), 1, SubsumptionMode::kSingleFact),
-            InsertOutcome::kInserted);
-  EXPECT_EQ(rel.size(), 2u);
-}
-
-TEST(RelationTest, SetImplicationCoversWithUnion) {
-  Relation rel;
-  // x <= 5 and x >= 5 together cover 0 <= x <= 10? No — but they do cover
-  // any fact inside their union, e.g. 3 <= x <= 8.
-  EXPECT_EQ(rel.Insert(MakeFact(5), 0, SubsumptionMode::kSetImplication),
-            InsertOutcome::kInserted);  // x <= 5
-  Conjunction ge5;
-  ASSERT_TRUE(ge5.AddLinear(Atom({{1, -1}}, 5, CmpOp::kLe)).ok());
-  EXPECT_EQ(rel.Insert(Fact(0, 1, ge5), 0, SubsumptionMode::kSetImplication),
-            InsertOutcome::kInserted);  // x >= 5
-  Conjunction middle;
-  ASSERT_TRUE(middle.AddLinear(Atom({{1, 1}}, -8, CmpOp::kLe)).ok());
-  ASSERT_TRUE(middle.AddLinear(Atom({{1, -1}}, 3, CmpOp::kLe)).ok());
-  // Neither single fact implies [3,8], but their union does.
-  EXPECT_EQ(
-      rel.Insert(Fact(0, 1, middle), 1, SubsumptionMode::kSingleFact),
-      InsertOutcome::kInserted);
-  Relation rel2;
-  (void)rel2.Insert(MakeFact(5), 0, SubsumptionMode::kNone);
-  (void)rel2.Insert(Fact(0, 1, ge5), 0, SubsumptionMode::kNone);
-  EXPECT_EQ(
-      rel2.Insert(Fact(0, 1, middle), 1, SubsumptionMode::kSetImplication),
-      InsertOutcome::kSubsumed);
 }
 
 TEST(RelationTest, BirthRecorded) {
   Relation rel;
-  (void)rel.Insert(MakeFact(3), 4, SubsumptionMode::kNone);
+  (void)rel.Insert(MakeFact(3), 4);
   ASSERT_EQ(rel.size(), 1u);
   EXPECT_EQ(rel.birth(0), 4);
 }
@@ -98,9 +50,9 @@ TEST(RelationTest, AllGround) {
   Relation rel;
   Conjunction ground;
   ASSERT_TRUE(ground.AddLinear(Atom({{1, 1}}, -3, CmpOp::kEq)).ok());
-  (void)rel.Insert(Fact(0, 1, ground), 0, SubsumptionMode::kNone);
+  (void)rel.Insert(Fact(0, 1, ground), 0);
   EXPECT_TRUE(rel.AllGround());
-  (void)rel.Insert(MakeFact(7), 0, SubsumptionMode::kNone);
+  (void)rel.Insert(MakeFact(7), 0);
   EXPECT_FALSE(rel.AllGround());
 }
 
@@ -182,12 +134,12 @@ Relation::ArgSignature SymbolValue(SymbolId s) {
 
 TEST(RelationIndexTest, ProbeEqualsScanWithPrefilter) {
   Relation rel;
-  (void)rel.Insert(NumberFact(3), 0, SubsumptionMode::kNone);
-  (void)rel.Insert(RangeFact(0, 10), 0, SubsumptionMode::kNone);
-  (void)rel.Insert(NumberFact(7), 1, SubsumptionMode::kNone);
-  (void)rel.Insert(SymbolFact(4), 1, SubsumptionMode::kNone);
-  (void)rel.Insert(NumberFact(9), 2, SubsumptionMode::kNone);
-  (void)rel.Insert(RangeFact(2, 5), 2, SubsumptionMode::kNone);
+  (void)rel.Insert(NumberFact(3), 0);
+  (void)rel.Insert(RangeFact(0, 10), 0);
+  (void)rel.Insert(NumberFact(7), 1);
+  (void)rel.Insert(SymbolFact(4), 1);
+  (void)rel.Insert(NumberFact(9), 2);
+  (void)rel.Insert(RangeFact(2, 5), 2);
   for (const auto& value :
        {NumberValue(3), NumberValue(7), NumberValue(99), SymbolValue(4),
         SymbolValue(5)}) {
@@ -200,7 +152,7 @@ TEST(RelationIndexTest, ProbeEqualsScanWithPrefilter) {
 
 TEST(RelationIndexTest, ConstraintOnlyBoundEnumeratedForEveryValue) {
   Relation rel;
-  (void)rel.Insert(RangeFact(0, 10), 0, SubsumptionMode::kNone);
+  (void)rel.Insert(RangeFact(0, 10), 0);
   // The range fact's position 1 has no direct binding: it must appear in
   // every probe, even for values outside the range — the caller's
   // constraint conjunction, not the index, decides satisfiability.
@@ -214,16 +166,9 @@ TEST(RelationIndexTest, ConstraintOnlyBoundEnumeratedForEveryValue) {
 
 TEST(RelationIndexTest, RejectedFactsAreNeverIndexed) {
   Relation rel;
-  EXPECT_EQ(rel.Insert(NumberFact(3), 0, SubsumptionMode::kSingleFact),
-            InsertOutcome::kInserted);
-  EXPECT_EQ(rel.Insert(NumberFact(3), 1, SubsumptionMode::kSingleFact),
-            InsertOutcome::kDuplicate);
-  // 3 <= $1 <= 3 is a different key but implied by $1 = 3... build an
-  // actually-subsumed fact: x <= 5 first, then probe with a narrower one.
-  EXPECT_EQ(rel.Insert(MakeFact(5), 1, SubsumptionMode::kSingleFact),
-            InsertOutcome::kInserted);
-  EXPECT_EQ(rel.Insert(MakeFact(3), 2, SubsumptionMode::kSingleFact),
-            InsertOutcome::kSubsumed);
+  EXPECT_EQ(rel.Insert(NumberFact(3), 0), InsertOutcome::kInserted);
+  EXPECT_EQ(rel.Insert(NumberFact(3), 1), InsertOutcome::kDuplicate);
+  EXPECT_EQ(rel.Insert(MakeFact(5), 1), InsertOutcome::kInserted);
   // Only the two stored entries are reachable through the index.
   EXPECT_EQ(rel.size(), 2u);
   EXPECT_EQ(ProbeVec(rel, 1, NumberValue(3), rel.size()),
@@ -233,10 +178,10 @@ TEST(RelationIndexTest, RejectedFactsAreNeverIndexed) {
 
 TEST(RelationIndexTest, ProbeCostMatchesUnlimitedProbe) {
   Relation rel;
-  (void)rel.Insert(NumberFact(1), 0, SubsumptionMode::kNone);
-  (void)rel.Insert(NumberFact(2), 0, SubsumptionMode::kNone);
-  (void)rel.Insert(RangeFact(0, 3), 0, SubsumptionMode::kNone);
-  (void)rel.Insert(SymbolFact(2), 0, SubsumptionMode::kNone);
+  (void)rel.Insert(NumberFact(1), 0);
+  (void)rel.Insert(NumberFact(2), 0);
+  (void)rel.Insert(RangeFact(0, 3), 0);
+  (void)rel.Insert(SymbolFact(2), 0);
   for (const auto& value : {NumberValue(1), NumberValue(2), SymbolValue(2),
                             SymbolValue(9), NumberValue(42)}) {
     EXPECT_EQ(rel.ProbeCost(1, value),
@@ -246,8 +191,8 @@ TEST(RelationIndexTest, ProbeCostMatchesUnlimitedProbe) {
 
 TEST(RelationIndexTest, SymbolAndNumberKeysNeverCollide) {
   Relation rel;
-  (void)rel.Insert(NumberFact(7), 0, SubsumptionMode::kNone);
-  (void)rel.Insert(SymbolFact(7), 0, SubsumptionMode::kNone);
+  (void)rel.Insert(NumberFact(7), 0);
+  (void)rel.Insert(SymbolFact(7), 0);
   EXPECT_EQ(ProbeVec(rel, 1, NumberValue(7), rel.size()),
             std::vector<size_t>({0}));
   EXPECT_EQ(ProbeVec(rel, 1, SymbolValue(7), rel.size()),
@@ -257,11 +202,11 @@ TEST(RelationIndexTest, SymbolAndNumberKeysNeverCollide) {
 TEST(RelationIndexTest, MergedResultIsAscendingInsertionOrder) {
   Relation rel;
   // Interleave bound and unbound entries so the merge has real work to do.
-  (void)rel.Insert(RangeFact(0, 1), 0, SubsumptionMode::kNone);   // 0
-  (void)rel.Insert(NumberFact(5), 0, SubsumptionMode::kNone);     // 1
-  (void)rel.Insert(RangeFact(0, 2), 0, SubsumptionMode::kNone);   // 2
-  (void)rel.Insert(NumberFact(6), 0, SubsumptionMode::kNone);     // 3
-  (void)rel.Insert(RangeFact(0, 3), 0, SubsumptionMode::kNone);   // 4
+  (void)rel.Insert(RangeFact(0, 1), 0);   // 0
+  (void)rel.Insert(NumberFact(5), 0);     // 1
+  (void)rel.Insert(RangeFact(0, 2), 0);   // 2
+  (void)rel.Insert(NumberFact(6), 0);     // 3
+  (void)rel.Insert(RangeFact(0, 3), 0);   // 4
   EXPECT_EQ(ProbeVec(rel, 1, NumberValue(5), rel.size()),
             std::vector<size_t>({0, 1, 2, 4}));
   // The snapshot limit cuts the merged stream, not just one side.
@@ -272,7 +217,7 @@ TEST(RelationIndexTest, MergedResultIsAscendingInsertionOrder) {
 
 TEST(RelationIndexTest, ProbeBeyondSeenArityIsEmpty) {
   Relation rel;
-  (void)rel.Insert(NumberFact(3), 0, SubsumptionMode::kNone);
+  (void)rel.Insert(NumberFact(3), 0);
   EXPECT_EQ(ProbeVec(rel, 2, NumberValue(3), rel.size()),
             std::vector<size_t>{});
   EXPECT_EQ(rel.ProbeCost(2, NumberValue(3)), 0u);

@@ -24,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include "generated_flights.h"
 #include "service/client.h"
 #include "service/protocol.h"
 #include "service/replica.h"
@@ -324,6 +325,76 @@ TEST(ReplicatorTest, PromoteDrainsTheDeadPrimarysWal) {
   EXPECT_TRUE(follower->Promote("").ok());
   EXPECT_TRUE(follower->Execute(kFlightsQuery, "").ok());
   EXPECT_TRUE(follower->Ingest("singleleg(jfk, den, 250, 170).\n").ok());
+}
+
+// The replication gate (DESIGN.md §15) on the generated flights workload: a
+// WAL-backed primary with ten batches of history, an empty follower that
+// bootstraps from a snapshot and then tails a ten-batch write burst in
+// two-record fetches (stepping once per three commits, so real lag builds
+// up), answers compared at the same epoch, and a failover write the
+// follower never pulled that PROMOTE must recover from the dead WAL.
+TEST(ReplicatorTest, GeneratedFlightsFollowerMatchesAndSurvivesFailover) {
+  failpoint::DisarmAll();
+  TempWalDir p_dir, f_dir;
+  ASSERT_FALSE(p_dir.path.empty());
+  ASSERT_FALSE(f_dir.path.empty());
+  ServiceOptions p_opts;
+  p_opts.wal_dir = p_dir.path;
+  auto primary = GeneratedFlightsService(p_opts);
+  constexpr int kHistoryBatches = 10;
+  for (int i = 0; i < kHistoryBatches; ++i) {
+    ASSERT_TRUE(primary->Ingest(GeneratedLegBatch(i)).ok());
+  }
+
+  ServiceOptions f_opts;
+  f_opts.wal_dir = f_dir.path;
+  auto follower = GeneratedFlightsService(f_opts, /*empty_edb=*/true);
+  ReplicatorOptions rep_opts;
+  rep_opts.max_records = 2;
+  Replicator replicator(
+      follower.get(), std::make_unique<LocalReplicationSource>(primary.get()),
+      rep_opts);
+  replicator.AttachHooks();
+  auto drain = [&replicator] {
+    for (;;) {
+      Result<int> stepped = replicator.Step();
+      EXPECT_TRUE(stepped.ok()) << stepped.status().ToString();
+      if (!stepped.ok() || *stepped == 0) return;
+    }
+  };
+
+  drain();  // bootstrap: renegotiates a snapshot cut at the primary's head
+  constexpr int kBurstBatches = 10;
+  for (int i = 0; i < kBurstBatches; ++i) {
+    ASSERT_TRUE(
+        primary->Ingest(GeneratedLegBatch(kHistoryBatches + i)).ok());
+    if (i % 3 == 2) {
+      ASSERT_TRUE(replicator.Step().ok());
+    }
+  }
+  drain();
+  ReplicatorProgress progress = replicator.Progress();
+  EXPECT_GE(progress.records_applied, 1);
+  EXPECT_GE(progress.snapshots_installed, 1);
+
+  auto p_answers =
+      primary->Execute(kGeneratedFlightsQuery, kGeneratedFlightsSteps);
+  auto f_answers =
+      follower->Execute(kGeneratedFlightsQuery, kGeneratedFlightsSteps);
+  ASSERT_TRUE(p_answers.ok()) << p_answers.status().ToString();
+  ASSERT_TRUE(f_answers.ok()) << f_answers.status().ToString();
+  EXPECT_EQ(follower->epoch(), primary->epoch());
+  EXPECT_EQ(f_answers->answers, p_answers->answers);
+
+  const std::string failover_write =
+      GeneratedLegBatch(kHistoryBatches + kBurstBatches);
+  ASSERT_TRUE(primary->Ingest(failover_write).ok());
+  std::string dead_state = primary->RenderStateText();
+  primary.reset();
+  ASSERT_TRUE(follower->Promote(p_dir.path).ok());
+  EXPECT_EQ(follower->RenderStateText(), dead_state);
+  // A healthy link never trips the divergence detector.
+  EXPECT_FALSE(replicator.Progress().quarantined);
 }
 
 TEST(ReplicatorTest, PromoteWithoutADeadWalJustFlipsTheRole) {

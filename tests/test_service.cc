@@ -34,6 +34,7 @@
 #include "core/equivalence.h"
 #include "eval/loader.h"
 #include "eval/seminaive.h"
+#include "generated_flights.h"
 #include "service/protocol.h"
 #include "service/server.h"
 #include "testing/generator.h"
@@ -353,6 +354,40 @@ TEST(QueryServiceTest, ResumedMatchesFreshServiceAfterIngest) {
   ASSERT_TRUE(scratch.ok());
   EXPECT_EQ(scratch->path, ServePath::kCold);
   EXPECT_EQ(resumed->answers, scratch->answers);
+}
+
+// The retract gate (DESIGN.md §14) on the generated flights workload: ingest
+// one batch, materialize, retract ONE leg of it (a typical feed
+// correction), and serve the query again on the retract-resume path. A
+// fresh service that applies the same ingest and retract before its first
+// query is the scratch reference, so the two EDBs are identical even if
+// the batch collided with a base leg.
+TEST(QueryServiceTest, RetractResumeMatchesScratchOnGeneratedFlights) {
+  const std::string batch = GeneratedLegBatch(500);
+  const std::string victim = batch.substr(0, batch.find('\n') + 1);
+
+  auto warm = GeneratedFlightsService();
+  ASSERT_TRUE(warm->Ingest(batch).ok());
+  ASSERT_TRUE(
+      warm->Execute(kGeneratedFlightsQuery, kGeneratedFlightsSteps).ok());
+  auto removed = warm->Retract(victim);
+  ASSERT_TRUE(removed.ok()) << removed.status().ToString();
+  auto incremental =
+      warm->Execute(kGeneratedFlightsQuery, kGeneratedFlightsSteps);
+  ASSERT_TRUE(incremental.ok()) << incremental.status().ToString();
+
+  auto scratch = GeneratedFlightsService();
+  ASSERT_TRUE(scratch->Ingest(batch).ok());
+  ASSERT_TRUE(scratch->Retract(victim).ok());
+  auto cold =
+      scratch->Execute(kGeneratedFlightsQuery, kGeneratedFlightsSteps);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+
+  EXPECT_EQ(incremental->answers, cold->answers);
+  EXPECT_GE(removed->removed, 1);
+  EXPECT_LE(removed->missing, 0);
+  // The re-query took the incremental path, not a cold re-evaluation.
+  EXPECT_GE(warm->Stats().retract_resumes, 1);
 }
 
 TEST(QueryServiceTest, FingerprintIgnoresVariableNames) {
