@@ -58,10 +58,11 @@ bool RefuteAll(std::vector<LinearConstraint> base,
 /// bind symbols), and a linear atom of `b` whose variables `a` pins by
 /// direct equality atoms (the canonical form of ground facts) is decided
 /// by evaluating it at that point. nullopt leaves the pair to
-/// ImpliesObligations. Every answer is exact. Set-implication subsumption
-/// spends nearly all its pairs here (candidate and stored fact differing in
-/// a symbol, or both ground), so they cost no fingerprint and no cache
-/// traffic.
+/// ImpliesObligations. Every answer is exact. FM never sees symbols, so
+/// their bindings are decided here in any case; the other steps keep pairs
+/// that need no elimination (subsumption probes of a ground candidate
+/// against a stored fact, or of facts differing in a symbol) free of
+/// fingerprints and cache traffic.
 std::optional<bool> ImpliesSyntactic(const Conjunction& a,
                                      const Conjunction& b) {
   if (!a.IsSatisfiable()) return true;

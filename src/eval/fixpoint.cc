@@ -23,9 +23,9 @@ struct Pending {
   std::string key;
   bool ground = false;
   InsertOutcome outcome = InsertOutcome::kInserted;
-  /// Counting attribution for kSubsumed (single-fact mode): the stored row
-  /// that subsumed this derivation, or the pending index that did — the
-  /// commit loop resolves the latter to a row once the subsumer commits.
+  /// Counting attribution for kSubsumed: the stored row that subsumed this
+  /// derivation, or the pending index that did — the commit loop resolves
+  /// the latter to a row once the subsumer commits.
   size_t subsumer_row = kNoRow;
   size_t subsumer_pending = kNoRow;
 };
@@ -48,37 +48,6 @@ void Reconcile(std::vector<Pending>* pending, const Database& db,
     }
   }
   if (mode == SubsumptionMode::kNone) return;
-  if (mode == SubsumptionMode::kSetImplication) {
-    // Disjunction-based subsumption: a derivation is discarded when the
-    // union of the database facts and the other surviving derivations
-    // already covers it. Processed in derivation order, so of two
-    // equivalent covers the earlier one survives. No single cover fact
-    // exists, so these events stay unattributed (opaque) for counting.
-    for (size_t i = 0; i < pending->size(); ++i) {
-      Pending& p = (*pending)[i];
-      if (p.outcome != InsertOutcome::kInserted) continue;
-      std::vector<Conjunction> others;
-      const Relation* rel = db.Find(p.fact.pred);
-      if (rel != nullptr) {
-        for (size_t e = 0; e < rel->size(); ++e) {
-          others.push_back(rel->fact(e).constraint);
-        }
-      }
-      for (size_t j = 0; j < pending->size(); ++j) {
-        if (j == i) continue;
-        const Pending& q = (*pending)[j];
-        if (q.outcome != InsertOutcome::kInserted) continue;
-        if (q.fact.pred != p.fact.pred || q.fact.arity != p.fact.arity) {
-          continue;
-        }
-        others.push_back(q.fact.constraint);
-      }
-      if (!others.empty() && ImpliesDisjunction(p.fact.constraint, others)) {
-        p.outcome = InsertOutcome::kSubsumed;
-      }
-    }
-    return;
-  }
   // Pass 2: subsumption against existing database facts. Ground-vs-ground
   // pairs are skipped: a ground fact denotes a single point, so it can only
   // subsume a structurally identical one — already caught by pass 1 (facts
@@ -144,8 +113,16 @@ Status ApplyOneRule(const Program& program, size_t rule_index,
                    interval_index, emit, stats);
 }
 
-}  // namespace
-
+/// One fixpoint iteration over `rule_indexes` against result->db: applies
+/// the rules in order under the `delta` discipline (rule_application.h),
+/// with options.interval_index choosing interval pruning, reconciles the
+/// buffered derivations as a set, and commits the survivors with birth
+/// `iteration`. Constraint facts (body-free rules) fire only under
+/// DeltaMode::kAll. Returns the number of facts inserted.
+///
+/// The commit also maintains the counting state of DESIGN.md §14: a
+/// duplicate-discarded derivation bumps the stored row's support(), and a
+/// subsumed derivation bumps blocked() on the stored row that covers it.
 Result<long> RunIteration(const Program& program,
                           const std::vector<size_t>& rule_indexes,
                           int iteration, DeltaMode delta,
@@ -203,33 +180,26 @@ Result<long> RunIteration(const Program& program,
     }
   }
   // Deferred subsumption attribution: by now every pending that commits has
-  // its row. An unresolvable subsumer (set-implication cover, or a pending
-  // subsumer that was itself discarded) is charged to the relation as an
-  // opaque event, which disables row-level counting there for retractions.
-  for (Pending& p : pending) {
+  // its row. A pending subsumer that was itself discarded lost to another
+  // pending in pass 3; that chain of subsumer_pending links ends at a
+  // committed row, which covers this derivation too (implication is
+  // transitive).
+  for (const Pending& p : pending) {
     if (p.outcome != InsertOutcome::kSubsumed) continue;
-    Relation* rel = result->db.FindMutable(p.fact.pred);
     size_t row = p.subsumer_row;
-    if (row == kNoRow && p.subsumer_pending != kNoRow) {
-      row = committed_row[p.subsumer_pending];
+    for (size_t j = p.subsumer_pending; row == kNoRow;
+         j = pending[j].subsumer_pending) {
+      row = committed_row[j];
     }
-    if (row != kNoRow) {
-      rel->BumpBlocked(row);
-    } else {
-      rel->NoteOpaqueSubsumption();
-    }
+    result->db.FindMutable(p.fact.pred)->BumpBlocked(row);
   }
   return inserted;
 }
 
-void FinalizeStats(EvalResult* result) {
-  result->stats.facts_per_pred.clear();
-  for (const auto& [pred, rel] : result->db.relations()) {
-    result->stats.facts_per_pred[pred] = static_cast<long>(rel.size());
-  }
-  result->stats.interval_index_build_ns = result->db.IntervalBuildNs();
-}
-
+/// Annotates a governed (or fault-injected) abort Status with the position
+/// it landed at, mirrors the position into the partial stats, and copies
+/// those stats out through options.abort_stats — on failure the Result
+/// carries no EvalResult, so this is the only way the counters escape.
 Status GovernedAbort(const Status& cause, const std::string& position,
                      const EvalOptions& options, EvalResult* result) {
   result->stats.aborted = true;
@@ -237,6 +207,16 @@ Status GovernedAbort(const Status& cause, const std::string& position,
   FinalizeStats(result);
   if (options.abort_stats != nullptr) *options.abort_stats = result->stats;
   return Status(cause.code(), cause.message() + " at " + position);
+}
+
+}  // namespace
+
+void FinalizeStats(EvalResult* result) {
+  result->stats.facts_per_pred.clear();
+  for (const auto& [pred, rel] : result->db.relations()) {
+    result->stats.facts_per_pred[pred] = static_cast<long>(rel.size());
+  }
+  result->stats.interval_index_build_ns = result->db.IntervalBuildNs();
 }
 
 std::string FactsSoFar(const EvalResult& result) {
@@ -281,17 +261,18 @@ StratifiedPlan PlanFor(const Program& program, EvalStrategy strategy) {
 
 Status RunStrata(const Program& program, const StratifiedPlan& plan,
                  size_t first_component, int start_iteration,
-                 const EvalOptions& options, Governor* governor,
-                 EvalResult* result) {
+                 int iteration_cap, const EvalOptions& options,
+                 Governor* governor, EvalResult* result) {
   const size_t component_count = plan.component_count();
   int global_iteration = start_iteration;
   bool capped = false;
+  result->stats.reached_fixpoint = false;
   for (size_t c = first_component; c < component_count && !capped; ++c) {
     bool recursive = plan.recursive[c] != 0;
     if (plan.rules_of[c].empty() && !recursive) continue;  // pure-EDB
     long stratum_iterations = 0;
     for (int local = 0;; ++local) {
-      if (global_iteration >= options.max_iterations) {
+      if (global_iteration >= iteration_cap) {
         capped = true;
         break;
       }
@@ -302,10 +283,12 @@ Status RunStrata(const Program& program, const StratifiedPlan& plan,
                std::to_string(local) + "), global iteration " +
                std::to_string(this_iteration) + ", " + FactsSoFar(*result);
       };
-      Result<long> ran = RunIteration(
-          program, plan.rules_of[c], global_iteration,
-          local == 0 ? DeltaMode::kAll : DeltaMode::kDelta, options, governor,
-          result);
+      DeltaMode delta = plan.delta_rotated ? DeltaMode::kDeltaRotated
+                        : local == 0        ? DeltaMode::kAll
+                                            : DeltaMode::kDelta;
+      Result<long> ran = RunIteration(program, plan.rules_of[c],
+                                      global_iteration, delta, options,
+                                      governor, result);
       if (!ran.ok()) {
         if (Governor::IsAbortCode(ran.status().code())) {
           return GovernedAbort(ran.status(), position(), options, result);

@@ -13,9 +13,9 @@
 /// Internal fixpoint machinery shared by the evaluation entry points of
 /// seminaive.h (Evaluate / ResumeEvaluate) and the incremental-maintenance
 /// entry point of retract.h (RetractEvaluate). Everything here is an
-/// implementation detail: the iteration/reconcile/commit pipeline, the
-/// governance sampler, and the evaluation plans. Callers outside
-/// src/eval should use the public headers.
+/// implementation detail: the governance sampler, the evaluation plans,
+/// and RunStrata, which runs a plan's iterate/reconcile/commit loop.
+/// Callers outside src/eval should use the public headers.
 namespace cqlopt {
 namespace eval_internal {
 
@@ -38,7 +38,7 @@ namespace eval_internal {
 /// solely through the (atomic) CancelToken.
 ///
 /// The returned Status carries the cause ("wall-clock deadline of 50ms
-/// expired"); the strategy loops annotate it with the position
+/// expired"); RunStrata annotates it with the position
 /// (stratum / global iteration / facts stored) before surfacing it.
 class Governor {
  public:
@@ -83,7 +83,7 @@ class Governor {
   }
 
   /// True for codes a governed (or fault-injected) abort produces — the
-  /// errors whose message the strategy loops annotate with the abort
+  /// errors whose message RunStrata annotates with the abort
   /// position and whose partial stats flow into EvalOptions::abort_stats.
   static bool IsAbortCode(StatusCode code) {
     return code == StatusCode::kDeadlineExceeded ||
@@ -130,32 +130,6 @@ class Governor {
   int tripped_ = 0;
 };
 
-/// One fixpoint iteration over `rule_indexes` against result->db: applies
-/// the rules in order under the `delta` discipline (rule_application.h),
-/// with options.interval_index choosing interval pruning, reconciles the
-/// buffered derivations as a set, and commits the survivors with birth
-/// `iteration`. Constraint facts (body-free rules) fire only under
-/// DeltaMode::kAll. Returns the number of facts inserted.
-///
-/// The commit also maintains the counting state of DESIGN.md §14: a
-/// duplicate-discarded derivation bumps the stored row's support(), a
-/// single-fact-subsumed derivation bumps its subsumer's blocked(), and a
-/// subsumption that cannot be pinned on one stored row (set-implication
-/// mode, or a subsumer that itself was discarded) is charged to the
-/// relation as an opaque event.
-Result<long> RunIteration(const Program& program,
-                          const std::vector<size_t>& rule_indexes,
-                          int iteration, DeltaMode delta,
-                          const EvalOptions& options, Governor* governor,
-                          EvalResult* result);
-
-/// Annotates a governed (or fault-injected) abort Status with the position
-/// it landed at, mirrors the position into the partial stats, and copies
-/// those stats out through options.abort_stats — on failure the Result
-/// carries no EvalResult, so this is the only way the counters escape.
-Status GovernedAbort(const Status& cause, const std::string& position,
-                     const EvalOptions& options, EvalResult* result);
-
 /// "<N> facts stored (<M> derivations made)" — the facts-so-far tail every
 /// abort and cap message carries.
 std::string FactsSoFar(const EvalResult& result);
@@ -183,6 +157,9 @@ struct StratifiedPlan {
   SccDecomposition sccs;
   std::vector<std::vector<size_t>> rules_of;  // per component
   std::vector<uint8_t> recursive;             // per component
+  /// Every iteration, the first included, joins under
+  /// DeltaMode::kDeltaRotated (set by ResumeEvaluate).
+  bool delta_rotated = false;
 
   size_t component_count() const { return rules_of.size(); }
 };
@@ -194,16 +171,20 @@ StratifiedPlan PlanFor(const Program& program, EvalStrategy strategy);
 /// first_component > 0, the facts of every lower component), with the
 /// global iteration counter starting at `start_iteration`. Each component
 /// runs iteration 0 under DeltaMode::kAll (firing its constraint facts)
-/// and later iterations under DeltaMode::kDelta. Components with neither
+/// and later iterations under DeltaMode::kDelta, unless the plan is
+/// `delta_rotated`. No iteration numbered `iteration_cap` or higher runs;
+/// reaching the cap leaves reached_fixpoint false. Components with neither
 /// rules nor the recursive flag are skipped; every other one appends its
 /// iteration count to scc_iterations. Updates stats.iterations after every
 /// committed iteration, sets reached_fixpoint, and calls FinalizeStats on
-/// success. A governed abort returns its annotated Status after routing
-/// the partial stats through GovernedAbort.
+/// success. A governed abort returns a Status annotated with the stratum,
+/// global iteration and facts stored, and copies the partial stats out
+/// through options.abort_stats. Every iteration of every evaluation entry
+/// point runs here.
 Status RunStrata(const Program& program, const StratifiedPlan& plan,
                  size_t first_component, int start_iteration,
-                 const EvalOptions& options, Governor* governor,
-                 EvalResult* result);
+                 int iteration_cap, const EvalOptions& options,
+                 Governor* governor, EvalResult* result);
 
 /// The entry check of Evaluate / ResumeEvaluate / RetractEvaluate: rejects
 /// programs ValidateProgram refuses (free head variables allowed, since the

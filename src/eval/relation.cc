@@ -271,7 +271,6 @@ Relation Relation::Spliced(const std::vector<uint8_t>& dead,
     tail->support[row_in_chunk] = support(i);
     tail->blocked[row_in_chunk] = blocked(i);
   }
-  out.opaque_subsumption_events_ = opaque_subsumption_events_;
   return out;
 }
 

@@ -25,13 +25,6 @@ enum class SubsumptionMode {
   /// the check the paper's Tables 1–2 apply (subsumed facts in boldface are
   /// "discarded, and not used to make new derivations").
   kSingleFact,
-  /// A new fact is discarded when the *disjunction* of the existing facts
-  /// implies it (exact set containment). Strictly stronger pruning than
-  /// kSingleFact — e.g. p(X; 0<=X<=10) is discarded given p(X; X<=5) and
-  /// p(X; X>=5) — at the cost of an exponential-in-principle case split
-  /// per check (constraint/implication.h). An extension beyond the paper,
-  /// which only discusses the single-fact check.
-  kSetImplication,
 };
 
 /// What happened to an inserted fact.
@@ -158,9 +151,10 @@ class Relation {
   long support(size_t i) const {
     return chunks_[i >> kChunkShift]->support[i & kChunkMask];
   }
-  /// Number of candidate derivations this row discarded by single-fact
-  /// subsumption. A retracted row with blocked() > 0 may have suppressed
-  /// facts a scratch run would store, so deleting it forces re-derivation.
+  /// Number of candidate derivations this row discarded by subsumption,
+  /// directly or at the end of a same-iteration subsumer chain. A
+  /// retracted row with blocked() > 0 may have suppressed facts a scratch
+  /// run would store, so deleting it forces re-derivation.
   long blocked(size_t i) const {
     return chunks_[i >> kChunkShift]->blocked[i & kChunkMask];
   }
@@ -168,13 +162,6 @@ class Relation {
   /// snapshot copies never observe the update).
   void BumpSupport(size_t i);
   void BumpBlocked(size_t i);
-
-  /// Subsumption events charged against this relation that cannot be pinned
-  /// on one stored row (a set-implication cover, or a subsumer that was
-  /// itself discarded). Any such event poisons row-level counting for the
-  /// whole relation: a retraction must fall back to re-derivation there.
-  long opaque_subsumption_events() const { return opaque_subsumption_events_; }
-  void NoteOpaqueSubsumption() { ++opaque_subsumption_events_; }
 
   /// Rebuilds this relation without the rows marked in `dead` (indexed by
   /// row; rows beyond dead.size() are kept), preserving births, provenance
@@ -416,7 +403,6 @@ class Relation {
   std::vector<IntervalIndex> ival_index_;  // parallel to index_
   int max_birth_ = -2;
   long interval_build_ns_ = 0;
-  long opaque_subsumption_events_ = 0;
 };
 
 }  // namespace cqlopt

@@ -48,8 +48,9 @@ bool RulesMention(const Program& program, const DeadMasks& dead) {
 /// True when `base` is shaped exactly like one Evaluate(kStratified) run of
 /// `plan`: the recorded per-stratum iterations tile the global iteration
 /// range with one entry per rule-bearing component. Bases extended by
-/// ResumeEvaluate (whose ingest pseudo-iteration and global delta loop break
-/// the tiling) fail this and take the "full" path.
+/// ResumeEvaluate fail this and take the "full" path: their ingest
+/// pseudo-iteration belongs to no entry, and the resumed run's entry is one
+/// more than the plan has rule-bearing components.
 bool PureStratifiedShape(const StratifiedPlan& plan, const EvalResult& base,
                          const EvalOptions& options) {
   if (options.strategy != EvalStrategy::kStratified) return false;
@@ -200,11 +201,8 @@ Result<EvalResult> RetractEvaluate(const Program& program, EvalResult base,
   // only attempted when no trace must be reproduced (removing a derived row
   // removes trace entries scratch evaluation would also lack — but the kept
   // iterations' remaining lists could interleave differently, so tracing
-  // always goes through the suffix) and subsumption decisions are
-  // row-attributable (set-implication covers are relation-level events).
-  const bool allow_row_splice =
-      !options.record_trace && result.trace.empty() &&
-      options.subsumption != SubsumptionMode::kSetImplication;
+  // always goes through the suffix).
+  const bool allow_row_splice = !options.record_trace && result.trace.empty();
   const size_t component_count = plan.component_count();
   size_t suffix_start = component_count;
   size_t scc_idx = 0;       // cursor into base scc_iterations
@@ -248,9 +246,6 @@ Result<EvalResult> RetractEvaluate(const Program& program, EvalResult base,
         } else {
           mask.assign(rel->size(), 0);
         }
-        // A subsumption event that cannot be pinned on one stored row may
-        // have discarded facts scratch evaluation would now store.
-        if (rel->opaque_subsumption_events() > 0) ok = false;
         for (size_t i = 0; i < rel->size() && ok; ++i) {
           if (rel->edb(i)) {
             // A deleted base row that was also rule-derived (support > 1)
@@ -377,11 +372,11 @@ Result<EvalResult> RetractEvaluate(const Program& program, EvalResult base,
   // Evaluate/ResumeEvaluate, a DecisionScope collects the run's
   // decision-cache counts.
   result.stats.retract_path = "prefix";
-  result.stats.reached_fixpoint = false;
   DecisionScope decisions({});
   Governor governor(options, /*baseline_inserted=*/result.stats.inserted);
   CQLOPT_RETURN_IF_ERROR(RunStrata(program, plan, suffix_start, prefix_iters,
-                                   options, &governor, &result));
+                                   options.max_iterations, options, &governor,
+                                   &result));
   decisions.AddTo(&result.stats);
   return result;
 }

@@ -1,6 +1,6 @@
 #include "eval/seminaive.h"
 
-#include <numeric>
+#include <climits>
 
 #include "constraint/decision_scope.h"
 #include "eval/fixpoint.h"
@@ -10,7 +10,9 @@ namespace cqlopt {
 using eval_internal::CheckEvalOptions;
 using eval_internal::FactsSoFar;
 using eval_internal::Governor;
-using eval_internal::GovernedAbort;
+using eval_internal::PlanFor;
+using eval_internal::RunStrata;
+using eval_internal::StratifiedPlan;
 
 Result<EvalResult> Evaluate(const Program& program, const Database& edb,
                             const EvalOptions& options) {
@@ -22,10 +24,11 @@ Result<EvalResult> Evaluate(const Program& program, const Database& edb,
   // Iteration numbering (birth stamps, trace rows, max_iterations) is
   // global across the plan's components; lower components are frozen when
   // a later one runs, their facts joining as "old" facts.
-  CQLOPT_RETURN_IF_ERROR(eval_internal::RunStrata(
-      program, eval_internal::PlanFor(program, options.strategy),
-      /*first_component=*/0, /*start_iteration=*/0, options, &governor,
-      &result));
+  CQLOPT_RETURN_IF_ERROR(RunStrata(program, PlanFor(program, options.strategy),
+                                   /*first_component=*/0,
+                                   /*start_iteration=*/0,
+                                   options.max_iterations, options, &governor,
+                                   &result));
   decisions.AddTo(&result.stats);
   return result;
 }
@@ -77,41 +80,18 @@ Result<EvalResult> ResumeEvaluate(const Program& program, EvalResult base,
     result.trace.emplace_back();
   }
 
-  std::vector<size_t> all_rules(program.rules.size());
-  std::iota(all_rules.begin(), all_rules.end(), 0);
-  result.stats.reached_fixpoint = false;
-  for (int resumed = 0; resumed < options.max_iterations; ++resumed) {
-    int iteration = ingest_iteration + 1 + resumed;
-    auto position = [&] {
-      return "resumed iteration " + std::to_string(resumed) +
-             " (global iteration " + std::to_string(iteration) + "), " +
-             FactsSoFar(result);
-    };
-    // Every iteration is a delta iteration: the base run already fired the
-    // constraint facts and joined every pre-batch combination.
-    Result<long> ran =
-        eval_internal::RunIteration(program, all_rules, iteration,
-                                    DeltaMode::kDeltaRotated, options,
-                                    &governor, &result);
-    if (!ran.ok()) {
-      if (Governor::IsAbortCode(ran.status().code())) {
-        return GovernedAbort(ran.status(), position(), options, &result);
-      }
-      return ran.status();
-    }
-    long inserted = *ran;
-    result.stats.iterations = iteration + 1;
-    Status boundary = governor.IterationBoundary(result.stats.inserted);
-    if (!boundary.ok()) {
-      return GovernedAbort(boundary, position(), options, &result);
-    }
-    if (inserted == 0) {
-      result.stats.reached_fixpoint = true;
-      break;
-    }
-  }
-
-  eval_internal::FinalizeStats(&result);
+  // Every iteration is a delta iteration: the base run already fired the
+  // constraint facts and joined every pre-batch combination.
+  StratifiedPlan plan = PlanFor(program, EvalStrategy::kSemiNaive);
+  plan.delta_rotated = true;
+  // max_iterations caps the resumed iterations only; saturate so a huge
+  // cap cannot overflow the absolute iteration bound.
+  const int start = ingest_iteration + 1;
+  const int cap = options.max_iterations > INT_MAX - start
+                      ? INT_MAX
+                      : start + options.max_iterations;
+  CQLOPT_RETURN_IF_ERROR(RunStrata(program, plan, /*first_component=*/0,
+                                   start, cap, options, &governor, &result));
   decisions.AddTo(&result.stats);
   return result;
 }

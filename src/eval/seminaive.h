@@ -133,20 +133,23 @@ Result<EvalResult> Evaluate(const Program& program, const Database& edb,
 /// resumed fixpoint denotes the same fact set as a from-scratch evaluation
 /// of the union EDB — per predicate, each result's facts are covered by the
 /// disjunction of the other's (tests/test_service.cc locks this against
-/// EvalStrategy::kStratified across the program corpus and all three
+/// EvalStrategy::kStratified across the program corpus and both
 /// SubsumptionModes).
 ///
 /// `base` is consumed and extended: stats accumulate on top (iterations
-/// keeps global numbering; when record_trace was set, one empty trace row
-/// marks the ingest pseudo-iteration so trace[i] still lists iteration i's
+/// keeps global numbering, and scc_iterations gains one entry for the
+/// resumed run; when record_trace was set, one empty trace row marks the
+/// ingest pseudo-iteration so trace[i] still lists iteration i's
 /// derivations). `options.strategy` is ignored — the resume always runs
-/// every rule in one delta-driven loop with delta rotations
+/// the kSemiNaive plan, every rule in one component, with delta rotations
 /// (rule_application.h: each rule is driven from its delta facts, so within
 /// an iteration derivations arrive grouped by pivot position rather than in
-/// body-enumeration order); `max_iterations` caps
-/// the *resumed* iterations. Preconditions: `base` reached its
-/// fixpoint (resuming a capped run would silently drop the unexplored
-/// frontier — InvalidArgument), and options are valid.
+/// body-enumeration order); `max_iterations` caps the *resumed* iterations,
+/// and governance limits abort it exactly as they abort Evaluate, with
+/// `max_derived_facts` counting only the facts the resume stores.
+/// Preconditions: `base` reached its fixpoint (resuming a capped run would
+/// silently drop the unexplored frontier — InvalidArgument), and options
+/// are valid.
 ///
 /// Batch facts that structurally duplicate stored facts are dropped (as a
 /// from-scratch load would drop them); if nothing of the batch is new, the

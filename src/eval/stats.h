@@ -37,7 +37,8 @@ struct EvalStats {
   /// order: per stratum in bottom-up topological order under
   /// EvalStrategy::kStratified (strata without rules are omitted), one
   /// entry under kSemiNaive. After Evaluate their sum equals `iterations`
-  /// under both strategies; ResumeEvaluate adds iterations but no entries.
+  /// under both strategies. ResumeEvaluate appends one entry for its
+  /// resumed iterations; its ingest pseudo-iteration belongs to no entry.
   std::vector<long> scc_iterations;
   /// Body-literal resolutions served by the per-position hash index (some
   /// argument position was directly bound to a symbol/number in the

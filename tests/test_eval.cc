@@ -169,33 +169,6 @@ TEST(EvalTest, SubsumptionWithinIterationPrefersGeneralFact) {
   EXPECT_FALSE(rel->fact(0).IsGround());
 }
 
-TEST(EvalTest, SetImplicationSubsumptionTighter) {
-  // Two overlapping interval facts plus one covered by their union: the
-  // set mode stores two facts, the single mode three.
-  Program p = ParseOrDie(
-      "iv(X) :- lo(Y), X >= 0, X <= 6.\n"
-      "iv(X) :- lo(Y), X >= 4, X <= 10.\n"
-      "cover(X) :- iv(X).\n"
-      "probe(X) :- lo(Y), X >= 2, X <= 8.\n"
-      "iv(X) :- probe(X).\n");
-  Database edb;
-  ASSERT_TRUE(edb.AddGroundFact(p.symbols.get(), "lo",
-                                {Database::Value::Number(Rational(0))})
-                  .ok());
-  EvalOptions single;
-  EvalOptions set_mode;
-  set_mode.subsumption = SubsumptionMode::kSetImplication;
-  auto a = Evaluate(p, edb, single);
-  auto b = Evaluate(p, edb, set_mode);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  PredId iv = p.symbols->LookupPredicate("iv");
-  EXPECT_GT(a->db.FactsFor(iv), b->db.FactsFor(iv));
-  // Ground answer sets coincide regardless of the mode.
-  PredId cover = p.symbols->LookupPredicate("cover");
-  EXPECT_GE(a->db.FactsFor(cover), b->db.FactsFor(cover));
-}
-
 TEST(EvalTest, TraceRendering) {
   Program p = ParseOrDie("r9: f(1).\n");
   EvalOptions options;

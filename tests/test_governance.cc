@@ -4,6 +4,7 @@
 // messages, partial stats via abort_stats, and a query service that keeps
 // serving after a governed (or injected) evaluation failure.
 
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -162,6 +163,102 @@ TEST(GovernanceTest, ResumeRefusalOnCappedBaseNamesTheIteration) {
       << resumed.status().message();
   EXPECT_NE(resumed.status().message().find("facts stored"),
             std::string::npos);
+}
+
+/// A converging counter seeded from the EDB: from s(0) the base stores
+/// c(0) up to c(20) in 22 global iterations (21 that store a fact, 1 that
+/// confirms the fixpoint). A resumed batch s(-k) then climbs from c(-k)
+/// back to the duplicate c(0) one fact per iteration, so it takes k + 1
+/// resumed iterations.
+Program BoundedCounter() {
+  return ParseOrDie("c(X) :- s(X).\nc(X + 1) :- c(X), X < 20.\n");
+}
+
+Fact SeedFact(const Program& p, long value) {
+  Database staged;
+  EXPECT_TRUE(staged
+                  .AddGroundFact(p.symbols.get(), "s",
+                                 {Database::Value::Number(Rational(value))})
+                  .ok());
+  return staged.Find(p.symbols->LookupPredicate("s"))->fact(0);
+}
+
+EvalResult BoundedCounterBase(const Program& p) {
+  Database edb;
+  edb.AddFact(SeedFact(p, 0));
+  auto base = Evaluate(p, edb, Governed());
+  EXPECT_TRUE(base.ok()) << base.status().ToString();
+  EXPECT_TRUE(base->stats.reached_fixpoint);
+  EXPECT_EQ(base->stats.iterations, 22);
+  EXPECT_EQ(base->stats.inserted, 21);
+  return std::move(*base);
+}
+
+TEST(GovernanceTest, ResumedFactBudgetCountsOnlyResumedFacts) {
+  Program p = BoundedCounter();
+  EvalResult base = BoundedCounterBase(p);
+  EvalOptions options = Governed();
+  options.max_derived_facts = 10;  // below the base's own 21 facts
+  EvalStats partial;
+  options.abort_stats = &partial;
+  auto resumed = ResumeEvaluate(p, std::move(base), {SeedFact(p, -50)},
+                                options);
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_EQ(resumed.status().code(), StatusCode::kResourceExhausted);
+  // The batch is stamped 22 and resumed iterations start at 23; the 11th
+  // resumed fact, stored in global iteration 33, breaks the budget.
+  EXPECT_NE(resumed.status().message().find(
+                "11 facts stored by this call"),
+            std::string::npos)
+      << resumed.status().message();
+  EXPECT_NE(resumed.status().message().find("global iteration 33"),
+            std::string::npos)
+      << resumed.status().message();
+  EXPECT_TRUE(partial.aborted);
+  EXPECT_NE(partial.abort_point.find("global iteration 33"),
+            std::string::npos)
+      << partial.abort_point;
+  EXPECT_FALSE(partial.reached_fixpoint);
+  EXPECT_EQ(partial.inserted, 21 + 11);
+  EXPECT_EQ(partial.iterations, 34);
+}
+
+TEST(GovernanceTest, ResumeIterationCapCountsResumedIterationsOnly) {
+  Program p = BoundedCounter();
+  // s(-3) takes four resumed iterations (c(-3), c(-2), c(-1), then the
+  // duplicate c(0)): a cap of 8 is far below the base's 22 global
+  // iterations but leaves room for all four.
+  EvalOptions options = Governed();
+  options.max_iterations = 8;
+  auto resumed = ResumeEvaluate(p, BoundedCounterBase(p),
+                                {SeedFact(p, -3)}, options);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_TRUE(resumed->stats.reached_fixpoint);
+  EXPECT_EQ(resumed->stats.iterations, 27);
+  EXPECT_EQ(resumed->stats.inserted, 24);
+  // The resumed run appends one entry to the base's.
+  EXPECT_EQ(resumed->stats.scc_iterations, (std::vector<long>{22, 4}));
+
+  // A cap of 2 stops the same resume short of its fixpoint.
+  options.max_iterations = 2;
+  auto capped = ResumeEvaluate(p, BoundedCounterBase(p),
+                               {SeedFact(p, -3)}, options);
+  ASSERT_TRUE(capped.ok()) << capped.status().ToString();
+  EXPECT_FALSE(capped->stats.reached_fixpoint);
+  EXPECT_EQ(capped->stats.iterations, 25);
+}
+
+TEST(GovernanceTest, ResumeWithMaximalIterationCapDoesNotOverflow) {
+  // The absolute bound is the resume's first iteration plus the cap; with
+  // INT_MAX it saturates instead of overflowing.
+  Program p = BoundedCounter();
+  EvalOptions options = Governed();
+  options.max_iterations = std::numeric_limits<int>::max();
+  auto resumed = ResumeEvaluate(p, BoundedCounterBase(p),
+                                {SeedFact(p, -3)}, options);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_TRUE(resumed->stats.reached_fixpoint);
+  EXPECT_EQ(resumed->stats.iterations, 27);
 }
 
 TEST(GovernanceTest, ServiceMapsBudgetAbortToTypedErrorAndKeepsServing) {

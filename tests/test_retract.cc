@@ -207,16 +207,13 @@ TEST(RetractEvaluateTest, RetractionOfNeverInsertedFactsIsCountedNotFatal) {
   EXPECT_EQ(shrunk->stats.retract_path, "noop");
 }
 
-class RetractSubsumptionTest
-    : public ::testing::TestWithParam<SubsumptionMode> {};
-
-TEST_P(RetractSubsumptionTest, RetractingTheSubsumerResurfacesTheSubsumed) {
+TEST(RetractSubsumptionTest, RetractingTheSubsumerResurfacesTheSubsumed) {
   const char* program = "good(X) :- cap(X).\n";
   // Under subsumption the derivation good(W <= 3) is absorbed by the wider
   // good(W <= 5) and never stored. Retracting cap(W <= 5) must leave
   // exactly what a scratch run over cap(W <= 3) stores — i.e. the
   // previously-subsumed fact has to be (re)derived, not lost.
-  EvalOptions opts = StratifiedOptions(GetParam());
+  EvalOptions opts = StratifiedOptions(SubsumptionMode::kSingleFact);
   std::shared_ptr<SymbolTable> symbols;
   auto shrunk = RetractAndCheck(program,
                                 "cap(W) :- W <= 5.\ncap(W) :- W <= 3.\n",
@@ -228,15 +225,51 @@ TEST_P(RetractSubsumptionTest, RetractingTheSubsumerResurfacesTheSubsumed) {
   EXPECT_NE(good[0].find("3"), std::string::npos) << good[0];
 }
 
-INSTANTIATE_TEST_SUITE_P(Modes, RetractSubsumptionTest,
-                         ::testing::Values(SubsumptionMode::kSingleFact,
-                                           SubsumptionMode::kSetImplication),
-                         [](const ::testing::TestParamInfo<SubsumptionMode>&
-                                info) {
-                           return info.param == SubsumptionMode::kSingleFact
-                                      ? "single_fact"
-                                      : "set_implication";
-                         });
+/// Three nested caps derived in one iteration: good(W <= 3) is subsumed by
+/// the pending good(W <= 5), which is itself subsumed by good(W <= 7). The
+/// first derivation's subsumer never commits, so its blocked() count
+/// follows the chain to the one stored row.
+constexpr const char* kNestedCaps =
+    "cap(W) :- W <= 3.\ncap(W) :- W <= 5.\ncap(W) :- W <= 7.\n";
+
+TEST(RetractSubsumptionTest, SubsumptionChainChargesTheStoredRow) {
+  auto parsed = ParseProgram("good(X) :- cap(X).\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  auto symbols = parsed->program.symbols;
+  auto run = Evaluate(parsed->program, EdbFromText(kNestedCaps, symbols),
+                      StratifiedOptions(SubsumptionMode::kSingleFact));
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const Relation* good = run->db.Find(symbols->LookupPredicate("good"));
+  ASSERT_NE(good, nullptr);
+  ASSERT_EQ(good->size(), 1u);
+  EXPECT_NE(good->fact(0).ToString(*symbols).find("7"), std::string::npos);
+  EXPECT_EQ(run->stats.subsumed, 2);
+  EXPECT_EQ(good->blocked(0), 2);
+}
+
+TEST(RetractSubsumptionTest, RetractingAChainLinkKeepsTheStoredRow) {
+  // The stored good(W <= 7) still has its witness, and the facts the
+  // retracted link subsumed stay covered: the row-level splice is exact.
+  auto shrunk = RetractAndCheck(
+      "good(X) :- cap(X).\n", kNestedCaps, "cap(W) :- W <= 5.\n",
+      "cap(W) :- W <= 3.\ncap(W) :- W <= 7.\n",
+      StratifiedOptions(SubsumptionMode::kSingleFact));
+  EXPECT_EQ(shrunk.stats.retract_path, "splice");
+}
+
+TEST(RetractSubsumptionTest, RetractingTheChainEndRederives) {
+  // good(W <= 7) blocked the whole chain, so deleting its witness must
+  // re-derive rather than drop the row.
+  std::shared_ptr<SymbolTable> symbols;
+  auto shrunk = RetractAndCheck(
+      "good(X) :- cap(X).\n", kNestedCaps, "cap(W) :- W <= 7.\n",
+      "cap(W) :- W <= 3.\ncap(W) :- W <= 5.\n",
+      StratifiedOptions(SubsumptionMode::kSingleFact), &symbols);
+  EXPECT_EQ(shrunk.stats.retract_path, "prefix");
+  std::vector<std::string> good = FactStrings(shrunk, "good", *symbols);
+  ASSERT_EQ(good.size(), 1u);
+  EXPECT_NE(good[0].find("5"), std::string::npos) << good[0];
+}
 
 // ---------------------------------------------------------------------------
 // TTL windows at the service layer: expiry ordering vs queries.

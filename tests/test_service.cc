@@ -3,7 +3,7 @@
 // protocol. The core guarantee is differential: resuming a materialized
 // fixpoint with ingested EDB deltas (ResumeEvaluate) must agree with a
 // from-scratch kStratified evaluation of the grown database — across the
-// program corpus and all three subsumption modes.
+// program corpus and both subsumption modes.
 
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -216,9 +216,7 @@ INSTANTIATE_TEST_SUITE_P(
                           "example72.cql"),
         ::testing::Values(ModeParam{"none", SubsumptionMode::kNone},
                           ModeParam{"single_fact",
-                                    SubsumptionMode::kSingleFact},
-                          ModeParam{"set_implication",
-                                    SubsumptionMode::kSetImplication})),
+                                    SubsumptionMode::kSingleFact})),
     [](const ::testing::TestParamInfo<ResumeParam>& info) {
       std::string name = std::get<0>(info.param);
       for (char& c : name) {
@@ -228,10 +226,11 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Differential: retract_vs_scratch replayed across every subsumption mode. The property itself (testing/properties.cc)
-// pins RetractEvaluate to byte-identity with a scratch run on the surviving
-// EDB and checks RETRACT over the protocol; here it must hold at every
-// point of the configuration lattice, not just the fuzzer's defaults.
+// Differential: retract_vs_scratch replayed under both subsumption modes.
+// The property itself (testing/properties.cc) pins RetractEvaluate to
+// byte-identity with a scratch run on the surviving EDB and checks RETRACT
+// over the protocol; here it must hold at every point of the configuration
+// lattice, not just the fuzzer's defaults.
 
 class RetractDifferentialTest : public ::testing::TestWithParam<ModeParam> {};
 
@@ -258,9 +257,7 @@ TEST_P(RetractDifferentialTest, RetractVsScratchHoldsAcrossSeeds) {
 INSTANTIATE_TEST_SUITE_P(
     Matrix, RetractDifferentialTest,
     ::testing::Values(ModeParam{"none", SubsumptionMode::kNone},
-                      ModeParam{"single_fact", SubsumptionMode::kSingleFact},
-                      ModeParam{"set_implication",
-                                SubsumptionMode::kSetImplication}),
+                      ModeParam{"single_fact", SubsumptionMode::kSingleFact}),
     [](const ::testing::TestParamInfo<ModeParam>& info) {
       return std::string(info.param.name);
     });

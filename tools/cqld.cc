@@ -60,10 +60,8 @@ int Usage(const char* argv0) {
       << "usage: " << argv0
       << " --program <file.cql> [--edb <file.cql>]"
       << " (--socket <path> | --tcp-port N | --stdio)\n"
-      << "       [--max-iterations N]"
-      << " [--subsumption none|single-fact|set-implication]\n"
-      << "       [--prepared-capacity N] [--wal-dir DIR]"
-      << " [--wal-compact-bytes N]\n"
+      << "       [--max-iterations N] [--prepared-capacity N]\n"
+      << "       [--wal-dir DIR] [--wal-compact-bytes N]\n"
       << "       [--query-deadline-ms N] [--max-derived-facts N]\n"
       << "       [--workers N] [--queue-depth N] [--listen-backlog N]\n"
       << "       [--priority-weights A,B,C]\n"
@@ -178,20 +176,6 @@ int main(int argc, char** argv) {
       if (!int_flag(&replica_timeout_ms)) return 2;
     } else if (arg == "--drain-timeout-ms") {
       if (!int_flag(&server.drain_timeout_ms)) return 2;
-    } else if (arg == "--subsumption") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      std::string mode = v;
-      if (mode == "none") {
-        options.eval.subsumption = cqlopt::SubsumptionMode::kNone;
-      } else if (mode == "single-fact") {
-        options.eval.subsumption = cqlopt::SubsumptionMode::kSingleFact;
-      } else if (mode == "set-implication") {
-        options.eval.subsumption = cqlopt::SubsumptionMode::kSetImplication;
-      } else {
-        std::cerr << "cqld: unknown subsumption mode '" << mode << "'\n";
-        return 2;
-      }
     } else {
       std::cerr << "cqld: unknown flag '" << arg << "'\n";
       return Usage(argv[0]);
