@@ -12,6 +12,30 @@ Conjunction Conjunction::False() {
   return c;
 }
 
+Conjunction Conjunction::Point(const std::vector<PointValue>& values) {
+  Conjunction c;
+  for (size_t i = 0; i < values.size(); ++i) {
+    VarId position = static_cast<VarId>(i + 1);
+    if (values[i].is_symbol) {
+      // BindSymbol's representation: the bound root carries a self entry.
+      c.parent_.emplace(position, position);
+      c.symbols_.emplace(position, values[i].symbol);
+    } else {
+      c.linear_.emplace_back(LinearExpr::Var(position) -
+                                 LinearExpr::Constant(values[i].number),
+                             CmpOp::kEq);
+    }
+  }
+  std::sort(c.linear_.begin(), c.linear_.end());
+  return c;
+}
+
+bool Conjunction::StructurallyEquals(const Conjunction& other) const {
+  if (unsat_ || other.unsat_) return unsat_ == other.unsat_;
+  return symbols_ == other.symbols_ && linear_ == other.linear_ &&
+         EqualityPairs() == other.EqualityPairs();
+}
+
 VarId Conjunction::Find(VarId v) const {
   auto it = parent_.find(v);
   while (it != parent_.end() && it->second != v) {
@@ -242,15 +266,6 @@ std::optional<Rational> Conjunction::QuickNumericValue(VarId v) const {
     return -(atom.expr().constant()) / coeffs.begin()->second;
   }
   return std::nullopt;
-}
-
-bool Conjunction::IsGroundOver(const std::vector<VarId>& vars) const {
-  for (VarId v : vars) {
-    if (GetSymbol(v).has_value()) continue;
-    if (GetNumericValue(v).has_value()) continue;
-    return false;
-  }
-  return true;
 }
 
 std::vector<std::pair<VarId, VarId>> Conjunction::EqualityPairs() const {

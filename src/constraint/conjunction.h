@@ -16,6 +16,25 @@ namespace cqlopt {
 /// that are equal iff their ids are equal.
 using SymbolId = int;
 
+/// The value of one variable at a point: a symbolic constant or a number.
+/// A ground fact is a tuple of these, one per argument position.
+struct PointValue {
+  static PointValue Symbol(SymbolId s) { return PointValue{true, s, {}}; }
+  static PointValue Number(Rational r) {
+    return PointValue{false, SymbolId{}, std::move(r)};
+  }
+
+  bool operator==(const PointValue& other) const {
+    return is_symbol == other.is_symbol &&
+           (is_symbol ? symbol == other.symbol : number == other.number);
+  }
+  bool operator!=(const PointValue& other) const { return !(*this == other); }
+
+  bool is_symbol = false;
+  SymbolId symbol{};  // valid when is_symbol
+  Rational number;    // valid when !is_symbol
+};
+
 /// A satisfiable-or-known-false conjunction of constraints over variables:
 /// the body constraint `C` of a rule, one disjunct of a constraint set, or
 /// the constraint part of a constraint fact `p(X̄; C)` (Section 2).
@@ -39,6 +58,10 @@ class Conjunction {
   static Conjunction True() { return Conjunction(); }
   /// A canonical unsatisfiable conjunction (`false`).
   static Conjunction False();
+  /// The point `$1 = v1 & ... & $n = vn`: a symbol binding or one `$i = c`
+  /// atom per position and no equality edges — the canonical form of a
+  /// ground fact (eval/fact.h).
+  static Conjunction Point(const std::vector<PointValue>& values);
 
   /// Conjoins a linear atom. Cheap syntactic checks may set known_unsat.
   Status AddLinear(const LinearConstraint& atom);
@@ -87,11 +110,6 @@ class Conjunction {
   /// pre-filter.
   std::optional<Rational> QuickNumericValue(VarId v) const;
 
-  /// True if every variable in `vars` is bound to a symbol or forced to a
-  /// unique numeric value — the fact is a *ground* fact over those
-  /// positions (Section 2's ground vs constraint facts distinction).
-  bool IsGroundOver(const std::vector<VarId>& vars) const;
-
   /// Linear atoms, over class roots, canonically sorted.
   const std::vector<LinearConstraint>& linear() const { return linear_; }
 
@@ -110,12 +128,13 @@ class Conjunction {
   /// Removes linear atoms implied by the rest and normalizes the store.
   void Simplify();
 
-  /// True if the two conjunctions have identical canonical forms. (Two
+  /// True if the two conjunctions have identical canonical forms: the same
+  /// equality edges, symbol bindings, linear store and unsat flag, compared
+  /// field by field. Roots are class minima and the stores are sorted, so
+  /// this is exactly ToString() equality, without rendering. (Two
   /// equivalent conjunctions may still differ; use implication for
   /// semantic equivalence.)
-  bool StructurallyEquals(const Conjunction& other) const {
-    return ToString() == other.ToString();
-  }
+  bool StructurallyEquals(const Conjunction& other) const;
 
   /// Canonical rendering, e.g. "$1 = madison & $3 <= 240 & $2 = $4".
   /// "true" for the empty conjunction, "false" when known unsatisfiable.

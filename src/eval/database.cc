@@ -6,19 +6,16 @@ Status Database::AddGroundFact(SymbolTable* symbols,
                                const std::string& pred_name,
                                const std::vector<Value>& values) {
   PredId pred = symbols->InternPredicate(pred_name);
-  Conjunction c;
-  for (size_t i = 0; i < values.size(); ++i) {
-    VarId position = static_cast<VarId>(i + 1);
-    if (values[i].is_symbol) {
-      CQLOPT_RETURN_IF_ERROR(
-          c.BindSymbol(position, symbols->InternSymbol(values[i].symbol)));
-    } else {
-      LinearExpr expr = LinearExpr::Var(position) -
-                        LinearExpr::Constant(values[i].number);
-      CQLOPT_RETURN_IF_ERROR(c.AddLinear(LinearConstraint(expr, CmpOp::kEq)));
-    }
+  GroundTuple tuple;
+  tuple.reserve(values.size());
+  for (const Value& value : values) {
+    tuple.push_back(
+        value.is_symbol
+            ? PointValue::Symbol(symbols->InternSymbol(value.symbol))
+            : PointValue::Number(value.number));
   }
-  AddFact(Fact(pred, static_cast<int>(values.size()), std::move(c)));
+  Fact fact = GroundFact(pred, tuple);
+  AddFact(CanonicalFact{std::move(fact), std::move(tuple)});
   return Status::OK();
 }
 

@@ -26,16 +26,27 @@ class Database {
                                         /*edb=*/true);
   }
 
-  /// Inserts a derived fact with its birth iteration and provenance.
-  InsertOutcome AddFact(Fact fact, int birth, std::string rule_label,
+  /// The same for a fact already in canonical form (the loader's tuple path).
+  InsertOutcome AddFact(CanonicalFact fact) {
+    PredId pred = fact.fact.pred;
+    return relations_[pred].InsertCanonical(std::move(fact), /*birth=*/-1,
+                                            /*rule_label=*/"", /*parents=*/{},
+                                            /*edb=*/true);
+  }
+
+  /// Inserts a derived fact, in canonical form, with its birth iteration
+  /// and provenance (the fixpoint's commit).
+  InsertOutcome AddFact(CanonicalFact fact, int birth, std::string rule_label,
                         std::vector<Relation::FactRef> parents) {
-    return relations_[fact.pred].Insert(std::move(fact), birth,
-                                        std::move(rule_label),
-                                        std::move(parents));
+    PredId pred = fact.fact.pred;
+    return relations_[pred].InsertCanonical(std::move(fact), birth,
+                                            std::move(rule_label),
+                                            std::move(parents));
   }
 
   /// Builds and inserts a ground fact from argument values, each either a
-  /// number or a symbolic constant name (interned via `symbols`).
+  /// number or a symbolic constant name (interned via `symbols`), as its
+  /// value tuple directly: no projection or satisfiability decision.
   struct Value {
     static Value Number(Rational r) { return Value{false, std::move(r), ""}; }
     static Value Symbol(std::string name) {

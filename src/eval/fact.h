@@ -1,7 +1,10 @@
 #ifndef CQLOPT_EVAL_FACT_H_
 #define CQLOPT_EVAL_FACT_H_
 
+#include <cstdint>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "ast/symbol_table.h"
 #include "constraint/conjunction.h"
@@ -23,7 +26,8 @@ struct Fact {
 
   /// Structural identity key: predicate id + canonical constraint string.
   /// Structurally distinct but equivalent facts get different keys; the
-  /// subsumption check (relation.h) handles semantic duplicates.
+  /// subsumption check (relation.h) handles semantic duplicates. Storage
+  /// does not use it (see CanonicalFact); it is kept for tests and tools.
   std::string Key() const;
 
   /// Paper-style rendering: `flight(madison, chicago, 50, 100)` for ground
@@ -35,6 +39,58 @@ struct Fact {
   int arity;
   Conjunction constraint;
 };
+
+/// The values of a ground fact, one per argument position.
+using GroundTuple = std::vector<PointValue>;
+
+/// `fact`'s argument values if it is ground (every position bound to a
+/// symbol or forced to one number), nullopt otherwise. A position stored as
+/// a direct `$i = c` costs no projection; any other numeric position costs
+/// one exact projection.
+std::optional<GroundTuple> GroundValuesOf(const Fact& fact);
+
+/// The values of `vars` when `c` pins every one of them directly: each is
+/// symbol-bound or has a single-variable equality atom, and the linear
+/// store is nothing but such atoms on distinct variables (so it is
+/// satisfiable without a decision). nullopt otherwise — which does not mean
+/// the variables are not pinned.
+std::optional<GroundTuple> DirectValuesOf(const Conjunction& c,
+                                          const std::vector<VarId>& vars);
+
+/// The canonical ground fact `pred(values)`: exactly one `$i = c` or
+/// `$i = @sym` atom per position and no equality edges
+/// (Conjunction::Point).
+Fact GroundFact(PredId pred, const GroundTuple& values);
+
+/// A fact in the canonical form storage keys on. A ground fact is stored
+/// as GroundFact(pred, *tuple) whatever form it was derived or loaded in, so
+/// two ground facts denote the same point iff their tuples are equal. A
+/// non-ground fact keeps its (simplified) constraint and is identified by
+/// it structurally.
+struct CanonicalFact {
+  Fact fact;
+  /// The argument values; set iff the fact is ground.
+  std::optional<GroundTuple> tuple;
+
+  bool ground() const { return tuple.has_value(); }
+
+  /// 64-bit identity hash: predicate, arity and the value tuple when
+  /// ground, fp::FingerprintOf(constraint) otherwise. Equal facts (SameAs)
+  /// hash equally.
+  uint64_t Hash() const;
+
+  /// Exact identity: same predicate and arity, and equal tuples (ground) or
+  /// structurally equal constraints (non-ground).
+  bool SameAs(const CanonicalFact& other) const;
+};
+
+/// Puts `fact` in canonical form, deciding its groundness once
+/// (GroundValuesOf).
+CanonicalFact Canonicalize(Fact fact);
+
+/// Identity hash of a ground fact `pred(values)` of arity values.size();
+/// CanonicalFact::Hash of a ground fact is this.
+uint64_t HashGroundTuple(PredId pred, const GroundTuple& values);
 
 }  // namespace cqlopt
 

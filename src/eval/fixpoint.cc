@@ -2,7 +2,7 @@
 
 #include <limits>
 #include <numeric>
-#include <set>
+#include <unordered_map>
 
 #include "constraint/implication.h"
 #include "eval/rule_application.h"
@@ -15,13 +15,16 @@ namespace {
 
 constexpr size_t kNoRow = std::numeric_limits<size_t>::max();
 
+/// The valuation-join plan of each program rule (null where none applies).
+using GroundPlans = std::vector<std::shared_ptr<const GroundPlan>>;
+
 /// A derivation buffered during one iteration, reconciled at iteration end.
 struct Pending {
   std::string rule_label;
-  Fact fact;
+  /// Canonical, with its groundness decided once where it was made.
+  CanonicalFact derived;
   std::vector<Relation::FactRef> parents;
-  std::string key;
-  bool ground = false;
+  uint64_t hash = 0;  // derived.Hash()
   InsertOutcome outcome = InsertOutcome::kInserted;
   /// Counting attribution for kSubsumed: the stored row that subsumed this
   /// derivation, or the pending index that did — the commit loop resolves
@@ -34,50 +37,62 @@ struct Pending {
 /// treated as a *set* (the paper's tables discard a fact as subsumed even
 /// when the subsuming fact was derived later in the same iteration, e.g.
 /// Table 1 iteration 3 discards m_fib(0,4) in favour of m_fib(0,V2)).
+///
+/// Only a non-ground fact can subsume a distinct fact: a ground fact is a
+/// point, and a satisfiable fact implied by a point is that point — the
+/// same canonical tuple, which pass 1 already caught. So passes 2 and 3
+/// visit only the non-ground candidates, in the order the full walks
+/// would, and find the same first subsumer.
 void Reconcile(std::vector<Pending>* pending, const Database& db,
                SubsumptionMode mode) {
-  // Pass 1: structural duplicates, against the database and earlier pending.
-  std::set<std::string> seen;
-  for (Pending& p : *pending) {
-    p.key = p.fact.Key();
-    p.ground = p.fact.IsGround();
-    const Relation* rel = db.Find(p.fact.pred);
-    bool in_db = rel != nullptr && rel->ContainsKey(p.key);
-    if (in_db || !seen.insert(p.key).second) {
+  // Pass 1: duplicates, against the database and earlier pending.
+  std::unordered_multimap<uint64_t, size_t> seen;  // hash -> pending index
+  seen.reserve(pending->size());
+  std::vector<size_t> non_ground;  // pending indexes, ascending
+  for (size_t i = 0; i < pending->size(); ++i) {
+    Pending& p = (*pending)[i];
+    p.hash = p.derived.Hash();
+    if (!p.derived.ground()) non_ground.push_back(i);
+    const Relation* rel = db.Find(p.derived.fact.pred);
+    bool duplicate = rel != nullptr && rel->Find(p.derived, p.hash);
+    auto [first, last] = seen.equal_range(p.hash);
+    for (auto it = first; !duplicate && it != last; ++it) {
+      duplicate = (*pending)[it->second].derived.SameAs(p.derived);
+    }
+    if (duplicate) {
       p.outcome = InsertOutcome::kDuplicate;
+    } else {
+      seen.emplace(p.hash, i);
     }
   }
   if (mode == SubsumptionMode::kNone) return;
-  // Pass 2: subsumption against existing database facts. Ground-vs-ground
-  // pairs are skipped: a ground fact denotes a single point, so it can only
-  // subsume a structurally identical one — already caught by pass 1 (facts
-  // are kept in canonical simplified form).
+  // Pass 2: subsumption by a stored non-ground row, first in row order.
   for (Pending& p : *pending) {
     if (p.outcome != InsertOutcome::kInserted) continue;
-    const Relation* rel = db.Find(p.fact.pred);
+    const Relation* rel = db.Find(p.derived.fact.pred);
     if (rel == nullptr) continue;
-    for (size_t e = 0; e < rel->size(); ++e) {
-      if (p.ground && rel->ground(e)) continue;
-      if (Implies(p.fact.constraint, rel->fact(e).constraint)) {
+    for (size_t e : rel->non_ground_rows()) {
+      if (Implies(p.derived.fact.constraint, rel->fact(e).constraint)) {
         p.outcome = InsertOutcome::kSubsumed;
         p.subsumer_row = e;
         break;
       }
     }
   }
-  // Pass 3: mutual subsumption within the iteration. Equivalent facts keep
-  // the earliest derivation.
+  // Pass 3: subsumption by a non-ground derivation of the same iteration.
+  // Equivalent facts keep the earliest derivation.
   for (size_t i = 0; i < pending->size(); ++i) {
     Pending& p = (*pending)[i];
     if (p.outcome != InsertOutcome::kInserted) continue;
-    for (size_t j = 0; j < pending->size(); ++j) {
+    for (size_t j : non_ground) {
       if (j == i) continue;
       const Pending& q = (*pending)[j];
       if (q.outcome != InsertOutcome::kInserted) continue;
-      if (q.fact.pred != p.fact.pred || q.fact.arity != p.fact.arity) continue;
-      if (p.ground && q.ground) continue;
-      if (!Implies(p.fact.constraint, q.fact.constraint)) continue;
-      if (j > i && Implies(q.fact.constraint, p.fact.constraint)) {
+      const Fact& pf = p.derived.fact;
+      const Fact& qf = q.derived.fact;
+      if (qf.pred != pf.pred || qf.arity != pf.arity) continue;
+      if (!Implies(pf.constraint, qf.constraint)) continue;
+      if (j > i && Implies(qf.constraint, pf.constraint)) {
         continue;  // Equivalent and p came first: p wins.
       }
       p.outcome = InsertOutcome::kSubsumed;
@@ -90,8 +105,8 @@ void Reconcile(std::vector<Pending>* pending, const Database& db,
 /// Applies one rule against the frozen pre-iteration database, buffering
 /// derivations into `pending` and counting into `stats`.
 Status ApplyOneRule(const Program& program, size_t rule_index,
-                    const Database& db, int iteration, DeltaMode delta,
-                    bool interval_index, Governor* governor,
+                    const GroundPlan* plan, const Database& db, int iteration,
+                    DeltaMode delta, bool interval_index, Governor* governor,
                     std::vector<Pending>* pending, EvalStats* stats) {
   // Rule-batch boundary check: keeps long rule sequences responsive even
   // when individual rules derive nothing.
@@ -99,17 +114,15 @@ Status ApplyOneRule(const Program& program, size_t rule_index,
   const Rule& rule = program.rules[rule_index];
   const std::string rule_key =
       rule.label.empty() ? "rule#" + std::to_string(rule_index) : rule.label;
-  auto emit = [&](Fact fact,
+  auto emit = [&](CanonicalFact derived,
                   const std::vector<Relation::FactRef>& parents) -> Status {
     CQLOPT_RETURN_IF_ERROR(governor->Fine());
     ++stats->derivations;
     ++stats->derivations_per_rule[rule_key];
-    pending->push_back(Pending{rule.label, std::move(fact), parents, "",
-                               false, InsertOutcome::kInserted, kNoRow,
-                               kNoRow});
+    pending->push_back(Pending{rule.label, std::move(derived), parents});
     return Status::OK();
   };
-  return ApplyRule(rule, db, /*max_birth=*/iteration - 1, delta,
+  return ApplyRule(rule, plan, db, /*max_birth=*/iteration - 1, delta,
                    interval_index, emit, stats);
 }
 
@@ -123,7 +136,7 @@ Status ApplyOneRule(const Program& program, size_t rule_index,
 /// The commit also maintains the counting state of DESIGN.md §14: a
 /// duplicate-discarded derivation bumps the stored row's support(), and a
 /// subsumed derivation bumps blocked() on the stored row that covers it.
-Result<long> RunIteration(const Program& program,
+Result<long> RunIteration(const Program& program, const GroundPlans& plans,
                           const std::vector<size_t>& rule_indexes,
                           int iteration, DeltaMode delta,
                           const EvalOptions& options, Governor* governor,
@@ -135,7 +148,8 @@ Result<long> RunIteration(const Program& program,
         delta != DeltaMode::kAll) {
       continue;
     }
-    CQLOPT_RETURN_IF_ERROR(ApplyOneRule(program, rule_index, result->db,
+    CQLOPT_RETURN_IF_ERROR(ApplyOneRule(program, rule_index,
+                                        plans[rule_index].get(), result->db,
                                         iteration, delta,
                                         options.interval_index, governor,
                                         &pending, &result->stats));
@@ -151,15 +165,16 @@ Result<long> RunIteration(const Program& program,
     Pending& p = pending[i];
     if (options.record_trace) {
       result->trace.back().push_back(Derivation{
-          p.rule_label, p.fact.ToString(*program.symbols), p.outcome});
+          p.rule_label, p.derived.fact.ToString(*program.symbols),
+          p.outcome});
     }
     switch (p.outcome) {
       case InsertOutcome::kInserted: {
         ++result->stats.inserted;
         ++inserted;
-        if (!p.ground) result->stats.all_ground = false;
-        PredId pred = p.fact.pred;
-        result->db.AddFact(std::move(p.fact), iteration, p.rule_label,
+        if (!p.derived.ground()) result->stats.all_ground = false;
+        PredId pred = p.derived.fact.pred;
+        result->db.AddFact(std::move(p.derived), iteration, p.rule_label,
                            std::move(p.parents));
         committed_row[i] = result->db.Find(pred)->size() - 1;
         break;
@@ -173,8 +188,8 @@ Result<long> RunIteration(const Program& program,
         // row (which may have committed earlier in this very loop). A
         // representative that was itself discarded stores no row — the
         // event then has no stored effect and is not counted.
-        Relation* rel = result->db.FindMutable(p.fact.pred);
-        if (auto row = rel->RowOf(p.key)) rel->BumpSupport(*row);
+        Relation* rel = result->db.FindMutable(p.derived.fact.pred);
+        if (auto row = rel->Find(p.derived, p.hash)) rel->BumpSupport(*row);
         break;
       }
     }
@@ -191,7 +206,7 @@ Result<long> RunIteration(const Program& program,
          j = pending[j].subsumer_pending) {
       row = committed_row[j];
     }
-    result->db.FindMutable(p.fact.pred)->BumpBlocked(row);
+    result->db.FindMutable(p.derived.fact.pred)->BumpBlocked(row);
   }
   return inserted;
 }
@@ -264,6 +279,12 @@ Status RunStrata(const Program& program, const StratifiedPlan& plan,
                  int iteration_cap, const EvalOptions& options,
                  Governor* governor, EvalResult* result) {
   const size_t component_count = plan.component_count();
+  // Each rule is compiled for the valuation join once per evaluation.
+  GroundPlans ground_plans;
+  ground_plans.reserve(program.rules.size());
+  for (const Rule& rule : program.rules) {
+    ground_plans.push_back(CompileGroundPlan(rule));
+  }
   int global_iteration = start_iteration;
   bool capped = false;
   result->stats.reached_fixpoint = false;
@@ -286,7 +307,7 @@ Status RunStrata(const Program& program, const StratifiedPlan& plan,
       DeltaMode delta = plan.delta_rotated ? DeltaMode::kDeltaRotated
                         : local == 0        ? DeltaMode::kAll
                                             : DeltaMode::kDelta;
-      Result<long> ran = RunIteration(program, plan.rules_of[c],
+      Result<long> ran = RunIteration(program, ground_plans, plan.rules_of[c],
                                       global_iteration, delta, options,
                                       governor, result);
       if (!ran.ok()) {

@@ -36,8 +36,16 @@ Result<int> LoadDatabaseText(const std::string& text,
                        RenderRule(rule, *parsed.program.symbols),
                        "rule has a body; only facts are allowed");
     }
-    // Convert the head's variable-form constraints to argument-position
-    // form, exactly as a derived fact would be built.
+    // A statement pinning every argument directly (`singleleg(msn, ord, 50,
+    // 80).`) is a tuple: store its canonical ground form, no decision made.
+    if (auto tuple = DirectValuesOf(rule.constraints, rule.head.args)) {
+      Fact fact = GroundFact(rule.head.pred, *tuple);
+      db->AddFact(CanonicalFact{std::move(fact), std::move(tuple)});
+      ++loaded;
+      continue;
+    }
+    // Otherwise convert the head's variable-form constraints to
+    // argument-position form, exactly as a derived fact would be built.
     CQLOPT_ASSIGN_OR_RETURN(Conjunction over_positions,
                             LtopConjunction(rule.head, rule.constraints));
     if (!over_positions.IsSatisfiable()) {

@@ -120,13 +120,84 @@ void Relation::SealTail(IntervalIndex* idx) {
 
 InsertOutcome Relation::Insert(Fact fact, int birth, std::string rule_label,
                                std::vector<FactRef> parents, bool edb) {
-  std::string key = fact.Key();
-  if (keys_.count(key) > 0) return InsertOutcome::kDuplicate;
+  return InsertCanonical(Canonicalize(std::move(fact)), birth,
+                         std::move(rule_label), std::move(parents), edb);
+}
 
-  // Classify each argument position (the column tag) and collect interval
-  // summaries for numerically constrained positions. Bound propagation runs
-  // at most once per fact, lazily, and never for facts with no linear atoms
-  // (their positions classify from the direct lookups alone).
+void Relation::IdentityTable::Add(uint64_t hash, size_t row) {
+  if ((count + 1) * 2 > rows.size()) {
+    // Grow to keep the table at most half full, re-placing every entry.
+    size_t capacity = rows.empty() ? 16 : rows.size() * 2;
+    std::vector<uint64_t> old_hashes = std::move(hashes);
+    std::vector<size_t> old_rows = std::move(rows);
+    hashes.assign(capacity, 0);
+    rows.assign(capacity, kEmpty);
+    count = 0;
+    for (size_t k = 0; k < old_rows.size(); ++k) {
+      if (old_rows[k] != kEmpty) Add(old_hashes[k], old_rows[k]);
+    }
+  }
+  size_t mask = rows.size() - 1;
+  size_t k = static_cast<size_t>(hash) & mask;
+  while (rows[k] != kEmpty) k = (k + 1) & mask;
+  hashes[k] = hash;
+  rows[k] = row;
+  ++count;
+}
+
+bool Relation::RowIs(size_t i, const CanonicalFact& fact) const {
+  const Fact& stored = this->fact(i);
+  if (stored.arity != fact.fact.arity || ground(i) != fact.ground()) {
+    return false;
+  }
+  if (!fact.ground()) {
+    return stored.constraint.StructurallyEquals(fact.fact.constraint);
+  }
+  // A ground row's identity is its value columns.
+  for (size_t p = 0; p < fact.tuple->size(); ++p) {
+    const PointValue& v = (*fact.tuple)[p];
+    int position = static_cast<int>(p + 1);
+    if (v.is_symbol) {
+      if (tag(i, position) != ColTag::kSymbol ||
+          symbol_at(i, position) != v.symbol) {
+        return false;
+      }
+    } else if (tag(i, position) != ColTag::kNumber ||
+               number_at(i, position) != v.number) {
+      return false;
+    }
+  }
+  return true;
+}
+
+std::optional<size_t> Relation::Find(const CanonicalFact& fact,
+                                     uint64_t hash) const {
+  const IdentityTable& table = identity_;
+  if (table.count == 0) return std::nullopt;
+  size_t mask = table.rows.size() - 1;
+  for (size_t k = static_cast<size_t>(hash) & mask;
+       table.rows[k] != IdentityTable::kEmpty; k = (k + 1) & mask) {
+    if (table.hashes[k] == hash && RowIs(table.rows[k], fact)) {
+      return table.rows[k];
+    }
+  }
+  return std::nullopt;
+}
+
+InsertOutcome Relation::InsertCanonical(CanonicalFact canonical, int birth,
+                                        std::string rule_label,
+                                        std::vector<FactRef> parents,
+                                        bool edb) {
+  const uint64_t hash = canonical.Hash();
+  if (Find(canonical, hash).has_value()) return InsertOutcome::kDuplicate;
+  Fact& fact = canonical.fact;
+  const bool is_ground = canonical.ground();
+
+  // Classify each argument position (the column tag). A ground fact's
+  // columns are its tuple. Otherwise collect interval summaries for
+  // numerically constrained positions: bound propagation runs at most once
+  // per fact, lazily, and never for facts with no linear atoms (their
+  // positions classify from the direct lookups alone).
   size_t arity = static_cast<size_t>(fact.arity);
   std::vector<ColTag> tags(arity, ColTag::kUnbound);
   std::vector<SymbolId> syms(arity, SymbolId{});
@@ -134,6 +205,13 @@ InsertOutcome Relation::Insert(Fact fact, int birth, std::string rule_label,
   std::vector<std::pair<size_t, Interval>> summaries;  // (pos-1, bounds)
   std::optional<IntervalDomain> domain;
   for (size_t p = 0; p < arity; ++p) {
+    if (is_ground) {
+      PointValue& v = (*canonical.tuple)[p];
+      tags[p] = v.is_symbol ? ColTag::kSymbol : ColTag::kNumber;
+      syms[p] = v.symbol;
+      nums[p] = std::move(v.number);
+      continue;
+    }
     VarId v = static_cast<VarId>(p + 1);
     if (auto sym = fact.constraint.GetSymbol(v)) {
       tags[p] = ColTag::kSymbol;
@@ -161,7 +239,8 @@ InsertOutcome Relation::Insert(Fact fact, int birth, std::string rule_label,
 
   // Append the row.
   size_t id = size_;
-  keys_.emplace(std::move(key), id);
+  identity_.Add(hash, id);
+  if (!is_ground) non_ground_rows_.push_back(id);
   if (birth > max_birth_) max_birth_ = birth;
   Chunk* tail = TailChunkForAppend();
   size_t row_in_chunk = tail->facts.size();
@@ -175,7 +254,7 @@ InsertOutcome Relation::Insert(Fact fact, int birth, std::string rule_label,
       col.numbers.resize(row_in_chunk);
     }
   }
-  tail->ground.push_back(fact.IsGround() ? 1 : 0);
+  tail->ground.push_back(is_ground ? 1 : 0);
   tail->facts.push_back(std::move(fact));
   tail->births.push_back(birth);
   tail->edb.push_back(edb ? 1 : 0);
@@ -265,7 +344,21 @@ Relation Relation::Spliced(const std::vector<uint8_t>& dead,
     if (remap) {
       for (FactRef& ref : refs) ref = remap(ref);
     }
-    out.Insert(fact(i), birth(i), rule_label(i), std::move(refs), edb(i));
+    // Stored rows are canonical already; a ground row's tuple is its
+    // columns.
+    CanonicalFact row{fact(i), std::nullopt};
+    if (ground(i)) {
+      GroundTuple tuple;
+      tuple.reserve(static_cast<size_t>(row.fact.arity));
+      for (int p = 1; p <= row.fact.arity; ++p) {
+        tuple.push_back(tag(i, p) == ColTag::kSymbol
+                            ? PointValue::Symbol(symbol_at(i, p))
+                            : PointValue::Number(number_at(i, p)));
+      }
+      row.tuple = std::move(tuple);
+    }
+    out.InsertCanonical(std::move(row), birth(i), rule_label(i),
+                        std::move(refs), edb(i));
     Chunk* tail = out.chunks_.back().get();
     size_t row_in_chunk = (out.size_ - 1) & kChunkMask;
     tail->support[row_in_chunk] = support(i);
@@ -394,15 +487,6 @@ const std::vector<size_t>& Relation::IntervalProbe(
   return out;
 }
 
-bool Relation::AllGround() const {
-  for (const auto& chunk : chunks_) {
-    for (uint8_t g : chunk->ground) {
-      if (g == 0) return false;
-    }
-  }
-  return true;
-}
-
 size_t Relation::ApproxChunkBytes(const Chunk& chunk) {
   size_t bytes = sizeof(Chunk);
   bytes += chunk.births.capacity() * sizeof(int);
@@ -427,10 +511,7 @@ size_t Relation::ApproxChunkBytes(const Chunk& chunk) {
 size_t Relation::ApproxBytes() const {
   size_t bytes = sizeof(Relation);
   for (const auto& chunk : chunks_) bytes += ApproxChunkBytes(*chunk);
-  for (const auto& [key, row] : keys_) {
-    bytes += sizeof(std::string) + key.capacity() + sizeof(row) +
-             16;  // map node overhead
-  }
+  bytes += identity_.bytes() + non_ground_rows_.capacity() * sizeof(size_t);
   for (const PositionIndex& idx : index_) {
     bytes += idx.unbound.capacity() * sizeof(size_t);
     for (const auto& [key, rows] : idx.by_value) {

@@ -86,7 +86,10 @@ class Relation {
     kInterval,
   };
 
-  /// Inserts unless a structurally identical fact is stored (kDuplicate).
+  /// Inserts unless an identical fact is stored (kDuplicate). The fact is
+  /// put in canonical form first (Canonicalize: a ground fact is stored as
+  /// its value tuple's canonical ground form, whatever form it came in), so
+  /// two ground facts denoting one point never occupy two rows.
   /// No subsumption check: the fixpoint's end-of-iteration reconciliation
   /// (eval/fixpoint.cc) discards subsumed derivations before they reach
   /// storage, and EDB facts are taken verbatim. `birth` is the deriving
@@ -96,16 +99,23 @@ class Relation {
   InsertOutcome Insert(Fact fact, int birth, std::string rule_label = "",
                        std::vector<FactRef> parents = {}, bool edb = false);
 
-  /// True if a structurally identical fact is stored.
-  bool ContainsKey(const std::string& key) const {
-    return keys_.count(key) > 0;
-  }
+  /// Insert for a fact already in canonical form, whose groundness was
+  /// decided where it was made (the fixpoint's commit, the loader's tuple
+  /// path): decides nothing again.
+  InsertOutcome InsertCanonical(CanonicalFact fact, int birth,
+                                std::string rule_label = "",
+                                std::vector<FactRef> parents = {},
+                                bool edb = false);
 
-  /// Row index of the structurally identical stored fact, if any.
-  std::optional<size_t> RowOf(const std::string& key) const {
-    auto it = keys_.find(key);
-    if (it == keys_.end()) return std::nullopt;
-    return it->second;
+  /// Row index of the stored fact identical to `fact` (whose Hash() is
+  /// `hash`), if any: a hash-table probe plus an exact compare — the value
+  /// columns for a ground row, Conjunction::StructurallyEquals otherwise.
+  std::optional<size_t> Find(const CanonicalFact& fact, uint64_t hash) const;
+
+  /// Row index of the stored fact identical to `fact` once canonicalized.
+  std::optional<size_t> RowOf(const Fact& fact) const {
+    CanonicalFact canonical = Canonicalize(fact);
+    return Find(canonical, canonical.Hash());
   }
 
   /// Row storage is append-only: Insert never reorders or removes, so row
@@ -123,8 +133,9 @@ class Relation {
   int birth(size_t i) const {
     return chunks_[i >> kChunkShift]->births[i & kChunkMask];
   }
-  /// Cached Fact::IsGround(), computed once at insertion: the subsumption
-  /// fast path relies on it (a ground fact cannot subsume a distinct fact).
+  /// Whether the row is a ground tuple (CanonicalFact::ground(), decided
+  /// once before insertion): every position's column holds its symbol or
+  /// number, and the row's identity is that tuple.
   bool ground(size_t i) const {
     return chunks_[i >> kChunkShift]->ground[i & kChunkMask] != 0;
   }
@@ -253,8 +264,15 @@ class Relation {
   /// index can prune on (a point value or a finite bound summary).
   bool HasIntervalIndex(int position) const;
 
-  /// True if every stored fact is ground.
-  bool AllGround() const;
+  /// True if every stored fact is ground. O(1).
+  bool AllGround() const { return non_ground_rows_.empty(); }
+
+  /// Row ids of the non-ground rows, ascending (= insertion order). Only
+  /// these can subsume a distinct fact — a point implies only itself — so
+  /// reconciliation walks this list, not the relation.
+  const std::vector<size_t>& non_ground_rows() const {
+    return non_ground_rows_;
+  }
 
   /// Largest birth stamp ever stored (-2 while empty). A cheap
   /// delta-availability bound for semi-naive joins: no row of this relation
@@ -270,9 +288,9 @@ class Relation {
   long interval_build_ns() const { return interval_build_ns_; }
 
   /// Approximate resident bytes of this relation: chunked columns, fact
-  /// payloads, provenance, key set, and both indexes. An estimate (heap
-  /// allocator overhead and small-string storage are approximated), meant
-  /// for bytes-per-fact trend reporting, not exact accounting. Chunks
+  /// payloads, provenance, identity table, and both indexes. An estimate
+  /// (heap allocator overhead and small-string storage are approximated),
+  /// meant for bytes-per-fact trend reporting, not exact accounting. Chunks
   /// shared with other Relation copies are counted in full here; see
   /// SharedBytes for the portion a copy would share.
   size_t ApproxBytes() const;
@@ -396,9 +414,31 @@ class Relation {
   /// Approximate resident bytes of one chunk (rows, provenance, columns).
   static size_t ApproxChunkBytes(const Chunk& chunk);
 
+  /// True if row `i` is the fact `fact` (exact; see Find).
+  bool RowIs(size_t i, const CanonicalFact& fact) const;
+
+  /// Fact identity: an open-addressing table of (64-bit hash, row) pairs
+  /// with linear probing, at most half full. Distinct facts may share a
+  /// hash; lookups compare every row with a matching hash exactly (RowIs).
+  /// Rows are never removed (Spliced rebuilds), so there are no tombstones,
+  /// and copying a Relation copies two flat arrays.
+  struct IdentityTable {
+    static constexpr size_t kEmpty = static_cast<size_t>(-1);
+    std::vector<uint64_t> hashes;
+    std::vector<size_t> rows;  // kEmpty marks a free slot
+    size_t count = 0;
+
+    void Add(uint64_t hash, size_t row);
+    size_t bytes() const {
+      return hashes.capacity() * sizeof(uint64_t) +
+             rows.capacity() * sizeof(size_t);
+    }
+  };
+
   std::vector<std::shared_ptr<Chunk>> chunks_;
   size_t size_ = 0;
-  std::unordered_map<std::string, size_t> keys_;  // structural key -> row
+  IdentityTable identity_;             // fact identity -> row
+  std::vector<size_t> non_ground_rows_;  // ascending
   std::vector<PositionIndex> index_;   // index_[p-1]; sized to max arity seen
   std::vector<IntervalIndex> ival_index_;  // parallel to index_
   int max_birth_ = -2;

@@ -112,7 +112,7 @@ Result<EvalResult> RetractEvaluate(const Program& program, EvalResult base,
   for (const Fact& f : retracted) {
     const Relation* rel = result.db.Find(f.pred);
     std::optional<size_t> row;
-    if (rel != nullptr) row = rel->RowOf(f.Key());
+    if (rel != nullptr) row = rel->RowOf(f);
     if (!row.has_value() || !rel->edb(*row)) {
       ++result.stats.retract_missing;
       continue;

@@ -2,6 +2,7 @@
 #define CQLOPT_EVAL_RULE_APPLICATION_H_
 
 #include <functional>
+#include <memory>
 
 #include "ast/rule.h"
 #include "eval/database.h"
@@ -9,11 +10,27 @@
 
 namespace cqlopt {
 
-/// Callback receiving each fact derived by a rule application, along with
-/// the body facts that derived it (in body-literal order) — the provenance
-/// edges of Definition 2.2's derivation trees.
-using EmitFn =
-    std::function<Status(Fact, const std::vector<Relation::FactRef>&)>;
+/// Callback receiving each fact derived by a rule application, in canonical
+/// form with its groundness decided (eval/fact.h), along with the body facts
+/// that derived it (in body-literal order) — the provenance edges of
+/// Definition 2.2's derivation trees.
+using EmitFn = std::function<Status(CanonicalFact,
+                                    const std::vector<Relation::FactRef>&)>;
+
+/// A rule compiled for the valuation join (the ground fast path; see
+/// ApplyRule). Opaque; built by CompileGroundPlan.
+struct GroundPlan;
+
+/// Compiles `rule` for the valuation join: dense slots for the
+/// constraint-root classes of its variables, its own symbol and number
+/// bindings, its linear atoms over slots, and per enumeration order the
+/// schedule of equalities to solve and atoms to check after each literal.
+/// Returns null unless a static check holds: binding every body variable,
+/// then repeatedly solving the equalities with a single unknown, binds every
+/// atom and head variable. (It fails, for instance, for a head variable
+/// pinned only by `X >= 5, X <= 5`, or an existential `Z > 0` with Z in no
+/// literal.) The fixpoint compiles each rule once per evaluation.
+std::shared_ptr<const GroundPlan> CompileGroundPlan(const Rule& rule);
 
 /// Delta discipline of one rule application.
 enum class DeltaMode {
@@ -33,6 +50,28 @@ enum class DeltaMode {
 /// every combination of body facts, conjoins the rule's constraints with the
 /// facts' constraints, checks satisfiability, eliminates the non-head
 /// variables by projection, and emits the resulting head facts.
+///
+/// Two joins implement it, and both enumerate candidates through one
+/// candidate-selection step (birth and delta filters, rotations, row order
+/// and the access-path choice below), so they make the same derivations in
+/// the same order and count the same candidates:
+///  - The valuation join runs when `plan` is non-null (CompileGroundPlan)
+///    and every body relation holds only ground tuple rows
+///    (Relation::AllGround, O(1)); each such application counts one
+///    EvalStats::ground_applications. It binds slots from the rows' value
+///    columns under an undo trail, compares repeated and pre-bound slots
+///    exactly, solves single-unknown equalities (`T = T1 + T2 + 30`), and
+///    evaluates every other atom by one exact rational comparison as soon
+///    as its slots are bound. Where the partial state could be
+///    unsatisfiable for a reason no bound atom shows (atoms coupled only
+///    through unbound slots), it asks the exact decision the constraint
+///    join would. Its leaf builds the canonical ground head directly: no
+///    projection, simplification or satisfiability decision. A candidate
+///    whose values mismatch a slot's kind (a symbol reaching an arithmetic
+///    slot, a number meeting a symbol) is handed to the constraint join for
+///    that subtree, which reproduces its clash skip or TypeError exactly.
+///  - The constraint join handles everything else with conjunctions, and
+///    canonicalizes each emitted fact (deciding groundness once).
 ///
 /// Semi-naive discipline: only facts with birth <= `max_birth` participate,
 /// and under kDelta / kDeltaRotated at least one chosen fact must have
@@ -65,9 +104,12 @@ enum class DeltaMode {
 /// some argument position to a unique symbol or number is resolved by
 /// probing the relation's per-position hash index at the most selective
 /// such position. Direct bindings are read cheaply
-/// (Conjunction::GetSymbol / QuickNumericValue); numeric values that are
+/// (Conjunction::GetSymbol / QuickNumericValue; in the valuation join, slots
+/// bound by a row or by the rule's own bindings); numeric values that are
 /// only entailed — e.g. `X = N - 1` after joining a fact with `N = 2` —
-/// are recovered by the exact projection (Conjunction::GetNumericValue).
+/// are recovered by the exact projection (Conjunction::GetNumericValue), on
+/// the accumulated conjunction (which the valuation join rebuilds from its
+/// slots only for such a literal).
 /// Literals with no uniquely-bound position (unbound, or restricted only
 /// by non-point constraints like `X > 0`) fall back to the linear scan.
 /// A probe skips exactly the candidates the scan would discard as
@@ -99,9 +141,9 @@ enum class DeltaMode {
 ///
 /// Body-free rules (constraint facts in the program) derive their head
 /// directly; callers fire them only under kAll.
-Status ApplyRule(const Rule& rule, const Database& db, int max_birth,
-                 DeltaMode delta, bool interval_index, const EmitFn& emit,
-                 EvalStats* stats);
+Status ApplyRule(const Rule& rule, const GroundPlan* plan, const Database& db,
+                 int max_birth, DeltaMode delta, bool interval_index,
+                 const EmitFn& emit, EvalStats* stats);
 
 }  // namespace cqlopt
 

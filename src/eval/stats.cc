@@ -37,6 +37,9 @@ std::string EvalStats::ToString(const SymbolTable& symbols) const {
            " indexed-scan-equivalent=" +
            std::to_string(indexed_scan_equivalent);
   }
+  if (ground_applications > 0) {
+    out += " ground-applications=" + std::to_string(ground_applications);
+  }
   if (interval_probes > 0) {
     out += " interval-probes=" + std::to_string(interval_probes) +
            " interval-candidates=" + std::to_string(interval_candidates) +

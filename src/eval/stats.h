@@ -48,6 +48,10 @@ struct EvalStats {
   /// bound — unbound, or bound only through constraints (e.g. entailed by
   /// `X = N - 1 & N = 2` without a stored point equality).
   long scan_probes = 0;
+  /// Rule applications run by the valuation join (rule_application.h: the
+  /// rule compiled to a GroundPlan and every body relation ground tuples).
+  /// A count, not a switch: which join runs is decided per application.
+  long ground_applications = 0;
   /// Join candidate facts enumerated through index probes.
   long index_candidates = 0;
   /// Join candidate facts enumerated by fallback scans.

@@ -408,7 +408,7 @@ bool MarkDead(const Database& db, const Fact& fact,
               std::map<PredId, std::vector<uint8_t>>* masks) {
   const Relation* rel = db.Find(fact.pred);
   if (rel == nullptr) return false;
-  std::optional<size_t> row = rel->RowOf(fact.Key());
+  std::optional<size_t> row = rel->RowOf(fact);
   if (!row.has_value()) return false;
   std::vector<uint8_t>& mask = (*masks)[fact.pred];
   if (mask.empty()) mask.resize(rel->size(), 0);

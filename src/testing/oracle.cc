@@ -48,7 +48,11 @@ Result<int> ApplyRuleNaive(const Rule& rule,
       CQLOPT_ASSIGN_OR_RETURN(Conjunction head_c,
                               LtopConjunction(rule.head, conj));
       head_c.Simplify();
-      Fact derived(rule.head.pred, rule.head.arity(), std::move(head_c));
+      // Ground facts are deduplicated as points: their canonical form is
+      // one atom per position, whatever form the projection left them in.
+      Fact derived = Canonicalize(Fact(rule.head.pred, rule.head.arity(),
+                                       std::move(head_c)))
+                         .fact;
       if (seen->insert(derived.Key()).second) {
         (*out)[derived.pred].push_back(std::move(derived));
         ++added;
@@ -79,9 +83,10 @@ Result<OracleResult> OracleEvaluate(const Program& program,
 
   OracleResult result;
   std::set<std::string> seen;
-  for (const Fact& fact : edb) {
+  for (const Fact& edb_fact : edb) {
+    Fact fact = Canonicalize(edb_fact).fact;
     if (seen.insert(fact.Key()).second) {
-      result.facts[fact.pred].push_back(fact);
+      result.facts[fact.pred].push_back(std::move(fact));
     }
   }
   for (int round = 0; round < options.max_rounds; ++round) {

@@ -64,6 +64,26 @@ std::string CountsByPred(const std::map<PredId, std::vector<Fact>>& m) {
   return out.empty() ? "(empty)" : out;
 }
 
+/// The first ground point stored twice in one relation of `facts`, as
+/// "pred(values)", or "" when every ground point is stored once. Storage
+/// dedups ground facts by their canonical tuple (eval/fact.h), so this
+/// holds whatever form each derivation left a point in — a property
+/// SameDenotation, being multiplicity-blind, cannot see.
+std::string RepeatedGroundPoint(
+    const std::map<PredId, std::vector<Fact>>& facts,
+    const SymbolTable& symbols) {
+  for (const auto& [pred, rows] : facts) {
+    std::set<std::string> points;
+    for (const Fact& fact : rows) {
+      std::optional<GroundTuple> tuple = GroundValuesOf(fact);
+      if (!tuple.has_value()) continue;
+      Fact point = GroundFact(pred, *tuple);
+      if (!points.insert(point.Key()).second) return point.ToString(symbols);
+    }
+  }
+  return "";
+}
+
 // ---------------------------------------------------------------------------
 // oracle_equiv: the optimized engine against the naive reference oracle.
 
@@ -88,6 +108,16 @@ PropertyOutcome OracleEquiv(const FuzzCase& c, const FuzzOptions& fo) {
         "engine and oracle denotations differ: engine " +
         CountsByPred(engine_map) + " vs oracle " +
         CountsByPred(oracle->facts));
+  }
+  for (const auto& [name, facts] :
+       {std::pair<const char*, const std::map<PredId, std::vector<Fact>>*>{
+            "engine", &engine_map},
+        {"oracle", &oracle->facts}}) {
+    std::string repeated = RepeatedGroundPoint(*facts, *c.program.symbols);
+    if (!repeated.empty()) {
+      return PropertyOutcome::Fail(std::string(name) + " stores " + repeated +
+                                   " in two rows");
+    }
   }
   auto engine_answers = QueryAnswers(*eval, c.query);
   auto oracle_answers = OracleQueryAnswers(*oracle, c.query);
@@ -522,10 +552,13 @@ PropertyOutcome RetractVsScratch(const FuzzCase& c, const FuzzOptions& fo) {
   std::set<std::pair<PredId, std::string>> named;
   int expect_removed = 0;
   for (const Fact& fact : batch) {
-    named.insert({fact.pred, fact.Key()});
+    // Stored rows are canonical (a ground fact is its tuple's point form),
+    // so the batch is named in the same form.
+    const std::string key = Canonicalize(fact).fact.Key();
+    named.insert({fact.pred, key});
     const Relation* rel = full_db.Find(fact.pred);
-    if (rel != nullptr && rel->RowOf(fact.Key()).has_value() &&
-        dead.insert({fact.pred, fact.Key()}).second) {
+    if (rel != nullptr && rel->RowOf(fact).has_value() &&
+        dead.insert({fact.pred, key}).second) {
       ++expect_removed;
     }
   }

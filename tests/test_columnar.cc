@@ -7,7 +7,9 @@
 // modes, and the constrained-join candidate cut of EXPERIMENTS.md E1.
 
 #include <algorithm>
+#include <fstream>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -15,10 +17,12 @@
 
 #include "ast/parser.h"
 #include "core/workload.h"
+#include "eval/loader.h"
 #include "eval/relation.h"
 #include "eval/seminaive.h"
 #include "testing/corpus.h"
 #include "testing/properties.h"
+#include "sha256.h"
 
 namespace cqlopt {
 namespace {
@@ -338,6 +342,208 @@ TEST(IntervalIndexTest, EvaluationPrunesAndStaysByteIdentical) {
                      : 0.0;
     EXPECT_GE(cut, 35.3 - 0.5);
   }
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+/// Every observable of a stored run in one text: per relation, each row's
+/// rendering, birth, support() and blocked(); then every trace row
+/// (iteration, rule label, rendered fact, outcome).
+std::string RenderRun(const EvalResult& run, const SymbolTable& symbols) {
+  std::string out;
+  for (const auto& [pred, rel] : run.db.relations()) {
+    out += symbols.PredicateName(pred) + "\n";
+    for (size_t i = 0; i < rel.size(); ++i) {
+      out += rel.fact(i).ToString(symbols) + " @" +
+             std::to_string(rel.birth(i)) + " s" +
+             std::to_string(rel.support(i)) + " b" +
+             std::to_string(rel.blocked(i)) + "\n";
+    }
+  }
+  for (size_t it = 0; it < run.trace.size(); ++it) {
+    for (const Derivation& d : run.trace[it]) {
+      out += std::to_string(it) + " " + d.rule_label + " " + d.fact + " " +
+             std::to_string(static_cast<int>(d.outcome)) + "\n";
+    }
+  }
+  return out;
+}
+
+/// Golden pin of flights-48 (the original Example 1.1 program over the
+/// 12-airport, 48-leg network of generator seed 42, SCC-stratified,
+/// single-fact subsumption, trace on): the sha256 of its rendered facts,
+/// births, support/blocked counters and trace. The digest is the
+/// constraint join's: the valuation join and the canonical ground form,
+/// which run on every derivation here, must leave each of these
+/// observables exactly as the constraint join produced them.
+TEST(ColumnarGoldenTest, Flights48StoredRunIsPinned) {
+  auto parsed = ParseProgram(
+      ReadFile(std::string(CQLOPT_PROGRAMS_DIR) + "/flights.cql"));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  Program& p = parsed->program;
+  FlightNetworkSpec spec;
+  spec.airports = 12;
+  spec.legs = 48;
+  spec.seed = 42;
+  Database db;
+  ASSERT_TRUE(AddFlightNetwork(p.symbols.get(), spec, &db).ok());
+  EvalOptions opts;
+  opts.strategy = EvalStrategy::kStratified;
+  opts.record_trace = true;
+  auto run = Evaluate(p, db, opts);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->stats.derivations, 1549);
+  EXPECT_EQ(run->db.TotalFacts() - db.TotalFacts(), 726u);
+  EXPECT_EQ(testutil::Sha256Hex(RenderRun(*run, *p.symbols)),
+            "13ccb9e40a8afb15fdb608baa1af639e49ae58e4617d1d3d0291ed4710e0145b");
+  // The digest itself, on the FIPS 180-4 test vectors.
+  EXPECT_EQ(testutil::Sha256Hex("abc"),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(
+      testutil::Sha256Hex(
+          "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+      "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+}
+
+// ---------------------------------------------------------------------------
+// Ground identity: one canonical form per point, hash identity with an
+// exact compare.
+
+PointValue Num(int n) { return PointValue::Number(Rational(n)); }
+
+TEST(GroundIdentityTest, OnePointIsOneRowWhateverItsForm) {
+  Relation rel;
+  // p(1, 2) as `$1 - $2 = -1 & $1 = 1`: the form a projection leaves.
+  Conjunction linear;
+  ASSERT_TRUE(linear.AddLinear(Atom({{1, 1}, {2, -1}}, 1, CmpOp::kEq)).ok());
+  ASSERT_TRUE(linear.AddLinear(Atom({{1, 1}}, -1, CmpOp::kEq)).ok());
+  const Fact canonical = GroundFact(0, {Num(1), Num(2)});
+  EXPECT_NE(Fact(0, 2, linear).Key(), canonical.Key());
+  EXPECT_EQ(rel.Insert(Fact(0, 2, linear), 0), InsertOutcome::kInserted);
+  EXPECT_EQ(rel.Insert(canonical, 1), InsertOutcome::kDuplicate);
+  ASSERT_EQ(rel.size(), 1u);
+  EXPECT_TRUE(rel.ground(0));
+  EXPECT_EQ(rel.fact(0).Key(), canonical.Key());
+  EXPECT_EQ(rel.RowOf(Fact(0, 2, linear)), std::optional<size_t>(0));
+  EXPECT_EQ(rel.RowOf(canonical), std::optional<size_t>(0));
+  EXPECT_EQ(rel.RowOf(GroundFact(0, {Num(2), Num(1)})), std::nullopt);
+
+  // p(3, 3) as `$2 = $1 & $1 = 3`: stored without the equality edge.
+  Conjunction diagonal;
+  ASSERT_TRUE(diagonal.AddEquality(2, 1).ok());
+  ASSERT_TRUE(diagonal.AddLinear(Atom({{1, 1}}, -3, CmpOp::kEq)).ok());
+  EXPECT_EQ(rel.Insert(Fact(0, 2, diagonal), 0), InsertOutcome::kInserted);
+  ASSERT_EQ(rel.size(), 2u);
+  EXPECT_TRUE(rel.fact(1).constraint.EqualityPairs().empty());
+  EXPECT_EQ(rel.fact(1).Key(), GroundFact(0, {Num(3), Num(3)}).Key());
+  EXPECT_EQ(rel.Insert(GroundFact(0, {Num(3), Num(3)}), 0),
+            InsertOutcome::kDuplicate);
+  EXPECT_TRUE(rel.AllGround());
+  EXPECT_TRUE(rel.non_ground_rows().empty());
+
+  // A non-ground row: identified structurally, listed as a possible
+  // subsumer.
+  Conjunction ranged;
+  ASSERT_TRUE(ranged.AddEquality(2, 1).ok());
+  ASSERT_TRUE(ranged.AddLinear(Atom({{1, -1}}, 0, CmpOp::kLe)).ok());
+  EXPECT_EQ(rel.Insert(Fact(0, 2, ranged), 2), InsertOutcome::kInserted);
+  EXPECT_EQ(rel.Insert(Fact(0, 2, ranged), 3), InsertOutcome::kDuplicate);
+  EXPECT_FALSE(rel.ground(2));
+  EXPECT_FALSE(rel.AllGround());
+  EXPECT_EQ(rel.non_ground_rows(), std::vector<size_t>{2});
+  EXPECT_EQ(rel.RowOf(Fact(0, 2, ranged)), std::optional<size_t>(2));
+
+  // Splicing keeps identity: the survivors are found again.
+  Relation spliced = rel.Spliced({1, 0, 0}, nullptr);
+  ASSERT_EQ(spliced.size(), 2u);
+  EXPECT_EQ(spliced.RowOf(GroundFact(0, {Num(3), Num(3)})),
+            std::optional<size_t>(0));
+  EXPECT_EQ(spliced.RowOf(Fact(0, 2, ranged)), std::optional<size_t>(1));
+  EXPECT_EQ(spliced.RowOf(canonical), std::nullopt);
+  EXPECT_EQ(spliced.non_ground_rows(), std::vector<size_t>{1});
+}
+
+TEST(GroundIdentityTest, ManyRowsGrowTheIdentityTable) {
+  Relation rel;
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_EQ(rel.Insert(GroundFact(0, {Num(i % 100), Num(i / 100)}), 0),
+              InsertOutcome::kInserted);
+  }
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(rel.RowOf(GroundFact(0, {Num(i % 100), Num(i / 100)})),
+              std::optional<size_t>(static_cast<size_t>(i)));
+    EXPECT_EQ(rel.Insert(GroundFact(0, {Num(i % 100), Num(i / 100)}), 1),
+              InsertOutcome::kDuplicate);
+  }
+  EXPECT_EQ(rel.RowOf(GroundFact(0, {Num(100), Num(0)})), std::nullopt);
+}
+
+TEST(GroundIdentityTest, StructurallyEqualsIsToStringEquality) {
+  // The same classes reached through different merge orders: the
+  // union-find's internal links differ, its canonical form does not.
+  Conjunction a;
+  ASSERT_TRUE(a.AddEquality(3, 2).ok());
+  ASSERT_TRUE(a.AddEquality(2, 1).ok());
+  ASSERT_TRUE(a.AddLinear(Atom({{3, 1}}, -4, CmpOp::kLe)).ok());
+  Conjunction b;
+  ASSERT_TRUE(b.AddLinear(Atom({{1, 1}}, -4, CmpOp::kLe)).ok());
+  ASSERT_TRUE(b.AddEquality(1, 3).ok());
+  ASSERT_TRUE(b.AddEquality(2, 3).ok());
+  EXPECT_EQ(a.ToString(), b.ToString());
+  EXPECT_TRUE(a.StructurallyEquals(b));
+  Conjunction c = b;
+  ASSERT_TRUE(c.BindSymbol(4, 7).ok());
+  EXPECT_NE(a.ToString(), c.ToString());
+  EXPECT_FALSE(a.StructurallyEquals(c));
+  EXPECT_TRUE(Conjunction::False().StructurallyEquals(Conjunction::False()));
+  EXPECT_FALSE(Conjunction::False().StructurallyEquals(Conjunction()));
+  // Equal canonical forms fingerprint equally, so hash identity agrees.
+  EXPECT_EQ(CanonicalFact({Fact(0, 3, a), std::nullopt}).Hash(),
+            CanonicalFact({Fact(0, 3, b), std::nullopt}).Hash());
+}
+
+TEST(GroundIdentityTest, LoadedAndProgrammaticFactsAreTuples) {
+  auto symbols = std::make_shared<SymbolTable>();
+  Database db;
+  auto loaded = LoadDatabaseText(
+      "pp(X, X) :- X = 3.\nq(a, 5).\nr(X) :- X > 0.\n", symbols, &db);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const Relation* pp = db.Find(symbols->LookupPredicate("pp"));
+  ASSERT_NE(pp, nullptr);
+  ASSERT_TRUE(pp->ground(0));
+  EXPECT_TRUE(pp->fact(0).constraint.EqualityPairs().empty());
+  EXPECT_EQ(pp->fact(0).ToString(*symbols), "pp(3, 3)");
+  ASSERT_TRUE(db.AddGroundFact(symbols.get(), "q",
+                               {Database::Value::Symbol("a"),
+                                Database::Value::Number(Rational(5))})
+                  .ok());
+  EXPECT_EQ(db.FactsFor(symbols->LookupPredicate("q")), 1u);
+  EXPECT_FALSE(db.Find(symbols->LookupPredicate("r"))->ground(0));
+  EXPECT_FALSE(db.AllGround());
+}
+
+TEST(GroundIdentityTest, DerivedDiagonalIsCanonical) {
+  auto parsed = ParseProgram("pp(X, X) :- s(X).\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  Program& p = parsed->program;
+  Database db;
+  ASSERT_TRUE(db.AddGroundFact(p.symbols.get(), "s",
+                               {Database::Value::Number(Rational(4))})
+                  .ok());
+  auto run = Evaluate(p, db, {});
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_GT(run->stats.ground_applications, 0);
+  const Relation* pp = run->db.Find(p.symbols->LookupPredicate("pp"));
+  ASSERT_NE(pp, nullptr);
+  ASSERT_EQ(pp->size(), 1u);
+  EXPECT_EQ(pp->fact(0).Key(), GroundFact(pp->fact(0).pred,
+                                          {Num(4), Num(4)})
+                                   .Key());
 }
 
 /// Corpus-replay differential: every minimized repro in tests/fuzz_corpus/

@@ -128,14 +128,6 @@ TEST(ConjunctionTest, GetNumericValueAbsentWhenRange) {
   EXPECT_FALSE(c.GetNumericValue(1).has_value());
 }
 
-TEST(ConjunctionTest, IsGroundOverMixed) {
-  Conjunction c;
-  ASSERT_TRUE(c.BindSymbol(1, 4).ok());
-  ASSERT_TRUE(c.AddLinear(Atom({{2, 1}}, -7, CmpOp::kEq)).ok());
-  EXPECT_TRUE(c.IsGroundOver({1, 2}));
-  EXPECT_FALSE(c.IsGroundOver({1, 2, 3}));
-}
-
 TEST(ConjunctionTest, ProjectKeepsOnlyRequestedVars) {
   Conjunction c;
   // x + y <= 6, x >= 2: project onto {y} gives y <= 4 (Example 4.1).

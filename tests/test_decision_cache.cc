@@ -215,10 +215,14 @@ TEST(DecisionCacheTest, MemoizedDecisionsMatchFreshOnes) {
 /// stratified evaluation with the cache on computes byte-identical results
 /// to one with the cache off, and the warm second run actually hits.
 TEST(DecisionCacheTest, EvaluationUnchangedByCache) {
+  // The constraint fact (last rule) puts a non-ground row in t, so the
+  // joins over t run the constraint join and decide: over ground tuples
+  // alone the valuation join makes no decision to cache.
   auto parsed = ParseProgram(
       "t(X, Y) :- e(X, Y).\n"
       "t(X, Y) :- e(X, Z), t(Z, Y).\n"
-      "s(X) :- t(X, Y), X >= 2, Y <= 9.\n");
+      "s(X) :- t(X, Y), X >= 2, Y <= 9.\n"
+      "t(X, Y) :- X >= 100, Y = X + 1.\n");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   Program& program = parsed->program;
   Database db;
@@ -275,10 +279,14 @@ TEST(DecisionCacheTest, CapacityOneThrashMatchesCacheOff) {
   // entry — the pathological thrash regime. Even there the cache must stay
   // an invisible memo: the evaluation's stored facts, birth rounds, and
   // derivation stats are byte-identical to a cache-off run.
+  // The constraint fact (last rule) puts a non-ground row in t, so the
+  // joins over t run the constraint join and decide: over ground tuples
+  // alone the valuation join makes no decision to cache.
   auto parsed = ParseProgram(
       "t(X, Y) :- e(X, Y).\n"
       "t(X, Y) :- e(X, Z), t(Z, Y).\n"
-      "s(X) :- t(X, Y), X >= 2, Y <= 9.\n");
+      "s(X) :- t(X, Y), X >= 2, Y <= 9.\n"
+      "t(X, Y) :- X >= 100, Y = X + 1.\n");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   Program& program = parsed->program;
   Database db;
@@ -367,7 +375,12 @@ std::string ReadFile(const std::string& path) {
   return buffer.str();
 }
 
-/// The flights program (Example 1.1) over its companion EDB.
+/// The flights program (Example 1.1) over its companion EDB plus one
+/// constraint fact, a range of msn-ord legs. A relation holding it is not
+/// all ground tuples, so the joins over it run the constraint join and
+/// decide (an all-ground flights run takes the valuation join and decides
+/// nothing). The range lies outside both of the query's selections, so the
+/// answers do not change.
 struct Flights {
   Program program;
   Database edb;
@@ -384,8 +397,10 @@ Flights LoadWarmFlights() {
   auto parsed = ParseProgram(ReadFile(dir + "/flights.cql"));
   EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
   Flights f{std::move(parsed->program), Database()};
-  auto loaded = LoadDatabaseText(ReadFile(dir + "/flights_edb.cql"),
-                                 f.program.symbols, &f.edb);
+  auto loaded = LoadDatabaseText(
+      ReadFile(dir + "/flights_edb.cql") +
+          "singleleg(msn, ord, T, C) :- T >= 1000, C >= 1000.\n",
+      f.program.symbols, &f.edb);
   EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
   EvaluateFlights(f);
   return f;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "ast/parser.h"
+#include "core/equivalence.h"
+#include "eval/loader.h"
 #include "eval/rule_application.h"
 
 namespace cqlopt {
@@ -212,39 +214,54 @@ void ExpectScanAndIndexProbes(const EvalStats& stats) {
   EXPECT_GT(stats.index_probes, 0);
 }
 
+/// The two joins of ApplyRule: the constraint join (no plan) and the
+/// valuation join (the rule's GroundPlan; every relation here is ground).
+std::vector<std::shared_ptr<const GroundPlan>> BothJoins(const Rule& rule) {
+  std::shared_ptr<const GroundPlan> plan = CompileGroundPlan(rule);
+  EXPECT_NE(plan, nullptr);
+  return {nullptr, plan};
+}
+
 TEST(EvalTest, StreamingEmitInsertsInvisibleWithinApplication) {
   Program p = ParseOrDie("t(X, Y) :- e(X, Z), t(Z, Y).\n");
-  // Buffered oracle: collect derivations without touching the database.
-  Database db = ChainDb(&p);
-  std::vector<std::string> buffered;
-  auto collect = [&](Fact fact,
-                     const std::vector<Relation::FactRef>&) -> Status {
-    buffered.push_back(fact.ToString(*p.symbols));
-    return Status::OK();
-  };
-  EvalStats buffered_stats;
-  ASSERT_TRUE(ApplyRule(p.rules[0], db, /*max_birth=*/-1, DeltaMode::kAll,
-                        /*interval_index=*/true, collect, &buffered_stats)
-                  .ok());
-  ExpectScanAndIndexProbes(buffered_stats);
-  // Streaming: insert every derivation at birth 0 (> max_birth) as it is
-  // emitted. The insert during e(2,3)'s t(2,4) must stay invisible when
-  // e(1,2) enumerates t — no cascading t(1,4).
-  Database db2 = ChainDb(&p);
-  std::vector<std::string> streamed;
-  auto stream = [&](Fact fact,
-                    const std::vector<Relation::FactRef>& parents) -> Status {
-    streamed.push_back(fact.ToString(*p.symbols));
-    db2.AddFact(std::move(fact), /*birth=*/0, "", parents);
-    return Status::OK();
-  };
-  EvalStats streamed_stats;
-  ASSERT_TRUE(ApplyRule(p.rules[0], db2, /*max_birth=*/-1, DeltaMode::kAll,
-                        /*interval_index=*/true, stream, &streamed_stats)
-                  .ok());
-  ExpectScanAndIndexProbes(streamed_stats);
-  EXPECT_EQ(buffered, std::vector<std::string>{"t(2, 4)"});
-  EXPECT_EQ(streamed, buffered);
+  for (const auto& plan : BothJoins(p.rules[0])) {
+    SCOPED_TRACE(plan == nullptr ? "constraint join" : "valuation join");
+    // Buffered oracle: collect derivations without touching the database.
+    Database db = ChainDb(&p);
+    std::vector<std::string> buffered;
+    auto collect = [&](CanonicalFact derived,
+                       const std::vector<Relation::FactRef>&) -> Status {
+      buffered.push_back(derived.fact.ToString(*p.symbols));
+      return Status::OK();
+    };
+    EvalStats buffered_stats;
+    ASSERT_TRUE(ApplyRule(p.rules[0], plan.get(), db, /*max_birth=*/-1,
+                          DeltaMode::kAll, /*interval_index=*/true, collect,
+                          &buffered_stats)
+                    .ok());
+    ExpectScanAndIndexProbes(buffered_stats);
+    EXPECT_EQ(buffered_stats.ground_applications, plan == nullptr ? 0 : 1);
+    // Streaming: insert every derivation at birth 0 (> max_birth) as it is
+    // emitted. The insert during e(2,3)'s t(2,4) must stay invisible when
+    // e(1,2) enumerates t — no cascading t(1,4).
+    Database db2 = ChainDb(&p);
+    std::vector<std::string> streamed;
+    auto stream = [&](CanonicalFact derived,
+                      const std::vector<Relation::FactRef>& parents)
+        -> Status {
+      streamed.push_back(derived.fact.ToString(*p.symbols));
+      db2.AddFact(std::move(derived), /*birth=*/0, "", parents);
+      return Status::OK();
+    };
+    EvalStats streamed_stats;
+    ASSERT_TRUE(ApplyRule(p.rules[0], plan.get(), db2, /*max_birth=*/-1,
+                          DeltaMode::kAll, /*interval_index=*/true, stream,
+                          &streamed_stats)
+                    .ok());
+    ExpectScanAndIndexProbes(streamed_stats);
+    EXPECT_EQ(buffered, std::vector<std::string>{"t(2, 4)"});
+    EXPECT_EQ(streamed, buffered);
+  }
 }
 
 TEST(EvalTest, StreamingInsertAtMaxBirthCascades) {
@@ -254,21 +271,26 @@ TEST(EvalTest, StreamingInsertAtMaxBirthCascades) {
   // e(2,3) IS seen when e(1,2) later enumerates t — the application
   // cascades within a single ApplyRule call.
   Program p = ParseOrDie("t(X, Y) :- e(X, Z), t(Z, Y).\n");
-  Database db = ChainDb(&p);
-  std::vector<std::string> streamed;
-  auto stream = [&](Fact fact,
-                    const std::vector<Relation::FactRef>& parents) -> Status {
-    streamed.push_back(fact.ToString(*p.symbols));
-    db.AddFact(std::move(fact), /*birth=*/-1, "", parents);
-    return Status::OK();
-  };
-  EvalStats stats;
-  ASSERT_TRUE(ApplyRule(p.rules[0], db, /*max_birth=*/-1, DeltaMode::kAll,
-                        /*interval_index=*/true, stream, &stats)
-                  .ok());
-  ExpectScanAndIndexProbes(stats);
-  EXPECT_EQ(streamed,
-            (std::vector<std::string>{"t(2, 4)", "t(1, 4)"}));
+  for (const auto& plan : BothJoins(p.rules[0])) {
+    SCOPED_TRACE(plan == nullptr ? "constraint join" : "valuation join");
+    Database db = ChainDb(&p);
+    std::vector<std::string> streamed;
+    auto stream = [&](CanonicalFact derived,
+                      const std::vector<Relation::FactRef>& parents)
+        -> Status {
+      streamed.push_back(derived.fact.ToString(*p.symbols));
+      db.AddFact(std::move(derived), /*birth=*/-1, "", parents);
+      return Status::OK();
+    };
+    EvalStats stats;
+    ASSERT_TRUE(ApplyRule(p.rules[0], plan.get(), db, /*max_birth=*/-1,
+                          DeltaMode::kAll, /*interval_index=*/true, stream,
+                          &stats)
+                    .ok());
+    ExpectScanAndIndexProbes(stats);
+    EXPECT_EQ(streamed,
+              (std::vector<std::string>{"t(2, 4)", "t(1, 4)"}));
+  }
 }
 
 TEST(EvalTest, RejectsNegativeMaxIterations) {
@@ -302,6 +324,184 @@ TEST(EvalTest, UnsatisfiableRuleNeverFires) {
   auto result = Evaluate(p, edb, {});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->stats.derivations, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Ground tuples (DESIGN.md "Ground tuples"): one canonical form per ground
+// fact, and the valuation join chosen per application. Each case asserts
+// whether the valuation join ran through EvalStats::ground_applications.
+
+/// A program, its EDB text and its query, evaluated SCC-stratified.
+struct GroundRun {
+  Program program;
+  std::vector<Query> queries;
+  Database edb;
+  Result<EvalResult> run = Status::Internal("not evaluated");
+
+  const Relation* Rel(const char* pred) const {
+    return run->db.Find(program.symbols->LookupPredicate(pred));
+  }
+};
+
+GroundRun EvaluateText(const std::string& rules, const std::string& edb) {
+  GroundRun g;
+  auto parsed = ParseProgram(rules);
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  g.program = std::move(parsed->program);
+  g.queries = std::move(parsed->queries);
+  auto loaded = LoadDatabaseText(edb, g.program.symbols, &g.edb);
+  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EvalOptions options;
+  options.strategy = EvalStrategy::kStratified;
+  g.run = Evaluate(g.program, g.edb, options);
+  return g;
+}
+
+TEST(GroundTupleTest, OnePointIsOneRowAndOneAnswer) {
+  // p(1, 2) is derived twice: through `Y = X + 1` and copied from r. Both
+  // derivations are the one canonical tuple, so under single-fact
+  // subsumption the relation holds one row and the query one answer. The
+  // second arm puts a constraint fact in q, so rule 1 runs the constraint
+  // join, whose projection leaves `$1 - $2 = -1 & $1 = 1` until the
+  // emitted fact is canonicalized.
+  const std::string rules =
+      "p(X, Y) :- q(X), Y = X + 1.\n"
+      "p(X, Y) :- r(X, Y).\n"
+      "?- p(X, Y).\n";
+  for (bool constraint_join : {false, true}) {
+    SCOPED_TRACE(constraint_join ? "constraint join" : "valuation join");
+    GroundRun g = EvaluateText(
+        rules, std::string("q(1).\nr(1, 2).\n") +
+                   (constraint_join ? "q(X) :- X >= 100.\n" : ""));
+    ASSERT_TRUE(g.run.ok()) << g.run.status().ToString();
+    EXPECT_EQ(g.run->stats.ground_applications, constraint_join ? 1 : 2);
+    const Relation* p = g.Rel("p");
+    ASSERT_NE(p, nullptr);
+    int points = 0;
+    for (size_t i = 0; i < p->size(); ++i) {
+      if (p->fact(i).ToString(*g.program.symbols) == "p(1, 2)") ++points;
+    }
+    EXPECT_EQ(points, 1);
+    EXPECT_EQ(p->size(), constraint_join ? 2u : 1u);
+    ASSERT_EQ(g.queries.size(), 1u);
+    auto answers = QueryAnswers(*g.run, g.queries[0]);
+    ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+    EXPECT_EQ(answers->size(), constraint_join ? 2u : 1u);
+  }
+}
+
+TEST(GroundTupleTest, HeadPinnedOnlyByInequalitiesTakesTheConstraintJoin) {
+  // X is pinned by `X >= 5, X <= 5` alone: no equality solves it, so the
+  // static check fails and the constraint join runs; the derived fact is
+  // still ground and stored in canonical form.
+  GroundRun g = EvaluateText("h(X, Y) :- s(Y), X >= 5, X <= 5.\n", "s(1).\n");
+  ASSERT_TRUE(g.run.ok()) << g.run.status().ToString();
+  EXPECT_EQ(g.run->stats.ground_applications, 0);
+  const Relation* h = g.Rel("h");
+  ASSERT_NE(h, nullptr);
+  ASSERT_EQ(h->size(), 1u);
+  EXPECT_TRUE(h->ground(0));
+  EXPECT_EQ(h->fact(0).ToString(*g.program.symbols), "h(5, 1)");
+  EXPECT_EQ(h->fact(0).Key(),
+            GroundFact(h->fact(0).pred,
+                       {PointValue::Number(Rational(5)),
+                        PointValue::Number(Rational(1))})
+                .Key());
+}
+
+TEST(GroundTupleTest, ExistentialConstraintVariableTakesTheConstraintJoin) {
+  // Z appears in no literal: binding the body leaves `Z > 0` unbound.
+  GroundRun g = EvaluateText("e2(X) :- s(X), Z > 0.\n", "s(1).\n");
+  ASSERT_TRUE(g.run.ok()) << g.run.status().ToString();
+  EXPECT_EQ(g.run->stats.ground_applications, 0);
+  const Relation* e2 = g.Rel("e2");
+  ASSERT_NE(e2, nullptr);
+  ASSERT_EQ(e2->size(), 1u);
+  EXPECT_EQ(e2->fact(0).ToString(*g.program.symbols), "e2(1)");
+}
+
+TEST(GroundTupleTest, ConstraintFactInABodyRelationTakesTheConstraintJoin) {
+  const std::string rules = "g(N) :- m_fib(N, V), N <= 3.\n";
+  {
+    SCOPED_TRACE("m_fib ground tuples only");
+    GroundRun g = EvaluateText(rules, "m_fib(1, 2).\n");
+    ASSERT_TRUE(g.run.ok()) << g.run.status().ToString();
+    EXPECT_EQ(g.run->stats.ground_applications, 1);
+    ASSERT_NE(g.Rel("g"), nullptr);
+    EXPECT_EQ(g.Rel("g")->size(), 1u);
+  }
+  {
+    SCOPED_TRACE("m_fib(N1, V1; N1 > 0) stored beside the tuple");
+    GroundRun g =
+        EvaluateText(rules, "m_fib(1, 2).\nm_fib(N1, V1) :- N1 > 0.\n");
+    ASSERT_TRUE(g.run.ok()) << g.run.status().ToString();
+    EXPECT_EQ(g.run->stats.ground_applications, 0);
+    const Relation* gr = g.Rel("g");
+    ASSERT_NE(gr, nullptr);
+    // g(1) is subsumed within the iteration by g(N; 0 < N <= 3).
+    ASSERT_EQ(gr->size(), 1u);
+    EXPECT_FALSE(gr->ground(0));
+    EXPECT_EQ(g.run->stats.subsumed, 1);
+  }
+}
+
+TEST(GroundTupleTest, SymbolInAnArithmeticSlotKeepsTheTypeError) {
+  // The valuation join hands the candidate to the constraint join, which
+  // fails exactly as it always has. The expected text is the constraint
+  // join's own.
+  GroundRun g =
+      EvaluateText("a(X, Y) :- b(X), Y = X + 1.\n", "b(2).\nb(foo).\n");
+  ASSERT_FALSE(g.run.ok());
+  EXPECT_EQ(g.run.status().code(), StatusCode::kTypeError);
+  EXPECT_EQ(g.run.status().message(),
+            "binding symbol to numeric variable v1024");
+}
+
+TEST(GroundTupleTest, SymbolClashWithABoundNumberIsSkipped) {
+  // Y holds a number from c when d's row offers a symbol for it: the
+  // constraint join's pre-filter skips that row, and so does the hand-off.
+  GroundRun g = EvaluateText("j(X) :- c(X, Y), d(Y).\n",
+                             "c(1, 5).\nc(2, 6).\nd(foo).\nd(5).\n");
+  ASSERT_TRUE(g.run.ok()) << g.run.status().ToString();
+  EXPECT_EQ(g.run->stats.ground_applications, 1);
+  ASSERT_NE(g.Rel("j"), nullptr);
+  ASSERT_EQ(g.Rel("j")->size(), 1u);
+  EXPECT_EQ(g.Rel("j")->fact(0).ToString(*g.program.symbols), "j(1)");
+}
+
+TEST(GroundTupleTest, ResumedRunOverGroundIngestsEqualsScratch) {
+  Program p = ParseOrDie(
+      "t(X, Y) :- e(X, Y).\n"
+      "t(X, Y) :- e(X, Z), t(Z, Y).\n"
+      "w(X, T) :- t(X, Y), T = X + Y + 30.\n");
+  Database base_edb = EdgeDb(p.symbols.get(), {{1, 2}, {2, 3}});
+  Database full_edb = EdgeDb(p.symbols.get(), {{1, 2}, {2, 3}, {3, 4}, {0, 1}});
+  auto base = Evaluate(p, base_edb, {});
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  std::vector<Fact> batch;
+  Database delta = EdgeDb(p.symbols.get(), {{3, 4}, {0, 1}});
+  const Relation* e = delta.Find(p.symbols->LookupPredicate("e"));
+  for (size_t i = 0; i < e->size(); ++i) batch.push_back(e->fact(i));
+  auto resumed = ResumeEvaluate(p, *base, batch, {});
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_GT(resumed->stats.ground_applications,
+            base->stats.ground_applications);
+  auto scratch = Evaluate(p, full_edb, {});
+  ASSERT_TRUE(scratch.ok()) << scratch.status().ToString();
+  auto rendered = [&](const EvalResult& r) {
+    std::map<std::string, std::vector<std::string>> out;
+    for (const auto& [pred, rel] : r.db.relations()) {
+      auto& facts = out[p.symbols->PredicateName(pred)];
+      for (size_t i = 0; i < rel.size(); ++i) {
+        EXPECT_TRUE(rel.ground(i));
+        facts.push_back(rel.fact(i).ToString(*p.symbols));
+      }
+      std::sort(facts.begin(), facts.end());
+    }
+    return out;
+  };
+  EXPECT_EQ(rendered(*resumed), rendered(*scratch));
+  EXPECT_EQ(rendered(*scratch)["w"].size(), 10u);
 }
 
 }  // namespace

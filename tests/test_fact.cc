@@ -23,6 +23,37 @@ TEST(FactTest, GroundFactDetection) {
   EXPECT_TRUE(fact.IsGround());
 }
 
+TEST(FactTest, GroundValuesOfMixedEntailedAndUnsatisfiable) {
+  // A symbol and a direct number: ground; an unconstrained third position
+  // is not.
+  Conjunction c;
+  ASSERT_TRUE(c.BindSymbol(1, 4).ok());
+  ASSERT_TRUE(c.AddLinear(Atom({{2, 1}}, -7, CmpOp::kEq)).ok());
+  auto values = GroundValuesOf(Fact(0, 2, c));
+  ASSERT_TRUE(values.has_value());
+  EXPECT_EQ(*values, (GroundTuple{PointValue::Symbol(4),
+                                  PointValue::Number(Rational(7))}));
+  EXPECT_FALSE(GroundValuesOf(Fact(0, 3, c)).has_value());
+  // A value only entailed (`$1 - $2 = 0 & $2 = 7`) is found by projection,
+  // and the canonical form keeps one atom per position.
+  Conjunction entailed;
+  ASSERT_TRUE(entailed.AddLinear(Atom({{1, 1}, {2, -1}}, 0, CmpOp::kEq)).ok());
+  ASSERT_TRUE(entailed.AddLinear(Atom({{2, 1}}, -7, CmpOp::kEq)).ok());
+  CanonicalFact canonical = Canonicalize(Fact(0, 2, entailed));
+  ASSERT_TRUE(canonical.ground());
+  EXPECT_EQ(canonical.fact.Key(),
+            GroundFact(0, {PointValue::Number(Rational(7)),
+                           PointValue::Number(Rational(7))})
+                .Key());
+  // DirectValuesOf reads only a store that is nothing but single-variable
+  // equalities on distinct variables: `$1 = 5 & $1 = 6` is not one.
+  Conjunction clash;
+  ASSERT_TRUE(clash.AddLinear(Atom({{1, 1}}, -5, CmpOp::kEq)).ok());
+  ASSERT_TRUE(clash.AddLinear(Atom({{1, 1}}, -6, CmpOp::kEq)).ok());
+  EXPECT_FALSE(DirectValuesOf(clash, {1}).has_value());
+  EXPECT_TRUE(DirectValuesOf(c, {1, 2}).has_value());
+}
+
 TEST(FactTest, ConstraintFactNotGround) {
   SymbolTable symbols;
   PredId p = symbols.InternPredicate("p");

@@ -98,6 +98,12 @@ TEST(LoaderTest, UnsatisfiableFactErrorIsPositional) {
       << loaded.status().message();
   EXPECT_NE(loaded.status().message().find("fact is unsatisfiable"),
             std::string::npos);
+  // Two direct values for one argument: not a tuple, and unsatisfiable.
+  auto clash = LoadDatabaseText("bad(X) :- X = 5, X = 6.\n", symbols, &db);
+  ASSERT_FALSE(clash.ok());
+  EXPECT_NE(clash.status().message().find("fact is unsatisfiable"),
+            std::string::npos)
+      << clash.status().message();
 }
 
 TEST(LoaderTest, QueryErrorIsPositional) {

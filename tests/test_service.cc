@@ -547,6 +547,21 @@ TEST(ProtocolTest, IdentityStepsDash) {
   EXPECT_EQ(out.front().rfind("OK path=", 0), 0u) << out.front();
 }
 
+TEST(ProtocolTest, OneGroundPointIsOneAnswer) {
+  // p(1, 2) is derived twice — through `Y = X + 1` and copied from r — and
+  // is one point: QUERY must list it once under single-fact subsumption.
+  auto built = QueryService::FromText(
+      "p(X, Y) :- q(X), Y = X + 1.\np(X, Y) :- r(X, Y).\n",
+      "q(1).\nr(1, 2).\n", {});
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  std::vector<std::string> out;
+  HandleLine(**built, "QUERY - ?- p(X, Y).", &out);
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_NE(out.front().find(" answers=1"), std::string::npos) << out.front();
+  EXPECT_EQ(out[1], "p(1, 2)");
+  EXPECT_EQ(out.back(), "END");
+}
+
 TEST(ProtocolTest, IngestThenQueryResumes) {
   auto service = FlightsService();
   std::vector<std::string> out;
