@@ -16,7 +16,6 @@
 #include "bench_util.h"
 #include "transform/magic.h"
 #include "transform/predicate_constraints.h"
-#include "transform/widening.h"
 
 namespace cqlopt {
 namespace bench {
@@ -74,10 +73,11 @@ void PrintReproduction() {
               run6.stats.reached_fixpoint ? "yes" : "NO (MISMATCH)",
               answers6.size());
 
-  // Extension beyond the paper: derive the predicate constraint
-  // automatically with widening instead of hand-picking $2 >= 1.
-  auto widened = ValueOrDie(
-      GenPredicateConstraintsWithWidening(in.program, {}, {}), "widening");
+  // Extension beyond the paper: the pred step derives the predicate
+  // constraint by widening instead of hand-picking $2 >= 1.
+  InferenceResult widened;
+  auto auto_propagated = ValueOrDie(
+      PropagatePredicateConstraints(in.program, {}, {}, &widened), "pred");
   PredId fib = in.program.symbols->LookupPredicate("fib");
   std::printf("\n--- extension: widening-derived predicate constraint ---\n");
   std::printf("fib: %s (paper hand-picks $2 >= 1; converged=%s)\n",
@@ -85,8 +85,6 @@ void PrintReproduction() {
                                   *in.program.symbols, DollarNames())
                   .c_str(),
               widened.converged ? "yes" : "NO");
-  auto auto_propagated = ValueOrDie(
-      PropagateGivenConstraints(in.program, widened.constraints), "propagate");
   auto auto_magic =
       ValueOrDie(MagicTemplates(auto_propagated, in.query, options), "magic");
   EvalOptions auto_eval;

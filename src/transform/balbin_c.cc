@@ -1,9 +1,9 @@
 #include "transform/balbin_c.h"
 
 #include <algorithm>
-#include <set>
 
 #include "ast/arg_map.h"
+#include "transform/inference_loop.h"
 
 namespace cqlopt {
 namespace {
@@ -41,64 +41,13 @@ Result<Conjunction> SyntacticLiteralConstraint(const Conjunction& pool,
 Result<InferenceResult> GenSyntacticQrpConstraints(
     const Program& program, PredId query_pred,
     const InferenceOptions& options) {
-  InferenceResult result;
-  std::set<PredId> preds;
-  for (const Rule& rule : program.rules) {
-    preds.insert(rule.head.pred);
-    for (const Literal& lit : rule.body) preds.insert(lit.pred);
-  }
-  preds.insert(query_pred);
-  for (PredId p : preds) {
-    result.constraints[p] =
-        p == query_pred ? ConstraintSet::True() : ConstraintSet::False();
-  }
-
-  std::set<PredId> widened;
-  for (int iteration = 0; iteration < options.max_iterations; ++iteration) {
-    result.iterations = iteration + 1;
-    std::map<PredId, ConstraintSet> inferred;
-    for (const Rule& rule : program.rules) {
-      const ConstraintSet& head_set = result.constraints.at(rule.head.pred);
-      for (const Conjunction& head_disjunct : head_set.disjuncts()) {
-        // The pool of constraining literals visible in this rule: its own
-        // constraints plus the (syntactically mapped) head constraint.
-        Conjunction pool = rule.constraints;
-        CQLOPT_RETURN_IF_ERROR(
-            pool.AddConjunction(PtolConjunction(rule.head, head_disjunct)));
-        if (pool.known_unsat() || !pool.IsSatisfiable()) continue;
-        for (const Literal& lit : rule.body) {
-          if (widened.count(lit.pred) > 0) continue;
-          CQLOPT_ASSIGN_OR_RETURN(Conjunction selected,
-                                  SyntacticLiteralConstraint(pool, lit));
-          CQLOPT_ASSIGN_OR_RETURN(Conjunction lit_c,
-                                  LtopConjunction(lit, selected));
-          inferred[lit.pred].AddDisjunct(lit_c);
-        }
-      }
-    }
-    bool all_marked = true;
-    for (PredId p : preds) {
-      if (p == query_pred || widened.count(p) > 0) continue;
-      ConstraintSet& current = result.constraints[p];
-      auto it = inferred.find(p);
-      if (it == inferred.end()) continue;
-      if (it->second.Implies(current)) continue;
-      current.UnionWith(it->second);
-      all_marked = false;
-      if (static_cast<int>(current.disjuncts().size()) >
-          options.max_disjuncts) {
-        current = ConstraintSet::True();
-        widened.insert(p);
-      }
-    }
-    if (all_marked) {
-      result.converged = widened.empty();
-      return result;
-    }
-  }
-  for (PredId p : preds) result.constraints[p] = ConstraintSet::True();
-  result.converged = false;
-  return result;
+  return transform_internal::GenQrpConstraintsWith(
+      program, query_pred, options,
+      [](const Literal& lit, const Conjunction& pool) -> Result<Conjunction> {
+        CQLOPT_ASSIGN_OR_RETURN(Conjunction selected,
+                                SyntacticLiteralConstraint(pool, lit));
+        return LtopConjunction(lit, selected);
+      });
 }
 
 }  // namespace cqlopt

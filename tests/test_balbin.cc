@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "ast/parser.h"
 #include "ast/printer.h"
 #include "transform/qrp_constraints.h"
@@ -113,6 +116,21 @@ TEST(BalbinTest, PropagatesThroughRecursion) {
   EXPECT_TRUE(Of(p, *syntactic, "t").EquivalentTo(expected))
       << RenderConstraintSet(Of(p, *syntactic, "t"), *p.symbols,
                              DollarNames());
+}
+
+TEST(BalbinTest, FlightsRunReportsItsDecisions) {
+  // The syntactic generation runs under its own DecisionScope, as
+  // Gen_QRP_constraints does, so its result carries its cache activity.
+  std::ifstream file(std::string(CQLOPT_PROGRAMS_DIR) + "/flights.cql");
+  std::stringstream text;
+  text << file.rdbuf();
+  auto parsed = ParseProgram(text.str());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->queries.size(), 1u);
+  auto syntactic = GenSyntacticQrpConstraints(
+      parsed->program, parsed->queries[0].literal.pred, {});
+  ASSERT_TRUE(syntactic.ok());
+  EXPECT_GT(syntactic->cache_hits + syntactic->cache_misses, 0);
 }
 
 }  // namespace

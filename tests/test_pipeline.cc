@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "ast/parser.h"
 #include "core/equivalence.h"
 #include "core/workload.h"
@@ -33,6 +36,30 @@ TEST(PipelineTest, ParseStepsRoundTrip) {
   EXPECT_TRUE(ParseSteps("balbin").ok());
   EXPECT_FALSE(ParseSteps("bogus").ok());
   EXPECT_EQ(StepsName({}), "(identity)");
+}
+
+TEST(PipelineTest, FibPredQrpMgReachesFixpointWithTheAnswer) {
+  // fib's exact predicate-constraint inference diverges (Theorem 3.1); the
+  // pred step widens it to ($1 >= 0, $2 >= 1), which implies the constraint
+  // Table 2 hand-picks, so the magic program under Table 2's left-to-right
+  // SIPS terminates on its own.
+  std::ifstream file(std::string(CQLOPT_PROGRAMS_DIR) + "/fib.cql");
+  std::stringstream text;
+  text << file.rdbuf();
+  Parsed in = ParseWithQuery(text.str());
+  auto steps = ParseSteps("pred,qrp,mg");
+  ASSERT_TRUE(steps.ok());
+  PipelineOptions options;
+  options.magic.sips = SipStrategy::kFullLeftToRight;
+  auto rewritten = ApplyPipeline(in.program, in.query, *steps, options);
+  ASSERT_TRUE(rewritten.ok()) << rewritten.status().ToString();
+  auto run = Evaluate(rewritten->program, Database(), {});
+  ASSERT_TRUE(run.ok());
+  EXPECT_TRUE(run->stats.reached_fixpoint);
+  auto answers = QueryAnswers(*run, rewritten->query);
+  ASSERT_TRUE(answers.ok());
+  ASSERT_EQ(answers->size(), 1u);
+  EXPECT_EQ((*answers)[0].ToString(*rewritten->program.symbols), "fib(4, 5)");
 }
 
 TEST(PipelineTest, MagicTwiceRejected) {

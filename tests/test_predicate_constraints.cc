@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
 #include "ast/parser.h"
 #include "ast/printer.h"
 #include "constraint/implication.h"
+#include "testing/generator.h"
+#include "testing/rng.h"
 
 namespace cqlopt {
 namespace {
@@ -119,6 +125,45 @@ TEST(PredicateConstraintsTest, FibDivergesAndWidensToTrue) {
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->converged);
   EXPECT_TRUE(SetOf("", p, *result, "fib").IsTriviallyTrue());
+}
+
+TEST(PredicateConstraintsTest, PredStepIsExactWhereTheIterationConverges) {
+  // The pred step widens only past kExactIterationBudget, so wherever the
+  // paper's exact iteration converges it must rewrite exactly as
+  // propagating GenPredicateConstraints' result does. Covers every corpus
+  // program but fib (which diverges) and the first 50 generated programs.
+  std::vector<std::pair<std::string, Program>> programs;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(CQLOPT_PROGRAMS_DIR)) {
+    if (entry.path().extension() != ".cql" ||
+        entry.path().filename() == "fib.cql") {
+      continue;
+    }
+    std::ifstream file(entry.path());
+    std::stringstream text;
+    text << file.rdbuf();
+    programs.emplace_back(entry.path().filename().string(),
+                          ParseOrDie(text.str()));
+  }
+  for (uint64_t i = 0; i < 50; ++i) {
+    programs.emplace_back(
+        "generated-" + std::to_string(i),
+        testing::GenerateCase(testing::Rng::DeriveSeed(20240611, i), {})
+            .program);
+  }
+  int compared = 0;
+  for (const auto& [name, program] : programs) {
+    auto exact = GenPredicateConstraints(program, {}, {});
+    ASSERT_TRUE(exact.ok()) << name;
+    if (!exact->converged) continue;
+    auto expected = PropagateGivenConstraints(program, exact->constraints);
+    auto actual = PropagatePredicateConstraints(program, {}, {}, nullptr);
+    ASSERT_TRUE(expected.ok()) << name;
+    ASSERT_TRUE(actual.ok()) << name;
+    EXPECT_EQ(RenderProgram(*actual), RenderProgram(*expected)) << name;
+    ++compared;
+  }
+  EXPECT_EQ(compared, static_cast<int>(programs.size()));
 }
 
 TEST(PredicateConstraintsTest, PropagationAddsBodyConstraints) {

@@ -1,4 +1,4 @@
-#include "transform/widening.h"
+#include "transform/predicate_constraints.h"
 
 #include <gtest/gtest.h>
 
@@ -67,35 +67,36 @@ TEST(HullTest, SharedSymbolSurvives) {
 }
 
 TEST(WideningTest, ExactConvergenceDetected) {
-  // The flights program's predicate constraints converge exactly; widening
-  // must report exact convergence with the minimum constraints.
+  // The flights program's predicate constraints converge exactly within the
+  // budget; the pred step must report exact convergence with the minimum
+  // constraints.
   Program p = ParseOrDie(
       "r3: flight(T, C) :- singleleg(T, C), C > 0, T > 0.\n"
       "r4: flight(T, C) :- flight(T1, C1), flight(T2, C2), "
       "T = T1 + T2 + 30, C = C1 + C2.\n");
-  auto result = GenPredicateConstraintsWithWidening(p, {}, {});
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->converged);
-  EXPECT_TRUE(result->exact);
+  InferenceResult result;
+  ASSERT_TRUE(PropagatePredicateConstraints(p, {}, {}, &result).ok());
+  EXPECT_TRUE(result.converged);
+  EXPECT_TRUE(result.exact);
   PredId flight = p.symbols->LookupPredicate("flight");
   ConstraintSet expected = ConstraintSet::Of(
       Conj({Atom({{1, -1}}, 0, CmpOp::kLt), Atom({{2, -1}}, 0, CmpOp::kLt)}));
-  EXPECT_TRUE(result->constraints.at(flight).EquivalentTo(expected));
+  EXPECT_TRUE(result.constraints.at(flight).EquivalentTo(expected));
 }
 
 TEST(WideningTest, FibDerivesTheTable2ConstraintAutomatically) {
   // The headline: the paper hand-picks fib: $2 >= 1 (Example 4.4) because
-  // the exact fixpoint diverges. Widening derives it.
+  // the exact fixpoint diverges. The pred step's widening derives it.
   Program p = ParseOrDie(
       "r1: fib(0, 1).\n"
       "r2: fib(1, 1).\n"
       "r3: fib(N, X1 + X2) :- N > 1, fib(N - 1, X1), fib(N - 2, X2).\n");
-  auto result = GenPredicateConstraintsWithWidening(p, {}, {});
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->converged);
-  EXPECT_FALSE(result->exact);
+  InferenceResult result;
+  ASSERT_TRUE(PropagatePredicateConstraints(p, {}, {}, &result).ok());
+  EXPECT_TRUE(result.converged);
+  EXPECT_FALSE(result.exact);
   PredId fib = p.symbols->LookupPredicate("fib");
-  const ConstraintSet& derived = result->constraints.at(fib);
+  const ConstraintSet& derived = result.constraints.at(fib);
   // Must imply the paper's $2 >= 1 (and be satisfiable).
   ConstraintSet paper =
       ConstraintSet::Of(Conj({Atom({{2, -1}}, 1, CmpOp::kLe)}));
@@ -106,15 +107,17 @@ TEST(WideningTest, FibDerivesTheTable2ConstraintAutomatically) {
 
 TEST(WideningTest, DerivedFibConstraintIsSound) {
   // Every fact of a bounded forward evaluation satisfies the widened
-  // constraint (predicate-constraint soundness, empirically).
+  // constraint (predicate-constraint soundness, empirically). The bound
+  // N <= 12 makes the exact iteration converge only at iteration 13, past
+  // the budget, so the pred step widens.
   Program p = ParseOrDie(
       "r1: fib(0, 1).\n"
       "r2: fib(1, 1).\n"
       "r3: fib(N, X1 + X2) :- N > 1, N <= 12, fib(N - 1, X1), "
       "fib(N - 2, X2).\n");
-  auto widened = GenPredicateConstraintsWithWidening(p, {}, {});
-  ASSERT_TRUE(widened.ok());
-  ASSERT_TRUE(widened->converged);
+  InferenceResult widened;
+  ASSERT_TRUE(PropagatePredicateConstraints(p, {}, {}, &widened).ok());
+  ASSERT_TRUE(widened.converged);
   PredId fib = p.symbols->LookupPredicate("fib");
   EvalOptions eval;
   eval.max_iterations = 32;
@@ -124,7 +127,7 @@ TEST(WideningTest, DerivedFibConstraintIsSound) {
   const Relation* rel = run->db.Find(fib);
   ASSERT_NE(rel, nullptr);
   EXPECT_GE(rel->size(), 12u);
-  const auto& disjuncts = widened->constraints.at(fib).disjuncts();
+  const auto& disjuncts = widened.constraints.at(fib).disjuncts();
   for (size_t i = 0; i < rel->size(); ++i) {
     EXPECT_TRUE(ImpliesDisjunction(rel->fact(i).constraint, disjuncts))
         << rel->fact(i).ToString(*p.symbols);
@@ -132,7 +135,7 @@ TEST(WideningTest, DerivedFibConstraintIsSound) {
 }
 
 TEST(WideningTest, MakesBackwardFibTerminateEndToEnd) {
-  // Full automation of Table 2: widen, propagate, magic, evaluate — the
+  // Full automation of Table 2: pred (widening), magic, evaluate — the
   // evaluation terminates and finds fib(4, 5) without any hand-supplied
   // constraint.
   auto parsed = ParseProgram(
@@ -142,12 +145,11 @@ TEST(WideningTest, MakesBackwardFibTerminateEndToEnd) {
       "?- fib(N, 5).\n");
   ASSERT_TRUE(parsed.ok());
   Program& program = parsed->program;
-  auto widened = GenPredicateConstraintsWithWidening(program, {}, {});
-  ASSERT_TRUE(widened.ok());
-  ASSERT_TRUE(widened->converged);
+  InferenceResult widened;
   auto propagated =
-      PropagateGivenConstraints(program, widened->constraints);
+      PropagatePredicateConstraints(program, {}, {}, &widened);
   ASSERT_TRUE(propagated.ok());
+  ASSERT_TRUE(widened.converged);
   MagicOptions magic_options;
   magic_options.sips = SipStrategy::kFullLeftToRight;
   auto magic = MagicTemplates(*propagated, parsed->queries[0], magic_options);
@@ -165,11 +167,11 @@ TEST(WideningTest, MakesBackwardFibTerminateEndToEnd) {
 
 TEST(WideningTest, EmptyModelStaysFalse) {
   Program p = ParseOrDie("loop(X) :- loop(X).\n");
-  auto result = GenPredicateConstraintsWithWidening(p, {}, {});
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->converged);
+  InferenceResult result;
+  ASSERT_TRUE(PropagatePredicateConstraints(p, {}, {}, &result).ok());
+  EXPECT_TRUE(result.converged);
   EXPECT_TRUE(
-      result->constraints.at(p.symbols->LookupPredicate("loop")).is_false());
+      result.constraints.at(p.symbols->LookupPredicate("loop")).is_false());
 }
 
 }  // namespace
