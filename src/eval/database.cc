@@ -14,8 +14,7 @@ Status Database::AddGroundFact(SymbolTable* symbols,
             ? PointValue::Symbol(symbols->InternSymbol(value.symbol))
             : PointValue::Number(value.number));
   }
-  Fact fact = GroundFact(pred, tuple);
-  AddFact(CanonicalFact{std::move(fact), std::move(tuple)});
+  AddFact(CanonicalFact::Ground(pred, std::move(tuple)));
   return Status::OK();
 }
 

@@ -28,7 +28,7 @@ class Database {
 
   /// The same for a fact already in canonical form (the loader's tuple path).
   InsertOutcome AddFact(CanonicalFact fact) {
-    PredId pred = fact.fact.pred;
+    PredId pred = fact.pred;
     return relations_[pred].InsertCanonical(std::move(fact), /*birth=*/-1,
                                             /*rule_label=*/"", /*parents=*/{},
                                             /*edb=*/true);
@@ -36,17 +36,18 @@ class Database {
 
   /// Inserts a derived fact, in canonical form, with its birth iteration
   /// and provenance (the fixpoint's commit).
-  InsertOutcome AddFact(CanonicalFact fact, int birth, std::string rule_label,
+  InsertOutcome AddFact(CanonicalFact fact, int birth,
+                        const std::string& rule_label,
                         std::vector<Relation::FactRef> parents) {
-    PredId pred = fact.fact.pred;
+    PredId pred = fact.pred;
     return relations_[pred].InsertCanonical(std::move(fact), birth,
-                                            std::move(rule_label),
-                                            std::move(parents));
+                                            rule_label, std::move(parents));
   }
 
   /// Builds and inserts a ground fact from argument values, each either a
   /// number or a symbolic constant name (interned via `symbols`), as its
-  /// value tuple directly: no projection or satisfiability decision.
+  /// value tuple directly: no projection, satisfiability decision or
+  /// Conjunction.
   struct Value {
     static Value Number(Rational r) { return Value{false, std::move(r), ""}; }
     static Value Symbol(std::string name) {
@@ -94,8 +95,9 @@ class Database {
   long IntervalBuildNs() const;
 
   /// Approximate resident bytes across all relations (chunked columns,
-  /// fact payloads, provenance, indexes) — the bytes-per-fact numerator the
-  /// benches report. An estimate, not exact allocator accounting.
+  /// non-ground constraints, provenance, label tables, indexes) — the
+  /// bytes-per-fact numerator the benches report. An estimate, not exact
+  /// allocator accounting.
   size_t ApproxBytes() const;
 
   /// Approximate bytes held in chunks shared with other Database copies —

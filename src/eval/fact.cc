@@ -117,27 +117,45 @@ uint64_t HashGroundTuple(PredId pred, const GroundTuple& values) {
   return h;
 }
 
+CanonicalFact CanonicalFact::Ground(PredId pred, GroundTuple values) {
+  CanonicalFact fact;
+  fact.pred = pred;
+  fact.arity = static_cast<int>(values.size());
+  fact.tuple = std::move(values);
+  return fact;
+}
+
+Fact CanonicalFact::ToFact() const {
+  if (tuple.has_value()) return GroundFact(pred, *tuple);
+  return Fact(pred, arity, constraint);
+}
+
 uint64_t CanonicalFact::Hash() const {
-  if (tuple.has_value()) return HashGroundTuple(fact.pred, *tuple);
-  uint64_t h = fp::Mix(kConstraintSeed, static_cast<uint64_t>(fact.pred));
-  h = fp::Mix(h, static_cast<uint64_t>(fact.arity));
-  return fp::Mix(h, fp::FingerprintOf(fact.constraint));
+  if (tuple.has_value()) return HashGroundTuple(pred, *tuple);
+  uint64_t h = fp::Mix(kConstraintSeed, static_cast<uint64_t>(pred));
+  h = fp::Mix(h, static_cast<uint64_t>(arity));
+  return fp::Mix(h, fp::FingerprintOf(constraint));
 }
 
 bool CanonicalFact::SameAs(const CanonicalFact& other) const {
-  if (fact.pred != other.fact.pred || fact.arity != other.fact.arity ||
+  if (pred != other.pred || arity != other.arity ||
       ground() != other.ground()) {
     return false;
   }
   if (ground()) return *tuple == *other.tuple;
-  return fact.constraint.StructurallyEquals(other.fact.constraint);
+  return constraint.StructurallyEquals(other.constraint);
 }
 
 CanonicalFact Canonicalize(Fact fact) {
   std::optional<GroundTuple> tuple = GroundValuesOf(fact);
-  if (!tuple.has_value()) return CanonicalFact{std::move(fact), std::nullopt};
-  PredId pred = fact.pred;
-  return CanonicalFact{GroundFact(pred, *tuple), std::move(tuple)};
+  if (tuple.has_value()) {
+    return CanonicalFact::Ground(fact.pred, std::move(*tuple));
+  }
+  CanonicalFact canonical;
+  canonical.pred = fact.pred;
+  canonical.arity = fact.arity;
+  canonical.constraint = std::move(fact.constraint);
+  return canonical;
 }
 
 }  // namespace cqlopt

@@ -16,6 +16,11 @@ namespace cqlopt {
 /// represents the — possibly infinite — set of ground facts satisfying C.
 /// A *ground* fact is the special case where every position is forced to a
 /// single symbol or number.
+///
+/// A Fact is the exchange form: parsing, answers, rendering, retraction and
+/// the WAL use it. The evaluator's hot path does not: a derivation travels
+/// as a CanonicalFact, and a stored ground row is only its value columns
+/// (Relation::fact builds the Fact of a row on demand).
 struct Fact {
   Fact() : pred(SymbolTable::kNoPred), arity(0) {}
   Fact(PredId pred_in, int arity_in, Conjunction constraint_in)
@@ -62,17 +67,21 @@ std::optional<GroundTuple> DirectValuesOf(const Conjunction& c,
 /// (Conjunction::Point).
 Fact GroundFact(PredId pred, const GroundTuple& values);
 
-/// A fact in the canonical form storage keys on. A ground fact is stored
-/// as GroundFact(pred, *tuple) whatever form it was derived or loaded in, so
-/// two ground facts denote the same point iff their tuples are equal. A
-/// non-ground fact keeps its (simplified) constraint and is identified by
-/// it structurally.
+/// A fact in the canonical form storage keys on. A ground fact is its value
+/// tuple, whatever form it was derived or loaded in, so two ground facts
+/// denote the same point iff their tuples are equal; its constraint, the
+/// point GroundFact(pred, *tuple), is built only where something reads it
+/// (ToFact). A non-ground fact keeps its (simplified) constraint and is
+/// identified by it structurally.
 struct CanonicalFact {
-  Fact fact;
-  /// The argument values; set iff the fact is ground.
-  std::optional<GroundTuple> tuple;
+  /// The ground fact `pred(values)`, of arity values.size().
+  static CanonicalFact Ground(PredId pred, GroundTuple values);
 
   bool ground() const { return tuple.has_value(); }
+
+  /// The fact itself: GroundFact(pred, *tuple) when ground (one
+  /// Conjunction::Point build), a copy of the constraint otherwise.
+  Fact ToFact() const;
 
   /// 64-bit identity hash: predicate, arity and the value tuple when
   /// ground, fp::FingerprintOf(constraint) otherwise. Equal facts (SameAs)
@@ -82,6 +91,14 @@ struct CanonicalFact {
   /// Exact identity: same predicate and arity, and equal tuples (ground) or
   /// structurally equal constraints (non-ground).
   bool SameAs(const CanonicalFact& other) const;
+
+  PredId pred = SymbolTable::kNoPred;
+  int arity = 0;
+  /// The argument values; set iff the fact is ground.
+  std::optional<GroundTuple> tuple;
+  /// A non-ground fact's constraint over positions 1..arity. Left empty
+  /// for a ground fact.
+  Conjunction constraint;
 };
 
 /// Puts `fact` in canonical form, deciding its groundness once

@@ -20,8 +20,9 @@ using GroundPlans = std::vector<std::shared_ptr<const GroundPlan>>;
 
 /// A derivation buffered during one iteration, reconciled at iteration end.
 struct Pending {
-  std::string rule_label;
-  /// Canonical, with its groundness decided once where it was made.
+  size_t rule_index;  // into the program's rules; names the rule's label
+  /// Canonical, with its groundness decided once where it was made. A
+  /// ground derivation is its tuple only.
   CanonicalFact derived;
   std::vector<Relation::FactRef> parents;
   uint64_t hash = 0;  // derived.Hash()
@@ -42,7 +43,10 @@ struct Pending {
 /// point, and a satisfiable fact implied by a point is that point — the
 /// same canonical tuple, which pass 1 already caught. So passes 2 and 3
 /// visit only the non-ground candidates, in the order the full walks
-/// would, and find the same first subsumer.
+/// would, and find the same first subsumer. Pass 1 compares tuples; a
+/// ground derivation's point is built only when its predicate has a stored
+/// non-ground row (pass 2) or a same-iteration non-ground derivation of
+/// the same arity (pass 3).
 void Reconcile(std::vector<Pending>* pending, const Database& db,
                SubsumptionMode mode) {
   // Pass 1: duplicates, against the database and earlier pending.
@@ -53,7 +57,7 @@ void Reconcile(std::vector<Pending>* pending, const Database& db,
     Pending& p = (*pending)[i];
     p.hash = p.derived.Hash();
     if (!p.derived.ground()) non_ground.push_back(i);
-    const Relation* rel = db.Find(p.derived.fact.pred);
+    const Relation* rel = db.Find(p.derived.pred);
     bool duplicate = rel != nullptr && rel->Find(p.derived, p.hash);
     auto [first, last] = seen.equal_range(p.hash);
     for (auto it = first; !duplicate && it != last; ++it) {
@@ -66,13 +70,25 @@ void Reconcile(std::vector<Pending>* pending, const Database& db,
     }
   }
   if (mode == SubsumptionMode::kNone) return;
+  // The constraint of pending derivation i as subsumption reads it: a
+  // non-ground fact's own, a ground fact's point, built the first time a
+  // check reads it and at most once.
+  std::vector<std::optional<Conjunction>> points;  // sized on first use
+  auto constraint_of = [&](size_t i) -> const Conjunction& {
+    const CanonicalFact& derived = (*pending)[i].derived;
+    if (!derived.ground()) return derived.constraint;
+    if (points.empty()) points.resize(pending->size());
+    if (!points[i].has_value()) points[i] = Conjunction::Point(*derived.tuple);
+    return *points[i];
+  };
   // Pass 2: subsumption by a stored non-ground row, first in row order.
-  for (Pending& p : *pending) {
+  for (size_t i = 0; i < pending->size(); ++i) {
+    Pending& p = (*pending)[i];
     if (p.outcome != InsertOutcome::kInserted) continue;
-    const Relation* rel = db.Find(p.derived.fact.pred);
+    const Relation* rel = db.Find(p.derived.pred);
     if (rel == nullptr) continue;
     for (size_t e : rel->non_ground_rows()) {
-      if (Implies(p.derived.fact.constraint, rel->fact(e).constraint)) {
+      if (Implies(constraint_of(i), rel->constraint(e))) {
         p.outcome = InsertOutcome::kSubsumed;
         p.subsumer_row = e;
         break;
@@ -88,11 +104,14 @@ void Reconcile(std::vector<Pending>* pending, const Database& db,
       if (j == i) continue;
       const Pending& q = (*pending)[j];
       if (q.outcome != InsertOutcome::kInserted) continue;
-      const Fact& pf = p.derived.fact;
-      const Fact& qf = q.derived.fact;
-      if (qf.pred != pf.pred || qf.arity != pf.arity) continue;
-      if (!Implies(pf.constraint, qf.constraint)) continue;
-      if (j > i && Implies(qf.constraint, pf.constraint)) {
+      if (q.derived.pred != p.derived.pred ||
+          q.derived.arity != p.derived.arity) {
+        continue;
+      }
+      const Conjunction& pc = constraint_of(i);
+      const Conjunction& qc = constraint_of(j);
+      if (!Implies(pc, qc)) continue;
+      if (j > i && Implies(qc, pc)) {
         continue;  // Equivalent and p came first: p wins.
       }
       p.outcome = InsertOutcome::kSubsumed;
@@ -103,7 +122,9 @@ void Reconcile(std::vector<Pending>* pending, const Database& db,
 }
 
 /// Applies one rule against the frozen pre-iteration database, buffering
-/// derivations into `pending` and counting into `stats`.
+/// derivations into `pending` and counting into `stats`. The rule's
+/// derivations are counted locally and added to derivations_per_rule once,
+/// whether the application completes or aborts.
 Status ApplyOneRule(const Program& program, size_t rule_index,
                     const GroundPlan* plan, const Database& db, int iteration,
                     DeltaMode delta, bool interval_index, Governor* governor,
@@ -112,18 +133,23 @@ Status ApplyOneRule(const Program& program, size_t rule_index,
   // when individual rules derive nothing.
   CQLOPT_RETURN_IF_ERROR(governor->RuleBoundary());
   const Rule& rule = program.rules[rule_index];
-  const std::string rule_key =
-      rule.label.empty() ? "rule#" + std::to_string(rule_index) : rule.label;
-  auto emit = [&](CanonicalFact derived,
+  long derived_here = 0;
+  auto emit = [&](CanonicalFact&& derived,
                   const std::vector<Relation::FactRef>& parents) -> Status {
     CQLOPT_RETURN_IF_ERROR(governor->Fine());
-    ++stats->derivations;
-    ++stats->derivations_per_rule[rule_key];
-    pending->push_back(Pending{rule.label, std::move(derived), parents});
+    ++derived_here;
+    pending->emplace_back(rule_index, std::move(derived), parents);
     return Status::OK();
   };
-  return ApplyRule(rule, plan, db, /*max_birth=*/iteration - 1, delta,
-                   interval_index, emit, stats);
+  Status status = ApplyRule(rule, plan, db, /*max_birth=*/iteration - 1,
+                            delta, interval_index, emit, stats);
+  if (derived_here > 0) {
+    stats->derivations += derived_here;
+    stats->derivations_per_rule[rule.label.empty()
+                                    ? "rule#" + std::to_string(rule_index)
+                                    : rule.label] += derived_here;
+  }
+  return status;
 }
 
 /// One fixpoint iteration over `rule_indexes` against result->db: applies
@@ -136,12 +162,16 @@ Status ApplyOneRule(const Program& program, size_t rule_index,
 /// The commit also maintains the counting state of DESIGN.md §14: a
 /// duplicate-discarded derivation bumps the stored row's support(), and a
 /// subsumed derivation bumps blocked() on the stored row that covers it.
+///
+/// `buffer` holds the iteration's derivations; the caller passes the same
+/// one to every iteration, so its capacity is reused.
 Result<long> RunIteration(const Program& program, const GroundPlans& plans,
                           const std::vector<size_t>& rule_indexes,
                           int iteration, DeltaMode delta,
                           const EvalOptions& options, Governor* governor,
-                          EvalResult* result) {
-  std::vector<Pending> pending;
+                          std::vector<Pending>* buffer, EvalResult* result) {
+  std::vector<Pending>& pending = *buffer;
+  pending.clear();
   for (size_t rule_index : rule_indexes) {
     // A body-free rule joins no facts, so it has no delta to join either.
     if (program.rules[rule_index].IsConstraintFact() &&
@@ -163,9 +193,10 @@ Result<long> RunIteration(const Program& program, const GroundPlans& plans,
   std::vector<size_t> committed_row(pending.size(), kNoRow);
   for (size_t i = 0; i < pending.size(); ++i) {
     Pending& p = pending[i];
+    const std::string& rule_label = program.rules[p.rule_index].label;
     if (options.record_trace) {
       result->trace.back().push_back(Derivation{
-          p.rule_label, p.derived.fact.ToString(*program.symbols),
+          rule_label, p.derived.ToFact().ToString(*program.symbols),
           p.outcome});
     }
     switch (p.outcome) {
@@ -173,8 +204,8 @@ Result<long> RunIteration(const Program& program, const GroundPlans& plans,
         ++result->stats.inserted;
         ++inserted;
         if (!p.derived.ground()) result->stats.all_ground = false;
-        PredId pred = p.derived.fact.pred;
-        result->db.AddFact(std::move(p.derived), iteration, p.rule_label,
+        PredId pred = p.derived.pred;
+        result->db.AddFact(std::move(p.derived), iteration, rule_label,
                            std::move(p.parents));
         committed_row[i] = result->db.Find(pred)->size() - 1;
         break;
@@ -188,7 +219,7 @@ Result<long> RunIteration(const Program& program, const GroundPlans& plans,
         // row (which may have committed earlier in this very loop). A
         // representative that was itself discarded stores no row — the
         // event then has no stored effect and is not counted.
-        Relation* rel = result->db.FindMutable(p.derived.fact.pred);
+        Relation* rel = result->db.FindMutable(p.derived.pred);
         if (auto row = rel->Find(p.derived, p.hash)) rel->BumpSupport(*row);
         break;
       }
@@ -206,7 +237,7 @@ Result<long> RunIteration(const Program& program, const GroundPlans& plans,
          j = pending[j].subsumer_pending) {
       row = committed_row[j];
     }
-    result->db.FindMutable(p.derived.fact.pred)->BumpBlocked(row);
+    result->db.FindMutable(p.derived.pred)->BumpBlocked(row);
   }
   return inserted;
 }
@@ -285,6 +316,7 @@ Status RunStrata(const Program& program, const StratifiedPlan& plan,
   for (const Rule& rule : program.rules) {
     ground_plans.push_back(CompileGroundPlan(rule));
   }
+  std::vector<Pending> pending;
   int global_iteration = start_iteration;
   bool capped = false;
   result->stats.reached_fixpoint = false;
@@ -309,7 +341,7 @@ Status RunStrata(const Program& program, const StratifiedPlan& plan,
                                             : DeltaMode::kDelta;
       Result<long> ran = RunIteration(program, ground_plans, plan.rules_of[c],
                                       global_iteration, delta, options,
-                                      governor, result);
+                                      governor, &pending, result);
       if (!ran.ok()) {
         if (Governor::IsAbortCode(ran.status().code())) {
           return GovernedAbort(ran.status(), position(), options, result);

@@ -37,10 +37,9 @@ Result<int> LoadDatabaseText(const std::string& text,
                        "rule has a body; only facts are allowed");
     }
     // A statement pinning every argument directly (`singleleg(msn, ord, 50,
-    // 80).`) is a tuple: store its canonical ground form, no decision made.
+    // 80).`) is a tuple: store it as one, no decision made.
     if (auto tuple = DirectValuesOf(rule.constraints, rule.head.args)) {
-      Fact fact = GroundFact(rule.head.pred, *tuple);
-      db->AddFact(CanonicalFact{std::move(fact), std::move(tuple)});
+      db->AddFact(CanonicalFact::Ground(rule.head.pred, std::move(*tuple)));
       ++loaded;
       continue;
     }

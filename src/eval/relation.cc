@@ -7,18 +7,18 @@ namespace cqlopt {
 
 namespace {
 
-/// Rough heap footprint of one stored fact: the conjunction's linear atoms
+/// Rough heap footprint of one stored constraint: its linear atoms
 /// (map-node overhead per coefficient), union-find / symbol maps, and the
 /// struct itself. Allocator slack is folded into the per-node constants.
-size_t ApproxFactBytes(const Fact& fact) {
+size_t ApproxConstraintBytes(const Conjunction& constraint) {
   constexpr size_t kMapNode = 48;  // red-black node + key/value payload
-  size_t bytes = sizeof(Fact);
-  for (const LinearConstraint& atom : fact.constraint.linear()) {
+  size_t bytes = sizeof(Conjunction);
+  for (const LinearConstraint& atom : constraint.linear()) {
     bytes += sizeof(LinearConstraint) + sizeof(Rational);
     bytes += atom.expr().coefficients().size() * kMapNode;
   }
-  bytes += fact.constraint.EqualityPairs().size() * kMapNode;
-  bytes += fact.constraint.SymbolBindings().size() * kMapNode;
+  bytes += constraint.EqualityPairs().size() * kMapNode;
+  bytes += constraint.SymbolBindings().size() * kMapNode;
   return bytes;
 }
 
@@ -57,7 +57,7 @@ long ElapsedNs(std::chrono::steady_clock::time_point start) {
 }  // namespace
 
 Relation::Chunk* Relation::TailChunkForAppend() {
-  if (chunks_.empty() || chunks_.back()->facts.size() == kChunkRows) {
+  if (chunks_.empty() || chunks_.back()->births.size() == kChunkRows) {
     chunks_.push_back(std::make_shared<Chunk>());
   } else if (chunks_.back().use_count() > 1) {
     // The tail chunk is shared with a snapshot copy: clone it so the append
@@ -118,10 +118,36 @@ void Relation::SealTail(IntervalIndex* idx) {
   idx->runs.push_back(std::move(merged));
 }
 
-InsertOutcome Relation::Insert(Fact fact, int birth, std::string rule_label,
+InsertOutcome Relation::Insert(Fact fact, int birth,
+                               const std::string& rule_label,
                                std::vector<FactRef> parents, bool edb) {
-  return InsertCanonical(Canonicalize(std::move(fact)), birth,
-                         std::move(rule_label), std::move(parents), edb);
+  return InsertCanonical(Canonicalize(std::move(fact)), birth, rule_label,
+                         std::move(parents), edb);
+}
+
+Fact Relation::fact(size_t i) const {
+  if (ground(i)) return GroundFact(pred_, tuple(i));
+  return Fact(pred_, arity(i), constraint(i));
+}
+
+GroundTuple Relation::tuple(size_t i) const {
+  const int n = arity(i);
+  GroundTuple values;
+  values.reserve(static_cast<size_t>(n));
+  for (int p = 1; p <= n; ++p) {
+    values.push_back(tag(i, p) == ColTag::kSymbol
+                         ? PointValue::Symbol(symbol_at(i, p))
+                         : PointValue::Number(number_at(i, p)));
+  }
+  return values;
+}
+
+uint32_t Relation::LabelId(const std::string& label) {
+  for (size_t k = labels_.size(); k-- > 0;) {
+    if (labels_[k] == label) return static_cast<uint32_t>(k);
+  }
+  labels_.push_back(label);
+  return static_cast<uint32_t>(labels_.size() - 1);
 }
 
 void Relation::IdentityTable::Add(uint64_t hash, size_t row) {
@@ -146,13 +172,8 @@ void Relation::IdentityTable::Add(uint64_t hash, size_t row) {
 }
 
 bool Relation::RowIs(size_t i, const CanonicalFact& fact) const {
-  const Fact& stored = this->fact(i);
-  if (stored.arity != fact.fact.arity || ground(i) != fact.ground()) {
-    return false;
-  }
-  if (!fact.ground()) {
-    return stored.constraint.StructurallyEquals(fact.fact.constraint);
-  }
+  if (arity(i) != fact.arity || ground(i) != fact.ground()) return false;
+  if (!fact.ground()) return constraint(i).StructurallyEquals(fact.constraint);
   // A ground row's identity is its value columns.
   for (size_t p = 0; p < fact.tuple->size(); ++p) {
     const PointValue& v = (*fact.tuple)[p];
@@ -185,12 +206,12 @@ std::optional<size_t> Relation::Find(const CanonicalFact& fact,
 }
 
 InsertOutcome Relation::InsertCanonical(CanonicalFact canonical, int birth,
-                                        std::string rule_label,
+                                        const std::string& rule_label,
                                         std::vector<FactRef> parents,
                                         bool edb) {
   const uint64_t hash = canonical.Hash();
   if (Find(canonical, hash).has_value()) return InsertOutcome::kDuplicate;
-  Fact& fact = canonical.fact;
+  const Conjunction& constraint = canonical.constraint;
   const bool is_ground = canonical.ground();
 
   // Classify each argument position (the column tag). A ground fact's
@@ -198,7 +219,7 @@ InsertOutcome Relation::InsertCanonical(CanonicalFact canonical, int birth,
   // numerically constrained positions: bound propagation runs at most once
   // per fact, lazily, and never for facts with no linear atoms (their
   // positions classify from the direct lookups alone).
-  size_t arity = static_cast<size_t>(fact.arity);
+  size_t arity = static_cast<size_t>(canonical.arity);
   std::vector<ColTag> tags(arity, ColTag::kUnbound);
   std::vector<SymbolId> syms(arity, SymbolId{});
   std::vector<Rational> nums(arity);
@@ -213,23 +234,22 @@ InsertOutcome Relation::InsertCanonical(CanonicalFact canonical, int birth,
       continue;
     }
     VarId v = static_cast<VarId>(p + 1);
-    if (auto sym = fact.constraint.GetSymbol(v)) {
+    if (auto sym = constraint.GetSymbol(v)) {
       tags[p] = ColTag::kSymbol;
       syms[p] = *sym;
       continue;
     }
-    if (auto num = fact.constraint.QuickNumericValue(v)) {
+    if (auto num = constraint.QuickNumericValue(v)) {
       tags[p] = ColTag::kNumber;
       nums[p] = std::move(*num);
       continue;
     }
-    if (fact.constraint.linear().empty()) continue;  // stays kUnbound
+    if (constraint.linear().empty()) continue;  // stays kUnbound
     auto start = std::chrono::steady_clock::now();
     if (!domain.has_value()) {
-      domain =
-          IntervalDomain::Propagate(fact.constraint.LinearWithEqualities());
+      domain = IntervalDomain::Propagate(constraint.LinearWithEqualities());
     }
-    const Interval& iv = domain->Of(fact.constraint.Find(v));
+    const Interval& iv = domain->Of(constraint.Find(v));
     interval_build_ns_ += ElapsedNs(start);
     if (!iv.lower_infinite() || !iv.upper_infinite()) {
       tags[p] = ColTag::kInterval;
@@ -242,8 +262,10 @@ InsertOutcome Relation::InsertCanonical(CanonicalFact canonical, int birth,
   identity_.Add(hash, id);
   if (!is_ground) non_ground_rows_.push_back(id);
   if (birth > max_birth_) max_birth_ = birth;
+  if (size_ == 0) pred_ = canonical.pred;
+  const uint32_t label_id = LabelId(rule_label);
   Chunk* tail = TailChunkForAppend();
-  size_t row_in_chunk = tail->facts.size();
+  size_t row_in_chunk = tail->births.size();
   if (tail->columns.size() < arity) {
     tail->columns.resize(arity);
     // Columns added mid-chunk are padded so every column array stays
@@ -255,12 +277,19 @@ InsertOutcome Relation::InsertCanonical(CanonicalFact canonical, int birth,
     }
   }
   tail->ground.push_back(is_ground ? 1 : 0);
-  tail->facts.push_back(std::move(fact));
+  if (is_ground) {
+    tail->constraint_index.push_back(0);
+  } else {
+    tail->constraint_index.push_back(
+        static_cast<uint8_t>(tail->constraints.size()));
+    tail->constraints.push_back(std::move(canonical.constraint));
+  }
   tail->births.push_back(birth);
+  tail->arities.push_back(canonical.arity);
   tail->edb.push_back(edb ? 1 : 0);
   tail->support.push_back(1);
   tail->blocked.push_back(0);
-  tail->rule_labels.push_back(std::move(rule_label));
+  tail->label_ids.push_back(label_id);
   tail->parents.push_back(std::move(parents));
   for (size_t p = 0; p < tail->columns.size(); ++p) {
     Column& col = tail->columns[p];
@@ -346,16 +375,13 @@ Relation Relation::Spliced(const std::vector<uint8_t>& dead,
     }
     // Stored rows are canonical already; a ground row's tuple is its
     // columns.
-    CanonicalFact row{fact(i), std::nullopt};
+    CanonicalFact row;
     if (ground(i)) {
-      GroundTuple tuple;
-      tuple.reserve(static_cast<size_t>(row.fact.arity));
-      for (int p = 1; p <= row.fact.arity; ++p) {
-        tuple.push_back(tag(i, p) == ColTag::kSymbol
-                            ? PointValue::Symbol(symbol_at(i, p))
-                            : PointValue::Number(number_at(i, p)));
-      }
-      row.tuple = std::move(tuple);
+      row = CanonicalFact::Ground(pred_, tuple(i));
+    } else {
+      row.pred = pred_;
+      row.arity = arity(i);
+      row.constraint = constraint(i);
     }
     out.InsertCanonical(std::move(row), birth(i), rule_label(i),
                         std::move(refs), edb(i));
@@ -489,13 +515,16 @@ const std::vector<size_t>& Relation::IntervalProbe(
 
 size_t Relation::ApproxChunkBytes(const Chunk& chunk) {
   size_t bytes = sizeof(Chunk);
-  bytes += chunk.births.capacity() * sizeof(int);
+  bytes += (chunk.births.capacity() + chunk.arities.capacity()) * sizeof(int);
   bytes += chunk.ground.capacity() + chunk.edb.capacity();
   bytes += (chunk.support.capacity() + chunk.blocked.capacity()) *
            sizeof(long);
-  for (const Fact& fact : chunk.facts) bytes += ApproxFactBytes(fact);
-  for (const std::string& label : chunk.rule_labels) {
-    bytes += sizeof(std::string) + label.capacity();
+  bytes += chunk.label_ids.capacity() * sizeof(uint32_t);
+  bytes += chunk.constraint_index.capacity();
+  bytes += (chunk.constraints.capacity() - chunk.constraints.size()) *
+           sizeof(Conjunction);
+  for (const Conjunction& constraint : chunk.constraints) {
+    bytes += ApproxConstraintBytes(constraint);
   }
   for (const auto& refs : chunk.parents) {
     bytes += sizeof(refs) + refs.capacity() * sizeof(FactRef);
@@ -511,6 +540,8 @@ size_t Relation::ApproxChunkBytes(const Chunk& chunk) {
 size_t Relation::ApproxBytes() const {
   size_t bytes = sizeof(Relation);
   for (const auto& chunk : chunks_) bytes += ApproxChunkBytes(*chunk);
+  bytes += labels_.capacity() * sizeof(std::string);
+  for (const std::string& label : labels_) bytes += label.capacity();
   bytes += identity_.bytes() + non_ground_rows_.capacity() * sizeof(size_t);
   for (const PositionIndex& idx : index_) {
     bytes += idx.unbound.capacity() * sizeof(size_t);

@@ -39,10 +39,13 @@ enum class InsertOutcome {
 /// delta discipline.
 ///
 /// Storage is *columnar* (DESIGN.md §12): rows live in fixed-size chunks of
-/// parallel arrays — fact payloads, birth stamps, ground flags, provenance,
-/// and one value column per argument position (tag + symbol + number) — so
-/// the delta scan walks a contiguous birth array and the join pre-filter
-/// reads value columns instead of chasing a per-fact signature vector.
+/// parallel arrays — birth stamps, arities, ground flags, provenance (a
+/// rule-label id and the parent refs), counters, and one value column per
+/// argument position (tag + symbol + number) — so the delta scan walks a
+/// contiguous birth array and the join pre-filter reads value columns. A
+/// ground row is nothing but its columns: no Fact or Conjunction is kept for
+/// it, and fact(i) builds one on demand. Only a non-ground row keeps its
+/// constraint, in its chunk, readable by reference (constraint(i)).
 /// Chunks are held by shared_ptr and copied lazily: copying a Relation (the
 /// service layer publishes one immutable Database per snapshot epoch)
 /// shares every chunk, and an append into a shared tail chunk clones just
@@ -88,22 +91,25 @@ class Relation {
 
   /// Inserts unless an identical fact is stored (kDuplicate). The fact is
   /// put in canonical form first (Canonicalize: a ground fact is stored as
-  /// its value tuple's canonical ground form, whatever form it came in), so
-  /// two ground facts denoting one point never occupy two rows.
+  /// its value tuple, whatever form it came in), so two ground facts
+  /// denoting one point never occupy two rows. Every row of a relation has
+  /// the predicate of its first row.
   /// No subsumption check: the fixpoint's end-of-iteration reconciliation
   /// (eval/fixpoint.cc) discards subsumed derivations before they reach
   /// storage, and EDB facts are taken verbatim. `birth` is the deriving
   /// iteration. `rule_label` and `parents` record provenance (empty for EDB
   /// facts). `edb` marks a base fact — a row retractions may target
   /// (eval/retract.h); the derivation path never sets it.
-  InsertOutcome Insert(Fact fact, int birth, std::string rule_label = "",
+  InsertOutcome Insert(Fact fact, int birth,
+                       const std::string& rule_label = "",
                        std::vector<FactRef> parents = {}, bool edb = false);
 
   /// Insert for a fact already in canonical form, whose groundness was
   /// decided where it was made (the fixpoint's commit, the loader's tuple
-  /// path): decides nothing again.
+  /// path): decides nothing again. A ground fact's tuple goes straight into
+  /// the value columns.
   InsertOutcome InsertCanonical(CanonicalFact fact, int birth,
-                                std::string rule_label = "",
+                                const std::string& rule_label = "",
                                 std::vector<FactRef> parents = {},
                                 bool edb = false);
 
@@ -127,8 +133,22 @@ class Relation {
   bool empty() const { return size_ == 0; }
 
   /// Row accessors; `i < size()` is the caller's obligation.
-  const Fact& fact(size_t i) const {
-    return chunks_[i >> kChunkShift]->facts[i & kChunkMask];
+  ///
+  /// The row as a Fact, built on demand: GroundFact(pred, tuple(i)) for a
+  /// ground row (one Conjunction::Point), a copy of constraint(i)
+  /// otherwise. The result is a temporary — bind it before iterating over
+  /// its parts. The join and reconciliation read arity(i), the columns and
+  /// constraint(i) instead.
+  Fact fact(size_t i) const;
+  /// The values of ground row `i`, read from its columns.
+  GroundTuple tuple(size_t i) const;
+  /// The constraint of non-ground row `i` (ground rows keep none).
+  const Conjunction& constraint(size_t i) const {
+    const Chunk& chunk = *chunks_[i >> kChunkShift];
+    return chunk.constraints[chunk.constraint_index[i & kChunkMask]];
+  }
+  int arity(size_t i) const {
+    return chunks_[i >> kChunkShift]->arities[i & kChunkMask];
   }
   int birth(size_t i) const {
     return chunks_[i >> kChunkShift]->births[i & kChunkMask];
@@ -141,9 +161,11 @@ class Relation {
   }
   /// Provenance (Definition 2.2's derivation trees): the rule that derived
   /// this fact and the body facts used, in body-literal order. Empty rule
-  /// label and parents for EDB facts.
+  /// label and parents for EDB facts. A row stores its label as an id into
+  /// the relation's label table; the reference is valid until the next
+  /// insert.
   const std::string& rule_label(size_t i) const {
-    return chunks_[i >> kChunkShift]->rule_labels[i & kChunkMask];
+    return labels_[chunks_[i >> kChunkShift]->label_ids[i & kChunkMask]];
   }
   const std::vector<FactRef>& parents(size_t i) const {
     return chunks_[i >> kChunkShift]->parents[i & kChunkMask];
@@ -287,12 +309,13 @@ class Relation {
   /// lifetime. Monotone; surfaced through EvalStats.
   long interval_build_ns() const { return interval_build_ns_; }
 
-  /// Approximate resident bytes of this relation: chunked columns, fact
-  /// payloads, provenance, identity table, and both indexes. An estimate
-  /// (heap allocator overhead and small-string storage are approximated),
-  /// meant for bytes-per-fact trend reporting, not exact accounting. Chunks
-  /// shared with other Relation copies are counted in full here; see
-  /// SharedBytes for the portion a copy would share.
+  /// Approximate resident bytes of this relation: chunked columns,
+  /// non-ground constraints, provenance, the label table, the identity
+  /// table, and both indexes. An estimate (heap allocator overhead and
+  /// small-string storage are approximated), meant for bytes-per-fact
+  /// trend reporting, not exact accounting. Chunks shared with other
+  /// Relation copies are counted in full here; see SharedBytes for the
+  /// portion a copy would share.
   size_t ApproxBytes() const;
 
   /// Approximate bytes of this relation held in chunks shared with at least
@@ -328,16 +351,22 @@ class Relation {
   /// Relation is cloned before mutation (copy-on-write), so shared chunks
   /// are de-facto immutable.
   struct Chunk {
-    std::vector<Fact> facts;
     std::vector<int> births;
+    std::vector<int> arities;
     std::vector<uint8_t> ground;
     std::vector<uint8_t> edb;     // base-fact flag (retraction targets)
     std::vector<long> support;    // derivation events per row (counting)
     std::vector<long> blocked;    // derivations this row subsumed away
-    std::vector<std::string> rule_labels;
+    std::vector<uint32_t> label_ids;  // into Relation::labels_
     std::vector<std::vector<FactRef>> parents;
     std::vector<Column> columns;
+    /// The non-ground rows' constraints, in row order; constraint_index
+    /// gives a non-ground row's entry (a chunk has at most kChunkRows rows,
+    /// so a byte holds it) and is 0 for a ground row.
+    std::vector<Conjunction> constraints;
+    std::vector<uint8_t> constraint_index;
   };
+  static_assert(kChunkRows <= 256, "constraint_index must fit a byte");
 
   /// Exact map key of a directly-bound value — the bound symbol, or the
   /// bound number when no symbol is bound. An exact key (not a bare hash):
@@ -417,6 +446,9 @@ class Relation {
   /// True if row `i` is the fact `fact` (exact; see Find).
   bool RowIs(size_t i, const CanonicalFact& fact) const;
 
+  /// The id of `label` in labels_, added if new.
+  uint32_t LabelId(const std::string& label);
+
   /// Fact identity: an open-addressing table of (64-bit hash, row) pairs
   /// with linear probing, at most half full. Distinct facts may share a
   /// hash; lookups compare every row with a matching hash exactly (RowIs).
@@ -437,6 +469,10 @@ class Relation {
 
   std::vector<std::shared_ptr<Chunk>> chunks_;
   size_t size_ = 0;
+  PredId pred_ = SymbolTable::kNoPred;  // every row's predicate
+  /// The distinct rule labels of the rows (a handful per relation: one per
+  /// rule deriving the predicate, plus "" for base facts).
+  std::vector<std::string> labels_;
   IdentityTable identity_;             // fact identity -> row
   std::vector<size_t> non_ground_rows_;  // ascending
   std::vector<PositionIndex> index_;   // index_[p-1]; sized to max arity seen

@@ -115,7 +115,7 @@ bool Admits(const JoinContext& ctx, const Relation& rel, size_t i,
   if (birth > ctx.max_birth) return false;
   if (filter == BirthFilter::kDelta && birth != ctx.max_birth) return false;
   if (filter == BirthFilter::kOld && birth == ctx.max_birth) return false;
-  return rel.fact(i).arity == arity;
+  return rel.arity(i) == arity;
 }
 
 /// True if row `i`'s value columns clash with a position the accumulated
@@ -343,8 +343,10 @@ Status ConstraintStep(const JoinContext& ctx, size_t index, size_t lit_pos,
     return Status::OK();
   }
   Conjunction next = accumulated;
-  CQLOPT_RETURN_IF_ERROR(
-      next.AddConjunction(rel.fact(i).constraint.Rename(view.to_args)));
+  // A ground row keeps no constraint: its point is built here, on demand.
+  CQLOPT_RETURN_IF_ERROR(next.AddConjunction(
+      rel.ground(i) ? Conjunction::Point(rel.tuple(i)).Rename(view.to_args)
+                    : rel.constraint(i).Rename(view.to_args)));
   if (next.known_unsat() || !next.IsSatisfiable()) return Status::OK();
   // Assigned by body-literal position (not enumeration depth): at the leaf
   // every position on the path has been written, so `parents` lists the
@@ -613,9 +615,9 @@ class Valuation {
     GroundTuple tuple;
     tuple.reserve(plan_.head_slots.size());
     for (size_t slot : plan_.head_slots) tuple.push_back(slots_[slot].value);
-    Fact fact = GroundFact(ctx_.rule->head.pred, tuple);
-    return (*ctx_.emit)(CanonicalFact{std::move(fact), std::move(tuple)},
-                        *parents_);
+    return (*ctx_.emit)(
+        CanonicalFact::Ground(ctx_.rule->head.pred, std::move(tuple)),
+        *parents_);
   }
 
   Status JoinFrom(size_t index, bool saw_delta) {

@@ -13,7 +13,10 @@ namespace cqlopt {
 /// Callback receiving each fact derived by a rule application, in canonical
 /// form with its groundness decided (eval/fact.h), along with the body facts
 /// that derived it (in body-literal order) — the provenance edges of
-/// Definition 2.2's derivation trees.
+/// Definition 2.2's derivation trees. A ground derivation arrives as its
+/// predicate and value tuple only: no Conjunction is built for it, and a
+/// callback that renders it or reads its constraint builds the point
+/// itself (CanonicalFact::ToFact).
 using EmitFn = std::function<Status(CanonicalFact,
                                     const std::vector<Relation::FactRef>&)>;
 
@@ -65,13 +68,15 @@ enum class DeltaMode {
 ///    as its slots are bound. Where the partial state could be
 ///    unsatisfiable for a reason no bound atom shows (atoms coupled only
 ///    through unbound slots), it asks the exact decision the constraint
-///    join would. Its leaf builds the canonical ground head directly: no
-///    projection, simplification or satisfiability decision. A candidate
-///    whose values mismatch a slot's kind (a symbol reaching an arithmetic
-///    slot, a number meeting a symbol) is handed to the constraint join for
-///    that subtree, which reproduces its clash skip or TypeError exactly.
+///    join would. Its leaf emits the head's value tuple directly: no
+///    projection, simplification, satisfiability decision or Conjunction.
+///    A candidate whose values mismatch a slot's kind (a symbol reaching an
+///    arithmetic slot, a number meeting a symbol) is handed to the
+///    constraint join for that subtree, which reproduces its clash skip or
+///    TypeError exactly.
 ///  - The constraint join handles everything else with conjunctions, and
-///    canonicalizes each emitted fact (deciding groundness once).
+///    canonicalizes each emitted fact (deciding groundness once). A ground
+///    row that is one of its candidates has its point built on demand.
 ///
 /// Semi-naive discipline: only facts with birth <= `max_birth` participate,
 /// and under kDelta / kDeltaRotated at least one chosen fact must have

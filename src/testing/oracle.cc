@@ -52,7 +52,7 @@ Result<int> ApplyRuleNaive(const Rule& rule,
       // one atom per position, whatever form the projection left them in.
       Fact derived = Canonicalize(Fact(rule.head.pred, rule.head.arity(),
                                        std::move(head_c)))
-                         .fact;
+                         .ToFact();
       if (seen->insert(derived.Key()).second) {
         (*out)[derived.pred].push_back(std::move(derived));
         ++added;
@@ -84,7 +84,7 @@ Result<OracleResult> OracleEvaluate(const Program& program,
   OracleResult result;
   std::set<std::string> seen;
   for (const Fact& edb_fact : edb) {
-    Fact fact = Canonicalize(edb_fact).fact;
+    Fact fact = Canonicalize(edb_fact).ToFact();
     if (seen.insert(fact.Key()).second) {
       result.facts[fact.pred].push_back(std::move(fact));
     }

@@ -554,7 +554,7 @@ PropertyOutcome RetractVsScratch(const FuzzCase& c, const FuzzOptions& fo) {
   for (const Fact& fact : batch) {
     // Stored rows are canonical (a ground fact is its tuple's point form),
     // so the batch is named in the same form.
-    const std::string key = Canonicalize(fact).fact.Key();
+    const std::string key = Canonicalize(fact).ToFact().Key();
     named.insert({fact.pred, key});
     const Relation* rel = full_db.Find(fact.pred);
     if (rel != nullptr && rel->RowOf(fact).has_value() &&

@@ -374,32 +374,46 @@ std::string RenderRun(const EvalResult& run, const SymbolTable& symbols) {
   return out;
 }
 
-/// Golden pin of flights-48 (the original Example 1.1 program over the
-/// 12-airport, 48-leg network of generator seed 42, SCC-stratified,
-/// single-fact subsumption, trace on): the sha256 of its rendered facts,
-/// births, support/blocked counters and trace. The digest is the
-/// constraint join's: the valuation join and the canonical ground form,
-/// which run on every derivation here, must leave each of these
-/// observables exactly as the constraint join produced them.
-TEST(ColumnarGoldenTest, Flights48StoredRunIsPinned) {
+/// flights-48: the original Example 1.1 program over the 12-airport,
+/// 48-leg network of generator seed 42, evaluated SCC-stratified with
+/// single-fact subsumption.
+struct Flights48 {
+  Program program;
+  Database edb;
+  Result<EvalResult> run = Status::Internal("not evaluated");
+};
+
+Flights48 EvaluateFlights48(bool record_trace) {
+  Flights48 f;
   auto parsed = ParseProgram(
       ReadFile(std::string(CQLOPT_PROGRAMS_DIR) + "/flights.cql"));
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  Program& p = parsed->program;
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  if (!parsed.ok()) return f;
+  f.program = std::move(parsed->program);
   FlightNetworkSpec spec;
   spec.airports = 12;
   spec.legs = 48;
   spec.seed = 42;
-  Database db;
-  ASSERT_TRUE(AddFlightNetwork(p.symbols.get(), spec, &db).ok());
+  EXPECT_TRUE(AddFlightNetwork(f.program.symbols.get(), spec, &f.edb).ok());
   EvalOptions opts;
   opts.strategy = EvalStrategy::kStratified;
-  opts.record_trace = true;
-  auto run = Evaluate(p, db, opts);
+  opts.record_trace = record_trace;
+  f.run = Evaluate(f.program, f.edb, opts);
+  return f;
+}
+
+/// Golden pin of flights-48 with the trace on: the sha256 of its rendered
+/// facts, births, support/blocked counters and trace. The digest is the
+/// constraint join's: the valuation join and the canonical ground form,
+/// which run on every derivation here, must leave each of these
+/// observables exactly as the constraint join produced them.
+TEST(ColumnarGoldenTest, Flights48StoredRunIsPinned) {
+  Flights48 f = EvaluateFlights48(/*record_trace=*/true);
+  const Result<EvalResult>& run = f.run;
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_EQ(run->stats.derivations, 1549);
-  EXPECT_EQ(run->db.TotalFacts() - db.TotalFacts(), 726u);
-  EXPECT_EQ(testutil::Sha256Hex(RenderRun(*run, *p.symbols)),
+  EXPECT_EQ(run->db.TotalFacts() - f.edb.TotalFacts(), 726u);
+  EXPECT_EQ(testutil::Sha256Hex(RenderRun(*run, *f.program.symbols)),
             "13ccb9e40a8afb15fdb608baa1af639e49ae58e4617d1d3d0291ed4710e0145b");
   // The digest itself, on the FIPS 180-4 test vectors.
   EXPECT_EQ(testutil::Sha256Hex("abc"),
@@ -408,6 +422,48 @@ TEST(ColumnarGoldenTest, Flights48StoredRunIsPinned) {
       testutil::Sha256Hex(
           "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+}
+
+/// A ground row keeps only its value columns; the Fact that fact(i) builds
+/// from them is exactly the canonical ground fact of the row's tuple.
+TEST(ColumnarGoldenTest, Flights48GroundRowsRebuildTheirCanonicalFact) {
+  Flights48 f = EvaluateFlights48(/*record_trace=*/false);
+  ASSERT_TRUE(f.run.ok()) << f.run.status().ToString();
+  const SymbolTable& symbols = *f.program.symbols;
+  size_t ground_rows = 0;
+  for (const auto& [pred, rel] : f.run->db.relations()) {
+    for (size_t i = 0; i < rel.size(); ++i) {
+      if (!rel.ground(i)) continue;
+      ++ground_rows;
+      GroundTuple columns;
+      for (int pos = 1; pos <= rel.arity(i); ++pos) {
+        columns.push_back(rel.tag(i, pos) == Relation::ColTag::kSymbol
+                              ? PointValue::Symbol(rel.symbol_at(i, pos))
+                              : PointValue::Number(rel.number_at(i, pos)));
+      }
+      EXPECT_EQ(rel.tuple(i), columns);
+      const Fact expected = GroundFact(pred, columns);
+      const Fact built = rel.fact(i);
+      EXPECT_EQ(built.pred, pred);
+      EXPECT_EQ(built.arity, rel.arity(i));
+      EXPECT_TRUE(built.constraint.StructurallyEquals(expected.constraint))
+          << built.ToString(symbols);
+      EXPECT_EQ(built.Key(), expected.Key());
+      EXPECT_EQ(built.ToString(symbols), expected.ToString(symbols));
+    }
+  }
+  EXPECT_EQ(ground_rows, f.run->db.TotalFacts());
+}
+
+/// Bytes per stored fact of flights-48 (Database::ApproxBytes, which counts
+/// every per-row array, the non-ground constraints, the label tables, the
+/// identity tables and both indexes). A ground row stores no Conjunction
+/// and no label string.
+TEST(ColumnarGoldenTest, Flights48BytesPerFact) {
+  Flights48 f = EvaluateFlights48(/*record_trace=*/false);
+  ASSERT_TRUE(f.run.ok()) << f.run.status().ToString();
+  ASSERT_GT(f.run->db.TotalFacts(), 0u);
+  EXPECT_LE(f.run->db.ApproxBytes() / f.run->db.TotalFacts(), 500u);
 }
 
 // ---------------------------------------------------------------------------
@@ -503,8 +559,8 @@ TEST(GroundIdentityTest, StructurallyEqualsIsToStringEquality) {
   EXPECT_TRUE(Conjunction::False().StructurallyEquals(Conjunction::False()));
   EXPECT_FALSE(Conjunction::False().StructurallyEquals(Conjunction()));
   // Equal canonical forms fingerprint equally, so hash identity agrees.
-  EXPECT_EQ(CanonicalFact({Fact(0, 3, a), std::nullopt}).Hash(),
-            CanonicalFact({Fact(0, 3, b), std::nullopt}).Hash());
+  EXPECT_EQ(Canonicalize(Fact(0, 3, a)).Hash(),
+            Canonicalize(Fact(0, 3, b)).Hash());
 }
 
 TEST(GroundIdentityTest, LoadedAndProgrammaticFactsAreTuples) {

@@ -231,7 +231,7 @@ TEST(EvalTest, StreamingEmitInsertsInvisibleWithinApplication) {
     std::vector<std::string> buffered;
     auto collect = [&](CanonicalFact derived,
                        const std::vector<Relation::FactRef>&) -> Status {
-      buffered.push_back(derived.fact.ToString(*p.symbols));
+      buffered.push_back(derived.ToFact().ToString(*p.symbols));
       return Status::OK();
     };
     EvalStats buffered_stats;
@@ -249,7 +249,7 @@ TEST(EvalTest, StreamingEmitInsertsInvisibleWithinApplication) {
     auto stream = [&](CanonicalFact derived,
                       const std::vector<Relation::FactRef>& parents)
         -> Status {
-      streamed.push_back(derived.fact.ToString(*p.symbols));
+      streamed.push_back(derived.ToFact().ToString(*p.symbols));
       db2.AddFact(std::move(derived), /*birth=*/0, "", parents);
       return Status::OK();
     };
@@ -278,7 +278,7 @@ TEST(EvalTest, StreamingInsertAtMaxBirthCascades) {
     auto stream = [&](CanonicalFact derived,
                       const std::vector<Relation::FactRef>& parents)
         -> Status {
-      streamed.push_back(derived.fact.ToString(*p.symbols));
+      streamed.push_back(derived.ToFact().ToString(*p.symbols));
       db.AddFact(std::move(derived), /*birth=*/-1, "", parents);
       return Status::OK();
     };
@@ -443,6 +443,71 @@ TEST(GroundTupleTest, ConstraintFactInABodyRelationTakesTheConstraintJoin) {
     EXPECT_FALSE(gr->ground(0));
     EXPECT_EQ(g.run->stats.subsumed, 1);
   }
+}
+
+/// Global semi-naive evaluation of `rules` over `edb` with the trace on:
+/// each rule's derivations arrive one iteration after its body facts.
+GroundRun EvaluateTraced(const std::string& rules, const std::string& edb) {
+  GroundRun g;
+  auto parsed = ParseProgram(rules);
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  g.program = std::move(parsed->program);
+  auto loaded = LoadDatabaseText(edb, g.program.symbols, &g.edb);
+  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EvalOptions options;
+  options.strategy = EvalStrategy::kSemiNaive;
+  options.record_trace = true;
+  g.run = Evaluate(g.program, g.edb, options);
+  return g;
+}
+
+/// The outcome the trace of `iteration` records for the derivation
+/// rendered `fact` (kInserted when absent, which the callers rule out).
+InsertOutcome TracedOutcome(const GroundRun& g, size_t iteration,
+                            const std::string& fact) {
+  EXPECT_LT(iteration, g.run->trace.size());
+  if (iteration >= g.run->trace.size()) return InsertOutcome::kInserted;
+  for (const Derivation& d : g.run->trace[iteration]) {
+    if (d.fact == fact) return d.outcome;
+  }
+  ADD_FAILURE() << fact << " not derived in iteration " << iteration;
+  return InsertOutcome::kInserted;
+}
+
+TEST(GroundTupleTest, StoredConstraintFactSubsumesAValuationDerivation) {
+  // Reconciliation pass 2: p(3), made by the valuation join over the
+  // all-ground r in iteration 1, is implied by p(X; X > 0), stored in
+  // iteration 0. The tuple's point is built for that check only.
+  GroundRun g = EvaluateTraced(
+      "p(X) :- X > 0.\nr(X) :- q(X).\np(X) :- r(X).\n", "q(3).\n");
+  ASSERT_TRUE(g.run.ok()) << g.run.status().ToString();
+  EXPECT_GT(g.run->stats.ground_applications, 0);
+  EXPECT_EQ(TracedOutcome(g, 1, "p(3)"), InsertOutcome::kSubsumed);
+  const Relation* p = g.Rel("p");
+  ASSERT_NE(p, nullptr);
+  ASSERT_EQ(p->size(), 1u);
+  EXPECT_FALSE(p->ground(0));
+  EXPECT_EQ(p->blocked(0), 1);
+  EXPECT_EQ(g.run->stats.subsumed, 1);
+}
+
+TEST(GroundTupleTest, SameIterationConstraintFactSubsumesAValuationDerivation) {
+  // Reconciliation pass 3: in iteration 1 the valuation join derives p(3)
+  // from r(3), and the constraint join (X is pinned by no equality) derives
+  // p(X; X > 0) from u(0). The later non-ground derivation discards the
+  // earlier tuple and commits.
+  GroundRun g = EvaluateTraced(
+      "r(X) :- q(X).\nu(Y) :- w(Y).\np(X) :- r(X).\np(X) :- u(Y), X > Y.\n",
+      "q(3).\nw(0).\n");
+  ASSERT_TRUE(g.run.ok()) << g.run.status().ToString();
+  EXPECT_EQ(TracedOutcome(g, 1, "p(3)"), InsertOutcome::kSubsumed);
+  const Relation* p = g.Rel("p");
+  ASSERT_NE(p, nullptr);
+  ASSERT_EQ(p->size(), 1u);
+  EXPECT_FALSE(p->ground(0));
+  EXPECT_EQ(p->birth(0), 1);
+  EXPECT_EQ(p->blocked(0), 1);
+  EXPECT_EQ(g.run->stats.subsumed, 1);
 }
 
 TEST(GroundTupleTest, SymbolInAnArithmeticSlotKeepsTheTypeError) {

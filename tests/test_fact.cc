@@ -41,7 +41,7 @@ TEST(FactTest, GroundValuesOfMixedEntailedAndUnsatisfiable) {
   ASSERT_TRUE(entailed.AddLinear(Atom({{2, 1}}, -7, CmpOp::kEq)).ok());
   CanonicalFact canonical = Canonicalize(Fact(0, 2, entailed));
   ASSERT_TRUE(canonical.ground());
-  EXPECT_EQ(canonical.fact.Key(),
+  EXPECT_EQ(canonical.ToFact().Key(),
             GroundFact(0, {PointValue::Number(Rational(7)),
                            PointValue::Number(Rational(7))})
                 .Key());

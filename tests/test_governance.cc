@@ -59,6 +59,27 @@ TEST(GovernanceTest, FactBudgetAbortsWithResourceExhausted) {
   EXPECT_GT(partial.inserted, 10);
 }
 
+TEST(GovernanceTest, FactBudgetAbortKeepsPerRuleCountsWhole) {
+  // Each rule application adds its derivations to derivations_per_rule
+  // once, when it ends; the partial stats of an abort still account for
+  // every derivation, rule by rule.
+  Program p = ParseOrDie(
+      "c(0).\nc(X + 1) :- c(X).\nd(X) :- c(X).\ne(X) :- d(X), X > 2.\n");
+  EvalOptions options = Governed(EvalStrategy::kSemiNaive);
+  options.max_derived_facts = 10;
+  EvalStats partial;
+  options.abort_stats = &partial;
+  auto result = Evaluate(p, Database(), options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+  ASSERT_TRUE(partial.aborted);
+  EXPECT_GT(partial.derivations, 10);
+  EXPECT_EQ(partial.derivations_per_rule.size(), 4u);
+  long per_rule = 0;
+  for (const auto& [rule, n] : partial.derivations_per_rule) per_rule += n;
+  EXPECT_EQ(per_rule, partial.derivations);
+}
+
 TEST(GovernanceTest, DeadlineAbortsADivergingEvaluation) {
   Program p = Counter();
   EvalOptions options = Governed();
