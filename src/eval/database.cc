@@ -56,10 +56,8 @@ bool Database::AllGround() const {
   return true;
 }
 
-long Database::IntervalBuildNs() const {
-  long total = 0;
-  for (const auto& [pred, rel] : relations_) total += rel.interval_build_ns();
-  return total;
+void Database::Seal() {
+  for (auto& [pred, rel] : relations_) rel.Seal();
 }
 
 size_t Database::ApproxBytes() const {

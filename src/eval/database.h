@@ -89,10 +89,9 @@ class Database {
   /// True if every stored fact is ground (Theorem 4.4's property).
   bool AllGround() const;
 
-  /// Total nanoseconds the relations spent building interval-index state
-  /// (Relation::interval_build_ns summed) — surfaced through
-  /// EvalStats::interval_index_build_ns.
-  long IntervalBuildNs() const;
+  /// Seals every relation's position indexes (Relation::Seal): only on a
+  /// database the caller owns exclusively.
+  void Seal();
 
   /// Approximate resident bytes across all relations (chunked columns,
   /// non-ground constraints, provenance, label tables, indexes) — the

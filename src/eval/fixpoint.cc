@@ -121,6 +121,18 @@ void Reconcile(std::vector<Pending>* pending, const Database& db,
   }
 }
 
+/// Seals result->db's position indexes (Database::Seal), adding the time
+/// taken to stats.interval_index_build_ns. result->db is the evaluation's
+/// own copy, never a published epoch.
+void SealIndexes(EvalResult* result) {
+  auto start = std::chrono::steady_clock::now();
+  result->db.Seal();
+  result->stats.interval_index_build_ns +=
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+}
+
 /// Applies one rule against the frozen pre-iteration database, buffering
 /// derivations into `pending` and counting into `stats`. The rule's
 /// derivations are counted locally and added to derivations_per_rule once,
@@ -157,7 +169,9 @@ Status ApplyOneRule(const Program& program, size_t rule_index,
 /// with options.interval_index choosing interval pruning, reconciles the
 /// buffered derivations as a set, and commits the survivors with birth
 /// `iteration`. Constraint facts (body-free rules) fire only under
-/// DeltaMode::kAll. Returns the number of facts inserted.
+/// DeltaMode::kAll. Returns the number of facts inserted. The commit ends
+/// by sealing the database's indexes, so the next iteration's probes
+/// binary-search every row.
 ///
 /// The commit also maintains the counting state of DESIGN.md §14: a
 /// duplicate-discarded derivation bumps the stored row's support(), and a
@@ -239,6 +253,7 @@ Result<long> RunIteration(const Program& program, const GroundPlans& plans,
     }
     result->db.FindMutable(p.derived.pred)->BumpBlocked(row);
   }
+  SealIndexes(result);
   return inserted;
 }
 
@@ -262,7 +277,6 @@ void FinalizeStats(EvalResult* result) {
   for (const auto& [pred, rel] : result->db.relations()) {
     result->stats.facts_per_pred[pred] = static_cast<long>(rel.size());
   }
-  result->stats.interval_index_build_ns = result->db.IntervalBuildNs();
 }
 
 std::string FactsSoFar(const EvalResult& result) {
@@ -316,6 +330,7 @@ Status RunStrata(const Program& program, const StratifiedPlan& plan,
   for (const Rule& rule : program.rules) {
     ground_plans.push_back(CompileGroundPlan(rule));
   }
+  SealIndexes(result);
   std::vector<Pending> pending;
   int global_iteration = start_iteration;
   bool capped = false;

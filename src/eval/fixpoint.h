@@ -134,9 +134,9 @@ class Governor {
 /// abort and cap message carries.
 std::string FactsSoFar(const EvalResult& result);
 
-/// Recomputes stats.facts_per_pred and stats.interval_index_build_ns from
-/// result->db — the epilogue of every evaluation entry point, successful
-/// or aborted.
+/// Recomputes stats.facts_per_pred from result->db — the epilogue of every
+/// evaluation entry point, successful or aborted. (RunStrata adds its Seal
+/// time to stats.interval_index_build_ns as it goes.)
 void FinalizeStats(EvalResult* result);
 
 /// The shape of one evaluation: a list of components in evaluation order,

@@ -1,7 +1,6 @@
 #include "eval/relation.h"
 
 #include <algorithm>
-#include <chrono>
 
 namespace cqlopt {
 
@@ -22,36 +21,76 @@ size_t ApproxConstraintBytes(const Conjunction& constraint) {
   return bytes;
 }
 
-/// The contiguous index range [first, last) of an ascending value array
-/// whose values satisfy `query`'s bounds — exact, by binary search.
-std::pair<size_t, size_t> AdmittedRange(const std::vector<Rational>& values,
-                                        const Interval& query) {
-  size_t first = 0;
-  size_t last = values.size();
+using BoundEntry = Relation::PositionIndex::BoundEntry;
+
+/// Three-way order of index values: symbols before numbers, symbols by id,
+/// numbers by value.
+int CompareValues(const PointValue& a, const PointValue& b) {
+  if (a.is_symbol != b.is_symbol) return a.is_symbol ? -1 : 1;
+  if (a.is_symbol) {
+    return a.symbol == b.symbol ? 0 : (a.symbol < b.symbol ? -1 : 1);
+  }
+  return a.number.Compare(b.number);
+}
+
+/// The order of a sealed prefix: by value, ties by row.
+bool BoundLess(const BoundEntry& a, const BoundEntry& b) {
+  int cmp = CompareValues(a.value, b.value);
+  return cmp != 0 ? cmp < 0 : a.row < b.row;
+}
+
+/// The sub-range of the ascending numbers [first, last) whose values satisfy
+/// `query`'s bounds — exact, by binary search.
+std::pair<const BoundEntry*, const BoundEntry*> AdmittedRange(
+    const BoundEntry* first, const BoundEntry* last, const Interval& query) {
+  auto below = [](const BoundEntry& e, const Rational& v) {
+    return e.value.number < v;
+  };
+  auto above = [](const Rational& v, const BoundEntry& e) {
+    return v < e.value.number;
+  };
   if (!query.lower_infinite()) {
-    const Rational& lo = query.lower();
-    first = static_cast<size_t>(
-        (query.lower_strict()
-             ? std::upper_bound(values.begin(), values.end(), lo)
-             : std::lower_bound(values.begin(), values.end(), lo)) -
-        values.begin());
+    first = query.lower_strict()
+                ? std::upper_bound(first, last, query.lower(), above)
+                : std::lower_bound(first, last, query.lower(), below);
   }
   if (!query.upper_infinite()) {
-    const Rational& hi = query.upper();
-    last = static_cast<size_t>(
-        (query.upper_strict()
-             ? std::lower_bound(values.begin(), values.end(), hi)
-             : std::upper_bound(values.begin(), values.end(), hi)) -
-        values.begin());
+    last = query.upper_strict()
+               ? std::lower_bound(first, last, query.upper(), below)
+               : std::upper_bound(first, last, query.upper(), above);
   }
-  if (last < first) last = first;
+  return {first, std::max(first, last)};
+}
+
+/// The probed value of an equality probe (the symbol wins when both are
+/// set).
+PointValue KeyValue(const Relation::ArgSignature& value) {
+  return value.symbol.has_value() ? PointValue::Symbol(*value.symbol)
+                                  : PointValue::Number(*value.number);
+}
+
+/// The sorted entries of `idx` holding exactly `key`, ascending by row.
+std::pair<const BoundEntry*, const BoundEntry*> SortedMatches(
+    const Relation::PositionIndex& idx, const PointValue& key) {
+  const BoundEntry* first = idx.bound.data();
+  const BoundEntry* last = first + idx.sorted;
+  first = std::lower_bound(first, last, key,
+                           [](const BoundEntry& e, const PointValue& v) {
+                             return CompareValues(e.value, v) < 0;
+                           });
+  last = std::upper_bound(first, last, key,
+                          [](const PointValue& v, const BoundEntry& e) {
+                            return CompareValues(v, e.value) < 0;
+                          });
   return {first, last};
 }
 
-long ElapsedNs(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now() - start)
-      .count();
+/// The first sorted number of `idx` (sorted symbols come first).
+const BoundEntry* SortedNumbers(const Relation::PositionIndex& idx) {
+  const BoundEntry* first = idx.bound.data();
+  return std::partition_point(
+      first, first + idx.sorted,
+      [](const BoundEntry& e) { return e.value.is_symbol; });
 }
 
 }  // namespace
@@ -65,57 +104,6 @@ Relation::Chunk* Relation::TailChunkForAppend() {
     chunks_.back() = std::make_shared<Chunk>(*chunks_.back());
   }
   return chunks_.back().get();
-}
-
-void Relation::SealTail(IntervalIndex* idx) {
-  if (idx->tail_rows.empty()) return;
-  std::vector<size_t> order(idx->tail_rows.size());
-  for (size_t k = 0; k < order.size(); ++k) order[k] = k;
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    int cmp = idx->tail_values[a].Compare(idx->tail_values[b]);
-    if (cmp != 0) return cmp < 0;
-    return idx->tail_rows[a] < idx->tail_rows[b];
-  });
-  BoundRun run;
-  run.values.reserve(order.size());
-  run.rows.reserve(order.size());
-  for (size_t k : order) {
-    run.values.push_back(std::move(idx->tail_values[k]));
-    run.rows.push_back(idx->tail_rows[k]);
-  }
-  idx->tail_rows.clear();
-  idx->tail_values.clear();
-  idx->runs.push_back(std::move(run));
-  if (idx->runs.size() <= kMaxRuns) return;
-  // Too many runs: collapse them all into one sorted run (amortized
-  // O(log n) sort work per row over the relation's lifetime).
-  size_t total = 0;
-  for (const BoundRun& r : idx->runs) total += r.rows.size();
-  std::vector<std::pair<size_t, size_t>> flat;  // (run, offset)
-  flat.reserve(total);
-  for (size_t r = 0; r < idx->runs.size(); ++r) {
-    for (size_t k = 0; k < idx->runs[r].rows.size(); ++k) {
-      flat.emplace_back(r, k);
-    }
-  }
-  std::sort(flat.begin(), flat.end(),
-            [&](const std::pair<size_t, size_t>& a,
-                const std::pair<size_t, size_t>& b) {
-              int cmp = idx->runs[a.first].values[a.second].Compare(
-                  idx->runs[b.first].values[b.second]);
-              if (cmp != 0) return cmp < 0;
-              return idx->runs[a.first].rows[a.second] <
-                     idx->runs[b.first].rows[b.second];
-            });
-  BoundRun merged;
-  merged.values.reserve(total);
-  merged.rows.reserve(total);
-  for (const auto& [r, k] : flat) {
-    merged.values.push_back(std::move(idx->runs[r].values[k]));
-    merged.rows.push_back(idx->runs[r].rows[k]);
-  }
-  idx->runs.clear();
-  idx->runs.push_back(std::move(merged));
 }
 
 InsertOutcome Relation::Insert(Fact fact, int birth,
@@ -245,12 +233,10 @@ InsertOutcome Relation::InsertCanonical(CanonicalFact canonical, int birth,
       continue;
     }
     if (constraint.linear().empty()) continue;  // stays kUnbound
-    auto start = std::chrono::steady_clock::now();
     if (!domain.has_value()) {
       domain = IntervalDomain::Propagate(constraint.LinearWithEqualities());
     }
     const Interval& iv = domain->Of(constraint.Find(v));
-    interval_build_ns_ += ElapsedNs(start);
     if (!iv.lower_infinite() || !iv.upper_infinite()) {
       tags[p] = ColTag::kInterval;
       summaries.emplace_back(p, iv);
@@ -301,51 +287,31 @@ InsertOutcome Relation::InsertCanonical(CanonicalFact canonical, int birth,
   }
   ++size_;
 
-  // Maintain both per-position indexes.
-  if (index_.size() < arity) {
-    index_.resize(arity);
-    ival_index_.resize(arity);
-  }
-  auto start = std::chrono::steady_clock::now();
+  // Index the row at every position its arity reaches. Bound rows join
+  // the unsorted suffix until the next Seal.
+  if (index_.size() < arity) index_.resize(arity);
   for (size_t p = 0; p < arity; ++p) {
-    const Column& col = tail->columns[p];
-    ColTag t = static_cast<ColTag>(col.tags[row_in_chunk]);
-    switch (t) {
+    PositionIndex& idx = index_[p];
+    switch (tags[p]) {
       case ColTag::kSymbol:
-        index_[p]
-            .by_value[IndexKey{col.symbols[row_in_chunk], Rational()}]
-            .push_back(id);
-        ival_index_[p].loose.push_back(id);
+        idx.bound.push_back({PointValue::Symbol(syms[p]), id});
         break;
       case ColTag::kNumber:
-        index_[p]
-            .by_value[IndexKey{std::nullopt, col.numbers[row_in_chunk]}]
-            .push_back(id);
-        ival_index_[p].tail_rows.push_back(id);
-        ival_index_[p].tail_values.push_back(col.numbers[row_in_chunk]);
-        if (ival_index_[p].tail_rows.size() >= kRunSeal) {
-          SealTail(&ival_index_[p]);
-        }
-        break;
-      case ColTag::kInterval:
-        // Bounded short of a point: the hash index treats the position as
-        // unbound (the row can match any probed value), while the interval
-        // index keeps the bound summary for range pruning.
-        index_[p].unbound.push_back(id);
+        idx.bound.push_back(
+            {PointValue::Number(tail->columns[p].numbers[row_in_chunk]), id});
+        ++idx.numbers;
         break;
       case ColTag::kUnbound:
-        index_[p].unbound.push_back(id);
-        ival_index_[p].loose.push_back(id);
+        idx.unbound.push_back({id, Interval()});
         break;
-      case ColTag::kAbsent:
+      default:  // kInterval: indexed below with its bound summary
         break;
     }
   }
   for (auto& [p, iv] : summaries) {
-    ival_index_[p].ranged_rows.push_back(id);
-    ival_index_[p].ranged_ivals.push_back(std::move(iv));
+    index_[p].unbound.push_back({id, std::move(iv)});
+    ++index_[p].ranged;
   }
-  interval_build_ns_ += ElapsedNs(start);
   return InsertOutcome::kInserted;
 }
 
@@ -390,127 +356,111 @@ Relation Relation::Spliced(const std::vector<uint8_t>& dead,
     tail->support[row_in_chunk] = support(i);
     tail->blocked[row_in_chunk] = blocked(i);
   }
+  out.Seal();
   return out;
 }
 
-Relation::IndexKey Relation::KeyOf(const ArgSignature& value) {
-  if (value.symbol.has_value()) return IndexKey{value.symbol, Rational()};
-  return IndexKey{std::nullopt, *value.number};
+void Relation::Seal() {
+  for (PositionIndex& idx : index_) {
+    if (idx.sorted == idx.bound.size()) continue;
+    auto middle = idx.bound.begin() + static_cast<ptrdiff_t>(idx.sorted);
+    std::sort(middle, idx.bound.end(), BoundLess);
+    std::inplace_merge(idx.bound.begin(), middle, idx.bound.end(), BoundLess);
+    idx.sorted = idx.bound.size();
+  }
+}
+
+const Relation::PositionIndex* Relation::IndexAt(int position) const {
+  size_t p = static_cast<size_t>(position - 1);
+  return p < index_.size() ? &index_[p] : nullptr;
 }
 
 size_t Relation::ProbeCost(int position, const ArgSignature& value) const {
-  size_t p = static_cast<size_t>(position - 1);
-  if (p >= index_.size()) return 0;
-  const PositionIndex& idx = index_[p];
-  size_t cost = idx.unbound.size();
-  auto it = idx.by_value.find(KeyOf(value));
-  if (it != idx.by_value.end()) cost += it->second.size();
+  const PositionIndex* idx = IndexAt(position);
+  if (idx == nullptr) return 0;
+  const PointValue key = KeyValue(value);
+  auto [first, last] = SortedMatches(*idx, key);
+  size_t cost = static_cast<size_t>(last - first) + idx->unbound.size();
+  for (size_t k = idx->sorted; k < idx->bound.size(); ++k) {
+    if (idx->bound[k].value == key) ++cost;
+  }
   return cost;
 }
 
-const std::vector<size_t>& Relation::Probe(int position,
-                                           const ArgSignature& value,
-                                           size_t limit,
-                                           std::vector<size_t>* scratch) const {
-  static const std::vector<size_t> kNoMatches;
-  size_t p = static_cast<size_t>(position - 1);
-  if (p >= index_.size()) return kNoMatches;
-  const PositionIndex& idx = index_[p];
-  auto it = idx.by_value.find(KeyOf(value));
-  const std::vector<size_t>& bound =
-      it == idx.by_value.end() ? kNoMatches : it->second;
-  // Single-list fast paths: posting lists are ascending, so when the other
-  // list is empty and the last id is below the limit the stored list itself
-  // is the answer — no copy, no allocation (the hot ground-workload case).
-  const std::vector<size_t>* only = nullptr;
-  if (idx.unbound.empty()) {
-    only = &bound;
-  } else if (bound.empty()) {
-    only = &idx.unbound;
-  }
-  if (only != nullptr) {
-    if (only->empty() || only->back() < limit) return *only;
-    std::vector<size_t>& out = *scratch;
-    out.clear();
-    out.assign(only->begin(),
-               std::lower_bound(only->begin(), only->end(), limit));
-    return out;
-  }
-  // Merge the two ascending lists, keeping insertion order, so the caller
-  // enumerates candidates in exactly the order the linear scan would.
-  std::vector<size_t>& out = *scratch;
-  out.clear();
-  out.reserve(bound.size() + idx.unbound.size());
-  size_t bi = 0;
-  size_t ui = 0;
-  while (bi < bound.size() || ui < idx.unbound.size()) {
-    size_t next;
-    if (bi == bound.size()) {
-      next = idx.unbound[ui++];
-    } else if (ui == idx.unbound.size() || bound[bi] < idx.unbound[ui]) {
-      next = bound[bi++];
-    } else {
-      next = idx.unbound[ui++];
+void Relation::Probe(int position, const ArgSignature& value, size_t limit,
+                     std::vector<size_t>* out) const {
+  out->clear();
+  const PositionIndex* idx = IndexAt(position);
+  if (idx == nullptr) return;
+  const PointValue key = KeyValue(value);
+  // The bound matches come out ascending (sorted matches, then suffix
+  // matches); merge the ascending unbound rows in front of each, so the
+  // caller enumerates candidates in exactly the scan's order.
+  auto unbound = idx->unbound.begin();
+  auto take = [&](size_t row) {
+    for (; unbound != idx->unbound.end() && unbound->row < row; ++unbound) {
+      out->push_back(unbound->row);
     }
-    if (next >= limit) break;
-    out.push_back(next);
+    out->push_back(row);
+  };
+  auto [first, last] = SortedMatches(*idx, key);
+  for (const BoundEntry* e = first; e != last; ++e) take(e->row);
+  for (size_t k = idx->sorted; k < idx->bound.size(); ++k) {
+    if (idx->bound[k].value == key) take(idx->bound[k].row);
   }
-  return out;
+  for (; unbound != idx->unbound.end(); ++unbound) {
+    out->push_back(unbound->row);
+  }
+  out->erase(std::lower_bound(out->begin(), out->end(), limit), out->end());
 }
 
-bool Relation::HasIntervalIndex(int position) const {
-  size_t p = static_cast<size_t>(position - 1);
-  if (p >= ival_index_.size()) return false;
-  const IntervalIndex& idx = ival_index_[p];
-  return !idx.runs.empty() || !idx.tail_rows.empty() ||
-         !idx.ranged_rows.empty();
+bool Relation::CanRangePrune(int position) const {
+  const PositionIndex* idx = IndexAt(position);
+  return idx != nullptr && (idx->numbers > 0 || idx->ranged > 0);
 }
 
 size_t Relation::IntervalProbeCost(int position, const Interval& query) const {
-  size_t p = static_cast<size_t>(position - 1);
-  if (p >= ival_index_.size()) return 0;
-  const IntervalIndex& idx = ival_index_[p];
-  size_t cost =
-      idx.tail_rows.size() + idx.ranged_rows.size() + idx.loose.size();
-  for (const BoundRun& run : idx.runs) {
-    auto [first, last] = AdmittedRange(run.values, query);
-    cost += last - first;
-  }
-  return cost;
+  const PositionIndex* idx = IndexAt(position);
+  if (idx == nullptr) return 0;
+  const BoundEntry* numbers = SortedNumbers(*idx);
+  auto [first, last] =
+      AdmittedRange(numbers, idx->bound.data() + idx->sorted, query);
+  return static_cast<size_t>(numbers - idx->bound.data()) +
+         static_cast<size_t>(last - first) +
+         (idx->bound.size() - idx->sorted) + idx->unbound.size();
 }
 
-const std::vector<size_t>& Relation::IntervalProbe(
-    int position, const Interval& query, size_t limit,
-    std::vector<size_t>* scratch, long* runs_pruned) const {
-  static const std::vector<size_t> kNoMatches;
-  size_t p = static_cast<size_t>(position - 1);
-  if (p >= ival_index_.size()) return kNoMatches;
-  const IntervalIndex& idx = ival_index_[p];
-  std::vector<size_t>& out = *scratch;
-  out.clear();
-  for (const BoundRun& run : idx.runs) {
-    auto [first, last] = AdmittedRange(run.values, query);
-    if (first == last) {
-      if (runs_pruned != nullptr) ++*runs_pruned;
-      continue;
-    }
-    for (size_t k = first; k < last; ++k) out.push_back(run.rows[k]);
+void Relation::IntervalProbe(int position, const Interval& query,
+                             size_t limit, std::vector<size_t>* out,
+                             long* runs_pruned) const {
+  out->clear();
+  const PositionIndex* idx = IndexAt(position);
+  if (idx == nullptr) return;
+  const BoundEntry* numbers = SortedNumbers(*idx);
+  const BoundEntry* sorted_end = idx->bound.data() + idx->sorted;
+  for (const BoundEntry* e = idx->bound.data(); e != numbers; ++e) {
+    out->push_back(e->row);
   }
-  for (size_t k = 0; k < idx.tail_rows.size(); ++k) {
-    if (query.Contains(idx.tail_values[k])) out.push_back(idx.tail_rows[k]);
+  auto [first, last] = AdmittedRange(numbers, sorted_end, query);
+  if (first == last && numbers != sorted_end && runs_pruned != nullptr) {
+    ++*runs_pruned;
   }
-  for (size_t k = 0; k < idx.ranged_rows.size(); ++k) {
-    if (query.Intersects(idx.ranged_ivals[k])) {
-      out.push_back(idx.ranged_rows[k]);
+  for (const BoundEntry* e = first; e != last; ++e) out->push_back(e->row);
+  for (size_t k = idx->sorted; k < idx->bound.size(); ++k) {
+    const BoundEntry& e = idx->bound[k];
+    if (e.value.is_symbol || query.Contains(e.value.number)) {
+      out->push_back(e.row);
     }
   }
-  out.insert(out.end(), idx.loose.begin(), idx.loose.end());
+  for (const PositionIndex::UnboundEntry& e : idx->unbound) {
+    bool whole_line = e.bounds.lower_infinite() && e.bounds.upper_infinite();
+    if (whole_line || query.Intersects(e.bounds)) out->push_back(e.row);
+  }
   // Candidates must come out in ascending row order: the emit-visibility
   // and trace-identity contracts require probe enumeration to match the
   // scan's insertion order exactly.
-  std::sort(out.begin(), out.end());
-  out.erase(std::lower_bound(out.begin(), out.end(), limit), out.end());
-  return out;
+  std::sort(out->begin(), out->end());
+  out->erase(std::lower_bound(out->begin(), out->end(), limit), out->end());
 }
 
 size_t Relation::ApproxChunkBytes(const Chunk& chunk) {
@@ -544,21 +494,8 @@ size_t Relation::ApproxBytes() const {
   for (const std::string& label : labels_) bytes += label.capacity();
   bytes += identity_.bytes() + non_ground_rows_.capacity() * sizeof(size_t);
   for (const PositionIndex& idx : index_) {
-    bytes += idx.unbound.capacity() * sizeof(size_t);
-    for (const auto& [key, rows] : idx.by_value) {
-      bytes += sizeof(key) + 32 + rows.capacity() * sizeof(size_t);
-    }
-  }
-  for (const IntervalIndex& idx : ival_index_) {
-    for (const BoundRun& run : idx.runs) {
-      bytes += run.values.capacity() * sizeof(Rational) +
-               run.rows.capacity() * sizeof(size_t);
-    }
-    bytes += idx.tail_rows.capacity() * sizeof(size_t) +
-             idx.tail_values.capacity() * sizeof(Rational);
-    bytes += idx.ranged_rows.capacity() * sizeof(size_t) +
-             idx.ranged_ivals.capacity() * sizeof(Interval);
-    bytes += idx.loose.capacity() * sizeof(size_t);
+    bytes += idx.bound.capacity() * sizeof(PositionIndex::BoundEntry) +
+             idx.unbound.capacity() * sizeof(PositionIndex::UnboundEntry);
   }
   return bytes;
 }

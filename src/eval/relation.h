@@ -5,7 +5,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "constraint/interval.h"
@@ -81,11 +80,10 @@ class Relation {
     /// Bound to a symbolic constant (column's `symbols` array holds it).
     kSymbol,
     /// Bound to a single numeric point (column's `numbers` array holds it).
-    /// These rows feed the interval index's sorted bound runs.
     kNumber,
     /// Numerically constrained short of a stored point: the fact's
     /// constraint gives the position finite lower and/or upper bounds
-    /// (interval-propagated at insertion, kept in the interval index).
+    /// (interval-propagated at insertion, kept in the position index).
     kInterval,
   };
 
@@ -202,8 +200,8 @@ class Relation {
   /// `remap` (may be null) rewrites each surviving row's parent references —
   /// callers pass the old-row -> new-row maps of *other* spliced relations;
   /// it is never called on a reference into this relation. Surviving rows
-  /// are re-inserted in order, so indexes, chunk boundaries, and interval
-  /// runs end up exactly as if only the survivors had ever been inserted.
+  /// are re-inserted in order, so chunk boundaries end up exactly as if
+  /// only the survivors had ever been inserted; the result is sealed.
   Relation Spliced(const std::vector<uint8_t>& dead,
                    const std::function<FactRef(FactRef)>& remap) const;
 
@@ -227,64 +225,64 @@ class Relation {
         .numbers[i & kChunkMask];
   }
 
-  /// Number of rows a hash-index probe at 1-based `position` for `value`
-  /// would enumerate (bound matches plus the unbound fallback list), with
-  /// no limit applied. Used to pick the most selective bound position
-  /// before materializing a probe.
+  /// Number of rows Probe at 1-based `position` for `value` would return
+  /// with no limit (bound matches plus every unbound and interval-bound
+  /// row). Exact; used to pick the most selective bound position before
+  /// probing.
   size_t ProbeCost(int position, const ArgSignature& value) const;
 
-  /// Hash-index probe: the row indexes, in ascending (= insertion) order
-  /// and restricted to indexes < `limit`, of facts that can match `value`
-  /// at 1-based `position`. That is facts whose column binds the position
-  /// to exactly the probed symbol/number, merged with facts whose column
-  /// leaves the position unbound — constraint facts restrict such positions
-  /// only through their constraint part (e.g. `$1 > 0`), so they can match
-  /// any probed value and are always enumerated.
+  /// Equality probe: writes to `*out` the row indexes, in ascending (=
+  /// insertion) order and restricted to indexes < `limit`, of facts that
+  /// can match `value` at 1-based `position`. That is facts whose column
+  /// binds the position to exactly the probed symbol/number, merged with
+  /// facts whose column leaves the position unbound or only interval-bound
+  /// — constraint facts restrict such positions only through their
+  /// constraint part (e.g. `$1 > 0`), so they can match any probed value
+  /// and are always enumerated.
   ///
-  /// `value` must have exactly one of symbol/number set. Enumerating the
-  /// result under the caller's arity and column checks visits exactly the
-  /// facts a linear scan over rows [0, limit) keeps after its column
-  /// pre-filter at this position.
-  ///
-  /// Returns a reference valid until the next Insert: either a posting list
-  /// owned by the index (the common no-merge case — no allocation, the hot
-  /// join path's win) or `*scratch` after filling it. `scratch` must be
-  /// non-null and outlive the use of the returned reference.
-  const std::vector<size_t>& Probe(int position, const ArgSignature& value,
-                                   size_t limit,
-                                   std::vector<size_t>* scratch) const;
+  /// `value` must have a symbol or a number set (the symbol wins when both
+  /// are). Enumerating the result under the caller's arity and column
+  /// checks visits exactly the facts a linear scan over rows [0, limit)
+  /// keeps after its column pre-filter at this position.
+  void Probe(int position, const ArgSignature& value, size_t limit,
+             std::vector<size_t>* out) const;
 
-  /// Upper bound on the rows an interval probe at `position` with `query`
-  /// would enumerate: the sorted-run ranges admitted by the query (binary
-  /// searched, exact) plus every not-yet-sealed point row, ranged row, and
-  /// unprunable (symbol/unbound) row. Cheap — no per-row value checks — and
+  /// Upper bound on the rows IntervalProbe at `position` with `query` would
+  /// return: the sorted numbers admitted by the query (binary searched,
+  /// exact) plus every sorted symbol, every unsorted bound row, and every
+  /// unbound or interval-bound row. Cheap — no per-row value checks — and
   /// never under-reports, so callers can compare it against the scan size
   /// when choosing an access path.
   size_t IntervalProbeCost(int position, const Interval& query) const;
 
-  /// Interval-index probe (DESIGN.md §12): the row indexes, ascending and
-  /// < `limit`, of facts NOT provably excluded by `query` at 1-based
-  /// `position`:
-  ///  - point rows (ColTag::kNumber) whose value lies in `query` — whole
-  ///    runs of out-of-range rows are skipped by binary search on the
-  ///    sorted bound runs;
+  /// Range probe (DESIGN.md §12): writes to `*out` the row indexes,
+  /// ascending and < `limit`, of facts NOT provably excluded by `query` at
+  /// 1-based `position`:
+  ///  - point rows (ColTag::kNumber) whose value lies in `query` — the
+  ///    sorted prefix is binary searched, so out-of-range sorted rows are
+  ///    never visited;
   ///  - ranged rows (kInterval) whose propagated bound summary intersects
   ///    `query`;
   ///  - every kSymbol / kUnbound row (never numerically excluded).
   /// A pruned row is one whose conjunction with any join state entailing
   /// `query` at this position is unsatisfiable, so enumerating the result
   /// makes exactly the derivations the full scan would, in the same order.
-  /// When `runs_pruned` is non-null it accumulates the number of sealed
-  /// runs the binary search rejected wholesale. Reference semantics as
-  /// Probe (`*scratch` is used whenever filtering or merging is needed).
-  const std::vector<size_t>& IntervalProbe(int position, const Interval& query,
-                                           size_t limit,
-                                           std::vector<size_t>* scratch,
-                                           long* runs_pruned = nullptr) const;
+  /// When `runs_pruned` is non-null it counts the probe if its binary
+  /// search rejected every sorted number (there being at least one).
+  void IntervalProbe(int position, const Interval& query, size_t limit,
+                     std::vector<size_t>* out,
+                     long* runs_pruned = nullptr) const;
 
-  /// True if any row at `position` carries numeric content the interval
-  /// index can prune on (a point value or a finite bound summary).
-  bool HasIntervalIndex(int position) const;
+  /// True if any row at `position` carries numeric content the range probe
+  /// can prune on (a point value or a finite bound summary).
+  bool CanRangePrune(int position) const;
+
+  /// Sorts each position index's unsorted suffix and merges it into the
+  /// sorted prefix, so later probes binary-search every bound row. Changes
+  /// no probe's result, only its cost. Mutates the indexes: call it only on
+  /// a relation the caller owns exclusively (the running evaluation's
+  /// database, a splice's output), never on a published snapshot.
+  void Seal();
 
   /// True if every stored fact is ground. O(1).
   bool AllGround() const { return non_ground_rows_.empty(); }
@@ -304,15 +302,10 @@ class Relation {
   /// to prune, never to assert a delta exists.
   int max_birth() const { return max_birth_; }
 
-  /// Nanoseconds spent building interval-index state (bound propagation of
-  /// inserted constraints, run sealing and merging) over this relation's
-  /// lifetime. Monotone; surfaced through EvalStats.
-  long interval_build_ns() const { return interval_build_ns_; }
-
   /// Approximate resident bytes of this relation: chunked columns,
   /// non-ground constraints, provenance, the label table, the identity
-  /// table, and both indexes. An estimate (heap allocator overhead and
-  /// small-string storage are approximated), meant for bytes-per-fact
+  /// table, and the position indexes. An estimate (heap allocator overhead
+  /// and small-string storage are approximated), meant for bytes-per-fact
   /// trend reporting, not exact accounting. Chunks shared with other
   /// Relation copies are counted in full here; see SharedBytes for the
   /// portion a copy would share.
@@ -323,19 +316,39 @@ class Relation {
   /// of duplicating (the copy-on-write saving of DESIGN.md §12).
   size_t SharedBytes() const;
 
+  /// One argument position's index (DESIGN.md §12), maintained by
+  /// InsertCanonical for every stored row whose arity reaches the position.
+  /// Both probes binary-search the sorted prefix of `bound` and check its
+  /// unsorted suffix row by row; every suffix row is newer than every
+  /// sorted row, so results come out in ascending row order. Only a
+  /// Relation holds one; the type is public so relation.cc's probe helpers
+  /// can name its entries.
+  struct PositionIndex {
+    struct BoundEntry {
+      PointValue value;
+      size_t row;
+    };
+    struct UnboundEntry {
+      size_t row;
+      Interval bounds;  // propagated summary; the whole line for kUnbound
+    };
+    /// The kSymbol and kNumber rows. The first `sorted` entries are ordered
+    /// by value (symbols first), ties by row; the rest are in insertion
+    /// order until the next Seal.
+    std::vector<BoundEntry> bound;
+    size_t sorted = 0;
+    size_t numbers = 0;  // kNumber entries in `bound`
+    /// The kUnbound and kInterval rows, ascending.
+    std::vector<UnboundEntry> unbound;
+    size_t ranged = 0;  // kInterval entries in `unbound`
+  };
+
  private:
   /// Rows per chunk. Power of two so row -> (chunk, offset) is a shift and
   /// a mask on the hot accessors.
   static constexpr size_t kChunkShift = 8;
   static constexpr size_t kChunkRows = size_t{1} << kChunkShift;
   static constexpr size_t kChunkMask = kChunkRows - 1;
-
-  /// Point rows accumulate in an unsorted tail; at this size the tail is
-  /// sorted and sealed into a bound run.
-  static constexpr size_t kRunSeal = 128;
-  /// Sealed runs beyond this count are merged into one (amortized O(log n)
-  /// sort work per row), bounding the binary searches per probe.
-  static constexpr size_t kMaxRuns = 8;
 
   /// One argument position's value column within a chunk; arrays are
   /// parallel to the chunk's row arrays (padded with kAbsent defaults for
@@ -368,64 +381,8 @@ class Relation {
   };
   static_assert(kChunkRows <= 256, "constraint_index must fit a byte");
 
-  /// Exact map key of a directly-bound value — the bound symbol, or the
-  /// bound number when no symbol is bound. An exact key (not a bare hash):
-  /// conflating two distinct values would merge their posting lists and
-  /// corrupt join results. Symbols and numbers cannot collide (a key is a
-  /// symbol key iff `symbol` is set; `number` is ignored then).
-  struct IndexKey {
-    std::optional<SymbolId> symbol;
-    Rational number;
-
-    bool operator==(const IndexKey& other) const {
-      return symbol == other.symbol &&
-             (symbol.has_value() || number == other.number);
-    }
-  };
-  struct IndexKeyHash {
-    size_t operator()(const IndexKey& key) const {
-      // Tags keep a symbol's hash distinct from a number's even when the
-      // underlying integer values coincide.
-      return key.symbol.has_value()
-                 ? std::hash<SymbolId>()(*key.symbol) ^ size_t{0x9e3779b9}
-                 : key.number.Hash();
-    }
-  };
-
-  /// Per-argument-position hash index, maintained by Insert. Only facts
-  /// that were actually stored (InsertOutcome::kInserted) are indexed;
-  /// duplicates and subsumed facts never enter. Row-id lists are ascending
-  /// because ids are assigned in insertion order.
-  struct PositionIndex {
-    std::unordered_map<IndexKey, std::vector<size_t>, IndexKeyHash> by_value;
-    std::vector<size_t> unbound;
-  };
-
-  /// A sealed sorted run of point-valued rows: `values` ascending (ties by
-  /// row id), `rows` parallel. Binary search admits or rejects the whole
-  /// run range for a query interval.
-  struct BoundRun {
-    std::vector<Rational> values;
-    std::vector<size_t> rows;
-  };
-
-  /// Per-argument-position interval index over the numeric content of the
-  /// column: sorted bound runs + unsorted tail for point rows, propagated
-  /// bound summaries for ranged rows, and the unprunable remainder.
-  struct IntervalIndex {
-    std::vector<BoundRun> runs;
-    std::vector<size_t> tail_rows;      // insertion order
-    std::vector<Rational> tail_values;  // parallel
-    std::vector<size_t> ranged_rows;    // kInterval rows, insertion order
-    std::vector<Interval> ranged_ivals;  // parallel bound summaries
-    std::vector<size_t> loose;  // kSymbol + kUnbound rows — always enumerated
-  };
-
-  /// Index key of a signature binding a symbol or a number (exactly one
-  /// must be set). No string is materialized — Probe/ProbeCost run once
-  /// per candidate join, and the old "s<id>"/"n<rational>" string keys
-  /// showed up as allocation hot spots.
-  static IndexKey KeyOf(const ArgSignature& value);
+  /// The index of 1-based `position`, or null when no stored row reaches it.
+  const PositionIndex* IndexAt(int position) const;
 
   /// The chunk the next row lands in, exclusively owned: starts a fresh
   /// chunk when the tail is full, clones the tail first when it is shared
@@ -435,10 +392,6 @@ class Relation {
   /// Exclusive ownership of an arbitrary chunk for a counter update
   /// (clone-on-write when shared with a snapshot copy).
   Chunk* ChunkForCounterUpdate(size_t chunk_index);
-
-  /// Seals the tail of `idx` into a sorted run; merges all runs into one
-  /// when their count exceeds kMaxRuns.
-  void SealTail(IntervalIndex* idx);
 
   /// Approximate resident bytes of one chunk (rows, provenance, columns).
   static size_t ApproxChunkBytes(const Chunk& chunk);
@@ -476,9 +429,7 @@ class Relation {
   IdentityTable identity_;             // fact identity -> row
   std::vector<size_t> non_ground_rows_;  // ascending
   std::vector<PositionIndex> index_;   // index_[p-1]; sized to max arity seen
-  std::vector<IntervalIndex> ival_index_;  // parallel to index_
   int max_birth_ = -2;
-  long interval_build_ns_ = 0;
 };
 
 }  // namespace cqlopt

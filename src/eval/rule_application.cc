@@ -155,9 +155,9 @@ bool ClashesWithDirect(const Relation& rel, size_t i, int arity,
 /// state binds directly; `accumulated()` returns the accumulated
 /// conjunction and is called only when they bind no position.
 ///
-/// The hash index is probed at the most selective bound position; failing
-/// that, the interval index at the most selective numerically ranged one;
-/// failing that, every row is scanned.
+/// The position index is probed for equality at the most selective bound
+/// position; failing that, for a range at the most selective numerically
+/// ranged one; failing that, every row is scanned.
 template <typename AccumulatedFn>
 const std::vector<size_t>& SelectCandidates(
     const JoinContext& ctx, size_t index, const Literal& lit,
@@ -165,11 +165,9 @@ const std::vector<size_t>& SelectCandidates(
     const std::vector<std::optional<SymbolId>>& acc_symbol,
     const std::vector<std::optional<Rational>>& acc_number,
     const AccumulatedFn& accumulated) {
-  // Mid-application emits may append to `rel` while the caller iterates,
-  // and an append can reallocate the very posting list Probe returned — so
-  // the candidate ids are copied into this depth's reusable buffer first
-  // (amortized allocation-free; ids < snapshot stay valid because row
-  // storage is append-only).
+  // The probes write into this depth's reusable buffer (amortized
+  // allocation-free); ids < snapshot stay valid under mid-application
+  // appends because row storage is append-only.
   std::vector<size_t>& candidates = (*ctx.scratch)[index];
   bool any_direct = false;
   for (int a = 0; a < lit.arity(); ++a) {
@@ -210,11 +208,7 @@ const std::vector<size_t>& SelectCandidates(
     }
   }
   if (probe_pos > 0) {
-    const std::vector<size_t>& probed =
-        rel.Probe(probe_pos, probe_value, snapshot, &candidates);
-    if (&probed != &candidates) {
-      candidates.assign(probed.begin(), probed.end());
-    }
+    rel.Probe(probe_pos, probe_value, snapshot, &candidates);
     if (ctx.stats != nullptr) {
       ++ctx.stats->index_probes;
       ctx.stats->index_candidates += static_cast<long>(candidates.size());
@@ -223,7 +217,7 @@ const std::vector<size_t>& SelectCandidates(
     return candidates;
   }
   // No uniquely-bound position. Before falling back to the full scan, try
-  // the interval index: a numeric position the accumulated state bounds to
+  // a range probe: a numeric position the accumulated state bounds to
   // a proper sub-range (a pushed selection like `T <= 60`, or bounds
   // propagated from already-joined facts) prunes every fact whose stored
   // point or bound summary lies outside the range — each such fact's
@@ -238,7 +232,7 @@ const std::vector<size_t>& SelectCandidates(
     for (int a = 0; a < lit.arity(); ++a) {
       size_t ai = static_cast<size_t>(a);
       if (acc_symbol[ai]) continue;  // symbol-typed: no numeric range
-      if (!rel.HasIntervalIndex(a + 1)) continue;
+      if (!rel.CanRangePrune(a + 1)) continue;
       if (!domain.has_value()) {
         domain =
             IntervalDomain::Propagate(accumulated().LinearWithEqualities());
@@ -259,11 +253,8 @@ const std::vector<size_t>& SelectCandidates(
     if (ival_pos > 0 && ival_cost < snapshot &&
         !(domain.has_value() && domain->definitely_empty())) {
       long runs_pruned = 0;
-      const std::vector<size_t>& probed = rel.IntervalProbe(
-          ival_pos, ival_query, snapshot, &candidates, &runs_pruned);
-      if (&probed != &candidates) {
-        candidates.assign(probed.begin(), probed.end());
-      }
+      rel.IntervalProbe(ival_pos, ival_query, snapshot, &candidates,
+                        &runs_pruned);
       if (ctx.stats != nullptr) {
         ++ctx.stats->interval_probes;
         ctx.stats->interval_candidates += static_cast<long>(candidates.size());

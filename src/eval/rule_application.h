@@ -107,8 +107,8 @@ enum class DeltaMode {
 ///
 /// Join access path: each body literal whose accumulated join state binds
 /// some argument position to a unique symbol or number is resolved by
-/// probing the relation's per-position hash index at the most selective
-/// such position. Direct bindings are read cheaply
+/// an equality probe of the relation's per-position index at the most
+/// selective such position. Direct bindings are read cheaply
 /// (Conjunction::GetSymbol / QuickNumericValue; in the valuation join, slots
 /// bound by a row or by the rule's own bindings); numeric values that are
 /// only entailed — e.g. `X = N - 1` after joining a fact with `N = 2` —
@@ -127,14 +127,15 @@ enum class DeltaMode {
 /// Interval pruning (`interval_index`): when no position is bound to a
 /// unique value, the accumulated state's interval box
 /// (IntervalDomain::Propagate over its linear part) is intersected against
-/// the relation's per-position interval index (DESIGN.md §12) at the most
-/// selective numerically-ranged position — a pushed selection like
-/// `T <= 60` then skips whole sorted runs of facts whose stored value or
-/// propagated bound summary cannot meet the range. Every skipped fact would
-/// have failed the leaf satisfiability check (its value/box at the position
-/// is disjoint from a sound over-approximation of the accumulated
-/// solutions), and surviving candidates are re-sorted into insertion order,
-/// so derivations and their order are again identical to the scan.
+/// the relation's per-position index (a range probe, DESIGN.md §12) at the
+/// most selective numerically-ranged position — a pushed selection like
+/// `T <= 60` then binary-searches past the facts whose stored value cannot
+/// meet the range, and skips those whose propagated bound summary cannot.
+/// Every skipped fact would have failed the leaf satisfiability check (its
+/// value/box at the position is disjoint from a sound over-approximation of
+/// the accumulated solutions), and surviving candidates are re-sorted into
+/// insertion order, so derivations and their order are again identical to
+/// the scan.
 ///
 /// Emit-visibility contract: a `emit` callback MAY insert facts into `db`
 /// immediately (streaming evaluation); such facts are not visible to the

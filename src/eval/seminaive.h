@@ -49,10 +49,10 @@ struct EvalOptions {
   /// Record per-iteration derivation lists (the format of Tables 1 and 2).
   bool record_trace = false;
   /// Interval-indexed candidate pruning (DESIGN.md §12): when true
-  /// (default), body literals with no uniquely-bound position — where the
-  /// hash index cannot help — intersect the accumulated state's interval
-  /// box against the relations' per-position interval indexes, skipping
-  /// whole sorted runs of facts a pushed range selection rules out. Only
+  /// (default), body literals with no uniquely-bound position — where an
+  /// equality probe cannot help — range-probe the relations' per-position
+  /// indexes with the accumulated state's interval box, binary-searching
+  /// past the stored values a pushed range selection rules out. Only
   /// candidates the leaf satisfiability check would reject are skipped and
   /// enumeration order is preserved, so toggling this never changes facts,
   /// births, or traces — only wall-clock and the interval_* counters.

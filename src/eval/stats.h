@@ -40,9 +40,9 @@ struct EvalStats {
   /// under both strategies. ResumeEvaluate appends one entry for its
   /// resumed iterations; its ingest pseudo-iteration belongs to no entry.
   std::vector<long> scc_iterations;
-  /// Body-literal resolutions served by the per-position hash index (some
-  /// argument position was directly bound to a symbol/number in the
-  /// accumulated join state).
+  /// Body-literal resolutions served by an equality probe of the
+  /// per-position index (some argument position was directly bound to a
+  /// symbol/number in the accumulated join state).
   long index_probes = 0;
   /// Resolutions that fell back to the linear scan: no position directly
   /// bound — unbound, or bound only through constraints (e.g. entailed by
@@ -60,25 +60,26 @@ struct EvalStats {
   /// probes; `index_candidates` vs this number attributes the index win.
   long indexed_scan_equivalent = 0;
 
-  // --- Interval-index accounting (DESIGN.md §12): the columnar per-position
-  // interval indexes serving body-literal resolutions whose accumulated
+  // --- Interval-index accounting (DESIGN.md §12): range probes of the
+  // per-position indexes serving body-literal resolutions whose accumulated
   // state bounds a numeric position without pinning it to a point (e.g. a
   // pushed selection `T <= 60`). Zero when EvalOptions::interval_index is
   // off or no literal carries a usable range. ---
 
-  /// Body-literal resolutions served by an interval-index probe.
+  /// Body-literal resolutions served by a range probe.
   long interval_probes = 0;
   /// Join candidate facts those probes enumerated.
   long interval_candidates = 0;
   /// Candidates the replaced scans would have enumerated — the interval
   /// pruning win is this number vs `interval_candidates`.
   long interval_scan_equivalent = 0;
-  /// Sealed sorted runs rejected wholesale by probe binary searches (no
-  /// per-row work at all for those rows).
+  /// Range probes whose binary search rejected every sorted number of the
+  /// probed position (no per-row work at all for those rows).
   long interval_runs_pruned = 0;
-  /// Nanoseconds spent building interval-index state (insertion-time bound
-  /// propagation, run sealing/merging) across the database's relations —
-  /// the price paid for the pruning, reported so benches can net it out.
+  /// Nanoseconds the evaluation spent in Relation::Seal (sorting each
+  /// iteration's new bound rows into the position indexes, at entry and
+  /// after every commit) — the price paid for the pruning, reported so
+  /// benches can net it out.
   long interval_index_build_ns = 0;
   /// Derivations per rule, keyed by rule label (or "rule#<index>" for
   /// unlabeled rules) — lets benches attribute wins rule by rule.

@@ -13,7 +13,7 @@ namespace testing {
 /// A deliberately naive reference evaluator for the differential harness,
 /// kept independent of the production engine (src/eval/seminaive.cc,
 /// relation.cc, rule_application.cc): no semi-naive delta discipline, no
-/// hash indexes, no decision cache (it is scope-disabled for the whole
+/// indexes, no decision cache (it is scope-disabled for the whole
 /// run), no subsumption shortcuts — just the textbook naive fixpoint of
 /// Section 2 with scan joins and exact rational arithmetic, re-deriving
 /// everything every round and deduplicating structurally. ~60 lines of

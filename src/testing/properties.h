@@ -49,7 +49,7 @@ namespace testing {
 ///                       with typed DATA_LOSS (DESIGN.md §15)
 ///   interval_equiv      evaluation with interval-indexed probe pruning on
 ///                       ≡ off — byte-identical facts, births, traces, and
-///                       core stats (the columnar interval index of
+///                       core stats (the range probe of
 ///                       DESIGN.md §12 only skips rows the per-tuple
 ///                       satisfiability check would reject)
 ///   scheduler_equiv     a random concurrent client schedule (disjoint

@@ -1,10 +1,12 @@
-// Columnar-storage and interval-index coverage (DESIGN.md §12): the edge
-// cases of the per-position interval index — open/closed/infinite query
-// bounds, unconstrained and symbol-bound positions, fully point-valued
-// columns with sealed runs, empty relations — plus the copy-on-write chunk
-// sharing contract, the corpus-replay differential pinning byte-identity
-// of evaluation with interval pruning on vs off under both subsumption
-// modes, and the constrained-join candidate cut of EXPERIMENTS.md E1.
+// Columnar-storage and range-probe coverage (DESIGN.md §12): the edge
+// cases of the per-position index's range probe — open/closed/infinite
+// query bounds, unconstrained and symbol-bound positions, fully
+// point-valued columns, empty relations, each unsealed, sealed, and sealed
+// then appended to — plus the copy-on-write chunk sharing contract (a
+// copy's Seal leaves the original alone), the corpus-replay differential
+// pinning byte-identity of evaluation with interval pruning on vs off
+// under both subsumption modes, and the constrained-join candidate cut of
+// EXPERIMENTS.md E1.
 
 #include <algorithm>
 #include <fstream>
@@ -20,6 +22,7 @@
 #include "eval/loader.h"
 #include "eval/relation.h"
 #include "eval/seminaive.h"
+#include "index_states.h"
 #include "testing/corpus.h"
 #include "testing/properties.h"
 #include "sha256.h"
@@ -89,122 +92,200 @@ Interval AtLeast(int lo) {
 std::vector<size_t> IntervalProbeVec(const Relation& rel, int position,
                                      const Interval& query, size_t limit,
                                      long* runs_pruned = nullptr) {
-  std::vector<size_t> scratch;
-  return rel.IntervalProbe(position, query, limit, &scratch, runs_pruned);
+  std::vector<size_t> out;
+  rel.IntervalProbe(position, query, limit, &out, runs_pruned);
+  return out;
+}
+
+/// The scan the range probe replaces: rows [0, limit) that `query` does not
+/// exclude at position 1 — a point row whose value lies in `query`, a ranged
+/// row whose constraint stays satisfiable with $1 in `query` (decided
+/// exactly, not by the index's bound summary), and every other row.
+std::vector<size_t> ScanNotExcluded(const Relation& rel, const Interval& query,
+                                    size_t limit) {
+  std::vector<size_t> out;
+  for (size_t i = 0; i < std::min(limit, rel.size()); ++i) {
+    if (rel.tag(i, 1) == Relation::ColTag::kNumber &&
+        !query.Contains(rel.number_at(i, 1))) {
+      continue;
+    }
+    if (rel.tag(i, 1) == Relation::ColTag::kInterval) {
+      // Conjoin `lower - $1 (<|<=) 0` and `$1 - upper (<|<=) 0`.
+      Conjunction c = rel.constraint(i);
+      auto conjoin = [&](int sign, const Rational& end, bool strict) {
+        LinearExpr e;
+        e.Add(1, Rational(sign));
+        e.AddConstant(sign > 0 ? -end : end);
+        EXPECT_TRUE(
+            c.AddLinear(LinearConstraint(e, strict ? CmpOp::kLt : CmpOp::kLe))
+                .ok());
+      };
+      if (!query.lower_infinite()) {
+        conjoin(-1, query.lower(), query.lower_strict());
+      }
+      if (!query.upper_infinite()) {
+        conjoin(1, query.upper(), query.upper_strict());
+      }
+      if (!c.IsSatisfiable()) continue;
+    }
+    out.push_back(i);
+  }
+  return out;
+}
+
+/// Runs the range probe on `rel` for `query` at every limit up to past its
+/// size and checks it against ScanNotExcluded, and IntervalProbeCost
+/// against the unlimited result (never under-reporting).
+void ExpectProbeMatchesScan(const Relation& rel, const Interval& query) {
+  SCOPED_TRACE(query.ToString());
+  for (size_t limit = 0; limit <= rel.size() + 1; ++limit) {
+    EXPECT_EQ(IntervalProbeVec(rel, 1, query, limit),
+              ScanNotExcluded(rel, query, limit));
+  }
+  EXPECT_GE(rel.IntervalProbeCost(1, query),
+            ScanNotExcluded(rel, query, rel.size()).size());
 }
 
 TEST(IntervalIndexTest, EmptyRelation) {
   Relation rel;
-  EXPECT_FALSE(rel.HasIntervalIndex(1));
+  EXPECT_FALSE(rel.CanRangePrune(1));
   EXPECT_EQ(rel.IntervalProbeCost(1, AtMost(10)), 0u);
+  EXPECT_EQ(IntervalProbeVec(rel, 1, AtMost(10), 0), std::vector<size_t>{});
+  rel.Seal();
   EXPECT_EQ(IntervalProbeVec(rel, 1, AtMost(10), 0), std::vector<size_t>{});
 }
 
 TEST(IntervalIndexTest, ClosedAndOpenQueryBounds) {
-  Relation rel;
-  (void)rel.Insert(NumberFact(40), 0);  // 0
-  (void)rel.Insert(NumberFact(50), 0);  // 1
-  (void)rel.Insert(NumberFact(60), 0);  // 2
-  EXPECT_TRUE(rel.HasIntervalIndex(1));
-  // Closed ends include the boundary values; open ends exclude them.
-  EXPECT_EQ(IntervalProbeVec(rel, 1, Between(40, false, 60, false), 3),
-            std::vector<size_t>({0, 1, 2}));
-  EXPECT_EQ(IntervalProbeVec(rel, 1, Between(40, true, 60, true), 3),
-            std::vector<size_t>({1}));
-  EXPECT_EQ(IntervalProbeVec(rel, 1, Between(40, true, 60, false), 3),
-            std::vector<size_t>({1, 2}));
-  // A closed point query keeps exactly the matching row.
-  EXPECT_EQ(IntervalProbeVec(rel, 1, Between(50, false, 50, false), 3),
-            std::vector<size_t>({1}));
+  for (IndexState state : kIndexStates) {
+    SCOPED_TRACE(static_cast<int>(state));
+    Relation rel =
+        BuildIn(state, {NumberFact(40), NumberFact(50), NumberFact(60)});
+    EXPECT_TRUE(rel.CanRangePrune(1));
+    // Closed ends include the boundary values; open ends exclude them.
+    EXPECT_EQ(IntervalProbeVec(rel, 1, Between(40, false, 60, false), 3),
+              std::vector<size_t>({0, 1, 2}));
+    EXPECT_EQ(IntervalProbeVec(rel, 1, Between(40, true, 60, true), 3),
+              std::vector<size_t>({1}));
+    EXPECT_EQ(IntervalProbeVec(rel, 1, Between(40, true, 60, false), 3),
+              std::vector<size_t>({1, 2}));
+    // A closed point query keeps exactly the matching row.
+    EXPECT_EQ(IntervalProbeVec(rel, 1, Between(50, false, 50, false), 3),
+              std::vector<size_t>({1}));
+  }
 }
 
 TEST(IntervalIndexTest, InfiniteQueryEnds) {
-  Relation rel;
-  (void)rel.Insert(NumberFact(10), 0);  // 0
-  (void)rel.Insert(NumberFact(50), 0);  // 1
-  (void)rel.Insert(NumberFact(90), 0);  // 2
-  EXPECT_EQ(IntervalProbeVec(rel, 1, AtMost(50), 3),
-            std::vector<size_t>({0, 1}));
-  EXPECT_EQ(IntervalProbeVec(rel, 1, AtLeast(50), 3),
-            std::vector<size_t>({1, 2}));
-  // The full line excludes nothing.
-  EXPECT_EQ(IntervalProbeVec(rel, 1, Interval(), 3),
-            std::vector<size_t>({0, 1, 2}));
+  for (IndexState state : kIndexStates) {
+    SCOPED_TRACE(static_cast<int>(state));
+    Relation rel =
+        BuildIn(state, {NumberFact(10), NumberFact(50), NumberFact(90)});
+    EXPECT_EQ(IntervalProbeVec(rel, 1, AtMost(50), 3),
+              std::vector<size_t>({0, 1}));
+    EXPECT_EQ(IntervalProbeVec(rel, 1, AtLeast(50), 3),
+              std::vector<size_t>({1, 2}));
+    // The full line excludes nothing.
+    EXPECT_EQ(IntervalProbeVec(rel, 1, Interval(), 3),
+              std::vector<size_t>({0, 1, 2}));
+  }
 }
 
 TEST(IntervalIndexTest, UnprunablePositionsAlwaysEnumerated) {
-  Relation rel;
-  (void)rel.Insert(SymbolFact(7), 0);    // 0
-  (void)rel.Insert(UnboundFact(), 0);    // 1
-  (void)rel.Insert(NumberFact(1000), 0);  // 2
-  // The query excludes every numeric value stored, but symbol-bound and
-  // unconstrained rows can never be numerically excluded.
-  EXPECT_EQ(IntervalProbeVec(rel, 1, Between(1, false, 2, false), 3),
-            std::vector<size_t>({0, 1}));
-  // A position no fact constrains has no interval index at all.
-  EXPECT_FALSE(rel.HasIntervalIndex(2));
+  for (IndexState state : kIndexStates) {
+    SCOPED_TRACE(static_cast<int>(state));
+    Relation rel =
+        BuildIn(state, {SymbolFact(7), UnboundFact(), NumberFact(1000)});
+    // The query excludes every numeric value stored, but symbol-bound and
+    // unconstrained rows can never be numerically excluded.
+    EXPECT_EQ(IntervalProbeVec(rel, 1, Between(1, false, 2, false), 3),
+              std::vector<size_t>({0, 1}));
+    // A position no fact reaches has nothing a range probe can prune.
+    EXPECT_FALSE(rel.CanRangePrune(2));
+  }
 }
 
 TEST(IntervalIndexTest, RangedRowsPrunedOnDisjointSummary) {
-  Relation rel;
-  (void)rel.Insert(RangeFact(10, 20), 0);   // 0
-  (void)rel.Insert(RangeFact(35, 50), 0);   // 1
-  (void)rel.Insert(LowerBoundFact(100), 0);  // 2
-  // [30, 40] intersects [35, 50] only.
-  EXPECT_EQ(IntervalProbeVec(rel, 1, Between(30, false, 40, false), 3),
-            std::vector<size_t>({1}));
-  // (-inf, 50] misses [100, +inf) but keeps both finite ranges.
-  EXPECT_EQ(IntervalProbeVec(rel, 1, AtMost(50), 3),
-            std::vector<size_t>({0, 1}));
-  // Touching endpoints intersect (both closed).
-  EXPECT_EQ(IntervalProbeVec(rel, 1, Between(20, false, 35, false), 3),
-            std::vector<size_t>({0, 1}));
+  for (IndexState state : kIndexStates) {
+    SCOPED_TRACE(static_cast<int>(state));
+    Relation rel = BuildIn(
+        state, {RangeFact(10, 20), RangeFact(35, 50), LowerBoundFact(100)});
+    // [30, 40] intersects [35, 50] only.
+    EXPECT_EQ(IntervalProbeVec(rel, 1, Between(30, false, 40, false), 3),
+              std::vector<size_t>({1}));
+    // (-inf, 50] misses [100, +inf) but keeps both finite ranges.
+    EXPECT_EQ(IntervalProbeVec(rel, 1, AtMost(50), 3),
+              std::vector<size_t>({0, 1}));
+    // Touching endpoints intersect (both closed).
+    EXPECT_EQ(IntervalProbeVec(rel, 1, Between(20, false, 35, false), 3),
+              std::vector<size_t>({0, 1}));
+  }
 }
 
 TEST(IntervalIndexTest, AllConstrainedColumnWithSealedRuns) {
-  // Enough point rows to seal several sorted runs (kRunSeal = 128) and
-  // trigger at least one run merge, with values deliberately inserted out
-  // of order so run sorting does real work.
-  Relation rel;
+  // Hundreds of point rows, inserted out of order so sealing does real
+  // work, probed unsealed, sealed, and sealed with half appended after.
   constexpr int kRows = 300;
   std::vector<int> values(kRows);
-  for (int i = 0; i < kRows; ++i) values[i] = (i * 7919) % 601;
-  for (int v : values) {
-    (void)rel.Insert(NumberFact(v), 0);
+  std::vector<Fact> facts;
+  for (int i = 0; i < kRows; ++i) {
+    values[i] = (i * 7919) % 601;
+    facts.push_back(NumberFact(values[i]));
   }
-  ASSERT_EQ(rel.size(), static_cast<size_t>(kRows));
   Interval mid = Between(100, false, 200, false);
   std::vector<size_t> expected;
   for (int i = 0; i < kRows; ++i) {
     if (values[i] >= 100 && values[i] <= 200) expected.push_back(i);
   }
-  EXPECT_EQ(IntervalProbeVec(rel, 1, mid, kRows), expected);
-  // The limit cuts by row index, exactly like the scan's size snapshot.
   std::vector<size_t> head;
   for (size_t r : expected) {
     if (r < 150) head.push_back(r);
   }
-  EXPECT_EQ(IntervalProbeVec(rel, 1, mid, 150), head);
-  // The cost bound never under-reports the enumerated rows.
-  EXPECT_GE(rel.IntervalProbeCost(1, mid), expected.size());
-  // A query beyond every stored value rejects whole sealed runs.
-  long runs_pruned = 0;
-  EXPECT_EQ(IntervalProbeVec(rel, 1, AtLeast(10000), kRows, &runs_pruned),
-            std::vector<size_t>{});
-  EXPECT_GE(runs_pruned, 1);
+  for (IndexState state : kIndexStates) {
+    SCOPED_TRACE(static_cast<int>(state));
+    Relation rel = BuildIn(state, facts);
+    ASSERT_EQ(rel.size(), static_cast<size_t>(kRows));
+    EXPECT_EQ(IntervalProbeVec(rel, 1, mid, kRows), expected);
+    // The limit cuts by row index, exactly like the scan's size snapshot.
+    EXPECT_EQ(IntervalProbeVec(rel, 1, mid, 150), head);
+    // The cost bound never under-reports the enumerated rows.
+    EXPECT_GE(rel.IntervalProbeCost(1, mid), expected.size());
+    // A query beyond every stored value: the binary search over the sealed
+    // rows rejects them all without visiting one.
+    long runs_pruned = 0;
+    EXPECT_EQ(IntervalProbeVec(rel, 1, AtLeast(10000), kRows, &runs_pruned),
+              std::vector<size_t>{});
+    EXPECT_EQ(runs_pruned, state == IndexState::kUnsealed ? 0 : 1);
+  }
 }
 
 TEST(IntervalIndexTest, ResultsAscendingAcrossRowKinds) {
-  Relation rel;
-  (void)rel.Insert(SymbolFact(3), 0);     // 0 loose
-  (void)rel.Insert(NumberFact(45), 0);    // 1 point
-  (void)rel.Insert(RangeFact(40, 70), 0);  // 2 ranged
-  (void)rel.Insert(NumberFact(10), 0);    // 3 point
-  (void)rel.Insert(UnboundFact(), 0);     // 4 loose
-  std::vector<size_t> got =
-      IntervalProbeVec(rel, 1, Between(40, false, 60, false), rel.size());
-  EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
-  EXPECT_EQ(got, std::vector<size_t>({0, 1, 2, 4}));
+  for (IndexState state : kIndexStates) {
+    SCOPED_TRACE(static_cast<int>(state));
+    Relation rel = BuildIn(state, {SymbolFact(3),       // 0 loose
+                                   NumberFact(45),      // 1 point
+                                   RangeFact(40, 70),   // 2 ranged
+                                   NumberFact(10),      // 3 point
+                                   UnboundFact()});     // 4 loose
+    std::vector<size_t> got =
+        IntervalProbeVec(rel, 1, Between(40, false, 60, false), rel.size());
+    EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
+    EXPECT_EQ(got, std::vector<size_t>({0, 1, 2, 4}));
+  }
+  // All four row kinds, point values out of order, against the exact scan
+  // at every limit.
+  const std::vector<Fact> mixed = {
+      NumberFact(70), RangeFact(40, 70), SymbolFact(3),     NumberFact(10),
+      UnboundFact(),  NumberFact(45),    LowerBoundFact(100), SymbolFact(1),
+      NumberFact(-5), RangeFact(0, 9),   NumberFact(60),    NumberFact(40)};
+  for (IndexState state : kIndexStates) {
+    SCOPED_TRACE(static_cast<int>(state));
+    Relation rel = BuildIn(state, mixed);
+    for (const Interval& query :
+         {Between(40, false, 60, false), Between(40, true, 60, true),
+          AtMost(9), AtLeast(70), Between(200, false, 300, false),
+          Interval()}) {
+      ExpectProbeMatchesScan(rel, query);
+    }
+  }
 }
 
 TEST(ColumnarStorageTest, CopyOnWriteSharesSealedChunks) {
@@ -214,6 +295,14 @@ TEST(ColumnarStorageTest, CopyOnWriteSharesSealedChunks) {
   }
   ASSERT_EQ(rel.size(), 600u);
   EXPECT_EQ(rel.SharedBytes(), 0u);  // sole owner: nothing shared
+  // The original's index is left unsealed, so a copy that shared it would
+  // show the copy's Seal below.
+  const Relation::ArgSignature point{std::nullopt, Rational(595)};
+  const std::vector<size_t> probe_before =
+      IntervalProbeVec(rel, 1, AtLeast(590), rel.size());
+  const size_t cost_before = rel.ProbeCost(1, point);
+  const size_t ival_cost_before = rel.IntervalProbeCost(1, AtLeast(590));
+  const size_t bytes_before = rel.ApproxBytes();
 
   Relation copy = rel;
   // Every chunk is now shared between the two relations.
@@ -232,6 +321,17 @@ TEST(ColumnarStorageTest, CopyOnWriteSharesSealedChunks) {
   EXPECT_EQ(copy.fact(600).Key(), NumberFact(9999).Key());
   // Sealed chunks stay shared after the append (only the tail was cloned).
   EXPECT_GT(copy.SharedBytes(), 0u);
+
+  // A published epoch is never re-indexed in place: sealing the copy (as an
+  // evaluation seals its own database) leaves the original's probes, costs
+  // and bytes exactly as they were.
+  copy.Seal();
+  EXPECT_LT(copy.IntervalProbeCost(1, AtLeast(590)), ival_cost_before);
+  EXPECT_EQ(IntervalProbeVec(rel, 1, AtLeast(590), rel.size()),
+            probe_before);
+  EXPECT_EQ(rel.ProbeCost(1, point), cost_before);
+  EXPECT_EQ(rel.IntervalProbeCost(1, AtLeast(590)), ival_cost_before);
+  EXPECT_EQ(rel.ApproxBytes(), bytes_before);
 }
 
 /// Storage fingerprint of an evaluation: per-predicate fact keys, row

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "eval/database.h"
+#include "index_states.h"
 
 namespace cqlopt {
 namespace {
@@ -56,7 +57,7 @@ TEST(RelationTest, AllGround) {
   EXPECT_FALSE(rel.AllGround());
 }
 
-// --- Per-position hash index -------------------------------------------
+// --- Per-position index: the equality probe -----------------------------
 //
 // The contract under test (relation.h): Probe(pos, value, limit) visits, in
 // ascending entry order, exactly the entries < limit that a linear scan
@@ -87,6 +88,9 @@ Fact RangeFact(int lo, int hi) {
   return Fact(0, 1, c);
 }
 
+/// No constraint at all on $1 (unbound).
+Fact UnboundFact() { return Fact(0, 1, Conjunction()); }
+
 /// The linear scan the index replaces: rows [0, limit) surviving the value
 /// column pre-filter at `position`.
 std::vector<size_t> ScanWithPrefilter(const Relation& rel, int position,
@@ -116,12 +120,13 @@ std::vector<size_t> ScanWithPrefilter(const Relation& rel, int position,
   return out;
 }
 
-/// Probe through a local scratch buffer, copied out for comparison.
+/// Probe into a fresh buffer, returned for comparison.
 std::vector<size_t> ProbeVec(const Relation& rel, int position,
                              const Relation::ArgSignature& value,
                              size_t limit) {
-  std::vector<size_t> scratch;
-  return rel.Probe(position, value, limit, &scratch);
+  std::vector<size_t> out;
+  rel.Probe(position, value, limit, &out);
+  return out;
 }
 
 Relation::ArgSignature NumberValue(int n) {
@@ -133,19 +138,34 @@ Relation::ArgSignature SymbolValue(SymbolId s) {
 }
 
 TEST(RelationIndexTest, ProbeEqualsScanWithPrefilter) {
-  Relation rel;
-  (void)rel.Insert(NumberFact(3), 0);
-  (void)rel.Insert(RangeFact(0, 10), 0);
-  (void)rel.Insert(NumberFact(7), 1);
-  (void)rel.Insert(SymbolFact(4), 1);
-  (void)rel.Insert(NumberFact(9), 2);
-  (void)rel.Insert(RangeFact(2, 5), 2);
-  for (const auto& value :
-       {NumberValue(3), NumberValue(7), NumberValue(99), SymbolValue(4),
-        SymbolValue(5)}) {
-    for (size_t limit : {size_t{0}, size_t{3}, rel.size(), size_t{100}}) {
-      EXPECT_EQ(ProbeVec(rel, 1, value, limit),
-                ScanWithPrefilter(rel, 1, value, limit));
+  // All four row kinds at position 1, bound values out of order and
+  // repeated; $2 = row number keeps the repeats distinct rows.
+  std::vector<Fact> facts;
+  for (Fact fact : {NumberFact(9), RangeFact(0, 10), NumberFact(3),
+                    SymbolFact(4), UnboundFact(), NumberFact(7), SymbolFact(2),
+                    NumberFact(3), RangeFact(2, 5), SymbolFact(4),
+                    NumberFact(-1), UnboundFact()}) {
+    EXPECT_TRUE(fact.constraint
+                    .AddLinear(Atom({{2, 1}},
+                                    -static_cast<int>(facts.size()),
+                                    CmpOp::kEq))
+                    .ok());
+    fact.arity = 2;
+    facts.push_back(std::move(fact));
+  }
+  for (IndexState state : kIndexStates) {
+    SCOPED_TRACE(static_cast<int>(state));
+    Relation rel = BuildIn(state, facts);
+    for (const auto& value :
+         {NumberValue(3), NumberValue(7), NumberValue(99), NumberValue(-1),
+          SymbolValue(4), SymbolValue(2), SymbolValue(5)}) {
+      for (size_t limit : {size_t{0}, size_t{3}, size_t{8}, rel.size(),
+                           size_t{100}}) {
+        EXPECT_EQ(ProbeVec(rel, 1, value, limit),
+                  ScanWithPrefilter(rel, 1, value, limit));
+      }
+      EXPECT_EQ(rel.ProbeCost(1, value),
+                ScanWithPrefilter(rel, 1, value, rel.size()).size());
     }
   }
 }
@@ -177,42 +197,48 @@ TEST(RelationIndexTest, RejectedFactsAreNeverIndexed) {
 }
 
 TEST(RelationIndexTest, ProbeCostMatchesUnlimitedProbe) {
-  Relation rel;
-  (void)rel.Insert(NumberFact(1), 0);
-  (void)rel.Insert(NumberFact(2), 0);
-  (void)rel.Insert(RangeFact(0, 3), 0);
-  (void)rel.Insert(SymbolFact(2), 0);
-  for (const auto& value : {NumberValue(1), NumberValue(2), SymbolValue(2),
-                            SymbolValue(9), NumberValue(42)}) {
-    EXPECT_EQ(rel.ProbeCost(1, value),
-              ProbeVec(rel, 1, value, rel.size()).size());
+  const std::vector<Fact> facts = {NumberFact(2), NumberFact(1),
+                                   RangeFact(0, 3), SymbolFact(2),
+                                   UnboundFact()};
+  for (IndexState state : kIndexStates) {
+    SCOPED_TRACE(static_cast<int>(state));
+    Relation rel = BuildIn(state, facts);
+    for (const auto& value : {NumberValue(1), NumberValue(2), SymbolValue(2),
+                              SymbolValue(9), NumberValue(42)}) {
+      EXPECT_EQ(rel.ProbeCost(1, value),
+                ProbeVec(rel, 1, value, rel.size()).size());
+    }
   }
 }
 
 TEST(RelationIndexTest, SymbolAndNumberKeysNeverCollide) {
-  Relation rel;
-  (void)rel.Insert(NumberFact(7), 0);
-  (void)rel.Insert(SymbolFact(7), 0);
-  EXPECT_EQ(ProbeVec(rel, 1, NumberValue(7), rel.size()),
-            std::vector<size_t>({0}));
-  EXPECT_EQ(ProbeVec(rel, 1, SymbolValue(7), rel.size()),
-            std::vector<size_t>({1}));
+  for (IndexState state : kIndexStates) {
+    SCOPED_TRACE(static_cast<int>(state));
+    Relation rel = BuildIn(state, {NumberFact(7), SymbolFact(7)});
+    EXPECT_EQ(ProbeVec(rel, 1, NumberValue(7), rel.size()),
+              std::vector<size_t>({0}));
+    EXPECT_EQ(ProbeVec(rel, 1, SymbolValue(7), rel.size()),
+              std::vector<size_t>({1}));
+  }
 }
 
 TEST(RelationIndexTest, MergedResultIsAscendingInsertionOrder) {
-  Relation rel;
-  // Interleave bound and unbound entries so the merge has real work to do.
-  (void)rel.Insert(RangeFact(0, 1), 0);   // 0
-  (void)rel.Insert(NumberFact(5), 0);     // 1
-  (void)rel.Insert(RangeFact(0, 2), 0);   // 2
-  (void)rel.Insert(NumberFact(6), 0);     // 3
-  (void)rel.Insert(RangeFact(0, 3), 0);   // 4
-  EXPECT_EQ(ProbeVec(rel, 1, NumberValue(5), rel.size()),
-            std::vector<size_t>({0, 1, 2, 4}));
-  // The snapshot limit cuts the merged stream, not just one side.
-  EXPECT_EQ(ProbeVec(rel, 1, NumberValue(5), 2), std::vector<size_t>({0, 1}));
-  EXPECT_EQ(ProbeVec(rel, 1, NumberValue(6), 4),
-            std::vector<size_t>({0, 2, 3}));
+  for (IndexState state : kIndexStates) {
+    SCOPED_TRACE(static_cast<int>(state));
+    // Interleave bound and unbound entries so the merge has real work.
+    Relation rel = BuildIn(state, {RangeFact(0, 1),    // 0
+                                   NumberFact(5),      // 1
+                                   RangeFact(0, 2),    // 2
+                                   NumberFact(6),      // 3
+                                   RangeFact(0, 3)});  // 4
+    EXPECT_EQ(ProbeVec(rel, 1, NumberValue(5), rel.size()),
+              std::vector<size_t>({0, 1, 2, 4}));
+    // The snapshot limit cuts the merged stream, not just one side.
+    EXPECT_EQ(ProbeVec(rel, 1, NumberValue(5), 2),
+              std::vector<size_t>({0, 1}));
+    EXPECT_EQ(ProbeVec(rel, 1, NumberValue(6), 4),
+              std::vector<size_t>({0, 2, 3}));
+  }
 }
 
 TEST(RelationIndexTest, ProbeBeyondSeenArityIsEmpty) {
