@@ -22,8 +22,7 @@ Database::BatchOutcome Database::AddFacts(const std::vector<Fact>& batch,
                                           int birth) {
   BatchOutcome out;
   for (const Fact& fact : batch) {
-    InsertOutcome o = relations_[fact.pred].Insert(
-        fact, birth, /*rule_label=*/"", /*parents=*/{}, /*edb=*/true);
+    InsertOutcome o = relations_[fact.pred].Insert(fact, birth);
     if (o == InsertOutcome::kInserted) {
       ++out.inserted;
     } else {

@@ -17,21 +17,15 @@ class Database {
   Database() = default;
 
   /// Inserts a fact; convenience for EDB loading (birth -1, no
-  /// subsumption pruning so the EDB is taken verbatim). Rows entered here
-  /// are flagged as base facts — the targets retraction may name
-  /// (eval/retract.h).
+  /// subsumption pruning so the EDB is taken verbatim).
   InsertOutcome AddFact(Fact fact) {
-    return relations_[fact.pred].Insert(std::move(fact), /*birth=*/-1,
-                                        /*rule_label=*/"", /*parents=*/{},
-                                        /*edb=*/true);
+    return relations_[fact.pred].Insert(std::move(fact), /*birth=*/-1);
   }
 
   /// The same for a fact already in canonical form (the loader's tuple path).
   InsertOutcome AddFact(CanonicalFact fact) {
     PredId pred = fact.pred;
-    return relations_[pred].InsertCanonical(std::move(fact), /*birth=*/-1,
-                                            /*rule_label=*/"", /*parents=*/{},
-                                            /*edb=*/true);
+    return relations_[pred].InsertCanonical(std::move(fact), /*birth=*/-1);
   }
 
   /// Inserts a derived fact, in canonical form, with its birth iteration

@@ -1,6 +1,5 @@
 #include "eval/fixpoint.h"
 
-#include <limits>
 #include <numeric>
 #include <unordered_map>
 
@@ -12,8 +11,6 @@ namespace cqlopt {
 namespace eval_internal {
 
 namespace {
-
-constexpr size_t kNoRow = std::numeric_limits<size_t>::max();
 
 /// The valuation-join plan of each program rule (null where none applies).
 using GroundPlans = std::vector<std::shared_ptr<const GroundPlan>>;
@@ -27,11 +24,6 @@ struct Pending {
   std::vector<Relation::FactRef> parents;
   uint64_t hash = 0;  // derived.Hash()
   InsertOutcome outcome = InsertOutcome::kInserted;
-  /// Counting attribution for kSubsumed: the stored row that subsumed this
-  /// derivation, or the pending index that did — the commit loop resolves
-  /// the latter to a row once the subsumer commits.
-  size_t subsumer_row = kNoRow;
-  size_t subsumer_pending = kNoRow;
 };
 
 /// End-of-iteration reconciliation: the derivations of one iteration are
@@ -90,7 +82,6 @@ void Reconcile(std::vector<Pending>* pending, const Database& db,
     for (size_t e : rel->non_ground_rows()) {
       if (Implies(constraint_of(i), rel->constraint(e))) {
         p.outcome = InsertOutcome::kSubsumed;
-        p.subsumer_row = e;
         break;
       }
     }
@@ -115,7 +106,6 @@ void Reconcile(std::vector<Pending>* pending, const Database& db,
         continue;  // Equivalent and p came first: p wins.
       }
       p.outcome = InsertOutcome::kSubsumed;
-      p.subsumer_pending = j;
       break;
     }
   }
@@ -173,10 +163,6 @@ Status ApplyOneRule(const Program& program, size_t rule_index,
 /// by sealing the database's indexes, so the next iteration's probes
 /// binary-search every row.
 ///
-/// The commit also maintains the counting state of DESIGN.md §14: a
-/// duplicate-discarded derivation bumps the stored row's support(), and a
-/// subsumed derivation bumps blocked() on the stored row that covers it.
-///
 /// `buffer` holds the iteration's derivations; the caller passes the same
 /// one to every iteration, so its capacity is reused.
 Result<long> RunIteration(const Program& program, const GroundPlans& plans,
@@ -201,12 +187,7 @@ Result<long> RunIteration(const Program& program, const GroundPlans& plans,
   Reconcile(&pending, result->db, options.subsumption);
   long inserted = 0;
   if (options.record_trace) result->trace.emplace_back();
-  // Row each pending committed into (kNoRow when discarded), so deferred
-  // blocked() attribution can point at subsumers that committed later in
-  // this same loop.
-  std::vector<size_t> committed_row(pending.size(), kNoRow);
-  for (size_t i = 0; i < pending.size(); ++i) {
-    Pending& p = pending[i];
+  for (Pending& p : pending) {
     const std::string& rule_label = program.rules[p.rule_index].label;
     if (options.record_trace) {
       result->trace.back().push_back(Derivation{
@@ -218,40 +199,17 @@ Result<long> RunIteration(const Program& program, const GroundPlans& plans,
         ++result->stats.inserted;
         ++inserted;
         if (!p.derived.ground()) result->stats.all_ground = false;
-        PredId pred = p.derived.pred;
         result->db.AddFact(std::move(p.derived), iteration, rule_label,
                            std::move(p.parents));
-        committed_row[i] = result->db.Find(pred)->size() - 1;
         break;
       }
       case InsertOutcome::kSubsumed:
         ++result->stats.subsumed;
         break;
-      case InsertOutcome::kDuplicate: {
+      case InsertOutcome::kDuplicate:
         ++result->stats.duplicates;
-        // Counting maintenance: the duplicate event supports the stored
-        // row (which may have committed earlier in this very loop). A
-        // representative that was itself discarded stores no row — the
-        // event then has no stored effect and is not counted.
-        Relation* rel = result->db.FindMutable(p.derived.pred);
-        if (auto row = rel->Find(p.derived, p.hash)) rel->BumpSupport(*row);
         break;
-      }
     }
-  }
-  // Deferred subsumption attribution: by now every pending that commits has
-  // its row. A pending subsumer that was itself discarded lost to another
-  // pending in pass 3; that chain of subsumer_pending links ends at a
-  // committed row, which covers this derivation too (implication is
-  // transitive).
-  for (const Pending& p : pending) {
-    if (p.outcome != InsertOutcome::kSubsumed) continue;
-    size_t row = p.subsumer_row;
-    for (size_t j = p.subsumer_pending; row == kNoRow;
-         j = pending[j].subsumer_pending) {
-      row = committed_row[j];
-    }
-    result->db.FindMutable(p.derived.pred)->BumpBlocked(row);
   }
   SealIndexes(result);
   return inserted;
@@ -320,9 +278,9 @@ StratifiedPlan PlanFor(const Program& program, EvalStrategy strategy) {
 }
 
 Status RunStrata(const Program& program, const StratifiedPlan& plan,
-                 size_t first_component, int start_iteration,
-                 int iteration_cap, const EvalOptions& options,
-                 Governor* governor, EvalResult* result) {
+                 int start_iteration, int iteration_cap,
+                 const EvalOptions& options, Governor* governor,
+                 EvalResult* result) {
   const size_t component_count = plan.component_count();
   // Each rule is compiled for the valuation join once per evaluation.
   GroundPlans ground_plans;
@@ -335,7 +293,7 @@ Status RunStrata(const Program& program, const StratifiedPlan& plan,
   int global_iteration = start_iteration;
   bool capped = false;
   result->stats.reached_fixpoint = false;
-  for (size_t c = first_component; c < component_count && !capped; ++c) {
+  for (size_t c = 0; c < component_count && !capped; ++c) {
     bool recursive = plan.recursive[c] != 0;
     if (plan.rules_of[c].empty() && !recursive) continue;  // pure-EDB
     long stratum_iterations = 0;

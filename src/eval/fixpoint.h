@@ -11,8 +11,7 @@
 #include "graph/scc.h"
 
 /// Internal fixpoint machinery shared by the evaluation entry points of
-/// seminaive.h (Evaluate / ResumeEvaluate) and the incremental-maintenance
-/// entry point of retract.h (RetractEvaluate). Everything here is an
+/// seminaive.h (Evaluate / ResumeEvaluate). Everything here is an
 /// implementation detail: the governance sampler, the evaluation plans,
 /// and RunStrata, which runs a plan's iterate/reconcile/commit loop.
 /// Callers outside src/eval should use the public headers.
@@ -147,9 +146,6 @@ void FinalizeStats(EvalResult* result);
 ///  - kStratified: the predicate dependency condensation (`sccs`) in
 ///    bottom-up order, rules assigned by head predicate, a component
 ///    recursive iff some rule body mentions a same-component predicate.
-///    Both Evaluate(kStratified) and RetractEvaluate walk this plan, which
-///    is what makes a retraction's kept-prefix / recomputed-suffix split
-///    line up with scratch evaluation iteration for iteration.
 ///  - kSemiNaive: one recursive component holding every rule, and no SCC
 ///    decomposition (`sccs` is empty). It always runs at least one
 ///    iteration, even for a rule-free program.
@@ -166,10 +162,10 @@ struct StratifiedPlan {
 
 StratifiedPlan PlanFor(const Program& program, EvalStrategy strategy);
 
-/// Runs the fixpoint over components [first_component, end) of `plan` on
-/// top of `result` (already seeded with the EDB and, when
-/// first_component > 0, the facts of every lower component), with the
-/// global iteration counter starting at `start_iteration`. Each component
+/// Runs the fixpoint over every component of `plan` on top of `result`
+/// (already seeded with the EDB, and with a finished evaluation's facts
+/// when resuming), with the global iteration counter starting at
+/// `start_iteration`. Each component
 /// runs iteration 0 under DeltaMode::kAll (firing its constraint facts)
 /// and later iterations under DeltaMode::kDelta, unless the plan is
 /// `delta_rotated`. No iteration numbered `iteration_cap` or higher runs;
@@ -182,11 +178,11 @@ StratifiedPlan PlanFor(const Program& program, EvalStrategy strategy);
 /// through options.abort_stats. Every iteration of every evaluation entry
 /// point runs here.
 Status RunStrata(const Program& program, const StratifiedPlan& plan,
-                 size_t first_component, int start_iteration,
-                 int iteration_cap, const EvalOptions& options,
-                 Governor* governor, EvalResult* result);
+                 int start_iteration, int iteration_cap,
+                 const EvalOptions& options, Governor* governor,
+                 EvalResult* result);
 
-/// The entry check of Evaluate / ResumeEvaluate / RetractEvaluate: rejects
+/// The entry check of Evaluate / ResumeEvaluate: rejects
 /// programs ValidateProgram refuses (free head variables allowed, since the
 /// magic rewrite emits them for unbound adornment positions) and option
 /// values the fixpoint cannot interpret (negative caps and budgets).

@@ -108,9 +108,9 @@ Relation::Chunk* Relation::TailChunkForAppend() {
 
 InsertOutcome Relation::Insert(Fact fact, int birth,
                                const std::string& rule_label,
-                               std::vector<FactRef> parents, bool edb) {
+                               std::vector<FactRef> parents) {
   return InsertCanonical(Canonicalize(std::move(fact)), birth, rule_label,
-                         std::move(parents), edb);
+                         std::move(parents));
 }
 
 Fact Relation::fact(size_t i) const {
@@ -195,8 +195,7 @@ std::optional<size_t> Relation::Find(const CanonicalFact& fact,
 
 InsertOutcome Relation::InsertCanonical(CanonicalFact canonical, int birth,
                                         const std::string& rule_label,
-                                        std::vector<FactRef> parents,
-                                        bool edb) {
+                                        std::vector<FactRef> parents) {
   const uint64_t hash = canonical.Hash();
   if (Find(canonical, hash).has_value()) return InsertOutcome::kDuplicate;
   const Conjunction& constraint = canonical.constraint;
@@ -272,9 +271,6 @@ InsertOutcome Relation::InsertCanonical(CanonicalFact canonical, int birth,
   }
   tail->births.push_back(birth);
   tail->arities.push_back(canonical.arity);
-  tail->edb.push_back(edb ? 1 : 0);
-  tail->support.push_back(1);
-  tail->blocked.push_back(0);
   tail->label_ids.push_back(label_id);
   tail->parents.push_back(std::move(parents));
   for (size_t p = 0; p < tail->columns.size(); ++p) {
@@ -315,30 +311,10 @@ InsertOutcome Relation::InsertCanonical(CanonicalFact canonical, int birth,
   return InsertOutcome::kInserted;
 }
 
-Relation::Chunk* Relation::ChunkForCounterUpdate(size_t chunk_index) {
-  if (chunks_[chunk_index].use_count() > 1) {
-    chunks_[chunk_index] = std::make_shared<Chunk>(*chunks_[chunk_index]);
-  }
-  return chunks_[chunk_index].get();
-}
-
-void Relation::BumpSupport(size_t i) {
-  ++ChunkForCounterUpdate(i >> kChunkShift)->support[i & kChunkMask];
-}
-
-void Relation::BumpBlocked(size_t i) {
-  ++ChunkForCounterUpdate(i >> kChunkShift)->blocked[i & kChunkMask];
-}
-
-Relation Relation::Spliced(const std::vector<uint8_t>& dead,
-                           const std::function<FactRef(FactRef)>& remap) const {
+Relation Relation::Spliced(const std::vector<uint8_t>& dead) const {
   Relation out;
   for (size_t i = 0; i < size_; ++i) {
     if (i < dead.size() && dead[i] != 0) continue;
-    std::vector<FactRef> refs = parents(i);
-    if (remap) {
-      for (FactRef& ref : refs) ref = remap(ref);
-    }
     // Stored rows are canonical already; a ground row's tuple is its
     // columns.
     CanonicalFact row;
@@ -349,14 +325,8 @@ Relation Relation::Spliced(const std::vector<uint8_t>& dead,
       row.arity = arity(i);
       row.constraint = constraint(i);
     }
-    out.InsertCanonical(std::move(row), birth(i), rule_label(i),
-                        std::move(refs), edb(i));
-    Chunk* tail = out.chunks_.back().get();
-    size_t row_in_chunk = (out.size_ - 1) & kChunkMask;
-    tail->support[row_in_chunk] = support(i);
-    tail->blocked[row_in_chunk] = blocked(i);
+    out.InsertCanonical(std::move(row), birth(i), rule_label(i), parents(i));
   }
-  out.Seal();
   return out;
 }
 
@@ -466,9 +436,7 @@ void Relation::IntervalProbe(int position, const Interval& query,
 size_t Relation::ApproxChunkBytes(const Chunk& chunk) {
   size_t bytes = sizeof(Chunk);
   bytes += (chunk.births.capacity() + chunk.arities.capacity()) * sizeof(int);
-  bytes += chunk.ground.capacity() + chunk.edb.capacity();
-  bytes += (chunk.support.capacity() + chunk.blocked.capacity()) *
-           sizeof(long);
+  bytes += chunk.ground.capacity();
   bytes += chunk.label_ids.capacity() * sizeof(uint32_t);
   bytes += chunk.constraint_index.capacity();
   bytes += (chunk.constraints.capacity() - chunk.constraints.size()) *

@@ -1,7 +1,6 @@
 #ifndef CQLOPT_EVAL_RELATION_H_
 #define CQLOPT_EVAL_RELATION_H_
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -39,7 +38,7 @@ enum class InsertOutcome {
 ///
 /// Storage is *columnar* (DESIGN.md §12): rows live in fixed-size chunks of
 /// parallel arrays — birth stamps, arities, ground flags, provenance (a
-/// rule-label id and the parent refs), counters, and one value column per
+/// rule-label id and the parent refs), and one value column per
 /// argument position (tag + symbol + number) — so the delta scan walks a
 /// contiguous birth array and the join pre-filter reads value columns. A
 /// ground row is nothing but its columns: no Fact or Conjunction is kept for
@@ -96,11 +95,10 @@ class Relation {
   /// (eval/fixpoint.cc) discards subsumed derivations before they reach
   /// storage, and EDB facts are taken verbatim. `birth` is the deriving
   /// iteration. `rule_label` and `parents` record provenance (empty for EDB
-  /// facts). `edb` marks a base fact — a row retractions may target
-  /// (eval/retract.h); the derivation path never sets it.
+  /// facts).
   InsertOutcome Insert(Fact fact, int birth,
                        const std::string& rule_label = "",
-                       std::vector<FactRef> parents = {}, bool edb = false);
+                       std::vector<FactRef> parents = {});
 
   /// Insert for a fact already in canonical form, whose groundness was
   /// decided where it was made (the fixpoint's commit, the loader's tuple
@@ -108,8 +106,7 @@ class Relation {
   /// the value columns.
   InsertOutcome InsertCanonical(CanonicalFact fact, int birth,
                                 const std::string& rule_label = "",
-                                std::vector<FactRef> parents = {},
-                                bool edb = false);
+                                std::vector<FactRef> parents = {});
 
   /// Row index of the stored fact identical to `fact` (whose Hash() is
   /// `hash`), if any: a hash-table probe plus an exact compare — the value
@@ -169,41 +166,13 @@ class Relation {
     return chunks_[i >> kChunkShift]->parents[i & kChunkMask];
   }
 
-  /// True if the row is a base (EDB) fact — the only rows a retraction may
-  /// name directly.
-  bool edb(size_t i) const {
-    return chunks_[i >> kChunkShift]->edb[i & kChunkMask] != 0;
-  }
-  /// Counting maintenance (DESIGN.md §14): number of derivation events that
-  /// produced this fact — 1 for the storing event (EDB load or the first
-  /// kInserted derivation) plus one per later duplicate-discarded event.
-  /// support() == 1 means the recorded parents are the row's *only*
-  /// derivation, so losing one of them kills the row without re-derivation.
-  long support(size_t i) const {
-    return chunks_[i >> kChunkShift]->support[i & kChunkMask];
-  }
-  /// Number of candidate derivations this row discarded by subsumption,
-  /// directly or at the end of a same-iteration subsumer chain. A
-  /// retracted row with blocked() > 0 may have suppressed facts a scratch
-  /// run would store, so deleting it forces re-derivation.
-  long blocked(size_t i) const {
-    return chunks_[i >> kChunkShift]->blocked[i & kChunkMask];
-  }
-  /// Bump the counters above for row `i` (clones a shared chunk first, so
-  /// snapshot copies never observe the update).
-  void BumpSupport(size_t i);
-  void BumpBlocked(size_t i);
-
   /// Rebuilds this relation without the rows marked in `dead` (indexed by
-  /// row; rows beyond dead.size() are kept), preserving births, provenance
-  /// labels, EDB flags, and the support/blocked counters of surviving rows.
-  /// `remap` (may be null) rewrites each surviving row's parent references —
-  /// callers pass the old-row -> new-row maps of *other* spliced relations;
-  /// it is never called on a reference into this relation. Surviving rows
-  /// are re-inserted in order, so chunk boundaries end up exactly as if
-  /// only the survivors had ever been inserted; the result is sealed.
-  Relation Spliced(const std::vector<uint8_t>& dead,
-                   const std::function<FactRef(FactRef)>& remap) const;
+  /// row; rows beyond dead.size() are kept), preserving the births and
+  /// provenance of surviving rows — how a retraction removes facts from the
+  /// service's EDB. Surviving rows are re-inserted in order, so chunk
+  /// boundaries end up exactly as if only the survivors had ever been
+  /// inserted.
+  Relation Spliced(const std::vector<uint8_t>& dead) const;
 
   /// Column reads for the join pre-filter. `position` is 1-based; positions
   /// beyond the fact's arity read kAbsent. symbol_at / number_at are only
@@ -281,7 +250,8 @@ class Relation {
   /// sorted prefix, so later probes binary-search every bound row. Changes
   /// no probe's result, only its cost. Mutates the indexes: call it only on
   /// a relation the caller owns exclusively (the running evaluation's
-  /// database, a splice's output), never on a published snapshot.
+  /// database, an epoch the service has not yet published), never on a
+  /// published snapshot.
   void Seal();
 
   /// True if every stored fact is ground. O(1).
@@ -367,9 +337,6 @@ class Relation {
     std::vector<int> births;
     std::vector<int> arities;
     std::vector<uint8_t> ground;
-    std::vector<uint8_t> edb;     // base-fact flag (retraction targets)
-    std::vector<long> support;    // derivation events per row (counting)
-    std::vector<long> blocked;    // derivations this row subsumed away
     std::vector<uint32_t> label_ids;  // into Relation::labels_
     std::vector<std::vector<FactRef>> parents;
     std::vector<Column> columns;
@@ -388,10 +355,6 @@ class Relation {
   /// chunk when the tail is full, clones the tail first when it is shared
   /// with another Relation copy (copy-on-write).
   Chunk* TailChunkForAppend();
-
-  /// Exclusive ownership of an arbitrary chunk for a counter update
-  /// (clone-on-write when shared with a snapshot copy).
-  Chunk* ChunkForCounterUpdate(size_t chunk_index);
 
   /// Approximate resident bytes of one chunk (rows, provenance, columns).
   static size_t ApproxChunkBytes(const Chunk& chunk);

@@ -25,7 +25,6 @@ Result<EvalResult> Evaluate(const Program& program, const Database& edb,
   // global across the plan's components; lower components are frozen when
   // a later one runs, their facts joining as "old" facts.
   CQLOPT_RETURN_IF_ERROR(RunStrata(program, PlanFor(program, options.strategy),
-                                   /*first_component=*/0,
                                    /*start_iteration=*/0,
                                    options.max_iterations, options, &governor,
                                    &result));
@@ -90,8 +89,8 @@ Result<EvalResult> ResumeEvaluate(const Program& program, EvalResult base,
   const int cap = options.max_iterations > INT_MAX - start
                       ? INT_MAX
                       : start + options.max_iterations;
-  CQLOPT_RETURN_IF_ERROR(RunStrata(program, plan, /*first_component=*/0,
-                                   start, cap, options, &governor, &result));
+  CQLOPT_RETURN_IF_ERROR(
+      RunStrata(program, plan, start, cap, options, &governor, &result));
   decisions.AddTo(&result.stats);
   return result;
 }

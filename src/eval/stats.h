@@ -104,23 +104,6 @@ struct EvalStats {
   /// `aborted`. The same text is embedded in the returned Status message.
   std::string abort_point;
 
-  // --- Retraction accounting (eval/retract.h RetractEvaluate). Zero /
-  // empty for plain evaluations. ---
-
-  /// Base (EDB) rows removed by the retraction.
-  long retracted_facts = 0;
-  /// Retract requests that matched no stored base row (retracting a fact
-  /// that was never inserted, or twice) — counted, never an error.
-  long retract_missing = 0;
-  /// Rows carried over from the base run without re-derivation (whole kept
-  /// strata plus counting-spliced survivors).
-  long retract_kept_rows = 0;
-  /// Derived rows dropped for re-derivation (the DRed over-deletion).
-  long retract_rederived_rows = 0;
-  /// Which maintenance path the last RetractEvaluate took:
-  /// "noop" / "splice" / "prefix" / "full". Empty for plain evaluations.
-  std::string retract_path;
-
   std::string ToString(const SymbolTable& symbols) const;
 };
 

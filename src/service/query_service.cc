@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "ast/parser.h"
-#include "eval/retract.h"
 #include "util/failpoint.h"
 
 namespace cqlopt {
@@ -163,24 +162,23 @@ Status QueryService::NoteEvalError(const Status& status) {
 }
 
 bool QueryService::CollectDeltas(const EpochSnapshot& head, int64_t from,
-                                 std::vector<DeltaBatch>* out) const {
+                                 std::vector<Fact>* out,
+                                 bool* retracted) const {
   const EpochDelta* node = head.deltas.get();
   std::vector<const EpochDelta*> newer;
+  bool any_retract = false;
   while (node != nullptr && node->id > from) {
     newer.push_back(node);
+    any_retract = any_retract || node->retract;
     node = node->prev.get();
   }
   if (node == nullptr || node->id != from) return false;
-  // Chain is newest-first; replay batches oldest-first (commit order),
-  // merging runs of same-kind epochs into one catch-up step — one
-  // ResumeEvaluate covers any number of insert epochs, one RetractEvaluate
-  // any number of retraction epochs.
+  *retracted = any_retract;
+  if (any_retract) return true;
+  // Chain is newest-first; one ResumeEvaluate takes the insert epochs'
+  // facts oldest-first (commit order).
   for (auto it = newer.rbegin(); it != newer.rend(); ++it) {
-    if (out->empty() || out->back().retract != (*it)->retract) {
-      out->push_back(DeltaBatch{(*it)->retract, {}});
-    }
-    out->back().facts.insert(out->back().facts.end(), (*it)->facts.begin(),
-                             (*it)->facts.end());
+    out->insert(out->end(), (*it)->facts.begin(), (*it)->facts.end());
   }
   return true;
 }
@@ -221,19 +219,15 @@ Result<QueryOutcome> QueryService::Execute(const std::string& query_text,
       outcome.path = ServePath::kEpochHit;
       eval = entry->eval;
     } else {
-      // Cold evaluations and RetractEvaluate's purity check both run the
-      // serving engine's stratified strategy.
-      EvalOptions opts = options_.eval;
-      opts.strategy = EvalStrategy::kStratified;
-      std::vector<DeltaBatch> batches;
-      bool can_resume = entry->eval != nullptr &&
-                        entry->eval->stats.reached_fixpoint &&
-                        entry->eval_epoch >= 0 &&
-                        entry->eval_epoch < head->id &&
-                        CollectDeltas(*head, entry->eval_epoch, &batches);
-      bool resumed_ok = false;
-      bool any_retract = false;
-      if (can_resume) {
+      std::vector<Fact> delta;
+      bool retracted = false;
+      bool caught_up = entry->eval != nullptr &&
+                       entry->eval->stats.reached_fixpoint &&
+                       entry->eval_epoch >= 0 &&
+                       entry->eval_epoch < head->id &&
+                       CollectDeltas(*head, entry->eval_epoch, &delta,
+                                     &retracted);
+      if (caught_up && !retracted) {
         int base_iterations = entry->eval->stats.iterations;
         long base_inserted = entry->eval->stats.inserted;
         // Readers copy `entry->eval` only under this mutex, so a use count
@@ -245,44 +239,25 @@ Result<QueryOutcome> QueryService::Execute(const std::string& query_text,
             entry->eval.use_count() == 1
                 ? std::move(*std::const_pointer_cast<EvalResult>(entry->eval))
                 : EvalResult(*entry->eval);
-        entry->eval = nullptr;
         // On error the materialization stays cleared: the next query for
         // this entry simply goes cold — a deadline/budget abort never
-        // poisons the entry or the service. Each committed epoch is applied
-        // with its own kind: insert runs resume the delta fixpoint,
-        // retraction runs repair it (eval/retract.h); a capped
-        // mid-chain result cannot feed the next step, so that falls back
-        // to a cold evaluation.
-        bool chain_ok = true;
-        for (size_t b = 0; b < batches.size(); ++b) {
-          if (b > 0 && !base.stats.reached_fixpoint) {
-            chain_ok = false;  // capped mid-chain: go cold instead
-            break;
-          }
-          any_retract = any_retract || batches[b].retract;
-          Result<EvalResult> stepped =
-              batches[b].retract
-                  ? RetractEvaluate(entry->prepared.program, std::move(base),
-                                    batches[b].facts, opts)
-                  : ResumeEvaluate(entry->prepared.program, std::move(base),
-                                   batches[b].facts, options_.eval);
-          if (!stepped.ok()) return NoteEvalError(stepped.status());
-          base = std::move(*stepped);
-        }
-        if (chain_ok) {
-          base.db.set_epoch(head->id);
-          outcome.path = ServePath::kResumed;
-          // Full-path retractions rebuild from scratch, so the counters can
-          // end below the base's; clamp — the scheduler charges these.
-          outcome.iterations_run =
-              std::max(0, base.stats.iterations - base_iterations);
-          outcome.facts_stored =
-              std::max(long{0}, base.stats.inserted - base_inserted);
-          eval = std::make_shared<EvalResult>(std::move(base));
-          resumed_ok = true;
-        }
-      }
-      if (!resumed_ok) {
+        // poisons the entry or the service.
+        entry->eval = nullptr;
+        Result<EvalResult> resumed = ResumeEvaluate(
+            entry->prepared.program, std::move(base), delta, options_.eval);
+        if (!resumed.ok()) return NoteEvalError(resumed.status());
+        resumed->db.set_epoch(head->id);
+        outcome.path = ServePath::kResumed;
+        outcome.iterations_run = resumed->stats.iterations - base_iterations;
+        outcome.facts_stored = resumed->stats.inserted - base_inserted;
+        eval = std::make_shared<EvalResult>(std::move(*resumed));
+      } else {
+        // A retraction removes base facts that the materialization's
+        // derivations may rest on: re-evaluate the head EDB (DESIGN.md
+        // §14), releasing the stale materialization first.
+        if (retracted) entry->eval = nullptr;
+        EvalOptions opts = options_.eval;
+        opts.strategy = EvalStrategy::kStratified;
         Result<EvalResult> cold_result =
             Evaluate(entry->prepared.program, head->edb, opts);
         if (!cold_result.ok()) return NoteEvalError(cold_result.status());
@@ -292,12 +267,11 @@ Result<QueryOutcome> QueryService::Execute(const std::string& query_text,
             prepared_hit ? ServePath::kPreparedEval : ServePath::kCold;
         outcome.iterations_run = cold.stats.iterations;
         outcome.facts_stored = cold.stats.inserted;
-        any_retract = false;
         eval = std::make_shared<EvalResult>(std::move(cold));
-      }
-      if (any_retract) {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.retract_resumes;
+        if (retracted) {
+          std::lock_guard<std::mutex> lock(stats_mutex_);
+          ++stats_.retract_resumes;
+        }
       }
       entry->eval = eval;
       entry->eval_epoch = head->id;
@@ -430,7 +404,7 @@ Database SplicedEdb(const Database& base,
       *next.FindMutable(pred) = rel;
       continue;
     }
-    Relation spliced = rel.Spliced(it->second, nullptr);
+    Relation spliced = rel.Spliced(it->second);
     if (spliced.size() > 0) *next.FindMutable(pred) = std::move(spliced);
   }
   return next;
@@ -632,6 +606,7 @@ void QueryService::PublishHeadLocked(Database edb,
   head->id = deltas->id;
   head->edb = std::move(edb);
   head->edb.set_epoch(head->id);
+  head->edb.Seal();
   head->deltas = std::move(deltas);
   head_ = std::move(head);
 }

@@ -105,13 +105,15 @@ enum class ServePath {
   /// Pipeline prepared and program evaluated from scratch this call.
   kCold,
   /// Pipeline came from the prepared cache; evaluation ran from scratch
-  /// (first evaluation of this prepared program, or its base was capped).
+  /// over the head EDB: the first evaluation of this prepared program, a
+  /// base that was capped, or a catch-up across a retraction epoch.
   kPreparedEval,
   /// Answers served straight from the entry's materialized evaluation —
   /// the database epoch did not change since it was computed.
   kEpochHit,
-  /// Materialized evaluation resumed with the EDB deltas of the epochs
-  /// committed since it was computed (incremental ingestion).
+  /// Materialized evaluation resumed with the facts of the insert epochs
+  /// committed since it was computed (incremental ingestion), in one
+  /// ResumeEvaluate call.
   kResumed,
 };
 
@@ -253,8 +255,9 @@ struct ServiceStats {
   long expired_facts = 0;     // facts retracted by deadline sweeps
   int64_t clock_ms = 0;       // current logical clock
   size_t ttl_pending = 0;     // deadlines not yet elapsed
-  /// Materialization catch-ups that applied at least one retraction delta
-  /// (subset of `resumes`).
+  /// Catch-ups across a retraction: queries whose materialization was
+  /// stale by at least one retraction epoch and were therefore evaluated
+  /// from scratch over the head EDB (a subset of `cold_evals`).
   long retract_resumes = 0;
   // Replication counters (DESIGN.md §15; zero when nothing replicates).
   long replication_fetches = 0;    // REPLICATE cuts served
@@ -280,7 +283,8 @@ struct ServiceStats {
 ///     latest evaluation, epoch-tagged. A query at the same epoch is
 ///     answered from the materialization outright; after ingests, the
 ///     materialized fixpoint is resumed with the accumulated EDB deltas
-///     (ResumeEvaluate) instead of recomputed.
+///     (ResumeEvaluate) instead of recomputed. After a retraction it is
+///     recomputed over the head EDB (DESIGN.md §14).
 ///
 /// Writes enter through Ingest (optionally with a TTL), Retract and
 /// AdvanceClock, all taking loader-syntax text or plain numbers. Each
@@ -349,8 +353,8 @@ class QueryService {
   /// Parses facts in the loader syntax and retracts them from the EDB as a
   /// new epoch. Facts that are stored are removed; entries matching nothing
   /// count as `missing` (idempotent deletes). Readers holding older
-  /// snapshots are unaffected; materialized evaluations catch up with an
-  /// incremental RetractEvaluate on their next query. WAL semantics mirror
+  /// snapshots are unaffected; a materialized evaluation is re-evaluated
+  /// from scratch over the head EDB on its next query. WAL semantics mirror
   /// Ingest (record kind 0x02, durable before visible).
   Result<RetractOutcome> Retract(const std::string& facts_text);
 
@@ -459,18 +463,11 @@ class QueryService {
   struct EpochDelta {
     int64_t id = 0;
     /// True for a retraction epoch (Retract / expiry sweep): `facts` were
-    /// removed from the EDB, not added, and catch-up applies them via
-    /// RetractEvaluate instead of ResumeEvaluate.
+    /// removed from the EDB, not added, and a catch-up across this epoch
+    /// evaluates the head EDB from scratch instead of resuming.
     bool retract = false;
     std::vector<Fact> facts;
     std::shared_ptr<const EpochDelta> prev;
-  };
-
-  /// One catch-up step for a stale materialization: consecutive same-kind
-  /// epochs merged into a single Resume/RetractEvaluate call.
-  struct DeltaBatch {
-    bool retract = false;
-    std::vector<Fact> facts;
   };
 
   /// An immutable published EDB snapshot.
@@ -489,12 +486,13 @@ class QueryService {
       const std::string& query_text, const std::string& steps_spec,
       bool* prepared_hit);
 
-  /// Deltas of epochs (from, to], oldest first, consecutive same-kind
-  /// epochs merged; false if the chain no longer reaches `from` (e.g. the
-  /// materialization predates the snapshot a recovery rebased the chain on)
-  /// — resume then falls back to a cold evaluation.
+  /// The facts of the epochs (from, head], oldest first, when every one of
+  /// them is an insert epoch. Sets `*retracted` instead (leaving `out`
+  /// empty) when one is a retraction epoch. False if the chain no longer
+  /// reaches `from` (e.g. the materialization predates the snapshot a
+  /// recovery rebased the chain on) — the query then evaluates cold.
   bool CollectDeltas(const EpochSnapshot& head, int64_t from,
-                     std::vector<DeltaBatch>* out) const;
+                     std::vector<Fact>* out, bool* retracted) const;
 
   /// Counts a governed abort (deadline / budget / cancellation) in the
   /// stats and passes the error through — Execute's failure funnel.
@@ -521,8 +519,10 @@ class QueryService {
                          std::vector<Fact> delta,
                          std::unique_lock<std::mutex> lock);
 
-  /// Publishes `edb` as the head epoch `deltas->id`. head_mutex_ must be
-  /// held (or the service not yet shared, as in the constructor).
+  /// Seals `edb`'s position indexes and publishes it as the head epoch
+  /// `deltas->id`, so every evaluation's copy of it starts sealed.
+  /// head_mutex_ must be held (or the service not yet shared, as in the
+  /// constructor); `edb` is owned here until the pointer swap.
   void PublishHeadLocked(Database edb,
                          std::shared_ptr<const EpochDelta> deltas);
 

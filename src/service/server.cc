@@ -565,12 +565,6 @@ Status ServeLoop(QueryService& service, const ServerOptions& options) {
   return loop.Run();
 }
 
-Status ServeUnixSocket(QueryService& service, const std::string& socket_path) {
-  ServerOptions options;
-  options.socket_path = socket_path;
-  return ServeLoop(service, options);
-}
-
 Status ServeStreams(QueryService& service, std::istream& in,
                     std::ostream& out) {
   std::string line;

@@ -70,11 +70,6 @@ struct ServerOptions {
 /// drains before return.
 Status ServeLoop(QueryService& service, const ServerOptions& options);
 
-/// ServeLoop over a unix socket with default scheduling options — the
-/// legacy single-listener entry point, kept for callers that predate
-/// ServerOptions.
-Status ServeUnixSocket(QueryService& service, const std::string& socket_path);
-
 /// Serves the line protocol over an istream/ostream pair — `cqld --stdio`
 /// and the protocol tests. Single-threaded, no scheduler: lines execute
 /// inline in arrival order. Returns after SHUTDOWN or end of input.

@@ -14,7 +14,6 @@
 #include "constraint/decision_cache.h"
 #include "constraint/implication.h"
 #include "core/equivalence.h"
-#include "eval/retract.h"
 #include "service/protocol.h"
 #include "service/query_service.h"
 #include "service/replica.h"
@@ -36,8 +35,8 @@ EvalOptions EngineOptions(const FuzzOptions& fo, EvalStrategy strategy) {
 }
 
 /// Key + birth of every stored fact, in storage order — the byte-level
-/// fingerprint answer-neutral toggles (the interval index) and
-/// retraction must leave unchanged.
+/// fingerprint answer-neutral toggles (the interval index) must leave
+/// unchanged.
 std::string StorageFingerprint(const EvalResult& r) {
   std::string out;
   for (const auto& [pred, rel] : r.db.relations()) {
@@ -526,17 +525,14 @@ PropertyOutcome ServiceRoundtrip(const FuzzCase& c, const FuzzOptions& fo) {
 }
 
 // ---------------------------------------------------------------------------
-// retract_vs_scratch: RetractEvaluate against a scratch run on the
-// surviving EDB.
+// retract_vs_scratch: RETRACT through the protocol against direct
+// evaluation of the surviving EDB.
 
-/// Core stats whose values the retract contract pins to the scratch run
-/// (work counters accumulate and are deliberately excluded).
-std::string ShapeStats(const EvalStats& s) {
-  std::string out = std::to_string(s.iterations) + "/" +
-                    (s.reached_fixpoint ? "1" : "0") + "/" +
-                    (s.all_ground ? "1" : "0") + "/[";
-  for (long it : s.scc_iterations) out += std::to_string(it) + ",";
-  return out + "]";
+/// Sends `line` and returns its first response line ("" when none).
+std::string FirstResponse(QueryService& service, const std::string& line) {
+  std::vector<std::string> out;
+  HandleLine(service, line, &out);
+  return out.empty() ? std::string() : out[0];
 }
 
 PropertyOutcome RetractVsScratch(const FuzzCase& c, const FuzzOptions& fo) {
@@ -545,7 +541,7 @@ PropertyOutcome RetractVsScratch(const FuzzCase& c, const FuzzOptions& fo) {
     return PropertyOutcome::Skip("EDB too small for a retract batch");
   }
 
-  // Expected outcome, computed independently of RetractEvaluate: the batch
+  // Expected outcome, computed independently of the service: the batch
   // entries that name a stored (deduped) EDB row, first occurrence only.
   Database full_db = BuildDatabase(c);
   std::set<std::pair<PredId, std::string>> dead;
@@ -562,10 +558,9 @@ PropertyOutcome RetractVsScratch(const FuzzCase& c, const FuzzOptions& fo) {
       ++expect_removed;
     }
   }
-  const int expect_missing = static_cast<int>(batch.size()) - expect_removed;
-  // The protocol arm sees the batch after a text round-trip through the
+  // The batch reaches the service after a text round-trip through the
   // loader, whose set semantics collapse within-batch repeats — only the
-  // distinct named facts reach the service.
+  // distinct named facts count as missing.
   const int wire_missing = static_cast<int>(named.size()) - expect_removed;
   Database surviving;
   for (const auto& [pred, rel] : full_db.relations()) {
@@ -575,87 +570,19 @@ PropertyOutcome RetractVsScratch(const FuzzCase& c, const FuzzOptions& fo) {
       }
     }
   }
-
-  // Eval-level byte identity, both with traces (forces the conservative
-  // prefix/full paths) and without (lets row-level counting splice): facts,
-  // row order, births, traces, and shape stats must match a scratch run on
-  // the surviving EDB exactly. A second retraction of the same batch must
-  // be a pure no-op that only grows the miss counter — idempotence.
-  for (bool tracing : {true, false}) {
-    EvalOptions opts = EngineOptions(fo, EvalStrategy::kStratified);
-    opts.record_trace = tracing;
-    const char* arm = tracing ? "traced" : "untraced";
-    auto base = Evaluate(c.program, full_db, opts);
-    if (!base.ok()) {
-      return PropertyOutcome::Fail("base evaluation failed: " +
-                                   base.status().message());
-    }
-    if (!base->stats.reached_fixpoint) {
-      return PropertyOutcome::Skip("base hit the iteration cap");
-    }
-    auto retracted = RetractEvaluate(c.program, std::move(*base), batch, opts);
-    if (!retracted.ok()) {
-      return PropertyOutcome::Fail("RetractEvaluate failed: " +
-                                   retracted.status().message());
-    }
-    auto scratch = Evaluate(c.program, surviving, opts);
-    if (!scratch.ok()) {
-      return PropertyOutcome::Fail("scratch evaluation failed: " +
-                                   scratch.status().message());
-    }
-    if (!retracted->stats.reached_fixpoint ||
-        !scratch->stats.reached_fixpoint) {
-      return PropertyOutcome::Skip("iteration cap hit before fixpoint");
-    }
-    if (retracted->stats.retracted_facts != expect_removed ||
-        retracted->stats.retract_missing != expect_missing) {
-      return PropertyOutcome::Fail(
-          std::string(arm) + " arm miscounted the batch: removed " +
-          std::to_string(retracted->stats.retracted_facts) + "/" +
-          std::to_string(expect_removed) + ", missing " +
-          std::to_string(retracted->stats.retract_missing) + "/" +
-          std::to_string(expect_missing));
-    }
-    if (StorageFingerprint(*retracted) != StorageFingerprint(*scratch)) {
-      return PropertyOutcome::Fail(
-          std::string(arm) + " retract storage differs from scratch (path " +
-          retracted->stats.retract_path + "): " +
-          CountsByPred(EvalToMap(*retracted)) + " vs " +
-          CountsByPred(EvalToMap(*scratch)));
-    }
-    if (tracing && RenderTrace(retracted->trace) != RenderTrace(scratch->trace)) {
-      return PropertyOutcome::Fail(
-          "retract derivation trace differs from scratch (path " +
-          retracted->stats.retract_path + ")");
-    }
-    if (ShapeStats(retracted->stats) != ShapeStats(scratch->stats)) {
-      return PropertyOutcome::Fail(
-          std::string(arm) + " retract shape stats differ from scratch: " +
-          ShapeStats(retracted->stats) + " vs " + ShapeStats(scratch->stats) +
-          " (path " + retracted->stats.retract_path + ")");
-    }
-    auto again = RetractEvaluate(c.program, std::move(*retracted), batch, opts);
-    if (!again.ok()) {
-      return PropertyOutcome::Fail("second RetractEvaluate failed: " +
-                                   again.status().message());
-    }
-    if (again->stats.retracted_facts != expect_removed ||
-        again->stats.retract_missing !=
-            expect_missing + static_cast<long>(batch.size())) {
-      return PropertyOutcome::Fail(
-          std::string(arm) +
-          " re-retraction was not counted as all-missing");
-    }
-    if (StorageFingerprint(*again) != StorageFingerprint(*scratch)) {
-      return PropertyOutcome::Fail(
-          std::string(arm) + " re-retraction changed stored facts");
-    }
+  bool direct_capped = false;
+  auto direct = DirectAnswers(c, fo, surviving, &direct_capped);
+  if (!direct.ok()) {
+    return PropertyOutcome::Fail("direct surviving evaluation failed: " +
+                                 direct.status().message());
   }
 
-  // Service level: warm the prepared entry, RETRACT through the protocol
-  // (so the epoch chain carries a retract delta the resume path must
-  // honour), and require the re-served answers to match direct evaluation
-  // of the surviving EDB.
+  // Warm the prepared entry, RETRACT through the protocol (so the epoch
+  // chain carries a retraction the catch-up must honour), and require the
+  // re-served answers to match direct evaluation of the surviving EDB. A
+  // second identical RETRACT removes nothing, counts every distinct named
+  // fact as missing, burns no epoch and changes no answer: retraction is
+  // idempotent.
   ServiceOptions sopts;
   sopts.eval = EngineOptions(fo, EvalStrategy::kStratified);
   auto service = QueryService::FromParts(c.program, full_db, sopts);
@@ -674,36 +601,43 @@ PropertyOutcome RetractVsScratch(const FuzzCase& c, const FuzzOptions& fo) {
   for (const Fact& fact : batch) {
     retract_line += " " + fact.ToString(*c.program.symbols) + ".";
   }
-  std::vector<std::string> out;
-  HandleLine(**service, retract_line, &out);
-  if (out.empty() || out[0].rfind("OK", 0) != 0) {
-    return PropertyOutcome::Fail(
-        "RETRACT rejected: " +
-        (out.empty() ? std::string("(no response)") : out[0]));
-  }
-  const std::string expect_ok = "OK removed=" + std::to_string(expect_removed) +
-                                " missing=" + std::to_string(wire_missing);
-  if (out[0].rfind(expect_ok, 0) != 0) {
-    return PropertyOutcome::Fail("RETRACT miscounted over the protocol: '" +
-                                 out[0] + "' vs '" + expect_ok + " ...'");
-  }
-  if (!ServiceQuery(**service, query_line, &served, &capped, &error)) {
-    return PropertyOutcome::Fail("post-retract protocol: " + error);
-  }
-  bool direct_capped = false;
-  auto direct = DirectAnswers(c, fo, surviving, &direct_capped);
-  if (!direct.ok()) {
-    return PropertyOutcome::Fail("direct surviving evaluation failed: " +
-                                 direct.status().message());
-  }
-  if (capped || direct_capped) {
-    return PropertyOutcome::Skip("iteration cap hit after retract");
-  }
-  if (served != *direct) {
-    return PropertyOutcome::Fail(
-        "post-retract served answers differ from the surviving EDB: " +
-        std::to_string(served.size()) + " vs " +
-        std::to_string(direct->size()));
+  struct Round {
+    std::string name;
+    int removed;
+    int missing;
+  };
+  const int64_t epoch_before = (*service)->epoch();
+  const int64_t expect_epoch = epoch_before + (expect_removed > 0 ? 1 : 0);
+  for (const Round& round :
+       {Round{"first RETRACT", expect_removed, wire_missing},
+        Round{"second RETRACT", 0, static_cast<int>(named.size())}}) {
+    const std::string response = FirstResponse(**service, retract_line);
+    const std::string expect_ok = "OK removed=" +
+                                  std::to_string(round.removed) +
+                                  " missing=" + std::to_string(round.missing);
+    if (response.rfind(expect_ok, 0) != 0) {
+      return PropertyOutcome::Fail(round.name + " miscounted: '" + response +
+                                   "' vs '" + expect_ok + " ...'");
+    }
+    if ((*service)->epoch() != expect_epoch) {
+      return PropertyOutcome::Fail(
+          round.name + " left the head at epoch " +
+          std::to_string((*service)->epoch()) + ", expected " +
+          std::to_string(expect_epoch));
+    }
+    if (!ServiceQuery(**service, query_line, &served, &capped, &error)) {
+      return PropertyOutcome::Fail("protocol after the " + round.name + ": " +
+                                   error);
+    }
+    if (capped || direct_capped) {
+      return PropertyOutcome::Skip("iteration cap hit after retract");
+    }
+    if (served != *direct) {
+      return PropertyOutcome::Fail(
+          "answers after the " + round.name +
+          " differ from the surviving EDB: " + std::to_string(served.size()) +
+          " vs " + std::to_string(direct->size()));
+    }
   }
   return PropertyOutcome::Ok();
 }
@@ -1735,8 +1669,8 @@ const std::vector<PropertyInfo>& AllProperties() {
            "ResumeEvaluate over a split EDB matches a from-scratch run",
            &ResumeScratch},
           {"retract_vs_scratch",
-           "RetractEvaluate matches a from-scratch run on the surviving "
-           "EDB, byte-identically, and RETRACT over the protocol agrees",
+           "RETRACT over the protocol answers like a from-scratch run on "
+           "the surviving EDB, and a repeated RETRACT changes nothing",
            &RetractVsScratch},
           {"service_roundtrip",
            "cqld protocol answers match direct evaluation across an ingest",

@@ -23,12 +23,11 @@ namespace testing {
 ///   fm_projection       Fourier–Motzkin projection ≡ pointwise ∃-check on
 ///                       sampled rational points (halves catch strictness)
 ///   resume_scratch      ResumeEvaluate(base, delta) ≡ scratch(base ∪ delta)
-///   retract_vs_scratch  RetractEvaluate(base, batch) ≡ scratch(EDB \ batch)
-///                       — byte-identical facts, births, and traces, with
-///                       miss counts exact for never-inserted and repeated
-///                       batch entries, retraction idempotent, and RETRACT
-///                       through the cqld protocol matching direct
-///                       evaluation of the surviving EDB
+///   retract_vs_scratch  RETRACT through the cqld protocol ≡ direct
+///                       evaluation of the surviving EDB, with miss counts
+///                       exact for never-inserted and repeated batch
+///                       entries; a second identical RETRACT removes
+///                       nothing, burns no epoch and changes no answer
 ///   service_roundtrip   cqld HandleLine answers ≡ direct evaluation, across
 ///                       an INGEST epoch bump
 ///   crash_recovery      recover(crash at any fail-point site) ≡ the

@@ -452,17 +452,15 @@ std::string ReadFile(const std::string& path) {
 }
 
 /// Every observable of a stored run in one text: per relation, each row's
-/// rendering, birth, support() and blocked(); then every trace row
-/// (iteration, rule label, rendered fact, outcome).
+/// rendering and birth; then every trace row (iteration, rule label,
+/// rendered fact, outcome).
 std::string RenderRun(const EvalResult& run, const SymbolTable& symbols) {
   std::string out;
   for (const auto& [pred, rel] : run.db.relations()) {
     out += symbols.PredicateName(pred) + "\n";
     for (size_t i = 0; i < rel.size(); ++i) {
       out += rel.fact(i).ToString(symbols) + " @" +
-             std::to_string(rel.birth(i)) + " s" +
-             std::to_string(rel.support(i)) + " b" +
-             std::to_string(rel.blocked(i)) + "\n";
+             std::to_string(rel.birth(i)) + "\n";
     }
   }
   for (size_t it = 0; it < run.trace.size(); ++it) {
@@ -503,7 +501,7 @@ Flights48 EvaluateFlights48(bool record_trace) {
 }
 
 /// Golden pin of flights-48 with the trace on: the sha256 of its rendered
-/// facts, births, support/blocked counters and trace. The digest is the
+/// facts, births and trace. The digest is the
 /// constraint join's: the valuation join and the canonical ground form,
 /// which run on every derivation here, must leave each of these
 /// observables exactly as the constraint join produced them.
@@ -514,7 +512,7 @@ TEST(ColumnarGoldenTest, Flights48StoredRunIsPinned) {
   EXPECT_EQ(run->stats.derivations, 1549);
   EXPECT_EQ(run->db.TotalFacts() - f.edb.TotalFacts(), 726u);
   EXPECT_EQ(testutil::Sha256Hex(RenderRun(*run, *f.program.symbols)),
-            "13ccb9e40a8afb15fdb608baa1af639e49ae58e4617d1d3d0291ed4710e0145b");
+            "d0a9818c42e4a747667b7785349c56f230e0a1e339f7d3811b9a9c13282e6be1");
   // The digest itself, on the FIPS 180-4 test vectors.
   EXPECT_EQ(testutil::Sha256Hex("abc"),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
@@ -615,7 +613,7 @@ TEST(GroundIdentityTest, OnePointIsOneRowWhateverItsForm) {
   EXPECT_EQ(rel.RowOf(Fact(0, 2, ranged)), std::optional<size_t>(2));
 
   // Splicing keeps identity: the survivors are found again.
-  Relation spliced = rel.Spliced({1, 0, 0}, nullptr);
+  Relation spliced = rel.Spliced({1, 0, 0});
   ASSERT_EQ(spliced.size(), 2u);
   EXPECT_EQ(spliced.RowOf(GroundFact(0, {Num(3), Num(3)})),
             std::optional<size_t>(0));

@@ -487,7 +487,6 @@ TEST(GroundTupleTest, StoredConstraintFactSubsumesAValuationDerivation) {
   ASSERT_NE(p, nullptr);
   ASSERT_EQ(p->size(), 1u);
   EXPECT_FALSE(p->ground(0));
-  EXPECT_EQ(p->blocked(0), 1);
   EXPECT_EQ(g.run->stats.subsumed, 1);
 }
 
@@ -506,7 +505,6 @@ TEST(GroundTupleTest, SameIterationConstraintFactSubsumesAValuationDerivation) {
   ASSERT_EQ(p->size(), 1u);
   EXPECT_FALSE(p->ground(0));
   EXPECT_EQ(p->birth(0), 1);
-  EXPECT_EQ(p->blocked(0), 1);
   EXPECT_EQ(g.run->stats.subsumed, 1);
 }
 

@@ -1,10 +1,13 @@
-// Tests for DRed-style retraction (src/eval/retract.h) and streaming-window
-// expiry (DESIGN.md §14). The scenarios pin the cases the randomized
+// Tests for retraction (DESIGN.md §14) and streaming-window expiry at the
+// service layer. The scenarios pin the cases the randomized
 // retract_vs_scratch property can only hit by luck: diamond derivations
 // whose shared conclusion must survive losing one support, recursive
-// over-deletion that re-derives through a cycle, retraction under
-// constraint subsumption (where the scratch run stores a fact the original
-// run subsumed away), and TTL expiry ordering interleaved with queries.
+// derivations through a cycle that must lose exactly what the retracted
+// fact supported, retraction under constraint subsumption (where the
+// surviving EDB yields a fact the original run subsumed away), and TTL
+// expiry ordering interleaved with queries. Each retraction scenario
+// compares a service that materialized the query before the retraction
+// against a fresh service loaded with the surviving EDB.
 
 #include <algorithm>
 #include <memory>
@@ -15,260 +18,195 @@
 
 #include "ast/parser.h"
 #include "eval/loader.h"
-#include "eval/retract.h"
 #include "eval/seminaive.h"
 #include "service/query_service.h"
 
 namespace cqlopt {
 namespace {
 
-/// Byte-identity comparator: relation keys and birth stamps in storage
-/// order — what the retract_vs_scratch contract promises to preserve.
-std::string Fingerprint(const EvalResult& r) {
-  std::string out;
-  for (const auto& [pred, rel] : r.db.relations()) {
-    out += std::to_string(pred);
-    out += '{';
-    for (size_t i = 0; i < rel.size(); ++i) {
-      out += rel.fact(i).Key();
-      out += '@';
-      out += std::to_string(rel.birth(i));
-      out += ';';
-    }
-    out += '}';
+std::unique_ptr<QueryService> Service(const std::string& program,
+                                      const std::string& edb) {
+  auto service = QueryService::FromText(program, edb);
+  EXPECT_TRUE(service.ok()) << service.status().ToString();
+  return service.ok() ? std::move(*service) : nullptr;
+}
+
+/// The answers of `query` (no rewrite steps) on `service`.
+std::vector<std::string> Answers(QueryService& service,
+                                 const std::string& query) {
+  auto outcome = service.Execute(query, "");
+  EXPECT_TRUE(outcome.ok()) << query << ": " << outcome.status().ToString();
+  return outcome.ok() ? outcome->answers : std::vector<std::string>{};
+}
+
+/// Retracts `facts` from `warm` and expects one removed fact per line.
+void RetractAll(QueryService& warm, const std::string& facts) {
+  auto removed = warm.Retract(facts);
+  ASSERT_TRUE(removed.ok()) << removed.status().ToString();
+  EXPECT_EQ(removed->removed,
+            static_cast<int>(std::count(facts.begin(), facts.end(), '\n')));
+  EXPECT_EQ(removed->missing, 0);
+}
+
+/// Expects every query in `queries` to answer on `warm` exactly as on a
+/// fresh service over `surviving`.
+void ExpectMatchesFresh(QueryService& warm, const std::string& program,
+                        const std::string& surviving,
+                        const std::vector<std::string>& queries) {
+  auto fresh = Service(program, surviving);
+  ASSERT_NE(fresh, nullptr);
+  for (const std::string& query : queries) {
+    EXPECT_EQ(Answers(warm, query), Answers(*fresh, query)) << query;
   }
-  return out;
 }
 
-/// Sorted rendered facts of one predicate in an evaluation result.
-std::vector<std::string> FactStrings(const EvalResult& r,
-                                     const std::string& pred_name,
-                                     const SymbolTable& symbols) {
-  std::vector<std::string> out;
-  for (const auto& [pred, rel] : r.db.relations()) {
-    if (symbols.PredicateName(pred) != pred_name) continue;
-    for (size_t i = 0; i < rel.size(); ++i) {
-      out.push_back(rel.fact(i).ToString(symbols));
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
+constexpr const char* kDiamond =
+    "d(X) :- a(X).\n"
+    "d(X) :- b(X).\n"
+    "top(X) :- d(X).\n";
 
-/// Parses loader-syntax statements into the facts they store, in order.
-std::vector<Fact> FactsFromText(const std::string& text,
-                                std::shared_ptr<SymbolTable> symbols) {
-  Database staged;
-  auto loaded = LoadDatabaseText(text, symbols, &staged);
-  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
-  std::vector<Fact> out;
-  for (const auto& [pred, rel] : staged.relations()) {
-    for (size_t i = 0; i < rel.size(); ++i) out.push_back(rel.fact(i));
-  }
-  return out;
-}
-
-/// Builds a Database holding `text`'s facts (the evaluation EDB shape).
-Database EdbFromText(const std::string& text,
-                     std::shared_ptr<SymbolTable> symbols) {
-  Database db;
-  auto loaded = LoadDatabaseText(text, symbols, &db);
-  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
-  return db;
-}
-
-EvalOptions StratifiedOptions(SubsumptionMode mode = SubsumptionMode::kNone) {
-  EvalOptions opts;
-  opts.strategy = EvalStrategy::kStratified;
-  opts.subsumption = mode;
-  return opts;
-}
-
-/// Runs the full differential: evaluate `edb_text`, retract `retract_text`'s
-/// facts incrementally, and demand byte-identity with a scratch run over
-/// `surviving_text`. Returns the incremental result for further probing.
-EvalResult RetractAndCheck(const std::string& program_text,
-                           const std::string& edb_text,
-                           const std::string& retract_text,
-                           const std::string& surviving_text,
-                           const EvalOptions& opts,
-                           std::shared_ptr<SymbolTable>* symbols_out =
-                               nullptr) {
-  auto parsed = ParseProgram(program_text);
-  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
-  auto symbols = parsed->program.symbols;
-  if (symbols_out != nullptr) *symbols_out = symbols;
-
-  Database full = EdbFromText(edb_text, symbols);
-  auto base = Evaluate(parsed->program, full, opts);
-  EXPECT_TRUE(base.ok()) << base.status().ToString();
-
-  std::vector<Fact> batch = FactsFromText(retract_text, symbols);
-  auto shrunk =
-      RetractEvaluate(parsed->program, std::move(*base), batch, opts);
-  EXPECT_TRUE(shrunk.ok()) << shrunk.status().ToString();
-
-  Database surviving = EdbFromText(surviving_text, symbols);
-  auto scratch = Evaluate(parsed->program, surviving, opts);
-  EXPECT_TRUE(scratch.ok()) << scratch.status().ToString();
-  EXPECT_EQ(Fingerprint(*shrunk), Fingerprint(*scratch))
-      << "incremental retraction (path " << shrunk->stats.retract_path
-      << ") diverged from the scratch run";
-  return std::move(*shrunk);
-}
-
-TEST(RetractEvaluateTest, DiamondConclusionSurvivesWhileOneSupportRemains) {
-  const char* program =
-      "d(X) :- a(X).\n"
-      "d(X) :- b(X).\n"
-      "top(X) :- d(X).\n";
+TEST(RetractServiceTest, DiamondConclusionSurvivesWhileOneSupportRemains) {
   // d(1) is derived two ways (a diamond through a(1) and b(1)). Killing
   // a(1) must leave d(1) and top(1) standing on the b(1) support alone.
-  auto shrunk = RetractAndCheck(program, "a(1).\na(2).\nb(1).\n", "a(1).\n",
-                                "a(2).\nb(1).\n", StratifiedOptions());
-  EXPECT_EQ(shrunk.stats.retracted_facts, 1);
-  EXPECT_EQ(shrunk.stats.retract_missing, 0);
-  EXPECT_NE(shrunk.stats.retract_path, "full")
-      << "a counting-resolvable deletion took the scratch fallback";
+  auto warm = Service(kDiamond, "a(1).\na(2).\nb(1).\n");
+  ASSERT_NE(warm, nullptr);
+  ASSERT_EQ(Answers(*warm, "?- top(X)."),
+            (std::vector<std::string>{"top(1)", "top(2)"}));
+  RetractAll(*warm, "a(1).\n");
+  auto caught_up = warm->Execute("?- top(X).", "");
+  ASSERT_TRUE(caught_up.ok()) << caught_up.status().ToString();
+  EXPECT_EQ(caught_up->answers,
+            (std::vector<std::string>{"top(1)", "top(2)"}));
+  // A catch-up across a retraction evaluates the head EDB from scratch.
+  EXPECT_EQ(caught_up->path, ServePath::kPreparedEval);
+  EXPECT_EQ(warm->Stats().retract_resumes, 1);
+  ExpectMatchesFresh(*warm, kDiamond, "a(2).\nb(1).\n",
+                     {"?- d(X).", "?- top(X)."});
 }
 
-TEST(RetractEvaluateTest, SecondSupportRetractionKillsTheDiamond) {
-  const char* program =
-      "d(X) :- a(X).\n"
-      "d(X) :- b(X).\n"
-      "top(X) :- d(X).\n";
-  auto parsed = ParseProgram(program);
-  ASSERT_TRUE(parsed.ok());
-  auto symbols = parsed->program.symbols;
-  EvalOptions opts = StratifiedOptions();
-
-  Database full = EdbFromText("a(1).\na(2).\nb(1).\n", symbols);
-  auto base = Evaluate(parsed->program, full, opts);
-  ASSERT_TRUE(base.ok());
-
-  // Chained retractions on one materialization: first a(1), then b(1).
-  auto once = RetractEvaluate(parsed->program, std::move(*base),
-                              FactsFromText("a(1).\n", symbols), opts);
-  ASSERT_TRUE(once.ok());
-  auto twice = RetractEvaluate(parsed->program, std::move(*once),
-                               FactsFromText("b(1).\n", symbols), opts);
-  ASSERT_TRUE(twice.ok()) << twice.status().ToString();
-
-  auto scratch =
-      Evaluate(parsed->program, EdbFromText("a(2).\n", symbols), opts);
-  ASSERT_TRUE(scratch.ok());
-  EXPECT_EQ(Fingerprint(*twice), Fingerprint(*scratch));
-  EXPECT_EQ(FactStrings(*twice, "d", *symbols),
-            std::vector<std::string>{"d(2)"});
-  EXPECT_EQ(FactStrings(*twice, "top", *symbols),
+TEST(RetractServiceTest, SecondSupportRetractionKillsTheDiamond) {
+  // Two retraction epochs, each caught up by a query: first a(1), then
+  // b(1).
+  auto warm = Service(kDiamond, "a(1).\na(2).\nb(1).\n");
+  ASSERT_NE(warm, nullptr);
+  ASSERT_EQ(Answers(*warm, "?- top(X).").size(), 2u);
+  RetractAll(*warm, "a(1).\n");
+  ASSERT_EQ(Answers(*warm, "?- top(X).").size(), 2u);
+  RetractAll(*warm, "b(1).\n");
+  EXPECT_EQ(Answers(*warm, "?- d(X)."), std::vector<std::string>{"d(2)"});
+  EXPECT_EQ(Answers(*warm, "?- top(X)."),
             std::vector<std::string>{"top(2)"});
+  ExpectMatchesFresh(*warm, kDiamond, "a(2).\n", {"?- d(X).", "?- top(X)."});
 }
 
-TEST(RetractEvaluateTest, RecursiveOverDeletionRederivesThroughTheCycle) {
+TEST(RetractServiceTest, RecursiveOverDeletionRederivesThroughTheCycle) {
   const char* program =
       "path(X, Y) :- edge(X, Y).\n"
       "path(X, Z) :- path(X, Y), edge(Y, Z).\n";
   // The 1<->2 cycle derives path facts many times over; deleting the only
-  // road to 3 over-deletes into the cycle, and the re-derivation pass must
-  // restore exactly the scratch state of the surviving graph.
-  std::shared_ptr<SymbolTable> symbols;
-  auto shrunk = RetractAndCheck(
-      program, "edge(1, 2).\nedge(2, 1).\nedge(2, 3).\n", "edge(2, 3).\n",
-      "edge(1, 2).\nedge(2, 1).\n", StratifiedOptions(), &symbols);
-  std::vector<std::string> paths = FactStrings(shrunk, "path", *symbols);
+  // road to 3 must remove every path into 3 and keep the cycle's paths.
+  auto warm = Service(program, "edge(1, 2).\nedge(2, 1).\nedge(2, 3).\n");
+  ASSERT_NE(warm, nullptr);
+  ASSERT_EQ(Answers(*warm, "?- path(X, Y).").size(), 6u);
+  RetractAll(*warm, "edge(2, 3).\n");
+  std::vector<std::string> paths = Answers(*warm, "?- path(X, Y).");
   EXPECT_TRUE(std::find(paths.begin(), paths.end(), "path(1, 1)") !=
               paths.end())
-      << "cycle-derived survivor was not re-derived";
+      << "cycle-derived survivor was lost";
   for (const std::string& fact : paths) {
     EXPECT_EQ(fact.find("3"), std::string::npos)
         << fact << " survived the retraction of the only edge into 3";
   }
-  EXPECT_NE(shrunk.stats.retract_path, "full");
+  ExpectMatchesFresh(*warm, program, "edge(1, 2).\nedge(2, 1).\n",
+                     {"?- path(X, Y)."});
 }
 
-TEST(RetractEvaluateTest, RetractionOfNeverInsertedFactsIsCountedNotFatal) {
+TEST(RetractServiceTest, RetractionOfNeverInsertedFactsIsCountedNotFatal) {
   const char* program = "d(X) :- a(X).\n";
-  auto parsed = ParseProgram(program);
-  ASSERT_TRUE(parsed.ok());
-  auto symbols = parsed->program.symbols;
-  EvalOptions opts = StratifiedOptions();
-  auto base =
-      Evaluate(parsed->program, EdbFromText("a(1).\n", symbols), opts);
-  ASSERT_TRUE(base.ok());
+  auto warm = Service(program, "a(1).\n");
+  ASSERT_NE(warm, nullptr);
+  ASSERT_EQ(Answers(*warm, "?- d(X)."), std::vector<std::string>{"d(1)"});
   // a(9) was never inserted; d(1) is derived-only, not a base fact. Both
-  // are misses; the state is untouched (the "noop" path).
-  std::string before = Fingerprint(*base);
-  auto batch = FactsFromText("a(9).\nd(1).\n", symbols);
-  auto shrunk = RetractEvaluate(parsed->program, std::move(*base), batch, opts);
-  ASSERT_TRUE(shrunk.ok()) << shrunk.status().ToString();
-  EXPECT_EQ(Fingerprint(*shrunk), before);
-  EXPECT_EQ(shrunk->stats.retracted_facts, 0);
-  EXPECT_EQ(shrunk->stats.retract_missing, 2);
-  EXPECT_EQ(shrunk->stats.retract_path, "noop");
+  // are misses: nothing changes and no epoch burns.
+  auto missed = warm->Retract("a(9).\nd(1).\n");
+  ASSERT_TRUE(missed.ok()) << missed.status().ToString();
+  EXPECT_EQ(missed->removed, 0);
+  EXPECT_EQ(missed->missing, 2);
+  EXPECT_EQ(missed->epoch, 0);
+  auto again = warm->Execute("?- d(X).", "");
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again->path, ServePath::kEpochHit);
+  EXPECT_EQ(again->answers, std::vector<std::string>{"d(1)"});
 }
 
 TEST(RetractSubsumptionTest, RetractingTheSubsumerResurfacesTheSubsumed) {
   const char* program = "good(X) :- cap(X).\n";
-  // Under subsumption the derivation good(W <= 3) is absorbed by the wider
-  // good(W <= 5) and never stored. Retracting cap(W <= 5) must leave
-  // exactly what a scratch run over cap(W <= 3) stores — i.e. the
-  // previously-subsumed fact has to be (re)derived, not lost.
-  EvalOptions opts = StratifiedOptions(SubsumptionMode::kSingleFact);
-  std::shared_ptr<SymbolTable> symbols;
-  auto shrunk = RetractAndCheck(program,
-                                "cap(W) :- W <= 5.\ncap(W) :- W <= 3.\n",
-                                "cap(W) :- W <= 5.\n", "cap(W) :- W <= 3.\n",
-                                opts, &symbols);
-  EXPECT_EQ(shrunk.stats.retracted_facts, 1);
-  std::vector<std::string> good = FactStrings(shrunk, "good", *symbols);
+  // Under subsumption (the service's default) the derivation
+  // good(W <= 3) is absorbed by the wider good(W <= 5) and never stored.
+  // Retracting cap(W <= 5) must leave exactly what a fresh service over
+  // cap(W <= 3) answers — the previously-subsumed fact has to be derived,
+  // not lost.
+  auto warm = Service(program, "cap(W) :- W <= 5.\ncap(W) :- W <= 3.\n");
+  ASSERT_NE(warm, nullptr);
+  ASSERT_EQ(Answers(*warm, "?- good(X).").size(), 1u);
+  RetractAll(*warm, "cap(W) :- W <= 5.\n");
+  std::vector<std::string> good = Answers(*warm, "?- good(X).");
   ASSERT_EQ(good.size(), 1u) << "good should hold exactly the narrow fact";
   EXPECT_NE(good[0].find("3"), std::string::npos) << good[0];
+  ExpectMatchesFresh(*warm, program, "cap(W) :- W <= 3.\n",
+                     {"?- good(X)."});
 }
 
 /// Three nested caps derived in one iteration: good(W <= 3) is subsumed by
-/// the pending good(W <= 5), which is itself subsumed by good(W <= 7). The
-/// first derivation's subsumer never commits, so its blocked() count
-/// follows the chain to the one stored row.
+/// the pending good(W <= 5), which is itself subsumed by good(W <= 7).
 constexpr const char* kNestedCaps =
     "cap(W) :- W <= 3.\ncap(W) :- W <= 5.\ncap(W) :- W <= 7.\n";
 
-TEST(RetractSubsumptionTest, SubsumptionChainChargesTheStoredRow) {
+TEST(RetractSubsumptionTest, SubsumptionChainStoresOnlyTheWidestRow) {
   auto parsed = ParseProgram("good(X) :- cap(X).\n");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   auto symbols = parsed->program.symbols;
-  auto run = Evaluate(parsed->program, EdbFromText(kNestedCaps, symbols),
-                      StratifiedOptions(SubsumptionMode::kSingleFact));
+  Database edb;
+  ASSERT_TRUE(LoadDatabaseText(kNestedCaps, symbols, &edb).ok());
+  EvalOptions opts;
+  opts.strategy = EvalStrategy::kStratified;
+  auto run = Evaluate(parsed->program, edb, opts);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   const Relation* good = run->db.Find(symbols->LookupPredicate("good"));
   ASSERT_NE(good, nullptr);
   ASSERT_EQ(good->size(), 1u);
   EXPECT_NE(good->fact(0).ToString(*symbols).find("7"), std::string::npos);
   EXPECT_EQ(run->stats.subsumed, 2);
-  EXPECT_EQ(good->blocked(0), 2);
 }
 
 TEST(RetractSubsumptionTest, RetractingAChainLinkKeepsTheStoredRow) {
   // The stored good(W <= 7) still has its witness, and the facts the
-  // retracted link subsumed stay covered: the row-level splice is exact.
-  auto shrunk = RetractAndCheck(
-      "good(X) :- cap(X).\n", kNestedCaps, "cap(W) :- W <= 5.\n",
-      "cap(W) :- W <= 3.\ncap(W) :- W <= 7.\n",
-      StratifiedOptions(SubsumptionMode::kSingleFact));
-  EXPECT_EQ(shrunk.stats.retract_path, "splice");
+  // retracted link subsumed stay covered.
+  const char* program = "good(X) :- cap(X).\n";
+  auto warm = Service(program, kNestedCaps);
+  ASSERT_NE(warm, nullptr);
+  ASSERT_EQ(Answers(*warm, "?- good(X).").size(), 1u);
+  RetractAll(*warm, "cap(W) :- W <= 5.\n");
+  std::vector<std::string> good = Answers(*warm, "?- good(X).");
+  ASSERT_EQ(good.size(), 1u);
+  EXPECT_NE(good[0].find("7"), std::string::npos) << good[0];
+  ExpectMatchesFresh(*warm, program, "cap(W) :- W <= 3.\ncap(W) :- W <= 7.\n",
+                     {"?- good(X)."});
 }
 
 TEST(RetractSubsumptionTest, RetractingTheChainEndRederives) {
-  // good(W <= 7) blocked the whole chain, so deleting its witness must
-  // re-derive rather than drop the row.
-  std::shared_ptr<SymbolTable> symbols;
-  auto shrunk = RetractAndCheck(
-      "good(X) :- cap(X).\n", kNestedCaps, "cap(W) :- W <= 7.\n",
-      "cap(W) :- W <= 3.\ncap(W) :- W <= 5.\n",
-      StratifiedOptions(SubsumptionMode::kSingleFact), &symbols);
-  EXPECT_EQ(shrunk.stats.retract_path, "prefix");
-  std::vector<std::string> good = FactStrings(shrunk, "good", *symbols);
+  // good(W <= 7) subsumed the whole chain, so deleting its witness must
+  // surface the next widest cap rather than drop good altogether.
+  const char* program = "good(X) :- cap(X).\n";
+  auto warm = Service(program, kNestedCaps);
+  ASSERT_NE(warm, nullptr);
+  ASSERT_EQ(Answers(*warm, "?- good(X).").size(), 1u);
+  RetractAll(*warm, "cap(W) :- W <= 7.\n");
+  std::vector<std::string> good = Answers(*warm, "?- good(X).");
   ASSERT_EQ(good.size(), 1u);
   EXPECT_NE(good[0].find("5"), std::string::npos) << good[0];
+  ExpectMatchesFresh(*warm, program, "cap(W) :- W <= 3.\ncap(W) :- W <= 5.\n",
+                     {"?- good(X)."});
 }
 
 // ---------------------------------------------------------------------------

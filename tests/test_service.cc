@@ -227,10 +227,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------------------------------------------------------------------------
 // Differential: retract_vs_scratch replayed under both subsumption modes.
-// The property itself (testing/properties.cc) pins RetractEvaluate to
-// byte-identity with a scratch run on the surviving EDB and checks RETRACT
-// over the protocol; here it must hold at every point of the configuration
-// lattice, not just the fuzzer's defaults.
+// The property itself (testing/properties.cc) checks RETRACT over the
+// protocol against direct evaluation of the surviving EDB, and that a
+// repeated RETRACT changes nothing; here it must hold at every point of the
+// configuration lattice, not just the fuzzer's defaults.
 
 class RetractDifferentialTest : public ::testing::TestWithParam<ModeParam> {};
 
@@ -355,7 +355,8 @@ TEST(QueryServiceTest, ResumedMatchesFreshServiceAfterIngest) {
 
 // The retract gate (DESIGN.md §14) on the generated flights workload: ingest
 // one batch, materialize, retract ONE leg of it (a typical feed
-// correction), and serve the query again on the retract-resume path. A
+// correction), and serve the query again, catching up across the
+// retraction. A
 // fresh service that applies the same ingest and retract before its first
 // query is the scratch reference, so the two EDBs are identical even if
 // the batch collided with a base leg.
@@ -383,7 +384,7 @@ TEST(QueryServiceTest, RetractResumeMatchesScratchOnGeneratedFlights) {
   EXPECT_EQ(incremental->answers, cold->answers);
   EXPECT_GE(removed->removed, 1);
   EXPECT_LE(removed->missing, 0);
-  // The re-query took the incremental path, not a cold re-evaluation.
+  // The re-query caught up across the retraction epoch.
   EXPECT_GE(warm->Stats().retract_resumes, 1);
 }
 
