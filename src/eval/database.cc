@@ -59,6 +59,10 @@ void Database::Seal() {
   for (auto& [pred, rel] : relations_) rel.Seal();
 }
 
+void Database::IndexEveryPosition() {
+  for (auto& [pred, rel] : relations_) rel.IndexEveryPosition();
+}
+
 size_t Database::ApproxBytes() const {
   size_t total = 0;
   for (const auto& [pred, rel] : relations_) total += rel.ApproxBytes();

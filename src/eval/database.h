@@ -83,9 +83,14 @@ class Database {
   /// True if every stored fact is ground (Theorem 4.4's property).
   bool AllGround() const;
 
-  /// Seals every relation's position indexes (Relation::Seal): only on a
+  /// Seals every relation's indexed positions (Relation::Seal): only on a
   /// database the caller owns exclusively.
   void Seal();
+
+  /// Indexes and seals every position of every relation
+  /// (Relation::IndexEveryPosition): only on a database the caller owns
+  /// exclusively.
+  void IndexEveryPosition();
 
   /// Approximate resident bytes across all relations (chunked columns,
   /// non-ground constraints, provenance, label tables, indexes) — the

@@ -111,7 +111,7 @@ void Reconcile(std::vector<Pending>* pending, const Database& db,
   }
 }
 
-/// Seals result->db's position indexes (Database::Seal), adding the time
+/// Seals result->db's indexed positions (Database::Seal), adding the time
 /// taken to stats.interval_index_build_ns. result->db is the evaluation's
 /// own copy, never a published epoch.
 void SealIndexes(EvalResult* result) {
@@ -129,8 +129,9 @@ void SealIndexes(EvalResult* result) {
 /// whether the application completes or aborts.
 Status ApplyOneRule(const Program& program, size_t rule_index,
                     const GroundPlan* plan, const Database& db, int iteration,
-                    DeltaMode delta, bool interval_index, Governor* governor,
-                    std::vector<Pending>* pending, EvalStats* stats) {
+                    DeltaMode delta, bool interval_index, IndexDemand* demand,
+                    Governor* governor, std::vector<Pending>* pending,
+                    EvalStats* stats) {
   // Rule-batch boundary check: keeps long rule sequences responsive even
   // when individual rules derive nothing.
   CQLOPT_RETURN_IF_ERROR(governor->RuleBoundary());
@@ -144,7 +145,7 @@ Status ApplyOneRule(const Program& program, size_t rule_index,
     return Status::OK();
   };
   Status status = ApplyRule(rule, plan, db, /*max_birth=*/iteration - 1,
-                            delta, interval_index, emit, stats);
+                            delta, interval_index, demand, emit, stats);
   if (derived_here > 0) {
     stats->derivations += derived_here;
     stats->derivations_per_rule[rule.label.empty()
@@ -159,17 +160,20 @@ Status ApplyOneRule(const Program& program, size_t rule_index,
 /// with options.interval_index choosing interval pruning, reconciles the
 /// buffered derivations as a set, and commits the survivors with birth
 /// `iteration`. Constraint facts (body-free rules) fire only under
-/// DeltaMode::kAll. Returns the number of facts inserted. The commit ends
-/// by sealing the database's indexes, so the next iteration's probes
-/// binary-search every row.
+/// DeltaMode::kAll. Returns the number of facts inserted. Candidate
+/// selection may index positions of result->db on demand (`demand`, the
+/// evaluation's IndexDemand over result->db); the commit adds the new rows
+/// to the indexed positions only and ends by sealing them, so the next
+/// iteration's probes binary-search every row.
 ///
 /// `buffer` holds the iteration's derivations; the caller passes the same
 /// one to every iteration, so its capacity is reused.
 Result<long> RunIteration(const Program& program, const GroundPlans& plans,
                           const std::vector<size_t>& rule_indexes,
                           int iteration, DeltaMode delta,
-                          const EvalOptions& options, Governor* governor,
-                          std::vector<Pending>* buffer, EvalResult* result) {
+                          const EvalOptions& options, IndexDemand* demand,
+                          Governor* governor, std::vector<Pending>* buffer,
+                          EvalResult* result) {
   std::vector<Pending>& pending = *buffer;
   pending.clear();
   for (size_t rule_index : rule_indexes) {
@@ -181,8 +185,8 @@ Result<long> RunIteration(const Program& program, const GroundPlans& plans,
     CQLOPT_RETURN_IF_ERROR(ApplyOneRule(program, rule_index,
                                         plans[rule_index].get(), result->db,
                                         iteration, delta,
-                                        options.interval_index, governor,
-                                        &pending, &result->stats));
+                                        options.interval_index, demand,
+                                        governor, &pending, &result->stats));
   }
   Reconcile(&pending, result->db, options.subsumption);
   long inserted = 0;
@@ -289,6 +293,9 @@ Status RunStrata(const Program& program, const StratifiedPlan& plan,
     ground_plans.push_back(CompileGroundPlan(rule));
   }
   SealIndexes(result);
+  // The positions this evaluation's joins consult get indexed on demand,
+  // in its own database (rule_application.h).
+  IndexDemand demand(&result->db);
   std::vector<Pending> pending;
   int global_iteration = start_iteration;
   bool capped = false;
@@ -314,7 +321,7 @@ Status RunStrata(const Program& program, const StratifiedPlan& plan,
                                             : DeltaMode::kDelta;
       Result<long> ran = RunIteration(program, ground_plans, plan.rules_of[c],
                                       global_iteration, delta, options,
-                                      governor, &pending, result);
+                                      &demand, governor, &pending, result);
       if (!ran.ok()) {
         if (Governor::IsAbortCode(ran.status().code())) {
           return GovernedAbort(ran.status(), position(), options, result);

@@ -93,6 +93,59 @@ const BoundEntry* SortedNumbers(const Relation::PositionIndex& idx) {
       [](const BoundEntry& e) { return e.value.is_symbol; });
 }
 
+/// Whether a column row holding `t` (at `offset` of `col`) can match the
+/// equality probe for `key`: a bound row holding exactly `key`, or any
+/// unbound or interval-bound row.
+template <typename Col>
+bool ColumnMatches(Relation::ColTag t, const Col& col, size_t offset,
+                   const PointValue& key) {
+  switch (t) {
+    case Relation::ColTag::kSymbol:
+      return key.is_symbol && col.symbols[offset] == key.symbol;
+    case Relation::ColTag::kNumber:
+      return !key.is_symbol && col.numbers[offset] == key.number;
+    default:
+      return true;
+  }
+}
+
+/// Whether a column row holding `t` survives the range probe for `query`
+/// (see Relation::IntervalProbe); `range` is its summary when kInterval.
+template <typename Col>
+bool ColumnAdmits(Relation::ColTag t, const Col& col, size_t offset,
+                  const Interval* range, const Interval& query) {
+  switch (t) {
+    case Relation::ColTag::kNumber:
+      return query.Contains(col.numbers[offset]);
+    case Relation::ColTag::kInterval:
+      return query.Intersects(*range);
+    default:
+      return true;
+  }
+}
+
+/// Adds `row`, which holds `t` (at `offset` of `col`; `range` is its
+/// summary when kInterval), to the entries of an indexed position: a bound
+/// row to the unsorted suffix, any other to the unbound list.
+template <typename Col>
+void AddEntry(Relation::PositionIndex* idx, size_t row, Relation::ColTag t,
+              const Col& col, size_t offset, const Interval* range) {
+  switch (t) {
+    case Relation::ColTag::kSymbol:
+      idx->bound.push_back({PointValue::Symbol(col.symbols[offset]), row});
+      break;
+    case Relation::ColTag::kNumber:
+      idx->bound.push_back({PointValue::Number(col.numbers[offset]), row});
+      break;
+    case Relation::ColTag::kUnbound:
+      idx->unbound.push_back({row, Interval()});
+      break;
+    default:  // kInterval
+      idx->unbound.push_back({row, *range});
+      break;
+  }
+}
+
 }  // namespace
 
 Relation::Chunk* Relation::TailChunkForAppend() {
@@ -200,47 +253,7 @@ InsertOutcome Relation::InsertCanonical(CanonicalFact canonical, int birth,
   if (Find(canonical, hash).has_value()) return InsertOutcome::kDuplicate;
   const Conjunction& constraint = canonical.constraint;
   const bool is_ground = canonical.ground();
-
-  // Classify each argument position (the column tag). A ground fact's
-  // columns are its tuple. Otherwise collect interval summaries for
-  // numerically constrained positions: bound propagation runs at most once
-  // per fact, lazily, and never for facts with no linear atoms (their
-  // positions classify from the direct lookups alone).
-  size_t arity = static_cast<size_t>(canonical.arity);
-  std::vector<ColTag> tags(arity, ColTag::kUnbound);
-  std::vector<SymbolId> syms(arity, SymbolId{});
-  std::vector<Rational> nums(arity);
-  std::vector<std::pair<size_t, Interval>> summaries;  // (pos-1, bounds)
-  std::optional<IntervalDomain> domain;
-  for (size_t p = 0; p < arity; ++p) {
-    if (is_ground) {
-      PointValue& v = (*canonical.tuple)[p];
-      tags[p] = v.is_symbol ? ColTag::kSymbol : ColTag::kNumber;
-      syms[p] = v.symbol;
-      nums[p] = std::move(v.number);
-      continue;
-    }
-    VarId v = static_cast<VarId>(p + 1);
-    if (auto sym = constraint.GetSymbol(v)) {
-      tags[p] = ColTag::kSymbol;
-      syms[p] = *sym;
-      continue;
-    }
-    if (auto num = constraint.QuickNumericValue(v)) {
-      tags[p] = ColTag::kNumber;
-      nums[p] = std::move(*num);
-      continue;
-    }
-    if (constraint.linear().empty()) continue;  // stays kUnbound
-    if (!domain.has_value()) {
-      domain = IntervalDomain::Propagate(constraint.LinearWithEqualities());
-    }
-    const Interval& iv = domain->Of(constraint.Find(v));
-    if (!iv.lower_infinite() || !iv.upper_infinite()) {
-      tags[p] = ColTag::kInterval;
-      summaries.emplace_back(p, iv);
-    }
-  }
+  const size_t arity = static_cast<size_t>(canonical.arity);
 
   // Append the row.
   size_t id = size_;
@@ -261,52 +274,69 @@ InsertOutcome Relation::InsertCanonical(CanonicalFact canonical, int birth,
       col.numbers.resize(row_in_chunk);
     }
   }
+  tail->births.push_back(birth);
+  tail->arities.push_back(canonical.arity);
+  tail->label_ids.push_back(label_id);
+  tail->parents.push_back(std::move(parents));
   tail->ground.push_back(is_ground ? 1 : 0);
+  ++size_;
+
+  // Classify each argument position into its column (the tag). A ground
+  // fact's columns are its tuple. Otherwise numerically constrained
+  // positions get interval summaries: bound propagation runs at most once
+  // per fact, lazily, and never for facts with no linear atoms (their
+  // positions classify from the direct lookups alone). Each position the
+  // row reaches is counted, and added to the entries of an indexed
+  // position; bound rows join the unsorted suffix until the next Seal.
+  if (index_.size() < arity) index_.resize(arity);
+  std::optional<IntervalDomain> domain;
+  for (size_t p = 0; p < tail->columns.size(); ++p) {
+    Column& col = tail->columns[p];
+    ColTag t = p < arity ? ColTag::kUnbound : ColTag::kAbsent;
+    SymbolId sym{};
+    Rational num;
+    const VarId v = static_cast<VarId>(p + 1);
+    if (t == ColTag::kAbsent) {
+      // Beyond the row's arity.
+    } else if (is_ground) {
+      PointValue& value = (*canonical.tuple)[p];
+      t = value.is_symbol ? ColTag::kSymbol : ColTag::kNumber;
+      sym = value.symbol;
+      num = std::move(value.number);
+    } else if (auto bound = constraint.GetSymbol(v)) {
+      t = ColTag::kSymbol;
+      sym = *bound;
+    } else if (auto point = constraint.QuickNumericValue(v)) {
+      t = ColTag::kNumber;
+      num = std::move(*point);
+    } else if (!constraint.linear().empty()) {
+      if (!domain.has_value()) {
+        domain = IntervalDomain::Propagate(constraint.LinearWithEqualities());
+      }
+      const Interval& iv = domain->Of(constraint.Find(v));
+      if (!iv.lower_infinite() || !iv.upper_infinite()) {
+        t = ColTag::kInterval;
+        col.ranges.push_back(iv);
+      }
+    }
+    col.tags.push_back(static_cast<uint8_t>(t));
+    col.symbols.push_back(sym);
+    col.numbers.push_back(std::move(num));
+    if (t == ColTag::kAbsent) continue;
+    PositionIndex& idx = index_[p];
+    if (t == ColTag::kNumber) ++idx.numbers;
+    if (t == ColTag::kInterval) ++idx.ranged;
+    if (idx.built) {
+      AddEntry(&idx, id, t, col, row_in_chunk,
+               t == ColTag::kInterval ? &col.ranges.back() : nullptr);
+    }
+  }
   if (is_ground) {
     tail->constraint_index.push_back(0);
   } else {
     tail->constraint_index.push_back(
         static_cast<uint8_t>(tail->constraints.size()));
     tail->constraints.push_back(std::move(canonical.constraint));
-  }
-  tail->births.push_back(birth);
-  tail->arities.push_back(canonical.arity);
-  tail->label_ids.push_back(label_id);
-  tail->parents.push_back(std::move(parents));
-  for (size_t p = 0; p < tail->columns.size(); ++p) {
-    Column& col = tail->columns[p];
-    ColTag t = p < arity ? tags[p] : ColTag::kAbsent;
-    col.tags.push_back(static_cast<uint8_t>(t));
-    col.symbols.push_back(t == ColTag::kSymbol ? syms[p] : SymbolId{});
-    col.numbers.push_back(t == ColTag::kNumber ? std::move(nums[p])
-                                               : Rational());
-  }
-  ++size_;
-
-  // Index the row at every position its arity reaches. Bound rows join
-  // the unsorted suffix until the next Seal.
-  if (index_.size() < arity) index_.resize(arity);
-  for (size_t p = 0; p < arity; ++p) {
-    PositionIndex& idx = index_[p];
-    switch (tags[p]) {
-      case ColTag::kSymbol:
-        idx.bound.push_back({PointValue::Symbol(syms[p]), id});
-        break;
-      case ColTag::kNumber:
-        idx.bound.push_back(
-            {PointValue::Number(tail->columns[p].numbers[row_in_chunk]), id});
-        ++idx.numbers;
-        break;
-      case ColTag::kUnbound:
-        idx.unbound.push_back({id, Interval()});
-        break;
-      default:  // kInterval: indexed below with its bound summary
-        break;
-    }
-  }
-  for (auto& [p, iv] : summaries) {
-    index_[p].unbound.push_back({id, std::move(iv)});
-    ++index_[p].ranged;
   }
   return InsertOutcome::kInserted;
 }
@@ -330,6 +360,48 @@ Relation Relation::Spliced(const std::vector<uint8_t>& dead) const {
   return out;
 }
 
+template <typename Visit>
+void Relation::ScanColumn(int position, size_t limit,
+                          const Visit& visit) const {
+  const size_t p = static_cast<size_t>(position - 1);
+  limit = std::min(limit, size_);
+  for (size_t c = 0; c * kChunkRows < limit; ++c) {
+    const Chunk& chunk = *chunks_[c];
+    if (p >= chunk.columns.size()) continue;
+    const Column& col = chunk.columns[p];
+    const size_t rows = std::min(kChunkRows, limit - c * kChunkRows);
+    const Interval* range = col.ranges.data();
+    for (size_t k = 0; k < rows; ++k) {
+      const ColTag t = static_cast<ColTag>(col.tags[k]);
+      if (t == ColTag::kAbsent) continue;
+      const Interval* summary = t == ColTag::kInterval ? range++ : nullptr;
+      visit(c * kChunkRows + k, t, col, k, summary);
+    }
+  }
+}
+
+void Relation::IndexPosition(int position) {
+  const size_t p = static_cast<size_t>(position - 1);
+  if (index_.size() <= p) index_.resize(p + 1);
+  PositionIndex& idx = index_[p];
+  if (idx.built) return;
+  idx.built = true;
+  ScanColumn(position, size_,
+             [&idx](size_t row, ColTag t, const Column& col, size_t k,
+                    const Interval* range) {
+               AddEntry(&idx, row, t, col, k, range);
+             });
+  std::sort(idx.bound.begin(), idx.bound.end(), BoundLess);
+  idx.sorted = idx.bound.size();
+}
+
+void Relation::IndexEveryPosition() {
+  for (size_t p = 0; p < index_.size(); ++p) {
+    IndexPosition(static_cast<int>(p + 1));
+  }
+  Seal();
+}
+
 void Relation::Seal() {
   for (PositionIndex& idx : index_) {
     if (idx.sorted == idx.bound.size()) continue;
@@ -349,6 +421,15 @@ size_t Relation::ProbeCost(int position, const ArgSignature& value) const {
   const PositionIndex* idx = IndexAt(position);
   if (idx == nullptr) return 0;
   const PointValue key = KeyValue(value);
+  if (!idx->built) {
+    size_t cost = 0;
+    ScanColumn(position, size_,
+               [&](size_t, ColTag t, const Column& col, size_t k,
+                   const Interval*) {
+                 cost += ColumnMatches(t, col, k, key) ? 1 : 0;
+               });
+    return cost;
+  }
   auto [first, last] = SortedMatches(*idx, key);
   size_t cost = static_cast<size_t>(last - first) + idx->unbound.size();
   for (size_t k = idx->sorted; k < idx->bound.size(); ++k) {
@@ -363,6 +444,14 @@ void Relation::Probe(int position, const ArgSignature& value, size_t limit,
   const PositionIndex* idx = IndexAt(position);
   if (idx == nullptr) return;
   const PointValue key = KeyValue(value);
+  if (!idx->built) {
+    ScanColumn(position, limit,
+               [&](size_t row, ColTag t, const Column& col, size_t k,
+                   const Interval*) {
+                 if (ColumnMatches(t, col, k, key)) out->push_back(row);
+               });
+    return;
+  }
   // The bound matches come out ascending (sorted matches, then suffix
   // matches); merge the ascending unbound rows in front of each, so the
   // caller enumerates candidates in exactly the scan's order.
@@ -392,6 +481,19 @@ bool Relation::CanRangePrune(int position) const {
 size_t Relation::IntervalProbeCost(int position, const Interval& query) const {
   const PositionIndex* idx = IndexAt(position);
   if (idx == nullptr) return 0;
+  if (!idx->built) {
+    // Exact, as a sealed index's cost is: every row but the excluded
+    // numbers.
+    size_t cost = 0;
+    ScanColumn(position, size_,
+               [&](size_t, ColTag t, const Column& col, size_t k,
+                   const Interval*) {
+                 cost += t != ColTag::kNumber || query.Contains(col.numbers[k])
+                             ? 1
+                             : 0;
+               });
+    return cost;
+  }
   const BoundEntry* numbers = SortedNumbers(*idx);
   auto [first, last] =
       AdmittedRange(numbers, idx->bound.data() + idx->sorted, query);
@@ -406,6 +508,22 @@ void Relation::IntervalProbe(int position, const Interval& query,
   out->clear();
   const PositionIndex* idx = IndexAt(position);
   if (idx == nullptr) return;
+  if (!idx->built) {
+    // As a sealed index would, count the probe only if `query` admits no
+    // number of the position at all, the rows past `limit` included.
+    bool admitted_number = false;
+    ScanColumn(position, runs_pruned != nullptr ? size_ : limit,
+               [&](size_t row, ColTag t, const Column& col, size_t k,
+                   const Interval* range) {
+                 if (!ColumnAdmits(t, col, k, range, query)) return;
+                 admitted_number = admitted_number || t == ColTag::kNumber;
+                 if (row < limit) out->push_back(row);
+               });
+    if (runs_pruned != nullptr && idx->numbers > 0 && !admitted_number) {
+      ++*runs_pruned;
+    }
+    return;
+  }
   const BoundEntry* numbers = SortedNumbers(*idx);
   const BoundEntry* sorted_end = idx->bound.data() + idx->sorted;
   for (const BoundEntry* e = idx->bound.data(); e != numbers; ++e) {
@@ -451,6 +569,7 @@ size_t Relation::ApproxChunkBytes(const Chunk& chunk) {
     bytes += col.tags.capacity();
     bytes += col.symbols.capacity() * sizeof(SymbolId);
     bytes += col.numbers.capacity() * sizeof(Rational);
+    bytes += col.ranges.capacity() * sizeof(Interval);
   }
   return bytes;
 }

@@ -82,7 +82,7 @@ class Relation {
     kNumber,
     /// Numerically constrained short of a stored point: the fact's
     /// constraint gives the position finite lower and/or upper bounds
-    /// (interval-propagated at insertion, kept in the position index).
+    /// (interval-propagated at insertion, kept in the column's `ranges`).
     kInterval,
   };
 
@@ -194,6 +194,12 @@ class Relation {
         .numbers[i & kChunkMask];
   }
 
+  /// The four probes below answer alike whether or not `position` is
+  /// indexed (IndexPosition): the same rows in the same order, the same
+  /// costs and the same `runs_pruned` count as a sealed index. An indexed
+  /// position binary-searches its sorted values; an unindexed one walks the
+  /// position's value column once (DESIGN.md §12).
+
   /// Number of rows Probe at 1-based `position` for `value` would return
   /// with no limit (bound matches plus every unbound and interval-bound
   /// row). Exact; used to pick the most selective bound position before
@@ -217,41 +223,63 @@ class Relation {
              std::vector<size_t>* out) const;
 
   /// Upper bound on the rows IntervalProbe at `position` with `query` would
-  /// return: the sorted numbers admitted by the query (binary searched,
-  /// exact) plus every sorted symbol, every unsorted bound row, and every
-  /// unbound or interval-bound row. Cheap — no per-row value checks — and
-  /// never under-reports, so callers can compare it against the scan size
-  /// when choosing an access path.
+  /// return: every symbol row, the number rows whose value `query` admits,
+  /// and every unbound or interval-bound row — plus, on an indexed
+  /// position, every bound row not yet sealed (those are not binary
+  /// searched). Never under-reports, so callers can compare it against the
+  /// scan size when choosing an access path.
   size_t IntervalProbeCost(int position, const Interval& query) const;
 
   /// Range probe (DESIGN.md §12): writes to `*out` the row indexes,
   /// ascending and < `limit`, of facts NOT provably excluded by `query` at
   /// 1-based `position`:
-  ///  - point rows (ColTag::kNumber) whose value lies in `query` — the
-  ///    sorted prefix is binary searched, so out-of-range sorted rows are
-  ///    never visited;
+  ///  - point rows (ColTag::kNumber) whose value lies in `query` — an
+  ///    indexed position binary-searches its sorted prefix, so out-of-range
+  ///    sorted rows are never visited;
   ///  - ranged rows (kInterval) whose propagated bound summary intersects
   ///    `query`;
   ///  - every kSymbol / kUnbound row (never numerically excluded).
   /// A pruned row is one whose conjunction with any join state entailing
   /// `query` at this position is unsatisfiable, so enumerating the result
   /// makes exactly the derivations the full scan would, in the same order.
-  /// When `runs_pruned` is non-null it counts the probe if its binary
-  /// search rejected every sorted number (there being at least one).
+  /// When `runs_pruned` is non-null it counts the probe if `query` admits
+  /// none of the position's sorted numbers (there being at least one) —
+  /// on an unindexed position, none of its numbers.
   void IntervalProbe(int position, const Interval& query, size_t limit,
                      std::vector<size_t>* out,
                      long* runs_pruned = nullptr) const;
 
   /// True if any row at `position` carries numeric content the range probe
-  /// can prune on (a point value or a finite bound summary).
+  /// can prune on (a point value or a finite bound summary). Read from
+  /// per-position counts kept whether or not the position is indexed.
   bool CanRangePrune(int position) const;
 
-  /// Sorts each position index's unsorted suffix and merges it into the
+  /// Whether 1-based `position` has an index. A relation starts with none;
+  /// from IndexPosition on, InsertCanonical adds every row reaching the
+  /// position to its index and Seal sorts them in.
+  bool indexed(int position) const {
+    size_t p = static_cast<size_t>(position - 1);
+    return p < index_.size() && index_[p].built;
+  }
+
+  /// Builds the index of 1-based `position` from its value column, sealed.
+  /// No-op when it exists. Changes no probe's result, only its cost. Like
+  /// Seal, it mutates the relation: call it only on a relation the caller
+  /// owns exclusively (the running evaluation's database, an epoch the
+  /// service has not yet published), never on a published snapshot.
+  void IndexPosition(int position);
+
+  /// Indexes every position some stored row reaches and seals them all —
+  /// how the service prepares an EDB epoch before publishing it, so the
+  /// evaluations over it build no EDB index. Same ownership rule as Seal.
+  void IndexEveryPosition();
+
+  /// Sorts each indexed position's unsorted suffix and merges it into the
   /// sorted prefix, so later probes binary-search every bound row. Changes
-  /// no probe's result, only its cost. Mutates the indexes: call it only on
-  /// a relation the caller owns exclusively (the running evaluation's
-  /// database, an epoch the service has not yet published), never on a
-  /// published snapshot.
+  /// no probe's result, only its cost. Unindexed positions have nothing to
+  /// sort. Mutates the indexes: call it only on a relation the caller owns
+  /// exclusively (the running evaluation's database, an epoch the service
+  /// has not yet published), never on a published snapshot.
   void Seal();
 
   /// True if every stored fact is ground. O(1).
@@ -286,13 +314,14 @@ class Relation {
   /// of duplicating (the copy-on-write saving of DESIGN.md §12).
   size_t SharedBytes() const;
 
-  /// One argument position's index (DESIGN.md §12), maintained by
-  /// InsertCanonical for every stored row whose arity reaches the position.
-  /// Both probes binary-search the sorted prefix of `bound` and check its
-  /// unsorted suffix row by row; every suffix row is newer than every
-  /// sorted row, so results come out in ascending row order. Only a
-  /// Relation holds one; the type is public so relation.cc's probe helpers
-  /// can name its entries.
+  /// One argument position's index (DESIGN.md §12). Its counts are kept
+  /// for every position a stored row reaches; its entries only once the
+  /// position is indexed (`built`), after which InsertCanonical adds every
+  /// row whose arity reaches the position. Both probes binary-search the
+  /// sorted prefix of `bound` and check its unsorted suffix row by row;
+  /// every suffix row is newer than every sorted row, so results come out
+  /// in ascending row order. Only a Relation holds one; the type is public
+  /// so relation.cc's probe helpers can name its entries.
   struct PositionIndex {
     struct BoundEntry {
       PointValue value;
@@ -302,15 +331,19 @@ class Relation {
       size_t row;
       Interval bounds;  // propagated summary; the whole line for kUnbound
     };
+    /// Whether the entries below are kept (IndexPosition). Until then they
+    /// stay empty and the probes read the value column.
+    bool built = false;
     /// The kSymbol and kNumber rows. The first `sorted` entries are ordered
     /// by value (symbols first), ties by row; the rest are in insertion
     /// order until the next Seal.
     std::vector<BoundEntry> bound;
     size_t sorted = 0;
-    size_t numbers = 0;  // kNumber entries in `bound`
     /// The kUnbound and kInterval rows, ascending.
     std::vector<UnboundEntry> unbound;
-    size_t ranged = 0;  // kInterval entries in `unbound`
+    /// The position's kNumber and kInterval rows, counted indexed or not.
+    size_t numbers = 0;
+    size_t ranged = 0;
   };
 
  private:
@@ -327,6 +360,9 @@ class Relation {
     std::vector<uint8_t> tags;      // ColTag per row
     std::vector<SymbolId> symbols;  // valid where tag == kSymbol
     std::vector<Rational> numbers;  // valid where tag == kNumber
+    /// The kInterval rows' propagated bound summaries, in row order (one
+    /// per kInterval tag): what an unindexed range probe prunes on.
+    std::vector<Interval> ranges;
   };
 
   /// A columnar segment of kChunkRows rows. Only the last chunk of a
@@ -350,6 +386,14 @@ class Relation {
 
   /// The index of 1-based `position`, or null when no stored row reaches it.
   const PositionIndex* IndexAt(int position) const;
+
+  /// Calls visit(row, tag, column, offset, range) for each row below
+  /// `limit` whose arity reaches 1-based `position`, ascending: `column` is
+  /// the row's chunk column and `offset` its place there; `range` is the
+  /// row's bound summary when tag == kInterval, null otherwise. The probes'
+  /// path for unindexed positions, and how IndexPosition reads a column.
+  template <typename Visit>
+  void ScanColumn(int position, size_t limit, const Visit& visit) const;
 
   /// The chunk the next row lands in, exclusively owned: starts a fresh
   /// chunk when the tail is full, clones the tail first when it is shared
@@ -391,7 +435,9 @@ class Relation {
   std::vector<std::string> labels_;
   IdentityTable identity_;             // fact identity -> row
   std::vector<size_t> non_ground_rows_;  // ascending
-  std::vector<PositionIndex> index_;   // index_[p-1]; sized to max arity seen
+  /// index_[p-1]; sized to the max arity seen (or a higher indexed
+  /// position).
+  std::vector<PositionIndex> index_;
   int max_birth_ = -2;
 };
 

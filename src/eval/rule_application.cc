@@ -1,5 +1,6 @@
 #include "eval/rule_application.h"
 
+#include <chrono>
 #include <numeric>
 
 #include "ast/arg_map.h"
@@ -66,6 +67,7 @@ struct JoinContext {
   DeltaMode delta;
   const EmitFn* emit;
   bool interval_index;
+  IndexDemand* demand;  // null: build no index
   EvalStats* stats;
   /// Per-enumeration-depth candidate buffers, owned by ApplyRule and reused
   /// across every probe at the same depth, so candidate materialization is
@@ -148,6 +150,18 @@ bool ClashesWithDirect(const Relation& rel, size_t i, int arity,
   return false;
 }
 
+/// Reports candidate selection's consult of 1-based `position` of `lit`'s
+/// relation `rel` to the evaluation's IndexDemand, unless the position is
+/// indexed already. Each selection consults a position at most once, as it
+/// asks the position's cost (or, for a lone bound position, before probing
+/// it): the probe it makes follows.
+void Consult(const JoinContext& ctx, const Literal& lit, const Relation& rel,
+             int position) {
+  if (ctx.demand != nullptr && !rel.indexed(position)) {
+    ctx.demand->Consult(lit.pred, position, ctx.stats);
+  }
+}
+
 /// Chooses the access path for the body literal `lit` at enumeration depth
 /// `index` and returns its candidate rows — ascending (= insertion order)
 /// and below `snapshot` — in that depth's scratch buffer, counting them into
@@ -193,6 +207,11 @@ const std::vector<size_t>& SelectCandidates(
   }
   const std::vector<std::optional<Rational>>& probe_number =
       any_direct ? acc_number : entailed;
+  int bound_positions = 0;
+  for (int a = 0; a < lit.arity(); ++a) {
+    size_t ai = static_cast<size_t>(a);
+    if (acc_symbol[ai] || probe_number[ai]) ++bound_positions;
+  }
   int probe_pos = 0;  // 1-based; 0 = no bound position
   size_t best_cost = 0;
   Relation::ArgSignature probe_value;
@@ -200,7 +219,9 @@ const std::vector<size_t>& SelectCandidates(
     size_t ai = static_cast<size_t>(a);
     if (!acc_symbol[ai] && !probe_number[ai]) continue;
     Relation::ArgSignature value{acc_symbol[ai], probe_number[ai]};
-    size_t cost = rel.ProbeCost(a + 1, value);
+    Consult(ctx, lit, rel, a + 1);
+    // A lone bound position is probed whatever its cost.
+    size_t cost = bound_positions > 1 ? rel.ProbeCost(a + 1, value) : 0;
     if (probe_pos == 0 || cost < best_cost) {
       probe_pos = a + 1;
       best_cost = cost;
@@ -243,6 +264,7 @@ const std::vector<size_t>& SelectCandidates(
       }
       const Interval& iv = domain->Of(accumulated().Find(lit.args[ai]));
       if (iv.lower_infinite() && iv.upper_infinite()) continue;
+      Consult(ctx, lit, rel, a + 1);
       size_t cost = rel.IntervalProbeCost(a + 1, iv);
       if (ival_pos == 0 || cost < ival_cost) {
         ival_pos = a + 1;
@@ -683,6 +705,19 @@ class Valuation {
 
 }  // namespace
 
+void IndexDemand::Consult(PredId pred, int position, EvalStats* stats) {
+  if (++consults_[{pred, position}] < 2) return;
+  auto start = std::chrono::steady_clock::now();
+  db_->FindMutable(pred)->IndexPosition(position);
+  if (stats != nullptr) {
+    ++stats->index_builds;
+    stats->interval_index_build_ns +=
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count();
+  }
+}
+
 std::shared_ptr<const GroundPlan> CompileGroundPlan(const Rule& rule) {
   const Conjunction& c = rule.constraints;
   if (c.known_unsat()) return nullptr;
@@ -753,7 +788,7 @@ std::shared_ptr<const GroundPlan> CompileGroundPlan(const Rule& rule) {
 
 Status ApplyRule(const Rule& rule, const GroundPlan* plan, const Database& db,
                  int max_birth, DeltaMode delta, bool interval_index,
-                 const EmitFn& emit, EvalStats* stats) {
+                 IndexDemand* demand, const EmitFn& emit, EvalStats* stats) {
   // Fault-injection hook: an allocation failure while materializing this
   // rule's join state. Near-free when disarmed (util/failpoint.h).
   if (failpoint::ShouldFail(failpoint::kEvalRuleAlloc)) {
@@ -762,7 +797,8 @@ Status ApplyRule(const Rule& rule, const GroundPlan* plan, const Database& db,
         (rule.label.empty() ? std::string("<unlabeled>") : rule.label) +
         " (failpoint " + failpoint::kEvalRuleAlloc + ")");
   }
-  JoinContext ctx{&rule, &db, max_birth, delta, &emit, interval_index, stats};
+  JoinContext ctx{&rule,          &db,    max_birth, delta, &emit,
+                  interval_index, demand, stats};
   // The valuation join applies when every body relation is ground tuples.
   bool ground = plan != nullptr;
   for (size_t i = 0; ground && i < rule.body.size(); ++i) {

@@ -2,7 +2,9 @@
 #define CQLOPT_EVAL_RULE_APPLICATION_H_
 
 #include <functional>
+#include <map>
 #include <memory>
+#include <utility>
 
 #include "ast/rule.h"
 #include "eval/database.h"
@@ -34,6 +36,35 @@ struct GroundPlan;
 /// pinned only by `X >= 5, X <= 5`, or an existential `Z > 0` with Z in no
 /// literal.) The fixpoint compiles each rule once per evaluation.
 std::shared_ptr<const GroundPlan> CompileGroundPlan(const Rule& rule);
+
+/// On-demand position indexing for one evaluation (DESIGN.md §12). A
+/// relation's per-position index exists only where candidate selection
+/// asks for it: the first selection that consults an unindexed (relation,
+/// position) — asks its equality or range probe cost, or probes a lone
+/// bound position — is answered from the position's value column, and the
+/// second builds the index (Relation::IndexPosition), in `db`, before
+/// answering. A cost query and the probe that follows it in one selection
+/// are one consult. A position consulted once is never sorted; one
+/// consulted again is likely probed often enough that a column walk per
+/// probe would cost more than the sort.
+///
+/// The evaluation (RunStrata) owns one and passes it to every ApplyRule
+/// it makes, over `db` itself: the database the evaluation owns
+/// exclusively, never a published epoch.
+class IndexDemand {
+ public:
+  explicit IndexDemand(Database* db) : db_(db) {}
+
+  /// Records a candidate selection's consult of unindexed 1-based
+  /// `position` of `pred`'s relation, indexing it on the second. A build
+  /// counts one EvalStats::index_builds and adds its time to
+  /// interval_index_build_ns (when `stats` is non-null).
+  void Consult(PredId pred, int position, EvalStats* stats);
+
+ private:
+  Database* db_;
+  std::map<std::pair<PredId, int>, int> consults_;
+};
 
 /// Delta discipline of one rule application.
 enum class DeltaMode {
@@ -105,10 +136,17 @@ enum class DeltaMode {
 /// identical to kDelta's, but derivations arrive grouped by pivot — callers
 /// that pin derivation order (the paper-table traces) use kDelta.
 ///
+/// Index demand: when `demand` is non-null, candidate selection reports
+/// each unindexed position it consults to it, which may index the
+/// position in `db` (IndexDemand; `demand` must be over `db`). Null builds
+/// nothing: unindexed positions are answered from their columns. Either
+/// way the candidates are the same.
+///
 /// Join access path: each body literal whose accumulated join state binds
 /// some argument position to a unique symbol or number is resolved by
 /// an equality probe of the relation's per-position index at the most
-/// selective such position. Direct bindings are read cheaply
+/// selective such position (a lone bound position is probed without asking
+/// its cost). Direct bindings are read cheaply
 /// (Conjunction::GetSymbol / QuickNumericValue; in the valuation join, slots
 /// bound by a row or by the rule's own bindings); numeric values that are
 /// only entailed — e.g. `X = N - 1` after joining a fact with `N = 2` —
@@ -149,7 +187,7 @@ enum class DeltaMode {
 /// directly; callers fire them only under kAll.
 Status ApplyRule(const Rule& rule, const GroundPlan* plan, const Database& db,
                  int max_birth, DeltaMode delta, bool interval_index,
-                 const EmitFn& emit, EvalStats* stats);
+                 IndexDemand* demand, const EmitFn& emit, EvalStats* stats);
 
 }  // namespace cqlopt
 

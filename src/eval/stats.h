@@ -76,11 +76,16 @@ struct EvalStats {
   /// Range probes whose binary search rejected every sorted number of the
   /// probed position (no per-row work at all for those rows).
   long interval_runs_pruned = 0;
-  /// Nanoseconds the evaluation spent in Relation::Seal (sorting each
-  /// iteration's new bound rows into the position indexes, at entry and
-  /// after every commit) — the price paid for the pruning, reported so
-  /// benches can net it out.
+  /// Nanoseconds the evaluation spent building and sealing position
+  /// indexes: the on-demand builds (IndexDemand, rule_application.h) plus
+  /// Relation::Seal (sorting each iteration's new bound rows into the
+  /// indexed positions, at entry and after every commit) — the price paid
+  /// for the pruning, reported so benches can net it out.
   long interval_index_build_ns = 0;
+  /// (relation, position) indexes built during the evaluation: positions
+  /// candidate selection consulted more than once that were not indexed
+  /// yet (DESIGN.md §12).
+  long index_builds = 0;
   /// Derivations per rule, keyed by rule label (or "rule#<index>" for
   /// unlabeled rules) — lets benches attribute wins rule by rule.
   std::map<std::string, long> derivations_per_rule;

@@ -230,6 +230,7 @@ Result<QueryOutcome> QueryService::Execute(const std::string& query_text,
       if (caught_up && !retracted) {
         int base_iterations = entry->eval->stats.iterations;
         long base_inserted = entry->eval->stats.inserted;
+        long base_builds = entry->eval->stats.index_builds;
         // Readers copy `entry->eval` only under this mutex, so a use count
         // of 1 proves nobody else holds the materialization and the resume
         // can consume it in place of deep-copying the whole database. (The
@@ -250,6 +251,7 @@ Result<QueryOutcome> QueryService::Execute(const std::string& query_text,
         outcome.path = ServePath::kResumed;
         outcome.iterations_run = resumed->stats.iterations - base_iterations;
         outcome.facts_stored = resumed->stats.inserted - base_inserted;
+        outcome.index_builds = resumed->stats.index_builds - base_builds;
         eval = std::make_shared<EvalResult>(std::move(*resumed));
       } else {
         // A retraction removes base facts that the materialization's
@@ -267,6 +269,7 @@ Result<QueryOutcome> QueryService::Execute(const std::string& query_text,
             prepared_hit ? ServePath::kPreparedEval : ServePath::kCold;
         outcome.iterations_run = cold.stats.iterations;
         outcome.facts_stored = cold.stats.inserted;
+        outcome.index_builds = cold.stats.index_builds;
         eval = std::make_shared<EvalResult>(std::move(cold));
         if (retracted) {
           std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -606,7 +609,7 @@ void QueryService::PublishHeadLocked(Database edb,
   head->id = deltas->id;
   head->edb = std::move(edb);
   head->edb.set_epoch(head->id);
-  head->edb.Seal();
+  head->edb.IndexEveryPosition();
   head->deltas = std::move(deltas);
   head_ = std::move(head);
 }

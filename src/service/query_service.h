@@ -138,6 +138,11 @@ struct QueryOutcome {
   /// path counts only the facts the resume itself inserted). The scheduler
   /// charges this to the client's fair-share account.
   long facts_stored = 0;
+  /// (relation, position) indexes this call's evaluation built on demand
+  /// (EvalStats::index_builds; 0 for kEpochHit). The head EDB arrives
+  /// indexed, so a cold evaluation builds derived relations' positions
+  /// only.
+  long index_builds = 0;
 };
 
 /// Outcome of one committed ingest batch.
@@ -519,8 +524,10 @@ class QueryService {
                          std::vector<Fact> delta,
                          std::unique_lock<std::mutex> lock);
 
-  /// Seals `edb`'s position indexes and publishes it as the head epoch
-  /// `deltas->id`, so every evaluation's copy of it starts sealed.
+  /// Indexes and seals every position of `edb` (Database::
+  /// IndexEveryPosition) and publishes it as the head epoch `deltas->id`,
+  /// so every evaluation's copy of it starts with its EDB indexed and
+  /// builds no EDB index of its own (DESIGN.md §12).
   /// head_mutex_ must be held (or the service not yet shared, as in the
   /// constructor); `edb` is owned here until the pointer swap.
   void PublishHeadLocked(Database edb,

@@ -89,9 +89,12 @@ Interval AtLeast(int lo) {
   return q;
 }
 
+/// Range probe into a fresh buffer, returned for comparison. Every probe
+/// also checks that the rows answer it alike unindexed and sealed.
 std::vector<size_t> IntervalProbeVec(const Relation& rel, int position,
                                      const Interval& query, size_t limit,
                                      long* runs_pruned = nullptr) {
+  ExpectColumnPathMatchesIndex(rel, position, query, limit);
   std::vector<size_t> out;
   rel.IntervalProbe(position, query, limit, &out, runs_pruned);
   return out;
@@ -290,6 +293,7 @@ TEST(IntervalIndexTest, ResultsAscendingAcrossRowKinds) {
 
 TEST(ColumnarStorageTest, CopyOnWriteSharesSealedChunks) {
   Relation rel;
+  rel.IndexPosition(1);  // every row joins the index's unsorted suffix
   for (int i = 0; i < 600; ++i) {  // several full 256-row chunks
     (void)rel.Insert(NumberFact(i), 0);
   }
@@ -562,6 +566,29 @@ TEST(ColumnarGoldenTest, Flights48BytesPerFact) {
   ASSERT_TRUE(f.run.ok()) << f.run.status().ToString();
   ASSERT_GT(f.run->db.TotalFacts(), 0u);
   EXPECT_LE(f.run->db.ApproxBytes() / f.run->db.TotalFacts(), 500u);
+}
+
+/// Index demand (DESIGN.md §12): the cold flights-48 evaluation indexes
+/// only the one position its candidate selection consults more than once,
+/// flight's source airport, which the recursive rule probes for every
+/// joined flight. The pushed selections' range probes (`T <= 240` on
+/// position 3, `C <= 150` on position 4, one selection each) and
+/// singleleg's are answered from the value columns, and no other position
+/// is indexed.
+TEST(ColumnarGoldenTest, Flights48IndexesOnlyPositionsConsultedTwice) {
+  Flights48 f = EvaluateFlights48(/*record_trace=*/false);
+  ASSERT_TRUE(f.run.ok()) << f.run.status().ToString();
+  EXPECT_EQ(f.run->stats.index_builds, 1);
+  const SymbolTable& symbols = *f.program.symbols;
+  for (const auto& [pred, rel] : f.run->db.relations()) {
+    const std::string name = symbols.PredicateName(pred);
+    for (int position = 1; position <= 4; ++position) {
+      EXPECT_EQ(rel.indexed(position), name == "flight" && position == 1)
+          << name << " position " << position;
+    }
+  }
+  // The range probes still ran, from the columns.
+  EXPECT_GT(f.run->stats.interval_probes, 0);
 }
 
 // ---------------------------------------------------------------------------

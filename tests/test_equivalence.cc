@@ -70,6 +70,77 @@ TEST(EquivalenceTest, MissingRelationGivesNoAnswers) {
   EXPECT_TRUE(answers->empty());
 }
 
+/// An EvalResult whose `t` relation holds the given rows, each a symbol or
+/// a number per position, plus a constraint row t(a, Y) with Y <= 3.
+EvalResult ResultWithRows(
+    Parsed* in, const std::vector<std::vector<Database::Value>>& rows) {
+  EvalResult result;
+  SymbolTable* symbols = in->program.symbols.get();
+  for (const auto& row : rows) {
+    EXPECT_TRUE(result.db.AddGroundFact(symbols, "t", row).ok());
+  }
+  Conjunction c;
+  EXPECT_TRUE(c.BindSymbol(1, symbols->InternSymbol("a")).ok());
+  EXPECT_TRUE(c.AddLinear(LinearConstraint(LinearExpr::Var(2) -
+                                               LinearExpr::Constant(3),
+                                           CmpOp::kLe))
+                  .ok());
+  result.db.AddFact(Fact(symbols->LookupPredicate("t"), 2, c));
+  return result;
+}
+
+Database::Value Sym(const std::string& name) {
+  return Database::Value::Symbol(name);
+}
+Database::Value Num(int n) { return Database::Value::Number(Rational(n)); }
+
+std::vector<std::string> Rendered(const std::vector<Fact>& facts,
+                                  const SymbolTable& symbols) {
+  std::vector<std::string> out;
+  for (const Fact& f : facts) out.push_back(f.ToString(symbols));
+  return out;
+}
+
+// The column pre-filter skips ground rows holding another constant of the
+// same kind where the query binds one; the answers are those AddConjunction
+// keeps, in row order, constraint rows included.
+TEST(EquivalenceTest, QueryAnswersSkipsRowsWithAnotherConstant) {
+  Parsed in = ParseWithQuery("t(X, Y) :- e(X, Y).\n?- t(a, Y).\n");
+  EvalResult result = ResultWithRows(
+      &in, {{Sym("a"), Num(1)}, {Sym("b"), Num(2)}, {Sym("a"), Num(7)},
+            {Sym("c"), Sym("d")}});
+  auto answers = QueryAnswers(result, in.query);
+  ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+  EXPECT_EQ(Rendered(*answers, *in.program.symbols),
+            (std::vector<std::string>{"t(a, 1)", "t(a, 7)",
+                                      "t(a, $2; $2 <= 3)"}));
+
+  Parsed both = ParseWithQuery("t(X, Y) :- e(X, Y).\n?- t(a, 7).\n");
+  result = ResultWithRows(&both, {{Sym("a"), Num(1)}, {Sym("a"), Num(7)}});
+  answers = QueryAnswers(result, both.query);
+  ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+  EXPECT_EQ(Rendered(*answers, *both.program.symbols),
+            (std::vector<std::string>{"t(a, 7)"}));
+}
+
+// A row mixing kinds with the query is never skipped by the pre-filter:
+// AddConjunction reports it as a TypeError, as it always has — also when
+// another position holds a clashing constant of the same kind.
+TEST(EquivalenceTest, QueryAnswersKindMismatchStillRaisesTypeError) {
+  Parsed in = ParseWithQuery("t(X, Y) :- e(X, Y).\n?- t(a, Y).\n");
+  EvalResult result = ResultWithRows(&in, {{Num(1), Num(2)}});
+  auto answers = QueryAnswers(result, in.query);
+  ASSERT_FALSE(answers.ok());
+  EXPECT_EQ(answers.status().code(), StatusCode::kTypeError);
+
+  Parsed ranged =
+      ParseWithQuery("t(X, Y) :- e(X, Y).\n?- t(a, Y), Y <= 5.\n");
+  result = ResultWithRows(&ranged, {{Sym("b"), Sym("d")}});
+  answers = QueryAnswers(result, ranged.query);
+  ASSERT_FALSE(answers.ok());
+  EXPECT_EQ(answers.status().code(), StatusCode::kTypeError);
+}
+
 Fact NumericFact(int value) {
   Conjunction c;
   LinearExpr e = LinearExpr::Var(1) - LinearExpr::Constant(Rational(value));

@@ -236,8 +236,8 @@ TEST(EvalTest, StreamingEmitInsertsInvisibleWithinApplication) {
     };
     EvalStats buffered_stats;
     ASSERT_TRUE(ApplyRule(p.rules[0], plan.get(), db, /*max_birth=*/-1,
-                          DeltaMode::kAll, /*interval_index=*/true, collect,
-                          &buffered_stats)
+                          DeltaMode::kAll, /*interval_index=*/true,
+                          /*demand=*/nullptr, collect, &buffered_stats)
                     .ok());
     ExpectScanAndIndexProbes(buffered_stats);
     EXPECT_EQ(buffered_stats.ground_applications, plan == nullptr ? 0 : 1);
@@ -255,8 +255,8 @@ TEST(EvalTest, StreamingEmitInsertsInvisibleWithinApplication) {
     };
     EvalStats streamed_stats;
     ASSERT_TRUE(ApplyRule(p.rules[0], plan.get(), db2, /*max_birth=*/-1,
-                          DeltaMode::kAll, /*interval_index=*/true, stream,
-                          &streamed_stats)
+                          DeltaMode::kAll, /*interval_index=*/true,
+                          /*demand=*/nullptr, stream, &streamed_stats)
                     .ok());
     ExpectScanAndIndexProbes(streamed_stats);
     EXPECT_EQ(buffered, std::vector<std::string>{"t(2, 4)"});
@@ -284,8 +284,8 @@ TEST(EvalTest, StreamingInsertAtMaxBirthCascades) {
     };
     EvalStats stats;
     ASSERT_TRUE(ApplyRule(p.rules[0], plan.get(), db, /*max_birth=*/-1,
-                          DeltaMode::kAll, /*interval_index=*/true, stream,
-                          &stats)
+                          DeltaMode::kAll, /*interval_index=*/true,
+                          /*demand=*/nullptr, stream, &stats)
                     .ok());
     ExpectScanAndIndexProbes(stats);
     EXPECT_EQ(streamed,

@@ -120,10 +120,12 @@ std::vector<size_t> ScanWithPrefilter(const Relation& rel, int position,
   return out;
 }
 
-/// Probe into a fresh buffer, returned for comparison.
+/// Probe into a fresh buffer, returned for comparison. Every probe also
+/// checks that the rows answer it alike unindexed and sealed.
 std::vector<size_t> ProbeVec(const Relation& rel, int position,
                              const Relation::ArgSignature& value,
                              size_t limit) {
+  ExpectColumnPathMatchesIndex(rel, position, value, limit);
   std::vector<size_t> out;
   rel.Probe(position, value, limit, &out);
   return out;

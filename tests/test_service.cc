@@ -32,6 +32,7 @@
 
 #include "ast/parser.h"
 #include "core/equivalence.h"
+#include "core/workload.h"
 #include "eval/loader.h"
 #include "eval/seminaive.h"
 #include "generated_flights.h"
@@ -331,6 +332,46 @@ TEST(QueryServiceTest, ColdThenEpochHitThenResumed) {
   EXPECT_EQ(stats.epoch_hits, 1);
   EXPECT_EQ(stats.resumes, 1);
   EXPECT_EQ(stats.epoch, 1);
+}
+
+// The head EDB is published with every position indexed, so a cold
+// evaluation over it builds no EDB index (DESIGN.md §12). The program is the
+// constrained join of EXPERIMENTS.md E1, scaled down: its only probes are
+// range probes of singleleg, one per budget. Evaluated directly over the
+// unindexed EDB, the second of them indexes singleleg's time position.
+TEST(QueryServiceTest, ColdExecuteBuildsNoEdbIndex) {
+  auto parsed = ParseProgram(
+      "s1: withinbudget(S, D, T, C) :- budget(B), singleleg(S, D, T, C), "
+      "T <= B.\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  Program& program = parsed->program;
+  FlightNetworkSpec spec;
+  spec.airports = 40;
+  spec.legs = 2000;
+  spec.seed = 42;
+  Database edb;
+  ASSERT_TRUE(AddFlightNetwork(program.symbols.get(), spec, &edb).ok());
+  for (int budget : {35, 40, 45, 50, 55}) {
+    ASSERT_TRUE(edb.AddGroundFact(program.symbols.get(), "budget",
+                                  {Database::Value::Number(Rational(budget))})
+                    .ok());
+  }
+  EvalOptions options;
+  options.strategy = EvalStrategy::kStratified;
+  auto direct = Evaluate(program, edb, options);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  EXPECT_EQ(direct->stats.index_builds, 1);
+  const PredId withinbudget =
+      program.symbols->LookupPredicate("withinbudget");
+
+  auto service = QueryService::FromParts(program, edb);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  auto cold = (*service)->Execute("?- withinbudget(S, D, T, C).", "");
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_EQ(cold->path, ServePath::kCold);
+  EXPECT_EQ(cold->index_builds, 0);
+  EXPECT_EQ(cold->answers.size(), direct->db.FactsFor(withinbudget));
+  EXPECT_GT(cold->answers.size(), 0u);
 }
 
 TEST(QueryServiceTest, ResumedMatchesFreshServiceAfterIngest) {
