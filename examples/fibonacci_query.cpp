@@ -14,7 +14,8 @@
 #include <cstdlib>
 #include <string>
 
-#include "core/optimizer.h"
+#include "ast/parser.h"
+#include "core/equivalence.h"
 #include "transform/magic.h"
 #include "transform/predicate_constraints.h"
 
@@ -26,23 +27,23 @@ using cqlopt::Fact;
 using cqlopt::LinearConstraint;
 using cqlopt::LinearExpr;
 using cqlopt::MagicOptions;
-using cqlopt::Optimizer;
 using cqlopt::Rational;
 using cqlopt::SipStrategy;
 
 int main(int argc, char** argv) {
   long value = argc > 1 ? std::atol(argv[1]) : 5;
 
-  auto optimizer = Optimizer::FromText(R"(
+  auto parsed = cqlopt::ParseProgram(R"(
     r1: fib(0, 1).
     r2: fib(1, 1).
     r3: fib(N, X1 + X2) :- N > 1, fib(N - 1, X1), fib(N - 2, X2).
   )");
-  if (!optimizer.ok()) {
-    std::fprintf(stderr, "parse: %s\n", optimizer.status().ToString().c_str());
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "parse: %s\n", parsed.status().ToString().c_str());
     return 1;
   }
-  Optimizer& opt = *optimizer;
+  cqlopt::Program& program = parsed->program;
+  const cqlopt::SymbolTable& symbols = *program.symbols;
 
   // The predicate constraint of Example 4.4: every Fibonacci value is >= 1.
   // (The *minimum* predicate constraint of fib has no finite representation
@@ -52,13 +53,12 @@ int main(int argc, char** argv) {
   LinearExpr e = LinearExpr::Constant(Rational(1)) - LinearExpr::Var(2);
   (void)at_least_one.AddLinear(LinearConstraint(e, cqlopt::CmpOp::kLe));
   std::map<cqlopt::PredId, ConstraintSet> given;
-  given[opt.symbols()->LookupPredicate("fib")] =
-      ConstraintSet::Of(at_least_one);
-  auto pfib1 = PropagateGivenConstraints(opt.program(), given);
+  given[symbols.LookupPredicate("fib")] = ConstraintSet::Of(at_least_one);
+  auto pfib1 = PropagateGivenConstraints(program, given);
   if (!pfib1.ok()) return 1;
 
-  auto query =
-      opt.ParseQuery("?- fib(N, " + std::to_string(value) + ").");
+  auto query = cqlopt::ParseQueryText(
+      "?- fib(N, " + std::to_string(value) + ").", &program);
   if (!query.ok()) {
     std::fprintf(stderr, "query: %s\n", query.status().ToString().c_str());
     return 1;
@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
 
   EvalOptions eval;
   eval.max_iterations = 512;
-  auto run = opt.Run(magic->program, Database(), eval);
+  auto run = cqlopt::Evaluate(magic->program, Database(), eval);
   if (!run.ok()) {
     std::fprintf(stderr, "eval: %s\n", run.status().ToString().c_str());
     return 1;
@@ -88,9 +88,9 @@ int main(int argc, char** argv) {
                 value, run->stats.iterations);
   } else {
     for (const Fact& f : *answers) {
-      std::printf("yes: %s\n", f.ToString(*opt.program().symbols).c_str());
+      std::printf("yes: %s\n", f.ToString(symbols).c_str());
     }
   }
-  std::printf("stats: %s\n", run->stats.ToString(*opt.program().symbols).c_str());
+  std::printf("stats: %s\n", run->stats.ToString(symbols).c_str());
   return 0;
 }

@@ -9,15 +9,17 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "ast/printer.h"
-#include "core/optimizer.h"
+#include <string>
+
+#include "ast/parser.h"
+#include "core/equivalence.h"
 #include "core/workload.h"
+#include "transform/pipeline.h"
 
 using cqlopt::Database;
 using cqlopt::EvalOptions;
 using cqlopt::Fact;
 using cqlopt::FlightNetworkSpec;
-using cqlopt::Optimizer;
 
 int main(int argc, char** argv) {
   FlightNetworkSpec spec;
@@ -25,26 +27,27 @@ int main(int argc, char** argv) {
   spec.legs = argc > 2 ? std::atoi(argv[2]) : 48;
   spec.seed = argc > 3 ? static_cast<uint64_t>(std::atoll(argv[3])) : 42;
 
-  auto optimizer = Optimizer::FromText(R"(
+  auto parsed = cqlopt::ParseProgram(R"(
     r1: cheaporshort(S, D, T, C) :- flight(S, D, T, C), T <= 240.
     r2: cheaporshort(S, D, T, C) :- flight(S, D, T, C), C <= 150.
     r3: flight(S, D, T, C) :- singleleg(S, D, T, C), C > 0, T > 0.
     r4: flight(S, D, T, C) :- flight(S, D1, T1, C1), flight(D1, D, T2, C2),
                               T = T1 + T2 + 30, C = C1 + C2.
   )");
-  if (!optimizer.ok()) {
-    std::fprintf(stderr, "parse: %s\n", optimizer.status().ToString().c_str());
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "parse: %s\n", parsed.status().ToString().c_str());
     return 1;
   }
-  Optimizer& opt = *optimizer;
+  cqlopt::Program& program = parsed->program;
 
   Database db;
-  if (!AddFlightNetwork(opt.symbols(), spec, &db).ok()) return 1;
+  if (!AddFlightNetwork(program.symbols.get(), spec, &db).ok()) return 1;
   std::printf("network: %d airports, %zu legs (seed %llu)\n", spec.airports,
               db.TotalFacts(), (unsigned long long)spec.seed);
 
   // Plan all short-or-cheap connections out of airport a0.
-  auto query = opt.ParseQuery("?- cheaporshort(a0, Dest, Time, Cost).");
+  auto query = cqlopt::ParseQueryText(
+      "?- cheaporshort(a0, Dest, Time, Cost).", &program);
   if (!query.ok()) {
     std::fprintf(stderr, "query: %s\n", query.status().ToString().c_str());
     return 1;
@@ -60,13 +63,15 @@ int main(int argc, char** argv) {
   for (const Row& row : {Row{"naive evaluation", ""},
                          Row{"constraint pushing (pred,qrp)", "pred,qrp"},
                          Row{"+ constraint magic", "pred,qrp,mg"}}) {
-    auto rewritten = opt.Rewrite(*query, row.spec);
+    auto steps = cqlopt::ParseSteps(row.spec);
+    if (!steps.ok()) return 1;
+    auto rewritten = cqlopt::ApplyPipeline(program, *query, *steps, {});
     if (!rewritten.ok()) {
       std::fprintf(stderr, "rewrite %s: %s\n", row.spec,
                    rewritten.status().ToString().c_str());
       return 1;
     }
-    auto run = opt.Run(rewritten->program, db, eval);
+    auto run = cqlopt::Evaluate(rewritten->program, db, eval);
     if (!run.ok()) {
       std::fprintf(stderr, "eval: %s\n", run.status().ToString().c_str());
       return 1;
@@ -79,7 +84,7 @@ int main(int argc, char** argv) {
                 run->stats.derivations, answers->size());
     if (row.spec[0] != '\0' && std::string(row.spec) == "pred,qrp,mg") {
       for (const Fact& f : *answers) {
-        std::printf("    %s\n", f.ToString(*opt.program().symbols).c_str());
+        std::printf("    %s\n", f.ToString(*program.symbols).c_str());
       }
     }
   }

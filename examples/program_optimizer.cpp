@@ -20,11 +20,11 @@
 #include <sstream>
 #include <string>
 
+#include "ast/parser.h"
 #include "ast/printer.h"
-#include "core/optimizer.h"
+#include "core/equivalence.h"
 #include "eval/loader.h"
-
-using cqlopt::Optimizer;
+#include "transform/pipeline.h"
 
 int main(int argc, char** argv) {
   if (argc < 2) {
@@ -52,51 +52,55 @@ int main(int argc, char** argv) {
   }
   std::string sequence = argc > 2 ? argv[2] : "pred,qrp";
 
-  auto optimizer = Optimizer::FromText(text);
-  if (!optimizer.ok()) {
-    std::fprintf(stderr, "parse: %s\n", optimizer.status().ToString().c_str());
+  auto parsed = cqlopt::ParseProgram(text);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "parse: %s\n", parsed.status().ToString().c_str());
     return 1;
   }
-  Optimizer& opt = *optimizer;
-  if (opt.queries().empty()) {
+  if (parsed->queries.empty()) {
     std::fprintf(stderr, "the program must contain a ?- query\n");
     return 1;
   }
-  const cqlopt::Query& query = opt.queries()[0];
+  const cqlopt::Program& program = parsed->program;
+  const cqlopt::SymbolTable& symbols = *program.symbols;
+  const cqlopt::Query& query = parsed->queries[0];
 
   std::printf("--- input program ---\n%s",
-              cqlopt::RenderProgram(opt.program()).c_str());
+              cqlopt::RenderProgram(program).c_str());
   std::printf("--- query ---\n%s\n",
-              cqlopt::RenderQuery(query, *opt.program().symbols).c_str());
+              cqlopt::RenderQuery(query, symbols).c_str());
 
-  // Report the constraint analysis behind the rewrite. A separate parse
-  // keeps the analysis' scratch predicates out of the rewrite's name space.
-  auto analysis_optimizer = Optimizer::FromText(text);
-  if (analysis_optimizer.ok()) {
-    Optimizer& aopt = *analysis_optimizer;
-    auto analysis =
-        aopt.RewriteForPredicate(aopt.queries()[0].literal.pred, {});
+  // Report the constraint analysis behind the rewrite (Constraint_rewrite,
+  // Section 4.5). A separate parse keeps the analysis' scratch predicates
+  // out of the rewrite's name space.
+  auto for_analysis = cqlopt::ParseProgram(text);
+  if (for_analysis.ok()) {
+    const cqlopt::Program& aprogram = for_analysis->program;
+    const cqlopt::SymbolTable& asymbols = *aprogram.symbols;
+    auto analysis = cqlopt::ConstraintRewrite(
+        aprogram, for_analysis->queries[0].literal.pred, {});
     if (analysis.ok()) {
       std::printf("--- minimum predicate constraints ---\n");
       for (const auto& [pred, set] : analysis->predicate_constraints) {
-        std::printf("  %s: %s\n",
-                    aopt.program().symbols->PredicateName(pred).c_str(),
-                    RenderConstraintSet(set, *aopt.program().symbols,
-                                        cqlopt::DollarNames())
+        std::printf("  %s: %s\n", asymbols.PredicateName(pred).c_str(),
+                    RenderConstraintSet(set, asymbols, cqlopt::DollarNames())
                         .c_str());
       }
       std::printf("--- QRP constraints (after pred propagation) ---\n");
       for (const auto& [pred, set] : analysis->qrp_constraints) {
-        std::printf("  %s: %s\n",
-                    aopt.program().symbols->PredicateName(pred).c_str(),
-                    RenderConstraintSet(set, *aopt.program().symbols,
-                                        cqlopt::DollarNames())
+        std::printf("  %s: %s\n", asymbols.PredicateName(pred).c_str(),
+                    RenderConstraintSet(set, asymbols, cqlopt::DollarNames())
                         .c_str());
       }
     }
   }
 
-  auto rewritten = opt.Rewrite(query, sequence);
+  auto steps = cqlopt::ParseSteps(sequence);
+  if (!steps.ok()) {
+    std::fprintf(stderr, "rewrite: %s\n", steps.status().ToString().c_str());
+    return 1;
+  }
+  auto rewritten = cqlopt::ApplyPipeline(program, query, *steps, {});
   if (!rewritten.ok()) {
     std::fprintf(stderr, "rewrite: %s\n",
                  rewritten.status().ToString().c_str());
@@ -116,13 +120,13 @@ int main(int argc, char** argv) {
     std::ostringstream edb_buffer;
     edb_buffer << edb_file.rdbuf();
     cqlopt::Database db;
-    auto loaded = cqlopt::LoadDatabaseText(edb_buffer.str(),
-                                           opt.program().symbols, &db);
+    auto loaded =
+        cqlopt::LoadDatabaseText(edb_buffer.str(), program.symbols, &db);
     if (!loaded.ok()) {
       std::fprintf(stderr, "edb: %s\n", loaded.status().ToString().c_str());
       return 1;
     }
-    auto run = opt.Run(rewritten->program, db);
+    auto run = cqlopt::Evaluate(rewritten->program, db, {});
     if (!run.ok()) {
       std::fprintf(stderr, "eval: %s\n", run.status().ToString().c_str());
       return 1;
@@ -130,10 +134,10 @@ int main(int argc, char** argv) {
     auto answers = cqlopt::QueryAnswers(*run, rewritten->query);
     if (!answers.ok()) return 1;
     std::printf("--- evaluation (%d EDB facts) ---\n", *loaded);
-    std::printf("%s\n", run->stats.ToString(*opt.program().symbols).c_str());
+    std::printf("%s\n", run->stats.ToString(symbols).c_str());
     std::printf("--- answers (%zu) ---\n", answers->size());
     for (const cqlopt::Fact& f : *answers) {
-      std::printf("  %s\n", f.ToString(*opt.program().symbols).c_str());
+      std::printf("  %s\n", f.ToString(symbols).c_str());
     }
   }
   return 0;

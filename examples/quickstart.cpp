@@ -8,20 +8,21 @@
 
 #include <cstdio>
 
+#include "ast/parser.h"
 #include "ast/printer.h"
-#include "core/optimizer.h"
+#include "core/equivalence.h"
 #include "eval/provenance.h"
+#include "transform/pipeline.h"
 
 using cqlopt::Database;
 using cqlopt::Fact;
-using cqlopt::Optimizer;
 using cqlopt::Rational;
 
 int main() {
   // A CQL program: find short-or-cheap connections over single-leg flights
   // (the paper's Example 1.1). Rules are Datalog plus linear arithmetic
   // constraints; `?- ...` is the query.
-  auto optimizer = Optimizer::FromText(R"(
+  auto parsed = cqlopt::ParseProgram(R"(
     r1: cheaporshort(S, D, T, C) :- flight(S, D, T, C), T <= 240.
     r2: cheaporshort(S, D, T, C) :- flight(S, D, T, C), C <= 150.
     r3: flight(S, D, T, C) :- singleleg(S, D, T, C), C > 0, T > 0.
@@ -29,16 +30,19 @@ int main() {
                               T = T1 + T2 + 30, C = C1 + C2.
     ?- cheaporshort(msn, sea, Time, Cost).
   )");
-  if (!optimizer.ok()) {
-    std::fprintf(stderr, "parse: %s\n", optimizer.status().ToString().c_str());
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "parse: %s\n", parsed.status().ToString().c_str());
     return 1;
   }
-  Optimizer& opt = *optimizer;
-  const cqlopt::Query& query = opt.queries()[0];
+  const cqlopt::Program& program = parsed->program;
+  const cqlopt::SymbolTable& symbols = *program.symbols;
+  const cqlopt::Query& query = parsed->queries[0];
 
   // The optimal rewriting order (Theorem 7.10): predicate constraints, then
   // QRP constraints, then constraint magic.
-  auto rewritten = opt.Rewrite(query, "pred,qrp,mg");
+  auto steps = cqlopt::ParseSteps("pred,qrp,mg");
+  if (!steps.ok()) return 1;
+  auto rewritten = cqlopt::ApplyPipeline(program, query, *steps, {});
   if (!rewritten.ok()) {
     std::fprintf(stderr, "rewrite: %s\n",
                  rewritten.status().ToString().c_str());
@@ -50,7 +54,7 @@ int main() {
   // A tiny extensional database.
   Database db;
   auto leg = [&](const char* s, const char* d, int t, int c) {
-    (void)db.AddGroundFact(opt.symbols(), "singleleg",
+    (void)db.AddGroundFact(program.symbols.get(), "singleleg",
                            {Database::Value::Symbol(s),
                             Database::Value::Symbol(d),
                             Database::Value::Number(Rational(t)),
@@ -63,7 +67,7 @@ int main() {
   leg("ord", "jfk", 140, 500);  // pruned: never short-or-cheap from msn
 
   // Bottom-up evaluation and answer extraction.
-  auto run = opt.Run(rewritten->program, db);
+  auto run = cqlopt::Evaluate(rewritten->program, db, {});
   if (!run.ok()) {
     std::fprintf(stderr, "eval: %s\n", run.status().ToString().c_str());
     return 1;
@@ -72,10 +76,9 @@ int main() {
   if (!answers.ok()) return 1;
   std::printf("--- answers (%zu) ---\n", answers->size());
   for (const Fact& f : *answers) {
-    std::printf("  %s\n", f.ToString(*opt.program().symbols).c_str());
+    std::printf("  %s\n", f.ToString(symbols).c_str());
   }
-  std::printf("--- stats: %s ---\n",
-              run->stats.ToString(*opt.program().symbols).c_str());
+  std::printf("--- stats: %s ---\n", run->stats.ToString(symbols).c_str());
 
   // Every derived fact carries its derivation tree (Definition 2.2):
   // explain how the first answer was produced.
@@ -84,7 +87,7 @@ int main() {
   if (rel != nullptr && !rel->empty()) {
     auto tree = cqlopt::RenderDerivationTree(
         run->db, cqlopt::Relation::FactRef{rewritten->query.literal.pred, 0},
-        *opt.program().symbols);
+        symbols);
     if (tree.ok()) {
       std::printf("--- derivation tree of the first answer ---\n%s",
                   tree->c_str());

@@ -17,15 +17,15 @@
 #include <cstdlib>
 #include <string>
 
+#include "ast/parser.h"
 #include "ast/printer.h"
-#include "core/optimizer.h"
+#include "core/equivalence.h"
 #include "eval/loader.h"
+#include "transform/pipeline.h"
 
 using cqlopt::Database;
 using cqlopt::EvalOptions;
 using cqlopt::Fact;
-using cqlopt::Optimizer;
-using cqlopt::Relation;
 
 int main(int argc, char** argv) {
   long deadline = argc > 1 ? std::atol(argv[1]) : 50;
@@ -34,16 +34,17 @@ int main(int argc, char** argv) {
   // The deadline is a program-level selection (the Example 1.1 pattern);
   // QRP propagation is query-independent, so a selection must live in a
   // rule to be pushed — the query below then just picks the city.
-  auto optimizer = Optimizer::FromText(
+  auto parsed = cqlopt::ParseProgram(
       "r0: arrive(C, T) :- reach(C, T), T <= " + std::to_string(deadline) +
       ".\n"
       "r1: reach(C, T) :- depart(C, T).\n"
       "r2: reach(C2, T2) :- reach(C1, T1), link(C1, C2, D), T2 = T1 + D.\n");
-  if (!optimizer.ok()) {
-    std::fprintf(stderr, "parse: %s\n", optimizer.status().ToString().c_str());
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "parse: %s\n", parsed.status().ToString().c_str());
     return 1;
   }
-  Optimizer& opt = *optimizer;
+  cqlopt::Program& program = parsed->program;
+  const cqlopt::SymbolTable& symbols = *program.symbols;
 
   Database db;
   // The departure window is a constraint fact: any time in [0, 10].
@@ -58,13 +59,13 @@ int main(int argc, char** argv) {
     link(venice, vienna, 25).
     link(vienna, prague, 16).
   )",
-                                         opt.program().symbols, &db);
+                                         program.symbols, &db);
   if (!loaded.ok()) {
     std::fprintf(stderr, "edb: %s\n", loaded.status().ToString().c_str());
     return 1;
   }
 
-  auto query = opt.ParseQuery("?- arrive(rome, T).");
+  auto query = cqlopt::ParseQueryText("?- arrive(rome, T).", &program);
   if (!query.ok()) {
     std::fprintf(stderr, "query: %s\n", query.status().ToString().c_str());
     return 1;
@@ -80,10 +81,12 @@ int main(int argc, char** argv) {
     cqlopt::Conjunction positive_duration;
     (void)positive_duration.AddLinear(cqlopt::LinearConstraint(
         -cqlopt::LinearExpr::Var(3), cqlopt::CmpOp::kLt));
-    options.edb_constraints[opt.symbols()->LookupPredicate("link")] =
+    options.edb_constraints[symbols.LookupPredicate("link")] =
         cqlopt::ConstraintSet::Of(positive_duration);
   }
-  auto rewritten = opt.Rewrite(*query, "pred,qrp", options);
+  auto steps = cqlopt::ParseSteps("pred,qrp");
+  if (!steps.ok()) return 1;
+  auto rewritten = cqlopt::ApplyPipeline(program, *query, *steps, options);
   if (!rewritten.ok()) {
     std::fprintf(stderr, "rewrite: %s\n",
                  rewritten.status().ToString().c_str());
@@ -94,7 +97,7 @@ int main(int argc, char** argv) {
 
   EvalOptions eval;
   eval.max_iterations = 64;
-  auto run = opt.Run(rewritten->program, db, eval);
+  auto run = cqlopt::Evaluate(rewritten->program, db, eval);
   if (!run.ok()) {
     std::fprintf(stderr, "eval: %s\n", run.status().ToString().c_str());
     return 1;
@@ -102,11 +105,10 @@ int main(int argc, char** argv) {
   // Print every reachable window (they are constraint facts).
   std::printf("--- reachability windows ---\n");
   for (const auto& [pred, rel] : run->db.relations()) {
-    const std::string& name = opt.program().symbols->PredicateName(pred);
+    const std::string& name = symbols.PredicateName(pred);
     if (name.rfind("reach", 0) != 0) continue;
     for (size_t i = 0; i < rel.size(); ++i) {
-      std::printf("  %s\n",
-                  rel.fact(i).ToString(*opt.program().symbols).c_str());
+      std::printf("  %s\n", rel.fact(i).ToString(symbols).c_str());
     }
   }
   auto answers = cqlopt::QueryAnswers(*run, rewritten->query);
@@ -114,9 +116,8 @@ int main(int argc, char** argv) {
   std::printf("--- can rome be reached by t=%ld? %s ---\n", deadline,
               answers->empty() ? "no" : "yes");
   for (const Fact& f : *answers) {
-    std::printf("  %s\n", f.ToString(*opt.program().symbols).c_str());
+    std::printf("  %s\n", f.ToString(symbols).c_str());
   }
-  std::printf("stats: %s\n",
-              run->stats.ToString(*opt.program().symbols).c_str());
+  std::printf("stats: %s\n", run->stats.ToString(symbols).c_str());
   return 0;
 }

@@ -13,14 +13,6 @@ Conjunction PtolConjunction(const Literal& lit, const Conjunction& over_args) {
   return over_args.Rename(mapping);
 }
 
-ConstraintSet Ptol(const Literal& lit, const ConstraintSet& over_args) {
-  ConstraintSet out;
-  for (const Conjunction& d : over_args.disjuncts()) {
-    out.AddDisjunct(PtolConjunction(lit, d));
-  }
-  return out;
-}
-
 Result<Conjunction> LtopConjunction(const Literal& lit,
                                     const Conjunction& over_vars) {
   // Definition 2.8: conjoin position-variable equalities $i = X_i, then
@@ -34,15 +26,6 @@ Result<Conjunction> LtopConjunction(const Literal& lit,
     positions.push_back(i + 1);
   }
   return tied.Project(positions);
-}
-
-Result<ConstraintSet> Ltop(const Literal& lit, const ConstraintSet& over_vars) {
-  ConstraintSet out;
-  for (const Conjunction& d : over_vars.disjuncts()) {
-    CQLOPT_ASSIGN_OR_RETURN(Conjunction c, LtopConjunction(lit, d));
-    out.AddDisjunct(c);
-  }
-  return out;
 }
 
 }  // namespace cqlopt

@@ -9,7 +9,7 @@ namespace cqlopt {
 /// PTOL and LTOP (Definitions 2.7 and 2.8): the conversions between
 /// constraints over the *argument positions* of a predicate ($1, $2, ...,
 /// represented as VarIds 1..arity) and constraints over the *variables* of a
-/// literal p(X̄) in a rule.
+/// literal p(X̄) in a rule. A constraint set converts disjunct by disjunct.
 ///
 /// Example (Definition 2.7): for flight of arity 4,
 ///   PTOL(flight(S,D,T,C), ($3 <= 240) | ($4 <= 150))
@@ -27,18 +27,10 @@ namespace cqlopt {
 /// variables.
 Conjunction PtolConjunction(const Literal& lit, const Conjunction& over_args);
 
-/// Converts a constraint set over argument positions into one over `lit`'s
-/// variables.
-ConstraintSet Ptol(const Literal& lit, const ConstraintSet& over_args);
-
 /// Converts a conjunction over `lit`'s variables (or any superset: extra
 /// variables are projected away) into one over argument positions 1..arity.
 Result<Conjunction> LtopConjunction(const Literal& lit,
                                     const Conjunction& over_vars);
-
-/// Converts a constraint set over `lit`'s variables into one over argument
-/// positions.
-Result<ConstraintSet> Ltop(const Literal& lit, const ConstraintSet& over_vars);
 
 }  // namespace cqlopt
 

@@ -25,18 +25,6 @@ Rule MakeBridgeRule(PredId head_pred, PredId body_pred, int arity,
   return rule;
 }
 
-Query RenameQueryApart(const Query& query, VarAllocator* alloc) {
-  std::map<VarId, VarId> mapping;
-  for (VarId v : query.literal.Vars()) mapping[v] = alloc->Fresh();
-  for (VarId v : query.constraints.Vars()) {
-    if (mapping.count(v) == 0) mapping[v] = alloc->Fresh();
-  }
-  Query out;
-  out.literal = query.literal.Rename(mapping);
-  out.constraints = query.constraints.Rename(mapping);
-  return out;
-}
-
 std::string RuleCanonicalKey(const Rule& rule) {
   // Renumber variables by first occurrence (head, then body, then
   // constraints) into a reserved id range, then render canonically.

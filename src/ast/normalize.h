@@ -17,10 +17,6 @@ VarAllocator MakeAllocator(const Program& program);
 Rule MakeBridgeRule(PredId head_pred, PredId body_pred, int arity,
                     VarAllocator* alloc, const std::string& label);
 
-/// A copy of `query` with fresh variables from `alloc`, safe to embed in a
-/// program whose variable ids may overlap the query's.
-Query RenameQueryApart(const Query& query, VarAllocator* alloc);
-
 /// Canonical structural key of a rule: predicates plus argument pattern plus
 /// constraints, with variables renumbered by first occurrence — two
 /// alpha-equivalent rules get the same key.

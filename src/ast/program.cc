@@ -4,37 +4,10 @@
 
 namespace cqlopt {
 
-bool Program::IsDerived(PredId pred) const {
-  for (const Rule& r : rules) {
-    if (r.head.pred == pred) return true;
-  }
-  return false;
-}
-
 std::vector<PredId> Program::DerivedPredicates() const {
   std::set<PredId> preds;
   for (const Rule& r : rules) preds.insert(r.head.pred);
   return std::vector<PredId>(preds.begin(), preds.end());
-}
-
-std::vector<PredId> Program::DatabasePredicates() const {
-  std::set<PredId> heads;
-  for (const Rule& r : rules) heads.insert(r.head.pred);
-  std::set<PredId> out;
-  for (const Rule& r : rules) {
-    for (const Literal& lit : r.body) {
-      if (heads.count(lit.pred) == 0) out.insert(lit.pred);
-    }
-  }
-  return std::vector<PredId>(out.begin(), out.end());
-}
-
-std::vector<size_t> Program::RuleIndexesFor(PredId pred) const {
-  std::vector<size_t> out;
-  for (size_t i = 0; i < rules.size(); ++i) {
-    if (rules[i].head.pred == pred) out.push_back(i);
-  }
-  return out;
 }
 
 int Program::Arity(PredId pred) const {

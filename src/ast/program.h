@@ -36,13 +36,8 @@ struct Program {
   /// Declared arity of every predicate seen (rules and queries).
   std::map<PredId, int> arities;
 
-  bool IsDerived(PredId pred) const;
   /// Predicates in rule heads, sorted.
   std::vector<PredId> DerivedPredicates() const;
-  /// Predicates occurring only in bodies, sorted.
-  std::vector<PredId> DatabasePredicates() const;
-  /// Indexes of rules whose head is `pred`.
-  std::vector<size_t> RuleIndexesFor(PredId pred) const;
   /// Declared arity, or -1 if the predicate is unknown.
   int Arity(PredId pred) const;
   /// Records the arity of a predicate; returns InvalidArgument on conflict.

@@ -1,7 +1,5 @@
 #include "constraint/constraint_set.h"
 
-#include <algorithm>
-
 #include "constraint/implication.h"
 
 namespace cqlopt {
@@ -16,13 +14,6 @@ ConstraintSet ConstraintSet::Of(Conjunction disjunct) {
   ConstraintSet set;
   if (disjunct.IsSatisfiable()) set.disjuncts_.push_back(std::move(disjunct));
   return set;
-}
-
-bool ConstraintSet::IsSatisfiable() const {
-  for (const Conjunction& d : disjuncts_) {
-    if (d.IsSatisfiable()) return true;
-  }
-  return false;
 }
 
 bool ConstraintSet::IsTriviallyTrue() const {
@@ -57,19 +48,6 @@ bool ConstraintSet::UnionWith(const ConstraintSet& other) {
   return changed;
 }
 
-Result<ConstraintSet> ConstraintSet::And(const ConstraintSet& a,
-                                         const ConstraintSet& b) {
-  ConstraintSet out;
-  for (const Conjunction& da : a.disjuncts_) {
-    for (const Conjunction& db : b.disjuncts_) {
-      Conjunction product = da;
-      CQLOPT_RETURN_IF_ERROR(product.AddConjunction(db));
-      if (product.IsSatisfiable()) out.AddDisjunct(product);
-    }
-  }
-  return out;
-}
-
 Result<ConstraintSet> ConstraintSet::Project(
     const std::vector<VarId>& keep) const {
   ConstraintSet out;
@@ -94,34 +72,6 @@ bool ConstraintSet::Implies(const ConstraintSet& other) const {
     if (!ImpliesDisjunction(d, other.disjuncts_)) return false;
   }
   return true;
-}
-
-void ConstraintSet::Simplify() {
-  std::vector<Conjunction> simplified;
-  simplified.reserve(disjuncts_.size());
-  for (Conjunction& d : disjuncts_) {
-    if (!d.IsSatisfiable()) continue;
-    d.Simplify();
-    simplified.push_back(std::move(d));
-  }
-  disjuncts_.clear();
-  // Re-add one by one so redundant disjuncts get eliminated. Adding in
-  // order of decreasing generality is not required for correctness;
-  // AddDisjunct prunes in both directions.
-  for (Conjunction& d : simplified) AddDisjunct(d);
-}
-
-std::string ConstraintSet::ToString() const {
-  if (disjuncts_.empty()) return "false";
-  std::vector<std::string> parts;
-  parts.reserve(disjuncts_.size());
-  for (const Conjunction& d : disjuncts_) {
-    parts.push_back("(" + d.ToString() + ")");
-  }
-  std::sort(parts.begin(), parts.end());
-  std::string out = parts[0];
-  for (size_t i = 1; i < parts.size(); ++i) out += " | " + parts[i];
-  return out;
 }
 
 }  // namespace cqlopt

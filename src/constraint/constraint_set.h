@@ -1,7 +1,6 @@
 #ifndef CQLOPT_CONSTRAINT_CONSTRAINT_SET_H_
 #define CQLOPT_CONSTRAINT_CONSTRAINT_SET_H_
 
-#include <string>
 #include <vector>
 
 #include "constraint/conjunction.h"
@@ -23,7 +22,6 @@ class ConstraintSet {
 
   const std::vector<Conjunction>& disjuncts() const { return disjuncts_; }
   bool is_false() const { return disjuncts_.empty(); }
-  bool IsSatisfiable() const;
 
   /// True iff some disjunct is the trivial `true` conjunction (then the set
   /// is equivalent to `true`).
@@ -39,11 +37,6 @@ class ConstraintSet {
   /// Disjunction: adds every disjunct of `other`. Returns true if changed.
   bool UnionWith(const ConstraintSet& other);
 
-  /// Conjunction of two sets, distributed to DNF; unsatisfiable products
-  /// are dropped (Proposition 2.2's `&` after conversion to DNF).
-  static Result<ConstraintSet> And(const ConstraintSet& a,
-                                   const ConstraintSet& b);
-
   /// Projects every disjunct onto `keep` (Definition 2.8's Π, lifted).
   Result<ConstraintSet> Project(const std::vector<VarId>& keep) const;
 
@@ -58,12 +51,6 @@ class ConstraintSet {
   bool EquivalentTo(const ConstraintSet& other) const {
     return Implies(other) && other.Implies(*this);
   }
-
-  /// Simplifies each disjunct and drops redundant ones.
-  void Simplify();
-
-  /// "false", or " | "-joined disjunct strings, each parenthesized.
-  std::string ToString() const;
 
  private:
   std::vector<Conjunction> disjuncts_;

@@ -30,12 +30,6 @@ bool Interval::IsEmpty() const {
   return lo_ == hi_ && (lo_strict_ || hi_strict_);
 }
 
-std::optional<Rational> Interval::Point() const {
-  if (lo_inf_ || hi_inf_ || lo_strict_ || hi_strict_) return std::nullopt;
-  if (lo_ != hi_) return std::nullopt;
-  return lo_;
-}
-
 bool Interval::Contains(const Rational& value) const {
   if (!lo_inf_ && (lo_strict_ ? value <= lo_ : value < lo_)) return false;
   if (!hi_inf_ && (hi_strict_ ? value >= hi_ : value > hi_)) return false;
@@ -47,14 +41,6 @@ bool Interval::Intersects(const Interval& other) const {
   if (!other.lo_inf_) meet.TightenLower(other.lo_, other.lo_strict_);
   if (!other.hi_inf_) meet.TightenUpper(other.hi_, other.hi_strict_);
   return !meet.IsEmpty();
-}
-
-std::string Interval::ToString() const {
-  std::string out = lo_inf_ ? "(-inf" : (lo_strict_ ? "(" : "[") +
-                                            lo_.ToString();
-  out += ", ";
-  out += hi_inf_ ? "+inf)" : hi_.ToString() + (hi_strict_ ? ")" : "]");
-  return out;
 }
 
 const Interval& IntervalDomain::Of(VarId v) const {

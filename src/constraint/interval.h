@@ -2,8 +2,6 @@
 #define CQLOPT_CONSTRAINT_INTERVAL_H_
 
 #include <map>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "constraint/linear_constraint.h"
@@ -38,18 +36,11 @@ class Interval {
   /// bounds with either end open.
   bool IsEmpty() const;
 
-  /// The single admissible value when the interval is a closed point;
-  /// nullopt otherwise.
-  std::optional<Rational> Point() const;
-
   /// True iff `value` satisfies both bounds.
   bool Contains(const Rational& value) const;
 
   /// True iff some rational lies in both intervals (the meet is nonempty).
   bool Intersects(const Interval& other) const;
-
-  /// E.g. "[2, 5)", "(-inf, 3]", "(-inf, +inf)".
-  std::string ToString() const;
 
  private:
   bool lo_inf_ = true;

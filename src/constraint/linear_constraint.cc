@@ -158,10 +158,6 @@ bool LinearConstraint::operator<(const LinearConstraint& other) const {
   return expr_.constant() < other.expr_.constant();
 }
 
-std::string LinearConstraint::ToString() const {
-  return expr_.ToString() + " " + CmpOpName(op_) + " 0";
-}
-
 std::string LinearConstraint::ToPrettyString() const {
   // Move the constant to the right-hand side: expr' op -constant. When every
   // variable coefficient is negative, flip the whole inequality so e.g.

@@ -67,9 +67,7 @@ class LinearConstraint {
   /// Arbitrary total order, for canonical sorting inside conjunctions.
   bool operator<(const LinearConstraint& other) const;
 
-  /// E.g. "$1 + $2 - 6 <= 0".
-  std::string ToString() const;
-  /// Friendlier rendering, e.g. "$1 + $2 <= 6".
+  /// Rendering with the constant moved right, e.g. "$1 + $2 <= 6".
   std::string ToPrettyString() const;
 
  private:

@@ -14,7 +14,9 @@ Status Database::AddGroundFact(SymbolTable* symbols,
             ? PointValue::Symbol(symbols->InternSymbol(value.symbol))
             : PointValue::Number(value.number));
   }
-  AddFact(CanonicalFact::Ground(pred, std::move(tuple)));
+  CanonicalFact fact = CanonicalFact::Ground(pred, std::move(tuple));
+  const uint64_t hash = fact.Hash();
+  AddFact(std::move(fact), hash);
   return Status::OK();
 }
 
@@ -48,13 +50,6 @@ size_t Database::FactsFor(PredId pred) const {
   return rel == nullptr ? 0 : rel->size();
 }
 
-bool Database::AllGround() const {
-  for (const auto& [pred, rel] : relations_) {
-    if (!rel.AllGround()) return false;
-  }
-  return true;
-}
-
 void Database::Seal() {
   for (auto& [pred, rel] : relations_) rel.Seal();
 }
@@ -66,12 +61,6 @@ void Database::IndexEveryPosition() {
 size_t Database::ApproxBytes() const {
   size_t total = 0;
   for (const auto& [pred, rel] : relations_) total += rel.ApproxBytes();
-  return total;
-}
-
-size_t Database::SharedBytes() const {
-  size_t total = 0;
-  for (const auto& [pred, rel] : relations_) total += rel.SharedBytes();
   return total;
 }
 

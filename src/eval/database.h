@@ -22,19 +22,15 @@ class Database {
     return relations_[fact.pred].Insert(std::move(fact), /*birth=*/-1);
   }
 
-  /// The same for a fact already in canonical form (the loader's tuple path).
-  InsertOutcome AddFact(CanonicalFact fact) {
+  /// Inserts a fact already in canonical form under its identity hash
+  /// (`hash` == fact.Hash(), Relation::InsertCanonical): an EDB fact by
+  /// default (the loader's tuple path), or a derived fact with its birth
+  /// iteration and provenance (the fixpoint's commit).
+  InsertOutcome AddFact(CanonicalFact fact, uint64_t hash, int birth = -1,
+                        const std::string& rule_label = "",
+                        std::vector<Relation::FactRef> parents = {}) {
     PredId pred = fact.pred;
-    return relations_[pred].InsertCanonical(std::move(fact), /*birth=*/-1);
-  }
-
-  /// Inserts a derived fact, in canonical form, with its birth iteration
-  /// and provenance (the fixpoint's commit).
-  InsertOutcome AddFact(CanonicalFact fact, int birth,
-                        const std::string& rule_label,
-                        std::vector<Relation::FactRef> parents) {
-    PredId pred = fact.pred;
-    return relations_[pred].InsertCanonical(std::move(fact), birth,
+    return relations_[pred].InsertCanonical(std::move(fact), hash, birth,
                                             rule_label, std::move(parents));
   }
 
@@ -80,9 +76,6 @@ class Database {
   size_t TotalFacts() const;
   size_t FactsFor(PredId pred) const;
 
-  /// True if every stored fact is ground (Theorem 4.4's property).
-  bool AllGround() const;
-
   /// Seals every relation's indexed positions (Relation::Seal): only on a
   /// database the caller owns exclusively.
   void Seal();
@@ -97,10 +90,6 @@ class Database {
   /// bytes-per-fact numerator the benches report. An estimate, not exact
   /// allocator accounting.
   size_t ApproxBytes() const;
-
-  /// Approximate bytes held in chunks shared with other Database copies —
-  /// the storage a snapshot epoch reuses instead of duplicating.
-  size_t SharedBytes() const;
 
  private:
   std::map<PredId, Relation> relations_;

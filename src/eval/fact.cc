@@ -54,8 +54,6 @@ std::optional<GroundTuple> ValuesOf(const Conjunction& c,
 
 }  // namespace
 
-bool Fact::IsGround() const { return GroundValuesOf(*this).has_value(); }
-
 std::string Fact::Key() const {
   return std::to_string(pred) + "/" + std::to_string(arity) + ":" +
          constraint.ToString();

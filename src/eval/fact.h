@@ -26,9 +26,6 @@ struct Fact {
   Fact(PredId pred_in, int arity_in, Conjunction constraint_in)
       : pred(pred_in), arity(arity_in), constraint(std::move(constraint_in)) {}
 
-  /// True if every argument position has a unique value.
-  bool IsGround() const;
-
   /// Structural identity key: predicate id + canonical constraint string.
   /// Structurally distinct but equivalent facts get different keys; the
   /// subsumption check (relation.h) handles semantic duplicates. Storage

@@ -203,8 +203,8 @@ Result<long> RunIteration(const Program& program, const GroundPlans& plans,
         ++result->stats.inserted;
         ++inserted;
         if (!p.derived.ground()) result->stats.all_ground = false;
-        result->db.AddFact(std::move(p.derived), iteration, rule_label,
-                           std::move(p.parents));
+        result->db.AddFact(std::move(p.derived), p.hash, iteration,
+                           rule_label, std::move(p.parents));
         break;
       }
       case InsertOutcome::kSubsumed:

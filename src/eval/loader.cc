@@ -39,7 +39,10 @@ Result<int> LoadDatabaseText(const std::string& text,
     // A statement pinning every argument directly (`singleleg(msn, ord, 50,
     // 80).`) is a tuple: store it as one, no decision made.
     if (auto tuple = DirectValuesOf(rule.constraints, rule.head.args)) {
-      db->AddFact(CanonicalFact::Ground(rule.head.pred, std::move(*tuple)));
+      CanonicalFact fact = CanonicalFact::Ground(rule.head.pred,
+                                                 std::move(*tuple));
+      const uint64_t hash = fact.Hash();
+      db->AddFact(std::move(fact), hash);
       ++loaded;
       continue;
     }

@@ -53,16 +53,6 @@ Result<std::string> RenderDerivationTree(const Database& db,
   return out;
 }
 
-Result<int> DerivationTreeSize(const Database& db, Relation::FactRef ref) {
-  CQLOPT_ASSIGN_OR_RETURN(const Relation* rel, Lookup(db, ref));
-  int size = 1;
-  for (const Relation::FactRef& parent : rel->parents(ref.index)) {
-    CQLOPT_ASSIGN_OR_RETURN(int child, DerivationTreeSize(db, parent));
-    size += child;
-  }
-  return size;
-}
-
 std::optional<Relation::FactRef> FindFactByText(const Database& db,
                                                 PredId pred,
                                                 const std::string& text,

@@ -26,11 +26,6 @@ Result<std::string> RenderDerivationTree(const Database& db,
                                          Relation::FactRef ref,
                                          const SymbolTable& symbols);
 
-/// Number of nodes in the derivation tree rooted at `ref` (the root
-/// included). Shared subtrees are counted once per occurrence, like the
-/// rendering.
-Result<int> DerivationTreeSize(const Database& db, Relation::FactRef ref);
-
 /// Finds the first stored fact of `pred` whose rendering equals `text`
 /// (e.g. "t(1, 3)"); nullopt if absent.
 std::optional<Relation::FactRef> FindFactByText(const Database& db,

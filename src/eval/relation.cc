@@ -162,7 +162,9 @@ Relation::Chunk* Relation::TailChunkForAppend() {
 InsertOutcome Relation::Insert(Fact fact, int birth,
                                const std::string& rule_label,
                                std::vector<FactRef> parents) {
-  return InsertCanonical(Canonicalize(std::move(fact)), birth, rule_label,
+  CanonicalFact canonical = Canonicalize(std::move(fact));
+  const uint64_t hash = canonical.Hash();
+  return InsertCanonical(std::move(canonical), hash, birth, rule_label,
                          std::move(parents));
 }
 
@@ -246,10 +248,10 @@ std::optional<size_t> Relation::Find(const CanonicalFact& fact,
   return std::nullopt;
 }
 
-InsertOutcome Relation::InsertCanonical(CanonicalFact canonical, int birth,
+InsertOutcome Relation::InsertCanonical(CanonicalFact canonical,
+                                        uint64_t hash, int birth,
                                         const std::string& rule_label,
                                         std::vector<FactRef> parents) {
-  const uint64_t hash = canonical.Hash();
   if (Find(canonical, hash).has_value()) return InsertOutcome::kDuplicate;
   const Conjunction& constraint = canonical.constraint;
   const bool is_ground = canonical.ground();
@@ -355,21 +357,21 @@ Relation Relation::Spliced(const std::vector<uint8_t>& dead) const {
       row.arity = arity(i);
       row.constraint = constraint(i);
     }
-    out.InsertCanonical(std::move(row), birth(i), rule_label(i), parents(i));
+    const uint64_t hash = row.Hash();
+    out.InsertCanonical(std::move(row), hash, birth(i), rule_label(i),
+                        parents(i));
   }
   return out;
 }
 
 template <typename Visit>
-void Relation::ScanColumn(int position, size_t limit,
-                          const Visit& visit) const {
+void Relation::ScanColumn(int position, const Visit& visit) const {
   const size_t p = static_cast<size_t>(position - 1);
-  limit = std::min(limit, size_);
-  for (size_t c = 0; c * kChunkRows < limit; ++c) {
+  for (size_t c = 0; c < chunks_.size(); ++c) {
     const Chunk& chunk = *chunks_[c];
     if (p >= chunk.columns.size()) continue;
     const Column& col = chunk.columns[p];
-    const size_t rows = std::min(kChunkRows, limit - c * kChunkRows);
+    const size_t rows = chunk.births.size();
     const Interval* range = col.ranges.data();
     for (size_t k = 0; k < rows; ++k) {
       const ColTag t = static_cast<ColTag>(col.tags[k]);
@@ -386,11 +388,10 @@ void Relation::IndexPosition(int position) {
   PositionIndex& idx = index_[p];
   if (idx.built) return;
   idx.built = true;
-  ScanColumn(position, size_,
-             [&idx](size_t row, ColTag t, const Column& col, size_t k,
-                    const Interval* range) {
-               AddEntry(&idx, row, t, col, k, range);
-             });
+  ScanColumn(position, [&idx](size_t row, ColTag t, const Column& col,
+                              size_t k, const Interval* range) {
+    AddEntry(&idx, row, t, col, k, range);
+  });
   std::sort(idx.bound.begin(), idx.bound.end(), BoundLess);
   idx.sorted = idx.bound.size();
 }
@@ -423,11 +424,10 @@ size_t Relation::ProbeCost(int position, const ArgSignature& value) const {
   const PointValue key = KeyValue(value);
   if (!idx->built) {
     size_t cost = 0;
-    ScanColumn(position, size_,
-               [&](size_t, ColTag t, const Column& col, size_t k,
-                   const Interval*) {
-                 cost += ColumnMatches(t, col, k, key) ? 1 : 0;
-               });
+    ScanColumn(position, [&](size_t, ColTag t, const Column& col, size_t k,
+                             const Interval*) {
+      cost += ColumnMatches(t, col, k, key) ? 1 : 0;
+    });
     return cost;
   }
   auto [first, last] = SortedMatches(*idx, key);
@@ -438,18 +438,17 @@ size_t Relation::ProbeCost(int position, const ArgSignature& value) const {
   return cost;
 }
 
-void Relation::Probe(int position, const ArgSignature& value, size_t limit,
+void Relation::Probe(int position, const ArgSignature& value,
                      std::vector<size_t>* out) const {
   out->clear();
   const PositionIndex* idx = IndexAt(position);
   if (idx == nullptr) return;
   const PointValue key = KeyValue(value);
   if (!idx->built) {
-    ScanColumn(position, limit,
-               [&](size_t row, ColTag t, const Column& col, size_t k,
-                   const Interval*) {
-                 if (ColumnMatches(t, col, k, key)) out->push_back(row);
-               });
+    ScanColumn(position, [&](size_t row, ColTag t, const Column& col,
+                             size_t k, const Interval*) {
+      if (ColumnMatches(t, col, k, key)) out->push_back(row);
+    });
     return;
   }
   // The bound matches come out ascending (sorted matches, then suffix
@@ -470,7 +469,6 @@ void Relation::Probe(int position, const ArgSignature& value, size_t limit,
   for (; unbound != idx->unbound.end(); ++unbound) {
     out->push_back(unbound->row);
   }
-  out->erase(std::lower_bound(out->begin(), out->end(), limit), out->end());
 }
 
 bool Relation::CanRangePrune(int position) const {
@@ -485,13 +483,10 @@ size_t Relation::IntervalProbeCost(int position, const Interval& query) const {
     // Exact, as a sealed index's cost is: every row but the excluded
     // numbers.
     size_t cost = 0;
-    ScanColumn(position, size_,
-               [&](size_t, ColTag t, const Column& col, size_t k,
-                   const Interval*) {
-                 cost += t != ColTag::kNumber || query.Contains(col.numbers[k])
-                             ? 1
-                             : 0;
-               });
+    ScanColumn(position, [&](size_t, ColTag t, const Column& col, size_t k,
+                             const Interval*) {
+      cost += t != ColTag::kNumber || query.Contains(col.numbers[k]) ? 1 : 0;
+    });
     return cost;
   }
   const BoundEntry* numbers = SortedNumbers(*idx);
@@ -503,22 +498,21 @@ size_t Relation::IntervalProbeCost(int position, const Interval& query) const {
 }
 
 void Relation::IntervalProbe(int position, const Interval& query,
-                             size_t limit, std::vector<size_t>* out,
+                             std::vector<size_t>* out,
                              long* runs_pruned) const {
   out->clear();
   const PositionIndex* idx = IndexAt(position);
   if (idx == nullptr) return;
   if (!idx->built) {
     // As a sealed index would, count the probe only if `query` admits no
-    // number of the position at all, the rows past `limit` included.
+    // number of the position at all.
     bool admitted_number = false;
-    ScanColumn(position, runs_pruned != nullptr ? size_ : limit,
-               [&](size_t row, ColTag t, const Column& col, size_t k,
-                   const Interval* range) {
-                 if (!ColumnAdmits(t, col, k, range, query)) return;
-                 admitted_number = admitted_number || t == ColTag::kNumber;
-                 if (row < limit) out->push_back(row);
-               });
+    ScanColumn(position, [&](size_t row, ColTag t, const Column& col,
+                             size_t k, const Interval* range) {
+      if (!ColumnAdmits(t, col, k, range, query)) return;
+      admitted_number = admitted_number || t == ColTag::kNumber;
+      out->push_back(row);
+    });
     if (runs_pruned != nullptr && idx->numbers > 0 && !admitted_number) {
       ++*runs_pruned;
     }
@@ -544,11 +538,10 @@ void Relation::IntervalProbe(int position, const Interval& query,
     bool whole_line = e.bounds.lower_infinite() && e.bounds.upper_infinite();
     if (whole_line || query.Intersects(e.bounds)) out->push_back(e.row);
   }
-  // Candidates must come out in ascending row order: the emit-visibility
-  // and trace-identity contracts require probe enumeration to match the
-  // scan's insertion order exactly.
+  // Candidates must come out in ascending row order: the trace-identity
+  // contract requires probe enumeration to match the scan's insertion order
+  // exactly.
   std::sort(out->begin(), out->end());
-  out->erase(std::lower_bound(out->begin(), out->end(), limit), out->end());
 }
 
 size_t Relation::ApproxChunkBytes(const Chunk& chunk) {
@@ -583,14 +576,6 @@ size_t Relation::ApproxBytes() const {
   for (const PositionIndex& idx : index_) {
     bytes += idx.bound.capacity() * sizeof(PositionIndex::BoundEntry) +
              idx.unbound.capacity() * sizeof(PositionIndex::UnboundEntry);
-  }
-  return bytes;
-}
-
-size_t Relation::SharedBytes() const {
-  size_t bytes = 0;
-  for (const auto& chunk : chunks_) {
-    if (chunk.use_count() > 1) bytes += ApproxChunkBytes(*chunk);
   }
   return bytes;
 }

@@ -102,9 +102,10 @@ class Relation {
 
   /// Insert for a fact already in canonical form, whose groundness was
   /// decided where it was made (the fixpoint's commit, the loader's tuple
-  /// path): decides nothing again. A ground fact's tuple goes straight into
-  /// the value columns.
-  InsertOutcome InsertCanonical(CanonicalFact fact, int birth,
+  /// path), under the identity hash its caller holds (`hash` ==
+  /// fact.Hash()): decides and hashes nothing again. A ground fact's tuple
+  /// goes straight into the value columns.
+  InsertOutcome InsertCanonical(CanonicalFact fact, uint64_t hash, int birth,
                                 const std::string& rule_label = "",
                                 std::vector<FactRef> parents = {});
 
@@ -120,10 +121,7 @@ class Relation {
   }
 
   /// Row storage is append-only: Insert never reorders or removes, so row
-  /// indexes are stable and iterating over a size snapshot taken before a
-  /// batch of inserts visits exactly the pre-batch facts (the
-  /// emit-visibility contract of rule_application.h relies on this together
-  /// with birth stamps).
+  /// indexes are stable (provenance refs rely on this).
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
@@ -201,25 +199,23 @@ class Relation {
   /// position's value column once (DESIGN.md §12).
 
   /// Number of rows Probe at 1-based `position` for `value` would return
-  /// with no limit (bound matches plus every unbound and interval-bound
-  /// row). Exact; used to pick the most selective bound position before
-  /// probing.
+  /// (bound matches plus every unbound and interval-bound row). Exact; used
+  /// to pick the most selective bound position before probing.
   size_t ProbeCost(int position, const ArgSignature& value) const;
 
   /// Equality probe: writes to `*out` the row indexes, in ascending (=
-  /// insertion) order and restricted to indexes < `limit`, of facts that
-  /// can match `value` at 1-based `position`. That is facts whose column
-  /// binds the position to exactly the probed symbol/number, merged with
-  /// facts whose column leaves the position unbound or only interval-bound
-  /// — constraint facts restrict such positions only through their
-  /// constraint part (e.g. `$1 > 0`), so they can match any probed value
-  /// and are always enumerated.
+  /// insertion) order, of facts that can match `value` at 1-based
+  /// `position`. That is facts whose column binds the position to exactly
+  /// the probed symbol/number, merged with facts whose column leaves the
+  /// position unbound or only interval-bound — constraint facts restrict
+  /// such positions only through their constraint part (e.g. `$1 > 0`), so
+  /// they can match any probed value and are always enumerated.
   ///
   /// `value` must have a symbol or a number set (the symbol wins when both
   /// are). Enumerating the result under the caller's arity and column
-  /// checks visits exactly the facts a linear scan over rows [0, limit)
-  /// keeps after its column pre-filter at this position.
-  void Probe(int position, const ArgSignature& value, size_t limit,
+  /// checks visits exactly the facts a linear scan over every row keeps
+  /// after its column pre-filter at this position.
+  void Probe(int position, const ArgSignature& value,
              std::vector<size_t>* out) const;
 
   /// Upper bound on the rows IntervalProbe at `position` with `query` would
@@ -231,8 +227,8 @@ class Relation {
   size_t IntervalProbeCost(int position, const Interval& query) const;
 
   /// Range probe (DESIGN.md §12): writes to `*out` the row indexes,
-  /// ascending and < `limit`, of facts NOT provably excluded by `query` at
-  /// 1-based `position`:
+  /// ascending, of facts NOT provably excluded by `query` at 1-based
+  /// `position`:
   ///  - point rows (ColTag::kNumber) whose value lies in `query` — an
   ///    indexed position binary-searches its sorted prefix, so out-of-range
   ///    sorted rows are never visited;
@@ -245,7 +241,7 @@ class Relation {
   /// When `runs_pruned` is non-null it counts the probe if `query` admits
   /// none of the position's sorted numbers (there being at least one) —
   /// on an unindexed position, none of its numbers.
-  void IntervalProbe(int position, const Interval& query, size_t limit,
+  void IntervalProbe(int position, const Interval& query,
                      std::vector<size_t>* out,
                      long* runs_pruned = nullptr) const;
 
@@ -305,14 +301,8 @@ class Relation {
   /// table, and the position indexes. An estimate (heap allocator overhead
   /// and small-string storage are approximated), meant for bytes-per-fact
   /// trend reporting, not exact accounting. Chunks shared with other
-  /// Relation copies are counted in full here; see SharedBytes for the
-  /// portion a copy would share.
+  /// Relation copies are counted in full here.
   size_t ApproxBytes() const;
-
-  /// Approximate bytes of this relation held in chunks shared with at least
-  /// one other Relation copy — the storage a snapshot copy reuses instead
-  /// of duplicating (the copy-on-write saving of DESIGN.md §12).
-  size_t SharedBytes() const;
 
   /// One argument position's index (DESIGN.md §12). Its counts are kept
   /// for every position a stored row reaches; its entries only once the
@@ -387,13 +377,13 @@ class Relation {
   /// The index of 1-based `position`, or null when no stored row reaches it.
   const PositionIndex* IndexAt(int position) const;
 
-  /// Calls visit(row, tag, column, offset, range) for each row below
-  /// `limit` whose arity reaches 1-based `position`, ascending: `column` is
-  /// the row's chunk column and `offset` its place there; `range` is the
-  /// row's bound summary when tag == kInterval, null otherwise. The probes'
-  /// path for unindexed positions, and how IndexPosition reads a column.
+  /// Calls visit(row, tag, column, offset, range) for each row whose arity
+  /// reaches 1-based `position`, ascending: `column` is the row's chunk
+  /// column and `offset` its place there; `range` is the row's bound
+  /// summary when tag == kInterval, null otherwise. The probes' path for
+  /// unindexed positions, and how IndexPosition reads a column.
   template <typename Visit>
-  void ScanColumn(int position, size_t limit, const Visit& visit) const;
+  void ScanColumn(int position, const Visit& visit) const;
 
   /// The chunk the next row lands in, exclusively owned: starts a fresh
   /// chunk when the tail is full, clones the tail first when it is shared

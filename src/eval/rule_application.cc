@@ -163,11 +163,11 @@ void Consult(const JoinContext& ctx, const Literal& lit, const Relation& rel,
 }
 
 /// Chooses the access path for the body literal `lit` at enumeration depth
-/// `index` and returns its candidate rows — ascending (= insertion order)
-/// and below `snapshot` — in that depth's scratch buffer, counting them into
-/// ctx.stats. `acc_symbol` / `acc_number` are the positions the accumulated
-/// state binds directly; `accumulated()` returns the accumulated
-/// conjunction and is called only when they bind no position.
+/// `index` and returns its candidate rows — ascending (= insertion order) —
+/// in that depth's scratch buffer, counting them into ctx.stats.
+/// `acc_symbol` / `acc_number` are the positions the accumulated state binds
+/// directly; `accumulated()` returns the accumulated conjunction and is
+/// called only when they bind no position.
 ///
 /// The position index is probed for equality at the most selective bound
 /// position; failing that, for a range at the most selective numerically
@@ -175,14 +175,14 @@ void Consult(const JoinContext& ctx, const Literal& lit, const Relation& rel,
 template <typename AccumulatedFn>
 const std::vector<size_t>& SelectCandidates(
     const JoinContext& ctx, size_t index, const Literal& lit,
-    const Relation& rel, size_t snapshot,
+    const Relation& rel,
     const std::vector<std::optional<SymbolId>>& acc_symbol,
     const std::vector<std::optional<Rational>>& acc_number,
     const AccumulatedFn& accumulated) {
   // The probes write into this depth's reusable buffer (amortized
-  // allocation-free); ids < snapshot stay valid under mid-application
-  // appends because row storage is append-only.
+  // allocation-free).
   std::vector<size_t>& candidates = (*ctx.scratch)[index];
+  const size_t rows = rel.size();
   bool any_direct = false;
   for (int a = 0; a < lit.arity(); ++a) {
     size_t ai = static_cast<size_t>(a);
@@ -229,11 +229,11 @@ const std::vector<size_t>& SelectCandidates(
     }
   }
   if (probe_pos > 0) {
-    rel.Probe(probe_pos, probe_value, snapshot, &candidates);
+    rel.Probe(probe_pos, probe_value, &candidates);
     if (ctx.stats != nullptr) {
       ++ctx.stats->index_probes;
       ctx.stats->index_candidates += static_cast<long>(candidates.size());
-      ctx.stats->indexed_scan_equivalent += static_cast<long>(snapshot);
+      ctx.stats->indexed_scan_equivalent += static_cast<long>(rows);
     }
     return candidates;
   }
@@ -272,15 +272,14 @@ const std::vector<size_t>& SelectCandidates(
         ival_query = iv;
       }
     }
-    if (ival_pos > 0 && ival_cost < snapshot &&
+    if (ival_pos > 0 && ival_cost < rows &&
         !(domain.has_value() && domain->definitely_empty())) {
       long runs_pruned = 0;
-      rel.IntervalProbe(ival_pos, ival_query, snapshot, &candidates,
-                        &runs_pruned);
+      rel.IntervalProbe(ival_pos, ival_query, &candidates, &runs_pruned);
       if (ctx.stats != nullptr) {
         ++ctx.stats->interval_probes;
         ctx.stats->interval_candidates += static_cast<long>(candidates.size());
-        ctx.stats->interval_scan_equivalent += static_cast<long>(snapshot);
+        ctx.stats->interval_scan_equivalent += static_cast<long>(rows);
         ctx.stats->interval_runs_pruned += runs_pruned;
       }
       return candidates;
@@ -288,9 +287,9 @@ const std::vector<size_t>& SelectCandidates(
   }
   if (ctx.stats != nullptr) {
     ++ctx.stats->scan_probes;
-    ctx.stats->scan_candidates += static_cast<long>(snapshot);
+    ctx.stats->scan_candidates += static_cast<long>(rows);
   }
-  candidates.resize(snapshot);
+  candidates.resize(rows);
   std::iota(candidates.begin(), candidates.end(), size_t{0});
   return candidates;
 }
@@ -388,12 +387,8 @@ Status JoinFrom(const JoinContext& ctx, size_t index,
   std::optional<BirthFilter> filter = FilterAt(ctx, index, lit_pos, saw_delta);
   if (!filter.has_value()) return Status::OK();
   const LiteralView view = ViewOf(lit, accumulated);
-  // Size snapshot: the emit-visibility contract (rule_application.h) lets
-  // callers append facts mid-application; those get row indexes >=
-  // snapshot and birth > max_birth, so they are never enumerated.
-  const size_t snapshot = rel->size();
   const std::vector<size_t>& candidates = SelectCandidates(
-      ctx, index, lit, *rel, snapshot, view.acc_symbol, view.acc_number,
+      ctx, index, lit, *rel, view.acc_symbol, view.acc_number,
       [&accumulated]() -> const Conjunction& { return accumulated; });
   for (size_t i : candidates) {
     if (!Admits(ctx, *rel, i, *filter, lit.arity())) continue;
@@ -666,9 +661,8 @@ class Valuation {
       if (!accumulated.has_value()) accumulated = Accumulated();
       return *accumulated;
     };
-    const size_t snapshot = rel->size();
     const std::vector<size_t>& candidates = SelectCandidates(
-        ctx_, index, lit, *rel, snapshot, acc_symbol, acc_number, state);
+        ctx_, index, lit, *rel, acc_symbol, acc_number, state);
     const std::vector<GroundPlan::Step>& steps = schedule_->after[index];
     const bool decide = schedule_->needs_decision[index] != 0;
     for (size_t i : candidates) {

@@ -175,13 +175,11 @@ enum class DeltaMode {
 /// insertion order, so derivations and their order are again identical to
 /// the scan.
 ///
-/// Emit-visibility contract: a `emit` callback MAY insert facts into `db`
-/// immediately (streaming evaluation); such facts are not visible to the
-/// in-flight application provided they are inserted with birth >
-/// `max_birth`. Candidate enumeration snapshots each relation's size before
-/// iterating (Relation entry storage is append-only) and additionally
-/// filters on birth, so mid-application inserts can neither join into the
-/// current application nor invalidate its iteration state.
+/// Emit is buffered: `emit` must not insert into `db` while the application
+/// runs. The fixpoint collects an iteration's derivations, reconciles them
+/// as one set (the paper's Tables 1–2 discard a fact subsumed by a
+/// same-iteration derivation) and commits them after the iteration's last
+/// application, so candidate selection reads each relation's current size.
 ///
 /// Body-free rules (constraint facts in the program) derive their head
 /// directly; callers fire them only under kAll.

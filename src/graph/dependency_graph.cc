@@ -38,12 +38,4 @@ std::set<PredId> DependencyGraph::ReachableFrom(PredId start) const {
   return seen;
 }
 
-bool DependencyGraph::MutuallyRecursive(PredId p, PredId q) const {
-  if (p == q) return true;
-  std::set<PredId> from_p = ReachableFrom(p);
-  if (from_p.count(q) == 0) return false;
-  std::set<PredId> from_q = ReachableFrom(q);
-  return from_q.count(p) > 0;
-}
-
 }  // namespace cqlopt

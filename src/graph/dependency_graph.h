@@ -26,10 +26,6 @@ class DependencyGraph {
   /// Predicates reachable from `start` (including itself).
   std::set<PredId> ReachableFrom(PredId start) const;
 
-  /// True if p and q are mutually recursive (same SCC) — the "recursive
-  /// with" test of Definition 6.1.
-  bool MutuallyRecursive(PredId p, PredId q) const;
-
  private:
   std::vector<PredId> nodes_;
   std::map<PredId, std::set<PredId>> edges_;

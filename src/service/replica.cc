@@ -2,9 +2,9 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <utility>
 
+#include "service/protocol.h"
 #include "service/wal.h"
 #include "util/failpoint.h"
 
@@ -32,12 +32,26 @@ bool HeaderField(const std::string& line, const std::string& key,
   return true;
 }
 
+/// The value of `key=` as a whole base-10 int64 (ParseInt64): false when
+/// the key is absent, the word is not a number, or it lies outside int64.
 bool HeaderInt(const std::string& line, const std::string& key, int64_t* out) {
   std::string word;
-  if (!HeaderField(line, key, &word) || word.empty()) return false;
-  char* end = nullptr;
-  long long value = std::strtoll(word.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
+  return HeaderField(line, key, &word) && ParseInt64(word, out);
+}
+
+/// Parses a CRC-32 as the primary writes it (eight hex digits): 1 to 8 hex
+/// digits, nothing else (no sign, no prefix, no value past 32 bits).
+bool ParseCrc(const std::string& word, uint32_t* out) {
+  if (word.empty() || word.size() > 8) return false;
+  uint32_t value = 0;
+  for (char c : word) {
+    int digit = c >= '0' && c <= '9'   ? c - '0'
+                : c >= 'a' && c <= 'f' ? c - 'a' + 10
+                : c >= 'A' && c <= 'F' ? c - 'A' + 10
+                                       : -1;
+    if (digit < 0) return false;
+    value = value << 4 | static_cast<uint32_t>(digit);
+  }
   *out = value;
   return true;
 }
@@ -45,12 +59,7 @@ bool HeaderInt(const std::string& line, const std::string& key, int64_t* out) {
 bool HeaderCrc(const std::string& line, const std::string& key,
                uint32_t* out) {
   std::string word;
-  if (!HeaderField(line, key, &word) || word.empty()) return false;
-  char* end = nullptr;
-  unsigned long value = std::strtoul(word.c_str(), &end, 16);
-  if (end == nullptr || *end != '\0') return false;
-  *out = static_cast<uint32_t>(value);
-  return true;
+  return HeaderField(line, key, &word) && ParseCrc(word, out);
 }
 
 /// Maps a server `ERR <CODE> <msg>` line back to a typed Status. Codes we
@@ -166,10 +175,9 @@ Status RemoteReplicationSource::Fetch(int64_t base_epoch, uint64_t index,
         if (space == std::string::npos) {
           return Status::Unavailable("malformed deadline line: " + line);
         }
-        char* end = nullptr;
-        long long ms = std::strtoll(line.c_str() + 2, &end, 10);
+        int64_t ms = 0;
         std::string statement;
-        if (end == nullptr || *end != ' ' ||
+        if (!ParseInt64(line.substr(2, space - 2), &ms) ||
             !HexDecode(line.substr(space + 1), &statement)) {
           return Status::Unavailable("malformed deadline line: " + line);
         }
@@ -199,10 +207,9 @@ Status RemoteReplicationSource::Fetch(int64_t base_epoch, uint64_t index,
     if (line.rfind("R ", 0) != 0 || space == std::string::npos) {
       return Status::Unavailable("unexpected record line: " + line);
     }
-    char* end = nullptr;
-    unsigned long wire_crc = std::strtoul(line.c_str() + 2, &end, 16);
+    uint32_t wire_crc = 0;
     std::string payload;
-    if (end == nullptr || *end != ' ' ||
+    if (!ParseCrc(line.substr(2, space - 2), &wire_crc) ||
         !HexDecode(line.substr(space + 1), &payload)) {
       return Status::Unavailable("malformed record line: " + line);
     }
@@ -213,7 +220,7 @@ Status RemoteReplicationSource::Fetch(int64_t base_epoch, uint64_t index,
       payload[payload.size() / 2] ^= 0x40;
     }
     uint32_t actual = WalCrc32(payload);
-    if (actual != static_cast<uint32_t>(wire_crc)) {
+    if (actual != wire_crc) {
       return Status::Unavailable(
           "torn replication record (wire CRC " + CrcHex(wire_crc) +
           " != payload CRC " + CrcHex(actual) + "): batch rejected");

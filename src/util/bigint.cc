@@ -285,7 +285,6 @@ BigInt BigInt::operator+(const BigInt& other) const {
   return out;
 }
 
-BigInt BigInt::operator-(const BigInt& other) const { return *this + (-other); }
 
 BigInt BigInt::operator*(const BigInt& other) const {
   BigInt out;

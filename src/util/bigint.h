@@ -42,7 +42,6 @@ class BigInt {
 
   BigInt operator-() const;
   BigInt operator+(const BigInt& other) const;
-  BigInt operator-(const BigInt& other) const;
   BigInt operator*(const BigInt& other) const;
   /// Truncated division (C++ semantics: quotient rounds toward zero).
   /// Precondition: other != 0.
@@ -52,7 +51,6 @@ class BigInt {
   BigInt operator%(const BigInt& other) const;
 
   BigInt& operator+=(const BigInt& other) { return *this = *this + other; }
-  BigInt& operator-=(const BigInt& other) { return *this = *this - other; }
   BigInt& operator*=(const BigInt& other) { return *this = *this * other; }
 
   bool operator==(const BigInt& other) const {

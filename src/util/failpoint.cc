@@ -25,24 +25,6 @@ Registry& GetRegistry() {
 
 }  // namespace
 
-const std::vector<std::string>& AllSites() {
-  static const std::vector<std::string>* sites = new std::vector<std::string>{
-      kWalShortWrite,
-      kWalFsync,
-      kWalCrashBeforeCommit,
-      kWalCrashAfterCommit,
-      kServerShortWrite,
-      kEvalRuleAlloc,
-      kSchedulerWorkerHold,
-      kReplicaFetch,
-      kReplicaTornRecord,
-      kReplicaCrashBeforeApply,
-      kReplicaCrashMidApply,
-      kReplicaCrashAfterApply,
-  };
-  return *sites;
-}
-
 void Arm(const std::string& site, long skip, long times) {
   Registry& registry = GetRegistry();
   std::lock_guard<std::mutex> lock(registry.mu);
@@ -77,9 +59,9 @@ void DisarmAll() {
 bool ShouldFail(const std::string& site) {
   Registry& registry = GetRegistry();
   // Fast path: nothing armed anywhere -> skip the map lookup AND the hit
-  // count. Counters are only meaningful to harnesses that armed something
-  // (or called ResetCounters and will arm next), so the production cost of
-  // a disarmed failpoint stays at one relaxed load.
+  // count. Counters are only meaningful to harnesses that armed something,
+  // so the production cost of a disarmed failpoint stays at one relaxed
+  // load.
   if (registry.armed_count.load(std::memory_order_relaxed) == 0) return false;
   std::lock_guard<std::mutex> lock(registry.mu);
   SiteState& state = registry.sites[site];
@@ -103,12 +85,6 @@ long Hits(const std::string& site) {
   std::lock_guard<std::mutex> lock(registry.mu);
   auto it = registry.sites.find(site);
   return it == registry.sites.end() ? 0 : it->second.hits;
-}
-
-void ResetCounters() {
-  Registry& registry = GetRegistry();
-  std::lock_guard<std::mutex> lock(registry.mu);
-  for (auto& entry : registry.sites) entry.second.hits = 0;
 }
 
 }  // namespace failpoint

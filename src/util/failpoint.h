@@ -29,8 +29,7 @@ namespace cqlopt {
 /// thread-safe (sites fire-and-count under a mutex once armed).
 namespace failpoint {
 
-// Catalogue of injection sites (DESIGN.md section 10.4). Keep in sync with
-// AllSites() in failpoint.cc.
+// Catalogue of injection sites (DESIGN.md section 10.4).
 inline constexpr const char* kWalShortWrite = "wal/short-write";
 inline constexpr const char* kWalFsync = "wal/fsync";
 inline constexpr const char* kWalCrashBeforeCommit = "wal/crash-before-commit";
@@ -58,15 +57,12 @@ inline constexpr const char* kReplicaCrashMidApply = "replica/crash-mid-apply";
 inline constexpr const char* kReplicaCrashAfterApply =
     "replica/crash-after-apply";
 
-/// Every registered site name, in the order above.
-const std::vector<std::string>& AllSites();
-
 /// Arms `site`: the first `skip` hits pass through, then the next `times`
 /// hits fire (ShouldFail returns true), then the site auto-disarms.
 /// times <= 0 means fire on every hit after `skip` until Disarm.
 void Arm(const std::string& site, long skip = 0, long times = 1);
 
-/// Disarms `site` (hit counters are kept until ResetCounters).
+/// Disarms `site` (its hit counter is kept until DisarmAll).
 void Disarm(const std::string& site);
 
 /// Disarms every site and clears all hit counters.
@@ -76,11 +72,9 @@ void DisarmAll();
 /// hit either way. Near-free when nothing is armed.
 bool ShouldFail(const std::string& site);
 
-/// Total times `site` was reached (armed or not) since ResetCounters.
+/// Total times `site` was reached while some site was armed, since
+/// DisarmAll.
 long Hits(const std::string& site);
-
-/// Clears hit counters without touching armed state.
-void ResetCounters();
 
 }  // namespace failpoint
 }  // namespace cqlopt

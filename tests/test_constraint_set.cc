@@ -31,13 +31,11 @@ Conjunction Ge(VarId v, int bound) {
 TEST(ConstraintSetTest, DefaultIsFalse) {
   ConstraintSet s;
   EXPECT_TRUE(s.is_false());
-  EXPECT_FALSE(s.IsSatisfiable());
-  EXPECT_EQ(s.ToString(), "false");
 }
 
 TEST(ConstraintSetTest, TrueIsTriviallyTrue) {
   EXPECT_TRUE(ConstraintSet::True().IsTriviallyTrue());
-  EXPECT_TRUE(ConstraintSet::True().IsSatisfiable());
+  EXPECT_FALSE(ConstraintSet::True().is_false());
   EXPECT_FALSE(ConstraintSet::Of(Le(1, 5)).IsTriviallyTrue());
 }
 
@@ -80,21 +78,6 @@ TEST(ConstraintSetTest, UnionWithReportsChange) {
   EXPECT_EQ(a.disjuncts().size(), 2u);
 }
 
-TEST(ConstraintSetTest, AndDistributesAndPrunes) {
-  // (x<=3 v x>=7) & (x>=0) = (0<=x<=3) v (x>=7).
-  ConstraintSet a = ConstraintSet::Of(Le(1, 3));
-  a.AddDisjunct(Ge(1, 7));
-  ConstraintSet b = ConstraintSet::Of(Ge(1, 0));
-  auto product = ConstraintSet::And(a, b);
-  ASSERT_TRUE(product.ok());
-  EXPECT_EQ(product->disjuncts().size(), 2u);
-  // (x<=3) & (x>=7) would be dropped:
-  ConstraintSet c = ConstraintSet::Of(Ge(1, 7));
-  auto empty = ConstraintSet::And(ConstraintSet::Of(Le(1, 3)), c);
-  ASSERT_TRUE(empty.ok());
-  EXPECT_TRUE(empty->is_false());
-}
-
 TEST(ConstraintSetTest, ImpliesIsDefinition23) {
   // (x<=2 v x<=3) implies (x<=5); not conversely.
   ConstraintSet a = ConstraintSet::Of(Le(1, 2));
@@ -135,17 +118,6 @@ TEST(ConstraintSetTest, RenameAppliesToAllDisjuncts) {
   for (const Conjunction& d : renamed.disjuncts()) {
     for (VarId v : d.Vars()) EXPECT_EQ(v, 9);
   }
-}
-
-TEST(ConstraintSetTest, SimplifyDropsRedundantDisjunctsAndAtoms) {
-  ConstraintSet s;
-  Conjunction redundant = Conj({Atom({{1, 1}}, -3, CmpOp::kLe),
-                                Atom({{1, 1}}, -10, CmpOp::kLe)});
-  // Bypass AddDisjunct's pruning by building disjuncts with overlap.
-  s.AddDisjunct(redundant);
-  s.Simplify();
-  ASSERT_EQ(s.disjuncts().size(), 1u);
-  EXPECT_EQ(s.disjuncts()[0].linear().size(), 1u);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "core/equivalence.h"
 #include "core/workload.h"
 #include "eval/loader.h"
+#include "synthetic_edb.h"
 #include "transform/pipeline.h"
 
 namespace cqlopt {
@@ -49,25 +50,6 @@ TEST_P(CorpusTest, ParsesAndRoundTrips) {
   auto reparsed2 = ParseProgram(second);
   ASSERT_TRUE(reparsed2.ok()) << second;
   EXPECT_EQ(RenderProgram(reparsed2->program), second);
-}
-
-/// Builds a seeded EDB covering every database predicate of the program.
-Database SyntheticEdb(const Program& program, uint64_t seed) {
-  Database db;
-  for (PredId pred : program.DatabasePredicates()) {
-    const std::string& name = program.symbols->PredicateName(pred);
-    int arity = program.Arity(pred);
-    std::mt19937_64 rng(seed + static_cast<uint64_t>(pred));
-    for (int i = 0; i < 12; ++i) {
-      std::vector<Database::Value> values;
-      for (int a = 0; a < arity; ++a) {
-        values.push_back(Database::Value::Number(
-            Rational(static_cast<int64_t>(rng() % 30))));
-      }
-      (void)db.AddGroundFact(program.symbols.get(), name, values);
-    }
-  }
-  return db;
 }
 
 TEST_P(CorpusTest, AllSequencesQueryEquivalent) {

@@ -7,7 +7,7 @@
 #include "ast/printer.h"
 #include "constraint/fourier_motzkin.h"
 #include "constraint/implication.h"
-#include "core/optimizer.h"
+#include "core/equivalence.h"
 #include "transform/magic.h"
 
 namespace cqlopt {
@@ -161,10 +161,10 @@ TEST(ImplicationEdgeTest, EqualityChainsThroughManyVariables) {
   EXPECT_FALSE(Implies(b, a));
 }
 
-TEST(OptimizerEdgeTest, ConstraintFactOnlyProgram) {
-  auto opt = Optimizer::FromText("window(T) :- T >= 0, T <= 10.\n");
-  ASSERT_TRUE(opt.ok());
-  auto run = opt->Run(opt->program(), Database(), {});
+TEST(EvalEdgeTest, ConstraintFactOnlyProgram) {
+  auto parsed = ParseProgram("window(T) :- T >= 0, T <= 10.\n");
+  ASSERT_TRUE(parsed.ok());
+  auto run = Evaluate(parsed->program, Database(), {});
   ASSERT_TRUE(run.ok());
   EXPECT_FALSE(run->stats.all_ground);
   EXPECT_EQ(run->db.TotalFacts(), 1u);

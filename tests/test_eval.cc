@@ -168,7 +168,7 @@ TEST(EvalTest, SubsumptionWithinIterationPrefersGeneralFact) {
   EXPECT_EQ(result->stats.subsumed, 1);
   // The kept fact is the general one.
   const Relation* rel = result->db.Find(p.symbols->LookupPredicate("p"));
-  EXPECT_FALSE(rel->fact(0).IsGround());
+  EXPECT_FALSE(rel->ground(0));
 }
 
 TEST(EvalTest, TraceRendering) {
@@ -181,17 +181,11 @@ TEST(EvalTest, TraceRendering) {
   EXPECT_NE(trace.find("iteration 0: {r9:f(1)}"), std::string::npos) << trace;
 }
 
-// --- Emit-visibility contract (rule_application.h) ----------------------
-//
-// An emit callback may insert into the database immediately; entry storage
-// is append-only, so mid-application inserts land at indexes >= the
-// per-literal size snapshot AND carry birth > max_birth. Either guard alone
-// keeps them out of the in-flight application, so a streaming emit derives
-// exactly what a buffered emit does.
+// --- Buffered emit (rule_application.h) ---------------------------------
 
 /// e(2,3), e(1,2) (in that insertion order) and t(3,4): processing e(2,3)
-/// first derives t(2,4); whether e(1,2) then sees that new t fact is
-/// exactly what the contract governs.
+/// first derives t(2,4), which e(1,2) must not see within the same
+/// application.
 Database ChainDb(Program* p) {
   Database db;
   auto add = [&](const char* pred, int a, int b) {
@@ -206,9 +200,9 @@ Database ChainDb(Program* p) {
   return db;
 }
 
-/// Both access paths run in each streaming test below: `e` is enumerated
-/// with nothing bound (the scan fallback), `t` is probed with Z bound by
-/// the chosen e fact (the hash index).
+/// Both access paths run in ApplyRuleBothJoinsBufferEmits: `e` is
+/// enumerated with nothing bound (the scan fallback), `t` is probed with Z
+/// bound by the chosen e fact (the position index).
 void ExpectScanAndIndexProbes(const EvalStats& stats) {
   EXPECT_GT(stats.scan_probes, 0);
   EXPECT_GT(stats.index_probes, 0);
@@ -222,74 +216,29 @@ std::vector<std::shared_ptr<const GroundPlan>> BothJoins(const Rule& rule) {
   return {nullptr, plan};
 }
 
-TEST(EvalTest, StreamingEmitInsertsInvisibleWithinApplication) {
+TEST(EvalTest, ApplyRuleBothJoinsBufferEmits) {
+  // One application joins only the facts stored when it starts: t(2,4),
+  // derived from e(2,3) and t(3,4), is handed to the callback and never
+  // joined with e(1,2) in the same application (no t(1,4)).
   Program p = ParseOrDie("t(X, Y) :- e(X, Z), t(Z, Y).\n");
   for (const auto& plan : BothJoins(p.rules[0])) {
     SCOPED_TRACE(plan == nullptr ? "constraint join" : "valuation join");
-    // Buffered oracle: collect derivations without touching the database.
     Database db = ChainDb(&p);
-    std::vector<std::string> buffered;
-    auto collect = [&](CanonicalFact derived,
+    std::vector<std::string> derived;
+    auto collect = [&](CanonicalFact fact,
                        const std::vector<Relation::FactRef>&) -> Status {
-      buffered.push_back(derived.ToFact().ToString(*p.symbols));
-      return Status::OK();
-    };
-    EvalStats buffered_stats;
-    ASSERT_TRUE(ApplyRule(p.rules[0], plan.get(), db, /*max_birth=*/-1,
-                          DeltaMode::kAll, /*interval_index=*/true,
-                          /*demand=*/nullptr, collect, &buffered_stats)
-                    .ok());
-    ExpectScanAndIndexProbes(buffered_stats);
-    EXPECT_EQ(buffered_stats.ground_applications, plan == nullptr ? 0 : 1);
-    // Streaming: insert every derivation at birth 0 (> max_birth) as it is
-    // emitted. The insert during e(2,3)'s t(2,4) must stay invisible when
-    // e(1,2) enumerates t — no cascading t(1,4).
-    Database db2 = ChainDb(&p);
-    std::vector<std::string> streamed;
-    auto stream = [&](CanonicalFact derived,
-                      const std::vector<Relation::FactRef>& parents)
-        -> Status {
-      streamed.push_back(derived.ToFact().ToString(*p.symbols));
-      db2.AddFact(std::move(derived), /*birth=*/0, "", parents);
-      return Status::OK();
-    };
-    EvalStats streamed_stats;
-    ASSERT_TRUE(ApplyRule(p.rules[0], plan.get(), db2, /*max_birth=*/-1,
-                          DeltaMode::kAll, /*interval_index=*/true,
-                          /*demand=*/nullptr, stream, &streamed_stats)
-                    .ok());
-    ExpectScanAndIndexProbes(streamed_stats);
-    EXPECT_EQ(buffered, std::vector<std::string>{"t(2, 4)"});
-    EXPECT_EQ(streamed, buffered);
-  }
-}
-
-TEST(EvalTest, StreamingInsertAtMaxBirthCascades) {
-  // Contrast case documenting why the contract requires birth > max_birth:
-  // the size snapshot is taken per literal *entry*, once per outer
-  // candidate, so a fact inserted at a visible birth while processing
-  // e(2,3) IS seen when e(1,2) later enumerates t — the application
-  // cascades within a single ApplyRule call.
-  Program p = ParseOrDie("t(X, Y) :- e(X, Z), t(Z, Y).\n");
-  for (const auto& plan : BothJoins(p.rules[0])) {
-    SCOPED_TRACE(plan == nullptr ? "constraint join" : "valuation join");
-    Database db = ChainDb(&p);
-    std::vector<std::string> streamed;
-    auto stream = [&](CanonicalFact derived,
-                      const std::vector<Relation::FactRef>& parents)
-        -> Status {
-      streamed.push_back(derived.ToFact().ToString(*p.symbols));
-      db.AddFact(std::move(derived), /*birth=*/-1, "", parents);
+      derived.push_back(fact.ToFact().ToString(*p.symbols));
       return Status::OK();
     };
     EvalStats stats;
     ASSERT_TRUE(ApplyRule(p.rules[0], plan.get(), db, /*max_birth=*/-1,
                           DeltaMode::kAll, /*interval_index=*/true,
-                          /*demand=*/nullptr, stream, &stats)
+                          /*demand=*/nullptr, collect, &stats)
                     .ok());
     ExpectScanAndIndexProbes(stats);
-    EXPECT_EQ(streamed,
-              (std::vector<std::string>{"t(2, 4)", "t(1, 4)"}));
+    EXPECT_EQ(stats.ground_applications, plan == nullptr ? 0 : 1);
+    EXPECT_EQ(derived, std::vector<std::string>{"t(2, 4)"});
+    EXPECT_EQ(db.TotalFacts(), 3u);
   }
 }
 

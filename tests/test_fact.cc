@@ -20,7 +20,7 @@ TEST(FactTest, GroundFactDetection) {
   ASSERT_TRUE(c.AddLinear(Atom({{1, 1}}, -3, CmpOp::kEq)).ok());
   ASSERT_TRUE(c.BindSymbol(2, symbols.InternSymbol("madison")).ok());
   Fact fact(p, 2, c);
-  EXPECT_TRUE(fact.IsGround());
+  EXPECT_TRUE(Canonicalize(fact).ground());
 }
 
 TEST(FactTest, GroundValuesOfMixedEntailedAndUnsatisfiable) {
@@ -60,7 +60,7 @@ TEST(FactTest, ConstraintFactNotGround) {
   Conjunction c;
   ASSERT_TRUE(c.AddLinear(Atom({{1, 1}}, -3, CmpOp::kLe)).ok());
   Fact fact(p, 1, c);
-  EXPECT_FALSE(fact.IsGround());
+  EXPECT_FALSE(Canonicalize(fact).ground());
 }
 
 TEST(FactTest, ToStringGround) {

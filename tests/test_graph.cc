@@ -48,9 +48,9 @@ TEST(DependencyGraphTest, MutualRecursionDetected) {
   PredId even = p.symbols->LookupPredicate("even");
   PredId odd = p.symbols->LookupPredicate("odd");
   PredId zero = p.symbols->LookupPredicate("zero");
-  EXPECT_TRUE(g.MutuallyRecursive(even, odd));
-  EXPECT_TRUE(g.MutuallyRecursive(even, even));
-  EXPECT_FALSE(g.MutuallyRecursive(even, zero));
+  SccDecomposition scc(g);
+  EXPECT_EQ(scc.ComponentOf(even), scc.ComponentOf(odd));
+  EXPECT_NE(scc.ComponentOf(even), scc.ComponentOf(zero));
 }
 
 TEST(SccTest, ComponentsReverseTopological) {
@@ -105,7 +105,6 @@ TEST(SccTest, SelfLoopSingletonComponent) {
   PredId t = p.symbols->LookupPredicate("t");
   PredId e = p.symbols->LookupPredicate("e");
   EXPECT_NE(scc.ComponentOf(t), scc.ComponentOf(e));
-  EXPECT_TRUE(g.MutuallyRecursive(t, t));
 }
 
 TEST(SccTest, DeepChainNoStackOverflow) {

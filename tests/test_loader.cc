@@ -19,7 +19,9 @@ TEST(LoaderTest, LoadsGroundFacts) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(*loaded, 3);
   EXPECT_EQ(db.TotalFacts(), 3u);
-  EXPECT_TRUE(db.AllGround());
+  for (const auto& [pred, rel] : db.relations()) {
+    EXPECT_TRUE(rel.AllGround());
+  }
   PredId singleleg = symbols->LookupPredicate("singleleg");
   ASSERT_NE(singleleg, SymbolTable::kNoPred);
   EXPECT_EQ(db.FactsFor(singleleg), 2u);
@@ -35,7 +37,7 @@ TEST(LoaderTest, LoadsConstraintFacts) {
   auto loaded = LoadDatabaseText("bound(X) :- X <= 4, X >= 0.\n", symbols, &db);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(db.TotalFacts(), 1u);
-  EXPECT_FALSE(db.AllGround());
+  EXPECT_FALSE(db.Find(symbols->LookupPredicate("bound"))->AllGround());
 }
 
 TEST(LoaderTest, RejectsRulesWithBodies) {

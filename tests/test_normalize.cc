@@ -27,16 +27,6 @@ TEST(NormalizeTest, BridgeRuleShape) {
   EXPECT_EQ(bridge.label, "q1");
 }
 
-TEST(NormalizeTest, RenameQueryApartPreservesSemantics) {
-  auto parsed = ParseProgram("e(1, 2). ?- e(X, Y), X <= 3.");
-  ASSERT_TRUE(parsed.ok());
-  VarAllocator alloc(9000);
-  Query renamed = RenameQueryApart(parsed->queries[0], &alloc);
-  for (VarId v : renamed.literal.args) EXPECT_GE(v, 9000);
-  EXPECT_EQ(renamed.constraints.linear().size(),
-            parsed->queries[0].constraints.linear().size());
-}
-
 TEST(NormalizeTest, RangeRestrictedSimpleRules) {
   auto parsed = ParseProgram(
       "q(X, Y) :- e(X, Y).\n"

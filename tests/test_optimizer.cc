@@ -1,6 +1,13 @@
-#include "core/optimizer.h"
+// The library's documented API path (README "Minimal API use"): parse a
+// program with ParseProgram, a further query with ParseQueryText, rewrite
+// with ParseSteps + ApplyPipeline, evaluate with Evaluate and read the
+// answers with QueryAnswers.
 
 #include <gtest/gtest.h>
+
+#include "ast/parser.h"
+#include "core/equivalence.h"
+#include "transform/pipeline.h"
 
 namespace cqlopt {
 namespace {
@@ -11,36 +18,21 @@ const char* kProgram =
     "t(X, Y) :- e(X, Z), t(Z, Y).\n"
     "?- q(1, Y).\n";
 
-TEST(OptimizerTest, FromTextCollectsQueries) {
-  auto opt = Optimizer::FromText(kProgram);
-  ASSERT_TRUE(opt.ok());
-  EXPECT_EQ(opt->program().rules.size(), 3u);
-  ASSERT_EQ(opt->queries().size(), 1u);
-  EXPECT_EQ(opt->program().symbols->PredicateName(
-                opt->queries()[0].literal.pred),
-            "q");
-}
-
-TEST(OptimizerTest, FromTextParseErrorPropagates) {
-  auto opt = Optimizer::FromText("q(X :- e(X).");
-  EXPECT_FALSE(opt.ok());
-  EXPECT_EQ(opt.status().code(), StatusCode::kParseError);
-}
-
-TEST(OptimizerTest, ParseQuerySharesSymbolTable) {
-  auto opt = Optimizer::FromText(kProgram);
-  ASSERT_TRUE(opt.ok());
-  auto query = opt->ParseQuery("?- t(2, Y).");
+TEST(ApiPathTest, ParseQueryTextInternsIntoTheProgramsTable) {
+  auto parsed = ParseProgram(kProgram);
+  ASSERT_TRUE(parsed.ok());
+  auto query = ParseQueryText("?- t(2, Y).", &parsed->program);
   ASSERT_TRUE(query.ok());
-  EXPECT_EQ(query->literal.pred, opt->symbols()->LookupPredicate("t"));
+  EXPECT_EQ(query->literal.pred,
+            parsed->program.symbols->LookupPredicate("t"));
 }
 
-TEST(OptimizerTest, RewriteRunAnswerLoop) {
-  auto opt = Optimizer::FromText(kProgram);
-  ASSERT_TRUE(opt.ok());
+TEST(ApiPathTest, RewriteEvaluateAnswerLoop) {
+  auto parsed = ParseProgram(kProgram);
+  ASSERT_TRUE(parsed.ok());
   Database db;
   auto add = [&](int a, int b) {
-    ASSERT_TRUE(db.AddGroundFact(opt->symbols(), "e",
+    ASSERT_TRUE(db.AddGroundFact(parsed->program.symbols.get(), "e",
                                  {Database::Value::Number(Rational(a)),
                                   Database::Value::Number(Rational(b))})
                     .ok());
@@ -48,46 +40,16 @@ TEST(OptimizerTest, RewriteRunAnswerLoop) {
   add(1, 2);
   add(2, 3);
   add(7, 8);
-  auto rewritten = opt->Rewrite(opt->queries()[0], "pred,qrp,mg");
+  auto steps = ParseSteps("pred,qrp,mg");
+  ASSERT_TRUE(steps.ok());
+  auto rewritten =
+      ApplyPipeline(parsed->program, parsed->queries[0], *steps, {});
   ASSERT_TRUE(rewritten.ok());
-  auto run = opt->Run(rewritten->program, db);
+  auto run = Evaluate(rewritten->program, db, {});
   ASSERT_TRUE(run.ok());
   auto answers = QueryAnswers(*run, rewritten->query);
   ASSERT_TRUE(answers.ok());
   EXPECT_EQ(answers->size(), 2u);  // q(1,2), q(1,3)
-}
-
-TEST(OptimizerTest, RewriteRejectsUnknownSequence) {
-  auto opt = Optimizer::FromText(kProgram);
-  ASSERT_TRUE(opt.ok());
-  auto rewritten = opt->Rewrite(opt->queries()[0], "nonsense");
-  EXPECT_FALSE(rewritten.ok());
-}
-
-TEST(OptimizerTest, RewriteForPredicateExposesConstraints) {
-  auto opt = Optimizer::FromText(
-      "q(X) :- p1(X, Y), p2(Y), X + Y <= 6, X >= 2.\n"
-      "p1(X, Y) :- b1(X, Y).\n"
-      "p2(X) :- b2(X).\n");
-  ASSERT_TRUE(opt.ok());
-  PredId q = opt->symbols()->LookupPredicate("q");
-  auto result = opt->RewriteForPredicate(q);
-  ASSERT_TRUE(result.ok());
-  PredId p2 = opt->symbols()->LookupPredicate("p2");
-  ASSERT_TRUE(result->qrp_constraints.count(p2) > 0);
-  EXPECT_FALSE(result->qrp_constraints.at(p2).IsTriviallyTrue());
-}
-
-TEST(OptimizerTest, GmtEntryPoint) {
-  auto opt = Optimizer::FromText(
-      "p(X, Y) :- U > 10, q(X, U, V), W > V, p(W, Y).\n"
-      "p(X, Y) :- u(X, Y).\n"
-      "q(X, Y, Z) :- q1(X, U), q2(W, Y), q3(U, W, Z).\n"
-      "?- X > 10, p(X, Y).\n");
-  ASSERT_TRUE(opt.ok());
-  auto gmt = opt->Gmt(opt->queries()[0]);
-  ASSERT_TRUE(gmt.ok());
-  EXPECT_FALSE(gmt->grounded.rules.empty());
 }
 
 }  // namespace

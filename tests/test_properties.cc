@@ -114,8 +114,7 @@ TEST_P(DisjointProperty, EquivalentAndPairwiseUnsat) {
     if (set.is_false()) continue;
     auto out = MakeDisjoint(set);
     ASSERT_TRUE(out.ok());
-    EXPECT_TRUE(out->EquivalentTo(set))
-        << set.ToString() << " vs " << out->ToString();
+    EXPECT_TRUE(out->EquivalentTo(set)) << "trial " << trial;
     const auto& ds = out->disjuncts();
     for (size_t i = 0; i < ds.size(); ++i) {
       for (size_t j = i + 1; j < ds.size(); ++j) {

@@ -166,7 +166,7 @@ TEST(RationalTest, BoundaryOperationsMatchBigIntReference) {
       const BigInt bn = b.numerator();
       const BigInt bd = b.denominator();
       ExpectMatches(a + b, Reduce(an * bd + bn * ad, ad * bd));
-      ExpectMatches(a - b, Reduce(an * bd - bn * ad, ad * bd));
+      ExpectMatches(a - b, Reduce(an * bd + -(bn * ad), ad * bd));
       ExpectMatches(a * b, Reduce(an * bn, ad * bd));
       if (!b.is_zero()) ExpectMatches(a / b, Reduce(an * bd, ad * bn));
       EXPECT_EQ(a.Compare(b), (an * bd).Compare(bn * ad));

@@ -59,11 +59,11 @@ TEST(RelationTest, AllGround) {
 
 // --- Per-position index: the equality probe -----------------------------
 //
-// The contract under test (relation.h): Probe(pos, value, limit) visits, in
-// ascending entry order, exactly the entries < limit that a linear scan
-// keeps after the ArgSignature pre-filter at that position — facts directly
-// bound to the probed value, merged with facts whose position is
-// constraint-only bound (unbound signature, e.g. `$1 > 0`).
+// The contract under test (relation.h): Probe(pos, value) visits, in
+// ascending entry order, exactly the entries that a linear scan keeps after
+// the ArgSignature pre-filter at that position — facts directly bound to the
+// probed value, merged with facts whose position is constraint-only bound
+// (unbound signature, e.g. `$1 > 0`).
 
 /// $1 = n: direct equality, so QuickNumericValue binds the signature.
 Fact NumberFact(int n) {
@@ -91,14 +91,12 @@ Fact RangeFact(int lo, int hi) {
 /// No constraint at all on $1 (unbound).
 Fact UnboundFact() { return Fact(0, 1, Conjunction()); }
 
-/// The linear scan the index replaces: rows [0, limit) surviving the value
-/// column pre-filter at `position`.
+/// The linear scan the index replaces: the rows surviving the value column
+/// pre-filter at `position`.
 std::vector<size_t> ScanWithPrefilter(const Relation& rel, int position,
-                                      const Relation::ArgSignature& value,
-                                      size_t limit) {
+                                      const Relation::ArgSignature& value) {
   std::vector<size_t> out;
-  size_t n = std::min(limit, rel.size());
-  for (size_t i = 0; i < n; ++i) {
+  for (size_t i = 0; i < rel.size(); ++i) {
     switch (rel.tag(i, position)) {
       case Relation::ColTag::kSymbol:
         if (!value.symbol.has_value() ||
@@ -123,11 +121,10 @@ std::vector<size_t> ScanWithPrefilter(const Relation& rel, int position,
 /// Probe into a fresh buffer, returned for comparison. Every probe also
 /// checks that the rows answer it alike unindexed and sealed.
 std::vector<size_t> ProbeVec(const Relation& rel, int position,
-                             const Relation::ArgSignature& value,
-                             size_t limit) {
-  ExpectColumnPathMatchesIndex(rel, position, value, limit);
+                             const Relation::ArgSignature& value) {
+  ExpectColumnPathMatchesIndex(rel, position, value);
   std::vector<size_t> out;
-  rel.Probe(position, value, limit, &out);
+  rel.Probe(position, value, &out);
   return out;
 }
 
@@ -161,13 +158,9 @@ TEST(RelationIndexTest, ProbeEqualsScanWithPrefilter) {
     for (const auto& value :
          {NumberValue(3), NumberValue(7), NumberValue(99), NumberValue(-1),
           SymbolValue(4), SymbolValue(2), SymbolValue(5)}) {
-      for (size_t limit : {size_t{0}, size_t{3}, size_t{8}, rel.size(),
-                           size_t{100}}) {
-        EXPECT_EQ(ProbeVec(rel, 1, value, limit),
-                  ScanWithPrefilter(rel, 1, value, limit));
-      }
+      EXPECT_EQ(ProbeVec(rel, 1, value), ScanWithPrefilter(rel, 1, value));
       EXPECT_EQ(rel.ProbeCost(1, value),
-                ScanWithPrefilter(rel, 1, value, rel.size()).size());
+                ScanWithPrefilter(rel, 1, value).size());
     }
   }
 }
@@ -178,12 +171,9 @@ TEST(RelationIndexTest, ConstraintOnlyBoundEnumeratedForEveryValue) {
   // The range fact's position 1 has no direct binding: it must appear in
   // every probe, even for values outside the range — the caller's
   // constraint conjunction, not the index, decides satisfiability.
-  EXPECT_EQ(ProbeVec(rel, 1, NumberValue(5), rel.size()),
-            std::vector<size_t>({0}));
-  EXPECT_EQ(ProbeVec(rel, 1, NumberValue(99), rel.size()),
-            std::vector<size_t>({0}));
-  EXPECT_EQ(ProbeVec(rel, 1, SymbolValue(1), rel.size()),
-            std::vector<size_t>({0}));
+  EXPECT_EQ(ProbeVec(rel, 1, NumberValue(5)), std::vector<size_t>({0}));
+  EXPECT_EQ(ProbeVec(rel, 1, NumberValue(99)), std::vector<size_t>({0}));
+  EXPECT_EQ(ProbeVec(rel, 1, SymbolValue(1)), std::vector<size_t>({0}));
 }
 
 TEST(RelationIndexTest, RejectedFactsAreNeverIndexed) {
@@ -193,12 +183,12 @@ TEST(RelationIndexTest, RejectedFactsAreNeverIndexed) {
   EXPECT_EQ(rel.Insert(MakeFact(5), 1), InsertOutcome::kInserted);
   // Only the two stored entries are reachable through the index.
   EXPECT_EQ(rel.size(), 2u);
-  EXPECT_EQ(ProbeVec(rel, 1, NumberValue(3), rel.size()),
+  EXPECT_EQ(ProbeVec(rel, 1, NumberValue(3)),
             std::vector<size_t>({0, 1}));  // row 1 is interval-bound (x <= 5)
   EXPECT_EQ(rel.ProbeCost(1, NumberValue(3)), 2u);
 }
 
-TEST(RelationIndexTest, ProbeCostMatchesUnlimitedProbe) {
+TEST(RelationIndexTest, ProbeCostMatchesProbe) {
   const std::vector<Fact> facts = {NumberFact(2), NumberFact(1),
                                    RangeFact(0, 3), SymbolFact(2),
                                    UnboundFact()};
@@ -207,8 +197,7 @@ TEST(RelationIndexTest, ProbeCostMatchesUnlimitedProbe) {
     Relation rel = BuildIn(state, facts);
     for (const auto& value : {NumberValue(1), NumberValue(2), SymbolValue(2),
                               SymbolValue(9), NumberValue(42)}) {
-      EXPECT_EQ(rel.ProbeCost(1, value),
-                ProbeVec(rel, 1, value, rel.size()).size());
+      EXPECT_EQ(rel.ProbeCost(1, value), ProbeVec(rel, 1, value).size());
     }
   }
 }
@@ -217,10 +206,8 @@ TEST(RelationIndexTest, SymbolAndNumberKeysNeverCollide) {
   for (IndexState state : kIndexStates) {
     SCOPED_TRACE(static_cast<int>(state));
     Relation rel = BuildIn(state, {NumberFact(7), SymbolFact(7)});
-    EXPECT_EQ(ProbeVec(rel, 1, NumberValue(7), rel.size()),
-              std::vector<size_t>({0}));
-    EXPECT_EQ(ProbeVec(rel, 1, SymbolValue(7), rel.size()),
-              std::vector<size_t>({1}));
+    EXPECT_EQ(ProbeVec(rel, 1, NumberValue(7)), std::vector<size_t>({0}));
+    EXPECT_EQ(ProbeVec(rel, 1, SymbolValue(7)), std::vector<size_t>({1}));
   }
 }
 
@@ -233,21 +220,17 @@ TEST(RelationIndexTest, MergedResultIsAscendingInsertionOrder) {
                                    RangeFact(0, 2),    // 2
                                    NumberFact(6),      // 3
                                    RangeFact(0, 3)});  // 4
-    EXPECT_EQ(ProbeVec(rel, 1, NumberValue(5), rel.size()),
+    EXPECT_EQ(ProbeVec(rel, 1, NumberValue(5)),
               std::vector<size_t>({0, 1, 2, 4}));
-    // The snapshot limit cuts the merged stream, not just one side.
-    EXPECT_EQ(ProbeVec(rel, 1, NumberValue(5), 2),
-              std::vector<size_t>({0, 1}));
-    EXPECT_EQ(ProbeVec(rel, 1, NumberValue(6), 4),
-              std::vector<size_t>({0, 2, 3}));
+    EXPECT_EQ(ProbeVec(rel, 1, NumberValue(6)),
+              std::vector<size_t>({0, 2, 3, 4}));
   }
 }
 
 TEST(RelationIndexTest, ProbeBeyondSeenArityIsEmpty) {
   Relation rel;
   (void)rel.Insert(NumberFact(3), 0);
-  EXPECT_EQ(ProbeVec(rel, 2, NumberValue(3), rel.size()),
-            std::vector<size_t>{});
+  EXPECT_EQ(ProbeVec(rel, 2, NumberValue(3)), std::vector<size_t>{});
   EXPECT_EQ(rel.ProbeCost(2, NumberValue(3)), 0u);
 }
 
@@ -262,11 +245,11 @@ TEST(DatabaseTest, AddGroundFactBuildsConstraints) {
   const Relation* rel = db.Find(leg);
   ASSERT_NE(rel, nullptr);
   ASSERT_EQ(rel->size(), 1u);
-  EXPECT_TRUE(rel->fact(0).IsGround());
+  EXPECT_TRUE(rel->ground(0));
   EXPECT_EQ(rel->birth(0), -1);
   EXPECT_EQ(db.TotalFacts(), 1u);
   EXPECT_EQ(db.FactsFor(leg), 1u);
-  EXPECT_TRUE(db.AllGround());
+  EXPECT_TRUE(rel->AllGround());
 }
 
 TEST(DatabaseTest, FindMissingRelationIsNull) {

@@ -29,6 +29,7 @@
 #include "service/protocol.h"
 #include "service/replica.h"
 #include "service/server.h"
+#include "service/wal.h"
 #include "util/failpoint.h"
 
 namespace cqlopt {
@@ -459,6 +460,123 @@ TEST(RemoteReplicationTest, ShipsSnapshotAndRecordsOverTheWire) {
   EXPECT_TRUE((*shutdown)->Exchange("SHUTDOWN", 5000, &bye).ok());
   server.join();
   EXPECT_TRUE(serve_status.ok()) << serve_status.ToString();
+}
+
+// ---------------------------------------------------------------------------
+// Replication frames whose numbers do not parse: a typed, retryable
+// UNAVAILABLE, never a silently clamped or truncated value.
+
+/// Fetches once through RemoteReplicationSource from a scripted primary
+/// that answers the REPLICATE request with `frame` (its lines; `END` is
+/// appended).
+Status FetchFrame(const std::vector<std::string>& frame,
+                  ReplicationBatch* batch) {
+  TempWalDir dir;
+  EXPECT_FALSE(dir.path.empty());
+  const std::string path = dir.path + "/cqld.sock";
+  int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  EXPECT_GE(listener, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s", path.c_str());
+  EXPECT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  EXPECT_EQ(::listen(listener, 1), 0);
+  std::thread primary([listener, &frame] {
+    int conn = ::accept(listener, nullptr, nullptr);
+    if (conn < 0) return;
+    char c = 0;
+    while (::read(conn, &c, 1) == 1 && c != '\n') {
+    }
+    std::string text;
+    for (const std::string& line : frame) text += line + "\n";
+    text += "END\n";
+    EXPECT_EQ(::write(conn, text.data(), text.size()),
+              static_cast<ssize_t>(text.size()));
+    ::close(conn);
+  });
+  RemoteReplicationSource source(
+      nullptr, [path]() { return LineClient::ConnectUnix(path, 2000); },
+      /*io_timeout_ms=*/5000);
+  Status fetched = source.Fetch(/*base_epoch=*/0, /*index=*/0,
+                                /*max_records=*/16, batch);
+  primary.join();
+  ::close(listener);
+  return fetched;
+}
+
+/// A one-deadline snapshot frame as the primary writes it, with the given
+/// snap_epoch, deadline and state CRC words.
+std::vector<std::string> SnapshotFrame(const std::string& snap_epoch,
+                                       const std::string& deadline_ms,
+                                       const std::string& crc) {
+  return {"OK base=0 next=0 feed=0 epoch=1 clock_ms=0 crc=" + crc +
+              " snapshot=1 snap_epoch=" + snap_epoch +
+              " snap_clock_ms=0 deadlines=1",
+          "D " + deadline_ms + " " + HexEncode("a(1)."),
+          "S " + HexEncode("a(1).\n")};
+}
+
+void ExpectUnavailable(const Status& status, const std::string& what) {
+  EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status.ToString();
+  EXPECT_NE(status.message().find(what), std::string::npos)
+      << status.ToString();
+}
+
+TEST(ReplicationFrameTest, WellFormedSnapshotFrameParses) {
+  ReplicationBatch batch;
+  Status fetched = FetchFrame(SnapshotFrame("7", "100", "0000abcd"), &batch);
+  ASSERT_TRUE(fetched.ok()) << fetched.ToString();
+  EXPECT_TRUE(batch.snapshot);
+  EXPECT_EQ(batch.snap.epoch, 7);
+  ASSERT_EQ(batch.snap.deadlines.size(), 1u);
+  EXPECT_EQ(batch.snap.deadlines[0].first, 100);
+  EXPECT_EQ(batch.state_crc, 0xabcdu);
+}
+
+TEST(ReplicationFrameTest, OutOfRangeSnapEpochIsUnavailable) {
+  ReplicationBatch batch;
+  ExpectUnavailable(
+      FetchFrame(SnapshotFrame("99999999999999999999", "100", "0000abcd"),
+                 &batch),
+      "malformed snapshot header");
+}
+
+TEST(ReplicationFrameTest, OutOfRangeDeadlineIsUnavailable) {
+  ReplicationBatch batch;
+  ExpectUnavailable(
+      FetchFrame(SnapshotFrame("7", "99999999999999999999", "0000abcd"),
+                 &batch),
+      "malformed deadline line");
+}
+
+TEST(ReplicationFrameTest, StateCrcOutsideEightHexDigitsIsUnavailable) {
+  // Read leniently, -1 wrapped to ffffffff and 1ffffffff was truncated to
+  // it: a CRC the follower cannot match, which quarantined it as diverged.
+  for (const char* crc : {"-1", "1ffffffff", "", "0x1234"}) {
+    SCOPED_TRACE(crc);
+    ReplicationBatch batch;
+    ExpectUnavailable(FetchFrame(SnapshotFrame("7", "100", crc), &batch),
+                      "malformed REPLICATE header");
+  }
+}
+
+TEST(ReplicationFrameTest, RecordCrcOutsideEightHexDigitsIsUnavailable) {
+  const std::string payload = "a(1).";
+  char crc[16];
+  std::snprintf(crc, sizeof(crc), "%08x", WalCrc32(payload));
+  ReplicationBatch batch;
+  const std::string header =
+      "OK base=0 next=1 feed=1 epoch=1 clock_ms=0 crc=0000abcd records=1";
+  ASSERT_TRUE(
+      FetchFrame({header, "R " + std::string(crc) + " " + HexEncode(payload)},
+                 &batch)
+          .ok());
+  ExpectUnavailable(
+      FetchFrame({header, "R 1" + std::string(crc) + " " + HexEncode(payload)},
+                 &batch),
+      "malformed record line");
 }
 
 // ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@
 #include "generated_flights.h"
 #include "service/protocol.h"
 #include "service/server.h"
+#include "synthetic_edb.h"
 #include "testing/generator.h"
 #include "testing/properties.h"
 #include "util/failpoint.h"
@@ -65,26 +66,6 @@ std::vector<Fact> AllFacts(const Database& db) {
     }
   }
   return out;
-}
-
-/// Corpus-style EDB (test_stratified.cc's generator): `count` numeric
-/// tuples per database predicate.
-Database SyntheticEdb(const Program& program, uint64_t seed, int count) {
-  Database db;
-  for (PredId pred : program.DatabasePredicates()) {
-    const std::string& name = program.symbols->PredicateName(pred);
-    int arity = program.Arity(pred);
-    std::mt19937_64 rng(seed + static_cast<uint64_t>(pred));
-    for (int i = 0; i < count; ++i) {
-      std::vector<Database::Value> values;
-      for (int a = 0; a < arity; ++a) {
-        values.push_back(Database::Value::Number(
-            Rational(static_cast<int64_t>(rng() % 30))));
-      }
-      (void)db.AddGroundFact(program.symbols.get(), name, values);
-    }
-  }
-  return db;
 }
 
 std::set<std::string> KeysOf(const Database& db, PredId pred) {

@@ -22,6 +22,7 @@
 #include "core/workload.h"
 #include "eval/loader.h"
 #include "eval/seminaive.h"
+#include "synthetic_edb.h"
 #include "testing/oracle.h"
 #include "testing/properties.h"
 
@@ -38,26 +39,6 @@ std::string ReadFile(const std::string& path) {
 
 std::string ProgramPath(const std::string& name) {
   return std::string(CQLOPT_PROGRAMS_DIR) + "/" + name;
-}
-
-/// Corpus-style EDB: 12 numeric tuples per database predicate (matches
-/// test_corpus.cc so divergence behaviour is the same there and here).
-Database SyntheticEdb(const Program& program, uint64_t seed) {
-  Database db;
-  for (PredId pred : program.DatabasePredicates()) {
-    const std::string& name = program.symbols->PredicateName(pred);
-    int arity = program.Arity(pred);
-    std::mt19937_64 rng(seed + static_cast<uint64_t>(pred));
-    for (int i = 0; i < 12; ++i) {
-      std::vector<Database::Value> values;
-      for (int a = 0; a < arity; ++a) {
-        values.push_back(Database::Value::Number(
-            Rational(static_cast<int64_t>(rng() % 30))));
-      }
-      (void)db.AddGroundFact(program.symbols.get(), name, values);
-    }
-  }
-  return db;
 }
 
 std::vector<Fact> FactsOf(const Database& db, PredId pred) {

@@ -102,7 +102,7 @@ TEST(WideningTest, FibDerivesTheTable2ConstraintAutomatically) {
       ConstraintSet::Of(Conj({Atom({{2, -1}}, 1, CmpOp::kLe)}));
   EXPECT_TRUE(derived.Implies(paper))
       << RenderConstraintSet(derived, *p.symbols, DollarNames());
-  EXPECT_TRUE(derived.IsSatisfiable());
+  EXPECT_FALSE(derived.is_false());
 }
 
 TEST(WideningTest, DerivedFibConstraintIsSound) {

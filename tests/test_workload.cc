@@ -20,7 +20,7 @@ TEST(WorkloadTest, FlightNetworkShape) {
   EXPECT_GT(rel->size(), 35u);  // duplicate draws are rare at these ranges
   for (size_t i = 0; i < rel->size(); ++i) {
     const Fact& f = rel->fact(i);
-    EXPECT_TRUE(f.IsGround());
+    EXPECT_TRUE(rel->ground(i));
     // No self loops; times and costs within the configured ranges.
     auto src = f.constraint.GetSymbol(1);
     auto dst = f.constraint.GetSymbol(2);
