@@ -61,14 +61,6 @@ class Database {
   };
   BatchOutcome AddFacts(const std::vector<Fact>& batch, int birth = -1);
 
-  /// Epoch tag of this database snapshot. The service layer
-  /// (src/service/query_service.h) publishes immutable `Database` copies,
-  /// one per committed ingest batch, and advances the tag on commit; a
-  /// reader evaluating against a snapshot can assert which epoch it saw.
-  /// Plain evaluation ignores the tag (EvalResult::db inherits the EDB's).
-  int64_t epoch() const { return epoch_; }
-  void set_epoch(int64_t epoch) { epoch_ = epoch; }
-
   const Relation* Find(PredId pred) const;
   Relation* FindMutable(PredId pred) { return &relations_[pred]; }
   const std::map<PredId, Relation>& relations() const { return relations_; }
@@ -93,7 +85,6 @@ class Database {
 
  private:
   std::map<PredId, Relation> relations_;
-  int64_t epoch_ = 0;
 };
 
 }  // namespace cqlopt

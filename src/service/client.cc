@@ -167,7 +167,10 @@ Status LineClient::SendLine(const std::string& line, int timeout_ms) {
   int64_t deadline = DeadlineFor(timeout_ms);
   size_t off = 0;
   while (off < data.size()) {
-    ssize_t n = ::write(fd_, data.data() + off, data.size() - off);
+    // MSG_NOSIGNAL: a peer that died (a killed primary, say) must surface
+    // as EPIPE, not SIGPIPE killing the process that holds this client.
+    ssize_t n =
+        ::send(fd_, data.data() + off, data.size() - off, MSG_NOSIGNAL);
     if (n > 0) {
       off += static_cast<size_t>(n);
       continue;

@@ -7,10 +7,8 @@ std::shared_ptr<PreparedEntry> PreparedCache::Find(
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(fingerprint);
   if (it == entries_.end() || it->second.entry->canonical != canonical) {
-    ++misses_;
     return nullptr;
   }
-  ++hits_;
   it->second.last_used = ++tick_;
   return it->second.entry;
 }
@@ -36,7 +34,6 @@ std::shared_ptr<PreparedEntry> PreparedCache::Insert(
       if (cand->second.last_used < victim->second.last_used) victim = cand;
     }
     entries_.erase(victim);
-    ++evictions_;
   }
   uint64_t fingerprint = entry->fingerprint;
   auto [slot, inserted] =
@@ -45,14 +42,9 @@ std::shared_ptr<PreparedEntry> PreparedCache::Insert(
   return slot->second.entry;
 }
 
-PreparedCache::Counters PreparedCache::Snapshot() const {
+size_t PreparedCache::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  Counters c;
-  c.hits = hits_;
-  c.misses = misses_;
-  c.evictions = evictions_;
-  c.entries = entries_.size();
-  return c;
+  return entries_.size();
 }
 
 }  // namespace cqlopt

@@ -65,13 +65,8 @@ class PreparedCache {
   /// answers render).
   std::shared_ptr<PreparedEntry> Insert(std::shared_ptr<PreparedEntry> entry);
 
-  struct Counters {
-    long hits = 0;
-    long misses = 0;
-    long evictions = 0;
-    size_t entries = 0;
-  };
-  Counters Snapshot() const;
+  /// Number of cached entries.
+  size_t size() const;
 
  private:
   struct Slot {
@@ -83,9 +78,6 @@ class PreparedCache {
   mutable std::mutex mutex_;
   std::unordered_map<uint64_t, Slot> entries_;
   uint64_t tick_ = 0;
-  long hits_ = 0;
-  long misses_ = 0;
-  long evictions_ = 0;
 };
 
 }  // namespace cqlopt

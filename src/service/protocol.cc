@@ -1,7 +1,13 @@
 #include "service/protocol.h"
 
+#include <charconv>
 #include <cstdio>
 #include <limits>
+#include <map>
+#include <sstream>
+
+#include "service/wal.h"
+#include "util/failpoint.h"
 
 namespace cqlopt {
 
@@ -37,9 +43,10 @@ void EmitError(const Status& status, std::vector<std::string>* out) {
                  message);
 }
 
-std::string Hex(uint64_t value) {
+/// `value` as `digits` lowercase hex digits, zero-padded.
+std::string Hex(uint64_t value, int digits) {
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%016llx",
+  std::snprintf(buf, sizeof(buf), "%0*llx", digits,
                 static_cast<unsigned long long>(value));
   return buf;
 }
@@ -74,12 +81,6 @@ void EmitSchedulerStats(const SchedulerStats& sched,
   }
 }
 
-std::string Hex8(uint32_t value) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%08x", value);
-  return buf;
-}
-
 /// Client-originated mutations are refused on a follower at the protocol
 /// boundary; the Replicator applies the shipped stream through direct
 /// service calls, so replication itself is never gated. True when the line
@@ -97,7 +98,124 @@ bool RejectFollowerWrite(QueryService& service, const std::string& verb,
   return true;
 }
 
+/// Splits a REPLICATE header's `key=value` words after the leading `OK`;
+/// false when a word has no `=` or an empty value.
+bool HeaderFields(const std::string& header,
+                  std::map<std::string, std::string>* fields) {
+  std::istringstream words(header);
+  std::string word;
+  if (!(words >> word) || word != "OK") return false;
+  while (words >> word) {
+    size_t eq = word.find('=');
+    if (eq == std::string::npos || eq + 1 == word.size()) return false;
+    (*fields)[word.substr(0, eq)] = word.substr(eq + 1);
+  }
+  return true;
+}
+
+/// Parses a CRC-32 as the primary writes it (eight hex digits): 1 to 8 hex
+/// digits, nothing else (no sign, no prefix, no value past 32 bits).
+bool ParseCrc(const std::string& word, uint32_t* out) {
+  const char* end = word.data() + word.size();
+  auto [stop, error] = std::from_chars(word.data(), end, *out, 16);
+  return word.size() <= 8 && error == std::errc() && stop == end;
+}
+
+/// The bytes of an `R <hex>` / `S <hex>` line with tag `tag`, after the
+/// torn-record failpoint has had its chance to damage them.
+Status WireBytes(const std::string& line, char tag, std::string* bytes) {
+  if (line.size() < 2 || line[0] != tag || line[1] != ' ' ||
+      !HexDecode(line.substr(2), bytes)) {
+    return Status::Unavailable("malformed REPLICATE line: " +
+                               line.substr(0, 64));
+  }
+  if (!bytes->empty() && failpoint::ShouldFail(failpoint::kReplicaTornRecord)) {
+    (*bytes)[bytes->size() / 2] ^= 0x40;
+  }
+  return Status::OK();
+}
+
 }  // namespace
+
+void RenderReplicationReply(const ReplicationBatch& batch,
+                            std::vector<std::string>* out) {
+  out->push_back("OK base=" + std::to_string(batch.base_epoch) +
+                 " next=" + std::to_string(batch.next_index) +
+                 " feed=" + std::to_string(batch.feed_size) +
+                 " epoch=" + std::to_string(batch.primary_epoch) +
+                 " clock_ms=" + std::to_string(batch.primary_clock_ms) +
+                 " crc=" + Hex(batch.state_crc, 8) +
+                 (batch.snapshot ? " snapshot=1" : ""));
+  if (batch.snapshot) {
+    out->push_back("S " + HexEncode(EncodeSnapshotImage(batch.snap)));
+    return;
+  }
+  for (const std::string& record : batch.records) {
+    out->push_back("R " + HexEncode(EncodeWalFrame(record)));
+  }
+}
+
+Status ParseReplicationReply(const std::vector<std::string>& lines,
+                             uint64_t index, ReplicationBatch* out) {
+  *out = ReplicationBatch();
+  std::map<std::string, std::string> fields;
+  auto number = [&fields](const char* key, int64_t* value) {
+    auto it = fields.find(key);
+    return it != fields.end() && ParseInt64(it->second, value);
+  };
+  int64_t next = 0;
+  int64_t feed = 0;
+  if (lines.empty() || !HeaderFields(lines[0], &fields) ||
+      !number("base", &out->base_epoch) || !number("next", &next) ||
+      next < 0 || !number("feed", &feed) || feed < 0 ||
+      !number("epoch", &out->primary_epoch) ||
+      !number("clock_ms", &out->primary_clock_ms) ||
+      !ParseCrc(fields["crc"], &out->state_crc) ||
+      !(fields["snapshot"].empty() || fields["snapshot"] == "1")) {
+    return Status::Unavailable("malformed REPLICATE header: " +
+                               (lines.empty() ? std::string() : lines[0]));
+  }
+  out->next_index = static_cast<uint64_t>(next);
+  out->feed_size = static_cast<uint64_t>(feed);
+  out->snapshot = fields["snapshot"] == "1";
+  std::string bytes;
+  if (out->snapshot) {
+    if (lines.size() != 2) {
+      return Status::Unavailable("snapshot reply without exactly one S line");
+    }
+    CQLOPT_RETURN_IF_ERROR(WireBytes(lines[1], 'S', &bytes));
+    Result<WalSnapshot> snap = DecodeSnapshotImage(bytes);
+    if (!snap.ok()) {
+      return Status::Unavailable("damaged snapshot image: " +
+                                 snap.status().message());
+    }
+    out->snap = std::move(*snap);
+    return Status::OK();
+  }
+  if (out->next_index < index || out->next_index - index != lines.size() - 1) {
+    return Status::Unavailable(
+        "record count mismatch: next - index = " +
+        std::to_string(out->next_index) + " - " + std::to_string(index) +
+        ", got " + std::to_string(lines.size() - 1) + " record line(s)");
+  }
+  for (size_t i = 1; i < lines.size(); ++i) {
+    CQLOPT_RETURN_IF_ERROR(WireBytes(lines[i], 'R', &bytes));
+    size_t offset = 0;
+    std::string_view payload;
+    Status framed = DecodeWalFrame(bytes, &offset, &payload);
+    if (framed.ok() && offset != bytes.size()) {
+      framed = Status::DataLoss(std::to_string(bytes.size() - offset) +
+                                " byte(s) after the frame");
+    }
+    if (!framed.ok()) {
+      return Status::Unavailable("torn replication record " +
+                                 std::to_string(i) + ": " + framed.message() +
+                                 "; batch rejected");
+    }
+    out->records.emplace_back(payload);
+  }
+  return Status::OK();
+}
 
 bool ParseInt64(const std::string& word, int64_t* value) {
   if (word.empty()) return false;
@@ -169,7 +287,7 @@ ProtocolAction HandleLine(QueryService& service, const std::string& line,
       if (!fingerprint.ok()) {
         EmitError(fingerprint.status(), out);
       } else {
-        out->push_back("OK fingerprint=" + Hex(*fingerprint) +
+        out->push_back("OK fingerprint=" + Hex(*fingerprint, 16) +
                        " cached=" + (cached ? "1" : "0"));
       }
     } else {
@@ -302,7 +420,7 @@ ProtocolAction HandleLine(QueryService& service, const std::string& line,
 
   if (command == "REPLICATE") {
     // REPLICATE <base_epoch> <index> [<max_records>] — one pull of the
-    // primary's feed. Records ship hex-encoded with a per-record CRC so a
+    // primary's feed, shipped in the WAL's own checksummed encodings so a
     // torn wire record is detected and refetched, never applied.
     std::string base_word;
     std::string tail;
@@ -333,31 +451,7 @@ ProtocolAction HandleLine(QueryService& service, const std::string& line,
       out->push_back("END");
       return ProtocolAction::kContinue;
     }
-    std::string header =
-        "OK base=" + std::to_string(batch.base_epoch) +
-        " next=" + std::to_string(batch.next_index) +
-        " feed=" + std::to_string(batch.feed_size) +
-        " epoch=" + std::to_string(batch.primary_epoch) +
-        " clock_ms=" + std::to_string(batch.primary_clock_ms) +
-        " crc=" + Hex8(batch.state_crc);
-    if (batch.snapshot) {
-      header += " snapshot=1 snap_epoch=" + std::to_string(batch.snap.epoch) +
-                " snap_clock_ms=" + std::to_string(batch.snap.now_ms) +
-                " deadlines=" + std::to_string(batch.snap.deadlines.size());
-      out->push_back(std::move(header));
-      for (const auto& [deadline_ms, statement] : batch.snap.deadlines) {
-        out->push_back("D " + std::to_string(deadline_ms) + " " +
-                       HexEncode(statement));
-      }
-      out->push_back("S " + HexEncode(batch.snap.statements));
-    } else {
-      header += " records=" + std::to_string(batch.records.size());
-      out->push_back(std::move(header));
-      for (const std::string& record : batch.records) {
-        out->push_back("R " + Hex8(WalCrc32(record)) + " " +
-                       HexEncode(record));
-      }
-    }
+    RenderReplicationReply(batch, out);
     out->push_back("END");
     return ProtocolAction::kContinue;
   }

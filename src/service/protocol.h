@@ -34,10 +34,9 @@ namespace cqlopt {
 ///   STATS                       one `key=value` line per service counter
 ///   REPLICATE <base> <idx> [<max>]
 ///                               pull one replication cut (DESIGN.md §15):
-///                               `R <crc8> <hex>` record lines, or — on a
-///                               coordinate mismatch — a full snapshot as
-///                               `D <ms> <hex>` deadline lines plus one
-///                               `S <hex>` statements line
+///                               `R <hex>` lines, each a WAL record frame,
+///                               or — on a coordinate mismatch — one
+///                               `S <hex>` line holding a CQLSNAP2 image
 ///   HEALTH                      role / epoch / clock / quarantine /
 ///                               replication lag, one line
 ///   PROMOTE [<wal-dir>]         fail this node over to primary, first
@@ -87,6 +86,24 @@ struct LineOutcome {
 /// characters (arguments are exact, not prefixes), or a value outside
 /// int64_t.
 bool ParseInt64(const std::string& word, int64_t* value);
+
+/// The REPLICATE reply for `batch`, without the trailing `END`: a header
+/// `OK base=<b> next=<n> feed=<f> epoch=<e> clock_ms=<c> crc=<8 hex>`
+/// (plus ` snapshot=1` for a renegotiation), then one `R <hex>` line per
+/// record holding its WAL record frame (wal.h EncodeWalFrame), or a single
+/// `S <hex>` line holding the CQLSNAP2 image of `batch.snap`.
+void RenderReplicationReply(const ReplicationBatch& batch,
+                            std::vector<std::string>* out);
+
+/// Inverse of RenderReplicationReply for a request at feed `index`, checking
+/// every record frame and snapshot image with the WAL's own decoders. A
+/// malformed header, a line that is not hex, a frame or image that fails
+/// its length or CRC check, or a record count other than next - `index` is
+/// UNAVAILABLE, so the puller refetches; nothing is partially surfaced. The
+/// "replica/torn-record" failpoint flips one byte of a decoded frame or
+/// image before its check, modelling damage on the wire.
+Status ParseReplicationReply(const std::vector<std::string>& lines,
+                             uint64_t index, ReplicationBatch* out);
 
 /// Handles one request line against `service`, appending the response lines
 /// (including the trailing `END`) to `out`. Pure request/response logic —

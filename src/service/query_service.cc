@@ -247,7 +247,6 @@ Result<QueryOutcome> QueryService::Execute(const std::string& query_text,
         Result<EvalResult> resumed = ResumeEvaluate(
             entry->prepared.program, std::move(base), delta, options_.eval);
         if (!resumed.ok()) return NoteEvalError(resumed.status());
-        resumed->db.set_epoch(head->id);
         outcome.path = ServePath::kResumed;
         outcome.iterations_run = resumed->stats.iterations - base_iterations;
         outcome.facts_stored = resumed->stats.inserted - base_inserted;
@@ -264,7 +263,6 @@ Result<QueryOutcome> QueryService::Execute(const std::string& query_text,
             Evaluate(entry->prepared.program, head->edb, opts);
         if (!cold_result.ok()) return NoteEvalError(cold_result.status());
         EvalResult cold = std::move(*cold_result);
-        cold.db.set_epoch(head->id);
         outcome.path =
             prepared_hit ? ServePath::kPreparedEval : ServePath::kCold;
         outcome.iterations_run = cold.stats.iterations;
@@ -608,7 +606,6 @@ void QueryService::PublishHeadLocked(Database edb,
   auto head = std::make_shared<EpochSnapshot>();
   head->id = deltas->id;
   head->edb = std::move(edb);
-  head->edb.set_epoch(head->id);
   head->edb.IndexEveryPosition();
   head->deltas = std::move(deltas);
   head_ = std::move(head);
@@ -966,8 +963,7 @@ ServiceStats QueryService::Stats() const {
     snapshot.clock_ms = now_ms_;
     snapshot.ttl_pending = deadlines_.size();
   }
-  PreparedCache::Counters cache = prepared_.Snapshot();
-  snapshot.prepared_entries = cache.entries;
+  snapshot.prepared_entries = prepared_.size();
   // Invoked outside stats_mutex_: the augmenter takes its own locks (the
   // scheduler's), and must not call back into this service.
   if (augmenter) augmenter(&snapshot);

@@ -12,56 +12,6 @@ namespace cqlopt {
 
 namespace {
 
-/// Extracts the value of `key=` from a space-separated header line; false
-/// when the key is absent.
-bool HeaderField(const std::string& line, const std::string& key,
-                 std::string* out) {
-  std::string needle = key + "=";
-  size_t pos;
-  if (line.rfind(needle, 0) == 0) {
-    pos = 0;
-  } else {
-    pos = line.find(" " + needle);
-    if (pos == std::string::npos) return false;
-    ++pos;
-  }
-  size_t start = pos + needle.size();
-  size_t end = line.find(' ', start);
-  *out = line.substr(start, end == std::string::npos ? std::string::npos
-                                                     : end - start);
-  return true;
-}
-
-/// The value of `key=` as a whole base-10 int64 (ParseInt64): false when
-/// the key is absent, the word is not a number, or it lies outside int64.
-bool HeaderInt(const std::string& line, const std::string& key, int64_t* out) {
-  std::string word;
-  return HeaderField(line, key, &word) && ParseInt64(word, out);
-}
-
-/// Parses a CRC-32 as the primary writes it (eight hex digits): 1 to 8 hex
-/// digits, nothing else (no sign, no prefix, no value past 32 bits).
-bool ParseCrc(const std::string& word, uint32_t* out) {
-  if (word.empty() || word.size() > 8) return false;
-  uint32_t value = 0;
-  for (char c : word) {
-    int digit = c >= '0' && c <= '9'   ? c - '0'
-                : c >= 'a' && c <= 'f' ? c - 'a' + 10
-                : c >= 'A' && c <= 'F' ? c - 'A' + 10
-                                       : -1;
-    if (digit < 0) return false;
-    value = value << 4 | static_cast<uint32_t>(digit);
-  }
-  *out = value;
-  return true;
-}
-
-bool HeaderCrc(const std::string& line, const std::string& key,
-               uint32_t* out) {
-  std::string word;
-  return HeaderField(line, key, &word) && ParseCrc(word, out);
-}
-
 /// Maps a server `ERR <CODE> <msg>` line back to a typed Status. Codes we
 /// don't specifically recognize become UNAVAILABLE — from the puller's
 /// seat, an unserveable fetch is an unserveable fetch.
@@ -85,16 +35,14 @@ std::string CrcHex(uint32_t crc) {
 Status LocalReplicationSource::Fetch(int64_t base_epoch, uint64_t index,
                                      size_t max_records,
                                      ReplicationBatch* out) {
+  ReplicationBatch batch;
   CQLOPT_RETURN_IF_ERROR(
-      primary_->FetchReplication(base_epoch, index, max_records, out));
-  // In-process there is no wire CRC to fail, so the torn-record fault
-  // surfaces directly as the reject the CRC check would have produced.
-  if (!out->records.empty() &&
-      failpoint::ShouldFail(failpoint::kReplicaTornRecord)) {
-    return Status::Unavailable(
-        "injected torn replication record: batch rejected, refetching");
-  }
-  return Status::OK();
+      primary_->FetchReplication(base_epoch, index, max_records, &batch));
+  // Round-trip through the REPLICATE reply, so in-process replication
+  // decodes exactly the bytes a remote follower would.
+  std::vector<std::string> lines;
+  RenderReplicationReply(batch, &lines);
+  return ParseReplicationReply(lines, index, out);
 }
 
 RemoteReplicationSource::RemoteReplicationSource(
@@ -130,109 +78,7 @@ Status RemoteReplicationSource::Fetch(int64_t base_epoch, uint64_t index,
     return Status::Unavailable("empty REPLICATE response");
   }
   if (response.is_error) return MapServerError(response.lines[0]);
-
-  const std::string& header = response.lines[0];
-  int64_t base = 0;
-  int64_t next = 0;
-  int64_t feed = 0;
-  int64_t epoch = 0;
-  int64_t clock_ms = 0;
-  uint32_t crc = 0;
-  if (header.rfind("OK ", 0) != 0 || !HeaderInt(header, "base", &base) ||
-      !HeaderInt(header, "next", &next) || next < 0 ||
-      !HeaderInt(header, "feed", &feed) || feed < 0 ||
-      !HeaderInt(header, "epoch", &epoch) ||
-      !HeaderInt(header, "clock_ms", &clock_ms) ||
-      !HeaderCrc(header, "crc", &crc)) {
-    return Status::Unavailable("malformed REPLICATE header: " + header);
-  }
-  out->base_epoch = base;
-  out->next_index = static_cast<uint64_t>(next);
-  out->feed_size = static_cast<uint64_t>(feed);
-  out->primary_epoch = epoch;
-  out->primary_clock_ms = clock_ms;
-  out->state_crc = crc;
-  out->records.clear();
-  out->snapshot = false;
-  out->snap = WalSnapshot();
-
-  int64_t snapshot_flag = 0;
-  if (HeaderInt(header, "snapshot", &snapshot_flag) && snapshot_flag == 1) {
-    out->snapshot = true;
-    int64_t snap_epoch = 0;
-    int64_t snap_clock = 0;
-    if (!HeaderInt(header, "snap_epoch", &snap_epoch) ||
-        !HeaderInt(header, "snap_clock_ms", &snap_clock)) {
-      return Status::Unavailable("malformed snapshot header: " + header);
-    }
-    out->snap.epoch = snap_epoch;
-    out->snap.now_ms = snap_clock;
-    bool saw_statements = false;
-    for (size_t i = 1; i < response.lines.size(); ++i) {
-      const std::string& line = response.lines[i];
-      if (line.rfind("D ", 0) == 0) {
-        size_t space = line.find(' ', 2);
-        if (space == std::string::npos) {
-          return Status::Unavailable("malformed deadline line: " + line);
-        }
-        int64_t ms = 0;
-        std::string statement;
-        if (!ParseInt64(line.substr(2, space - 2), &ms) ||
-            !HexDecode(line.substr(space + 1), &statement)) {
-          return Status::Unavailable("malformed deadline line: " + line);
-        }
-        out->snap.deadlines.emplace_back(ms, std::move(statement));
-      } else if (line.rfind("S ", 0) == 0) {
-        if (!HexDecode(line.substr(2), &out->snap.statements)) {
-          return Status::Unavailable("malformed statements line");
-        }
-        saw_statements = true;
-      } else {
-        return Status::Unavailable("unexpected snapshot line: " + line);
-      }
-    }
-    if (!saw_statements) {
-      return Status::Unavailable("snapshot response missing statements line");
-    }
-    return Status::OK();
-  }
-
-  int64_t expected = 0;
-  if (!HeaderInt(header, "records", &expected) || expected < 0) {
-    return Status::Unavailable("malformed REPLICATE header: " + header);
-  }
-  for (size_t i = 1; i < response.lines.size(); ++i) {
-    const std::string& line = response.lines[i];
-    size_t space = line.find(' ', 2);
-    if (line.rfind("R ", 0) != 0 || space == std::string::npos) {
-      return Status::Unavailable("unexpected record line: " + line);
-    }
-    uint32_t wire_crc = 0;
-    std::string payload;
-    if (!ParseCrc(line.substr(2, space - 2), &wire_crc) ||
-        !HexDecode(line.substr(space + 1), &payload)) {
-      return Status::Unavailable("malformed record line: " + line);
-    }
-    // The torn-record fault strikes the wire: flip one payload byte before
-    // the CRC check, which must catch it.
-    if (failpoint::ShouldFail(failpoint::kReplicaTornRecord) &&
-        !payload.empty()) {
-      payload[payload.size() / 2] ^= 0x40;
-    }
-    uint32_t actual = WalCrc32(payload);
-    if (actual != wire_crc) {
-      return Status::Unavailable(
-          "torn replication record (wire CRC " + CrcHex(wire_crc) +
-          " != payload CRC " + CrcHex(actual) + "): batch rejected");
-    }
-    out->records.push_back(std::move(payload));
-  }
-  if (out->records.size() != static_cast<size_t>(expected)) {
-    return Status::Unavailable("record count mismatch: header said " +
-                               std::to_string(expected) + ", got " +
-                               std::to_string(out->records.size()));
-  }
-  return Status::OK();
+  return ParseReplicationReply(response.lines, index, out);
 }
 
 Replicator::Replicator(QueryService* follower,

@@ -32,11 +32,12 @@ class ReplicationSource {
                        ReplicationBatch* out) = 0;
 };
 
-/// In-process source: pulls straight from a primary QueryService. This is
-/// the deterministic path the replica_vs_primary property drives — the
-/// "replica/torn-record" failpoint models a record mangled in flight, which
-/// the wire layer would catch by CRC; here it surfaces as the same
-/// UNAVAILABLE reject-and-refetch.
+/// In-process source: pulls straight from a primary QueryService and
+/// round-trips every batch through the REPLICATE reply's render/parse pair
+/// (protocol.h), so it decodes the same bytes RemoteReplicationSource does.
+/// This is the deterministic path the replica_vs_primary property drives —
+/// the "replica/torn-record" failpoint flips a byte of the rendered reply,
+/// which the WAL decoders reject as UNAVAILABLE, and the puller refetches.
 class LocalReplicationSource : public ReplicationSource {
  public:
   explicit LocalReplicationSource(QueryService* primary) : primary_(primary) {}
@@ -47,11 +48,11 @@ class LocalReplicationSource : public ReplicationSource {
   QueryService* primary_;
 };
 
-/// Remote source: drives `REPLICATE` over a LineClient and re-verifies every
-/// record's wire CRC before handing the batch up — a mismatch (torn record,
-/// injected via "replica/torn-record" as a byte flip) rejects the whole
-/// batch as UNAVAILABLE so the puller refetches. Connection loss and
-/// timeouts surface the same way; the Replicator's backoff owns retry.
+/// Remote source: drives `REPLICATE` over a LineClient and decodes the reply
+/// with ParseReplicationReply (protocol.h) — a record frame or snapshot
+/// image that fails the WAL's length or CRC checks rejects the whole batch
+/// as UNAVAILABLE so the puller refetches. Connection loss and timeouts
+/// surface the same way; the Replicator's backoff owns retry.
 class RemoteReplicationSource : public ReplicationSource {
  public:
   /// `client` may be null; the source (re)connects lazily via `reconnect`.

@@ -281,8 +281,6 @@ class EventLoop {
     uint64_t conn_id = 0;
     uint64_t seq = 0;
     std::string payload;
-    bool priority_changed = false;
-    PriorityClass priority = PriorityClass::kNormal;
   };
 
   Status Watch(int fd, uint64_t tag, uint32_t events) {
@@ -408,13 +406,10 @@ class EventLoop {
   /// so the loop thread wakes to flush it. Also runs on the loop thread
   /// itself for synchronous sheds — the eventfd round-trip keeps one code
   /// path for both.
-  void PostCompletion(uint64_t conn_id, uint64_t seq, std::string payload,
-                      bool priority_changed = false,
-                      PriorityClass priority = PriorityClass::kNormal) {
+  void PostCompletion(uint64_t conn_id, uint64_t seq, std::string payload) {
     {
       std::lock_guard<std::mutex> lock(completions_mutex_);
-      completions_.push_back(
-          {conn_id, seq, std::move(payload), priority_changed, priority});
+      completions_.push_back({conn_id, seq, std::move(payload)});
     }
     uint64_t one = 1;
     // A full eventfd counter is unreachable in practice; a failed tick is
@@ -435,7 +430,6 @@ class EventLoop {
     for (Completion& done : batch) {
       auto it = conns_.find(done.conn_id);
       if (it == conns_.end()) continue;  // connection died while in flight
-      if (done.priority_changed) it->second.priority = done.priority;
       Deliver(it->second, done.seq, std::move(done.payload),
               /*shutdown=*/false);
     }
@@ -522,7 +516,8 @@ class EventLoop {
     if (conn.want_write == want) return;
     conn.want_write = want;
     epoll_event ev{};
-    ev.events = EPOLLIN | (want ? EPOLLOUT : 0);
+    ev.events = EPOLLIN;
+    if (want) ev.events |= EPOLLOUT;
     ev.data.u64 = conn.id;
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &ev);
   }

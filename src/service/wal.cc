@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -33,30 +34,25 @@ constexpr char kKindInsertTtl = 0x04;
 constexpr char kKindTick = 0x05;
 
 bool IsKindByte(char c) { return c >= 0x01 && c <= 0x08; }
+
+bool IsKnownKind(char c) {
+  return c == kKindRetract || c == kKindExpire || c == kKindInsertTtl ||
+         c == kKindTick;
+}
+
+/// Names an unassigned kind byte and the assigned ones, for errors.
+std::string UnknownKind(char c) {
+  const char* hex = "0123456789abcdef";
+  const unsigned v = static_cast<unsigned char>(c);
+  return std::string("unknown batch-kind byte 0x") + hex[v >> 4] +
+         hex[v & 0xF] +
+         " (known: insert text, retract 0x02, expire 0x03, insert-ttl 0x04, "
+         "tick 0x05)";
+}
+
 constexpr size_t kRecordHeader = 8;  // u32 len + u32 crc32, little-endian
 // A record longer than this is certainly a corrupt length field, not data.
 constexpr uint32_t kMaxRecordBytes = 1u << 30;
-
-/// CRC-32 (IEEE 802.3, reflected), the checksum gzip/zlib use.
-uint32_t Crc32(const char* data, size_t size) {
-  static const uint32_t* table = [] {
-    static uint32_t entries[256];
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      entries[i] = c;
-    }
-    return entries;
-  }();
-  uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ static_cast<unsigned char>(data[i])) & 0xFFu] ^
-          (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
 
 void PutU32(uint32_t v, std::string* out) {
   for (int i = 0; i < 4; ++i) {
@@ -131,8 +127,24 @@ Status FsyncDir(const std::string& dir) {
 
 }  // namespace
 
-uint32_t WalCrc32(const std::string& data) {
-  return Crc32(data.data(), data.size());
+/// CRC-32 (IEEE 802.3, reflected), the checksum gzip/zlib use.
+uint32_t WalCrc32(std::string_view data) {
+  static const uint32_t* table = [] {
+    static uint32_t entries[256];
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+      entries[i] = c;
+    }
+    return entries;
+  }();
+  uint32_t crc = 0xFFFFFFFFu;
+  for (char c : data) {
+    crc = table[(crc ^ static_cast<unsigned char>(c)) & 0xFFu] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
 }
 
 std::string HexEncode(const std::string& bytes) {
@@ -263,15 +275,121 @@ Result<WalRecord> DecodeWalRecord(const std::string& payload) {
       record.now_ms = static_cast<int64_t>(GetU64(payload.data() + 1));
       return record;
     default:
-      return Status::InvalidArgument(
-          "WAL record carries unknown batch-kind byte 0x" +
-          [](unsigned v) {
-            const char* hex = "0123456789abcdef";
-            return std::string{hex[(v >> 4) & 0xF], hex[v & 0xF]};
-          }(static_cast<unsigned char>(payload[0])) +
-          " (known: insert text, retract 0x02, expire 0x03, insert-ttl "
-          "0x04, tick 0x05) — written by a newer cqld?");
+      return Status::InvalidArgument("WAL record carries " +
+                                     UnknownKind(payload[0]) +
+                                     " — written by a newer cqld?");
   }
+}
+
+std::string EncodeWalFrame(const std::string& payload) {
+  std::string frame;
+  frame.reserve(kRecordHeader + payload.size());
+  PutU32(static_cast<uint32_t>(payload.size()), &frame);
+  PutU32(WalCrc32(payload), &frame);
+  frame += payload;
+  return frame;
+}
+
+Status DecodeWalFrame(std::string_view bytes, size_t* offset,
+                      std::string_view* payload) {
+  const size_t available = bytes.size() - *offset;
+  if (available < kRecordHeader) {
+    return Status::DataLoss("torn record header");
+  }
+  const uint32_t len = GetU32(bytes.data() + *offset);
+  const uint32_t crc = GetU32(bytes.data() + *offset + 4);
+  if (len > kMaxRecordBytes) {
+    return Status::DataLoss("corrupt record length " + std::to_string(len));
+  }
+  if (available - kRecordHeader < len) {
+    return Status::DataLoss("torn record payload (" +
+                            std::to_string(available - kRecordHeader) +
+                            " of " + std::to_string(len) + " bytes)");
+  }
+  const char* start = bytes.data() + *offset + kRecordHeader;
+  if (WalCrc32(std::string_view(start, len)) != crc) {
+    return Status::DataLoss("checksum mismatch");
+  }
+  *payload = std::string_view(start, len);
+  *offset += kRecordHeader + len;
+  return Status::OK();
+}
+
+namespace {
+
+/// The payload of a snapshot image: `magic`, then exactly one record frame
+/// whose payload is at least `min_len` bytes.
+Result<std::string_view> SnapshotPayload(std::string_view image,
+                                         const char* magic, size_t min_len) {
+  if (image.substr(0, kMagicSize) != std::string_view(magic, kMagicSize)) {
+    return Status::DataLoss("not a " + std::string(magic, kMagicSize) +
+                            " image");
+  }
+  size_t offset = kMagicSize;
+  std::string_view payload;
+  CQLOPT_RETURN_IF_ERROR(DecodeWalFrame(image, &offset, &payload));
+  if (offset != image.size() || payload.size() < min_len) {
+    return Status::DataLoss("snapshot image is truncated or overlong");
+  }
+  return payload;
+}
+
+/// Reads a pre-§14 CQLSNAP1 image: u64 epoch, then the statements; clock
+/// 0, no deadlines.
+Result<WalSnapshot> DecodeSnapshotV1(std::string_view image) {
+  CQLOPT_ASSIGN_OR_RETURN(std::string_view payload,
+                          SnapshotPayload(image, kSnapMagic, 8));
+  WalSnapshot snapshot;
+  snapshot.epoch = static_cast<int64_t>(GetU64(payload.data()));
+  snapshot.statements.assign(payload.substr(8));
+  return snapshot;
+}
+
+}  // namespace
+
+std::string EncodeSnapshotImage(const WalSnapshot& snapshot) {
+  std::string payload;
+  payload.reserve(20 + snapshot.statements.size());
+  PutU64(static_cast<uint64_t>(snapshot.epoch), &payload);
+  PutU64(static_cast<uint64_t>(snapshot.now_ms), &payload);
+  PutU32(static_cast<uint32_t>(snapshot.deadlines.size()), &payload);
+  for (const auto& [deadline_ms, statement] : snapshot.deadlines) {
+    PutU64(static_cast<uint64_t>(deadline_ms), &payload);
+    PutU32(static_cast<uint32_t>(statement.size()), &payload);
+    payload += statement;
+  }
+  payload += snapshot.statements;
+  return std::string(kSnapMagic2, kMagicSize) + EncodeWalFrame(payload);
+}
+
+Result<WalSnapshot> DecodeSnapshotImage(std::string_view image) {
+  CQLOPT_ASSIGN_OR_RETURN(std::string_view payload,
+                          SnapshotPayload(image, kSnapMagic2, 20));
+  WalSnapshot snapshot;
+  snapshot.epoch = static_cast<int64_t>(GetU64(payload.data()));
+  snapshot.now_ms = static_cast<int64_t>(GetU64(payload.data() + 8));
+  const uint32_t count = GetU32(payload.data() + 16);
+  size_t pos = 20;
+  // Each entry takes at least 12 bytes, which bounds the reservation by
+  // the payload rather than by an untrusted count.
+  snapshot.deadlines.reserve(std::min<size_t>(count, payload.size() / 12));
+  for (uint32_t i = 0; i < count; ++i) {
+    if (payload.size() - pos < 12) {
+      return Status::DataLoss("snapshot deadline table is truncated");
+    }
+    const int64_t deadline_ms =
+        static_cast<int64_t>(GetU64(payload.data() + pos));
+    const uint32_t stmt_len = GetU32(payload.data() + pos + 8);
+    pos += 12;
+    if (payload.size() - pos < stmt_len) {
+      return Status::DataLoss("snapshot deadline table is truncated");
+    }
+    snapshot.deadlines.emplace_back(deadline_ms,
+                                    std::string(payload.substr(pos, stmt_len)));
+    pos += stmt_len;
+  }
+  snapshot.statements.assign(payload.substr(pos));
+  return snapshot;
 }
 
 Result<std::unique_ptr<Wal>> Wal::Open(const std::string& dir) {
@@ -330,11 +448,7 @@ Status Wal::Append(const std::string& payload) {
     return Status::InvalidArgument("WAL record too large: " +
                                    std::to_string(payload.size()) + " bytes");
   }
-  std::string record;
-  record.reserve(kRecordHeader + payload.size());
-  PutU32(static_cast<uint32_t>(payload.size()), &record);
-  PutU32(Crc32(payload.data(), payload.size()), &record);
-  record += payload;
+  const std::string record = EncodeWalFrame(payload);
   const long pre_offset = log_bytes_;
 
   if (failpoint::ShouldFail(failpoint::kWalShortWrite)) {
@@ -399,49 +513,26 @@ Result<WalReadOutcome> Wal::ReadAll() {
   }
   WalReadOutcome out;
   size_t offset = kMagicSize;
-  std::string problem;
+  Status problem;
   while (offset < contents.size()) {
-    if (contents.size() - offset < kRecordHeader) {
-      problem = "torn record header";
-      break;
-    }
-    uint32_t len = GetU32(contents.data() + offset);
-    uint32_t crc = GetU32(contents.data() + offset + 4);
-    if (len > kMaxRecordBytes) {
-      problem = "corrupt record length " + std::to_string(len);
-      break;
-    }
-    if (contents.size() - offset - kRecordHeader < len) {
-      problem = "torn record payload (" +
-                std::to_string(contents.size() - offset - kRecordHeader) +
-                " of " + std::to_string(len) + " bytes)";
-      break;
-    }
-    const char* payload = contents.data() + offset + kRecordHeader;
-    if (Crc32(payload, len) != crc) {
-      problem = "checksum mismatch";
-      break;
-    }
-    if (len > 0 && IsKindByte(payload[0]) && payload[0] != kKindRetract &&
-        payload[0] != kKindExpire && payload[0] != kKindInsertTtl &&
-        payload[0] != kKindTick) {
+    const size_t record_offset = offset;
+    std::string_view payload;
+    problem = DecodeWalFrame(contents, &offset, &payload);
+    if (!problem.ok()) break;
+    if (!payload.empty() && IsKindByte(payload[0]) &&
+        !IsKnownKind(payload[0])) {
       // Checksum-valid but unintelligible: a committed batch this build
       // cannot replay (a newer writer's kind, most likely). Truncating it
       // like a torn tail would silently drop an acknowledged batch and
       // every record after it — refuse to recover instead.
       return Status::InvalidArgument(
           "WAL " + log_path() + ": record at offset " +
-          std::to_string(offset) + " carries unknown batch-kind byte 0x" +
-          [](unsigned v) {
-            const char* hex = "0123456789abcdef";
-            return std::string{hex[(v >> 4) & 0xF], hex[v & 0xF]};
-          }(static_cast<unsigned char>(payload[0])) +
-          " (known: insert text, retract 0x02, expire 0x03, insert-ttl "
-          "0x04, tick 0x05); refusing to drop a committed record — recover "
-          "with a build that understands it");
+          std::to_string(record_offset) + " carries " +
+          UnknownKind(payload[0]) +
+          "; refusing to drop a committed record — recover with a build "
+          "that understands it");
     }
-    out.payloads.emplace_back(payload, len);
-    offset += kRecordHeader + len;
+    out.payloads.emplace_back(payload);
   }
   if (offset < contents.size()) {
     // Torn/corrupt tail — the signature of a crash mid-append. Dropping it
@@ -450,7 +541,7 @@ Result<WalReadOutcome> Wal::ReadAll() {
     out.warning = "WAL " + log_path() + ": dropped " +
                   std::to_string(out.truncated_bytes) +
                   " trailing byte(s) at offset " + std::to_string(offset) +
-                  " (" + problem + "); recovered " +
+                  " (" + problem.message() + "); recovered " +
                   std::to_string(out.payloads.size()) + " intact record(s)";
     if (::ftruncate(fd_, static_cast<off_t>(offset)) < 0) {
       failed_ = Errno("ftruncate " + log_path());
@@ -469,26 +560,11 @@ Result<WalReadOutcome> Wal::ReadAll() {
 }
 
 Status Wal::WriteSnapshot(const WalSnapshot& snapshot) {
-  // CQLSNAP2 payload: u64 epoch, u64 now_ms, u32 deadline count, then per
-  // deadline u64 deadline_ms + u32 length + statement bytes, then the EDB
-  // statements.
-  std::string payload;
-  payload.reserve(20 + snapshot.statements.size());
-  PutU64(static_cast<uint64_t>(snapshot.epoch), &payload);
-  PutU64(static_cast<uint64_t>(snapshot.now_ms), &payload);
-  PutU32(static_cast<uint32_t>(snapshot.deadlines.size()), &payload);
-  for (const auto& [deadline_ms, statement] : snapshot.deadlines) {
-    PutU64(static_cast<uint64_t>(deadline_ms), &payload);
-    PutU32(static_cast<uint32_t>(statement.size()), &payload);
-    payload += statement;
+  const std::string file = EncodeSnapshotImage(snapshot);
+  if (file.size() > kMagicSize + kRecordHeader + kMaxRecordBytes) {
+    return Status::InvalidArgument("snapshot too large: " +
+                                   std::to_string(file.size()) + " bytes");
   }
-  payload += snapshot.statements;
-  std::string file;
-  file.reserve(kMagicSize + kRecordHeader + payload.size());
-  file.append(kSnapMagic2, kMagicSize);
-  PutU32(static_cast<uint32_t>(payload.size()), &file);
-  PutU32(Crc32(payload.data(), payload.size()), &file);
-  file += payload;
 
   // Classic atomic replace: temp file, fsync, rename, fsync directory. A
   // crash at any point leaves either the old snapshot or the new one.
@@ -515,59 +591,18 @@ Status Wal::ReadSnapshot(bool* found, WalSnapshot* snapshot) {
   Result<std::string> contents = ReadWholeFile(fd, "read snapshot");
   ::close(fd);
   CQLOPT_RETURN_IF_ERROR(contents.status());
-  const std::string& data = *contents;
   // A damaged snapshot is not recoverable by truncation: the WAL records it
   // compacted away are gone, so surface it loudly instead of serving a
   // silently incomplete database.
-  bool v2 = false;
-  if (data.size() >= kMagicSize &&
-      std::memcmp(data.data(), kSnapMagic2, kMagicSize) == 0) {
-    v2 = true;
-  } else if (data.size() < kMagicSize + kRecordHeader ||
-             std::memcmp(data.data(), kSnapMagic, kMagicSize) != 0) {
-    return Status::Internal(snapshot_path() +
-                            " is not a CQLSNAP1/CQLSNAP2 snapshot");
+  Result<WalSnapshot> decoded =
+      contents->compare(0, kMagicSize, kSnapMagic, kMagicSize) == 0
+          ? DecodeSnapshotV1(*contents)
+          : DecodeSnapshotImage(*contents);
+  if (!decoded.ok()) {
+    return Status::Internal(snapshot_path() + ": " +
+                            decoded.status().message());
   }
-  if (data.size() < kMagicSize + kRecordHeader) {
-    return Status::Internal(snapshot_path() + " is truncated or overlong");
-  }
-  uint32_t len = GetU32(data.data() + kMagicSize);
-  uint32_t crc = GetU32(data.data() + kMagicSize + 4);
-  const size_t min_len = v2 ? 20 : 8;
-  if (len < min_len || data.size() - kMagicSize - kRecordHeader != len) {
-    return Status::Internal(snapshot_path() + " is truncated or overlong");
-  }
-  const char* payload = data.data() + kMagicSize + kRecordHeader;
-  if (Crc32(payload, len) != crc) {
-    return Status::Internal(snapshot_path() + " fails its checksum");
-  }
-  *snapshot = WalSnapshot{};
-  snapshot->epoch = static_cast<int64_t>(GetU64(payload));
-  size_t pos = 8;
-  if (v2) {
-    snapshot->now_ms = static_cast<int64_t>(GetU64(payload + pos));
-    pos += 8;
-    uint32_t count = GetU32(payload + pos);
-    pos += 4;
-    snapshot->deadlines.reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      if (len - pos < 12) {
-        return Status::Internal(snapshot_path() +
-                                " deadline table is truncated");
-      }
-      int64_t deadline_ms = static_cast<int64_t>(GetU64(payload + pos));
-      uint32_t stmt_len = GetU32(payload + pos + 8);
-      pos += 12;
-      if (len - pos < stmt_len) {
-        return Status::Internal(snapshot_path() +
-                                " deadline table is truncated");
-      }
-      snapshot->deadlines.emplace_back(deadline_ms,
-                                       std::string(payload + pos, stmt_len));
-      pos += stmt_len;
-    }
-  }
-  snapshot->statements.assign(payload + pos, len - pos);
+  *snapshot = std::move(*decoded);
   *found = true;
   return Status::OK();
 }

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "eval/database.h"
@@ -24,11 +25,11 @@ std::string RenderFactStatement(const Fact& fact, const SymbolTable& symbols);
 /// body Compact() writes.
 std::string RenderDatabaseText(const Database& db, const SymbolTable& symbols);
 
-/// The IEEE CRC-32 the WAL checksums records with, exposed so replication
-/// can reuse the exact same polynomial for wire-record checksums and
+/// The IEEE CRC-32 (reflected, as gzip/zlib) the WAL checksums records
+/// with, exposed so replication can reuse the exact same polynomial for
 /// per-epoch state digests (a follower's state CRC is comparable to the
 /// primary's only because both sides hash identical bytes identically).
-uint32_t WalCrc32(const std::string& data);
+uint32_t WalCrc32(std::string_view data);
 
 /// Lowercase hex of arbitrary bytes — how binary WAL payloads ride the
 /// line-framed text protocol (REPLICATE responses).
@@ -86,6 +87,36 @@ struct WalSnapshot {
   std::string statements;
 };
 
+// The two codecs below are the only encodings of a record and of a
+// snapshot, on disk and on the wire: wal.log holds record frames and
+// snapshot.cql holds one CQLSNAP2 image, and a REPLICATE reply ships the
+// same bytes hex-encoded (`R` lines carry record frames, an `S` line the
+// image; service/protocol.h). A follower therefore checks what it receives
+// with exactly the length and CRC checks recovery applies to its own files.
+
+/// The record frame of `payload`: `[u32 len][u32 crc32][payload]`,
+/// little-endian, CRC-32 over the payload.
+std::string EncodeWalFrame(const std::string& payload);
+
+/// Decodes the record frame starting at `bytes[*offset]` (`*offset` <=
+/// `bytes.size()`): points `*payload` into `bytes` and advances `*offset`
+/// past the frame. A torn header, a length past the record bound (1 GiB)
+/// or past the end of `bytes`, or a checksum mismatch is a DataLoss whose
+/// message names the damage; `*offset` is then unchanged.
+Status DecodeWalFrame(std::string_view bytes, size_t* offset,
+                      std::string_view* payload);
+
+/// The CQLSNAP2 image of `snapshot`: the 8-byte magic `CQLSNAP2`, then one
+/// record frame whose payload is u64 epoch, u64 now_ms, u32 deadline count,
+/// per deadline u64 deadline_ms + u32 length + statement bytes, then the EDB
+/// statements.
+std::string EncodeSnapshotImage(const WalSnapshot& snapshot);
+
+/// Decodes a CQLSNAP2 image. A wrong magic, a torn or overlong frame, a
+/// checksum mismatch, or a deadline table running past the payload is a
+/// DataLoss naming the damage. (Only Wal::ReadSnapshot reads CQLSNAP1.)
+Result<WalSnapshot> DecodeSnapshotImage(std::string_view image);
+
 /// What Wal::ReadAll found in the log.
 struct WalReadOutcome {
   /// The payload of every intact record, append order.
@@ -100,15 +131,14 @@ struct WalReadOutcome {
 /// The write-ahead log backing a QueryService's durability (DESIGN.md §10).
 ///
 /// One directory holds two files:
-///  - `wal.log`: an 8-byte magic header followed by length-prefixed records
-///    `[u32 len][u32 crc32][payload]` (little-endian), one per committed
-///    ingest batch, payload being the batch's `.cql` statements. Append()
-///    fsyncs before returning — a batch is never visible to readers unless
-///    it is durable first.
-///  - `snapshot.cql`: the compacted EDB at some epoch, one checksummed
-///    record `[u32 len][u32 crc32][u64 epoch][statements]` after its own
-///    magic. Written to a temp file, fsynced, then atomically renamed, so
-///    a crash mid-compaction leaves the previous snapshot intact.
+///  - `wal.log`: an 8-byte magic header followed by one record frame
+///    (EncodeWalFrame) per committed batch, the payload being the
+///    EncodeWalRecord bytes. Append() fsyncs before returning — a batch is
+///    never visible to readers unless it is durable first.
+///  - `snapshot.cql`: the compacted state at some epoch as one CQLSNAP2
+///    image (EncodeSnapshotImage). Written to a temp file, fsynced, then
+///    atomically renamed, so a crash mid-compaction leaves the previous
+///    snapshot intact.
 ///
 /// Recovery (QueryService::Recover) loads the snapshot if present, then
 /// replays the intact prefix of wal.log; a torn or corrupt tail record —
@@ -144,7 +174,8 @@ class Wal {
   /// newer cqld), so unlike a torn tail it must never be dropped.
   Result<WalReadOutcome> ReadAll();
 
-  /// Atomically replaces the snapshot file with `snapshot` (CQLSNAP2).
+  /// Atomically replaces the snapshot file with the CQLSNAP2 image of
+  /// `snapshot`; an image past the record-frame bound (1 GiB) is refused.
   Status WriteSnapshot(const WalSnapshot& snapshot);
 
   /// Loads the snapshot. `*found` is false (and `*snapshot` untouched) when

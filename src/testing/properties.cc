@@ -1172,7 +1172,9 @@ PropertyOutcome CrashRecovery(const FuzzCase& c, const FuzzOptions& fo) {
 /// property can crash and re-open the primary service without rebuilding the
 /// follower's Replicator — the stable-coordinates contract a real follower
 /// relies on across a primary restart (recovery rebuilds the feed
-/// byte-identically, so (base, index) stays valid).
+/// byte-identically, so (base, index) stays valid). LocalReplicationSource
+/// round-trips every batch through the REPLICATE reply's render/parse pair,
+/// so the sweep drives the wire decoder, torn-record byte flips included.
 class SlotReplicationSource : public ReplicationSource {
  public:
   explicit SlotReplicationSource(std::unique_ptr<QueryService>* slot)

@@ -43,8 +43,9 @@ inline constexpr const char* kSchedulerWorkerHold = "scheduler/worker-hold";
 // FetchReplication drops the batch (simulating a lost response or a
 // partition); the follower sees an Unavailable fetch and retries.
 inline constexpr const char* kReplicaFetch = "replica/fetch";
-/// A record arrives torn on the wire: the follower's decoder flips a byte
-/// before the per-record CRC check, which must reject it and refetch.
+/// A reply arrives torn on the wire: the follower's decoder flips a byte of
+/// a record frame or snapshot image before the WAL's CRC check, which must
+/// reject the batch so the follower refetches.
 inline constexpr const char* kReplicaTornRecord = "replica/torn-record";
 /// Follower crashes after fetching a batch but before applying any of it.
 inline constexpr const char* kReplicaCrashBeforeApply =

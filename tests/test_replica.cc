@@ -463,8 +463,9 @@ TEST(RemoteReplicationTest, ShipsSnapshotAndRecordsOverTheWire) {
 }
 
 // ---------------------------------------------------------------------------
-// Replication frames whose numbers do not parse: a typed, retryable
-// UNAVAILABLE, never a silently clamped or truncated value.
+// REPLICATE reply frames. Record frames and snapshot images are checked by
+// the WAL's own decoders; any damage is a typed, retryable UNAVAILABLE,
+// never a silently installed, clamped or truncated value.
 
 /// Fetches once through RemoteReplicationSource from a scripted primary
 /// that answers the REPLICATE request with `frame` (its lines; `END` is
@@ -506,16 +507,33 @@ Status FetchFrame(const std::vector<std::string>& frame,
   return fetched;
 }
 
-/// A one-deadline snapshot frame as the primary writes it, with the given
-/// snap_epoch, deadline and state CRC words.
-std::vector<std::string> SnapshotFrame(const std::string& snap_epoch,
-                                       const std::string& deadline_ms,
-                                       const std::string& crc) {
-  return {"OK base=0 next=0 feed=0 epoch=1 clock_ms=0 crc=" + crc +
-              " snapshot=1 snap_epoch=" + snap_epoch +
-              " snap_clock_ms=0 deadlines=1",
-          "D " + deadline_ms + " " + HexEncode("a(1)."),
-          "S " + HexEncode("a(1).\n")};
+/// A renegotiation cut with one TTL deadline and the given state CRC.
+ReplicationBatch SnapshotBatch(uint32_t state_crc = 0xabcd) {
+  ReplicationBatch batch;
+  batch.snapshot = true;
+  batch.next_index = 3;
+  batch.feed_size = 3;
+  batch.primary_epoch = 7;
+  batch.primary_clock_ms = 50;
+  batch.state_crc = state_crc;
+  batch.snap = {7, 50, {{100, "a(1)."}}, "a(1).\nb(2).\n"};
+  return batch;
+}
+
+std::vector<std::string> Render(const ReplicationBatch& batch) {
+  std::vector<std::string> lines;
+  RenderReplicationReply(batch, &lines);
+  return lines;
+}
+
+/// The bytes an `R`/`S` line carries, and the line carrying `bytes`.
+std::string LineBytes(const std::string& line) {
+  std::string bytes;
+  EXPECT_TRUE(HexDecode(line.substr(2), &bytes)) << line;
+  return bytes;
+}
+std::string BytesLine(char tag, const std::string& bytes) {
+  return std::string(1, tag) + " " + HexEncode(bytes);
 }
 
 void ExpectUnavailable(const Status& status, const std::string& what) {
@@ -524,31 +542,58 @@ void ExpectUnavailable(const Status& status, const std::string& what) {
       << status.ToString();
 }
 
+TEST(ReplicationFrameTest, ReplyRoundTripsWithoutASocket) {
+  ReplicationBatch records;
+  records.base_epoch = 4;
+  records.next_index = 7;
+  records.feed_size = 9;
+  records.primary_epoch = 12;
+  records.primary_clock_ms = 250;
+  records.state_crc = 0xdeadbeef;
+  records.records = {"a(1).\n", std::string("\x02" "b(2).\n"), ""};
+  std::vector<std::string> lines = Render(records);
+  ASSERT_EQ(lines.size(), 4u);
+  EXPECT_EQ(lines[0],
+            "OK base=4 next=7 feed=9 epoch=12 clock_ms=250 crc=deadbeef");
+  // Each R line is the hex of the record's WAL frame, byte for byte.
+  EXPECT_EQ(lines[1], BytesLine('R', EncodeWalFrame("a(1).\n")));
+  ReplicationBatch parsed;
+  Status ok = ParseReplicationReply(lines, /*index=*/4, &parsed);
+  ASSERT_TRUE(ok.ok()) << ok.ToString();
+  EXPECT_FALSE(parsed.snapshot);
+  EXPECT_EQ(parsed.base_epoch, 4);
+  EXPECT_EQ(parsed.next_index, 7u);
+  EXPECT_EQ(parsed.feed_size, 9u);
+  EXPECT_EQ(parsed.primary_epoch, 12);
+  EXPECT_EQ(parsed.primary_clock_ms, 250);
+  EXPECT_EQ(parsed.state_crc, 0xdeadbeefu);
+  EXPECT_EQ(parsed.records, records.records);
+
+  const ReplicationBatch cut = SnapshotBatch();
+  lines = Render(cut);
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(lines[1], BytesLine('S', EncodeSnapshotImage(cut.snap)));
+  ok = ParseReplicationReply(lines, /*index=*/0, &parsed);
+  ASSERT_TRUE(ok.ok()) << ok.ToString();
+  EXPECT_TRUE(parsed.snapshot);
+  EXPECT_TRUE(parsed.records.empty());
+  EXPECT_EQ(parsed.next_index, 3u);
+  EXPECT_EQ(parsed.snap.epoch, cut.snap.epoch);
+  EXPECT_EQ(parsed.snap.now_ms, cut.snap.now_ms);
+  EXPECT_EQ(parsed.snap.deadlines, cut.snap.deadlines);
+  EXPECT_EQ(parsed.snap.statements, cut.snap.statements);
+}
+
 TEST(ReplicationFrameTest, WellFormedSnapshotFrameParses) {
   ReplicationBatch batch;
-  Status fetched = FetchFrame(SnapshotFrame("7", "100", "0000abcd"), &batch);
+  Status fetched = FetchFrame(Render(SnapshotBatch()), &batch);
   ASSERT_TRUE(fetched.ok()) << fetched.ToString();
   EXPECT_TRUE(batch.snapshot);
   EXPECT_EQ(batch.snap.epoch, 7);
   ASSERT_EQ(batch.snap.deadlines.size(), 1u);
   EXPECT_EQ(batch.snap.deadlines[0].first, 100);
+  EXPECT_EQ(batch.snap.deadlines[0].second, "a(1).");
   EXPECT_EQ(batch.state_crc, 0xabcdu);
-}
-
-TEST(ReplicationFrameTest, OutOfRangeSnapEpochIsUnavailable) {
-  ReplicationBatch batch;
-  ExpectUnavailable(
-      FetchFrame(SnapshotFrame("99999999999999999999", "100", "0000abcd"),
-                 &batch),
-      "malformed snapshot header");
-}
-
-TEST(ReplicationFrameTest, OutOfRangeDeadlineIsUnavailable) {
-  ReplicationBatch batch;
-  ExpectUnavailable(
-      FetchFrame(SnapshotFrame("7", "99999999999999999999", "0000abcd"),
-                 &batch),
-      "malformed deadline line");
 }
 
 TEST(ReplicationFrameTest, StateCrcOutsideEightHexDigitsIsUnavailable) {
@@ -556,27 +601,134 @@ TEST(ReplicationFrameTest, StateCrcOutsideEightHexDigitsIsUnavailable) {
   // it: a CRC the follower cannot match, which quarantined it as diverged.
   for (const char* crc : {"-1", "1ffffffff", "", "0x1234"}) {
     SCOPED_TRACE(crc);
+    std::vector<std::string> lines = Render(SnapshotBatch());
+    const size_t at = lines[0].find("crc=0000abcd");
+    ASSERT_NE(at, std::string::npos) << lines[0];
+    lines[0].replace(at, 12, std::string("crc=") + crc);
     ReplicationBatch batch;
-    ExpectUnavailable(FetchFrame(SnapshotFrame("7", "100", crc), &batch),
-                      "malformed REPLICATE header");
+    ExpectUnavailable(FetchFrame(lines, &batch), "malformed REPLICATE header");
   }
 }
 
-TEST(ReplicationFrameTest, RecordCrcOutsideEightHexDigitsIsUnavailable) {
-  const std::string payload = "a(1).";
-  char crc[16];
-  std::snprintf(crc, sizeof(crc), "%08x", WalCrc32(payload));
+TEST(ReplicationFrameTest, TornRecordFrameIsUnavailable) {
+  ReplicationBatch one;
+  one.next_index = 1;
+  one.feed_size = 1;
+  one.records = {"a(1)."};
+  const std::vector<std::string> good = Render(one);
   ReplicationBatch batch;
-  const std::string header =
-      "OK base=0 next=1 feed=1 epoch=1 clock_ms=0 crc=0000abcd records=1";
-  ASSERT_TRUE(
-      FetchFrame({header, "R " + std::string(crc) + " " + HexEncode(payload)},
-                 &batch)
-          .ok());
+  ASSERT_TRUE(FetchFrame(good, &batch).ok());
+  ASSERT_EQ(batch.records, one.records);
+
+  // The frame lost its last byte: the length check catches it.
+  std::string frame = LineBytes(good[1]);
   ExpectUnavailable(
-      FetchFrame({header, "R 1" + std::string(crc) + " " + HexEncode(payload)},
+      FetchFrame({good[0], BytesLine('R', frame.substr(0, frame.size() - 1))},
                  &batch),
-      "malformed record line");
+      "torn record payload");
+  // A byte past the frame is not silently ignored.
+  ExpectUnavailable(FetchFrame({good[0], BytesLine('R', frame + "x")}, &batch),
+                    "after the frame");
+  // A flipped payload byte fails the frame's CRC.
+  frame.back() ^= 0x01;
+  ExpectUnavailable(FetchFrame({good[0], BytesLine('R', frame)}, &batch),
+                    "checksum mismatch");
+  // A lost line: the header's next says one record, none arrived.
+  ExpectUnavailable(FetchFrame({good[0]}, &batch), "record count mismatch");
+}
+
+/// A primary with one TTL fact pending, and its bootstrap reply: a
+/// snapshot image with one deadline entry.
+std::vector<std::string> TtlBootstrapReply(QueryService& primary) {
+  EXPECT_TRUE(primary.Ingest("singleleg(den, jfk, 240, 160).\n", 100).ok());
+  ReplicationBatch cut;
+  EXPECT_TRUE(primary.FetchReplication(-1, 0, 64, &cut).ok());
+  EXPECT_TRUE(cut.snapshot);
+  EXPECT_EQ(cut.snap.deadlines.size(), 1u);
+  return Render(cut);
+}
+
+/// `reply` with its snapshot image's deadline entry cut out (count kept),
+/// or with one flipped byte inside that entry.
+std::vector<std::string> DamageImage(std::vector<std::string> reply,
+                                     bool drop_deadline) {
+  std::string image = LineBytes(reply[1]);
+  // magic(8) + frame header(8) + epoch(8) + clock(8) + count(4).
+  constexpr size_t kEntry = 36;
+  size_t stmt_len = 0;  // the entry's little-endian u32 statement length
+  for (int i = 3; i >= 0; --i) {
+    stmt_len = stmt_len << 8 |
+               static_cast<unsigned char>(image[kEntry + 8 + i]);
+  }
+  if (drop_deadline) {
+    image.erase(kEntry, 12 + stmt_len);
+  } else {
+    image[kEntry + 12 + stmt_len / 2] ^= 0x01;
+  }
+  reply[1] = BytesLine('S', image);
+  return reply;
+}
+
+TEST(ReplicationFrameTest, DamagedSnapshotImageIsUnavailable) {
+  // A snapshot that lost a deadline entry, or carries a flipped byte that
+  // still decodes, used to install and then fail the state-CRC check — a
+  // permanent quarantine from a transient wire fault.
+  TempWalDir p_dir;
+  auto primary = DurableFlights(p_dir.path);
+  const std::vector<std::string> reply = TtlBootstrapReply(*primary);
+  ReplicationBatch batch;
+  ASSERT_TRUE(FetchFrame(reply, &batch).ok());
+  ExpectUnavailable(FetchFrame(DamageImage(reply, true), &batch),
+                    "damaged snapshot image");
+  ExpectUnavailable(FetchFrame(DamageImage(reply, false), &batch),
+                    "checksum mismatch");
+}
+
+/// Serves scripted REPLICATE replies in order, parsed as a remote follower
+/// parses them.
+class ScriptedSource : public ReplicationSource {
+ public:
+  explicit ScriptedSource(std::vector<std::vector<std::string>> replies)
+      : replies_(std::move(replies)) {}
+  Status Fetch(int64_t, uint64_t index, size_t,
+               ReplicationBatch* out) override {
+    if (next_ == replies_.size()) return Status::Unavailable("no reply left");
+    return ParseReplicationReply(replies_[next_++], index, out);
+  }
+
+ private:
+  std::vector<std::vector<std::string>> replies_;
+  size_t next_ = 0;
+};
+
+TEST(ReplicatorTest, DamagedSnapshotFrameIsRefetchedNotQuarantined) {
+  failpoint::DisarmAll();
+  TempWalDir p_dir, f_dir;
+  auto primary = DurableFlights(p_dir.path);
+  const std::vector<std::string> reply = TtlBootstrapReply(*primary);
+  for (bool drop_deadline : {true, false}) {
+    SCOPED_TRACE(drop_deadline ? "lost deadline" : "flipped byte");
+    TempWalDir dir;
+    auto follower = DurableFlights(dir.path, /*empty_edb=*/true);
+    Replicator replicator(
+        follower.get(),
+        std::make_unique<ScriptedSource>(std::vector<std::vector<std::string>>{
+            DamageImage(reply, drop_deadline), reply}));
+    replicator.AttachHooks();
+    Result<int> damaged = replicator.Step();
+    ASSERT_FALSE(damaged.ok());
+    EXPECT_EQ(damaged.status().code(), StatusCode::kUnavailable);
+    EXPECT_EQ(replicator.Progress().snapshots_installed, 0);
+
+    Result<int> good = replicator.Step();
+    ASSERT_TRUE(good.ok()) << good.status().ToString();
+    ReplicatorProgress progress = replicator.Progress();
+    EXPECT_EQ(progress.snapshots_installed, 1);
+    EXPECT_EQ(progress.divergence_checks, 1);
+    EXPECT_FALSE(progress.quarantined);
+    EXPECT_FALSE(follower->quarantined());
+    EXPECT_EQ(follower->RenderStateText(), primary->RenderStateText());
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -612,6 +764,33 @@ TEST(LineClientTest, SilentServerTimesOutWithDeadlineExceeded) {
   ASSERT_FALSE(timed_out.ok());
   EXPECT_EQ(timed_out.code(), StatusCode::kDeadlineExceeded);
   ::close(listener);
+}
+
+TEST(LineClientTest, WriteToADeadPeerIsUnavailableNotSigpipe) {
+  // A follower's pull connection outlives a killed primary. The next
+  // REPLICATE write must fail typed; a SIGPIPE would kill the follower
+  // before PROMOTE could reach it.
+  TempWalDir scratch;
+  ASSERT_FALSE(scratch.path.empty());
+  const std::string path = scratch.path + "/cqld.sock";
+  int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s", path.c_str());
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  auto conn = LineClient::ConnectUnix(path, 1000);
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+  ::close(::accept(listener, nullptr, nullptr));
+  ::close(listener);
+
+  LineClient::Response response;
+  Status dead = (*conn)->Exchange("REPLICATE 0 0", 1000, &response);
+  ASSERT_FALSE(dead.ok());
+  EXPECT_EQ(dead.code(), StatusCode::kUnavailable) << dead.ToString();
 }
 
 }  // namespace

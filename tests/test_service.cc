@@ -969,8 +969,9 @@ TEST(ProtocolTest, ReplicateShipsTheFeedAndHealthReportsTheRole) {
   EXPECT_EQ(out.front().rfind("OK base=0", 0), 0u) << out.front();
   EXPECT_NE(out.front().find(" snapshot=1"), std::string::npos) << out.front();
 
-  // A committed batch ships as an R line — wire CRC + hex payload — whose
-  // bytes decode to a well-formed WAL record and re-hash to the stated CRC.
+  // A committed batch ships as an R line — the hex of its WAL record frame —
+  // which the WAL's frame decoder accepts whole, yielding a well-formed
+  // record.
   ASSERT_TRUE(service->Ingest("singleleg(rep, wire, 100, 50).\n").ok());
   out.clear();
   HandleLine(*service, "REPLICATE 0 0 8", &out);
@@ -978,16 +979,14 @@ TEST(ProtocolTest, ReplicateShipsTheFeedAndHealthReportsTheRole) {
   EXPECT_EQ(out.front().rfind("OK base=0 next=1 feed=1 epoch=1", 0), 0u)
       << out.front();
   ASSERT_EQ(out[1].rfind("R ", 0), 0u) << out[1];
-  std::istringstream framed(out[1]);
-  std::string tag, crc_hex, payload_hex;
-  framed >> tag >> crc_hex >> payload_hex;
-  std::string payload;
-  ASSERT_TRUE(HexDecode(payload_hex, &payload));
-  char expected_crc[16];
-  std::snprintf(expected_crc, sizeof(expected_crc), "%08x",
-                WalCrc32(payload));
-  EXPECT_EQ(crc_hex, expected_crc);
-  Result<WalRecord> record = DecodeWalRecord(payload);
+  std::string frame;
+  ASSERT_TRUE(HexDecode(out[1].substr(2), &frame));
+  size_t offset = 0;
+  std::string_view payload;
+  Status framed = DecodeWalFrame(frame, &offset, &payload);
+  ASSERT_TRUE(framed.ok()) << framed.ToString();
+  EXPECT_EQ(offset, frame.size());
+  Result<WalRecord> record = DecodeWalRecord(std::string(payload));
   ASSERT_TRUE(record.ok()) << record.status().ToString();
   EXPECT_EQ(record->kind, WalRecord::Kind::kInsert);
 
