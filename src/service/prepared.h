@@ -4,8 +4,10 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "eval/seminaive.h"
 #include "transform/pipeline.h"
@@ -17,12 +19,10 @@ namespace cqlopt {
 /// evaluation of the rewritten program against some database epoch.
 ///
 /// Concurrency: the pipeline fields (`prepared`, `fingerprint`,
-/// `canonical`) are immutable after construction. The materialized
-/// evaluation is epoch-tagged, swapped under `mutex`, and always handed out
-/// as `shared_ptr<const EvalResult>` — a reader that grabbed an older
-/// materialization keeps it alive and untouched while another session
-/// resumes past it (the same immutability discipline as the service's
-/// epoch snapshots).
+/// `canonical`) are immutable after construction. The materialization
+/// (`eval`, `eval_epoch`, `answers`) is read and replaced only under
+/// `mutex`, and never leaves it: a query copies the answer lines out, and a
+/// resume consumes `eval` in place.
 struct PreparedEntry {
   uint64_t fingerprint = 0;
   /// The exact canonical text the fingerprint digests; hits verify it so a
@@ -32,15 +32,17 @@ struct PreparedEntry {
   std::string canonical;
   PipelineResult prepared;
 
-  /// Guards the three materialization fields below.
+  /// Guards the materialization fields below.
   std::mutex mutex;
-  /// Last evaluation of `prepared.program`, or null if never evaluated.
-  /// The pointee is always created non-const (the const lives only in this
-  /// pointer type): when `use_count() == 1` under `mutex`, the resume path
-  /// const-casts and consumes it in place of deep-copying the database.
-  std::shared_ptr<const EvalResult> eval;
+  /// Last evaluation of `prepared.program`, or empty if never evaluated.
+  std::optional<EvalResult> eval;
   /// Epoch of the database `eval` was computed against (-1 = none).
   int64_t eval_epoch = -1;
+  /// The rendered, sorted answer lines of `eval` for `prepared.query` (or
+  /// the error QueryAnswers returned for it), set together with `eval`: an
+  /// epoch hit copies them instead of extracting and rendering again, so
+  /// its work is bounded by the size of the answer.
+  Result<std::vector<std::string>> answers = std::vector<std::string>();
 };
 
 /// The prepared-program cache: canonical-fingerprint keyed, bounded, with

@@ -81,6 +81,42 @@ void EmitSchedulerStats(const SchedulerStats& sched,
   }
 }
 
+/// Splits the arguments of PREPARE or QUERY (`command`) into the steps spec
+/// (`-` becomes empty, the identity pipeline) and the query text. For QUERY
+/// a trailing ` ASOF <epoch>` becomes `min_epoch` — stripped only when its
+/// argument is a clean non-negative integer, so query text containing the
+/// word ASOF is never misparsed; otherwise `min_epoch` is -1. False when
+/// the query is missing.
+bool SplitQueryArgs(const std::string& command, const std::string& rest,
+                    std::string* steps, std::string* query,
+                    int64_t* min_epoch) {
+  SplitWord(rest, steps, query);
+  if (*steps == "-") steps->clear();
+  if (query->empty()) return false;
+  *min_epoch = -1;
+  if (command == "QUERY") {
+    size_t pos = query->rfind(" ASOF ");
+    if (pos != std::string::npos) {
+      int64_t parsed = -1;
+      if (ParseInt64(Trim(query->substr(pos + 6)), &parsed) && parsed >= 0) {
+        *min_epoch = parsed;
+        *query = Trim(query->substr(0, pos));
+      }
+    }
+  }
+  return true;
+}
+
+/// The QUERY reply's header and answer lines, without the trailing `END`.
+void EmitQueryOutcome(const QueryOutcome& outcome,
+                      std::vector<std::string>* out) {
+  out->push_back(std::string("OK path=") + ServePathName(outcome.path) +
+                 " epoch=" + std::to_string(outcome.epoch) +
+                 " answers=" + std::to_string(outcome.answers.size()) +
+                 " fixpoint=" + (outcome.reached_fixpoint ? "1" : "0"));
+  out->insert(out->end(), outcome.answers.begin(), outcome.answers.end());
+}
+
 /// Client-originated mutations are refused on a follower at the protocol
 /// boundary; the Replicator applies the shipped stream through direct
 /// service calls, so replication itself is never gated. True when the line
@@ -238,6 +274,25 @@ bool ParseInt64(const std::string& word, int64_t* value) {
   return true;
 }
 
+bool TryAnswerEpochHit(QueryService& service, const std::string& line,
+                       std::vector<std::string>* out) {
+  std::string command;
+  std::string rest;
+  SplitWord(Trim(line), &command, &rest);
+  std::string steps;
+  std::string query;
+  int64_t min_epoch = -1;
+  QueryOutcome outcome;
+  if (command != "QUERY" ||
+      !SplitQueryArgs(command, rest, &steps, &query, &min_epoch) ||
+      !service.TryEpochHit(query, steps, min_epoch, &outcome)) {
+    return false;
+  }
+  EmitQueryOutcome(outcome, out);
+  out->push_back("END");
+  return true;
+}
+
 ProtocolAction HandleLine(QueryService& service, const std::string& line,
                           std::vector<std::string>* out,
                           LineOutcome* outcome) {
@@ -256,30 +311,14 @@ ProtocolAction HandleLine(QueryService& service, const std::string& line,
   if (command == "PREPARE" || command == "QUERY") {
     std::string steps;
     std::string query;
-    SplitWord(rest, &steps, &query);
-    if (steps == "-") steps.clear();
-    if (query.empty()) {
+    int64_t min_epoch = -1;
+    if (!SplitQueryArgs(command, rest, &steps, &query, &min_epoch)) {
       EmitError(Status::InvalidArgument(command +
                                         " needs a steps spec ('-' for "
                                         "identity) and a query"),
                 out);
       out->push_back("END");
       return ProtocolAction::kContinue;
-    }
-    // `QUERY <steps> <query> ASOF <epoch>` — epoch-consistent follower
-    // read: the suffix is only stripped when its argument is a clean
-    // non-negative integer, so query text containing the word ASOF is
-    // never misparsed.
-    int64_t min_epoch = -1;
-    if (command == "QUERY") {
-      size_t pos = query.rfind(" ASOF ");
-      if (pos != std::string::npos) {
-        int64_t parsed = -1;
-        if (ParseInt64(Trim(query.substr(pos + 6)), &parsed) && parsed >= 0) {
-          min_epoch = parsed;
-          query = Trim(query.substr(0, pos));
-        }
-      }
     }
     if (command == "PREPARE") {
       bool cached = false;
@@ -296,13 +335,7 @@ ProtocolAction HandleLine(QueryService& service, const std::string& line,
         EmitError(result.status(), out);
       } else {
         outcome->derived_facts = result->facts_stored;
-        out->push_back(std::string("OK path=") + ServePathName(result->path) +
-                       " epoch=" + std::to_string(result->epoch) +
-                       " answers=" + std::to_string(result->answers.size()) +
-                       " fixpoint=" + (result->reached_fixpoint ? "1" : "0"));
-        for (const std::string& answer : result->answers) {
-          out->push_back(answer);
-        }
+        EmitQueryOutcome(*result, out);
       }
     }
     out->push_back("END");
@@ -502,6 +535,8 @@ ProtocolAction HandleLine(QueryService& service, const std::string& line,
     out->push_back("prepared_misses=" + std::to_string(stats.prepared_misses));
     out->push_back("cold_evals=" + std::to_string(stats.cold_evals));
     out->push_back("epoch_hits=" + std::to_string(stats.epoch_hits));
+    out->push_back("loop_epoch_hits=" +
+                   std::to_string(stats.loop_epoch_hits));
     out->push_back("resumes=" + std::to_string(stats.resumes));
     out->push_back("resumed_iterations=" +
                    std::to_string(stats.resumed_iterations));

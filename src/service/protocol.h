@@ -114,6 +114,14 @@ ProtocolAction HandleLine(QueryService& service, const std::string& line,
                           std::vector<std::string>* out,
                           LineOutcome* outcome = nullptr);
 
+/// The serve loop's inline path: when `line` is a QUERY that
+/// QueryService::TryEpochHit answers (an epoch hit with no lock it needs
+/// busy), appends the response HandleLine would give, `END` included, and
+/// returns true. Otherwise appends nothing and returns false, and the line
+/// goes through HandleLine on a worker — which also reports any error.
+bool TryAnswerEpochHit(QueryService& service, const std::string& line,
+                       std::vector<std::string>* out);
+
 }  // namespace cqlopt
 
 #endif  // CQLOPT_SERVICE_PROTOCOL_H_

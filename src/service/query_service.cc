@@ -107,6 +107,15 @@ std::shared_ptr<const QueryService::EpochSnapshot> QueryService::Head() const {
 
 int64_t QueryService::epoch() const { return Head()->id; }
 
+Status QueryService::KeyQueryLocked(const std::string& query_text,
+                                    const std::vector<RewriteStep>& steps,
+                                    Query* query, uint64_t* fingerprint,
+                                    std::string* canonical) {
+  CQLOPT_ASSIGN_OR_RETURN(*query, ParseQueryText(query_text, &program_));
+  *fingerprint = PipelineFingerprint(program_, *query, steps, canonical);
+  return Status::OK();
+}
+
 Result<std::shared_ptr<PreparedEntry>> QueryService::PrepareEntry(
     const std::string& query_text, const std::string& steps_spec,
     bool* prepared_hit) {
@@ -117,8 +126,8 @@ Result<std::shared_ptr<PreparedEntry>> QueryService::PrepareEntry(
   std::string canonical;
   {
     std::lock_guard<std::mutex> lock(symbols_mutex_);
-    CQLOPT_ASSIGN_OR_RETURN(query, ParseQueryText(query_text, &program_));
-    fingerprint = PipelineFingerprint(program_, query, steps, &canonical);
+    CQLOPT_RETURN_IF_ERROR(
+        KeyQueryLocked(query_text, steps, &query, &fingerprint, &canonical));
   }
   if (auto entry = prepared_.Find(fingerprint, canonical)) {
     *prepared_hit = true;
@@ -183,6 +192,49 @@ bool QueryService::CollectDeltas(const EpochSnapshot& head, int64_t from,
   return true;
 }
 
+Result<std::vector<std::string>> QueryService::RenderAnswers(
+    const EvalResult& eval, const Query& query) {
+  CQLOPT_ASSIGN_OR_RETURN(std::vector<Fact> facts, QueryAnswers(eval, query));
+  std::vector<std::string> lines;
+  lines.reserve(facts.size());
+  {
+    std::lock_guard<std::mutex> lock(symbols_mutex_);
+    for (const Fact& fact : facts) {
+      lines.push_back(fact.ToString(*program_.symbols));
+    }
+  }
+  std::sort(lines.begin(), lines.end());
+  return lines;
+}
+
+Status QueryService::ServeMaterializedLocked(const PreparedEntry& entry,
+                                             QueryOutcome* outcome) {
+  if (!entry.answers.ok()) return entry.answers.status();
+  outcome->reached_fixpoint = entry.eval->stats.reached_fixpoint;
+  outcome->answers = *entry.answers;
+  return Status::OK();
+}
+
+void QueryService::CountQuery(const QueryOutcome& outcome, bool on_loop) {
+  std::lock_guard<std::mutex> lock(stats_mutex_);
+  ++stats_.queries;
+  ++(outcome.prepared_hit ? stats_.prepared_hits : stats_.prepared_misses);
+  switch (outcome.path) {
+    case ServePath::kCold:
+    case ServePath::kPreparedEval:
+      ++stats_.cold_evals;
+      break;
+    case ServePath::kEpochHit:
+      ++stats_.epoch_hits;
+      if (on_loop) ++stats_.loop_epoch_hits;
+      break;
+    case ServePath::kResumed:
+      ++stats_.resumes;
+      stats_.resumed_iterations += outcome.iterations_run;
+      break;
+  }
+}
+
 Result<QueryOutcome> QueryService::Execute(const std::string& query_text,
                                            const std::string& steps_spec,
                                            int64_t min_epoch) {
@@ -212,113 +264,107 @@ Result<QueryOutcome> QueryService::Execute(const std::string& query_text,
   outcome.fingerprint = entry->fingerprint;
   outcome.prepared_hit = prepared_hit;
 
-  std::shared_ptr<const EvalResult> eval;
-  {
-    std::lock_guard<std::mutex> lock(entry->mutex);
-    if (entry->eval != nullptr && entry->eval_epoch == head->id) {
-      outcome.path = ServePath::kEpochHit;
-      eval = entry->eval;
+  std::lock_guard<std::mutex> lock(entry->mutex);
+  if (entry->eval.has_value() && entry->eval_epoch == head->id) {
+    outcome.path = ServePath::kEpochHit;
+  } else {
+    std::vector<Fact> delta;
+    bool retracted = false;
+    bool caught_up = entry->eval.has_value() &&
+                     entry->eval->stats.reached_fixpoint &&
+                     entry->eval_epoch >= 0 &&
+                     entry->eval_epoch < head->id &&
+                     CollectDeltas(*head, entry->eval_epoch, &delta,
+                                   &retracted);
+    if (caught_up && !retracted) {
+      int base_iterations = entry->eval->stats.iterations;
+      long base_inserted = entry->eval->stats.inserted;
+      long base_builds = entry->eval->stats.index_builds;
+      // The resume consumes the materialization in place of deep-copying
+      // the whole database. On error it stays cleared: the next query for
+      // this entry simply goes cold — a deadline/budget abort never poisons
+      // the entry or the service.
+      EvalResult base = std::move(*entry->eval);
+      entry->eval.reset();
+      Result<EvalResult> resumed = ResumeEvaluate(
+          entry->prepared.program, std::move(base), delta, options_.eval);
+      if (!resumed.ok()) return NoteEvalError(resumed.status());
+      outcome.path = ServePath::kResumed;
+      outcome.iterations_run = resumed->stats.iterations - base_iterations;
+      outcome.facts_stored = resumed->stats.inserted - base_inserted;
+      outcome.index_builds = resumed->stats.index_builds - base_builds;
+      entry->eval = std::move(*resumed);
     } else {
-      std::vector<Fact> delta;
-      bool retracted = false;
-      bool caught_up = entry->eval != nullptr &&
-                       entry->eval->stats.reached_fixpoint &&
-                       entry->eval_epoch >= 0 &&
-                       entry->eval_epoch < head->id &&
-                       CollectDeltas(*head, entry->eval_epoch, &delta,
-                                     &retracted);
-      if (caught_up && !retracted) {
-        int base_iterations = entry->eval->stats.iterations;
-        long base_inserted = entry->eval->stats.inserted;
-        long base_builds = entry->eval->stats.index_builds;
-        // Readers copy `entry->eval` only under this mutex, so a use count
-        // of 1 proves nobody else holds the materialization and the resume
-        // can consume it in place of deep-copying the whole database. (The
-        // pointee is never created const — see the make_shared below — so
-        // shedding the const qualifier is sound.)
-        EvalResult base =
-            entry->eval.use_count() == 1
-                ? std::move(*std::const_pointer_cast<EvalResult>(entry->eval))
-                : EvalResult(*entry->eval);
-        // On error the materialization stays cleared: the next query for
-        // this entry simply goes cold — a deadline/budget abort never
-        // poisons the entry or the service.
-        entry->eval = nullptr;
-        Result<EvalResult> resumed = ResumeEvaluate(
-            entry->prepared.program, std::move(base), delta, options_.eval);
-        if (!resumed.ok()) return NoteEvalError(resumed.status());
-        outcome.path = ServePath::kResumed;
-        outcome.iterations_run = resumed->stats.iterations - base_iterations;
-        outcome.facts_stored = resumed->stats.inserted - base_inserted;
-        outcome.index_builds = resumed->stats.index_builds - base_builds;
-        eval = std::make_shared<EvalResult>(std::move(*resumed));
-      } else {
-        // A retraction removes base facts that the materialization's
-        // derivations may rest on: re-evaluate the head EDB (DESIGN.md
-        // §14), releasing the stale materialization first.
-        if (retracted) entry->eval = nullptr;
-        EvalOptions opts = options_.eval;
-        opts.strategy = EvalStrategy::kStratified;
-        Result<EvalResult> cold_result =
-            Evaluate(entry->prepared.program, head->edb, opts);
-        if (!cold_result.ok()) return NoteEvalError(cold_result.status());
-        EvalResult cold = std::move(*cold_result);
-        outcome.path =
-            prepared_hit ? ServePath::kPreparedEval : ServePath::kCold;
-        outcome.iterations_run = cold.stats.iterations;
-        outcome.facts_stored = cold.stats.inserted;
-        outcome.index_builds = cold.stats.index_builds;
-        eval = std::make_shared<EvalResult>(std::move(cold));
-        if (retracted) {
-          std::lock_guard<std::mutex> lock(stats_mutex_);
-          ++stats_.retract_resumes;
-        }
+      // A retraction removes base facts that the materialization's
+      // derivations may rest on: re-evaluate the head EDB (DESIGN.md
+      // §14), releasing the stale materialization first.
+      if (retracted) entry->eval.reset();
+      EvalOptions opts = options_.eval;
+      opts.strategy = EvalStrategy::kStratified;
+      Result<EvalResult> cold =
+          Evaluate(entry->prepared.program, head->edb, opts);
+      if (!cold.ok()) return NoteEvalError(cold.status());
+      outcome.path =
+          prepared_hit ? ServePath::kPreparedEval : ServePath::kCold;
+      outcome.iterations_run = cold->stats.iterations;
+      outcome.facts_stored = cold->stats.inserted;
+      outcome.index_builds = cold->stats.index_builds;
+      entry->eval = std::move(*cold);
+      if (retracted) {
+        std::lock_guard<std::mutex> stats_lock(stats_mutex_);
+        ++stats_.retract_resumes;
       }
-      entry->eval = eval;
-      entry->eval_epoch = head->id;
     }
+    entry->eval_epoch = head->id;
+    // Lock order: entry mutex > symbols mutex (rendering reads names).
+    entry->answers = RenderAnswers(*entry->eval, entry->prepared.query);
   }
-
-  outcome.reached_fixpoint = eval->stats.reached_fixpoint;
-  Result<std::vector<Fact>> answers =
-      QueryAnswers(*eval, entry->prepared.query);
-  {
-    // Release the materialization under the entry mutex. A later resume
-    // that finds itself its only holder (use_count() == 1) consumes it in
-    // place, and use_count() is a relaxed load: only this mutex orders the
-    // reads above before that resume's writes.
-    std::lock_guard<std::mutex> lock(entry->mutex);
-    eval.reset();
-  }
-  if (!answers.ok()) return answers.status();
-  {
-    std::lock_guard<std::mutex> lock(symbols_mutex_);
-    outcome.answers.reserve(answers->size());
-    for (const Fact& fact : *answers) {
-      outcome.answers.push_back(fact.ToString(*program_.symbols));
-    }
-  }
-  std::sort(outcome.answers.begin(), outcome.answers.end());
-
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.queries;
-    ++(prepared_hit ? stats_.prepared_hits : stats_.prepared_misses);
-    switch (outcome.path) {
-      case ServePath::kCold:
-      case ServePath::kPreparedEval:
-        ++stats_.cold_evals;
-        break;
-      case ServePath::kEpochHit:
-        ++stats_.epoch_hits;
-        break;
-      case ServePath::kResumed:
-        ++stats_.resumes;
-        stats_.resumed_iterations += outcome.iterations_run;
-        break;
-    }
-  }
+  CQLOPT_RETURN_IF_ERROR(ServeMaterializedLocked(*entry, &outcome));
+  CountQuery(outcome, /*on_loop=*/false);
   return outcome;
+}
+
+bool QueryService::TryEpochHit(const std::string& query_text,
+                               const std::string& steps_spec,
+                               int64_t min_epoch, QueryOutcome* out) {
+  QueryOutcome outcome;
+  {
+    std::unique_lock<std::mutex> lock(head_mutex_, std::try_to_lock);
+    if (!lock.owns_lock() || quarantined_ ||
+        (min_epoch >= 0 && head_->id < min_epoch)) {
+      return false;
+    }
+    outcome.epoch = head_->id;
+  }
+  Result<std::vector<RewriteStep>> steps = ParseSteps(steps_spec);
+  if (!steps.ok()) return false;
+  Query query;
+  std::string canonical;
+  {
+    std::unique_lock<std::mutex> lock(symbols_mutex_, std::try_to_lock);
+    if (!lock.owns_lock() ||
+        !KeyQueryLocked(query_text, *steps, &query, &outcome.fingerprint,
+                        &canonical)
+             .ok()) {
+      return false;
+    }
+  }
+  std::shared_ptr<PreparedEntry> entry =
+      prepared_.Find(outcome.fingerprint, canonical);
+  if (entry == nullptr) return false;
+  {
+    std::unique_lock<std::mutex> lock(entry->mutex, std::try_to_lock);
+    if (!lock.owns_lock() || !entry->eval.has_value() ||
+        entry->eval_epoch != outcome.epoch ||
+        !ServeMaterializedLocked(*entry, &outcome).ok()) {
+      return false;
+    }
+  }
+  outcome.path = ServePath::kEpochHit;
+  outcome.prepared_hit = true;
+  CountQuery(outcome, /*on_loop=*/true);
+  *out = std::move(outcome);
+  return true;
 }
 
 Result<std::vector<Fact>> QueryService::ParseFacts(
@@ -568,6 +614,7 @@ Result<int64_t> QueryService::Commit(const WalRecord& record, Database edb,
     deadlines_.erase(deadlines_.begin(),
                      deadlines_.upper_bound(record.now_ms));
     now_ms_ = record.now_ms;
+    state_crc_.reset();
   }
   const int64_t epoch = head_->id;
   long wal_bytes = 0;
@@ -609,6 +656,7 @@ void QueryService::PublishHeadLocked(Database edb,
   head->edb.IndexEveryPosition();
   head->deltas = std::move(deltas);
   head_ = std::move(head);
+  state_crc_.reset();
 }
 
 Status QueryService::ReplayRecord(const WalRecord& record) {
@@ -622,7 +670,10 @@ Status QueryService::ReplayRecord(const WalRecord& record) {
       // land at the original now_ms + ttl_ms.
       {
         std::lock_guard<std::mutex> lock(head_mutex_);
-        if (record.now_ms > now_ms_) now_ms_ = record.now_ms;
+        if (record.now_ms > now_ms_) {
+          now_ms_ = record.now_ms;
+          state_crc_.reset();
+        }
       }
       return Ingest(record.statements, record.ttl_ms).status();
     case WalRecord::Kind::kExpire:
@@ -750,6 +801,18 @@ std::string QueryService::RenderStateText() const {
   return StateText(SnapshotLocked());
 }
 
+uint32_t QueryService::StateCrc() const {
+  std::lock_guard<std::mutex> lock(head_mutex_);
+  return StateCrcLocked();
+}
+
+uint32_t QueryService::StateCrcLocked() const {
+  if (!state_crc_.has_value()) {
+    state_crc_ = WalCrc32(StateText(SnapshotLocked()));
+  }
+  return *state_crc_;
+}
+
 void QueryService::FeedAppendLocked(std::string payload) {
   feed_.push_back(std::move(payload));
 }
@@ -769,21 +832,21 @@ Status QueryService::FetchReplication(int64_t base_epoch, uint64_t index,
   *out = ReplicationBatch();
   {
     std::lock_guard<std::mutex> lock(head_mutex_);
-    WalSnapshot state = SnapshotLocked();
     out->base_epoch = feed_base_epoch_;
     out->feed_size = feed_.size();
-    out->primary_epoch = state.epoch;
-    out->primary_clock_ms = state.now_ms;
+    out->primary_epoch = head_->id;
+    out->primary_clock_ms = now_ms_;
     // The CRC and the cut are atomic: a follower whose applied prefix
-    // reaches feed_size must reproduce these exact bytes.
-    out->state_crc = WalCrc32(StateText(state));
+    // reaches feed_size must reproduce these exact bytes. Memoized, so an
+    // idle poll renders nothing under the head lock.
+    out->state_crc = StateCrcLocked();
     if (base_epoch != feed_base_epoch_ || index > feed_.size()) {
       // Renegotiation: the follower's coordinates predate this generation
       // (compaction), come from another log, or are a bootstrap probe.
       // Ship the head state outright with the coordinates to resume from.
       out->snapshot = true;
       out->next_index = feed_.size();
-      out->snap = std::move(state);
+      out->snap = SnapshotLocked();
     } else {
       size_t end = std::min(feed_.size(), index + max_records);
       out->records.assign(feed_.begin() + index, feed_.begin() + end);
@@ -849,6 +912,7 @@ Status QueryService::InstallState(const WalSnapshot& snapshot,
     PublishHeadLocked(std::move(edb), std::move(base));
     now_ms_ = snapshot.now_ms;
     deadlines_ = std::move(deadlines);
+    state_crc_.reset();
     // The snapshot starts a feed generation: replication coordinates are
     // stable across restarts because this base is re-derived, not counted,
     // and an installed snapshot mirrors what Compact() would produce, so

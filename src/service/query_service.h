@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -232,6 +233,9 @@ struct ServiceStats {
   long prepared_misses = 0;
   long cold_evals = 0;
   long epoch_hits = 0;
+  /// Epoch hits answered by TryEpochHit — on the serve loop's thread, with
+  /// no scheduler task (a subset of `epoch_hits`).
+  long loop_epoch_hits = 0;
   long resumes = 0;
   /// Fixpoint iterations spent in resumed evaluations (the incremental
   /// work; compare against cold_eval iterations to see the saving).
@@ -285,8 +289,8 @@ struct ServiceStats {
 ///     it captured while a writer commits the next epoch, so no query ever
 ///     observes a half-ingested batch.
 ///  3. *Incremental ingestion.* Each prepared entry materializes its
-///     latest evaluation, epoch-tagged. A query at the same epoch is
-///     answered from the materialization outright; after ingests, the
+///     latest evaluation, epoch-tagged, with its rendered answer lines. A
+///     query at the same epoch copies those lines outright; after ingests, the
 ///     materialized fixpoint is resumed with the accumulated EDB deltas
 ///     (ResumeEvaluate) instead of recomputed. After a retraction it is
 ///     recomputed over the head EDB (DESIGN.md §14).
@@ -302,7 +306,9 @@ struct ServiceStats {
 /// order is entry mutex > symbols mutex (never the reverse); the head
 /// epoch pointer has its own lock and is only held for pointer swaps.
 /// Sessions hitting the *same* prepared entry serialize on its
-/// materialization; distinct entries evaluate in parallel.
+/// materialization; distinct entries evaluate in parallel. TryEpochHit
+/// only try-locks the head, symbols and entry mutexes, so it never waits
+/// behind a commit, a pipeline or an evaluation.
 class QueryService {
  public:
   /// Builds a service from program text (inline `?- ...` statements are
@@ -334,6 +340,19 @@ class QueryService {
   Result<QueryOutcome> Execute(const std::string& query_text,
                                const std::string& steps_spec,
                                int64_t min_epoch = -1);
+
+  /// Serves the query as Execute would when that is an epoch hit whose
+  /// answer is ready, without ever waiting: the head, symbols and entry
+  /// locks are only try-locked, so no evaluation, pipeline, WAL fsync or
+  /// index build in flight can stall the caller (the serve loop's thread).
+  /// The work is parsing and fingerprinting the query and copying the
+  /// memoized answer lines. Returns false, leaving `out` untouched and
+  /// counting nothing, for anything else — a cold, resumed or unprepared
+  /// query, a busy lock, an unreached `min_epoch`, a quarantined node or
+  /// any error — and the caller falls back to Execute.
+  bool TryEpochHit(const std::string& query_text,
+                   const std::string& steps_spec, int64_t min_epoch,
+                   QueryOutcome* out);
 
   /// Parses facts in the loader syntax and commits them as a new epoch.
   /// Readers holding older snapshots are unaffected. With a WAL configured,
@@ -400,6 +419,12 @@ class QueryService {
   /// when their raw symbol ids differ (recovery re-interns names in replay
   /// order).
   std::string RenderStateText() const;
+
+  /// CRC-32 (wal.h WalCrc32) of RenderStateText() — the per-epoch digest
+  /// REPLICATE ships and a follower compares. Memoized until the head, the
+  /// clock or the deadlines next change, so repeated polls of an idle node
+  /// render nothing.
+  uint32_t StateCrc() const;
 
   int64_t epoch() const;
   ServiceStats Stats() const;
@@ -491,6 +516,29 @@ class QueryService {
       const std::string& query_text, const std::string& steps_spec,
       bool* prepared_hit);
 
+  /// Parses `query_text` and computes its prepared-cache key under `steps`
+  /// (PipelineFingerprint). symbols_mutex_ must be held: parsing interns
+  /// names.
+  Status KeyQueryLocked(const std::string& query_text,
+                        const std::vector<RewriteStep>& steps, Query* query,
+                        uint64_t* fingerprint, std::string* canonical);
+
+  /// The sorted, rendered answer lines of `query` over `eval` — the memo a
+  /// refreshed materialization stores in PreparedEntry::answers. Takes
+  /// symbols_mutex_.
+  Result<std::vector<std::string>> RenderAnswers(const EvalResult& eval,
+                                                 const Query& query);
+
+  /// The one epoch-hit path, shared by Execute and TryEpochHit: fills
+  /// `outcome`'s answers and fixpoint flag from `entry`'s materialization,
+  /// or returns the answer error memoized with it. entry.mutex must be held
+  /// and entry.eval set.
+  static Status ServeMaterializedLocked(const PreparedEntry& entry,
+                                        QueryOutcome* outcome);
+
+  /// Counts one served query in the stats; `on_loop` marks a TryEpochHit.
+  void CountQuery(const QueryOutcome& outcome, bool on_loop);
+
   /// The facts of the epochs (from, head], oldest first, when every one of
   /// them is an insert epoch. Sets `*retracted` instead (leaving `out`
   /// empty) when one is a retraction epoch. False if the chain no longer
@@ -550,6 +598,10 @@ class QueryService {
   /// head > symbols).
   WalSnapshot SnapshotLocked() const;
 
+  /// StateCrc's body: returns `state_crc_`, computing it from
+  /// SnapshotLocked() when unset. head_mutex_ must be held.
+  uint32_t StateCrcLocked() const;
+
   /// Installs `snapshot` as this node's entire state — EDB at the
   /// snapshot's epoch (the delta chain bottoms out there), clock, pending
   /// deadlines — and starts a new replication feed generation at that
@@ -585,6 +637,10 @@ class QueryService {
   /// retracted by hand is stale and skipped harmlessly at sweep time.
   /// Guarded by head_mutex_.
   std::multimap<int64_t, Fact> deadlines_;
+  /// StateCrc's memo; reset wherever `head_`, `now_ms_` or `deadlines_`
+  /// change (PublishHeadLocked, a clock commit, replay, InstallState).
+  /// Guarded by head_mutex_.
+  mutable std::optional<uint32_t> state_crc_;
 
   /// In-memory replication feed: the exact WAL payload bytes of every
   /// record committed since the feed's base snapshot, commit order.

@@ -208,7 +208,7 @@ Result<int> Replicator::Step() {
       (batch.snapshot ||
        batch.base_epoch == base_epoch)) {
     int64_t follower_epoch = follower_->epoch();
-    uint32_t follower_crc = WalCrc32(follower_->RenderStateText());
+    uint32_t follower_crc = follower_->StateCrc();
     {
       std::lock_guard<std::mutex> lock(mutex_);
       ++progress_.divergence_checks;

@@ -65,7 +65,10 @@ struct SchedulerOptions {
 /// preempts the newest queued task of a strictly lower class (its shed
 /// callback fires), or refuses (the submitted task's shed callback fires).
 /// Everything is counted; an attached QueryService exposes the counters
-/// through ServiceStats::scheduler.
+/// through ServiceStats::scheduler. The serve loop (server.h) answers an
+/// epoch-hit QUERY on its own thread without submitting it, so these
+/// counters, and the per-class wait/run times, cover only the requests
+/// that needed a worker; ServiceStats::loop_epoch_hits counts the rest.
 ///
 /// The "scheduler/worker-hold" failpoint freezes workers *before* they
 /// dequeue, so tests can fill the queue and observe deterministic shed and

@@ -154,7 +154,9 @@ Status ListenTcp(int port, int backlog, Listener* out, int* bound_port) {
 /// Scheduler's worker pool. Workers hand finished responses back through a
 /// mutexed completion queue + eventfd; the loop reassembles them in
 /// per-connection sequence order so pipelined clients always read replies
-/// in request order, however the pool interleaves execution.
+/// in request order, however the pool interleaves execution. An epoch-hit
+/// QUERY is answered on this thread instead (DispatchLine), skipping the
+/// worker wake-up and the eventfd round-trip.
 class EventLoop {
  public:
   EventLoop(QueryService& service, const ServerOptions& options)
@@ -362,8 +364,12 @@ class EventLoop {
   /// Routes one request line: connection/server-level verbs (PRIORITY,
   /// SHUTDOWN, keep-alive blanks) run inline on the loop thread — they are
   /// cheap, must not be reordered behind queued work of *other*
-  /// connections, and must never be shed — everything else goes through
-  /// scheduler admission under the connection's priority class.
+  /// connections, and must never be shed. So does a QUERY that is an epoch
+  /// hit (TryAnswerEpochHit, which never waits on a lock), when nothing
+  /// earlier on its connection is still outstanding: a QUERY pipelined
+  /// behind its own connection's INGEST must see that write. Everything
+  /// else goes through scheduler admission under the connection's
+  /// priority class.
   void DispatchLine(Conn& conn, const std::string& line) {
     uint64_t seq = conn.next_seq++;
     std::string verb = PeekVerb(line);
@@ -383,6 +389,13 @@ class EventLoop {
               "ERR UNAVAILABLE server draining: request refused\nEND\n",
               /*shutdown=*/false);
       return;
+    }
+    if (verb == "QUERY" && conn.flush_seq == seq) {
+      std::vector<std::string> lines;
+      if (TryAnswerEpochHit(service_, line, &lines)) {
+        Deliver(conn, seq, RenderResponse(lines), /*shutdown=*/false);
+        return;
+      }
     }
     uint64_t conn_id = conn.id;
     PriorityClass priority = conn.priority;

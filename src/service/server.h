@@ -63,7 +63,10 @@ struct ServerOptions {
 /// executes them (reads concurrent over snapshot epochs, ingests
 /// serialized by the service's single-writer commit path), and responses
 /// flush back in per-connection request order however the workers
-/// interleave. Requests past the admission bound are shed with a typed
+/// interleave. A QUERY that is an epoch hit, arriving when everything
+/// earlier on its connection has been answered, is answered by the loop
+/// thread itself, which never waits behind an evaluation or a commit
+/// (protocol.h TryAnswerEpochHit). Requests past the admission bound are shed with a typed
 /// `ERR RESOURCE_EXHAUSTED` response instead of stalling the accept loop
 /// (DESIGN.md §13). Blocks until a client sends SHUTDOWN (any connection
 /// stops the whole server — cqld is a single-tenant daemon); admitted work

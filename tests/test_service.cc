@@ -8,10 +8,12 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -20,6 +22,7 @@
 #include <future>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <random>
 #include <set>
 #include <sstream>
@@ -542,6 +545,96 @@ TEST(QueryServiceTest, ReadersSeeWholeBatchesOnly) {
             static_cast<size_t>(kBatch) * (kBatches + 1));
 }
 
+TEST(QueryServiceTest, TryEpochHitServesOnlyAReadyEpochHit) {
+  auto service = FlightsService();
+  QueryOutcome hit;
+  // Nothing prepared or evaluated yet: the caller must take Execute.
+  EXPECT_FALSE(service->TryEpochHit(kFlightsQuery, "pred,qrp,mg", -1, &hit));
+  auto cold = service->Execute(kFlightsQuery, "pred,qrp,mg");
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  ASSERT_TRUE(service->TryEpochHit(kFlightsQuery, "pred,qrp,mg", -1, &hit));
+  EXPECT_EQ(hit.path, ServePath::kEpochHit);
+  EXPECT_EQ(hit.epoch, 0);
+  EXPECT_TRUE(hit.prepared_hit);
+  EXPECT_EQ(hit.fingerprint, cold->fingerprint);
+  EXPECT_EQ(hit.reached_fixpoint, cold->reached_fixpoint);
+  EXPECT_EQ(hit.answers, cold->answers);
+
+  // An unreached ASOF token and a write since the materialization fall
+  // back: Execute reports the first and catches up on the second.
+  EXPECT_FALSE(service->TryEpochHit(kFlightsQuery, "pred,qrp,mg", 1, &hit));
+  ASSERT_TRUE(service->Ingest("singleleg(msn, sea, 100, 50).").ok());
+  EXPECT_FALSE(service->TryEpochHit(kFlightsQuery, "pred,qrp,mg", 1, &hit));
+  auto resumed = service->Execute(kFlightsQuery, "pred,qrp,mg", 1);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(resumed->path, ServePath::kResumed);
+  ASSERT_TRUE(service->TryEpochHit(kFlightsQuery, "pred,qrp,mg", 1, &hit));
+  EXPECT_EQ(hit.epoch, 1);
+  EXPECT_EQ(hit.answers, resumed->answers);
+
+  // Unparseable input and a quarantined node are the full path's to report.
+  EXPECT_FALSE(service->TryEpochHit("?- cheaporshort(", "pred,qrp,mg", -1,
+                                    &hit));
+  EXPECT_FALSE(service->TryEpochHit(kFlightsQuery, "nosuchstep", -1, &hit));
+  service->Quarantine("test divergence");
+  EXPECT_FALSE(service->TryEpochHit(kFlightsQuery, "pred,qrp,mg", -1, &hit));
+
+  ServiceStats stats = service->Stats();
+  EXPECT_EQ(stats.queries, 4);
+  EXPECT_EQ(stats.epoch_hits, 2);
+  EXPECT_EQ(stats.loop_epoch_hits, 2);
+}
+
+TEST(QueryServiceTest, AnswerErrorIsMemoizedWithItsEpoch) {
+  auto service = FlightsService();
+  // A number bound where the rows hold symbols: QueryAnswers' TypeError.
+  const char query[] = "?- cheaporshort(msn, 5, T, C).";
+  auto first = service->Execute(query, "");
+  ASSERT_FALSE(first.ok());
+  EXPECT_EQ(first.status().code(), StatusCode::kTypeError);
+  // The epoch hit returns the same error, and the inline path defers to it.
+  auto second = service->Execute(query, "");
+  ASSERT_FALSE(second.ok());
+  EXPECT_EQ(second.status().ToString(), first.status().ToString());
+  QueryOutcome hit;
+  EXPECT_FALSE(service->TryEpochHit(query, "", -1, &hit));
+  EXPECT_EQ(service->Stats().queries, 0);
+}
+
+TEST(QueryServiceTest, StateCrcTracksIngestTickExpiryAndInstall) {
+  auto service = FlightsService();
+  // Each step reads the memo before the change, so a missed invalidation
+  // shows as a stale CRC after it.
+  uint32_t last = 0;
+  auto expect_fresh = [&](const char* step) {
+    const uint32_t crc = service->StateCrc();
+    EXPECT_EQ(crc, WalCrc32(service->RenderStateText())) << step;
+    EXPECT_EQ(service->StateCrc(), crc) << step << " (memoized)";
+    EXPECT_NE(crc, last) << step << " left the CRC unchanged";
+    last = crc;
+  };
+  expect_fresh("start");
+  ASSERT_TRUE(service->Ingest("singleleg(msn, sea, 100, 50).").ok());
+  expect_fresh("ingest");
+  ASSERT_TRUE(service->Ingest("singleleg(msn, sea, 90, 40).", 50).ok());
+  expect_fresh("TTL ingest");
+  auto tick = service->AdvanceClock(10);
+  ASSERT_TRUE(tick.ok());
+  EXPECT_EQ(tick->expired, 0);
+  expect_fresh("tick with no expiry");
+  tick = service->AdvanceClock(100);
+  ASSERT_TRUE(tick.ok());
+  EXPECT_EQ(tick->expired, 1);
+  expect_fresh("TTL expiry");
+  WalSnapshot snapshot;
+  snapshot.epoch = 9;
+  snapshot.now_ms = 500;
+  snapshot.statements = "singleleg(msn, sea, 10, 10).\n";
+  snapshot.deadlines = {{900, "singleleg(msn, sea, 10, 10)."}};
+  ASSERT_TRUE(service->InstallSnapshot(snapshot).ok());
+  expect_fresh("snapshot install");
+}
+
 // ---------------------------------------------------------------------------
 // Line protocol.
 
@@ -650,6 +743,30 @@ TEST(ProtocolTest, HostileExpressionsGetErrAndServingContinues) {
     EXPECT_EQ(out.front().rfind("OK ", 0), 0u) << out.front();
     EXPECT_EQ(out.back(), "END");
   }
+}
+
+TEST(ProtocolTest, InlineEpochHitRendersTheWorkerResponse) {
+  auto service = FlightsService();
+  const std::string line = "QUERY pred,qrp,mg " + std::string(kFlightsQuery);
+  std::vector<std::string> inline_out;
+  EXPECT_FALSE(TryAnswerEpochHit(*service, line, &inline_out));
+  EXPECT_TRUE(inline_out.empty());
+  std::vector<std::string> out;
+  HandleLine(*service, line, &out);  // cold: materializes the entry
+  out.clear();
+  HandleLine(*service, line, &out);
+  ASSERT_FALSE(out.empty());
+  EXPECT_EQ(out.front().rfind("OK path=epoch-hit epoch=0 ", 0), 0u)
+      << out.front();
+  ASSERT_TRUE(TryAnswerEpochHit(*service, line, &inline_out));
+  EXPECT_EQ(inline_out, out);
+  // Only QUERY is answered inline, and an ASOF suffix is honoured.
+  EXPECT_FALSE(TryAnswerEpochHit(
+      *service, "PREPARE pred,qrp,mg " + std::string(kFlightsQuery), &out));
+  EXPECT_FALSE(TryAnswerEpochHit(*service, line + " ASOF 1", &out));
+  inline_out.clear();
+  ASSERT_TRUE(TryAnswerEpochHit(*service, line + " ASOF 0", &inline_out));
+  EXPECT_EQ(inline_out.front().rfind("OK path=epoch-hit epoch=0 ", 0), 0u);
 }
 
 TEST(ProtocolTest, StatsAndShutdown) {
@@ -1552,6 +1669,264 @@ TEST(ServeLoopTest, ConcurrentClientsMatchSerialReplay) {
   ::close(fd);
   server.thread.join();
   EXPECT_TRUE(server.status.ok()) << server.status.ToString();
+}
+
+/// True when `fd` has bytes to read within `wait_ms`.
+bool Readable(int fd, int wait_ms) {
+  pollfd p{};
+  p.fd = fd;
+  p.events = POLLIN;
+  return ::poll(&p, 1, wait_ms) > 0 && (p.revents & POLLIN) != 0;
+}
+
+void ShutDown(TestServer& server) {
+  int fd = ConnectUnix(server.options.socket_path);
+  ASSERT_GE(fd, 0);
+  std::string buffer;
+  ASSERT_TRUE(SendAll(fd, "SHUTDOWN\n"));
+  (void)ReadResponse(fd, &buffer);
+  ::close(fd);
+  server.thread.join();
+  EXPECT_TRUE(server.status.ok()) << server.status.ToString();
+}
+
+TEST(ServeLoopTest, EpochHitIsAnsweredWhileWorkersAreHeld) {
+  failpoint::DisarmAll();
+  ServerFixtureDirs scratch;
+  auto service = FlightsService();
+  auto warm = service->Execute(kFlightsQuery, "pred,qrp,mg");
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  ServerOptions options;
+  options.socket_path = scratch.SocketPath();
+  options.scheduler.workers = 1;
+  TestServer server(*service, options);
+  ASSERT_TRUE(server.ready);
+
+  // No worker can dequeue, so only the loop thread can answer.
+  failpoint::Arm(failpoint::kSchedulerWorkerHold, 0, 0);
+  int fd = ConnectUnix(scratch.SocketPath());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(
+      SendAll(fd, std::string("QUERY pred,qrp,mg ") + kFlightsQuery + "\n"));
+  std::string buffer;
+  std::vector<std::string> response = ReadResponse(fd, &buffer);
+  ASSERT_FALSE(response.empty());
+  EXPECT_EQ(response.front().rfind("OK path=epoch-hit epoch=0 ", 0), 0u)
+      << response.front();
+  EXPECT_EQ(std::vector<std::string>(response.begin() + 1, response.end()),
+            warm->answers);
+  ServiceStats stats = service->Stats();
+  EXPECT_EQ(stats.loop_epoch_hits, 1);
+  EXPECT_EQ(stats.scheduler.admitted, 0);
+  failpoint::DisarmAll();
+  ::close(fd);
+  ShutDown(server);
+}
+
+TEST(ServeLoopTest, QueryPipelinedBehindItsIngestWaitsForIt) {
+  failpoint::DisarmAll();
+  ServerFixtureDirs scratch;
+  auto service = FlightsService();
+  ASSERT_TRUE(service->Execute(kFlightsQuery, "pred,qrp,mg").ok());
+  ServerOptions options;
+  options.socket_path = scratch.SocketPath();
+  options.scheduler.workers = 2;
+  TestServer server(*service, options);
+  ASSERT_TRUE(server.ready);
+
+  // The QUERY is an epoch hit when it arrives, but the INGEST ahead of it
+  // on the same connection is still queued: answering it inline would
+  // serve epoch 0 to a client that has already sent a write.
+  failpoint::Arm(failpoint::kSchedulerWorkerHold, 0, 0);
+  int fd = ConnectUnix(scratch.SocketPath());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(SendAll(fd, std::string("INGEST singleleg(msn, sea, 100, 50).\n"
+                                      "QUERY pred,qrp,mg ") +
+                              kFlightsQuery + "\n"));
+  EXPECT_FALSE(Readable(fd, 200));
+  EXPECT_EQ(service->Stats().loop_epoch_hits, 0);
+  failpoint::DisarmAll();
+
+  std::string buffer;
+  std::vector<std::string> ingest = ReadResponse(fd, &buffer);
+  ASSERT_FALSE(ingest.empty());
+  EXPECT_EQ(ingest.front(), "OK accepted=1 duplicates=0 epoch=1");
+  std::vector<std::string> query = ReadResponse(fd, &buffer);
+  ASSERT_FALSE(query.empty());
+  EXPECT_EQ(query.front().rfind("OK path=resumed epoch=1 ", 0), 0u)
+      << query.front();
+  bool saw_leg = false;
+  for (const std::string& line : query) {
+    if (line.find("(msn, sea, 100, 50)") != std::string::npos) saw_leg = true;
+  }
+  EXPECT_TRUE(saw_leg);
+  ::close(fd);
+  ShutDown(server);
+}
+
+/// One request line a client sent and the response it read (END excluded).
+struct Exchange {
+  std::string request;
+  std::vector<std::string> response;
+};
+
+/// The number after `key=` in `header`, or -1.
+int64_t HeaderNumber(const std::string& header, const std::string& key) {
+  size_t at = header.find(" " + key + "=");
+  if (at == std::string::npos) return -1;
+  return std::atoll(header.c_str() + at + key.size() + 2);
+}
+
+TEST(ServeLoopTest, PipelinedClientsReadTheEpochTheyReport) {
+  constexpr int kClients = 3;
+  constexpr int kLines = 60;
+  ServerFixtureDirs scratch;
+  auto service = FlightsService();
+  ServerOptions options;
+  options.socket_path = scratch.SocketPath();
+  options.scheduler.workers = 2;
+  TestServer server(*service, options);
+  ASSERT_TRUE(server.ready);
+  const std::string query_line =
+      std::string("QUERY pred,qrp,mg ") + kFlightsQuery;
+
+  // Each client sends seeded bursts of 1-3 pipelined lines and reads every
+  // reply before the next burst, so a QUERY that opens a burst may be
+  // answered on the loop while the other clients' writes commit. A RETRACT
+  // names a leg whose INGEST this client has already seen acknowledged.
+  std::vector<std::vector<Exchange>> logs(kClients);
+  std::atomic<int> errors{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      std::mt19937 rng(1000 + c);
+      int fd = ConnectUnix(scratch.SocketPath());
+      if (fd < 0) {
+        errors.fetch_add(1);
+        return;
+      }
+      std::string buffer;
+      std::vector<std::string> live;
+      int legs = 0;
+      for (int sent = 0; sent < kLines;) {
+        std::vector<std::string> burst;
+        std::vector<std::string> ingested;
+        for (int n = 1 + static_cast<int>(rng() % 3); n > 0 && sent < kLines;
+             --n, ++sent) {
+          unsigned roll = rng() % 10;
+          if (roll < 3) {
+            std::string leg = "singleleg(msn, sea, " +
+                              std::to_string(100 + 30 * c + legs) + ", " +
+                              std::to_string(50 + legs) + ").";
+            ++legs;
+            burst.push_back("INGEST " + leg);
+            ingested.push_back(leg);
+          } else if (roll < 5 && !live.empty()) {
+            burst.push_back("RETRACT " + live.front());
+            live.erase(live.begin());
+          } else {
+            burst.push_back(query_line);
+          }
+        }
+        std::string bytes;
+        for (const std::string& line : burst) bytes += line + "\n";
+        if (!SendAll(fd, bytes)) {
+          errors.fetch_add(1);
+          break;
+        }
+        for (const std::string& line : burst) {
+          std::vector<std::string> response = ReadResponse(fd, &buffer);
+          if (response.empty() || response.front().rfind("OK ", 0) != 0) {
+            errors.fetch_add(1);
+          }
+          logs[c].push_back({line, std::move(response)});
+        }
+        live.insert(live.end(), ingested.begin(), ingested.end());
+      }
+      ::close(fd);
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  ASSERT_EQ(errors.load(), 0);
+
+  // With the writers done, a repeated QUERY is an epoch hit on the loop.
+  {
+    int fd = ConnectUnix(scratch.SocketPath());
+    ASSERT_GE(fd, 0);
+    std::string buffer;
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_TRUE(SendAll(fd, query_line + "\n"));
+      logs[0].push_back({query_line, ReadResponse(fd, &buffer)});
+      ASSERT_FALSE(logs[0].back().response.empty());
+    }
+    EXPECT_EQ(logs[0].back().response.front().rfind("OK path=epoch-hit ", 0),
+              0u)
+        << logs[0].back().response.front();
+    ::close(fd);
+  }
+  EXPECT_GE(service->Stats().loop_epoch_hits, 1);
+
+  // Every write burned exactly one epoch; replaying them in epoch order
+  // gives the EDB each QUERY reply names.
+  std::map<int64_t, std::pair<bool, std::string>> writes;  // insert?, leg
+  std::map<int64_t, std::vector<const Exchange*>> reads;
+  for (const auto& log : logs) {
+    for (const Exchange& x : log) {
+      const std::string& header = x.response.front();
+      const int64_t epoch = HeaderNumber(header, "epoch");
+      ASSERT_GE(epoch, 0) << header;
+      if (x.request.rfind("QUERY ", 0) == 0) {
+        reads[epoch].push_back(&x);
+        continue;
+      }
+      const bool insert = x.request.rfind("INGEST ", 0) == 0;
+      EXPECT_EQ(HeaderNumber(header, insert ? "accepted" : "removed"), 1)
+          << header;
+      EXPECT_TRUE(writes.emplace(epoch, std::make_pair(
+                                            insert, x.request.substr(
+                                                        x.request.find(' ') +
+                                                        1)))
+                      .second)
+          << "two writes committed epoch " << epoch;
+    }
+  }
+  ASSERT_FALSE(writes.empty());
+  EXPECT_EQ(writes.begin()->first, 1);
+  EXPECT_EQ(writes.rbegin()->first, static_cast<int64_t>(writes.size()));
+  EXPECT_EQ(service->epoch(), static_cast<int64_t>(writes.size()));
+
+  const std::string program = ReadFile(ProgramPath("flights.cql"));
+  const std::string base = ReadFile(ProgramPath("flights_edb.cql"));
+  std::vector<std::string> live;
+  auto next_write = writes.begin();
+  for (const auto& [epoch, exchanges] : reads) {
+    for (; next_write != writes.end() && next_write->first <= epoch;
+         ++next_write) {
+      const auto& [insert, leg] = next_write->second;
+      if (insert) {
+        live.push_back(leg);
+      } else {
+        live.erase(std::find(live.begin(), live.end(), leg));
+      }
+    }
+    std::string edb = base;
+    for (const std::string& leg : live) edb += leg + "\n";
+    auto cold = QueryService::FromText(program, edb);
+    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+    auto want = (*cold)->Execute(kFlightsQuery, "pred,qrp,mg");
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_EQ(want->path, ServePath::kCold);
+    for (const Exchange* x : exchanges) {
+      EXPECT_EQ(HeaderNumber(x->response.front(), "answers"),
+                static_cast<int64_t>(want->answers.size()))
+          << "epoch " << epoch << ": " << x->response.front();
+      EXPECT_EQ(std::vector<std::string>(x->response.begin() + 1,
+                                         x->response.end()),
+                want->answers)
+          << "epoch " << epoch << ": " << x->response.front();
+    }
+  }
+  ShutDown(server);
 }
 
 }  // namespace
